@@ -1,10 +1,12 @@
 //! Validates a telemetry event journal written via `P2PMAL_JOURNAL`.
 //!
-//! Every line must parse as a JSON object carrying the event envelope
-//! (`t`, `day`, `cat`, `ev`) with a known category, and the sim
-//! timestamps must be monotone non-decreasing. Provenance is checked for
-//! referential integrity: `trace`/`span` must appear together as valid
-//! 16-char hex ids, span ids must be unique, and every `parent` must
+//! Streams the file through `p2pmal_obs::scan_line`, the one parser of the
+//! journal schema, so memory is the span set plus one line. Every line must
+//! parse as a JSON object carrying the event envelope (`t`, `day`, `cat`,
+//! `ev`) with a known category, and the sim timestamps must be monotone
+//! non-decreasing. Provenance is checked for referential integrity:
+//! `trace`/`span` must appear together as valid hex ids, span ids must be
+//! unique, and every `parent` must
 //! resolve to a span emitted **earlier in the same journal** — which,
 //! combined with global `t` monotonicity, also guarantees sim-times are
 //! monotone along every causal chain. CI runs this against the journals
@@ -14,33 +16,19 @@
 //! cargo run -p p2pmal-bench --bin validate_journal -- journal.limewire.jsonl journal.openft.jsonl
 //! ```
 //!
-//! Prints one summary line per valid journal; exits with status 1 if any
-//! journal is malformed, 2 on usage errors. `--allow-orphans` downgrades
+//! Prints one summary line per valid journal (ending in the validator's own
+//! peak RSS so far); exits with status 1 if any journal is malformed, 2 on
+//! usage errors. `--allow-orphans` downgrades
 //! unresolved parents from errors to a reported count (for truncated or
 //! sampled journals, where chains are cut on purpose).
 
 use std::collections::HashSet;
 
-use p2pmal_json::Value;
-use p2pmal_netsim::telemetry_span::parse_span_hex;
-use p2pmal_netsim::EventCategory;
-
-fn id_field(v: &Value, key: &str, at: &str) -> Result<Option<u64>, String> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(raw) => {
-            let s = raw
-                .as_str()
-                .ok_or(format!("{at}: `{key}` is not a string"))?;
-            parse_span_hex(s)
-                .map(Some)
-                .ok_or(format!("{at}: `{key}` is not a 16-char hex id: {s:?}"))
-        }
-    }
-}
+use p2pmal_netsim::{process_rss_kb, EventCategory};
+use p2pmal_obs::{for_each_line, scan_line};
 
 fn validate(path: &str, allow_orphans: bool) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
     let mut last_t = 0u64;
     let mut counts = [0u64; EventCategory::ALL.len()];
     let mut events = 0u64;
@@ -49,62 +37,42 @@ fn validate(path: &str, allow_orphans: bool) -> Result<(), String> {
     let mut spanned = 0u64;
     let mut orphans = 0u64;
     let mut first_orphan: Option<String> = None;
-    for (i, line) in text.lines().enumerate() {
-        let n = i + 1;
-        let at = format!("{path}:{n}");
-        let v = p2pmal_json::parse(line).map_err(|e| format!("{at}: {e}"))?;
-        let t = v
-            .get("t")
-            .and_then(Value::as_u64)
-            .ok_or(format!("{at}: missing numeric `t`"))?;
-        v.get("day")
-            .and_then(Value::as_u64)
-            .ok_or(format!("{at}: missing numeric `day`"))?;
-        let cat = v
-            .get("cat")
-            .and_then(Value::as_str)
-            .ok_or(format!("{at}: missing string `cat`"))?;
-        let cat =
-            EventCategory::from_label(cat).ok_or(format!("{at}: unknown category {cat:?}"))?;
-        v.get("ev")
-            .and_then(Value::as_str)
-            .ok_or(format!("{at}: missing string `ev`"))?;
+    let source = std::io::BufReader::with_capacity(64 * 1024, file);
+    for_each_line(source, |n, line| {
+        // Envelope and provenance well-formedness are the scanner's rules.
+        let line = scan_line(line)?;
+        let cat = EventCategory::from_label(&line.cat)
+            .ok_or(format!("unknown category {:?}", line.cat))?;
+        let t = line.t;
         if t < last_t {
-            return Err(format!("{at}: sim time went backwards ({t} < {last_t})"));
+            return Err(format!("sim time went backwards ({t} < {last_t})"));
         }
         last_t = t;
 
         // Provenance referential integrity.
-        let trace = id_field(&v, "trace", &at)?;
-        let span = id_field(&v, "span", &at)?;
-        let parent = id_field(&v, "parent", &at)?;
-        if trace.is_some() != span.is_some() {
-            return Err(format!("{at}: `trace` and `span` must appear together"));
-        }
-        if parent.is_some() && span.is_none() {
-            return Err(format!("{at}: `parent` without `span`"));
-        }
-        if let Some(p) = parent {
+        if let Some(p) = line.parent {
             // Checked before registering this line's own span, so a
             // self-parenting event is also caught as unresolved.
             if !spans_seen.contains(&p) {
                 orphans += 1;
                 first_orphan.get_or_insert_with(|| {
-                    format!("{at}: parent {p:016x} never emitted before this line")
+                    format!("{path}:{n}: parent {p:016x} never emitted before this line")
                 });
             }
         }
-        if let Some(s) = span {
+        if let (Some(trace), Some(s)) = (line.trace, line.span) {
             spanned += 1;
-            traces_seen.insert(trace.expect("paired with span above"));
+            traces_seen.insert(trace);
             if !spans_seen.insert(s) {
-                return Err(format!("{at}: duplicate span id {s:016x}"));
+                return Err(format!("duplicate span id {s:016x}"));
             }
         }
 
         counts[cat as usize] += 1;
         events += 1;
-    }
+        Ok(())
+    })
+    .map_err(|(n, e)| format!("{path}:{n}: {e}"))?;
     if orphans > 0 && !allow_orphans {
         return Err(format!(
             "{}: {orphans} orphan parent reference(s) in total",
@@ -118,13 +86,15 @@ fn validate(path: &str, allow_orphans: bool) -> Result<(), String> {
         .map(|(c, n)| format!("{} {n}", c.label()))
         .collect();
     println!(
-        "{path}: {events} events OK ({}); {spanned} spanned, {} traces, {orphans} orphans",
+        "{path}: {events} events OK ({}); {spanned} spanned, {} traces, {orphans} orphans; \
+         peak RSS {:.1} MiB",
         if breakdown.is_empty() {
             "empty".into()
         } else {
             breakdown.join(", ")
         },
         traces_seen.len(),
+        process_rss_kb().0 as f64 / 1024.0,
     );
     Ok(())
 }

@@ -59,8 +59,11 @@ fn journal_base(tag: &str) -> PathBuf {
 /// Runs a one-day quick LimeWire study journaling to a temp file; returns
 /// the run and the journal text (the file itself is cleaned up).
 fn run_with_journal(seed: u64, tag: &str) -> (NetworkRun, String) {
+    run_scenario_with_journal(LimewireScenario::quick(seed), tag)
+}
+
+fn run_scenario_with_journal(mut scenario: LimewireScenario, tag: &str) -> (NetworkRun, String) {
     let base = journal_base(tag);
-    let mut scenario = LimewireScenario::quick(seed);
     scenario.days = 1;
     scenario.telemetry = TelemetryConfig {
         journal: Some(base.clone()),
@@ -164,8 +167,14 @@ fn sampling_drops_a_category_without_touching_others() {
 /// OpenFT counterpart of [`run_with_journal`] (same seed derivation
 /// `run_study` uses for the OpenFT half).
 fn run_openft_with_journal(seed: u64, tag: &str) -> (NetworkRun, String) {
+    run_openft_scenario_with_journal(p2pmal_core::OpenFtScenario::quick(seed ^ 0xF7), tag)
+}
+
+fn run_openft_scenario_with_journal(
+    mut scenario: p2pmal_core::OpenFtScenario,
+    tag: &str,
+) -> (NetworkRun, String) {
     let base = journal_base(tag);
-    let mut scenario = p2pmal_core::OpenFtScenario::quick(seed ^ 0xF7);
     scenario.days = 1;
     scenario.telemetry = TelemetryConfig {
         journal: Some(base.clone()),
@@ -212,9 +221,41 @@ fn provenance_chains_reconstruct_on_both_networks() {
         // The root of every download chain is a query, so trace ids in the
         // journal can never exceed the queries issued.
         let forest = p2pmal_obs::TraceForest::build(&events);
-        assert!(
-            forest.traces.len() as u64
-                <= events.iter().filter(|e| e.ev == "query_issued").count() as u64
-        );
+        assert!(forest.trace_count() <= events.iter().filter(|e| e.ev == "query_issued").count());
+    }
+}
+
+/// Pins the trace analysis itself: the pretty-printed `Analysis::to_json()`
+/// of the seed-2006 quick journals, so a rewrite of the obs store or the
+/// forest reconstruction cannot silently change a single reported number.
+/// The serial trajectory is the pinned one, so `shards = 1` whatever
+/// `P2PMAL_SHARDS` says.
+#[test]
+fn analysis_reports_are_pinned() {
+    let mut limewire = LimewireScenario::quick(2006);
+    limewire.shards = 1;
+    let mut openft = p2pmal_core::OpenFtScenario::quick(2006 ^ 0xF7);
+    openft.shards = 1;
+    let journals = [
+        (
+            "limewire",
+            run_scenario_with_journal(limewire, "pin-lw").1,
+            "6ee38b6586fa1a3b14ac688701b0cc1a138242f1",
+        ),
+        (
+            "openft",
+            run_openft_scenario_with_journal(openft, "pin-ft").1,
+            "db776712ffc52bc4f55fb82a2daabf41f1abd703",
+        ),
+    ];
+    for (network, journal, want) in &journals {
+        let events =
+            p2pmal_obs::parse_journal(journal).unwrap_or_else(|e| panic!("{network}: {e}"));
+        let report = p2pmal_obs::analyze(network, &events, 3)
+            .to_json()
+            .to_string_pretty();
+        let mut h = Sha1::new();
+        h.update(report.as_bytes());
+        assert_eq!(h.finalize().to_hex(), *want, "{network} report:\n{report}");
     }
 }

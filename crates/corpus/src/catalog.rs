@@ -342,15 +342,28 @@ fn title_keywords(media: MediaType, rng: &mut StdRng) -> Vec<String> {
 }
 
 fn variant_name(keywords: &[String], media: MediaType, variant: usize, rng: &mut StdRng) -> String {
-    let stem = keywords.join("_");
     let tag = match variant {
-        0 => String::new(),
-        _ => format!(
-            "_{}",
-            ["hq", "rip", "full", "v2", "final"][rng.gen_range(0..5usize)]
-        ),
+        0 => "",
+        _ => ["hq", "rip", "full", "v2", "final"][rng.gen_range(0..5usize)],
     };
-    format!("{stem}{tag}.{}", media.extension())
+    let ext = media.extension();
+    // `kw_kw[_tag].ext`, built in one buffer of exactly its final size.
+    let stem = keywords.iter().map(|k| k.len() + 1).sum::<usize>();
+    let tagged = if tag.is_empty() { 0 } else { tag.len() + 1 };
+    let mut name = String::with_capacity(stem.saturating_sub(1) + tagged + 1 + ext.len());
+    for (i, kw) in keywords.iter().enumerate() {
+        if i > 0 {
+            name.push('_');
+        }
+        name.push_str(kw);
+    }
+    if !tag.is_empty() {
+        name.push('_');
+        name.push_str(tag);
+    }
+    name.push('.');
+    name.push_str(ext);
+    name
 }
 
 #[cfg(test)]
@@ -367,6 +380,23 @@ mod tests {
             },
             &mut rng,
         )
+    }
+
+    #[test]
+    fn variant_names_are_stem_tag_extension() {
+        let keywords = ["crimson".to_string(), "horizon".to_string()];
+        let mut rng = StdRng::seed_from_u64(9);
+        let plain = variant_name(&keywords, MediaType::Audio, 0, &mut rng);
+        assert_eq!(plain, "crimson_horizon.mp3");
+        assert_eq!(plain.capacity(), plain.len());
+        // The tag costs exactly one draw, taken before anything is written.
+        let mut expect = StdRng::seed_from_u64(9);
+        let tag = ["hq", "rip", "full", "v2", "final"][expect.gen_range(0..5usize)];
+        let tagged = variant_name(&keywords, MediaType::Archive, 3, &mut rng);
+        assert_eq!(tagged, format!("crimson_horizon_{tag}.zip"));
+        assert_eq!(tagged.capacity(), tagged.len());
+        assert_eq!(rng.gen_range(0..1000u32), expect.gen_range(0..1000u32));
+        assert_eq!(variant_name(&[], MediaType::Image, 0, &mut rng), ".jpg");
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! (event counts, byte sizes, microsecond timestamps) is far below 2^53, so
 //! round-tripping is exact.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A JSON document node.
@@ -244,7 +245,10 @@ fn write_seq<'a, I>(
     out.push(braces.1);
 }
 
-fn write_number(n: f64, out: &mut String) {
+/// Appends `n` the way every writer in the workspace renders a number:
+/// integral values below 9e15 as integers, everything else through `f64`'s
+/// shortest round-trip `Display`.
+pub fn write_number(n: f64, out: &mut String) {
     use fmt::Write;
     if n.fract() == 0.0 && n.abs() < 9e15 {
         let _ = write!(out, "{}", n as i64);
@@ -253,22 +257,32 @@ fn write_number(n: f64, out: &mut String) {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Appends `s` as a quoted JSON string. `"`, `\\` and control bytes are
+/// escaped; everything else (non-ASCII included) is copied through.
+pub fn write_string(s: &str, out: &mut String) {
     use fmt::Write;
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Copy maximal runs of bytes that need no escape in one go. Every byte
+    // that does is ASCII, so the run boundaries are char boundaries.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -289,35 +303,62 @@ impl std::error::Error for ParseError {}
 
 /// Parses a complete JSON document (trailing whitespace allowed).
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != bytes.len() {
-        return Err(p.err("trailing data"));
-    }
+    let mut r = Reader::new(input);
+    r.skip_ws();
+    let v = r.value()?;
+    r.finish()?;
     Ok(v)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// Containers nested deeper than this are rejected, so no input can
+/// overflow the stack of the recursive descent.
+pub const MAX_DEPTH: usize = 128;
+
+/// The tokenizer [`parse`] is built on, for callers that validate a document
+/// and pick fields out of it without building a [`Value`] tree (the journal
+/// scanner in `p2pmal-obs`). [`Reader::skip_value`] accepts exactly what
+/// [`Reader::value`] accepts.
+pub struct Reader<'a> {
+    input: &'a str,
     pos: usize,
+    depth: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
+    pub fn new(input: &'a str) -> Self {
+        Reader {
+            input,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn err(&self, what: &'static str) -> ParseError {
         ParseError { at: self.pos, what }
     }
 
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+    /// The next byte, not consumed.
+    pub fn peek(&self) -> Option<u8> {
+        self.input.as_bytes().get(self.pos).copied()
+    }
+
+    pub fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    /// Skips trailing whitespace and fails unless the input ends there.
+    pub fn finish(&mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.pos != self.input.len() {
+            return Err(self.err("trailing data"));
+        }
+        Ok(())
+    }
+
     fn expect(&mut self, b: u8, what: &'static str) -> Result<(), ParseError> {
-        if self.bytes.get(self.pos) == Some(&b) {
+        if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -325,50 +366,79 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses any value into a tree.
     fn value(&mut self) -> Result<Value, ParseError> {
-        match self.bytes.get(self.pos) {
-            Some(b'n') => self.keyword("null", Value::Null),
-            Some(b't') => self.keyword("true", Value::Bool(true)),
-            Some(b'f') => self.keyword("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+        match self.peek() {
+            Some(b'n') => self.keyword("null").map(|()| Value::Null),
+            Some(b't') => self.keyword("true").map(|()| Value::Bool(true)),
+            Some(b'f') => self.keyword("false").map(|()| Value::Bool(false)),
+            Some(b'"') => Ok(Value::Str(self.string()?.into_owned())),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Ok(Value::Arr(items))
+            }
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.object(|key, r| {
+                    fields.push((key.into_owned(), r.value()?));
+                    Ok(())
+                })?;
+                Ok(Value::Obj(fields))
+            }
+            Some(b'-' | b'0'..=b'9') => self.number().map(Value::Num),
             _ => Err(self.err("expected a value")),
         }
     }
 
-    fn keyword(&mut self, word: &'static str, v: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    /// Validates any value and drops it.
+    pub fn skip_value(&mut self) -> Result<(), ParseError> {
+        match self.peek() {
+            Some(b'n') => self.keyword("null"),
+            Some(b't') => self.keyword("true"),
+            Some(b'f') => self.keyword("false"),
+            Some(b'"') => self.string().map(drop),
+            Some(b'[') => self.array(|r| r.skip_value()),
+            Some(b'{') => self.object(|_, r| r.skip_value()),
+            Some(b'-' | b'0'..=b'9') => self.number().map(drop),
+            _ => Err(self.err("expected a value")),
+        }
+    }
+
+    fn keyword(&mut self, word: &'static str) -> Result<(), ParseError> {
+        if self.input.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(v)
+            Ok(())
         } else {
             Err(self.err("bad keyword"))
         }
     }
 
-    fn number(&mut self) -> Result<Value, ParseError> {
+    pub fn number(&mut self) -> Result<f64, ParseError> {
         let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
+        if self.peek() == Some(b'-') {
             self.pos += 1;
         }
         while matches!(
-            self.bytes.get(self.pos),
+            self.peek(),
             Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Value::Num)
+        self.input[start..self.pos]
+            .parse::<f64>()
             .map_err(|_| self.err("bad number"))
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// Parses a string; borrowed from the input unless it holds an escape.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect(b'"', "expected string")?;
-        let mut out = String::new();
+        let mut out = Cow::Borrowed("");
         loop {
-            match self.bytes.get(self.pos) {
+            match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
@@ -376,101 +446,125 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
+                    let c = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .input
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
+                            self.pos += 4;
                             // Surrogate pairs are not needed by our writers;
                             // map unpaired surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
+                            char::from_u32(code).unwrap_or('\u{FFFD}')
                         }
                         _ => return Err(self.err("bad escape")),
-                    }
+                    };
+                    out.to_mut().push(c);
                     self.pos += 1;
                 }
                 Some(_) => {
                     // Consume a maximal run of unescaped bytes in one go.
                     // ASCII quote/backslash never appear inside a multi-byte
-                    // UTF-8 sequence, so scanning bytewise is sound — and one
-                    // validation per run (not per char) keeps parsing linear.
+                    // UTF-8 sequence, so the run ends on a char boundary.
                     let start = self.pos;
-                    while let Some(&b) = self.bytes.get(self.pos) {
-                        if b == b'"' || b == b'\\' {
-                            break;
-                        }
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
                         self.pos += 1;
                     }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(chunk);
+                    let chunk = &self.input[start..self.pos];
+                    if out.is_empty() {
+                        out = Cow::Borrowed(chunk);
+                    } else {
+                        out.to_mut().push_str(chunk);
+                    }
                 }
             }
         }
     }
 
-    fn array(&mut self) -> Result<Value, ParseError> {
+    fn nested<T>(
+        &mut self,
+        body: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nested too deeply"));
+        }
+        self.depth += 1;
+        let out = body(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Walks an array; `item` must consume exactly one value per call.
+    fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
         self.expect(b'[', "expected array")?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.err("expected , or ]")),
+        self.nested(|r| {
+            r.skip_ws();
+            if r.peek() == Some(b']') {
+                r.pos += 1;
+                return Ok(());
             }
-        }
+            loop {
+                r.skip_ws();
+                item(r)?;
+                r.skip_ws();
+                match r.peek() {
+                    Some(b',') => r.pos += 1,
+                    Some(b']') => {
+                        r.pos += 1;
+                        return Ok(());
+                    }
+                    _ => return Err(r.err("expected , or ]")),
+                }
+            }
+        })
     }
 
-    fn object(&mut self) -> Result<Value, ParseError> {
+    /// Walks an object; `field` gets each key and must consume exactly one
+    /// value per call. Duplicate keys are passed through in input order.
+    pub fn object(
+        &mut self,
+        mut field: impl FnMut(Cow<'a, str>, &mut Self) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
         self.expect(b'{', "expected object")?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':', "expected :")?;
-            self.skip_ws();
-            let v = self.value()?;
-            fields.push((key, v));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(self.err("expected , or }")),
+        self.nested(|r| {
+            r.skip_ws();
+            if r.peek() == Some(b'}') {
+                r.pos += 1;
+                return Ok(());
             }
-        }
+            loop {
+                r.skip_ws();
+                let key = r.string()?;
+                r.skip_ws();
+                r.expect(b':', "expected :")?;
+                r.skip_ws();
+                field(key, r)?;
+                r.skip_ws();
+                match r.peek() {
+                    Some(b',') => r.pos += 1,
+                    Some(b'}') => {
+                        r.pos += 1;
+                        return Ok(());
+                    }
+                    _ => return Err(r.err("expected , or }")),
+                }
+            }
+        })
     }
 }
 
@@ -533,6 +627,59 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "nul", "1 2", "\"\\q\""] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn skip_value_accepts_what_value_accepts() {
+        let docs = [
+            "null",
+            "tru",
+            "-",
+            "-.5",
+            "1.",
+            "1e",
+            "1e5",
+            "[1,{\"a\":[]}]",
+            "[1,]",
+            "{\"a\":}",
+            "\"a\\u00e9\\n\"",
+            "\"\\u12\"",
+            "\"\\q\"",
+            "\"open",
+            "{\"a\":1,\"a\":2}",
+            "{1:2}",
+            "[ ]",
+            "{ }",
+            "",
+        ];
+        for doc in docs {
+            let mut tree = Reader::new(doc);
+            let mut skip = Reader::new(doc);
+            assert_eq!(
+                tree.value().map(drop).and_then(|()| tree.finish()),
+                skip.skip_value().and_then(|()| skip.finish()),
+                "{doc:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn strings_borrow_unless_escaped() {
+        let mut r = Reader::new("\"plain é\" \"a\\tb\"");
+        assert!(matches!(r.string(), Ok(Cow::Borrowed("plain é"))));
+        r.skip_ws();
+        assert!(matches!(r.string(), Ok(Cow::Owned(s)) if s == "a\tb"));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse(&nest(MAX_DEPTH + 1)).unwrap_err().what,
+            "nested too deeply"
+        );
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

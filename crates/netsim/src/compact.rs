@@ -193,7 +193,8 @@ enum Slot<K, V> {
 /// it replaces (`remember_seen` / `route_query_back`).
 ///
 /// Unbounded use is supported with `bound = usize::MAX`. An empty map
-/// holds no heap allocation.
+/// holds no heap allocation, and a map evicting at its bound stays at the
+/// allocation of its first fill.
 #[derive(Debug, Clone)]
 pub struct FifoMap<K, V> {
     slots: Vec<Slot<K, V>>,
@@ -206,6 +207,7 @@ pub struct FifoMap<K, V> {
 
 impl<K: KeyHash + Eq + Copy, V> FifoMap<K, V> {
     pub fn bounded(bound: usize) -> Self {
+        assert!(bound > 0, "a FifoMap holds at least one key");
         FifoMap {
             slots: Vec::new(),
             order: VecDeque::new(),
@@ -252,8 +254,13 @@ impl<K: KeyHash + Eq + Copy, V> FifoMap<K, V> {
         }
     }
 
-    fn grow(&mut self) {
-        let new_cap = (self.slots.len() * 2).max(16);
+    /// Rebuilds the table without its tombstones: at the same size while
+    /// the live keys fill at most half of it — under steady FIFO eviction it
+    /// is tombstones, not keys, that reach the load limit — and doubled
+    /// otherwise.
+    fn rehash(&mut self) {
+        let cap = self.slots.len();
+        let new_cap = if self.len * 2 <= cap { cap } else { cap * 2 }.max(16);
         let old = std::mem::take(&mut self.slots);
         self.slots.resize_with(new_cap, || Slot::Empty);
         self.used = self.len;
@@ -267,10 +274,10 @@ impl<K: KeyHash + Eq + Copy, V> FifoMap<K, V> {
         }
     }
 
-    /// Grows/rehashes so at least one more entry fits below 7/8 load.
+    /// Rehashes so at least one more entry fits below 7/8 load.
     fn reserve_one(&mut self) {
         if self.slots.is_empty() || (self.used + 1) * 8 > self.slots.len() * 7 {
-            self.grow();
+            self.rehash();
         }
     }
 
@@ -335,11 +342,16 @@ impl<K: KeyHash + Eq + Copy, V> FifoMap<K, V> {
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         let prev = self.raw_insert(key, value);
         if prev.is_none() {
+            // Once `bound` keys are queued the oldest leaves the queue before
+            // the new one joins, so the queue never outgrows its first fill.
+            let oldest = if self.order.len() >= self.bound {
+                self.order.pop_front()
+            } else {
+                None
+            };
             self.order.push_back(key);
-            if self.order.len() > self.bound {
-                if let Some(old) = self.order.pop_front() {
-                    self.remove(&old);
-                }
+            if let Some(old) = oldest {
+                self.remove(&old);
             }
         }
         prev
@@ -410,6 +422,25 @@ mod tests {
         assert_eq!(m.get(&9), Some(&"y"));
         m.retain(|&k, _| k != 9);
         assert!(!m.contains_key(&9));
+    }
+
+    /// At steady-state eviction the 7/8 trigger is reached by tombstones;
+    /// the table must rehash at its size, not double on every cycle.
+    #[test]
+    fn fifomap_stops_growing_once_full() {
+        const BOUND: usize = 16_384;
+        let mut m: FifoMap<u64, u64> = FifoMap::bounded(BOUND);
+        for k in 0..BOUND as u64 {
+            m.insert(k, k);
+        }
+        let first_fill = m.heap_bytes();
+        for k in BOUND as u64..2_000_000 {
+            m.insert(k, k);
+        }
+        assert_eq!(m.len(), BOUND);
+        assert_eq!(m.heap_bytes(), first_fill);
+        assert_eq!(m.get(&1_999_999), Some(&1_999_999));
+        assert!(!m.contains_key(&(2_000_000 - BOUND as u64 - 1)));
     }
 
     #[test]

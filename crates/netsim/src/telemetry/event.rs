@@ -9,9 +9,8 @@
 //! Events timestamped with sim-time only are deterministic: identical seeds
 //! emit byte-identical journals.
 
-use crate::telemetry::span::{span_hex, SpanCtx};
+use crate::telemetry::span::{push_span_hex, SpanCtx};
 use crate::time::SimTime;
-use p2pmal_json::Value;
 
 /// Number of event categories (sampling knobs are per-category).
 pub const CATEGORY_COUNT: usize = 5;
@@ -194,6 +193,9 @@ impl TelemetryEvent {
         self.body.category()
     }
 
+    /// Appends this event's journal line (no trailing newline) to `out`,
+    /// allocating nothing beyond `out`'s own growth.
+    ///
     /// The journal schema — the **single canonical field order**, shared by
     /// the JSONL journal and the `P2PMAL_TRACE=2` per-event rendering
     /// (`TraceSink` prints exactly this object):
@@ -204,33 +206,36 @@ impl TelemetryEvent {
     ///    lowercase hex string (ids are 64-bit; the JSON layer stores
     ///    numbers as `f64`, exact only below 2^53, so ids go as strings);
     /// 3. body fields, in the per-variant order below.
-    pub fn to_json(&self) -> Value {
-        let mut fields: Vec<(String, Value)> = vec![
-            ("t".into(), self.at.as_micros().into()),
-            ("day".into(), self.at.day().into()),
-            ("cat".into(), self.category().label().into()),
-            ("ev".into(), self.body.kind_label().into()),
-        ];
+    ///
+    /// Strings and numbers go through `p2pmal-json`'s own writers, so a line
+    /// is byte for byte what `Value::to_string_compact` renders for the same
+    /// fields.
+    pub fn write_json(&self, out: &mut String) {
+        let mut o = ObjWriter { out, first: true };
+        o.num("t", self.at.as_micros());
+        o.num("day", self.at.day());
+        o.str("cat", self.category().label());
+        o.str("ev", self.body.kind_label());
         if let Some(s) = &self.span {
-            fields.push(("trace".into(), span_hex(s.trace).into()));
-            fields.push(("span".into(), span_hex(s.span).into()));
+            o.id("trace", s.trace);
+            o.id("span", s.span);
             if let Some(parent) = s.parent {
-                fields.push(("parent".into(), span_hex(parent).into()));
+                o.id("parent", parent);
             }
         }
         match &self.body {
             EventBody::QueryIssued { text, seq } => {
-                fields.push(("text".into(), text.as_str().into()));
-                fields.push(("seq".into(), (*seq).into()));
+                o.str("text", text);
+                o.num("seq", *seq);
             }
             EventBody::QueryMatched {
                 text,
                 results,
                 hops,
             } => {
-                fields.push(("text".into(), text.as_str().into()));
-                fields.push(("results".into(), (*results).into()));
-                fields.push(("hops".into(), (*hops).into()));
+                o.str("text", text);
+                o.num("results", *results);
+                o.num("hops", *hops);
             }
             EventBody::DownloadStart {
                 name,
@@ -238,19 +243,19 @@ impl TelemetryEvent {
                 host,
                 attempt,
             } => {
-                fields.push(("name".into(), name.as_str().into()));
-                fields.push(("size".into(), (*size).into()));
-                fields.push(("host".into(), host.as_str().into()));
-                fields.push(("attempt".into(), (*attempt as u64).into()));
+                o.str("name", name);
+                o.num("size", *size);
+                o.str("host", host);
+                o.num("attempt", *attempt as u64);
             }
             EventBody::DownloadRetry {
                 name,
                 attempt,
                 cause,
             } => {
-                fields.push(("name".into(), name.as_str().into()));
-                fields.push(("attempt".into(), (*attempt as u64).into()));
-                fields.push(("cause".into(), cause.as_str().into()));
+                o.str("name", name);
+                o.num("attempt", *attempt as u64);
+                o.str("cause", cause);
             }
             EventBody::DownloadComplete {
                 name,
@@ -258,10 +263,10 @@ impl TelemetryEvent {
                 latency_us,
                 attempts,
             } => {
-                fields.push(("name".into(), name.as_str().into()));
-                fields.push(("ok".into(), (*ok).into()));
-                fields.push(("latency_us".into(), (*latency_us).into()));
-                fields.push(("attempts".into(), (*attempts as u64).into()));
+                o.str("name", name);
+                o.bool("ok", *ok);
+                o.num("latency_us", *latency_us);
+                o.num("attempts", *attempts as u64);
             }
             EventBody::ScanVerdict {
                 name,
@@ -269,30 +274,74 @@ impl TelemetryEvent {
                 len,
                 detections,
             } => {
-                fields.push(("name".into(), name.as_str().into()));
-                fields.push(("sha1".into(), sha1.as_str().into()));
-                fields.push(("len".into(), (*len).into()));
-                fields.push(("detections".into(), (*detections).into()));
+                o.str("name", name);
+                o.str("sha1", sha1);
+                o.num("len", *len);
+                o.num("detections", *detections);
             }
             EventBody::Infection { name, family, sha1 } => {
-                fields.push(("name".into(), name.as_str().into()));
-                fields.push(("family".into(), family.as_str().into()));
-                fields.push(("sha1".into(), sha1.as_str().into()));
+                o.str("name", name);
+                o.str("family", family);
+                o.str("sha1", sha1);
             }
-            EventBody::FaultInjected { kind } => {
-                fields.push(("kind".into(), kind.label().into()));
-            }
-            EventBody::ChurnDown { node } | EventBody::ChurnUp { node } => {
-                fields.push(("node".into(), (*node).into()));
-            }
+            EventBody::FaultInjected { kind } => o.str("kind", kind.label()),
+            EventBody::ChurnDown { node } | EventBody::ChurnUp { node } => o.num("node", *node),
         }
-        Value::Obj(fields)
+        o.out.push('}');
+    }
+}
+
+/// Appends `"key":value` pairs of one flat object.
+struct ObjWriter<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl ObjWriter<'_> {
+    fn key(&mut self, key: &str) {
+        self.out.push(if self.first { '{' } else { ',' });
+        self.first = false;
+        p2pmal_json::write_string(key, self.out);
+        self.out.push(':');
+    }
+
+    fn num(&mut self, key: &str, v: u64) {
+        self.key(key);
+        p2pmal_json::write_number(v as f64, self.out);
+    }
+
+    fn bool(&mut self, key: &str, v: bool) {
+        self.key(key);
+        self.out.push_str(if v { "true" } else { "false" });
+    }
+
+    fn str(&mut self, key: &str, v: &str) {
+        self.key(key);
+        p2pmal_json::write_string(v, self.out);
+    }
+
+    fn id(&mut self, key: &str, id: u64) {
+        self.key(key);
+        self.out.push('"');
+        push_span_hex(id, self.out);
+        self.out.push('"');
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p2pmal_json::Value;
+
+    fn line(ev: &TelemetryEvent) -> String {
+        let mut out = String::new();
+        ev.write_json(&mut out);
+        out
+    }
+
+    fn parsed(ev: &TelemetryEvent) -> Value {
+        p2pmal_json::parse(&line(ev)).expect("journal line parses")
+    }
 
     #[test]
     fn labels_round_trip() {
@@ -313,126 +362,167 @@ mod tests {
                 attempts: 2,
             },
         );
-        let v = ev.to_json();
-        assert_eq!(v.get("t").and_then(Value::as_u64), Some(86_400_000_005));
-        assert_eq!(v.get("day").and_then(Value::as_u64), Some(1));
-        assert_eq!(v.get("cat").and_then(Value::as_str), Some("download"));
         assert_eq!(
-            v.get("ev").and_then(Value::as_str),
-            Some("download_complete")
+            line(&ev),
+            "{\"t\":86400000005,\"day\":1,\"cat\":\"download\",\"ev\":\"download_complete\",\
+             \"name\":\"setup.exe\",\"ok\":true,\"latency_us\":1234,\"attempts\":2}"
         );
-        assert_eq!(v.get("latency_us").and_then(Value::as_u64), Some(1234));
-        // Every event parses back through the in-repo parser.
-        let line = v.to_string_compact();
-        let back = p2pmal_json::parse(&line).expect("journal line parses");
-        assert_eq!(back, v);
     }
 
+    /// Every variant, with strings that need every escape the writer has
+    /// and numbers past `f64`'s exact range: the line parses back to the
+    /// documented field order and values, and is byte for byte what the
+    /// tree writer renders for those fields.
     #[test]
-    fn every_body_categorizes() {
-        let bodies = [
-            EventBody::QueryIssued {
-                text: "q".into(),
-                seq: 1,
-            },
-            EventBody::QueryMatched {
-                text: "q".into(),
-                results: 3,
-                hops: 2,
-            },
-            EventBody::DownloadStart {
-                name: "a".into(),
-                size: 1,
-                host: "1.2.3.4:80".into(),
-                attempt: 0,
-            },
-            EventBody::DownloadRetry {
-                name: "a".into(),
-                attempt: 1,
-                cause: "timeout".into(),
-            },
-            EventBody::DownloadComplete {
-                name: "a".into(),
-                ok: false,
-                latency_us: 9,
-                attempts: 3,
-            },
-            EventBody::ScanVerdict {
-                name: "a".into(),
-                sha1: "00".into(),
-                len: 2,
-                detections: 0,
-            },
-            EventBody::Infection {
-                name: "a".into(),
-                family: "W32.Gnuman".into(),
-                sha1: "00".into(),
-            },
-            EventBody::FaultInjected {
-                kind: FaultKind::Reset,
-            },
-            EventBody::ChurnDown { node: 7 },
-            EventBody::ChurnUp { node: 7 },
+    fn every_body_writes_its_documented_fields() {
+        let nasty = "a\"b\\c\nd\re\tf\u{1}g\u{1f}h é \u{4e16}\u{1f600}";
+        let big = (1u64 << 53) + 1;
+        let s = |v: &str| Value::from(v);
+        let n = |v: u64| Value::from(v);
+        let cases: Vec<(EventBody, Vec<(&str, Value)>)> = vec![
+            (
+                EventBody::QueryIssued {
+                    text: nasty.into(),
+                    seq: big,
+                },
+                vec![("text", s(nasty)), ("seq", n(big))],
+            ),
+            (
+                EventBody::QueryMatched {
+                    text: nasty.into(),
+                    results: 3,
+                    hops: u64::MAX,
+                },
+                vec![("text", s(nasty)), ("results", n(3)), ("hops", n(u64::MAX))],
+            ),
+            (
+                EventBody::DownloadStart {
+                    name: nasty.into(),
+                    size: big,
+                    host: "1.2.3.4:80".into(),
+                    attempt: 255,
+                },
+                vec![
+                    ("name", s(nasty)),
+                    ("size", n(big)),
+                    ("host", s("1.2.3.4:80")),
+                    ("attempt", n(255)),
+                ],
+            ),
+            (
+                EventBody::DownloadRetry {
+                    name: nasty.into(),
+                    attempt: 1,
+                    cause: "time\"out".into(),
+                },
+                vec![
+                    ("name", s(nasty)),
+                    ("attempt", n(1)),
+                    ("cause", s("time\"out")),
+                ],
+            ),
+            (
+                EventBody::DownloadComplete {
+                    name: nasty.into(),
+                    ok: false,
+                    latency_us: big,
+                    attempts: 3,
+                },
+                vec![
+                    ("name", s(nasty)),
+                    ("ok", false.into()),
+                    ("latency_us", n(big)),
+                    ("attempts", n(3)),
+                ],
+            ),
+            (
+                EventBody::ScanVerdict {
+                    name: nasty.into(),
+                    sha1: "00".into(),
+                    len: big,
+                    detections: 2,
+                },
+                vec![
+                    ("name", s(nasty)),
+                    ("sha1", s("00")),
+                    ("len", n(big)),
+                    ("detections", n(2)),
+                ],
+            ),
+            (
+                EventBody::Infection {
+                    name: nasty.into(),
+                    family: "W32.\u{1}Gnuman".into(),
+                    sha1: "00".into(),
+                },
+                vec![
+                    ("name", s(nasty)),
+                    ("family", s("W32.\u{1}Gnuman")),
+                    ("sha1", s("00")),
+                ],
+            ),
+            (
+                EventBody::FaultInjected {
+                    kind: FaultKind::Reset,
+                },
+                vec![("kind", s("reset"))],
+            ),
+            (EventBody::ChurnDown { node: big }, vec![("node", n(big))]),
+            (
+                EventBody::ChurnUp { node: u64::MAX },
+                vec![("node", n(u64::MAX))],
+            ),
         ];
-        for b in bodies {
-            let ev = TelemetryEvent::new(SimTime::ZERO, b);
-            let v = ev.to_json();
-            assert_eq!(
-                v.get("cat").and_then(Value::as_str),
-                Some(ev.category().label())
-            );
-            assert_eq!(
-                v.get("ev").and_then(Value::as_str),
-                Some(ev.body.kind_label())
-            );
+        let at = SimTime::from_micros(3 * 86_400_000_000 + 7);
+        let spans = [
+            (None, vec![]),
+            (
+                Some(SpanCtx::root(u64::MAX, big)),
+                vec![
+                    ("trace", s("ffffffffffffffff")),
+                    ("span", s("0020000000000001")),
+                ],
+            ),
+            (
+                Some(SpanCtx::child(big, 7, 9)),
+                vec![
+                    ("trace", s("0020000000000001")),
+                    ("span", s("0000000000000007")),
+                    ("parent", s("0000000000000009")),
+                ],
+            ),
+        ];
+        for (body, body_fields) in &cases {
+            for (span, span_fields) in &spans {
+                let ev = TelemetryEvent {
+                    at,
+                    body: body.clone(),
+                    span: *span,
+                };
+                let mut want = vec![
+                    ("t", n(at.as_micros())),
+                    ("day", n(3)),
+                    ("cat", s(ev.category().label())),
+                    ("ev", s(body.kind_label())),
+                ];
+                want.extend(span_fields.iter().cloned());
+                want.extend(body_fields.iter().cloned());
+                let want = Value::Obj(want.into_iter().map(|(k, v)| (k.into(), v)).collect());
+                assert_eq!(parsed(&ev), want);
+                assert_eq!(line(&ev), want.to_string_compact());
+            }
         }
     }
 
     #[test]
-    fn span_fields_follow_the_envelope() {
-        let trace = 0x1122_3344_5566_7788u64;
-        let ev = TelemetryEvent::with_span(
-            SimTime::from_micros(42),
-            EventBody::QueryIssued {
-                text: "mp3".into(),
-                seq: 0,
-            },
-            SpanCtx::root(trace, crate::telemetry::span::span_root(trace)),
-        );
-        let v = ev.to_json();
-        // Canonical order: envelope, then trace/span (no parent on roots).
-        let keys: Vec<&str> = match &v {
-            Value::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
-            _ => panic!("flat object"),
-        };
-        assert_eq!(
-            keys,
-            ["t", "day", "cat", "ev", "trace", "span", "text", "seq"]
-        );
-        assert_eq!(
-            v.get("trace").and_then(Value::as_str),
-            Some("1122334455667788")
-        );
-        let child = TelemetryEvent::with_span(
-            SimTime::from_micros(43),
-            EventBody::QueryMatched {
-                text: "mp3".into(),
-                results: 1,
-                hops: 1,
-            },
-            SpanCtx::child(trace, 7, 9),
-        );
-        let cv = child.to_json();
-        assert_eq!(
-            cv.get("parent").and_then(Value::as_str),
-            Some("0000000000000009")
-        );
+    fn write_json_appends() {
+        let ev = TelemetryEvent::new(SimTime::ZERO, EventBody::ChurnDown { node: 1 });
+        let mut out = String::from("x ");
+        ev.write_json(&mut out);
+        ev.write_json(&mut out);
+        let one = line(&ev);
+        assert_eq!(out, format!("x {one}{one}"));
         // Spanless events carry no trace/span/parent keys at all.
-        assert!(
-            TelemetryEvent::new(SimTime::ZERO, EventBody::ChurnDown { node: 1 })
-                .to_json()
-                .get("trace")
-                .is_none()
-        );
+        assert!(parsed(&ev).get("trace").is_none());
     }
 }

@@ -74,6 +74,8 @@ impl TelemetrySink for RingSink {
 /// produces them).
 pub struct JsonlSink {
     out: std::io::BufWriter<std::fs::File>,
+    /// The line being rendered, reused across records.
+    line: String,
 }
 
 impl JsonlSink {
@@ -86,13 +88,17 @@ impl JsonlSink {
         }
         Ok(JsonlSink {
             out: std::io::BufWriter::new(std::fs::File::create(path)?),
+            line: String::new(),
         })
     }
 }
 
 impl TelemetrySink for JsonlSink {
     fn record(&mut self, event: &TelemetryEvent) {
-        let _ = writeln!(self.out, "{}", event.to_json().to_string_compact());
+        self.line.clear();
+        event.write_json(&mut self.line);
+        self.line.push('\n');
+        let _ = self.out.write_all(self.line.as_bytes());
     }
 
     fn flush(&mut self) {
@@ -106,23 +112,23 @@ impl TelemetrySink for JsonlSink {
 #[derive(Debug)]
 pub struct TraceSink {
     label: String,
+    line: String,
 }
 
 impl TraceSink {
     pub fn new(label: &str) -> Self {
         TraceSink {
             label: label.to_string(),
+            line: String::new(),
         }
     }
 }
 
 impl TelemetrySink for TraceSink {
     fn record(&mut self, event: &TelemetryEvent) {
-        eprintln!(
-            "[trace] {} {}",
-            self.label,
-            event.to_json().to_string_compact()
-        );
+        self.line.clear();
+        event.write_json(&mut self.line);
+        eprintln!("[trace] {} {}", self.label, self.line);
     }
 }
 

@@ -179,7 +179,17 @@ pub fn span_infection(trace: u64, obj: u64, idx: u64) -> u64 {
 /// and the workspace JSON value stores numbers as `f64` (exact only below
 /// 2^53), so the journal carries them as 16-char strings.
 pub fn span_hex(id: u64) -> String {
-    format!("{id:016x}")
+    let mut out = String::with_capacity(16);
+    push_span_hex(id, &mut out);
+    out
+}
+
+/// Appends [`span_hex`]`(id)` to `out` without allocating.
+pub fn push_span_hex(id: u64, out: &mut String) {
+    for shift in (0..16).rev() {
+        let nibble = (id >> (shift * 4)) as usize & 0xf;
+        out.push(b"0123456789abcdef"[nibble] as char);
+    }
 }
 
 /// Inverse of [`span_hex`]; accepts any non-empty hex string up to 16

@@ -9,7 +9,8 @@
 //! (chain completeness, per-hop sim-time latency, hop-depth distribution
 //! of clean vs malicious verdicts, per-family propagation, top-K deepest
 //! and widest traces, orphan diagnostics) and, with `--json`, writes a
-//! machine-readable report covering all journals.
+//! machine-readable report covering all journals. The last summary line is
+//! the process's own peak RSS: 64 bytes per journal event plus the indexes.
 //!
 //! `--strict` makes the bin a CI check: exit 1 unless every journal has
 //! **zero orphan spans**, **zero sim-time monotonicity violations**, and
@@ -80,6 +81,11 @@ fn main() {
         }
         reports.push(analysis.to_json());
     }
+
+    println!(
+        "trace_report: peak RSS {:.1} MiB",
+        p2pmal_netsim::process_rss_kb().0 as f64 / 1024.0
+    );
 
     if let Some(path) = json_path {
         let doc = Value::Obj(vec![("journals".into(), Value::Arr(reports))]);

@@ -2,8 +2,9 @@
 //!
 //! Everything downstream of the journal lives here, split in three layers:
 //!
-//! * [`journal`] — parse JSONL journals (schema: `telemetry/event.rs` in
-//!   `p2pmal-netsim`) back into typed events with trace/span/parent ids;
+//! * [`journal`] — stream JSONL journals (schema: `telemetry/event.rs` in
+//!   `p2pmal-netsim`) through the one line scanner into a compact
+//!   [`Journal`] of fixed-size records;
 //! * [`traces`] — rebuild the per-trace causal forests, check referential
 //!   integrity, and derive propagation / latency / hop-depth analyses
 //!   (consumed by the `trace_report` bin);
@@ -20,5 +21,5 @@ pub mod journal;
 pub mod traces;
 
 pub use diff::{diff_bench, Diff, DiffOptions};
-pub use journal::{load_journal, parse_journal, JournalEvent};
+pub use journal::{for_each_line, load_journal, parse_journal, scan_line, Event, Journal, Line};
 pub use traces::{analyze, Analysis, TraceForest};

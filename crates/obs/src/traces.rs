@@ -1,109 +1,136 @@
-//! Causal trace reconstruction over a parsed journal.
+//! Causal trace reconstruction over a loaded journal.
 //!
 //! Spanned journal events form, per trace id, a forest: `query_issued`
 //! roots, `query_matched` children, and the download / scan / infection
 //! chain hanging off each match (the exact shape is documented in
-//! `p2pmal-crawler`'s `trace.rs`). This module rebuilds those trees with
-//! plain `BTreeMap`s (deterministic iteration ⇒ byte-stable reports),
-//! checks referential integrity (every `parent` must resolve to a span
-//! emitted somewhere in the same journal; sim-time must not decrease from
-//! parent to child), and derives the analyses the `trace_report` bin
-//! prints: per-edge sim-time latency, hop-depth distributions, per-family
-//! propagation stats, and top-K deepest / widest traces.
+//! `p2pmal-crawler`'s `trace.rs`). This module rebuilds those trees as two
+//! flat index vectors over the [`Journal`] — one sorted span table and one
+//! parent link per event — checks referential integrity (every `parent`
+//! must resolve to a span emitted somewhere in the same trace; sim-time
+//! must not decrease from parent to child), and derives the analyses the
+//! `trace_report` bin prints: per-edge sim-time latency, hop-depth
+//! distributions, per-family propagation stats, and top-K deepest / widest
+//! traces. Every ranking breaks ties on ids, so reports are byte-stable.
 
 use std::collections::BTreeMap;
 
 use p2pmal_json::Value;
 use p2pmal_netsim::telemetry_span::span_hex;
 
-use crate::journal::JournalEvent;
+use crate::journal::Journal;
 
-/// One reconstructed trace: every event sharing a trace id, indexed by span.
-#[derive(Debug, Default)]
-pub struct Trace {
-    /// Journal indices of member events, in journal order.
-    pub events: Vec<usize>,
-    /// span id → journal index of the event that defined it (first wins).
-    pub span_owner: BTreeMap<u64, usize>,
-    /// parent span id → journal indices of its children.
-    pub children: BTreeMap<u64, Vec<usize>>,
-    /// Journal indices of parentless (root) events.
-    pub roots: Vec<usize>,
-    /// Journal indices whose `parent` span was never emitted.
-    pub orphans: Vec<usize>,
-}
+/// "No resolved parent" in [`TraceForest::parent`]: the event is a root,
+/// spanless, or an orphan. A journal holds fewer than `u32::MAX` events.
+const NONE: u32 = u32::MAX;
 
 /// All traces of a journal plus integrity bookkeeping.
-#[derive(Debug, Default)]
-pub struct TraceForest {
-    pub traces: BTreeMap<u64, Trace>,
+#[derive(Debug)]
+pub struct TraceForest<'j> {
+    journal: &'j Journal,
+    /// `(trace, span, event)` of every spanned event, sorted. The first
+    /// entry of a `(trace, span)` run is the event that defined the span;
+    /// the entries of one trace are contiguous.
+    spans: Vec<(u64, u64, u32)>,
+    /// Per event, the event that defined its `parent` span, or [`NONE`].
+    parent: Vec<u32>,
+    /// Events whose `parent` span was never emitted, by (trace, event).
+    orphans: Vec<u32>,
     /// Events without provenance (fault/churn or sampled-out categories).
     pub spanless: usize,
     /// Events carrying a span.
     pub spanned: usize,
-    /// (child journal idx, parent journal idx) where child.t < parent.t.
+    /// (child event, parent event) where child.t < parent.t.
     pub monotone_violations: Vec<(usize, usize)>,
 }
 
-impl TraceForest {
+impl<'j> TraceForest<'j> {
     /// Rebuilds the forest. Order-independent: membership and links are
     /// resolved over the whole journal, so a window-merged sharded journal
     /// reconstructs identically however its shards interleaved.
-    pub fn build(events: &[JournalEvent]) -> TraceForest {
-        let mut forest = TraceForest::default();
-        for ev in events {
-            let (Some(trace), Some(span)) = (ev.trace, ev.span) else {
-                forest.spanless += 1;
+    pub fn build(journal: &'j Journal) -> TraceForest<'j> {
+        let records = journal.records();
+        let mut spans: Vec<(u64, u64, u32)> = records
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.spanned())
+            .map(|(idx, r)| (r.trace, r.span, idx as u32))
+            .collect();
+        spans.sort_unstable();
+
+        let mut parent = vec![NONE; records.len()];
+        let mut orphans = Vec::new();
+        let mut monotone_violations = Vec::new();
+        for (idx, r) in records.iter().enumerate() {
+            let Some(span) = r.parent() else {
                 continue;
             };
-            forest.spanned += 1;
-            let tr = forest.traces.entry(trace).or_default();
-            tr.events.push(ev.idx);
-            tr.span_owner.entry(span).or_insert(ev.idx);
-            match ev.parent {
-                Some(parent) => tr.children.entry(parent).or_default().push(ev.idx),
-                None => tr.roots.push(ev.idx),
-            }
-        }
-        // Second pass: now that every span owner is known, classify orphans
-        // and check per-edge sim-time monotonicity.
-        for ev in events {
-            let (Some(trace), Some(parent)) = (ev.trace, ev.parent) else {
-                continue;
-            };
-            let tr = forest.traces.get_mut(&trace).expect("trace indexed above");
-            match tr.span_owner.get(&parent) {
-                None => tr.orphans.push(ev.idx),
-                Some(&owner) => {
-                    if events[owner].t > ev.t {
-                        forest.monotone_violations.push((ev.idx, owner));
+            let at = spans.partition_point(|&(t, s, _)| (t, s) < (r.trace, span));
+            match spans.get(at) {
+                Some(&(t, s, owner)) if (t, s) == (r.trace, span) => {
+                    parent[idx] = owner;
+                    if records[owner as usize].t > r.t {
+                        monotone_violations.push((idx, owner as usize));
                     }
                 }
+                _ => orphans.push(idx as u32),
             }
         }
-        forest
+        orphans.sort_unstable_by_key(|&idx| (records[idx as usize].trace, idx));
+        TraceForest {
+            journal,
+            spanless: records.len() - spans.len(),
+            spanned: spans.len(),
+            spans,
+            parent,
+            orphans,
+            monotone_violations,
+        }
     }
 
-    /// Root-to-event path of journal indices, following `parent` links.
-    /// `None` if a link is orphaned (or a hash collision formed a cycle).
-    pub fn path_of(&self, events: &[JournalEvent], idx: usize) -> Option<Vec<usize>> {
-        let trace = events[idx].trace?;
-        let tr = self.traces.get(&trace)?;
-        let mut path = vec![idx];
+    /// Visits `idx` and then each ancestor up to its root. `false` if a
+    /// link is orphaned (or a hash collision formed a cycle); the visits
+    /// made until then still happened.
+    fn ascend(&self, idx: usize, mut visit: impl FnMut(usize)) -> bool {
+        let records = self.journal.records();
+        if !records[idx].spanned() {
+            return false;
+        }
         let mut cur = idx;
-        while let Some(parent) = events[cur].parent {
-            if path.len() > events.len() {
-                return None; // cycle guard
+        for _ in 0..=records.len() {
+            visit(cur);
+            if records[cur].parent().is_none() {
+                return true;
             }
-            cur = *tr.span_owner.get(&parent)?;
-            path.push(cur);
+            if self.parent[cur] == NONE {
+                return false;
+            }
+            cur = self.parent[cur] as usize;
+        }
+        false // cycle guard
+    }
+
+    /// Root-to-event path of event indices, following `parent` links.
+    /// `None` if a link is orphaned (or a hash collision formed a cycle).
+    pub fn path_of(&self, idx: usize) -> Option<Vec<usize>> {
+        let mut path = Vec::new();
+        if !self.ascend(idx, |i| path.push(i)) {
+            return None;
         }
         path.reverse();
         Some(path)
     }
 
+    /// The span table cut into one slice per trace, ascending trace id.
+    fn traces(&self) -> impl Iterator<Item = &[(u64, u64, u32)]> {
+        self.spans.chunk_by(|a, b| a.0 == b.0)
+    }
+
+    pub fn trace_count(&self) -> usize {
+        self.traces().count()
+    }
+
     pub fn orphan_count(&self) -> usize {
-        self.traces.values().map(|t| t.orphans.len()).sum()
+        self.orphans.len()
     }
 }
 
@@ -126,6 +153,15 @@ impl EdgeAgg {
         }
         self.count += 1;
         self.sum_us += dt;
+    }
+
+    fn merge(&mut self, other: &EdgeAgg) {
+        if self.count == 0 || other.min_us < self.min_us {
+            self.min_us = other.min_us;
+        }
+        self.max_us = self.max_us.max(other.max_us);
+        self.count += other.count;
+        self.sum_us += other.sum_us;
     }
 
     pub fn mean_us(&self) -> u64 {
@@ -170,6 +206,8 @@ pub struct Analysis {
     pub spanless: usize,
     pub spanned: usize,
     pub trace_count: usize,
+    /// (1-based journal line, missing parent span, event label) of every
+    /// event whose `parent` was never emitted, by (trace, line).
     pub orphans: Vec<(usize, u64, String)>,
     pub monotone_violations: usize,
     /// scan_verdict events reached by a full
@@ -188,15 +226,28 @@ pub struct Analysis {
 }
 
 /// Walks one journal and derives the full [`Analysis`].
-pub fn analyze(label: &str, events: &[JournalEvent], top_k: usize) -> Analysis {
-    let forest = TraceForest::build(events);
+pub fn analyze(label: &str, journal: &Journal, top_k: usize) -> Analysis {
+    let forest = TraceForest::build(journal);
+    let records = journal.records();
+    let ev_of = |idx: usize| journal.ev_label(records[idx].ev);
     let mut analysis = Analysis {
         label: label.to_string(),
-        total_events: events.len(),
+        total_events: records.len(),
         spanless: forest.spanless,
         spanned: forest.spanned,
-        trace_count: forest.traces.len(),
-        orphans: Vec::new(),
+        trace_count: forest.trace_count(),
+        orphans: forest
+            .orphans
+            .iter()
+            .map(|&idx| {
+                let idx = idx as usize;
+                (
+                    journal.line_of(idx),
+                    records[idx].parent().unwrap_or(0),
+                    ev_of(idx).to_string(),
+                )
+            })
+            .collect(),
         monotone_violations: forest.monotone_violations.len(),
         complete_chains: 0,
         spanned_verdicts: 0,
@@ -208,131 +259,150 @@ pub fn analyze(label: &str, events: &[JournalEvent], top_k: usize) -> Analysis {
         widest: Vec::new(),
     };
 
-    for tr in forest.traces.values() {
-        for &idx in &tr.orphans {
-            let ev = &events[idx];
-            analysis
-                .orphans
-                .push((idx, ev.parent.unwrap_or(0), ev.ev.clone()));
+    // Per-edge sim-time latency and per-span fanout, keyed by label code
+    // while counting.
+    let mut edges: BTreeMap<(u16, u16), EdgeAgg> = BTreeMap::new();
+    let mut fanout = vec![0u32; records.len()];
+    for (r, &owner) in records.iter().zip(&forest.parent) {
+        if owner == NONE {
+            continue;
         }
-    }
-
-    // Per-edge sim-time latency.
-    for ev in events {
-        let (Some(trace), Some(parent)) = (ev.trace, ev.parent) else {
-            continue;
-        };
-        let Some(&owner) = forest
-            .traces
-            .get(&trace)
-            .and_then(|t| t.span_owner.get(&parent))
-        else {
-            continue;
-        };
-        let parent_ev = &events[owner];
-        let key = format!("{}->{}", parent_ev.ev, ev.ev);
-        analysis
-            .edges
-            .entry(key)
+        let parent = &records[owner as usize];
+        fanout[owner as usize] += 1;
+        edges
+            .entry((parent.ev, r.ev))
             .or_default()
-            .push(ev.t.saturating_sub(parent_ev.t));
+            .push(r.t.saturating_sub(parent.t));
+    }
+    for ((parent_ev, child_ev), agg) in edges {
+        let key = format!(
+            "{}->{}",
+            journal.ev_label(parent_ev),
+            journal.ev_label(child_ev)
+        );
+        analysis.edges.entry(key).or_default().merge(&agg);
     }
 
-    // Chain completeness + hop depth, anchored on scan verdicts.
-    for ev in events {
-        if ev.ev != "scan_verdict" || !ev.spanned() {
-            continue;
-        }
-        analysis.spanned_verdicts += 1;
-        let Some(path) = forest.path_of(events, ev.idx) else {
-            continue;
-        };
-        let labels: Vec<&str> = path.iter().map(|&i| events[i].ev.as_str()).collect();
-        let complete = labels.first() == Some(&"query_issued")
-            && labels.contains(&"query_matched")
-            && labels.contains(&"download_start")
-            && labels.contains(&"download_complete")
-            && labels.last() == Some(&"scan_verdict");
-        if complete {
-            analysis.complete_chains += 1;
-        }
-        let hops = path
-            .iter()
-            .find(|&&i| events[i].ev == "query_matched")
-            .and_then(|&i| events[i].u64_field("hops"));
-        if let Some(hops) = hops {
-            let detections = ev.u64_field("detections").unwrap_or(0);
-            let bucket = if detections > 0 {
-                &mut analysis.hops_malicious
-            } else {
-                &mut analysis.hops_clean
+    // Chain completeness + hop depth, anchored on scan verdicts; per-family
+    // propagation, anchored on infection events.
+    let code = |label: &str| journal.ev_code(label);
+    let (issued, matched) = (code("query_issued"), code("query_matched"));
+    let (start, complete) = (code("download_start"), code("download_complete"));
+    let (verdict, infection) = (code("scan_verdict"), code("infection"));
+    // The chain behind `idx`: which stages it passes, the stage at its root,
+    // and the `hops` of the `query_matched` nearest the root.
+    let chain = |idx: usize| {
+        let (mut seen, mut root, mut hops) = ([false; 3], None, None);
+        let resolved = forest.ascend(idx, |i| {
+            let ev = Some(records[i].ev);
+            root = ev;
+            for (stage, flag) in [matched, start, complete].iter().zip(&mut seen) {
+                *flag |= ev == *stage;
+            }
+            if ev == matched {
+                hops = records[i].hops();
+            }
+        });
+        resolved.then_some((seen, root, hops))
+    };
+    for (idx, r) in records.iter().enumerate() {
+        let ev = Some(r.ev);
+        if ev == verdict && r.spanned() {
+            analysis.spanned_verdicts += 1;
+            let Some((seen, root, hops)) = chain(idx) else {
+                continue;
             };
-            *bucket.entry(hops).or_insert(0) += 1;
+            if root == issued && seen == [true; 3] {
+                analysis.complete_chains += 1;
+            }
+            if let Some(hops) = hops {
+                let bucket = if r.detections().unwrap_or(0) > 0 {
+                    &mut analysis.hops_malicious
+                } else {
+                    &mut analysis.hops_clean
+                };
+                *bucket.entry(hops).or_insert(0) += 1;
+            }
         }
-    }
-
-    // Per-family propagation, anchored on infection events.
-    for ev in events {
-        if ev.ev != "infection" {
-            continue;
-        }
-        let family = ev.str_field("family").unwrap_or("unknown").to_string();
-        let stats = analysis.families.entry(family).or_default();
-        stats.infections += 1;
-        if let Some(trace) = ev.trace {
-            *stats.traces.entry(trace).or_insert(0) += 1;
-            if let Some(path) = forest.path_of(events, ev.idx) {
-                if let Some(hops) = path
-                    .iter()
-                    .find(|&&i| events[i].ev == "query_matched")
-                    .and_then(|&i| events[i].u64_field("hops"))
-                {
+        if ev == infection {
+            let family = journal.family_of(r).unwrap_or("unknown").to_string();
+            let stats = analysis.families.entry(family).or_default();
+            stats.infections += 1;
+            if r.spanned() {
+                *stats.traces.entry(r.trace).or_insert(0) += 1;
+                if let Some((_, _, Some(hops))) = chain(idx) {
                     *stats.hops.entry(hops).or_insert(0) += 1;
                 }
             }
         }
     }
 
-    // Top-K deepest chains: longest root→leaf path per trace, ranked.
-    let mut deepest: Vec<ChainDesc> = Vec::new();
+    // Orphans sharing a missing parent count as that span's fanout too.
+    let mut orphan_fanout: BTreeMap<(u64, u64), usize> = BTreeMap::new();
+    for &idx in &forest.orphans {
+        let r = &records[idx as usize];
+        *orphan_fanout
+            .entry((r.trace, r.parent().unwrap_or(0)))
+            .or_insert(0) += 1;
+    }
+
+    // Per trace: its longest root→leaf path (the earliest event on ties)
+    // and its bushiest span (the largest span id on ties).
+    let mut deepest: Vec<(usize, u64, usize)> = Vec::new();
     let mut widest: Vec<WidthDesc> = Vec::new();
-    for (&trace, tr) in &forest.traces {
-        let mut best: Option<Vec<usize>> = None;
-        for &idx in &tr.events {
-            if let Some(path) = forest.path_of(events, idx) {
-                if best.as_ref().is_none_or(|b| path.len() > b.len()) {
-                    best = Some(path);
-                }
+    for spans in forest.traces() {
+        let trace = spans[0].0;
+        let mut best: Option<(usize, usize)> = None;
+        for &(_, _, idx) in spans {
+            let mut depth = 0;
+            let idx = idx as usize;
+            if forest.ascend(idx, |_| depth += 1)
+                && best.is_none_or(|(d, i)| depth > d || (depth == d && idx < i))
+            {
+                best = Some((depth, idx));
             }
         }
-        if let Some(path) = best {
-            deepest.push(ChainDesc {
-                trace,
-                path: path
-                    .iter()
-                    .map(|&i| (events[i].ev.clone(), events[i].t))
-                    .collect(),
-            });
+        if let Some((depth, idx)) = best {
+            deepest.push((depth, trace, idx));
         }
-        if let Some((&span, kids)) = tr.children.iter().max_by_key(|(_, kids)| kids.len()) {
+        let resolved = spans
+            .chunk_by(|a, b| a.1 == b.1)
+            .map(|run| (fanout[run[0].2 as usize] as usize, run[0].1, Some(run[0].2)));
+        let unresolved = orphan_fanout
+            .range((trace, 0)..=(trace, u64::MAX))
+            .map(|(&(_, span), &kids)| (kids, span, None));
+        if let Some((kids, _, owner)) = resolved
+            .chain(unresolved)
+            .filter(|&(kids, _, _)| kids > 0)
+            .max_by_key(|&(kids, span, _)| (kids, span))
+        {
             widest.push(WidthDesc {
                 trace,
-                span_ev: tr
-                    .span_owner
-                    .get(&span)
-                    .map(|&i| events[i].ev.clone())
-                    .unwrap_or_else(|| "<orphaned>".to_string()),
-                fanout: kids.len(),
-                events: tr.events.len(),
+                span_ev: owner
+                    .map_or("<orphaned>", |i| ev_of(i as usize))
+                    .to_string(),
+                fanout: kids,
+                events: spans.len(),
             });
         }
     }
     // Stable ranking: primary metric desc, trace id asc as tiebreak.
-    deepest.sort_by(|a, b| b.path.len().cmp(&a.path.len()).then(a.trace.cmp(&b.trace)));
+    deepest.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
     deepest.truncate(top_k);
+    analysis.deepest = deepest
+        .into_iter()
+        .map(|(_, trace, idx)| ChainDesc {
+            trace,
+            path: forest
+                .path_of(idx)
+                .expect("ranked by its resolved depth")
+                .into_iter()
+                .map(|i| (ev_of(i).to_string(), records[i].t))
+                .collect(),
+        })
+        .collect();
     widest.sort_by(|a, b| b.fanout.cmp(&a.fanout).then(a.trace.cmp(&b.trace)));
     widest.truncate(top_k);
-    analysis.deepest = deepest;
     analysis.widest = widest;
     analysis
 }
@@ -383,9 +453,9 @@ impl Analysis {
             self.orphans
                 .iter()
                 .take(20)
-                .map(|(idx, parent, ev)| {
+                .map(|(line, parent, ev)| {
                     Value::Obj(vec![
-                        ("line".into(), Value::Num((*idx + 1) as f64)),
+                        ("line".into(), Value::Num(*line as f64)),
                         ("ev".into(), Value::Str(ev.clone())),
                         ("parent".into(), Value::Str(span_hex(*parent))),
                     ])
@@ -555,7 +625,7 @@ mod tests {
     use super::*;
     use crate::journal::parse_journal;
 
-    fn chain_journal() -> Vec<JournalEvent> {
+    fn chain_journal() -> Journal {
         // A hand-built two-retry chain matching the DlTrace shape, plus one
         // spanless churn line and one orphan.
         let text = concat!(
@@ -575,14 +645,14 @@ mod tests {
     fn reconstructs_a_complete_chain() {
         let events = chain_journal();
         let forest = TraceForest::build(&events);
-        assert_eq!(forest.traces.len(), 2);
+        assert_eq!(forest.trace_count(), 2);
         assert_eq!(forest.spanless, 1);
         assert_eq!(forest.orphan_count(), 1);
         assert!(forest.monotone_violations.is_empty());
-        let path = forest.path_of(&events, 5).unwrap();
+        let path = forest.path_of(5).unwrap();
         assert_eq!(path, vec![0, 1, 2, 3, 4, 5]);
         // Orphaned link has no path to a root.
-        assert!(forest.path_of(&events, 7).is_none());
+        assert!(forest.path_of(7).is_none());
     }
 
     #[test]
@@ -599,6 +669,10 @@ mod tests {
         assert_eq!(fam.hops.get(&3), Some(&1));
         assert_eq!(a.orphans.len(), 1);
         assert_eq!(a.deepest[0].path.len(), 6);
+        // Every span of the chain has one child: the largest span id wins.
+        assert_eq!(a.widest[0].span_ev, "scan_verdict");
+        assert_eq!((a.widest[0].fanout, a.widest[0].events), (1, 6));
+        assert_eq!(a.widest[1].span_ev, "<orphaned>");
         // Edge latency captured per edge kind.
         assert_eq!(a.edges.get("query_issued->query_matched").unwrap().count, 1);
         assert_eq!(a.edges.get("scan_verdict->infection").unwrap().mean_us(), 0);
@@ -607,5 +681,75 @@ mod tests {
         assert_eq!(json.get("complete_chains").and_then(Value::as_u64), Some(1));
         assert_eq!(json.get("orphans").and_then(Value::as_u64), Some(1));
         assert!(a.render_summary().contains("1/1 scan verdicts"));
+    }
+
+    /// The corners the flat tables must keep as the per-trace maps had them:
+    /// the first event of a duplicated span owns it, span ids do not resolve
+    /// across traces, a cycle has no path, orphans sharing a missing parent
+    /// are that span's fanout, and edge kinds whose labels render alike
+    /// share one row.
+    #[test]
+    fn duplicates_cycles_orphans_and_label_collisions() {
+        let line = |t: u64, ev: &str, trace: u64, span: u64, parent: Option<u64>, body: &str| {
+            let parent = parent.map_or(String::new(), |p| format!(",\"parent\":\"{p:016x}\""));
+            format!(
+                "{{\"t\":{t},\"day\":0,\"cat\":\"c\",\"ev\":\"{ev}\",\
+                 \"trace\":\"{trace:016x}\",\"span\":\"{span:016x}\"{parent}{body}}}\n"
+            )
+        };
+        let text = [
+            // 0-4, trace 3: span 0x31 is emitted twice; the first (hops 1) owns it.
+            line(80, "query_issued", 3, 0x30, None, ""),
+            line(81, "query_matched", 3, 0x31, Some(0x30), ",\"hops\":1"),
+            line(82, "query_matched", 3, 0x31, Some(0x30), ",\"hops\":2"),
+            line(83, "download_start", 3, 0x32, Some(0x31), ""),
+            line(84, "scan_verdict", 3, 0x33, Some(0x32), ",\"detections\":0"),
+            // 5-7, trace 2: two orphans share a missing parent, one has its own.
+            line(70, "download_retry", 2, 0x21, Some(0xff), ""),
+            line(71, "download_retry", 2, 0x22, Some(0xff), ""),
+            line(72, "download_retry", 2, 0x23, Some(0xfe), ""),
+            // 8-10, trace 4: a two-span cycle with a verdict hanging off it.
+            line(90, "query_matched", 4, 0x41, Some(0x42), ""),
+            line(91, "query_matched", 4, 0x42, Some(0x41), ""),
+            line(92, "scan_verdict", 4, 0x43, Some(0x41), ""),
+            // 11, trace 8: span 0x30 exists, but in trace 3.
+            line(95, "query_matched", 8, 0x81, Some(0x30), ""),
+            // 12-15: ("a->b", "c") and ("a", "b->c") both render "a->b->c".
+            line(100, "a->b", 6, 0x60, None, ""),
+            line(101, "c", 6, 0x61, Some(0x60), ""),
+            line(102, "a", 7, 0x70, None, ""),
+            line(105, "b->c", 7, 0x71, Some(0x70), ""),
+        ]
+        .concat();
+        let journal = parse_journal(&text).unwrap();
+        let forest = TraceForest::build(&journal);
+        assert_eq!(forest.path_of(4), Some(vec![0, 1, 3, 4]));
+        assert_eq!(forest.path_of(10), None);
+        assert_eq!(forest.path_of(11), None);
+        assert_eq!(forest.orphan_count(), 4);
+
+        let a = analyze("odd", &journal, 10);
+        assert_eq!(a.trace_count, 6);
+        assert_eq!((a.spanned_verdicts, a.complete_chains), (2, 0));
+        assert_eq!(a.hops_clean, BTreeMap::from([(1, 1)]));
+        // By (trace, line): trace 2's three, then trace 8's.
+        let orphan_lines: Vec<usize> = a.orphans.iter().map(|o| o.0).collect();
+        assert_eq!(orphan_lines, [6, 7, 8, 12]);
+        let merged = a.edges.get("a->b->c").unwrap();
+        assert_eq!((merged.count, merged.min_us, merged.max_us), (2, 1, 3));
+        // Fanout 2 three times, so by trace: the missing parent of trace 2,
+        // the root of trace 3, and one span of trace 4's cycle.
+        let widest: Vec<(u64, &str, usize, usize)> = a
+            .widest
+            .iter()
+            .map(|w| (w.trace, w.span_ev.as_str(), w.fanout, w.events))
+            .collect();
+        assert_eq!(widest[0], (2, "<orphaned>", 2, 3));
+        assert_eq!(widest[1], (3, "query_issued", 2, 5));
+        assert_eq!(widest[2], (4, "query_matched", 2, 3));
+        // Traces 2, 4 and 8 have no resolvable path at all.
+        let deepest: Vec<(u64, usize)> =
+            a.deepest.iter().map(|c| (c.trace, c.path.len())).collect();
+        assert_eq!(deepest, [(3, 4), (6, 2), (7, 2)]);
     }
 }
