@@ -2,42 +2,23 @@
 //!
 //! Two measurements:
 //!
-//! * **Scheduler head-to-head** — the bucketed calendar queue vs the
-//!   original `(time, seq)` binary heap on the classic *hold model*
-//!   (pre-fill to a working depth, then pop one / push one at a jittered
-//!   future time), the access pattern a running simulation produces. This
-//!   isolates the scheduler itself; events/second for both go to stdout.
-//! * **Whole-simulation overlay** — a small Gnutella overlay under query
-//!   load, run once per scheduler, so the end-to-end effect (scheduler +
-//!   pooled payload buffers) is visible in events/second.
+//! * **Scheduler head-to-head** — the bucketed calendar queue vs its
+//!   ordering oracle, the `(time, seq)` binary heap, on the classic *hold
+//!   model* (pre-fill to a working depth, then pop one / push one at a
+//!   jittered future time), the access pattern a running simulation
+//!   produces. This isolates the scheduler itself; events/second for both
+//!   go to stdout.
+//! * **Shard scaling** — one simulated day of the quick LimeWire study on
+//!   one lane and on four. Same trajectory, so the event counts match and
+//!   events/second compares host cost only.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use p2pmal_core::LimewireScenario;
-use p2pmal_corpus::catalog::{Catalog, CatalogConfig};
-use p2pmal_corpus::{ContentStore, HostLibrary, Roster};
-use p2pmal_gnutella::servent::{Servent, ServentConfig, SharedWorld};
 use p2pmal_netsim::queue::{CalendarQueue, HeapQueue, Scheduler};
-use p2pmal_netsim::{NodeSpec, SchedulerKind, SimConfig, SimTime, Simulator};
+use p2pmal_netsim::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-use std::sync::Arc;
-
-fn world(seed: u64) -> SharedWorld {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let catalog = Catalog::generate(
-        &CatalogConfig {
-            titles: 200,
-            ..Default::default()
-        },
-        &mut rng,
-    );
-    SharedWorld::new(
-        Arc::new(catalog),
-        Arc::new(Roster::limewire_2006()),
-        Arc::new(ContentStore::new(seed)),
-    )
-}
 
 /// Hold model: `depth` events resident, `ops` pop+push rounds with
 /// deliveries jittered up to ~2 simulated seconds ahead (plus rare
@@ -66,53 +47,8 @@ fn hold_model<S: Scheduler<u64>>(q: &mut S, depth: usize, ops: usize) -> u64 {
     acc
 }
 
-/// Builds a 3-ultrapeer, 12-leaf overlay with ambient query load and runs
-/// it for `sim_secs` of virtual time; returns events processed.
-fn run_overlay(seed: u64, sim_secs: u64, scheduler: SchedulerKind) -> u64 {
-    let w = world(seed);
-    let mut sim = Simulator::new(
-        SimConfig {
-            scheduler,
-            ..SimConfig::default()
-        },
-        seed,
-    );
-    let mut ups = Vec::new();
-    for _ in 0..3 {
-        let cfg = ServentConfig::ultrapeer().with_bootstrap(ups.clone());
-        let id = sim.spawn(
-            NodeSpec::public().listen(6346),
-            Box::new(Servent::new(cfg, w.clone(), HostLibrary::new())),
-        );
-        ups.push(sim.node_addr(id));
-    }
-    for i in 0..12 {
-        let mut lib = HostLibrary::new();
-        let item = w.catalog.item((i * 7) % w.catalog.len() as u32);
-        lib.add_benign(item, 0);
-        let mut cfg = ServentConfig::leaf().with_bootstrap(ups.clone());
-        cfg.auto_query = Some(p2pmal_netsim::SimDuration::from_secs(20));
-        sim.spawn(
-            NodeSpec::public().listen(6346),
-            Box::new(Servent::new(cfg, w.clone(), lib)),
-        );
-    }
-    sim.run_until(SimTime::from_secs(sim_secs));
-    sim.metrics().events_processed
-}
-
-/// One simulated day of the quick LimeWire study scenario under the given
-/// scheduler; returns events processed.
-fn run_quick_scenario(seed: u64, scheduler: SchedulerKind) -> u64 {
-    let mut sc = LimewireScenario::quick(seed);
-    sc.days = 1;
-    sc.scheduler = scheduler;
-    sc.shards = 1;
-    sc.run().sim_metrics.events_processed
-}
-
-/// One simulated day of the quick LimeWire study under `shards` simulation
-/// shards (1 = serial reference engine); returns events processed.
+/// One simulated day of the quick LimeWire study on `shards` lanes; returns
+/// events processed.
 fn run_sharded_scenario(seed: u64, shards: usize) -> u64 {
     let mut sc = LimewireScenario::quick(seed);
     sc.days = 1;
@@ -170,80 +106,8 @@ fn bench_scheduler(c: &mut Criterion) {
     );
 }
 
-fn bench_sim(c: &mut Criterion) {
-    let mut g = c.benchmark_group("simulator");
-    g.sample_size(samples());
-    for (label, kind) in [
-        ("overlay_600s_heap", SchedulerKind::Heap),
-        ("overlay_600s_calendar", SchedulerKind::Calendar),
-    ] {
-        g.bench_function(label, |b| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                black_box(run_overlay(seed, 600, kind))
-            });
-        });
-    }
-    g.finish();
-
-    // Report the end-to-end event rates once for the logs.
-    for (label, kind) in [
-        ("heap", SchedulerKind::Heap),
-        ("calendar", SchedulerKind::Calendar),
-    ] {
-        let t0 = std::time::Instant::now();
-        let mut events = 0u64;
-        for rep in 0..20 {
-            events += run_overlay(99 + rep, 1200, kind);
-        }
-        let rate = events as f64 / t0.elapsed().as_secs_f64();
-        println!(
-            "simulator[{label}]: {events} events in {:.2}s wall = {:.0} events/s",
-            t0.elapsed().as_secs_f64(),
-            rate
-        );
-    }
-}
-
-fn bench_quick_scenario(c: &mut Criterion) {
-    let mut g = c.benchmark_group("quick_scenario");
-    g.sample_size(samples());
-    for (label, kind) in [
-        ("limewire_1day_heap", SchedulerKind::Heap),
-        ("limewire_1day_calendar", SchedulerKind::Calendar),
-    ] {
-        g.bench_function(label, |b| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                black_box(run_quick_scenario(seed, kind))
-            });
-        });
-    }
-    g.finish();
-
-    for (label, kind) in [
-        ("heap", SchedulerKind::Heap),
-        ("calendar", SchedulerKind::Calendar),
-    ] {
-        let t0 = std::time::Instant::now();
-        let mut events = 0u64;
-        for rep in 0..4 {
-            events += run_quick_scenario(7 + rep, kind);
-        }
-        println!(
-            "quick_scenario[{label}]: {events} events in {:.2}s wall = {:.0} events/s",
-            t0.elapsed().as_secs_f64(),
-            events as f64 / t0.elapsed().as_secs_f64()
-        );
-    }
-}
-
-/// Shard scaling: the serial engine vs the parallel sharded engine on the
-/// same quick scenario. The two trajectories are deliberately distinct
-/// (see `p2pmal_netsim`'s sharding docs), so events/second — not event
-/// counts — is the comparable number.
+/// Shard scaling: the same quick scenario, hence the same events, on one
+/// lane (inline) and on four (worker threads, barriers).
 fn bench_shard_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("shard_scaling");
     g.sample_size(samples());
@@ -275,11 +139,5 @@ fn bench_shard_scaling(c: &mut Criterion) {
     }
 }
 
-criterion_group!(
-    benches,
-    bench_scheduler,
-    bench_sim,
-    bench_quick_scenario,
-    bench_shard_scaling
-);
+criterion_group!(benches, bench_scheduler, bench_shard_scaling);
 criterion_main!(benches);

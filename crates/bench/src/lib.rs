@@ -38,9 +38,7 @@ use p2pmal_crawler::{
     FailureBreakdown, HostKey, Network, ResolvedResponse, ResponseRecord, RetryPolicy, ScanStats,
 };
 use p2pmal_json::Value;
-use p2pmal_netsim::FaultPlan;
-use p2pmal_netsim::SimTime;
-use p2pmal_netsim::{Counter, HistSummary};
+use p2pmal_netsim::{Counter, FaultPlan, HistSummary, SimConfig, SimTime};
 use std::io::Write;
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
@@ -111,7 +109,16 @@ pub struct BenchConfig {
     pub faults: String,
     /// `P2PMAL_RETRIES=<n>` — retry-budget override on top of the profile.
     pub retries: Option<u8>,
+    /// `P2PMAL_SHARD_WINDOW_MS` in microseconds: the simulator's
+    /// connection-latency floor, part of the model (`P2PMAL_SHARDS` is
+    /// not: every shard count runs the same trajectory).
+    pub shard_window_us: u64,
 }
+
+/// Bumped whenever the trajectory a seed produces changes, so a cached run
+/// from before the change is never served as current. Epoch 2: the merged
+/// lane engine (PR 16).
+const TRAJECTORY_EPOCH: u32 = 2;
 
 impl BenchConfig {
     pub fn from_env() -> Self {
@@ -145,6 +152,7 @@ impl BenchConfig {
             seeds: seeds.filter(|s| !s.is_empty()),
             faults,
             retries,
+            shard_window_us: SimConfig::shards_from_env().1,
         }
     }
 
@@ -172,13 +180,15 @@ impl BenchConfig {
             .map(|d| d.to_string())
             .unwrap_or_else(|| "default".into());
         let mut tag = format!(
-            "{}-{}-{}",
+            "t{TRAJECTORY_EPOCH}-{}-{}-{}",
             if self.quick { "quick" } else { "paper" },
             self.seed,
             days
         );
-        // Historical artifacts (pre-fault-layer) carry no suffix; only
-        // non-default profiles extend the cache key.
+        // Only non-default settings extend the cache key.
+        if self.shard_window_us != SimConfig::default().shard_window_us {
+            tag.push_str(&format!("-w{}us", self.shard_window_us));
+        }
         if self.faults != "none" {
             tag.push('-');
             tag.push_str(&self.faults);
@@ -336,6 +346,7 @@ fn failures_from_json(v: &Value) -> Option<FailureBreakdown> {
         truncated: n("truncated"),
         peer_gone: n("peer_gone"),
         corrupt: n("corrupt"),
+        not_found: n("not_found"),
         other: n("other"),
     })
 }
@@ -563,6 +574,7 @@ pub fn limewire_run(cfg: &BenchConfig) -> RunArtifact {
     };
     let (plan, retry) = cfg.fault_plan();
     scenario = scenario.with_faults(plan, retry);
+    scenario.shard_window_us = cfg.shard_window_us;
     if let Some(days) = cfg.days {
         scenario.days = days;
     }
@@ -607,6 +619,7 @@ pub fn openft_run(cfg: &BenchConfig) -> RunArtifact {
     };
     let (plan, retry) = cfg.fault_plan();
     scenario = scenario.with_faults(plan, retry);
+    scenario.shard_window_us = cfg.shard_window_us;
     if let Some(days) = cfg.days {
         scenario.days = days;
     }
@@ -692,4 +705,37 @@ pub fn banner(id: &str, what: &str) {
     println!("{id} — {what}");
     println!("reproduction of Kalafut et al., 'A study of malware in P2P networks' (IMC 2006)");
     println!("================================================================");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cache_key_follows_everything_that_moves_the_trajectory() {
+        let base = BenchConfig {
+            quick: true,
+            seed: 2006,
+            days: None,
+            seeds: None,
+            faults: "none".into(),
+            retries: None,
+            shard_window_us: SimConfig::default().shard_window_us,
+        };
+        let path = |cfg: &BenchConfig| cache_path("limewire", cfg);
+        assert!(path(&base).ends_with(format!(
+            "limewire-t{TRAJECTORY_EPOCH}-quick-2006-default.json"
+        )));
+        let window = BenchConfig {
+            shard_window_us: 250_000,
+            ..base.clone()
+        };
+        assert_ne!(path(&base), path(&window), "window is part of the model");
+        assert_ne!(path(&base), path(&base.with_seed(7)));
+        let mild = BenchConfig {
+            faults: "mild".into(),
+            ..base.clone()
+        };
+        assert_ne!(path(&base), path(&mild));
+    }
 }

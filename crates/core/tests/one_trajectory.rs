@@ -1,0 +1,136 @@
+//! The golden guard: one engine, one trajectory per seed.
+//!
+//! The seed-2006 quick studies must reproduce the digests below bit for
+//! bit, in every process and at every shard count — one lane on the calling
+//! thread or eight on worker threads. Any extra RNG draw, reordered event
+//! or changed retry path moves them. `SimMetrics` must agree across shard
+//! counts too, except the buffer-pool counters (each shard owns a private
+//! pool, so hit/miss/recycle totals depend on how nodes partition), and so
+//! must the journal, byte for byte.
+
+use p2pmal_core::{LimewireScenario, NetworkRun, OpenFtScenario};
+use p2pmal_crawler::RetryPolicy;
+use p2pmal_netsim::{FaultPlan, SimMetrics};
+
+const LIMEWIRE_GOLDEN: &str = "f37ef52a057e0096ccb9f7e55383db93efacf571";
+const OPENFT_GOLDEN: &str = "18f403bc244e4c8cbe0236ce7ce77a929ccd8c4f";
+
+/// Metrics with the shard-partition-dependent parts masked out.
+fn comparable_metrics(run: &NetworkRun) -> SimMetrics {
+    let mut m = run.sim_metrics.clone();
+    m.pool_hits = 0;
+    m.pool_misses = 0;
+    m.pool_recycled_bytes = 0;
+    m.pool_high_water = 0;
+    m
+}
+
+fn limewire(shards: usize) -> LimewireScenario {
+    let mut scenario = LimewireScenario::quick(2006);
+    scenario.shards = shards;
+    scenario
+}
+
+fn openft(shards: usize) -> OpenFtScenario {
+    // Same seed derivation run_study uses for the OpenFT half.
+    let mut scenario = OpenFtScenario::quick(2006 ^ 0xF7);
+    scenario.shards = shards;
+    scenario
+}
+
+/// `run(shards)` must give the golden digest at shards 1, 2, 4 and 8, with
+/// identical metrics.
+fn assert_one_trajectory(golden: &str, run: impl Fn(usize) -> NetworkRun) {
+    let base = run(1);
+    assert_eq!(base.shards, 1);
+    assert_eq!(base.trajectory_digest(), golden, "golden moved at shards=1");
+    for shards in [2usize, 4, 8] {
+        let other = run(shards);
+        assert_eq!(other.shards, shards);
+        assert_eq!(
+            other.trajectory_digest(),
+            golden,
+            "shards={shards} diverged from the one-lane trajectory"
+        );
+        assert_eq!(
+            comparable_metrics(&other),
+            comparable_metrics(&base),
+            "shards={shards} changed the SimMetrics"
+        );
+    }
+}
+
+#[test]
+fn limewire_quick_seed_2006_golden_at_1_2_4_8_shards() {
+    assert_one_trajectory(LIMEWIRE_GOLDEN, |shards| limewire(shards).run());
+}
+
+#[test]
+fn openft_quick_seed_2006_golden_at_1_2_4_8_shards() {
+    assert_one_trajectory(OPENFT_GOLDEN, |shards| openft(shards).run());
+}
+
+/// An *explicit* empty fault plan must be indistinguishable from the
+/// default: the fault layer performs zero RNG draws and schedules zero
+/// events when every probability is zero.
+#[test]
+fn explicit_empty_fault_plan_is_the_fault_free_trajectory() {
+    let none = (FaultPlan::none(), RetryPolicy::legacy());
+    let run = limewire(1).with_faults(none.0, none.1).run();
+    assert_eq!(run.trajectory_digest(), LIMEWIRE_GOLDEN);
+    let run = openft(1).with_faults(none.0, none.1).run();
+    assert_eq!(run.trajectory_digest(), OPENFT_GOLDEN);
+}
+
+/// A quick LimeWire run at `shards` with the journal on; returns the run
+/// and the journal bytes.
+fn limewire_journaled(shards: usize) -> (NetworkRun, String) {
+    use p2pmal_core::telemetry::{journal_path_for, TelemetryConfig};
+    let mut base = std::env::temp_dir();
+    base.push(format!(
+        "p2pmal-one-trajectory-{}-s{shards}.jsonl",
+        std::process::id()
+    ));
+    let mut scenario = limewire(shards);
+    scenario.telemetry = TelemetryConfig {
+        journal: Some(base.clone()),
+        ..TelemetryConfig::off()
+    };
+    let run = scenario.run();
+    let path = journal_path_for(&base, "limewire");
+    let text = std::fs::read_to_string(&path).expect("journal file written");
+    let _ = std::fs::remove_file(&path);
+    (run, text)
+}
+
+/// Every lane buffers its telemetry and the window boundary replays it in
+/// one canonical order, so one lane and four must write byte-identical,
+/// span-complete journals and reconstruct identical propagation trees.
+#[test]
+fn journals_and_propagation_trees_match_at_1_and_4_shards() {
+    let (run1, journal1) = limewire_journaled(1);
+    let (run4, journal4) = limewire_journaled(4);
+    assert!(!journal1.is_empty());
+    assert!(
+        journal1 == journal4,
+        "shards=1 and shards=4 must write byte-identical journals"
+    );
+    assert_eq!(run1.trajectory_digest(), LIMEWIRE_GOLDEN);
+    assert_eq!(run4.trajectory_digest(), LIMEWIRE_GOLDEN);
+
+    // Reconstruct both forests independently and compare the full report:
+    // identical trees, identical chain/latency/hop analyses.
+    let ev1 = p2pmal_obs::parse_journal(&journal1).expect("journal parses");
+    let ev4 = p2pmal_obs::parse_journal(&journal4).expect("journal parses");
+    let a1 = p2pmal_obs::analyze("s", &ev1, 5);
+    let a4 = p2pmal_obs::analyze("s", &ev4, 5);
+    assert_eq!(
+        a1.to_json().to_string_compact(),
+        a4.to_json().to_string_compact(),
+        "reconstructed propagation trees must be identical"
+    );
+    assert_eq!(a1.orphans.len(), 0, "journals must be span-complete");
+    assert_eq!(a1.monotone_violations, 0);
+    assert!(a1.complete_chains >= 1);
+    assert_eq!(a1.complete_chains, a1.spanned_verdicts);
+}

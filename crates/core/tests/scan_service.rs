@@ -1,63 +1,23 @@
 //! Determinism guard for the batched parallel scan service: the quick
 //! seed-2006 studies must produce bit-identical trajectories at every
-//! scan-thread count, matching the sequential golden digests recorded in
-//! `fault_free_baseline.rs`. Worker threads only compute pure functions of
+//! scan-thread count, matching the golden digests recorded in
+//! `one_trajectory.rs`. Worker threads only compute pure functions of
 //! body bytes; all observable state mutates in submission-order replay, so
 //! any divergence here means verdicts or stats leaked out of order.
 
-use p2pmal_core::{LimewireScenario, NetworkRun, OpenFtScenario};
+use p2pmal_core::{LimewireScenario, OpenFtScenario};
 use p2pmal_crawler::ScanStats;
-use p2pmal_hashes::Sha1;
-
-/// Same canonical trajectory digest as `fault_free_baseline.rs`: every
-/// resolved response (with verdict) plus the log counters.
-fn digest(run: &NetworkRun) -> String {
-    let mut h = Sha1::new();
-    let mut line = String::new();
-    for r in &run.resolved {
-        use std::fmt::Write;
-        line.clear();
-        let _ = writeln!(
-            line,
-            "{}|{}|{}|{}|{}|{}:{}|{}|{:?}|{}|{}|{}",
-            r.record.at.as_micros(),
-            r.record.day,
-            r.record.query,
-            r.record.filename,
-            r.record.size,
-            r.record.source_ip,
-            r.record.source_port,
-            r.record.needs_push,
-            r.record.host,
-            r.scanned,
-            r.malware.as_deref().unwrap_or("-"),
-            r.sha1.map(|d| d.to_hex()).unwrap_or_default(),
-        );
-        h.update(line.as_bytes());
-    }
-    let counters = format!(
-        "queries={} attempted={} failed={} events={}",
-        run.log.queries_issued,
-        run.log.downloads_attempted,
-        run.log.downloads_failed,
-        run.sim_metrics.events_processed,
-    );
-    h.update(counters.as_bytes());
-    h.finalize().to_hex()
-}
 
 #[test]
 fn limewire_quick_identical_across_scan_thread_counts() {
     let mut baseline_scan: Option<ScanStats> = None;
     for threads in [1usize, 2, 8] {
         let mut scenario = LimewireScenario::quick(2006);
-        // Serial-engine golden (see sharded_sim.rs for the sharded one).
-        scenario.shards = 1;
         scenario.scan_threads = threads;
         let run = scenario.run();
         assert_eq!(
-            digest(&run),
-            "e23760a68ae66f482fe75fb625ea3782b0f42ea1",
+            run.trajectory_digest(),
+            "f37ef52a057e0096ccb9f7e55383db93efacf571",
             "scan_threads={threads} changed the LimeWire quick trajectory"
         );
         match &baseline_scan {
@@ -76,13 +36,11 @@ fn openft_quick_identical_across_scan_thread_counts() {
     for threads in [1usize, 2, 8] {
         // Same seed derivation run_study uses for the OpenFT half.
         let mut scenario = OpenFtScenario::quick(2006 ^ 0xF7);
-        // Serial-engine golden (see sharded_sim.rs for the sharded one).
-        scenario.shards = 1;
         scenario.scan_threads = threads;
         let run = scenario.run();
         assert_eq!(
-            digest(&run),
-            "76a3974f9eba95c5ea11bd8eed620f8144ede6a7",
+            run.trajectory_digest(),
+            "18f403bc244e4c8cbe0236ce7ce77a929ccd8c4f",
             "scan_threads={threads} changed the OpenFT quick trajectory"
         );
         match &baseline_scan {

@@ -9,43 +9,6 @@ use p2pmal_hashes::Sha1;
 use p2pmal_json::Value;
 use std::path::PathBuf;
 
-/// Same canonical trajectory digest the golden-baseline guard uses:
-/// every resolved response plus the log counters.
-fn digest(run: &NetworkRun) -> String {
-    let mut h = Sha1::new();
-    let mut line = String::new();
-    for r in &run.resolved {
-        use std::fmt::Write;
-        line.clear();
-        let _ = writeln!(
-            line,
-            "{}|{}|{}|{}|{}|{}:{}|{}|{:?}|{}|{}|{}",
-            r.record.at.as_micros(),
-            r.record.day,
-            r.record.query,
-            r.record.filename,
-            r.record.size,
-            r.record.source_ip,
-            r.record.source_port,
-            r.record.needs_push,
-            r.record.host,
-            r.scanned,
-            r.malware.as_deref().unwrap_or("-"),
-            r.sha1.map(|d| d.to_hex()).unwrap_or_default(),
-        );
-        h.update(line.as_bytes());
-    }
-    let counters = format!(
-        "queries={} attempted={} failed={} events={}",
-        run.log.queries_issued,
-        run.log.downloads_attempted,
-        run.log.downloads_failed,
-        run.sim_metrics.events_processed,
-    );
-    h.update(counters.as_bytes());
-    h.finalize().to_hex()
-}
-
 /// A collision-free journal base path for one test run.
 fn journal_base(tag: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -85,7 +48,7 @@ fn same_seed_writes_byte_identical_journals() {
         journal_a, journal_b,
         "identical seeds must write byte-identical journals"
     );
-    assert_eq!(digest(&run_a), digest(&run_b));
+    assert_eq!(run_a.trajectory_digest(), run_b.trajectory_digest());
 
     // Every line is a parseable event record and sim time never rewinds.
     let mut last = 0u64;
@@ -121,8 +84,8 @@ fn journaling_does_not_perturb_the_simulation() {
     plain.days = 1;
     let plain = plain.run();
     assert_eq!(
-        digest(&plain),
-        digest(&journaled),
+        plain.trajectory_digest(),
+        journaled.trajectory_digest(),
         "journaling must not change the trajectory"
     );
     // SimMetrics equality covers the whole metrics registry: the
@@ -228,24 +191,20 @@ fn provenance_chains_reconstruct_on_both_networks() {
 /// Pins the trace analysis itself: the pretty-printed `Analysis::to_json()`
 /// of the seed-2006 quick journals, so a rewrite of the obs store or the
 /// forest reconstruction cannot silently change a single reported number.
-/// The serial trajectory is the pinned one, so `shards = 1` whatever
-/// `P2PMAL_SHARDS` says.
 #[test]
 fn analysis_reports_are_pinned() {
-    let mut limewire = LimewireScenario::quick(2006);
-    limewire.shards = 1;
-    let mut openft = p2pmal_core::OpenFtScenario::quick(2006 ^ 0xF7);
-    openft.shards = 1;
+    let limewire = LimewireScenario::quick(2006);
+    let openft = p2pmal_core::OpenFtScenario::quick(2006 ^ 0xF7);
     let journals = [
         (
             "limewire",
             run_scenario_with_journal(limewire, "pin-lw").1,
-            "6ee38b6586fa1a3b14ac688701b0cc1a138242f1",
+            "47801b3928a52738a9ff90fce7aa4e4bbea156be",
         ),
         (
             "openft",
             run_openft_scenario_with_journal(openft, "pin-ft").1,
-            "db776712ffc52bc4f55fb82a2daabf41f1abd703",
+            "048c105f5f4efffb4c661199afa286be58ae3acf",
         ),
     ];
     for (network, journal, want) in &journals {

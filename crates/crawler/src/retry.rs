@@ -32,7 +32,12 @@ pub enum FailCause {
     PeerGone,
     /// The body arrived but its archive content could not be decoded.
     Corrupt,
-    /// Everything else (HTTP-level refusals and the like).
+    /// The source answered `404`: it does not hold the advertised object.
+    /// Under fault injection this is where a bit flip in an advertised
+    /// digest or index surfaces (share sync, search result or the request
+    /// itself) — every retry asks the same host for something it never had.
+    NotFound,
+    /// Everything else (other HTTP-level refusals and the like).
     Other,
 }
 
@@ -45,6 +50,7 @@ impl FailCause {
             FailCause::Truncated => "truncated",
             FailCause::PeerGone => "peer_gone",
             FailCause::Corrupt => "corrupt",
+            FailCause::NotFound => "not_found",
             FailCause::Other => "other",
         }
     }
@@ -58,6 +64,7 @@ pub struct FailureBreakdown {
     pub truncated: u64,
     pub peer_gone: u64,
     pub corrupt: u64,
+    pub not_found: u64,
     pub other: u64,
 }
 
@@ -69,22 +76,24 @@ impl FailureBreakdown {
             FailCause::Truncated => self.truncated += 1,
             FailCause::PeerGone => self.peer_gone += 1,
             FailCause::Corrupt => self.corrupt += 1,
+            FailCause::NotFound => self.not_found += 1,
             FailCause::Other => self.other += 1,
         }
     }
 
     pub fn total(&self) -> u64 {
-        self.timeout + self.reset + self.truncated + self.peer_gone + self.corrupt + self.other
+        self.parts().iter().map(|(_, n)| n).sum()
     }
 
     /// Labelled parts for rendering (summary lines, trace output).
-    pub fn parts(&self) -> [(&'static str, u64); 6] {
+    pub fn parts(&self) -> [(&'static str, u64); 7] {
         [
             ("timeout", self.timeout),
             ("reset", self.reset),
             ("truncated", self.truncated),
             ("peer_gone", self.peer_gone),
             ("corrupt", self.corrupt),
+            ("not_found", self.not_found),
             ("other", self.other),
         ]
     }
@@ -99,6 +108,7 @@ pub fn classify_gnutella(err: &DownloadError) -> FailCause {
             FailCause::Reset
         }
         DownloadError::Protocol(_) => FailCause::Truncated,
+        DownloadError::Http(404) => FailCause::NotFound,
         DownloadError::Http(_) => FailCause::Other,
     }
 }
@@ -112,6 +122,7 @@ pub fn classify_openft(err: &FtDownloadError) -> FailCause {
             FailCause::Reset
         }
         FtDownloadError::Protocol(_) => FailCause::Truncated,
+        FtDownloadError::Http(404) => FailCause::NotFound,
         FtDownloadError::Http(_) => FailCause::Other,
     }
 }
@@ -222,11 +233,12 @@ mod tests {
             FailCause::Truncated,
             FailCause::PeerGone,
             FailCause::Corrupt,
+            FailCause::NotFound,
             FailCause::Other,
         ] {
             b.record(c);
         }
-        assert_eq!(b.total(), 6);
+        assert_eq!(b.total(), 7);
         assert!(b.parts().iter().all(|(_, n)| *n == 1));
     }
 
@@ -262,6 +274,10 @@ mod tests {
             classify_gnutella(&DownloadError::Http(503)),
             FailCause::Other
         );
+        assert_eq!(
+            classify_gnutella(&DownloadError::Http(404)),
+            FailCause::NotFound
+        );
     }
 
     #[test]
@@ -276,6 +292,10 @@ mod tests {
         );
         assert_eq!(
             classify_openft(&FtDownloadError::Http(404)),
+            FailCause::NotFound
+        );
+        assert_eq!(
+            classify_openft(&FtDownloadError::Http(503)),
             FailCause::Other
         );
     }

@@ -192,8 +192,8 @@ impl<'a> Ctx<'a> {
 /// A sans-IO network application (protocol node).
 ///
 /// All methods have default no-op implementations so small test apps only
-/// implement what they need. `Send` because sharded runs migrate each
-/// shard's nodes onto a scoped worker thread for the duration of a window
+/// implement what they need. `Send` because runs with several shards migrate
+/// each shard's nodes onto a scoped worker thread for the duration of a run
 /// (callbacks still never run concurrently *for the same node*, and all
 /// cross-node interaction flows through simulator events).
 #[allow(unused_variables)]

@@ -8,13 +8,14 @@
 //! (truncation or bit-flips) and node churn sessions with up/down
 //! lifetimes.
 //!
-//! Determinism contract: every fault decision is drawn from the simulator's
-//! single seeded `StdRng`, so the same seed and the same plan reproduce the
-//! same faults bit-for-bit. Crucially, the disabled default draws nothing:
-//! each sampling helper is gated on its probability being nonzero, so
-//! [`FaultPlan::none()`] leaves the RNG stream — and therefore the entire
-//! event trace — byte-identical to a simulator without the fault layer
-//! (asserted by `crates/core/tests/fault_free_baseline.rs`).
+//! Determinism contract: every fault decision is drawn from the seeded
+//! `StdRng` stream of the node it happens to (churn enrollment from the
+//! spawn-time control stream), so the same seed and the same plan reproduce
+//! the same faults bit-for-bit at every shard count. Crucially, the disabled
+//! default draws nothing: each sampling helper is gated on its probability
+//! being nonzero, so [`FaultPlan::none()`] leaves the RNG streams — and
+//! therefore the entire event trace — byte-identical to a simulator without
+//! the fault layer (asserted by `crates/core/tests/one_trajectory.rs`).
 
 use rand::rngs::StdRng;
 use rand::Rng;

@@ -15,9 +15,10 @@
 //! fidelity outside the simulator.
 //!
 //! Determinism contract: given the same seed and the same sequence of API
-//! calls, a simulation produces byte-identical event orderings. All
-//! randomness flows through one seeded [`rand::rngs::StdRng`]; ties in the
-//! event heap break on a monotonically increasing sequence number.
+//! calls, a simulation produces byte-identical event orderings — at every
+//! shard count. Each node draws from its own seeded
+//! [`rand::rngs::StdRng`] stream; simultaneous events dispatch in
+//! `(source node, per-source counter)` order.
 //!
 //! ```
 //! use p2pmal_netsim::{Simulator, SimConfig, App, Ctx, ConnId, Direction, NodeSpec, SimTime};
@@ -53,7 +54,6 @@
 mod addr;
 mod app;
 pub mod compact;
-mod event;
 mod faults;
 pub mod live;
 mod metrics;

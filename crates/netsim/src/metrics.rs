@@ -154,9 +154,9 @@ pub struct SimMetrics {
 
 impl SimMetrics {
     /// Folds another snapshot into this one: counters sum, high-water marks
-    /// take the max, and the profile/registry merge field-wise. The sharded
-    /// simulator keeps one `SimMetrics` per shard and merges them into the
-    /// snapshot `Simulator::metrics` hands out.
+    /// take the max, and the profile/registry merge field-wise. The simulator
+    /// keeps one `SimMetrics` per shard and merges them into the snapshot
+    /// `Simulator::metrics` hands out.
     pub fn merge(&mut self, other: &SimMetrics) {
         self.events_processed += other.events_processed;
         self.conns_established += other.conns_established;

@@ -41,10 +41,10 @@ pub enum Subsystem {
     ScanMerge = 4,
     /// Query matching against share libraries (nested inside `App`).
     QueryMatch = 5,
-    /// Sharded runs only: cross-shard mailbox exchange, window sequencing
-    /// and barrier synchronization (including worker idle time at the
-    /// barriers, so per-shard sums can exceed the wall clock). Zero on
-    /// serial runs.
+    /// Runs with `shards >= 2` only: cross-shard mailbox exchange, window
+    /// sequencing and barrier synchronization (including worker idle time
+    /// at the barriers, so per-shard sums can exceed the wall clock). Never
+    /// recorded on one lane.
     ShardExchange = 6,
 }
 

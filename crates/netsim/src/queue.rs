@@ -1,12 +1,7 @@
-//! Pluggable event schedulers.
+//! The event scheduler.
 //!
-//! Both queues implement the same deterministic contract: items pushed with
-//! a [`SimTime`] pop back in `(time, insertion order)` order. The original
-//! implementation, [`HeapQueue`], is a `BinaryHeap` over `(time, seq)` —
-//! every push and pop costs `O(log n)` comparisons on a heap that reaches
-//! hundreds of thousands of entries at paper scale.
-//!
-//! [`CalendarQueue`] replaces it on the simulator hot path (Brown, CACM
+//! Items pushed with a [`SimTime`] pop back in `(time, tie-break key)`
+//! order. [`CalendarQueue`] is what the simulator runs on (Brown, CACM
 //! 1988): time is hashed into a power-of-two ring of buckets of fixed
 //! width, so a push is `O(1)` ring insertion and a pop only ever sorts the
 //! one bucket the clock currently points at. Discrete-event traffic is
@@ -15,21 +10,24 @@
 //! ring's horizon go to an overflow heap and are pulled forward as the
 //! cursor reaches them, so far-future timers stay cheap too.
 //!
-//! `HeapQueue` is kept both as the reference oracle for the equivalence
-//! tests below and for the head-to-head scheduler benchmark in
+//! [`HeapQueue`], a `BinaryHeap` over `(time, seq)` at `O(log n)` per
+//! operation, is the original scheduler. The simulator cannot run on it
+//! any more; it stays as the ordering oracle of the equivalence tests below
+//! and as the baseline of the hold-model benchmark in
 //! `crates/bench/benches/perf_simulator.rs`.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Selects which scheduler backs a simulator run (see `SimConfig`).
+/// A choice with one option: the simulator always runs on the calendar
+/// queue. The enum (like `SimConfig::scheduler`) survives only because
+/// `benchmark/src/workloads.rs` names it and that package cannot change in
+/// the same PR as the engine; the next `[benchmark]` PR removes both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// The bucketed calendar queue (default).
+    /// The bucketed calendar queue.
     Calendar,
-    /// The original `(time, seq)` binary heap, kept for benchmarking.
-    Heap,
 }
 
 /// Log2 of the bucket width in microseconds: 2^15 µs ≈ 32.8 ms per bucket.
@@ -74,17 +72,18 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// The scheduler interface the simulator core and the benchmarks share.
+/// The scheduler interface the simulator, the oracle and the benchmarks
+/// share.
 pub trait Scheduler<T> {
     /// Enqueues `item` at `time`. Items at equal times dequeue in push
     /// order.
     fn push(&mut self, time: SimTime, item: T);
     /// Enqueues `item` at `time` under an explicit tie-break key instead of
     /// the auto-assigned insertion sequence: equal-time items dequeue in
-    /// ascending `seq` order regardless of push order. The sharded
-    /// simulator derives `seq` from `(source node, per-source counter)` so
-    /// the dispatch order is a pure function of the event set, not of which
-    /// thread pushed first. Do not mix with [`Scheduler::push`] on the same
+    /// ascending `seq` order regardless of push order. The simulator
+    /// derives `seq` from `(source node, per-source counter)` so the
+    /// dispatch order is a pure function of the event set, not of which
+    /// lane pushed first. Do not mix with [`Scheduler::push`] on the same
     /// queue — the auto sequence would collide with caller keys.
     fn push_keyed(&mut self, time: SimTime, seq: u64, item: T);
     /// Removes and returns the earliest item.
@@ -101,7 +100,7 @@ pub trait Scheduler<T> {
     }
 }
 
-/// The original `(time, seq)` binary-heap scheduler.
+/// The `(time, seq)` binary-heap scheduler: the calendar queue's oracle.
 pub struct HeapQueue<T> {
     heap: BinaryHeap<Entry<T>>,
     next_seq: u64,

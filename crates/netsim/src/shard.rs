@@ -1,62 +1,62 @@
-//! Sharded deterministic simulation: a conservative parallel event loop.
+//! The lane engine: the one event loop behind [`crate::Simulator`].
 //!
-//! With `SimConfig::shards >= 2` the node population is partitioned into
-//! shards by [`shard_of`] — a pure function of `(seed, node id, shard
-//! count)` — and each shard runs its own calendar queue, metrics slice,
-//! buffer pool and telemetry buffer on a scoped worker thread. Execution
-//! proceeds in lock-step sim-time windows: every shard processes the events
-//! it owns with timestamps inside the current window, deposits cross-shard
-//! messages into per-pair mailboxes, and meets the others at a barrier
-//! where the next window is derived from the global minimum pending
-//! timestamp (classic conservative lookahead, Chandy/Misra style).
+//! The node population is partitioned into `SimConfig::shards` shards by
+//! [`shard_of`] — a pure function of `(seed, node id, shard count)` — and
+//! each shard owns a calendar queue, a metrics slice, a buffer pool and a
+//! telemetry buffer. A [`Lane`] is one shard's execution context. Execution
+//! proceeds in sim-time windows: every lane dispatches the events it owns
+//! with timestamps inside the current window, and at the window boundary
+//! the next window is derived from the global minimum pending timestamp
+//! (classic conservative lookahead, Chandy/Misra style).
+//!
+//! `shards = 1` is the degenerate case of that loop: one lane runs its
+//! windows back to back on the calling thread — no worker threads, no
+//! barrier, no mailboxes, no locks, and nothing is ever recorded under
+//! `Subsystem::ShardExchange`. With `shards >= 2` each lane runs on a
+//! scoped worker thread, cross-shard events travel through per-pair
+//! mailboxes and the lanes meet at a barrier three times per window.
 //!
 //! ## Determinism model
 //!
-//! The serial simulator threads *all* randomness through one `StdRng` in
-//! event-dispatch order, so its trajectory cannot be reproduced by any
-//! parallel execution. Sharded mode therefore runs a *different but equally
-//! deterministic* trajectory built from thread-schedule-independent
-//! ingredients:
+//! One trajectory per seed, at every shard count and on any number of
+//! threads. It is built from schedule-independent ingredients only:
 //!
-//! - **Per-node RNG streams.** Every node draws from its own
-//!   `StdRng` seeded by `splitmix64(seed, node id)`; spawn-time draws
-//!   (addresses, bandwidth, churn enrollment) and harness `rng()` sampling
-//!   stay on a serial *control* stream seeded with the raw seed.
+//! - **Per-node RNG streams.** Every node draws from its own `StdRng`
+//!   seeded by `splitmix64(seed, node id)`; spawn-time draws (addresses,
+//!   bandwidth, churn enrollment) and harness `rng()` sampling stay on a
+//!   serial *control* stream seeded with the raw seed.
 //! - **Total event order.** Every event carries a key
 //!   `(source node, per-source counter)` packed into a `u64`; queues
 //!   dispatch in `(time, key)` order, so the dispatch order is a pure
-//!   function of the event set — not of which thread pushed first.
-//! - **Latency floor.** Connection latency in sharded mode is
-//!   `window + draw(latency_us)`, which preserves the configured variance
+//!   function of the event set — not of which lane pushed first.
+//! - **Latency floor.** Connection latency is `window + draw(latency_us)`:
+//!   `SimConfig::shard_window_us` is part of the network model, not a
+//!   tuning knob of the parallel path. It keeps the configured variance
 //!   while guaranteeing every potentially-cross-shard event lands at least
-//!   one full window past its creation: the lookahead condition holds by
+//!   one full window past its creation, so the lookahead condition holds by
 //!   construction, including under fault-plan latency spikes (they only
 //!   push events further out). Zero-delay events (timers, churn, resets to
 //!   self) are always shard-local.
-//! - **Buffered telemetry.** Shards buffer events unsampled; the window
-//!   leader merges them in `(time, key, index)` order and replays the merge
-//!   through the control hub, so sampling counters advance in global order
-//!   and journals are byte-identical across shard counts and schedules.
+//! - **Ordered telemetry.** Lanes buffer events unsampled, tagged with the
+//!   dispatch key that produced them; at each window boundary they are
+//!   replayed through the real hub in `(time, key, index)` order, so
+//!   sampling counters advance in one global order and journals are
+//!   byte-identical across shard counts and schedules.
 //!
-//! The result: for a fixed seed and harness script, every shard count >= 2
-//! produces byte-identical reports, journals and (normalized) metrics — on
-//! any number of threads — while `shards = 1` keeps the untouched legacy
-//! serial path.
-//!
-//! Connection establishment uses an explicit RTT handshake (`Attempt` →
-//! `Established`/`Refused`) because the endpoints live on different shards:
-//! each endpoint owns a local [`View`] of the connection (peer, latency,
-//! outgoing bandwidth, link serialization) and all teardown flows through
-//! keyed `Close`/`Reset` events.
+//! Connection establishment is an explicit RTT handshake (`Attempt` →
+//! `Established`/`Refused`) because the endpoints may live on different
+//! shards: each endpoint owns a local [`View`] of the connection (peer,
+//! latency, outgoing bandwidth, link serialization) and all teardown flows
+//! through keyed `Close`/`Reset` events.
 
-use crate::addr::{AddressAllocator, HostAddr};
+use crate::addr::HostAddr;
 use crate::app::{Action, App, ConnId, Ctx, Direction, NodeId};
 use crate::faults::ChunkFate;
 use crate::metrics::SimMetrics;
 use crate::pool::{BufferPool, Payload};
-use crate::profile::Subsystem;
+use crate::profile::{Subsystem, SubsystemProfile};
 use crate::queue::{CalendarQueue, Scheduler};
-use crate::sim::{NodeSpec, SimConfig};
+use crate::sim::SimConfig;
 use crate::telemetry::{
     EventBody, EventCategory, FaultKind, Gauge, SimHist, Telemetry, TelemetryEvent, CATEGORY_COUNT,
 };
@@ -90,19 +90,18 @@ pub fn shard_of(seed: u64, node: usize, shards: usize) -> usize {
 /// Event keys pack `(source node, per-source sequence)`; control-plane
 /// events (spawn-time starts, churn enrollment) use this pseudo-source and
 /// a global counter, sorting after node events at equal times.
-const CONTROL_SRC: u32 = u32::MAX;
+pub(crate) const CONTROL_SRC: u32 = u32::MAX;
 
-/// Window-end sentinel: the leader publishes this to stop the workers.
+/// Window-end sentinel: nothing is pending at or before the deadline.
 const STOP: u64 = u64::MAX;
 
-fn pack(src: u32, seq: u32) -> u64 {
+pub(crate) fn pack(src: u32, seq: u32) -> u64 {
     ((src as u64) << 32) | seq as u64
 }
 
-/// Sharded-mode events. Unlike the serial `EventKind`, connection events
-/// carry everything the receiving endpoint needs — there is no shared
-/// connection table to consult.
-enum Ev {
+/// Connection events carry everything the receiving endpoint needs — there
+/// is no shared connection table to consult.
+pub(crate) enum Ev {
     Start {
         node: NodeId,
     },
@@ -183,13 +182,13 @@ struct View {
     next_free: SimTime,
 }
 
-struct NodeState {
-    app: Option<Box<dyn App>>,
+pub(crate) struct NodeState {
+    pub app: Option<Box<dyn App>>,
     local_addr: HostAddr,
     external_addr: HostAddr,
     upload_bps: u64,
     download_bps: u64,
-    alive: bool,
+    pub alive: bool,
     /// Spawn-time listener flag; an alive listener accepts dials (churn
     /// revival re-enables acceptance by restoring `alive`).
     listener: bool,
@@ -205,6 +204,37 @@ struct NodeState {
     pending: HashSet<u64>,
 }
 
+impl NodeState {
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        seed: u64,
+        id: NodeId,
+        app: Box<dyn App>,
+        local_addr: HostAddr,
+        external_addr: HostAddr,
+        upload_bps: u64,
+        download_bps: u64,
+        listener: bool,
+    ) -> Self {
+        NodeState {
+            app: Some(app),
+            local_addr,
+            external_addr,
+            upload_bps,
+            download_bps,
+            alive: true,
+            listener,
+            rng: StdRng::seed_from_u64(splitmix64(
+                seed ^ splitmix64(id.0 as u64 ^ 0x5EED_0000_0000_0001),
+            )),
+            next_conn: (id.0 as u64) << 32,
+            next_seq: 0,
+            views: HashMap::new(),
+            pending: HashSet::new(),
+        }
+    }
+}
+
 /// A cross-shard message: a keyed event in flight between shards.
 struct Msg {
     time: u64,
@@ -213,130 +243,108 @@ struct Msg {
 }
 
 /// A buffered telemetry event tagged with the dispatch key that produced
-/// it, for the leader's deterministic merge.
-struct Tagged {
+/// it, for the deterministic replay at the window boundary.
+pub(crate) struct Tagged {
     time: u64,
     key: u64,
     idx: u32,
     ev: TelemetryEvent,
 }
 
-/// Per-node routing info shared read-only across all shards.
-struct DirEntry {
-    shard: usize,
-    external_addr: HostAddr,
-    local_addr: HostAddr,
+/// Per-node routing info shared read-only by all lanes.
+pub(crate) struct DirEntry {
+    pub shard: usize,
+    /// Index into the owning shard's `nodes`.
+    pub slot: usize,
+    pub external_addr: HostAddr,
+    pub local_addr: HostAddr,
 }
 
 /// One shard: the nodes it owns plus its private queue, metrics slice,
-/// buffer pool and telemetry buffer. Migrates onto a scoped worker thread
-/// for the duration of each `run_windows` call.
-struct Shard {
-    queue: CalendarQueue<Ev>,
-    nodes: HashMap<usize, NodeState>,
-    metrics: SimMetrics,
-    pool: BufferPool,
-    /// A buffering hub mirroring the control hub's category mask.
-    telemetry: Telemetry,
-    /// Key-tagged events drained after each dispatch, awaiting the leader.
+/// buffer pool and telemetry buffer.
+pub(crate) struct Shard {
+    pub queue: CalendarQueue<Ev>,
+    pub nodes: Vec<NodeState>,
+    pub metrics: SimMetrics,
+    pub pool: BufferPool,
+    /// A buffering hub mirroring the real hub's category mask.
+    pub telemetry: Telemetry,
+    /// Key-tagged events drained after each dispatch, awaiting the window
+    /// boundary.
     tel_buf: Vec<Tagged>,
 }
 
 impl Shard {
-    fn new() -> Self {
+    pub fn new() -> Self {
         Shard {
             queue: CalendarQueue::default(),
-            nodes: HashMap::new(),
+            nodes: Vec::new(),
             metrics: SimMetrics::default(),
             pool: BufferPool::default(),
             telemetry: Telemetry::buffered([false; CATEGORY_COUNT]),
             tel_buf: Vec::new(),
         }
     }
+
+    fn next_time(&mut self) -> u64 {
+        self.queue.peek_time().map_or(u64::MAX, |t| t.as_micros())
+    }
 }
 
-/// Barrier-shared coordination state for one `run_windows` call.
-struct Coord {
-    n: usize,
-    barrier: Barrier,
-    /// Current window end (exclusive), or [`STOP`].
-    window_end: AtomicU64,
-    /// Each shard's earliest pending timestamp (`u64::MAX` when empty).
-    next_times: Vec<AtomicU64>,
-    /// Each shard's queue depth at the last window boundary.
-    depths: Vec<AtomicU64>,
-    /// `n * n` mailboxes indexed `[src * n + dst]`.
-    mailboxes: Vec<Mutex<Vec<Msg>>>,
-    /// Per-shard buffered telemetry awaiting the leader's merge.
-    tel_slots: Vec<Mutex<Vec<Tagged>>>,
-    /// Highest dispatched timestamp across all shards.
-    max_time: AtomicU64,
+/// Routing state every lane reads and none writes.
+pub(crate) struct World {
+    pub dir: Vec<DirEntry>,
+    /// Listener address -> node, registered at spawn. Liveness and listener
+    /// status are re-checked by the owner at `Attempt` delivery.
+    pub addr_owner: HashMap<HostAddr, NodeId>,
+    pub config: SimConfig,
+    /// `config.shard_window_us` (min 1): the latency floor and lookahead.
+    pub window: SimDuration,
 }
 
-/// The window leader's serial duties: merge telemetry, record the global
-/// queue depth, derive the next window from the global minimum.
-struct LeaderCtx<'a> {
-    telemetry: &'a mut Telemetry,
-    control: &'a mut SimMetrics,
-    high_water: &'a mut u64,
-    deadline_us: u64,
-    window_us: u64,
-    first: bool,
+/// The serial duties of a window boundary: replay the lanes' telemetry in
+/// canonical order, record the global queue depth, derive the next window
+/// from the global minimum pending timestamp.
+pub(crate) struct Boundary<'a> {
+    pub telemetry: &'a mut Telemetry,
+    pub control: &'a mut SimMetrics,
+    pub high_water: &'a mut u64,
+    pub deadline_us: u64,
 }
 
-impl LeaderCtx<'_> {
-    fn sequence(&mut self, coord: &Coord) {
-        let t0 = Instant::now();
-        if !self.first {
-            let mut events: Vec<Tagged> = Vec::new();
-            for slot in &coord.tel_slots {
-                events.append(&mut slot.lock().unwrap());
-            }
-            if !events.is_empty() {
-                events.sort_unstable_by_key(|e| (e.time, e.key, e.idx));
-                for t in events {
-                    self.telemetry.emit(t.ev);
-                }
-            }
-            // Global scheduled-event depth at this window boundary. The
-            // boundary sequence is a function of global minimum pending
-            // times, so these samples are identical for every shard count.
-            let depth: u64 = coord.depths.iter().map(|d| d.load(Ordering::SeqCst)).sum();
-            self.control.telemetry.set_gauge(Gauge::QueueDepth, depth);
-            self.control.telemetry.record(SimHist::QueueDepth, depth);
-            if depth > *self.high_water {
-                *self.high_water = depth;
-            }
+impl Boundary<'_> {
+    /// Closes a window: `events` is everything the lanes buffered in it,
+    /// `depth` the number of events still scheduled. The boundary sequence
+    /// is a function of global minimum pending times, so the depth samples
+    /// are identical for every shard count.
+    fn close_window(&mut self, events: &mut Vec<Tagged>, depth: u64) {
+        events.sort_unstable_by_key(|e| (e.time, e.key, e.idx));
+        for t in events.drain(..) {
+            self.telemetry.emit(t.ev);
         }
-        self.first = false;
-        let gmin = coord
-            .next_times
-            .iter()
-            .map(|t| t.load(Ordering::SeqCst))
-            .min()
-            .unwrap_or(u64::MAX);
-        let we = if gmin > self.deadline_us {
+        self.control.telemetry.set_gauge(Gauge::QueueDepth, depth);
+        self.control.telemetry.record(SimHist::QueueDepth, depth);
+        *self.high_water = (*self.high_water).max(depth);
+    }
+
+    /// The exclusive end of the window that starts at `gmin`, the earliest
+    /// pending timestamp anywhere, or [`STOP`].
+    fn next_window(&self, gmin: u64, window: SimDuration) -> u64 {
+        if gmin > self.deadline_us {
             STOP
         } else {
-            gmin.saturating_add(self.window_us)
+            gmin.saturating_add(window.as_micros())
                 .min(self.deadline_us + 1)
-        };
-        coord.window_end.store(we, Ordering::SeqCst);
-        self.control
-            .timing
-            .record(Subsystem::ShardExchange, t0.elapsed().as_nanos() as u64);
+        }
     }
 }
 
 /// A shard's execution context for one stretch of work: the shard itself
-/// plus read-only routing state and an outbox of cross-shard messages.
-struct Lane<'a> {
+/// plus the shared routing state and an outbox of cross-shard messages.
+pub(crate) struct Lane<'a> {
     id: usize,
     shard: &'a mut Shard,
-    dir: &'a [DirEntry],
-    addr_owner: &'a HashMap<HostAddr, NodeId>,
-    config: &'a SimConfig,
-    window: SimDuration,
+    world: &'a World,
     now: SimTime,
     outbox: Vec<Vec<Msg>>,
 }
@@ -356,26 +364,75 @@ fn drop_chunk(shard: &mut Shard, now: SimTime, payload: Payload) {
     }
 }
 
-impl Lane<'_> {
-    /// Stamps an event with the sender's next key and routes it.
-    fn send_from(&mut self, src: NodeId, time: SimTime, ev: Ev) {
-        let st = self.shard.nodes.get_mut(&src.0).expect("sender owned here");
-        let key = pack(src.0 as u32, st.next_seq);
-        st.next_seq += 1;
-        self.route(time, key, ev);
+/// Nanoseconds attributed to callbacks so far; a run loop's remainder —
+/// queue operations, dispatch overhead — goes to `Scheduler` without
+/// per-event clock reads beyond the ones `with_app` makes.
+fn callback_nanos(t: &SubsystemProfile) -> u64 {
+    t.nanos(Subsystem::App) + t.nanos(Subsystem::TcpPump)
+}
+
+impl<'a> Lane<'a> {
+    pub fn new(id: usize, shard: &'a mut Shard, world: &'a World, now: SimTime) -> Self {
+        Lane {
+            id,
+            shard,
+            world,
+            now,
+            outbox: Vec::new(),
+        }
     }
 
-    fn route(&mut self, time: SimTime, key: u64, ev: Ev) {
-        let dst = self.dir[ev.target().0].shard;
+    /// `node`'s index in this lane's shard.
+    fn slot(&self, node: NodeId) -> usize {
+        let d = &self.world.dir[node.0];
+        debug_assert_eq!(d.shard, self.id, "node not owned by this lane");
+        d.slot
+    }
+
+    /// Stamps an event with the sender's next key and routes it.
+    fn send_from(&mut self, src: NodeId, time: SimTime, ev: Ev) {
+        let slot = self.slot(src);
+        let st = &mut self.shard.nodes[slot];
+        let key = pack(src.0 as u32, st.next_seq);
+        st.next_seq += 1;
+        let dst = self.world.dir[ev.target().0].shard;
         if dst == self.id {
             self.shard.queue.push_keyed(time, key, ev);
         } else {
+            if self.outbox.len() <= dst {
+                self.outbox.resize_with(dst + 1, Vec::new);
+            }
             self.outbox[dst].push(Msg {
                 time: time.as_micros(),
                 key,
                 ev,
             });
         }
+    }
+
+    /// Dispatches every owned event before `window_end` (exclusive), in
+    /// `(time, key)` order; returns the last dispatched timestamp.
+    fn run_window(&mut self, window_end: u64) -> u64 {
+        let mut last = 0;
+        while let Some(t) = self.shard.queue.peek_time() {
+            if t.as_micros() >= window_end {
+                break;
+            }
+            let (time, key, ev) = self.shard.queue.pop_keyed().expect("peeked");
+            self.dispatch(time, ev);
+            last = time.as_micros();
+            // Tag this dispatch's telemetry with its key, preserving
+            // emission order, for the boundary replay.
+            let shard = &mut *self.shard;
+            let events = shard.telemetry.drain_buffered().enumerate();
+            shard.tel_buf.extend(events.map(|(i, ev)| Tagged {
+                time: last,
+                key,
+                idx: i as u32,
+                ev,
+            }));
+        }
+        last
     }
 
     fn dispatch(&mut self, time: SimTime, ev: Ev) {
@@ -401,8 +458,9 @@ impl Lane<'_> {
                 down_bps,
                 latency,
             } => {
+                let slot = self.slot(to);
                 let shard = &mut *self.shard;
-                let st = shard.nodes.get_mut(&to.0).expect("target owned here");
+                let st = &mut shard.nodes[slot];
                 if st.alive && st.listener {
                     let bw = st.upload_bps.min(down_bps).max(1);
                     st.views.insert(
@@ -453,8 +511,8 @@ impl Lane<'_> {
                 down_bps,
                 latency,
             } => {
-                let shard = &mut *self.shard;
-                let st = shard.nodes.get_mut(&to.0).expect("target owned here");
+                let slot = self.slot(to);
+                let st = &mut self.shard.nodes[slot];
                 if st.alive && st.pending.remove(&conn.0) {
                     let bw = st.upload_bps.min(down_bps).max(1);
                     st.views.insert(
@@ -476,8 +534,9 @@ impl Lane<'_> {
                 }
             }
             Ev::Refused { conn, to } => {
+                let slot = self.slot(to);
                 let shard = &mut *self.shard;
-                let st = shard.nodes.get_mut(&to.0).expect("target owned here");
+                let st = &mut shard.nodes[slot];
                 if st.pending.remove(&conn.0) {
                     shard.metrics.conns_failed += 1;
                     if st.alive {
@@ -486,8 +545,9 @@ impl Lane<'_> {
                 }
             }
             Ev::Data { conn, to, data } => {
+                let slot = self.slot(to);
                 let shard = &mut *self.shard;
-                let st = shard.nodes.get_mut(&to.0).expect("target owned here");
+                let st = &shard.nodes[slot];
                 if st.alive && st.views.contains_key(&conn.0) {
                     shard.metrics.bytes_delivered += data.len() as u64;
                     self.with_app(to, |app, ctx| app.on_data(ctx, conn, &data));
@@ -497,8 +557,9 @@ impl Lane<'_> {
                 self.shard.pool.recycle(data);
             }
             Ev::Close { conn, to } => {
+                let slot = self.slot(to);
                 let shard = &mut *self.shard;
-                let st = shard.nodes.get_mut(&to.0).expect("target owned here");
+                let st = &mut shard.nodes[slot];
                 if st.views.remove(&conn.0).is_some() {
                     shard.metrics.conns_closed += 1;
                     if st.alive {
@@ -507,7 +568,8 @@ impl Lane<'_> {
                 }
             }
             Ev::Reset { conn, to } => {
-                let st = self.shard.nodes.get_mut(&to.0).expect("target owned here");
+                let slot = self.slot(to);
+                let st = &mut self.shard.nodes[slot];
                 st.views.remove(&conn.0);
                 st.pending.remove(&conn.0);
                 if st.alive {
@@ -520,27 +582,26 @@ impl Lane<'_> {
     }
 
     fn alive(&self, node: NodeId) -> bool {
-        self.shard
-            .nodes
-            .get(&node.0)
-            .map(|s| s.alive)
-            .unwrap_or(false)
+        self.shard.nodes[self.slot(node)].alive
     }
 
-    fn with_app(&mut self, node: NodeId, f: impl FnOnce(&mut Box<dyn App>, &mut Ctx<'_>)) {
+    /// Runs `f` against `node`'s app with a fresh command buffer. Returns
+    /// `f`'s result, the actions the app buffered and the instant the
+    /// callback returned; `None` on a re-entrant dispatch.
+    fn call_app<R>(
+        &mut self,
+        node: NodeId,
+        f: impl FnOnce(&mut dyn App, &mut Ctx<'_>) -> R,
+    ) -> Option<(R, Vec<Action>, Instant)> {
+        let slot = self.slot(node);
         let shard = &mut *self.shard;
-        let st = match shard.nodes.get_mut(&node.0) {
-            Some(s) => s,
-            None => return,
-        };
-        let mut app = match st.app.take() {
-            Some(a) => a,
-            None => return,
-        };
+        let st = &mut shard.nodes[slot];
+        let mut app = st.app.take()?;
         let mut actions = Vec::new();
         let start = Instant::now();
-        {
-            let mut ctx = Ctx {
+        let r = f(
+            app.as_mut(),
+            &mut Ctx {
                 now: self.now,
                 node,
                 local_addr: st.local_addr,
@@ -552,98 +613,31 @@ impl Lane<'_> {
                 profile: &mut shard.metrics.timing,
                 registry: &mut shard.metrics.telemetry,
                 telemetry: &mut shard.telemetry,
-            };
-            f(&mut app, &mut ctx);
-        }
-        let mid = Instant::now();
+            },
+        );
+        let end = Instant::now();
         shard
             .metrics
             .timing
-            .record(Subsystem::App, (mid - start).as_nanos() as u64);
+            .record(Subsystem::App, (end - start).as_nanos() as u64);
         st.app = Some(app);
-        self.apply(node, actions);
-        self.shard
-            .metrics
-            .timing
-            .record(Subsystem::TcpPump, mid.elapsed().as_nanos() as u64);
+        Some((r, actions, end))
     }
 
-    /// Harness entry point (serial, between windows): like [`Lane::with_app`]
-    /// but with a return value and an offline check.
-    fn with_node_r<R>(
+    /// Runs `f` against `node`'s app, then applies the actions it buffered.
+    /// The event loop and the harness (`Simulator::with_node`) share this.
+    pub fn with_app<R>(
         &mut self,
         node: NodeId,
         f: impl FnOnce(&mut dyn App, &mut Ctx<'_>) -> R,
     ) -> Option<R> {
-        let shard = &mut *self.shard;
-        let st = shard.nodes.get_mut(&node.0)?;
-        if !st.alive {
-            return None;
-        }
-        let mut app = st.app.take()?;
-        let mut actions = Vec::new();
-        let start = Instant::now();
-        let r;
-        {
-            let mut ctx = Ctx {
-                now: self.now,
-                node,
-                local_addr: st.local_addr,
-                external_addr: st.external_addr,
-                rng: &mut st.rng,
-                actions: &mut actions,
-                next_conn: &mut st.next_conn,
-                pool: &mut shard.pool,
-                profile: &mut shard.metrics.timing,
-                registry: &mut shard.metrics.telemetry,
-                telemetry: &mut shard.telemetry,
-            };
-            r = f(app.as_mut(), &mut ctx);
-        }
-        let mid = Instant::now();
-        shard
-            .metrics
-            .timing
-            .record(Subsystem::App, (mid - start).as_nanos() as u64);
-        st.app = Some(app);
+        let (r, actions, mid) = self.call_app(node, f)?;
         self.apply(node, actions);
         self.shard
             .metrics
             .timing
             .record(Subsystem::TcpPump, mid.elapsed().as_nanos() as u64);
         Some(r)
-    }
-
-    /// Like [`Lane::with_app`] but discards buffered actions — churn death
-    /// semantics: the app's bookkeeping updates, nothing leaves the host.
-    fn notify_discard(&mut self, node: NodeId, f: impl FnOnce(&mut Box<dyn App>, &mut Ctx<'_>)) {
-        let shard = &mut *self.shard;
-        let st = match shard.nodes.get_mut(&node.0) {
-            Some(s) => s,
-            None => return,
-        };
-        let mut app = match st.app.take() {
-            Some(a) => a,
-            None => return,
-        };
-        let mut actions = Vec::new();
-        {
-            let mut ctx = Ctx {
-                now: self.now,
-                node,
-                local_addr: st.local_addr,
-                external_addr: st.external_addr,
-                rng: &mut st.rng,
-                actions: &mut actions,
-                next_conn: &mut st.next_conn,
-                pool: &mut shard.pool,
-                profile: &mut shard.metrics.timing,
-                registry: &mut shard.metrics.telemetry,
-                telemetry: &mut shard.telemetry,
-            };
-            f(&mut app, &mut ctx);
-        }
-        st.app = Some(app);
     }
 
     fn apply(&mut self, node: NodeId, actions: Vec<Action>) {
@@ -662,12 +656,12 @@ impl Lane<'_> {
     }
 
     fn start_dial(&mut self, node: NodeId, conn: ConnId, target: HostAddr) {
+        let config = &self.world.config;
+        let slot = self.slot(node);
         let shard = &mut *self.shard;
-        let st = shard.nodes.get_mut(&node.0).expect("dialer owned here");
-        let mut raw = st
-            .rng
-            .gen_range(self.config.latency_us.0..=self.config.latency_us.1);
-        let mult = self.config.faults.latency_mult(&mut st.rng);
+        let st = &mut shard.nodes[slot];
+        let mut raw = st.rng.gen_range(config.latency_us.0..=config.latency_us.1);
+        let mult = config.faults.latency_mult(&mut st.rng);
         if mult > 1 {
             shard.metrics.faults_latency_spikes += 1;
             emit_fault(&mut shard.telemetry, self.now, FaultKind::LatencySpike);
@@ -675,13 +669,13 @@ impl Lane<'_> {
         }
         // The latency floor: one full window on top of the configured draw
         // keeps cross-shard deliveries safely past the current lookahead.
-        let latency = self.window + SimDuration::from_micros(raw);
+        let latency = self.world.window + SimDuration::from_micros(raw);
         st.pending.insert(conn.0);
         let my_addr = st.external_addr;
         let down_bps = st.download_bps;
         let when = self.now + latency;
-        let owner = self.addr_owner.get(&target).copied().filter(|&o| o != node);
-        match owner {
+        let owner = self.world.addr_owner.get(&target).copied();
+        match owner.filter(|&o| o != node) {
             Some(acc) => self.send_from(
                 node,
                 when,
@@ -695,14 +689,16 @@ impl Lane<'_> {
                 },
             ),
             // Nobody ever listened there (or self-dial): refuse after one
-            // latency, like a serial failed ConnAttempt.
+            // latency.
             None => self.send_from(node, when, Ev::Refused { conn, to: node }),
         }
     }
 
     fn send_bytes(&mut self, from: NodeId, conn: ConnId, data: Vec<u8>) {
+        let config = &self.world.config;
+        let slot = self.slot(from);
         let shard = &mut *self.shard;
-        let st = shard.nodes.get_mut(&from.0).expect("sender owned here");
+        let st = &mut shard.nodes[slot];
         let (to, latency, arrival_base) = match st.views.get_mut(&conn.0) {
             Some(v) => {
                 let start = v.next_free.max(self.now);
@@ -719,7 +715,11 @@ impl Lane<'_> {
                 return;
             }
         };
-        if self.config.faults.send_resets(&mut st.rng) {
+        // Spontaneous reset (fault plan): the connection dies at this
+        // write. Both endpoints hear `on_closed` — the sender immediately
+        // (RST on write), the peer after one latency — and everything in
+        // flight is lost, this send included.
+        if config.faults.send_resets(&mut st.rng) {
             st.views.remove(&conn.0);
             shard.metrics.faults_resets += 1;
             emit_fault(&mut shard.telemetry, self.now, FaultKind::Reset);
@@ -730,8 +730,12 @@ impl Lane<'_> {
             self.send_from(from, self.now + latency, Ev::Reset { conn, to });
             return;
         }
-        match self.config.mss {
+        match config.mss {
             Some(mss) if data.len() > mss => {
+                // Zero-copy fan-out: every fragment is a window into one
+                // shared buffer, spread one microsecond apart to preserve
+                // order. The buffer returns to the pool when the last
+                // fragment is delivered.
                 let total = data.len();
                 let buf = Arc::new(data);
                 let mut t = arrival_base;
@@ -743,45 +747,33 @@ impl Lane<'_> {
                         start,
                         end,
                     };
-                    if let Some(payload) = self.fault_chunk(from, payload) {
-                        self.send_from(
-                            from,
-                            t,
-                            Ev::Data {
-                                conn,
-                                to,
-                                data: payload,
-                            },
-                        );
+                    if let Some(data) = self.fault_chunk(from, payload) {
+                        self.send_from(from, t, Ev::Data { conn, to, data });
                     }
                     t += SimDuration::from_micros(1);
                     start = end;
                 }
             }
             _ => {
-                if let Some(payload) = self.fault_chunk(from, Payload::Owned(data)) {
-                    self.send_from(
-                        from,
-                        arrival_base,
-                        Ev::Data {
-                            conn,
-                            to,
-                            data: payload,
-                        },
-                    );
+                if let Some(data) = self.fault_chunk(from, Payload::Owned(data)) {
+                    self.send_from(from, arrival_base, Ev::Data { conn, to, data });
                 }
             }
         }
     }
 
+    /// Applies the fault plan's sampled fate to one chunk, returning the
+    /// (possibly mutated) payload to deliver, or `None` when it is lost.
+    /// The fault-free fast path performs no RNG draw.
     fn fault_chunk(&mut self, from: NodeId, payload: Payload) -> Option<Payload> {
-        let faults = self.config.faults;
+        let faults = self.world.config.faults;
         if faults.chunk_loss == 0.0 && faults.corrupt == 0.0 {
             return Some(payload);
         }
+        let slot = self.slot(from);
         let shard = &mut *self.shard;
-        let st = shard.nodes.get_mut(&from.0).expect("sender owned here");
-        match faults.chunk_fate(&mut st.rng) {
+        let rng = &mut shard.nodes[slot].rng;
+        match faults.chunk_fate(rng) {
             ChunkFate::Deliver => Some(payload),
             ChunkFate::Drop => {
                 drop_chunk(shard, self.now, payload);
@@ -816,7 +808,7 @@ impl Lane<'_> {
                 }
                 shard.metrics.faults_chunks_corrupted += 1;
                 emit_fault(&mut shard.telemetry, self.now, FaultKind::ChunkBitFlip);
-                let bit = st.rng.gen_range(0..len * 8);
+                let bit = rng.gen_range(0..len * 8);
                 Some(match payload {
                     Payload::Owned(mut v) => {
                         v[bit / 8] ^= 1 << (bit % 8);
@@ -833,17 +825,20 @@ impl Lane<'_> {
     }
 
     fn close_conn(&mut self, node: NodeId, conn: ConnId) {
-        let st = self
-            .shard
-            .nodes
-            .get_mut(&node.0)
-            .expect("closer owned here");
+        let slot = self.slot(node);
+        let st = &mut self.shard.nodes[slot];
         if let Some(view) = st.views.remove(&conn.0) {
             // FIN is ordered after any queued data on this direction; the
             // peer counts the close when the FIN lands.
             let when = view.next_free.max(self.now) + view.latency;
-            let peer = view.peer;
-            self.send_from(node, when, Ev::Close { conn, to: peer });
+            self.send_from(
+                node,
+                when,
+                Ev::Close {
+                    conn,
+                    to: view.peer,
+                },
+            );
         } else {
             // Abandoning a pending dial: a later Established will be
             // answered with a reaping Close, a Refused finds nothing.
@@ -851,44 +846,44 @@ impl Lane<'_> {
         }
     }
 
-    fn shutdown_node(&mut self, node: NodeId) {
-        let st = match self.shard.nodes.get_mut(&node.0) {
-            Some(s) => s,
-            None => return,
-        };
-        if !st.alive {
-            return;
-        }
-        st.alive = false;
-        self.shard.metrics.nodes_stopped += 1;
-        let (open, pending) = self.take_conns(node);
-        for &c in &open {
-            self.close_conn(node, ConnId(c));
-        }
-        self.shard.metrics.conns_failed += pending.len() as u64;
-    }
-
-    /// Sorted open-view and pending-dial ids of `node`, with the pending
-    /// set cleared (the caller decides what to do with the open views).
-    fn take_conns(&mut self, node: NodeId) -> (Vec<u64>, Vec<u64>) {
-        let st = self.shard.nodes.get_mut(&node.0).expect("node owned here");
+    /// Takes `node` offline: FINs go out on its open connections (sorted,
+    /// so they key reproducibly) and its pending dials count as failed.
+    /// Returns the ids of both, for callers that notify the dying app.
+    fn take_down(&mut self, node: NodeId) -> (Vec<u64>, Vec<u64>) {
+        let slot = self.slot(node);
+        let st = &mut self.shard.nodes[slot];
         let mut open: Vec<u64> = st.views.keys().copied().collect();
         open.sort_unstable();
         let mut pending: Vec<u64> = st.pending.drain().collect();
         pending.sort_unstable();
+        for &c in &open {
+            self.close_conn(node, ConnId(c));
+        }
+        self.shard.metrics.conns_failed += pending.len() as u64;
+        self.shard.nodes[slot].alive = false;
+        self.shard.metrics.nodes_stopped += 1;
         (open, pending)
     }
 
+    /// Harness- or app-requested shutdown; peers of the node's open
+    /// connections get `on_closed`.
+    pub fn shutdown_node(&mut self, node: NodeId) {
+        if self.alive(node) {
+            self.take_down(node);
+        }
+    }
+
+    /// A churn session ends: the node dies mid-whatever-it-was-doing. Open
+    /// connections close toward their peers, and the dying app is told
+    /// about every connection it had — with its reactions discarded (the
+    /// host lost power: bookkeeping updates, nothing leaves the machine) —
+    /// so its state is consistent when the session restarts.
     fn churn_down(&mut self, node: NodeId) {
-        let shard = &mut *self.shard;
-        let st = match shard.nodes.get_mut(&node.0) {
-            Some(s) => s,
-            None => return,
-        };
-        if !st.alive {
+        if !self.alive(node) {
             // The app shut itself down; that death is permanent.
             return;
         }
+        let shard = &mut *self.shard;
         shard.metrics.faults_churn_downs += 1;
         if shard.telemetry.enabled(EventCategory::Churn) {
             shard.telemetry.emit(TelemetryEvent::new(
@@ -898,35 +893,28 @@ impl Lane<'_> {
                 },
             ));
         }
-        let (open, pending) = self.take_conns(node);
-        for &c in &open {
-            self.close_conn(node, ConnId(c));
+        let (open, pending) = self.take_down(node);
+        for c in open {
+            self.call_app(node, |app, ctx| app.on_closed(ctx, ConnId(c)));
         }
-        self.shard.metrics.conns_failed += pending.len() as u64;
-        let st = self.shard.nodes.get_mut(&node.0).expect("node owned here");
-        st.alive = false;
-        self.shard.metrics.nodes_stopped += 1;
-        for &c in &open {
-            self.notify_discard(node, |app, ctx| app.on_closed(ctx, ConnId(c)));
+        for c in pending {
+            self.call_app(node, |app, ctx| app.on_connect_failed(ctx, ConnId(c)));
         }
-        for &c in &pending {
-            self.notify_discard(node, |app, ctx| app.on_connect_failed(ctx, ConnId(c)));
-        }
-        let churn = self.config.faults.churn.expect("churn event implies plan");
-        let st = self.shard.nodes.get_mut(&node.0).expect("node owned here");
-        let down = st
-            .rng
-            .gen_range(churn.downtime_secs.0..=churn.downtime_secs.1);
+        let churn = self.world.config.faults.churn;
+        let churn = churn.expect("churn event implies plan");
+        let slot = self.slot(node);
+        let rng = &mut self.shard.nodes[slot].rng;
+        let down = rng.gen_range(churn.downtime_secs.0..=churn.downtime_secs.1);
         let when = self.now + SimDuration::from_secs(down);
         self.send_from(node, when, Ev::ChurnUp { node });
     }
 
+    /// A churn session begins: the node comes back online and restarts its
+    /// app (`on_start` re-bootstraps), then schedules the next session end.
     fn churn_up(&mut self, node: NodeId) {
+        let slot = self.slot(node);
         let shard = &mut *self.shard;
-        let st = match shard.nodes.get_mut(&node.0) {
-            Some(s) => s,
-            None => return,
-        };
+        let st = &mut shard.nodes[slot];
         if st.alive {
             return;
         }
@@ -942,54 +930,82 @@ impl Lane<'_> {
         }
         let now = self.now;
         self.send_from(node, now, Ev::Start { node });
-        let churn = self.config.faults.churn.expect("churn event implies plan");
-        let st = self.shard.nodes.get_mut(&node.0).expect("node owned here");
-        let up = st.rng.gen_range(churn.uptime_secs.0..=churn.uptime_secs.1);
+        let churn = self.world.config.faults.churn;
+        let churn = churn.expect("churn event implies plan");
+        let rng = &mut self.shard.nodes[slot].rng;
+        let up = rng.gen_range(churn.uptime_secs.0..=churn.uptime_secs.1);
         let when = now + SimDuration::from_secs(up);
         self.send_from(node, when, Ev::ChurnDown { node });
     }
+}
 
-    /// Moves this dispatch's buffered telemetry into the shard's tagged
-    /// buffer, preserving emission order under the dispatch key.
-    fn drain_telemetry(&mut self, time: u64, key: u64) {
-        let events = self.shard.telemetry.take_buffered();
-        for (i, ev) in events.into_iter().enumerate() {
-            self.shard.tel_buf.push(Tagged {
-                time,
-                key,
-                idx: i as u32,
-                ev,
-            });
+/// Barrier-shared coordination state for one threaded run.
+struct Coord {
+    n: usize,
+    barrier: Barrier,
+    /// Current window end (exclusive), or [`STOP`].
+    window_end: AtomicU64,
+    /// Each shard's earliest pending timestamp (`u64::MAX` when empty).
+    next_times: Vec<AtomicU64>,
+    /// Each shard's queue depth at the last window boundary.
+    depths: Vec<AtomicU64>,
+    /// `n * n` mailboxes indexed `[src * n + dst]`.
+    mailboxes: Vec<Mutex<Vec<Msg>>>,
+    /// Per-shard buffered telemetry awaiting the leader's replay.
+    tel_slots: Vec<Mutex<Vec<Tagged>>>,
+    /// Highest dispatched timestamp across all shards.
+    max_time: AtomicU64,
+}
+
+/// The window leader: shard 0's worker, which also does the boundary's
+/// serial duties for everyone.
+struct Leader<'a> {
+    boundary: Boundary<'a>,
+    first: bool,
+}
+
+impl Leader<'_> {
+    fn sequence(&mut self, coord: &Coord, window: SimDuration) {
+        let t0 = Instant::now();
+        if !self.first {
+            let mut events: Vec<Tagged> = Vec::new();
+            for slot in &coord.tel_slots {
+                events.append(&mut slot.lock().unwrap());
+            }
+            let depth: u64 = coord.depths.iter().map(|d| d.load(Ordering::SeqCst)).sum();
+            self.boundary.close_window(&mut events, depth);
         }
+        self.first = false;
+        let gmin = coord
+            .next_times
+            .iter()
+            .map(|t| t.load(Ordering::SeqCst))
+            .min()
+            .unwrap_or(u64::MAX);
+        let we = self.boundary.next_window(gmin, window);
+        coord.window_end.store(we, Ordering::SeqCst);
+        self.boundary
+            .control
+            .timing
+            .record(Subsystem::ShardExchange, t0.elapsed().as_nanos() as u64);
     }
 }
 
-/// One shard's window loop. All shards run this in lock-step; shard 0 (on
-/// the calling thread) additionally carries the [`LeaderCtx`] duties. Three
-/// barrier crossings per window: (A) window published, (B) processing and
-/// mailbox deposits done, (C) drains and next-time publications done.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    id: usize,
-    shard: &mut Shard,
-    coord: &Coord,
-    dir: &[DirEntry],
-    addr_owner: &HashMap<HostAddr, NodeId>,
-    config: &SimConfig,
-    window: SimDuration,
-    mut leader: Option<LeaderCtx<'_>>,
-) {
-    let n = coord.n;
-    let t = &shard.metrics.timing;
-    let before_cb = t.nanos(Subsystem::App) + t.nanos(Subsystem::TcpPump);
+/// One lane's window loop on its worker thread. All lanes run this in
+/// lock-step; shard 0 (on the calling thread) additionally carries the
+/// [`Leader`] duties. Three barrier crossings per window: (A) window
+/// published, (B) processing and mailbox deposits done, (C) drains and
+/// next-time publications done.
+fn worker_loop(mut lane: Lane<'_>, coord: &Coord, mut leader: Option<Leader<'_>>) {
+    let (id, n) = (lane.id, coord.n);
+    let before_cb = callback_nanos(&lane.shard.metrics.timing);
     let mut proc_nanos = 0u64;
     let mut xchg_nanos = 0u64;
     let mut max_t = 0u64;
-    let mut outbox: Vec<Vec<Msg>> = (0..n).map(|_| Vec::new()).collect();
     loop {
         let tb = Instant::now();
         if let Some(l) = leader.as_mut() {
-            l.sequence(coord);
+            l.sequence(coord, lane.world.window);
         }
         coord.barrier.wait(); // A: window published
         let we = coord.window_end.load(Ordering::SeqCst);
@@ -998,38 +1014,16 @@ fn worker_loop(
             break;
         }
         let tp = Instant::now();
-        {
-            let mut lane = Lane {
-                id,
-                shard: &mut *shard,
-                dir,
-                addr_owner,
-                config,
-                window,
-                now: SimTime::ZERO,
-                outbox,
-            };
-            while let Some(t) = lane.shard.queue.peek_time() {
-                if t.as_micros() >= we {
-                    break;
-                }
-                let (time, key, ev) = lane.shard.queue.pop_keyed().expect("peeked");
-                lane.dispatch(time, ev);
-                lane.drain_telemetry(time.as_micros(), key);
-                if time.as_micros() > max_t {
-                    max_t = time.as_micros();
-                }
-            }
-            outbox = lane.outbox;
-        }
+        max_t = max_t.max(lane.run_window(we));
         proc_nanos += tp.elapsed().as_nanos() as u64;
         let tx = Instant::now();
-        for (dst, msgs) in outbox.iter_mut().enumerate() {
+        for (dst, msgs) in lane.outbox.iter_mut().enumerate() {
             if !msgs.is_empty() {
                 coord.mailboxes[id * n + dst].lock().unwrap().append(msgs);
             }
         }
         coord.barrier.wait(); // B: deposits done
+        let shard = &mut *lane.shard;
         for src in 0..n {
             let incoming = std::mem::take(&mut *coord.mailboxes[src * n + id].lock().unwrap());
             for m in incoming {
@@ -1038,8 +1032,7 @@ fn worker_loop(
                     .push_keyed(SimTime::from_micros(m.time), m.key, m.ev);
             }
         }
-        let next = shard.queue.peek_time().map_or(u64::MAX, |t| t.as_micros());
-        coord.next_times[id].store(next, Ordering::SeqCst);
+        coord.next_times[id].store(shard.next_time(), Ordering::SeqCst);
         coord.depths[id].store(shard.queue.len() as u64, Ordering::SeqCst);
         if !shard.tel_buf.is_empty() {
             coord.tel_slots[id]
@@ -1051,400 +1044,100 @@ fn worker_loop(
         coord.barrier.wait(); // C: publications done
     }
     coord.max_time.fetch_max(max_t, Ordering::SeqCst);
-    let t = &shard.metrics.timing;
-    let cb_delta = t.nanos(Subsystem::App) + t.nanos(Subsystem::TcpPump) - before_cb;
-    shard
-        .metrics
-        .timing
-        .record(Subsystem::Scheduler, proc_nanos.saturating_sub(cb_delta));
-    shard
-        .metrics
-        .timing
-        .record(Subsystem::ShardExchange, xchg_nanos);
+    let timing = &mut lane.shard.metrics.timing;
+    let cb_delta = callback_nanos(timing) - before_cb;
+    timing.record(Subsystem::Scheduler, proc_nanos.saturating_sub(cb_delta));
+    timing.record(Subsystem::ShardExchange, xchg_nanos);
 }
 
-/// The sharded deterministic simulator. Constructed by `Simulator::new`
-/// when `SimConfig::shards >= 2`; mirrors the serial simulator's public
-/// surface (the `Simulator` methods delegate here).
-pub(crate) struct ShardedSim {
-    config: SimConfig,
-    seed: u64,
-    n_shards: usize,
-    window: SimDuration,
-    now: SimTime,
-    /// The serial control stream: spawn-time draws and harness `rng()`.
-    control_rng: StdRng,
-    alloc: AddressAllocator,
-    shards: Vec<Shard>,
-    dir: Vec<DirEntry>,
-    /// Listener address -> node, registered at spawn. Liveness and listener
-    /// status are re-checked by the owner shard at `Attempt` delivery.
-    addr_owner: HashMap<HostAddr, NodeId>,
-    /// Control-plane metrics slice (spawn counts, leader-recorded depth
-    /// samples and sequencing time).
-    control: SimMetrics,
-    /// The merged snapshot handed out by `metrics()`; refreshed after every
-    /// mutating entry point.
-    merged: SimMetrics,
-    /// The control telemetry hub: real sinks, global sampling counters.
-    telemetry: Telemetry,
-    control_seq: u32,
-    /// Peak global queue depth over all window boundaries.
-    global_queue_high_water: u64,
-}
-
-impl ShardedSim {
-    pub fn new(config: SimConfig, seed: u64) -> Self {
-        let n = config.shards.max(2);
-        let window = SimDuration::from_micros(config.shard_window_us.max(1));
-        ShardedSim {
-            seed,
-            n_shards: n,
-            window,
-            now: SimTime::ZERO,
-            control_rng: StdRng::seed_from_u64(seed),
-            alloc: AddressAllocator::new(),
-            shards: (0..n).map(|_| Shard::new()).collect(),
-            dir: Vec::new(),
-            addr_owner: HashMap::new(),
-            control: SimMetrics::default(),
-            merged: SimMetrics::default(),
-            telemetry: Telemetry::disabled(),
-            control_seq: 0,
-            global_queue_high_water: 0,
-            config,
-        }
-    }
-
-    fn control_key(&mut self) -> u64 {
-        let k = pack(CONTROL_SRC, self.control_seq);
-        self.control_seq += 1;
-        k
-    }
-
-    pub fn spawn(&mut self, spec: NodeSpec, app: Box<dyn App>) -> NodeId {
-        let id = NodeId(self.dir.len());
-        let external_ip = self.alloc.alloc_public(&mut self.control_rng);
-        let port = spec.listen_port.unwrap_or(0);
-        let external_addr = HostAddr::new(external_ip, port);
-        let local_addr = if spec.nat {
-            HostAddr::new(self.alloc.alloc_private(&mut self.control_rng), port)
-        } else {
-            external_addr
-        };
-        let upload = spec.upload_bps.unwrap_or_else(|| {
-            self.control_rng
-                .gen_range(self.config.upload_bps.0..=self.config.upload_bps.1)
-        });
-        let download = spec.download_bps.unwrap_or_else(|| {
-            self.control_rng
-                .gen_range(self.config.download_bps.0..=self.config.download_bps.1)
-        });
-        let listener = spec.listen_port.is_some() && !spec.nat;
-        let sh = shard_of(self.seed, id.0, self.n_shards);
-        self.shards[sh].nodes.insert(
-            id.0,
-            NodeState {
-                app: Some(app),
-                local_addr,
-                external_addr,
-                upload_bps: upload,
-                download_bps: download,
-                alive: true,
-                listener,
-                rng: StdRng::seed_from_u64(splitmix64(
-                    self.seed ^ splitmix64(id.0 as u64 ^ 0x5EED_0000_0000_0001),
-                )),
-                next_conn: (id.0 as u64) << 32,
-                next_seq: 0,
-                views: HashMap::new(),
-                pending: HashSet::new(),
-            },
-        );
-        self.dir.push(DirEntry {
-            shard: sh,
-            external_addr,
-            local_addr,
-        });
-        if listener {
-            self.addr_owner.insert(external_addr, id);
-        }
-        self.control.nodes_spawned += 1;
-        let key = self.control_key();
-        self.shards[sh]
-            .queue
-            .push_keyed(self.now, key, Ev::Start { node: id });
-        if let Some(churn) = self.config.faults.churn {
-            if !spec.durable && churn.fraction > 0.0 && self.control_rng.gen_bool(churn.fraction) {
-                let up = self
-                    .control_rng
-                    .gen_range(churn.uptime_secs.0..=churn.uptime_secs.1);
-                let key = self.control_key();
-                self.shards[sh].queue.push_keyed(
-                    self.now + SimDuration::from_secs(up),
-                    key,
-                    Ev::ChurnDown { node: id },
-                );
+/// Runs every lane up to `boundary.deadline_us` and returns the highest
+/// dispatched timestamp (0 when nothing ran).
+pub(crate) fn run_windows(shards: &mut [Shard], world: &World, mut boundary: Boundary<'_>) -> u64 {
+    if let [shard] = shards {
+        // The degenerate case: one lane, windows back to back on this
+        // thread. Same boundary sequence as below, so the same telemetry
+        // order and depth samples.
+        let wall = Instant::now();
+        let before_cb = callback_nanos(&shard.metrics.timing);
+        let mut lane = Lane::new(0, shard, world, SimTime::ZERO);
+        let mut max_t = 0;
+        loop {
+            let we = boundary.next_window(lane.shard.next_time(), world.window);
+            if we == STOP {
+                break;
             }
+            max_t = max_t.max(lane.run_window(we));
+            let depth = lane.shard.queue.len() as u64;
+            boundary.close_window(&mut lane.shard.tel_buf, depth);
         }
-        self.refresh_merged();
-        id
+        let timing = &mut shard.metrics.timing;
+        let total = wall.elapsed().as_nanos() as u64;
+        let cb_delta = callback_nanos(timing) - before_cb;
+        timing.record(Subsystem::Scheduler, total.saturating_sub(cb_delta));
+        return max_t;
     }
-
-    /// Runs `f` on a serial lane for shard `sh`, then delivers its outbox
-    /// and replays its buffered telemetry through the control hub.
-    fn serial_lane<R>(&mut self, sh: usize, f: impl FnOnce(&mut Lane<'_>) -> R) -> R {
-        let n = self.n_shards;
-        let ShardedSim {
-            shards,
-            dir,
-            addr_owner,
-            config,
-            window,
-            now,
-            telemetry,
-            ..
-        } = self;
-        let mut lane = Lane {
-            id: sh,
-            shard: &mut shards[sh],
-            dir,
-            addr_owner,
-            config,
-            window: *window,
-            now: *now,
-            outbox: (0..n).map(|_| Vec::new()).collect(),
-        };
-        let r = f(&mut lane);
-        let outbox = std::mem::take(&mut lane.outbox);
-        for (dst, msgs) in outbox.into_iter().enumerate() {
-            for m in msgs {
-                shards[dst]
-                    .queue
-                    .push_keyed(SimTime::from_micros(m.time), m.key, m.ev);
-            }
-        }
-        for ev in shards[sh].telemetry.take_buffered() {
-            telemetry.emit(ev);
-        }
-        r
-    }
-
-    pub fn with_node<R>(
-        &mut self,
-        node: NodeId,
-        f: impl FnOnce(&mut dyn App, &mut Ctx<'_>) -> R,
-    ) -> Option<R> {
-        let sh = self.dir[node.0].shard;
-        let r = self.serial_lane(sh, |lane| lane.with_node_r(node, f));
-        self.refresh_merged();
-        r
-    }
-
-    pub fn stop_node(&mut self, node: NodeId) {
-        let sh = self.dir[node.0].shard;
-        self.serial_lane(sh, |lane| lane.shutdown_node(node));
-        self.refresh_merged();
-    }
-
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let before: u64 = self.shards.iter().map(|s| s.metrics.events_processed).sum();
-        self.run_windows(deadline);
-        if self.now < deadline {
-            self.now = deadline;
-        }
-        self.refresh_merged();
-        let after: u64 = self.shards.iter().map(|s| s.metrics.events_processed).sum();
-        after - before
-    }
-
-    pub fn run_to_quiescence(&mut self) -> u64 {
-        let before: u64 = self.shards.iter().map(|s| s.metrics.events_processed).sum();
-        self.run_windows(SimTime::from_micros(u64::MAX - 2));
-        self.refresh_merged();
-        let after: u64 = self.shards.iter().map(|s| s.metrics.events_processed).sum();
-        after - before
-    }
-
-    fn run_windows(&mut self, deadline: SimTime) {
-        let n = self.n_shards;
-        let deadline_us = deadline.as_micros().min(u64::MAX - 2);
-        let window_us = self.window.as_micros();
-        let next_times: Vec<AtomicU64> = self
-            .shards
+    let n = shards.len();
+    let coord = Coord {
+        n,
+        barrier: Barrier::new(n),
+        window_end: AtomicU64::new(0),
+        next_times: shards
             .iter_mut()
-            .map(|s| AtomicU64::new(s.queue.peek_time().map_or(u64::MAX, |t| t.as_micros())))
-            .collect();
-        let coord = Coord {
-            n,
-            barrier: Barrier::new(n),
-            window_end: AtomicU64::new(0),
-            next_times,
-            depths: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            mailboxes: (0..n * n).map(|_| Mutex::new(Vec::new())).collect(),
-            tel_slots: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-            max_time: AtomicU64::new(self.now.as_micros()),
-        };
-        {
-            let ShardedSim {
-                shards,
-                dir,
-                addr_owner,
-                config,
-                window,
-                telemetry,
-                control,
-                global_queue_high_water,
-                ..
-            } = self;
-            let window = *window;
-            let dir: &[DirEntry] = dir;
-            let addr_owner: &HashMap<HostAddr, NodeId> = addr_owner;
-            let config: &SimConfig = config;
-            let leader = LeaderCtx {
-                telemetry,
-                control,
-                high_water: global_queue_high_water,
-                deadline_us,
-                window_us,
-                first: true,
-            };
-            let coord = &coord;
-            std::thread::scope(|s| {
-                let mut iter = shards.iter_mut();
-                let shard0 = iter.next().expect("at least two shards");
-                for (i, shard) in iter.enumerate() {
-                    let id = i + 1;
-                    s.spawn(move || {
-                        worker_loop(id, shard, coord, dir, addr_owner, config, window, None)
-                    });
-                }
-                worker_loop(
-                    0,
-                    shard0,
-                    coord,
-                    dir,
-                    addr_owner,
-                    config,
-                    window,
-                    Some(leader),
-                );
-            });
+            .map(|s| AtomicU64::new(s.next_time()))
+            .collect(),
+        depths: (0..n).map(|_| AtomicU64::new(0)).collect(),
+        mailboxes: (0..n * n).map(|_| Mutex::new(Vec::new())).collect(),
+        tel_slots: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
+        max_time: AtomicU64::new(0),
+    };
+    let coord = &coord;
+    let leader = Leader {
+        boundary,
+        first: true,
+    };
+    std::thread::scope(|s| {
+        let mut lanes = shards
+            .iter_mut()
+            .enumerate()
+            .map(|(id, shard)| Lane::new(id, shard, world, SimTime::ZERO));
+        let lane0 = lanes.next().expect("at least one shard");
+        for lane in lanes {
+            s.spawn(move || worker_loop(lane, coord, None));
         }
-        let max_t = coord.max_time.load(Ordering::SeqCst);
-        if max_t > self.now.as_micros() {
-            self.now = SimTime::from_micros(max_t);
+        worker_loop(lane0, coord, Some(leader));
+    });
+    coord.max_time.load(Ordering::SeqCst)
+}
+
+/// Runs `f` on a lane for shard `sh` between windows (the harness entry
+/// points), then delivers the lane's outbox and replays its buffered
+/// telemetry through the hub.
+pub(crate) fn serial_lane<R>(
+    shards: &mut [Shard],
+    sh: usize,
+    world: &World,
+    now: SimTime,
+    hub: &mut Telemetry,
+    f: impl FnOnce(&mut Lane<'_>) -> R,
+) -> R {
+    let mut lane = Lane::new(sh, &mut shards[sh], world, now);
+    let r = f(&mut lane);
+    for (dst, msgs) in lane.outbox.into_iter().enumerate() {
+        for m in msgs {
+            shards[dst]
+                .queue
+                .push_keyed(SimTime::from_micros(m.time), m.key, m.ev);
         }
     }
-
-    pub fn sample_queue_depth(&mut self) {
-        let depth: u64 = self.shards.iter().map(|s| s.queue.len() as u64).sum();
-        self.control.telemetry.set_gauge(Gauge::QueueDepth, depth);
-        self.control.telemetry.record(SimHist::QueueDepth, depth);
-        self.refresh_merged();
+    for ev in shards[sh].telemetry.drain_buffered() {
+        hub.emit(ev);
     }
-
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-        let mask = self.telemetry.enabled_mask();
-        for shard in &mut self.shards {
-            shard.telemetry = Telemetry::buffered(mask);
-        }
-    }
-
-    pub fn flush_telemetry(&mut self) {
-        self.telemetry.flush();
-    }
-
-    pub fn node_addr(&self, node: NodeId) -> HostAddr {
-        self.dir[node.0].external_addr
-    }
-
-    pub fn node_local_addr(&self, node: NodeId) -> HostAddr {
-        self.dir[node.0].local_addr
-    }
-
-    pub fn is_alive(&self, node: NodeId) -> bool {
-        let sh = self.dir[node.0].shard;
-        self.shards[sh]
-            .nodes
-            .get(&node.0)
-            .map(|s| s.alive)
-            .unwrap_or(false)
-    }
-
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    pub fn metrics(&self) -> &SimMetrics {
-        &self.merged
-    }
-
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.control_rng
-    }
-
-    pub fn pending_events(&self) -> usize {
-        self.shards.iter().map(|s| s.queue.len()).sum()
-    }
-
-    pub fn shard_count(&self) -> usize {
-        self.n_shards
-    }
-
-    pub fn window_us(&self) -> u64 {
-        self.window.as_micros()
-    }
-
-    /// Sharded counterpart of `Simulator::record_memory`: sums every live
-    /// app's estimate across all shards into the control metrics slice
-    /// (shard slices keep the zero default, so the merge is the sum).
-    pub fn record_memory(&mut self) {
-        let mut mem = crate::metrics::MemoryStats::default();
-        for shard in &self.shards {
-            for st in shard.nodes.values() {
-                if let Some(app) = &st.app {
-                    mem.nodes += 1;
-                    mem.app_bytes += app.memory_estimate();
-                }
-            }
-        }
-        let (peak, current) = crate::metrics::process_rss_kb();
-        mem.peak_rss_kb = peak;
-        mem.current_rss_kb = current;
-        self.control.memory = mem;
-        self.refresh_merged();
-    }
-
-    /// Rebuilds the merged snapshot: control slice plus every shard slice,
-    /// with pool/queue statistics synced first. The merged queue high-water
-    /// is the peak *global* boundary depth (shard-count-invariant), not the
-    /// max of per-shard peaks.
-    fn refresh_merged(&mut self) {
-        for shard in &mut self.shards {
-            let s = &shard.pool.stats;
-            shard.metrics.pool_hits = s.hits;
-            shard.metrics.pool_misses = s.misses;
-            shard.metrics.pool_recycled_bytes = s.recycled_bytes;
-            shard.metrics.pool_high_water = s.high_water;
-            shard.metrics.queue_high_water = shard.queue.high_water() as u64;
-        }
-        let mut m = self.control.clone();
-        for shard in &self.shards {
-            m.merge(&shard.metrics);
-        }
-        let depth_now: u64 = self.shards.iter().map(|s| s.queue.len() as u64).sum();
-        m.queue_high_water = self.global_queue_high_water.max(depth_now);
-        self.merged = m;
-    }
+    r
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultPlan;
-    use crate::sim::Simulator;
 
     #[test]
     fn shard_assignment_is_pure_in_range_and_balanced() {
@@ -1473,270 +1166,5 @@ mod tests {
         let a: Vec<usize> = (0..64).map(|n| shard_of(1, n, 4)).collect();
         let b: Vec<usize> = (0..64).map(|n| shard_of(2, n, 4)).collect();
         assert_ne!(a, b);
-    }
-
-    // Per-node logs: cross-node interleaving is schedule-dependent in
-    // parallel mode, but each node's own callback sequence is fully
-    // deterministic.
-    type NodeLogs = Arc<Mutex<HashMap<usize, Vec<String>>>>;
-
-    fn log(logs: &NodeLogs, node: usize, msg: String) {
-        logs.lock().unwrap().entry(node).or_default().push(msg);
-    }
-
-    struct Echo {
-        logs: NodeLogs,
-    }
-
-    impl App for Echo {
-        fn on_connected(&mut self, ctx: &mut Ctx<'_>, _c: ConnId, dir: Direction, _p: HostAddr) {
-            log(
-                &self.logs,
-                ctx.node().0,
-                format!("connected {dir:?} at {}", ctx.now()),
-            );
-        }
-        fn on_data(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, data: &[u8]) {
-            log(
-                &self.logs,
-                ctx.node().0,
-                format!("got {}", String::from_utf8_lossy(data)),
-            );
-            ctx.send(conn, data);
-        }
-        fn on_closed(&mut self, ctx: &mut Ctx<'_>, _conn: ConnId) {
-            log(&self.logs, ctx.node().0, "closed".into());
-        }
-    }
-
-    struct Client {
-        logs: NodeLogs,
-        server: HostAddr,
-        payload: Vec<u8>,
-    }
-
-    impl App for Client {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.connect(self.server);
-        }
-        fn on_connected(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, _d: Direction, _p: HostAddr) {
-            ctx.send(conn, &self.payload.clone());
-        }
-        fn on_connect_failed(&mut self, ctx: &mut Ctx<'_>, _conn: ConnId) {
-            log(&self.logs, ctx.node().0, "connect failed".into());
-        }
-        fn on_data(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, data: &[u8]) {
-            log(
-                &self.logs,
-                ctx.node().0,
-                format!("echoed {}", String::from_utf8_lossy(data)),
-            );
-            ctx.close(conn);
-        }
-    }
-
-    fn sharded_config(shards: usize) -> SimConfig {
-        SimConfig {
-            shards,
-            ..SimConfig::default()
-        }
-    }
-
-    #[test]
-    fn sharded_echo_roundtrip() {
-        let logs: NodeLogs = Arc::new(Mutex::new(HashMap::new()));
-        let mut sim = Simulator::new(sharded_config(4), 1);
-        let server = sim.spawn(
-            NodeSpec::public().listen(6346),
-            Box::new(Echo { logs: logs.clone() }),
-        );
-        let addr = sim.node_addr(server);
-        let client = sim.spawn(
-            NodeSpec::public(),
-            Box::new(Client {
-                logs: logs.clone(),
-                server: addr,
-                payload: b"ping".to_vec(),
-            }),
-        );
-        sim.run_to_quiescence();
-        let logs = logs.lock().unwrap();
-        let server_log = &logs[&server.0];
-        assert!(server_log[0].starts_with("connected Inbound"));
-        assert_eq!(server_log[1], "got ping");
-        assert_eq!(server_log[2], "closed");
-        assert_eq!(logs[&client.0], vec!["echoed ping"]);
-        assert_eq!(sim.metrics().conns_established, 1);
-        assert_eq!(sim.metrics().conns_closed, 1);
-    }
-
-    #[test]
-    fn sharded_dial_to_nobody_fails() {
-        let logs: NodeLogs = Arc::new(Mutex::new(HashMap::new()));
-        let mut sim = Simulator::new(sharded_config(2), 2);
-        let phantom = HostAddr::new(std::net::Ipv4Addr::new(9, 9, 9, 9), 1234);
-        let c = sim.spawn(
-            NodeSpec::public(),
-            Box::new(Client {
-                logs: logs.clone(),
-                server: phantom,
-                payload: vec![],
-            }),
-        );
-        sim.run_to_quiescence();
-        assert_eq!(logs.lock().unwrap()[&c.0], vec!["connect failed"]);
-        assert_eq!(sim.metrics().conns_failed, 1);
-    }
-
-    #[test]
-    fn sharded_timers_fire_in_order() {
-        struct Timers {
-            fired: Arc<Mutex<Vec<u64>>>,
-        }
-        impl App for Timers {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.set_timer(SimDuration::from_secs(3), 3);
-                ctx.set_timer(SimDuration::from_secs(1), 1);
-                ctx.set_timer(SimDuration::from_secs(2), 2);
-            }
-            fn on_timer(&mut self, _ctx: &mut Ctx<'_>, token: u64) {
-                self.fired.lock().unwrap().push(token);
-            }
-        }
-        let fired = Arc::new(Mutex::new(Vec::new()));
-        let mut sim = Simulator::new(sharded_config(3), 8);
-        sim.spawn(
-            NodeSpec::public(),
-            Box::new(Timers {
-                fired: fired.clone(),
-            }),
-        );
-        sim.run_to_quiescence();
-        assert_eq!(*fired.lock().unwrap(), vec![1, 2, 3]);
-        assert_eq!(sim.metrics().timers_fired, 3);
-    }
-
-    /// One world, observed per-node: a listener plus a crowd of clients,
-    /// with faults and fragmentation on to exercise every code path.
-    fn run_world(shards: usize, seed: u64) -> (HashMap<usize, Vec<String>>, SimMetrics, SimTime) {
-        let logs: NodeLogs = Arc::new(Mutex::new(HashMap::new()));
-        let config = SimConfig {
-            shards,
-            shard_window_us: 500_000,
-            mss: Some(256),
-            faults: FaultPlan::mild(),
-            ..SimConfig::default()
-        };
-        let mut sim = Simulator::new(config, seed);
-        let server = sim.spawn(
-            NodeSpec::public().listen(6346).durable(),
-            Box::new(Echo { logs: logs.clone() }),
-        );
-        let addr = sim.node_addr(server);
-        for i in 0..24 {
-            sim.spawn(
-                NodeSpec::public(),
-                Box::new(Client {
-                    logs: logs.clone(),
-                    server: addr,
-                    payload: format!("message-{i}-{}", "x".repeat(400)).into_bytes(),
-                }),
-            );
-        }
-        // Bounded run: mild() includes churn, whose up/down cycle reschedules
-        // forever, so quiescence never comes (true of the serial loop too).
-        sim.run_until(SimTime::from_secs(600));
-        sim.run_until(SimTime::from_secs(1200));
-        let mut metrics = sim.metrics().clone();
-        // Pool statistics depend on how buffers partition across shards;
-        // everything else is shard-count-invariant.
-        metrics.pool_hits = 0;
-        metrics.pool_misses = 0;
-        metrics.pool_recycled_bytes = 0;
-        metrics.pool_high_water = 0;
-        let logs = logs.lock().unwrap().clone();
-        (logs, metrics, sim.now())
-    }
-
-    #[test]
-    fn trajectory_is_identical_across_shard_counts() {
-        let base = run_world(2, 77);
-        for shards in [3usize, 4, 8] {
-            let other = run_world(shards, 77);
-            assert_eq!(base.0, other.0, "per-node logs diverged at {shards} shards");
-            assert_eq!(base.1, other.1, "metrics diverged at {shards} shards");
-            assert_eq!(base.2, other.2, "final clock diverged at {shards} shards");
-        }
-    }
-
-    #[test]
-    fn trajectory_is_identical_across_repeated_runs() {
-        // Same shard count, run twice: thread scheduling must not leak in.
-        assert_eq!(run_world(4, 123), run_world(4, 123));
-    }
-
-    #[test]
-    fn sharded_stop_node_closes_peer_connections() {
-        let logs: NodeLogs = Arc::new(Mutex::new(HashMap::new()));
-        let mut sim = Simulator::new(sharded_config(4), 7);
-        let server = sim.spawn(
-            NodeSpec::public().listen(1),
-            Box::new(Echo { logs: logs.clone() }),
-        );
-        let addr = sim.node_addr(server);
-        struct Idle {
-            server: HostAddr,
-            closed: Arc<Mutex<bool>>,
-        }
-        impl App for Idle {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.connect(self.server);
-            }
-            fn on_closed(&mut self, _ctx: &mut Ctx<'_>, _c: ConnId) {
-                *self.closed.lock().unwrap() = true;
-            }
-        }
-        let closed = Arc::new(Mutex::new(false));
-        sim.spawn(
-            NodeSpec::public(),
-            Box::new(Idle {
-                server: addr,
-                closed: closed.clone(),
-            }),
-        );
-        sim.run_until(SimTime::from_secs(5));
-        assert!(sim.is_alive(server));
-        sim.stop_node(server);
-        sim.run_to_quiescence();
-        assert!(!sim.is_alive(server));
-        assert!(*closed.lock().unwrap(), "peer should observe close");
-    }
-
-    #[test]
-    fn sharded_mode_reports_exchange_bucket_and_depth_samples() {
-        let logs: NodeLogs = Arc::new(Mutex::new(HashMap::new()));
-        let mut sim = Simulator::new(sharded_config(2), 5);
-        let server = sim.spawn(
-            NodeSpec::public().listen(80),
-            Box::new(Echo { logs: logs.clone() }),
-        );
-        let addr = sim.node_addr(server);
-        sim.spawn(
-            NodeSpec::public(),
-            Box::new(Client {
-                logs,
-                server: addr,
-                payload: b"z".to_vec(),
-            }),
-        );
-        sim.run_to_quiescence();
-        let m = sim.metrics();
-        // Window boundaries sampled the queue depth without the harness
-        // calling sample_queue_depth.
-        assert!(
-            m.telemetry.hist(SimHist::QueueDepth).count() > 0,
-            "no boundary depth samples"
-        );
-        assert!(m.queue_high_water > 0);
     }
 }

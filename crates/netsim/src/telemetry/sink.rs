@@ -12,8 +12,8 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// A consumer of telemetry records. `Send` so a sink hub can live inside a
-/// shard that migrates onto a worker thread (sharded runs buffer per shard
-/// and replay through the main-thread hub at window barriers).
+/// shard that migrates onto a worker thread (shards buffer their events and
+/// the real hub replays them at window boundaries).
 pub trait TelemetrySink: Send {
     fn record(&mut self, event: &TelemetryEvent);
     /// Push buffered output to its destination (called at end of run; file
@@ -140,12 +140,12 @@ pub struct Telemetry {
     sinks: Vec<Box<dyn TelemetrySink>>,
     sample: [u32; CATEGORY_COUNT],
     seen: [u64; CATEGORY_COUNT],
-    /// Sharded-mode buffering: set on per-shard hubs, which have no sinks
-    /// of their own. `enabled` answers from the control hub's mask snapshot
-    /// and `emit` appends every candidate unsampled; the shard engine
-    /// drains the buffer after each dispatched event and replays the
-    /// key-ordered merge through the control hub, so sampling counters
-    /// advance in the same global order as a serial run.
+    /// Buffering: set on per-shard hubs, which have no sinks of their own.
+    /// `enabled` answers from the real hub's mask snapshot and `emit`
+    /// appends every candidate unsampled; the lane engine drains the
+    /// buffer after each dispatched event and replays the key-ordered
+    /// merge through the real hub, so sampling counters advance in one
+    /// global order whatever the shard count.
     buffer: Option<BufferMode>,
 }
 
@@ -191,9 +191,9 @@ impl Telemetry {
         }
     }
 
-    /// A sinkless buffering hub for one shard of a sharded run. `mask` is
-    /// the control hub's [`Telemetry::enabled_mask`]; events of enabled
-    /// categories accumulate unsampled until [`Telemetry::take_buffered`].
+    /// A sinkless buffering hub for one shard. `mask` is the real hub's
+    /// [`Telemetry::enabled_mask`]; events of enabled
+    /// categories accumulate unsampled until [`Telemetry::drain_buffered`].
     pub fn buffered(mask: [bool; CATEGORY_COUNT]) -> Self {
         Telemetry {
             sinks: Vec::new(),
@@ -216,12 +216,10 @@ impl Telemetry {
         mask
     }
 
-    /// Drains buffered events (buffering hubs only; empty otherwise).
-    pub fn take_buffered(&mut self) -> Vec<TelemetryEvent> {
-        match &mut self.buffer {
-            Some(b) if !b.events.is_empty() => std::mem::take(&mut b.events),
-            _ => Vec::new(),
-        }
+    /// Drains buffered events (buffering hubs only; empty otherwise). The
+    /// buffer keeps its capacity: the engine drains after every dispatch.
+    pub fn drain_buffered(&mut self) -> impl Iterator<Item = TelemetryEvent> + '_ {
+        self.buffer.iter_mut().flat_map(|b| b.events.drain(..))
     }
 
     /// Whether events of `cat` go anywhere at all. Emission sites check
@@ -458,9 +456,8 @@ mod tests {
         for t in 0..5 {
             hub.emit(ev(t));
         }
-        let drained = hub.take_buffered();
-        assert_eq!(drained.len(), 5);
-        assert!(hub.take_buffered().is_empty());
+        assert_eq!(hub.drain_buffered().count(), 5);
+        assert_eq!(hub.drain_buffered().count(), 0);
     }
 
     #[test]

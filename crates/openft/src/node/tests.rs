@@ -267,15 +267,23 @@ fn nodelist_discovery_expands_sessions() {
     assert!(sessions >= 2, "discovered beyond bootstrap: {sessions}");
 }
 
-/// A 404 comes back for an unknown MD5 instead of a hang.
+/// A 404 comes back for an MD5 the host does not share instead of a hang —
+/// including one a single bit off a digest it does share, which is what a
+/// bit-flip fault makes of an advertisement in transit (the crawlers count
+/// it as `not_found`).
 #[test]
-fn unknown_md5_download_fails_cleanly() {
+fn one_bit_off_md5_download_is_a_404() {
     let mut net = build(5, 1);
+    let mut lib = HostLibrary::new();
+    lib.add_benign(net.world.catalog.item(1), 0);
+    let mut md5 = net.world.store.declared_md5(lib.files()[0].content);
+    md5.0[7] ^= 0x40;
+    let sharer = spawn_user(&mut net, lib, false);
     let crawler = spawn_user(&mut net, HostLibrary::new(), true);
     net.sim.run_until(SimTime::from_secs(120));
-    let target = net.search_addrs[0];
+    let target = net.sim.node_addr(sharer);
     with_node(&mut net.sim, crawler, |n, ctx| {
-        n.begin_download(ctx, target, p2pmal_hashes::md5(b"no such file"))
+        n.begin_download(ctx, target, md5)
     });
     net.sim.run_until(SimTime::from_secs(300));
     let events = with_node(&mut net.sim, crawler, |n, _| n.drain_events());
