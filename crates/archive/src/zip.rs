@@ -266,7 +266,7 @@ struct PendingEntry {
     name: String,
     method: Method,
     crc32: u32,
-    compressed: Vec<u8>,
+    compressed_size: u32,
     uncompressed_size: u32,
     local_header_offset: u32,
 }
@@ -304,16 +304,16 @@ impl ZipWriter {
     /// real archivers do.
     pub fn add(&mut self, name: &str, data: &[u8], method: Method) {
         let crc = crc32(data);
-        let (method, compressed) = match method {
-            Method::Stored => (Method::Stored, data.to_vec()),
+        // `None`: the member goes in as it is.
+        let deflated = match method {
+            Method::Stored => None,
             Method::Deflate => {
-                let comp = deflate(data);
-                if comp.len() >= data.len() && !data.is_empty() {
-                    (Method::Stored, data.to_vec())
-                } else {
-                    (Method::Deflate, comp)
-                }
+                Some(deflate(data)).filter(|c| c.len() < data.len() || data.is_empty())
             }
+        };
+        let (method, compressed) = match &deflated {
+            Some(comp) => (Method::Deflate, &comp[..]),
+            None => (Method::Stored, data),
         };
         let offset = self.out.len() as u32;
         // Local file header.
@@ -332,12 +332,12 @@ impl ZipWriter {
             .extend_from_slice(&(name.len() as u16).to_le_bytes());
         self.out.extend_from_slice(&0u16.to_le_bytes()); // extra len
         self.out.extend_from_slice(name.as_bytes());
-        self.out.extend_from_slice(&compressed);
+        self.out.extend_from_slice(compressed);
         self.entries.push(PendingEntry {
             name: name.to_string(),
             method,
             crc32: crc,
-            compressed,
+            compressed_size: compressed.len() as u32,
             uncompressed_size: data.len() as u32,
             local_header_offset: offset,
         });
@@ -355,8 +355,7 @@ impl ZipWriter {
             self.out.extend_from_slice(&0u16.to_le_bytes()); // time
             self.out.extend_from_slice(&0u16.to_le_bytes()); // date
             self.out.extend_from_slice(&e.crc32.to_le_bytes());
-            self.out
-                .extend_from_slice(&(e.compressed.len() as u32).to_le_bytes());
+            self.out.extend_from_slice(&e.compressed_size.to_le_bytes());
             self.out
                 .extend_from_slice(&e.uncompressed_size.to_le_bytes());
             self.out
@@ -402,6 +401,28 @@ mod tests {
         assert_eq!(a.read(0).unwrap(), b"alpha alpha alpha alpha");
         assert_eq!(a.read(1).unwrap(), &[0u8, 1, 2, 3, 4, 5]);
         assert_eq!(a.read(2).unwrap(), b"");
+    }
+
+    /// The writer's output, pinned byte for byte (recorded before `add`
+    /// stopped copying members): one member per way data reaches `out`.
+    #[test]
+    fn archive_bytes_are_pinned() {
+        let mut w = ZipWriter::new();
+        w.add(
+            "notes.txt",
+            &b"to be or not to be, ".repeat(40),
+            Method::Deflate,
+        );
+        let stored: Vec<u8> = (0..=255u8).cycle().take(3000).collect();
+        w.add("image.bin", &stored, Method::Stored);
+        let bytes = w.finish();
+        let a = ZipArchive::parse(&bytes).unwrap();
+        let methods: Vec<Method> = a.entries().iter().map(|e| e.method).collect();
+        assert_eq!(methods, [Method::Deflate, Method::Stored]);
+        assert_eq!(
+            p2pmal_hashes::sha1(&bytes).to_hex(),
+            "854e842510981d8edf7df80dcef308f775d043ac"
+        );
     }
 
     #[test]

@@ -351,6 +351,39 @@ mod tests {
         }
     }
 
+    /// The bytes themselves, pinned: every SHA-1 a study logs hangs on
+    /// them, so a change to payload generation or to the ZIP writer under
+    /// it must show up here and not only as a moved trajectory digest.
+    /// Recorded before `ZipWriter::add` stopped copying its members.
+    #[test]
+    fn payload_bytes_are_pinned_for_every_shape() {
+        let (catalog, roster, store) = fixtures();
+        let benign = |item| ContentRef::Benign { item, variant: 0 };
+        let malware = |family| ContentRef::Malware {
+            family: FamilyId(family),
+            size_idx: 0,
+        };
+        // One ref per shape: plain benign, benign zip, infected exe,
+        // infected zip.
+        assert_ne!(catalog.item(0).media, MediaType::Archive);
+        assert_eq!(catalog.item(5).media, MediaType::Archive);
+        assert_eq!(roster.get(FamilyId(0)).container, Container::Executable);
+        assert_eq!(
+            roster.get(FamilyId(2)).container,
+            Container::ZipOfExecutable
+        );
+        let pins = [
+            (benign(0), "6566cb183c005038a14b58acc764ec4d63228e5b"),
+            (benign(5), "cbe531edc6f5abfd7140e65c958bc4163487b3dc"),
+            (malware(0), "f0f918365efb91f5d42717185fa9f0c154faa43b"),
+            (malware(2), "60f3487a746e39a4e085a3c90e74d937d8980441"),
+        ];
+        for (r, want) in pins {
+            let got = sha1(&store.payload(r, &catalog, &roster)).to_hex();
+            assert_eq!(got, want, "{r:?}");
+        }
+    }
+
     #[test]
     fn payloads_are_deterministic_and_replica_identical() {
         let (catalog, roster, store) = fixtures();

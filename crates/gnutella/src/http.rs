@@ -15,6 +15,7 @@
 
 use crate::guid::Guid;
 use p2pmal_hashes::{base32_decode, Sha1Digest};
+use p2pmal_netsim::take_front;
 use std::fmt;
 
 /// Size cap for request heads, mirroring servent hardening.
@@ -299,9 +300,8 @@ impl ResponseReader {
             if self.buf.len() < len {
                 return Ok(None);
             }
-            let body = self.buf[..len].to_vec();
-            self.buf.drain(..len);
             self.state = RespState::Done;
+            let body = take_front(&mut self.buf, len);
             return Ok(Some(HttpResponse { status, body }));
         }
         Ok(None)
@@ -432,6 +432,32 @@ mod tests {
         let resp = result.unwrap();
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body, body);
+    }
+
+    /// The body leaves the reader by move; whatever the stream carries
+    /// after it must stay behind, wherever the chunk boundary fell.
+    #[test]
+    fn response_body_is_exact_and_later_bytes_stay_buffered() {
+        let body: Vec<u8> = (0..=255u8).cycle().take(5_000).collect();
+        let mut wire = encode_response_ok("P2PMal/0.1", body.len());
+        let head_len = wire.len();
+        wire.extend_from_slice(&body);
+        for tail in [&b""[..], b"NEXT"] {
+            let mut wire = wire.clone();
+            wire.extend_from_slice(tail);
+            // Whole, split inside the head, split inside the body.
+            for split in [0, 10, head_len + 100] {
+                let mut r = ResponseReader::new(1 << 20);
+                let mut got = None;
+                for chunk in [&wire[..split], &wire[split..]] {
+                    r.push(chunk);
+                    got = got.or(r.response().unwrap());
+                }
+                let resp = got.expect("complete after the last chunk");
+                assert_eq!((resp.status, &resp.body), (200, &body), "split {split}");
+                assert_eq!(r.buf, tail, "split {split}");
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! real servents do.
 
 use crate::guid::Guid;
+use p2pmal_netsim::{Feed, StreamBuf};
 use std::fmt;
 
 /// Wire values of the payload-descriptor byte.
@@ -166,11 +167,24 @@ pub fn encode_message(
     out.extend_from_slice(payload);
 }
 
+/// Where the next message ends, for [`StreamBuf`]: the decoded header and
+/// the frame's total length once all of it is there.
+fn split_frame(bytes: &[u8]) -> Result<Option<(Header, usize)>, FrameError> {
+    let header = match Header::parse(bytes) {
+        Ok(h) => h,
+        Err(FrameError::Truncated) => return Ok(None),
+        Err(e) => return Err(e),
+    };
+    let total = HEADER_LEN + header.payload_len as usize;
+    Ok((bytes.len() >= total).then_some((header, total)))
+}
+
 /// Incremental stream framer: feed arbitrary chunks, take complete
-/// messages.
+/// messages. A framing error poisons the stream — the caller must drop the
+/// connection; subsequent calls keep returning the error.
 #[derive(Debug, Default)]
 pub struct MessageReader {
-    buf: Vec<u8>,
+    stream: StreamBuf,
 }
 
 impl MessageReader {
@@ -180,33 +194,43 @@ impl MessageReader {
 
     /// Appends raw stream bytes.
     pub fn push(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
+        self.stream.push(data);
     }
 
     /// Bytes currently buffered (for tests and flow-control decisions).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.stream.buffered()
     }
 
-    /// Pops the next complete message, if any. A framing error poisons the
-    /// stream — the caller must drop the connection; subsequent calls keep
-    /// returning the error.
+    /// Pops the next complete buffered message, if any, as an owned copy.
     pub fn next_message(&mut self) -> Result<Option<(Header, Vec<u8>)>, FrameError> {
-        if self.buf.len() < HEADER_LEN {
-            return Ok(None);
-        }
-        let header = match Header::parse(&self.buf) {
-            Ok(h) => h,
-            Err(FrameError::Truncated) => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        let total = HEADER_LEN + header.payload_len as usize;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let payload = self.buf[HEADER_LEN..total].to_vec();
-        self.buf.drain(..total);
-        Ok(Some((header, payload)))
+        let frame = self.stream.next_frame(split_frame)?;
+        Ok(frame.map(|(header, frame)| (header, frame[HEADER_LEN..].to_vec())))
+    }
+
+    /// Starts a borrowing pass over the stream extended by `chunk`: the
+    /// payloads are slices of `chunk` itself unless earlier bytes were
+    /// waiting, and only a trailing partial message is copied.
+    pub fn frames<'a>(&'a mut self, chunk: &'a [u8]) -> Frames<'a> {
+        Frames(self.stream.feed(chunk))
+    }
+}
+
+/// A pass over a [`MessageReader`] and one delivered chunk; see
+/// [`MessageReader::frames`].
+#[derive(Debug)]
+pub struct Frames<'a>(Feed<'a>);
+
+impl Frames<'_> {
+    /// The next complete message, if any, with its payload borrowed.
+    pub fn next_frame(&mut self) -> Result<Option<(Header, &[u8])>, FrameError> {
+        let frame = self.0.next_frame(split_frame)?;
+        Ok(frame.map(|(header, frame)| (header, &frame[HEADER_LEN..])))
+    }
+
+    /// Messages this pass had to reassemble in the buffer.
+    pub fn reassembled(&self) -> u64 {
+        self.0.reassembled()
     }
 }
 
@@ -266,6 +290,79 @@ mod tests {
         assert_eq!(got[0].1, b"\x00\x00hello\x00");
         assert_eq!(got[1].0, MsgType::Ping);
         assert!(got[1].1.is_empty());
+        assert_eq!(r.buffered(), 0);
+    }
+
+    /// `buf.drain(..total)` per message made a chunk of n glued messages
+    /// cost O(n²) byte moves; the cursor compacts once per push.
+    #[test]
+    fn thousands_of_glued_messages_come_back_in_order() {
+        const N: usize = 2_500;
+        let mut wire = Vec::new();
+        for i in 0..N {
+            let payload = (i as u32).to_le_bytes();
+            let len = i % 5;
+            encode_message(
+                guid(),
+                MsgType::Ping,
+                1,
+                0,
+                &payload[..len.min(4)],
+                &mut wire,
+            );
+        }
+        let check = |got: &[(Header, Vec<u8>)]| {
+            assert_eq!(got.len(), N);
+            for (i, (h, p)) in got.iter().enumerate() {
+                assert_eq!(h.msg_type, MsgType::Ping);
+                assert_eq!(
+                    p[..],
+                    (i as u32).to_le_bytes()[..(i % 5).min(4)],
+                    "message {i}"
+                );
+            }
+        };
+        let mut r = MessageReader::new();
+        let mut got = Vec::new();
+        r.push(&wire);
+        while let Some(m) = r.next_message().unwrap() {
+            got.push(m);
+        }
+        check(&got);
+        assert_eq!(r.buffered(), 0);
+        got.clear();
+        for chunk in wire.chunks(7) {
+            r.push(chunk);
+            while let Some(m) = r.next_message().unwrap() {
+                got.push(m);
+            }
+        }
+        check(&got);
+        assert_eq!(r.buffered(), 0);
+        // The borrowing pass sees the same stream.
+        got.clear();
+        let mut reassembled = 0;
+        for chunk in [&wire[..10], &wire[10..]] {
+            let mut frames = r.frames(chunk);
+            while let Some((h, p)) = frames.next_frame().unwrap() {
+                got.push((h, p.to_vec()));
+            }
+            reassembled += frames.reassembled();
+        }
+        check(&got);
+        assert_eq!(
+            reassembled, N as u64,
+            "a split first message sends the rest through the buffer"
+        );
+        assert_eq!(r.buffered(), 0);
+        got.clear();
+        let mut frames = r.frames(&wire);
+        while let Some((h, p)) = frames.next_frame().unwrap() {
+            got.push((h, p.to_vec()));
+        }
+        assert_eq!(frames.reassembled(), 0);
+        drop(frames);
+        check(&got);
         assert_eq!(r.buffered(), 0);
     }
 

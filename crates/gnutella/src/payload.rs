@@ -104,8 +104,8 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn utf8(b: &[u8]) -> Result<String, PayloadError> {
-    String::from_utf8(b.to_vec()).map_err(|_| PayloadError::BadUtf8)
+fn utf8(b: &[u8]) -> Result<&str, PayloadError> {
+    std::str::from_utf8(b).map_err(|_| PayloadError::BadUtf8)
 }
 
 // ---------------------------------------------------------------------------
@@ -253,25 +253,47 @@ impl Query {
     }
 
     pub fn parse(data: &[u8]) -> Result<Self, PayloadError> {
-        let mut r = Reader::new(data);
-        let min_speed = r.u16_le()?;
-        let text = utf8(r.cstr()?)?;
-        let ext_area = r.rest();
-        let (urns, ggep) = parse_gem_extensions(ext_area)?;
+        let mut urns = Vec::new();
+        let mut ggep = Vec::new();
+        let (min_speed, text) = Self::walk(data, |urn| urns.push(urn.to_string()), &mut ggep)?;
         Ok(Query {
             min_speed,
-            text,
+            text: text.to_string(),
             urns,
             ggep,
         })
     }
+
+    /// The search text of a QUERY payload, borrowed. Accepts and rejects
+    /// exactly what [`Query::parse`] does — routing needs nothing else of a
+    /// query — and allocates only for a GGEP block in the extension area.
+    pub fn parse_text(data: &[u8]) -> Result<&str, PayloadError> {
+        Self::walk(data, |_| {}, &mut Vec::new()).map(|(_, text)| text)
+    }
+
+    /// The one decoder behind `parse` and `parse_text`: every check, no
+    /// copy. Returns `(min_speed, text)`.
+    fn walk<'a>(
+        data: &'a [u8],
+        urn: impl FnMut(&'a str),
+        ggep: &mut Vec<Extension>,
+    ) -> Result<(u16, &'a str), PayloadError> {
+        let mut r = Reader::new(data);
+        let min_speed = r.u16_le()?;
+        let text = utf8(r.cstr()?)?;
+        walk_gem_extensions(r.rest(), urn, ggep)?;
+        Ok((min_speed, text))
+    }
 }
 
-/// Splits a GEM extension area (0x1C-separated HUGE strings and GGEP
-/// blocks) into urn strings and GGEP extensions.
-fn parse_gem_extensions(area: &[u8]) -> Result<(Vec<String>, Vec<Extension>), PayloadError> {
-    let mut urns = Vec::new();
-    let mut exts = Vec::new();
+/// Walks a GEM extension area (0x1C-separated HUGE strings and GGEP
+/// blocks): each non-empty HUGE string goes to `urn`, GGEP extensions are
+/// appended to `exts`.
+fn walk_gem_extensions<'a>(
+    area: &'a [u8],
+    mut urn: impl FnMut(&'a str),
+    exts: &mut Vec<Extension>,
+) -> Result<(), PayloadError> {
     let mut pos = 0;
     while pos < area.len() {
         if area[pos] == GEM_SEP {
@@ -293,11 +315,11 @@ fn parse_gem_extensions(area: &[u8]) -> Result<(Vec<String>, Vec<Extension>), Pa
             .unwrap_or(area.len());
         let s = utf8(&area[pos..end])?;
         if !s.is_empty() {
-            urns.push(s);
+            urn(s);
         }
         pos = end;
     }
-    Ok((urns, exts))
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -328,7 +350,10 @@ impl HitResult {
         out.push(0);
     }
 
-    fn parse(r: &mut Reader<'_>) -> Result<Self, PayloadError> {
+    /// Decodes one result record into its fields, the name still borrowed.
+    fn parse<'a>(
+        r: &mut Reader<'a>,
+    ) -> Result<(u32, u32, &'a str, Option<Sha1Digest>), PayloadError> {
         let index = r.u32_le()?;
         let size = r.u32_le()?;
         let name = utf8(r.cstr()?)?;
@@ -349,12 +374,7 @@ impl HitResult {
                 sha1 = Some(Sha1Digest(d));
             }
         }
-        Ok(HitResult {
-            index,
-            size,
-            name,
-            sha1,
-        })
+        Ok((index, size, name, sha1))
     }
 }
 
@@ -448,6 +468,21 @@ impl QueryHit {
     }
 
     pub fn parse(data: &[u8]) -> Result<Self, PayloadError> {
+        Self::decode(data, true)
+    }
+
+    /// Checks a QUERYHIT payload without keeping any of it: accepts and
+    /// rejects exactly what [`QueryHit::parse`] does and returns the
+    /// responding servent's GUID, which is all that routing a hit along
+    /// someone else's query needs. Allocates only for `urn:sha1` and GGEP
+    /// extensions.
+    pub fn validate(data: &[u8]) -> Result<crate::guid::Guid, PayloadError> {
+        Self::decode(data, false).map(|hit| hit.servent_guid)
+    }
+
+    /// The one decoder behind `parse` and `validate`: every check either
+    /// way; the result records are only built up when `keep_results`.
+    fn decode(data: &[u8], keep_results: bool) -> Result<Self, PayloadError> {
         if data.len() < 16 {
             return Err(PayloadError::Truncated);
         }
@@ -459,9 +494,17 @@ impl QueryHit {
         let port = r.u16_le()?;
         let ip = r.ipv4()?;
         let speed = r.u32_le()?;
-        let mut results = Vec::with_capacity(count as usize);
+        let mut results = Vec::with_capacity(if keep_results { count as usize } else { 0 });
         for _ in 0..count {
-            results.push(HitResult::parse(&mut r)?);
+            let (index, size, name, sha1) = HitResult::parse(&mut r)?;
+            if keep_results {
+                results.push(HitResult {
+                    index,
+                    size,
+                    name: name.to_string(),
+                    sha1,
+                });
+            }
         }
         // QHD (required by 2006 servents).
         let vendor_slice = r.take(4)?;
@@ -564,7 +607,7 @@ impl Bye {
     pub fn parse(data: &[u8]) -> Result<Self, PayloadError> {
         let mut r = Reader::new(data);
         let code = r.u16_le()?;
-        let reason = utf8(r.cstr()?)?;
+        let reason = utf8(r.cstr()?)?.to_string();
         Ok(Bye { code, reason })
     }
 }
@@ -759,8 +802,9 @@ mod tests {
         }]));
         area.push(GEM_SEP);
         area.extend_from_slice(b"urn:sha1:");
-        let (urns, exts) = parse_gem_extensions(&area).unwrap();
-        assert_eq!(urns, vec!["urn:sha1:".to_string()]);
+        let (mut urns, mut exts) = (Vec::new(), Vec::new());
+        walk_gem_extensions(&area, |urn| urns.push(urn), &mut exts).unwrap();
+        assert_eq!(urns, vec!["urn:sha1:"]);
         assert_eq!(exts.len(), 1);
     }
 }

@@ -247,7 +247,15 @@ pub struct ServentStats {
     pub downloads_ok: u64,
     pub downloads_failed: u64,
     pub qrp_last_hop_suppressed: u64,
+    /// Messages that failed to decode. A duplicate QUERY is dropped on its
+    /// header before its payload is looked at, so a malformed *duplicate*
+    /// is not counted here (it is in `queries_duplicate`).
     pub bad_messages: u64,
+    /// QUERYs dropped because their GUID had been seen already.
+    pub queries_duplicate: u64,
+    /// Overlay messages that had to be reassembled in the reader's buffer
+    /// because they did not arrive whole in one chunk.
+    pub frames_reassembled: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -333,6 +341,9 @@ pub struct Servent {
     events: VecDeque<ServentEvent>,
     stats: ServentStats,
     started: bool,
+    /// Our QRP table as encoded RESET/PATCH payloads, built by the first
+    /// `send_qrp` (the library never changes after construction).
+    qrp_payloads: Vec<Vec<u8>>,
 }
 
 impl Servent {
@@ -356,6 +367,7 @@ impl Servent {
             events: VecDeque::new(),
             stats: ServentStats::default(),
             started: false,
+            qrp_payloads: Vec::new(),
         }
     }
 
@@ -417,6 +429,12 @@ impl Servent {
         b += self.direct_requests.heap_bytes();
         b += self.active_downloads.heap_bytes();
         b += (self.events.capacity() * size_of::<ServentEvent>()) as u64;
+        b += (self.qrp_payloads.capacity() * size_of::<Vec<u8>>()) as u64;
+        b += self
+            .qrp_payloads
+            .iter()
+            .map(|p| p.capacity() as u64)
+            .sum::<u64>();
         b += self.library.heap_bytes();
         b
     }
@@ -596,20 +614,27 @@ impl Servent {
     /// Sends our QRP table on a fresh leaf->ultrapeer connection. Echo-worm
     /// hosts saturate the table so every query reaches them.
     fn send_qrp(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
-        let table = if self.library.has_echo() {
-            // Worm behaviour: claim to match everything.
-            saturated_table()
-        } else {
-            let mut t = QrpTable::default_table();
-            for f in self.library.files() {
-                t.insert_name(&f.name);
-            }
-            t
-        };
-        for msg in table.to_messages(2048, true) {
+        if self.qrp_payloads.is_empty() {
+            let table = if self.library.has_echo() {
+                // Worm behaviour: claim to match everything.
+                saturated_table()
+            } else {
+                let mut t = QrpTable::default_table();
+                for f in self.library.files() {
+                    t.insert_name(&f.name);
+                }
+                t
+            };
+            // Deflating the table is the expensive part and a leaf sends
+            // the same one to every ultrapeer it ever attaches to.
+            let messages = table.to_messages(2048, true);
+            self.qrp_payloads = messages.iter().map(RouteMsg::encode).collect();
+        }
+        let mut wire = Vec::new();
+        for payload in &self.qrp_payloads {
             let guid = Guid::random(ctx.rng());
-            let mut wire = Vec::new();
-            encode_message(guid, MsgType::Route, 1, 0, &msg.encode(), &mut wire);
+            wire.clear();
+            encode_message(guid, MsgType::Route, 1, 0, payload, &mut wire);
             ctx.send(conn, &wire);
         }
     }
@@ -636,12 +661,11 @@ impl Servent {
         inbound: bool,
         leftover: Vec<u8>,
     ) {
-        let mut pc = PeerConn {
+        let pc = PeerConn {
             reader: MessageReader::new(),
             ultrapeer: peer_ultrapeer,
             qrp: QrpReceiver::new(),
         };
-        pc.reader.push(&leftover);
         self.conns.insert(conn, ConnKind::Peer(pc));
         self.emit(ServentEvent::PeerUp {
             conn,
@@ -654,27 +678,41 @@ impl Servent {
         }
         self.send_ping(ctx, conn);
         // Process any messages that arrived glued to the handshake.
-        self.pump_peer(ctx, conn);
+        self.pump_peer(ctx, conn, &leftover);
     }
 
-    /// Decodes and handles buffered messages on a peer connection.
-    fn pump_peer(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
-        loop {
-            let msg = {
-                let Some(ConnKind::Peer(pc)) = self.conns.get_mut(&conn) else {
-                    return;
-                };
-                match pc.reader.next_message() {
-                    Ok(Some(m)) => m,
-                    Ok(None) => return,
-                    Err(_) => {
-                        self.stats.bad_messages += 1;
-                        self.drop_conn(ctx, conn);
-                        return;
+    /// Decodes and handles the messages `data` completes on a peer
+    /// connection. The reader leaves the connection table for the pass, so
+    /// handlers get `self` and payloads borrowed from `data` at once; it
+    /// goes back unless a handler (or a framing error) ended the session.
+    fn pump_peer(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, data: &[u8]) {
+        let Some(ConnKind::Peer(pc)) = self.conns.get_mut(&conn) else {
+            return;
+        };
+        let mut reader = std::mem::take(&mut pc.reader);
+        let mut frames = reader.frames(data);
+        let still_peer = loop {
+            match frames.next_frame() {
+                Ok(Some((header, payload))) => {
+                    self.handle_message(ctx, conn, header, payload);
+                    if !matches!(self.conns.get(&conn), Some(ConnKind::Peer(_))) {
+                        break false;
                     }
                 }
-            };
-            self.handle_message(ctx, conn, msg.0, &msg.1);
+                Ok(None) => break true,
+                Err(_) => {
+                    self.stats.bad_messages += 1;
+                    self.drop_conn(ctx, conn);
+                    break false;
+                }
+            }
+        };
+        self.stats.frames_reassembled += frames.reassembled();
+        drop(frames);
+        if still_peer {
+            if let Some(ConnKind::Peer(pc)) = self.conns.get_mut(&conn) {
+                pc.reader = reader;
+            }
         }
     }
 
@@ -740,22 +778,29 @@ impl Servent {
     }
 
     fn handle_query(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, header: Header, payload: &[u8]) {
-        let Ok(query) = Query::parse(payload) else {
+        // Most queries a flooded overlay delivers are duplicates via
+        // another path: those go on their header alone, as in LimeWire's
+        // router, before any payload work.
+        if self.seen.contains(&header.guid) {
+            self.stats.queries_duplicate += 1;
+            return;
+        }
+        let Ok(text) = Query::parse_text(payload) else {
             self.stats.bad_messages += 1;
             return;
         };
-        if !self.remember_seen(header.guid) {
-            return; // duplicate via another path
-        }
+        self.remember_seen(header.guid);
         self.stats.queries_routed += 1;
-        let at = ctx.now();
-        let text = query.text.clone();
-        self.emit(ServentEvent::QuerySeen { at, text });
+        if self.config.collect_events {
+            let at = ctx.now();
+            let text = text.to_string();
+            self.emit(ServentEvent::QuerySeen { at, text });
+        }
         self.route_query_back(header.guid, Some(conn));
 
         // One compile per hop (usually a cache hit from the origination),
         // shared by the library answer and the QRP last-hop filter below.
-        let compiled = self.world.compile_query(&query.text);
+        let compiled = self.world.compile_query(text);
 
         // Answer from our own library.
         self.answer_query(ctx, header, &compiled);
@@ -952,15 +997,26 @@ impl Servent {
         header: Header,
         payload: &[u8],
     ) {
-        let Ok(hit) = QueryHit::parse(payload) else {
+        let route = self.query_routes.get(&header.guid).copied();
+        let own = route == Some(None);
+        // A hit has one reader: the owner of the servent whose query it
+        // answers, through its events. Every other hit — one passing
+        // through, or one answering the ambient query of a servent nobody
+        // listens to — is checked just as strictly, but nothing of it is
+        // kept beyond the push route to its servent.
+        let decoded = if own && self.config.collect_events {
+            QueryHit::parse(payload).map(|hit| (hit.servent_guid, Some(hit)))
+        } else {
+            QueryHit::validate(payload).map(|guid| (guid, None))
+        };
+        let Ok((servent_guid, hit)) = decoded else {
             self.stats.bad_messages += 1;
             return;
         };
-        self.remember_push_route(hit.servent_guid, conn);
-        match self.query_routes.get(&header.guid) {
-            Some(None) => {
-                // Answers our own query.
-                self.stats.hits_received += 1;
+        self.remember_push_route(servent_guid, conn);
+        if own {
+            self.stats.hits_received += 1;
+            if let Some(hit) = hit {
                 let at = ctx.now();
                 self.emit(ServentEvent::QueryHit {
                     at,
@@ -968,24 +1024,22 @@ impl Servent {
                     hit,
                 });
             }
-            Some(Some(back)) => {
-                self.stats.hits_routed += 1;
-                let back = *back;
-                if let Some(fwd) = header.hop() {
-                    let mut wire = Vec::new();
-                    encode_message(
-                        fwd.guid,
-                        MsgType::QueryHit,
-                        fwd.ttl,
-                        fwd.hops,
-                        payload,
-                        &mut wire,
-                    );
-                    ctx.send(back, &wire);
-                }
+        } else if let Some(Some(back)) = route {
+            self.stats.hits_routed += 1;
+            if let Some(fwd) = header.hop() {
+                let mut wire = Vec::new();
+                encode_message(
+                    fwd.guid,
+                    MsgType::QueryHit,
+                    fwd.ttl,
+                    fwd.hops,
+                    payload,
+                    &mut wire,
+                );
+                ctx.send(back, &wire);
             }
-            None => { /* route expired: drop silently, like real servents */ }
         }
+        // Otherwise the route expired: drop silently, like real servents.
     }
 
     fn handle_push(&mut self, ctx: &mut Ctx<'_>, _conn: ConnId, header: Header, payload: &[u8]) {
@@ -1057,9 +1111,11 @@ impl Servent {
             Some((_name, r)) => {
                 self.stats.uploads_served += 1;
                 let body = self.world.payload_of(r);
-                let mut wire = encode_response_ok(&self.config.user_agent, body.len());
+                let head = encode_response_ok(&self.config.user_agent, body.len());
+                let mut wire = Vec::with_capacity(head.len() + body.len());
+                wire.extend_from_slice(&head);
                 wire.extend_from_slice(&body);
-                ctx.send(conn, &wire);
+                ctx.send_owned(conn, wire);
             }
             None => {
                 ctx.send(
@@ -1393,12 +1449,7 @@ impl App for Servent {
                     .entry_or_insert_with(conn, || ConnKind::HsIn(resp));
             }
             Route::Sniff => self.sniff(ctx, conn, data),
-            Route::Peer => {
-                if let Some(ConnKind::Peer(pc)) = self.conns.get_mut(&conn) {
-                    pc.reader.push(data);
-                }
-                self.pump_peer(ctx, conn);
-            }
+            Route::Peer => self.pump_peer(ctx, conn, data),
             Route::Download => self.pump_download(ctx, conn, data),
             Route::Upload => {
                 if let Some(ConnKind::Upload(reader)) = self.conns.get_mut(&conn) {

@@ -34,8 +34,17 @@ struct TestNet {
 }
 
 fn build_net(seed: u64, ups: usize, leaf_libs: Vec<(HostLibrary, bool)>) -> TestNet {
+    build_net_on(SimConfig::default(), seed, ups, leaf_libs)
+}
+
+fn build_net_on(
+    config: SimConfig,
+    seed: u64,
+    ups: usize,
+    leaf_libs: Vec<(HostLibrary, bool)>,
+) -> TestNet {
     let world = world(seed);
-    let mut sim = Simulator::new(SimConfig::default(), seed);
+    let mut sim = Simulator::new(config, seed);
     let mut up_ids = Vec::new();
     let mut up_addrs = Vec::new();
     for _ in 0..ups {
@@ -394,4 +403,162 @@ fn leaf_slot_rejection_redirects_to_other_ultrapeers() {
         peers >= 1,
         "leaf found the open ultrapeer via X-Try-Ultrapeers"
     );
+}
+
+/// Floods a few queries through a three-ultrapeer mesh and sums the
+/// traffic counters the one-touch data path rests on over every servent.
+fn flood_traffic(mss: Option<usize>) -> ServentStats {
+    let w = world(6);
+    let mut lib = HostLibrary::new();
+    lib.add_benign(w.catalog.item(0), 0);
+    let query = w.catalog.item(0).keywords.join(" ");
+    let config = SimConfig {
+        mss,
+        ..SimConfig::default()
+    };
+    let mut net = build_net_on(config, 6, 3, vec![(lib, false)]);
+    let crawler = {
+        let cfg = ServentConfig {
+            collect_events: true,
+            ..ServentConfig::leaf().with_bootstrap(vec![net.sim.node_addr(net.ups[0])])
+        };
+        let servent = Servent::new(cfg, net.world.clone(), HostLibrary::new());
+        net.sim
+            .spawn(NodeSpec::public().listen(6346), Box::new(servent))
+    };
+    net.sim.run_until(SimTime::from_secs(120));
+    for _ in 0..5 {
+        with_servent(&mut net.sim, crawler, |s, ctx| s.search(ctx, &query));
+    }
+    net.sim.run_until(SimTime::from_secs(240));
+    let hits = with_servent(&mut net.sim, crawler, |s, _| s.stats().hits_received);
+    assert!(hits >= 5, "every query answered, whatever the chunking");
+    let mut total = ServentStats::default();
+    for node in net.ups.iter().chain(&net.leaves).chain([&crawler]) {
+        let stats = with_servent(&mut net.sim, *node, |s, _| s.stats());
+        total.queries_routed += stats.queries_routed;
+        total.queries_duplicate += stats.queries_duplicate;
+        total.frames_reassembled += stats.frames_reassembled;
+        total.bad_messages += stats.bad_messages;
+    }
+    total
+}
+
+/// The traffic the fast path assumes, measured: a meshed flood delivers
+/// duplicates, and with whole-send delivery no overlay message ever has to
+/// be reassembled — only a small MSS sends them through the buffer.
+#[test]
+fn flood_counts_duplicates_and_reassembly() {
+    let whole = flood_traffic(None);
+    assert!(whole.queries_duplicate > 0, "a mesh floods duplicates");
+    assert_eq!(
+        whole.frames_reassembled, 0,
+        "one send, one chunk, one frame"
+    );
+    assert_eq!(whole.bad_messages, 0);
+    let split = flood_traffic(Some(16));
+    assert!(
+        split.frames_reassembled > 0,
+        "16-byte chunks split every header"
+    );
+    assert_eq!(split.bad_messages, 0);
+    // Chunking changes when bytes arrive, not what the overlay routes.
+    assert_eq!(split.queries_routed, whole.queries_routed);
+}
+
+/// A routed QUERYHIT is only validated, never parsed — but what the parser
+/// would reject must still be rejected: not forwarded, no push route
+/// learned from it, and counted.
+#[test]
+fn malformed_routed_hit_is_rejected_without_a_parse() {
+    let mut sim = Simulator::new(SimConfig::default(), 7);
+    let servent = Servent::new(ServentConfig::ultrapeer(), world(7), HostLibrary::new());
+    let node = sim.spawn(NodeSpec::public().listen(6346), Box::new(servent));
+    sim.run_until(SimTime::from_secs(1));
+    with_servent(&mut sim, node, |s, ctx| {
+        let query = Guid([7; 16]);
+        let (good, bad) = (Guid([1; 16]), Guid([2; 16]));
+        s.route_query_back(query, Some(ConnId(99)));
+        let hit = |servent_guid| QueryHit {
+            port: 6346,
+            ip: std::net::Ipv4Addr::new(10, 0, 0, 9),
+            speed: 350,
+            results: vec![HitResult {
+                index: 1,
+                size: 10,
+                name: "a.mp3".into(),
+                sha1: None,
+            }],
+            vendor: *b"LIME",
+            flags: QhdFlags::new(),
+            ggep: Vec::new(),
+            servent_guid,
+        };
+        let mut deliver = |s: &mut Servent, query: Guid, payload: &[u8]| {
+            let header = Header {
+                guid: query,
+                msg_type: MsgType::QueryHit,
+                ttl: 3,
+                hops: 1,
+                payload_len: payload.len() as u32,
+            };
+            s.handle_query_hit(ctx, ConnId(5), header, payload);
+        };
+        deliver(s, query, &hit(good).encode());
+        assert_eq!((s.stats.hits_routed, s.stats.bad_messages), (1, 0));
+        assert_eq!(s.push_routes.get(&good), Some(&ConnId(5)));
+
+        let mut payload = hit(bad).encode();
+        payload[0] = 2; // claims two results, carries one
+        assert!(QueryHit::parse(&payload).is_err());
+        deliver(s, query, &payload);
+        assert_eq!((s.stats.hits_routed, s.stats.bad_messages), (1, 1));
+        assert_eq!(s.push_routes.get(&bad), None);
+
+        // Same for a hit answering our own query when nobody drains our
+        // events: counted when sound, rejected when not, never parsed.
+        let own = Guid([8; 16]);
+        s.route_query_back(own, None);
+        deliver(s, own, &payload);
+        assert_eq!((s.stats.hits_received, s.stats.bad_messages), (0, 2));
+        assert_eq!(s.push_routes.get(&bad), None);
+        deliver(s, own, &hit(bad).encode());
+        assert_eq!((s.stats.hits_received, s.stats.bad_messages), (1, 2));
+        assert_eq!(s.push_routes.get(&bad), Some(&ConnId(5)));
+        assert!(s.drain_events().is_empty());
+    });
+}
+
+/// A duplicate QUERY goes on its header: counted, not re-routed, and its
+/// payload (here: garbage) is never looked at.
+#[test]
+fn duplicate_query_is_dropped_on_its_header() {
+    let mut sim = Simulator::new(SimConfig::default(), 8);
+    let servent = Servent::new(ServentConfig::ultrapeer(), world(8), HostLibrary::new());
+    let node = sim.spawn(NodeSpec::public().listen(6346), Box::new(servent));
+    sim.run_until(SimTime::from_secs(1));
+    with_servent(&mut sim, node, |s, ctx| {
+        let payload = Query::keyword("crimson horizon").encode();
+        let header = Header {
+            guid: Guid([9; 16]),
+            msg_type: MsgType::Query,
+            ttl: 3,
+            hops: 0,
+            payload_len: payload.len() as u32,
+        };
+        // Malformed and fresh: counted as bad, and not remembered.
+        s.handle_query(ctx, ConnId(5), header, &[0xFF]);
+        assert_eq!((s.stats.bad_messages, s.seen.len()), (1, 0));
+        s.handle_query(ctx, ConnId(5), header, &payload);
+        s.handle_query(ctx, ConnId(6), header, &payload);
+        s.handle_query(ctx, ConnId(6), header, &[0xFF]);
+        let stats = s.stats;
+        assert_eq!(stats.queries_routed, 1);
+        assert_eq!(stats.queries_duplicate, 2);
+        assert_eq!(
+            stats.bad_messages, 1,
+            "a malformed duplicate is a duplicate"
+        );
+        assert_eq!(s.query_routes.get(&header.guid), Some(&Some(ConnId(5))));
+    });
 }

@@ -24,8 +24,97 @@ fn arb_name() -> impl Strategy<Value = String> {
     "[ -~&&[^\\x00]]{0,60}"
 }
 
+/// The routing fast path (`Query::parse_text`, `QueryHit::validate`) must
+/// accept and reject exactly what the full decoders do, with the same
+/// error, and extract the same text / servent GUID.
+fn assert_fast_decoders_agree(data: &[u8]) {
+    let text = Query::parse(data).map(|q| q.text);
+    assert_eq!(Query::parse_text(data).map(str::to_string), text);
+    let guid = QueryHit::parse(data).map(|h| h.servent_guid);
+    assert_eq!(QueryHit::validate(data), guid);
+}
+
+/// `data` with one bit flipped, and `data` cut short.
+fn damaged(data: &[u8], bit: usize, cut: usize) -> [Vec<u8>; 2] {
+    let mut flipped = data.to_vec();
+    if !flipped.is_empty() {
+        let bit = bit % (flipped.len() * 8);
+        flipped[bit / 8] ^= 1 << (bit % 8);
+    }
+    [flipped, data[..cut % (data.len() + 1)].to_vec()]
+}
+
+fn arb_ggep() -> impl Strategy<Value = Vec<Extension>> {
+    proptest::collection::vec(
+        ("[A-Z]{1,4}", proptest::collection::vec(any::<u8>(), 0..12)),
+        0..3,
+    )
+    .prop_map(|exts| {
+        exts.into_iter()
+            .map(|(id, data)| Extension { id, data })
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn fast_decoders_agree_on_arbitrary_bytes(data in proptest::collection::vec(any::<u8>(), 0..256)) {
+        assert_fast_decoders_agree(&data);
+    }
+
+    #[test]
+    fn fast_query_decoder_agrees_on_damaged_queries(
+        speed in any::<u16>(),
+        text in "[ -~&&[^\\x00\\x1c]]{0,40}",
+        urns in proptest::collection::vec("urn:sha1:[A-Z2-7]{0,32}", 0..3),
+        ggep in arb_ggep(),
+        bit in any::<usize>(),
+        cut in any::<usize>(),
+    ) {
+        let wire = Query { min_speed: speed, text, urns, ggep }.encode();
+        assert_fast_decoders_agree(&wire);
+        for bad in damaged(&wire, bit, cut) {
+            assert_fast_decoders_agree(&bad);
+        }
+    }
+
+    #[test]
+    fn fast_queryhit_decoder_agrees_on_damaged_hits(
+        guid in arb_guid(),
+        results in proptest::collection::vec(
+            (any::<u32>(), arb_name(), any::<bool>(), any::<[u8; 20]>()),
+            0..6
+        ),
+        ggep in arb_ggep(),
+        bit in any::<usize>(),
+        cut in any::<usize>(),
+    ) {
+        let hit = QueryHit {
+            port: 6346,
+            ip: Ipv4Addr::new(10, 0, 0, 7),
+            speed: 350,
+            results: results
+                .into_iter()
+                .map(|(index, name, urn, digest)| HitResult {
+                    index,
+                    size: index ^ 0x5555,
+                    name,
+                    sha1: urn.then_some(p2pmal_hashes::Sha1Digest(digest)),
+                })
+                .collect(),
+            vendor: *b"LIME",
+            flags: QhdFlags::new(),
+            ggep,
+            servent_guid: guid,
+        };
+        let wire = hit.encode();
+        prop_assert_eq!(QueryHit::validate(&wire), Ok(guid));
+        for bad in damaged(&wire, bit, cut) {
+            assert_fast_decoders_agree(&bad);
+        }
+    }
 
     #[test]
     fn message_reader_never_panics(data in proptest::collection::vec(any::<u8>(), 0..512)) {

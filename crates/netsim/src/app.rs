@@ -117,6 +117,14 @@ impl<'a> Ctx<'a> {
         self.actions.push(Action::Send { conn, data: buf });
     }
 
+    /// [`Ctx::send`] for a buffer the caller built for this one send (an
+    /// upload's head + body): the `Vec` itself travels in the event, so
+    /// the bytes are not copied into a pooled buffer first. Same delivery
+    /// in every other respect.
+    pub fn send_owned(&mut self, conn: ConnId, data: Vec<u8>) {
+        self.actions.push(Action::Send { conn, data });
+    }
+
     /// Closes a connection; the peer receives `on_closed` after any
     /// in-flight data.
     pub fn close(&mut self, conn: ConnId) {

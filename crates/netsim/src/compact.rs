@@ -153,6 +153,10 @@ impl<K: Ord + Copy, V> VecMap<K, V> {
         self.entries.iter().map(|(k, v)| (k, v))
     }
 
+    pub fn keys(&self) -> impl Iterator<Item = &K> {
+        self.entries.iter().map(|(k, _)| k)
+    }
+
     pub fn values(&self) -> impl Iterator<Item = &V> {
         self.entries.iter().map(|(_, v)| v)
     }

@@ -51,6 +51,7 @@
 
 use crate::addr::HostAddr;
 use crate::app::{Action, App, ConnId, Ctx, Direction, NodeId};
+use crate::compact::VecMap;
 use crate::faults::ChunkFate;
 use crate::metrics::SimMetrics;
 use crate::pool::{BufferPool, Payload};
@@ -63,7 +64,7 @@ use crate::telemetry::{
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
@@ -199,9 +200,11 @@ pub(crate) struct NodeState {
     next_conn: u64,
     /// Event tie-break counter; see [`pack`].
     next_seq: u32,
-    views: HashMap<u64, View>,
+    /// Open connections, by `ConnId`. Degree-bounded, and probed on every
+    /// delivery and send: a sorted vector beats hashing the id.
+    views: VecMap<u64, View>,
     /// Outbound dials awaiting `Established`/`Refused`.
-    pending: HashSet<u64>,
+    pending: VecMap<u64, ()>,
 }
 
 impl NodeState {
@@ -229,8 +232,8 @@ impl NodeState {
             )),
             next_conn: (id.0 as u64) << 32,
             next_seq: 0,
-            views: HashMap::new(),
-            pending: HashSet::new(),
+            views: VecMap::new(),
+            pending: VecMap::new(),
         }
     }
 }
@@ -347,6 +350,9 @@ pub(crate) struct Lane<'a> {
     world: &'a World,
     now: SimTime,
     outbox: Vec<Vec<Msg>>,
+    /// The command buffer every callback fills and `apply` drains; one
+    /// allocation for the lane's lifetime instead of one per callback.
+    actions: Vec<Action>,
 }
 
 fn emit_fault(tel: &mut Telemetry, now: SimTime, kind: FaultKind) {
@@ -379,6 +385,7 @@ impl<'a> Lane<'a> {
             world,
             now,
             outbox: Vec::new(),
+            actions: Vec::new(),
         }
     }
 
@@ -513,7 +520,7 @@ impl<'a> Lane<'a> {
             } => {
                 let slot = self.slot(to);
                 let st = &mut self.shard.nodes[slot];
-                if st.alive && st.pending.remove(&conn.0) {
+                if st.alive && st.pending.remove(&conn.0).is_some() {
                     let bw = st.upload_bps.min(down_bps).max(1);
                     st.views.insert(
                         conn.0,
@@ -537,7 +544,7 @@ impl<'a> Lane<'a> {
                 let slot = self.slot(to);
                 let shard = &mut *self.shard;
                 let st = &mut shard.nodes[slot];
-                if st.pending.remove(&conn.0) {
+                if st.pending.remove(&conn.0).is_some() {
                     shard.metrics.conns_failed += 1;
                     if st.alive {
                         self.with_app(to, |app, ctx| app.on_connect_failed(ctx, conn));
@@ -585,19 +592,19 @@ impl<'a> Lane<'a> {
         self.shard.nodes[self.slot(node)].alive
     }
 
-    /// Runs `f` against `node`'s app with a fresh command buffer. Returns
-    /// `f`'s result, the actions the app buffered and the instant the
-    /// callback returned; `None` on a re-entrant dispatch.
+    /// Runs `f` against `node`'s app, which appends its commands to
+    /// `self.actions` for the caller to apply or discard. Returns `f`'s
+    /// result and the instant the callback returned; `None` on a
+    /// re-entrant dispatch.
     fn call_app<R>(
         &mut self,
         node: NodeId,
         f: impl FnOnce(&mut dyn App, &mut Ctx<'_>) -> R,
-    ) -> Option<(R, Vec<Action>, Instant)> {
+    ) -> Option<(R, Instant)> {
         let slot = self.slot(node);
         let shard = &mut *self.shard;
         let st = &mut shard.nodes[slot];
         let mut app = st.app.take()?;
-        let mut actions = Vec::new();
         let start = Instant::now();
         let r = f(
             app.as_mut(),
@@ -607,7 +614,7 @@ impl<'a> Lane<'a> {
                 local_addr: st.local_addr,
                 external_addr: st.external_addr,
                 rng: &mut st.rng,
-                actions: &mut actions,
+                actions: &mut self.actions,
                 next_conn: &mut st.next_conn,
                 pool: &mut shard.pool,
                 profile: &mut shard.metrics.timing,
@@ -621,7 +628,7 @@ impl<'a> Lane<'a> {
             .timing
             .record(Subsystem::App, (end - start).as_nanos() as u64);
         st.app = Some(app);
-        Some((r, actions, end))
+        Some((r, end))
     }
 
     /// Runs `f` against `node`'s app, then applies the actions it buffered.
@@ -631,17 +638,24 @@ impl<'a> Lane<'a> {
         node: NodeId,
         f: impl FnOnce(&mut dyn App, &mut Ctx<'_>) -> R,
     ) -> Option<R> {
-        let (r, actions, mid) = self.call_app(node, f)?;
-        self.apply(node, actions);
-        self.shard
-            .metrics
-            .timing
-            .record(Subsystem::TcpPump, mid.elapsed().as_nanos() as u64);
+        let (r, mid) = self.call_app(node, f)?;
+        // Most callbacks queue nothing (a dropped duplicate, a routed
+        // message with no taker): those count as a pump call of no length
+        // rather than costing a third clock read.
+        let pump = if self.actions.is_empty() {
+            0
+        } else {
+            self.apply(node);
+            mid.elapsed().as_nanos() as u64
+        };
+        self.shard.metrics.timing.record(Subsystem::TcpPump, pump);
         Some(r)
     }
 
-    fn apply(&mut self, node: NodeId, actions: Vec<Action>) {
-        for act in actions {
+    /// Applies, in order, the commands the last callback buffered.
+    fn apply(&mut self, node: NodeId) {
+        let mut actions = std::mem::take(&mut self.actions);
+        for act in actions.drain(..) {
             match act {
                 Action::Connect { conn, target } => self.start_dial(node, conn, target),
                 Action::Send { conn, data } => self.send_bytes(node, conn, data),
@@ -653,6 +667,7 @@ impl<'a> Lane<'a> {
                 Action::Shutdown => self.shutdown_node(node),
             }
         }
+        self.actions = actions;
     }
 
     fn start_dial(&mut self, node: NodeId, conn: ConnId, target: HostAddr) {
@@ -670,7 +685,7 @@ impl<'a> Lane<'a> {
         // The latency floor: one full window on top of the configured draw
         // keeps cross-shard deliveries safely past the current lookahead.
         let latency = self.world.window + SimDuration::from_micros(raw);
-        st.pending.insert(conn.0);
+        st.pending.insert(conn.0, ());
         let my_addr = st.external_addr;
         let down_bps = st.download_bps;
         let when = self.now + latency;
@@ -846,16 +861,14 @@ impl<'a> Lane<'a> {
         }
     }
 
-    /// Takes `node` offline: FINs go out on its open connections (sorted,
-    /// so they key reproducibly) and its pending dials count as failed.
+    /// Takes `node` offline: FINs go out on its open connections (in id
+    /// order, so they key reproducibly) and its pending dials count as failed.
     /// Returns the ids of both, for callers that notify the dying app.
     fn take_down(&mut self, node: NodeId) -> (Vec<u64>, Vec<u64>) {
         let slot = self.slot(node);
         let st = &mut self.shard.nodes[slot];
-        let mut open: Vec<u64> = st.views.keys().copied().collect();
-        open.sort_unstable();
-        let mut pending: Vec<u64> = st.pending.drain().collect();
-        pending.sort_unstable();
+        let open: Vec<u64> = st.views.keys().copied().collect();
+        let pending: Vec<u64> = std::mem::take(&mut st.pending).keys().copied().collect();
         for &c in &open {
             self.close_conn(node, ConnId(c));
         }
@@ -900,6 +913,7 @@ impl<'a> Lane<'a> {
         for c in pending {
             self.call_app(node, |app, ctx| app.on_connect_failed(ctx, ConnId(c)));
         }
+        self.actions.clear();
         let churn = self.world.config.faults.churn;
         let churn = churn.expect("churn event implies plan");
         let slot = self.slot(node);

@@ -668,6 +668,65 @@ mod tests {
         });
     }
 
+    /// `send_owned` is `send` minus the pool copy: same bytes, same chunks,
+    /// same sim-times, whole or fragmented.
+    #[test]
+    fn send_owned_delivers_what_send_delivers() {
+        struct Sender {
+            server: HostAddr,
+            owned: bool,
+        }
+        impl App for Sender {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.connect(self.server);
+            }
+            fn on_connected(&mut self, ctx: &mut Ctx<'_>, c: ConnId, _d: Direction, _p: HostAddr) {
+                // Small, larger than the pool retains, small again.
+                for len in [10usize, 300_000, 1_000] {
+                    let data: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+                    if self.owned {
+                        ctx.send_owned(c, data);
+                    } else {
+                        ctx.send(c, &data);
+                    }
+                }
+            }
+        }
+        type Deliveries = Arc<Mutex<Vec<(SimTime, Vec<u8>)>>>;
+        struct Collect {
+            got: Deliveries,
+        }
+        impl App for Collect {
+            fn on_data(&mut self, ctx: &mut Ctx<'_>, _c: ConnId, data: &[u8]) {
+                self.got.lock().unwrap().push((ctx.now(), data.to_vec()));
+            }
+        }
+        for (mss, shards) in [(None, 1), (None, 2), (Some(1_000), 1), (Some(1_000), 2)] {
+            let deliveries = |owned| {
+                let config = SimConfig {
+                    mss,
+                    shards,
+                    ..SimConfig::default()
+                };
+                let mut sim = Simulator::new(config, 11);
+                let got = Deliveries::default();
+                let sink = sim.spawn(
+                    NodeSpec::public().listen(80),
+                    Box::new(Collect { got: got.clone() }),
+                );
+                let server = sim.node_addr(sink);
+                sim.spawn(NodeSpec::public(), Box::new(Sender { server, owned }));
+                sim.run_to_quiescence();
+                let got = std::mem::take(&mut *got.lock().unwrap());
+                (got, sim.metrics().bytes_delivered, sim.now())
+            };
+            let copied = deliveries(false);
+            assert_eq!(copied.1, 301_010);
+            assert_eq!(copied.0.len(), if mss.is_some() { 1 + 300 + 1 } else { 3 });
+            assert_eq!(deliveries(true), copied);
+        }
+    }
+
     #[test]
     fn stop_node_closes_peer_connections() {
         struct Idle {

@@ -5,6 +5,7 @@
 //! like everything else in the workspace.
 
 use p2pmal_hashes::{from_hex, Md5Digest};
+use p2pmal_netsim::take_front;
 use std::fmt;
 
 const MAX_HEAD: usize = 8 * 1024;
@@ -169,9 +170,8 @@ impl ResponseReader {
             if self.buf.len() < len {
                 return Ok(None);
             }
-            let body = self.buf[..len].to_vec();
-            self.buf.drain(..len);
             self.body_len = None;
+            let body = take_front(&mut self.buf, len);
             return Ok(Some((status, body)));
         }
         Ok(None)
@@ -224,6 +224,35 @@ mod tests {
         let (status, got) = out.unwrap();
         assert_eq!(status, 200);
         assert_eq!(got, body);
+    }
+
+    /// The body leaves the reader by move; a pipelined response behind it
+    /// must still be there, wherever the chunk boundary fell.
+    #[test]
+    fn response_body_is_exact_and_a_pipelined_response_follows() {
+        let body: Vec<u8> = (0..=255u8).cycle().take(5_000).collect();
+        let mut wire = encode_response_ok(body.len());
+        let head_len = wire.len();
+        wire.extend_from_slice(&body);
+        for pipelined in [false, true] {
+            let mut wire = wire.clone();
+            if pipelined {
+                wire.extend_from_slice(&encode_response_err(404, "Not Found"));
+            }
+            // Whole, split inside the head, split inside the body.
+            for split in [0, 10, head_len + 100] {
+                let mut r = ResponseReader::new(1 << 20);
+                let mut got = None;
+                for chunk in [&wire[..split], &wire[split..]] {
+                    r.push(chunk);
+                    got = got.or(r.response().unwrap());
+                }
+                assert_eq!(got, Some((200, body.clone())), "split {split}");
+                let next = pipelined.then(|| (404, Vec::new()));
+                assert_eq!(r.response().unwrap(), next, "split {split}");
+                assert!(r.buf.is_empty());
+            }
+        }
     }
 
     #[test]

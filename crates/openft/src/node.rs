@@ -459,23 +459,37 @@ impl FtNode {
         }
     }
 
-    fn pump_peer(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
-        loop {
-            let (cmd, payload) = {
-                let Some(ConnKind::Peer(p)) = self.conns.get_mut(&conn) else {
-                    return;
-                };
-                match p.reader.next_packet() {
-                    Ok(Some(pkt)) => pkt,
-                    Ok(None) => return,
-                    Err(_) => {
-                        self.stats.bad_packets += 1;
-                        self.drop_conn(ctx, conn);
-                        return;
+    /// Decodes and handles the packets `data` completes on a peer
+    /// connection. The reader leaves the connection table for the pass, so
+    /// handlers get `self` and payloads borrowed from `data` at once; it
+    /// goes back unless a handler (or a framing error) ended the session.
+    fn pump_peer(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, data: &[u8]) {
+        let Some(ConnKind::Peer(p)) = self.conns.get_mut(&conn) else {
+            return;
+        };
+        let mut reader = std::mem::take(&mut p.reader);
+        let mut frames = reader.frames(data);
+        let still_peer = loop {
+            match frames.next_frame() {
+                Ok(Some((cmd, payload))) => {
+                    self.handle_packet(ctx, conn, cmd, payload);
+                    if !matches!(self.conns.get(&conn), Some(ConnKind::Peer(_))) {
+                        break false;
                     }
                 }
-            };
-            self.handle_packet(ctx, conn, cmd, &payload);
+                Ok(None) => break true,
+                Err(_) => {
+                    self.stats.bad_packets += 1;
+                    self.drop_conn(ctx, conn);
+                    break false;
+                }
+            }
+        };
+        drop(frames);
+        if still_peer {
+            if let Some(ConnKind::Peer(p)) = self.conns.get_mut(&conn) {
+                p.reader = reader;
+            }
         }
     }
 
@@ -784,9 +798,11 @@ impl FtNode {
                     .world
                     .store
                     .payload(r, &self.world.catalog, &self.world.roster);
-                let mut wire = encode_response_ok(body.len());
+                let head = encode_response_ok(body.len());
+                let mut wire = Vec::with_capacity(head.len() + body.len());
+                wire.extend_from_slice(&head);
                 wire.extend_from_slice(&body);
-                ctx.send(conn, &wire);
+                ctx.send_owned(conn, wire);
             }
             None => ctx.send(conn, &encode_response_err(404, "Not Found")),
         }
@@ -851,7 +867,7 @@ impl FtNode {
             self.conns.insert(conn, ConnKind::Upload(reader));
             self.pump_upload(ctx, conn);
         } else {
-            let mut p = PeerState {
+            let p = PeerState {
                 reader: PacketReader::new(),
                 info: None,
                 session: false,
@@ -860,13 +876,12 @@ impl FtNode {
                 child: false,
                 outbound: false,
             };
-            p.reader.push(&buf);
             self.conns.insert(conn, ConnKind::Peer(p));
             // Introduce ourselves (the dialer already did on connect).
             self.send_packet(ctx, conn, Command::Version, &Version::CURRENT.encode());
             let info = self.node_info();
             self.send_packet(ctx, conn, Command::NodeInfo, &info.encode());
-            self.pump_peer(ctx, conn);
+            self.pump_peer(ctx, conn, &buf);
         }
     }
 
@@ -965,12 +980,7 @@ impl App for FtNode {
         };
         match r {
             R::Sniff => self.sniff(ctx, conn, data),
-            R::Peer => {
-                if let Some(ConnKind::Peer(p)) = self.conns.get_mut(&conn) {
-                    p.reader.push(data);
-                }
-                self.pump_peer(ctx, conn);
-            }
+            R::Peer => self.pump_peer(ctx, conn, data),
             R::Download => {
                 let outcome = {
                     let Some(ConnKind::Download(d)) = self.conns.get_mut(&conn) else {

@@ -15,6 +15,7 @@
 //! MODSHARE, STATS), and search (SEARCH, BROWSE).
 
 use p2pmal_hashes::Md5Digest;
+use p2pmal_netsim::{Feed, StreamBuf};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -102,10 +103,27 @@ pub fn encode_packet(cmd: Command, payload: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(payload);
 }
 
-/// Incremental packet framer.
+/// Length of the `(length, command)` packet header.
+const HEADER_LEN: usize = 4;
+
+/// Where the next packet ends, for [`StreamBuf`]: its command and the
+/// frame's total length once all of it is there.
+fn split_frame(bytes: &[u8]) -> Result<Option<(Command, usize)>, PacketError> {
+    if bytes.len() < HEADER_LEN {
+        return Ok(None);
+    }
+    let len = u16::from_be_bytes([bytes[0], bytes[1]]) as usize;
+    let cmd_raw = u16::from_be_bytes([bytes[2], bytes[3]]);
+    let cmd = Command::from_u16(cmd_raw).ok_or(PacketError::UnknownCommand(cmd_raw))?;
+    let total = HEADER_LEN + len;
+    Ok((bytes.len() >= total).then_some((cmd, total)))
+}
+
+/// Incremental packet framer. An unknown command poisons the stream: the
+/// caller must drop the connection; later calls repeat the error.
 #[derive(Debug, Default)]
 pub struct PacketReader {
-    buf: Vec<u8>,
+    stream: StreamBuf,
 }
 
 impl PacketReader {
@@ -114,27 +132,38 @@ impl PacketReader {
     }
 
     pub fn push(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
+        self.stream.push(data);
     }
 
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.stream.buffered()
     }
 
-    /// Pops the next complete `(command, payload)`.
+    /// Pops the next complete buffered `(command, payload)` as an owned
+    /// copy.
     pub fn next_packet(&mut self) -> Result<Option<(Command, Vec<u8>)>, PacketError> {
-        if self.buf.len() < 4 {
-            return Ok(None);
-        }
-        let len = u16::from_be_bytes([self.buf[0], self.buf[1]]) as usize;
-        let cmd_raw = u16::from_be_bytes([self.buf[2], self.buf[3]]);
-        let cmd = Command::from_u16(cmd_raw).ok_or(PacketError::UnknownCommand(cmd_raw))?;
-        if self.buf.len() < 4 + len {
-            return Ok(None);
-        }
-        let payload = self.buf[4..4 + len].to_vec();
-        self.buf.drain(..4 + len);
-        Ok(Some((cmd, payload)))
+        let frame = self.stream.next_frame(split_frame)?;
+        Ok(frame.map(|(cmd, frame)| (cmd, frame[HEADER_LEN..].to_vec())))
+    }
+
+    /// Starts a borrowing pass over the stream extended by `chunk`: the
+    /// payloads are slices of `chunk` itself unless earlier bytes were
+    /// waiting, and only a trailing partial packet is copied.
+    pub fn frames<'a>(&'a mut self, chunk: &'a [u8]) -> Frames<'a> {
+        Frames(self.stream.feed(chunk))
+    }
+}
+
+/// A pass over a [`PacketReader`] and one delivered chunk; see
+/// [`PacketReader::frames`].
+#[derive(Debug)]
+pub struct Frames<'a>(Feed<'a>);
+
+impl Frames<'_> {
+    /// The next complete `(command, payload)`, if any, payload borrowed.
+    pub fn next_frame(&mut self) -> Result<Option<(Command, &[u8])>, PacketError> {
+        let frame = self.0.next_frame(split_frame)?;
+        Ok(frame.map(|(cmd, frame)| (cmd, &frame[HEADER_LEN..])))
     }
 }
 
@@ -545,6 +574,55 @@ mod tests {
                 query: "free stuff".into()
             }
         );
+        assert_eq!(r.buffered(), 0);
+    }
+
+    /// `buf.drain(..4 + len)` per packet made a chunk of n glued packets
+    /// cost O(n²) byte moves; the cursor compacts once per push.
+    #[test]
+    fn thousands_of_glued_packets_come_back_in_order() {
+        const N: u32 = 2_500;
+        let mut wire = Vec::new();
+        for id in 0..N {
+            encode_packet(Command::Search, &Search::End { id }.encode(), &mut wire);
+            encode_packet(Command::Ping, &[], &mut wire);
+        }
+        let check = |got: &[(Command, Vec<u8>)]| {
+            assert_eq!(got.len(), 2 * N as usize);
+            for (id, pair) in got.chunks(2).enumerate() {
+                assert_eq!(pair[0].0, Command::Search);
+                let end = Search::End { id: id as u32 };
+                assert_eq!(Search::parse(&pair[0].1).unwrap(), end);
+                assert_eq!(pair[1], (Command::Ping, Vec::new()));
+            }
+        };
+        let mut r = PacketReader::new();
+        let mut got = Vec::new();
+        r.push(&wire);
+        while let Some(p) = r.next_packet().unwrap() {
+            got.push(p);
+        }
+        check(&got);
+        assert_eq!(r.buffered(), 0);
+        got.clear();
+        for chunk in wire.chunks(7) {
+            r.push(chunk);
+            while let Some(p) = r.next_packet().unwrap() {
+                got.push(p);
+            }
+        }
+        check(&got);
+        assert_eq!(r.buffered(), 0);
+        // The borrowing pass sees the same stream, split or whole.
+        got.clear();
+        for chunk in [&wire[..3], &wire[3..], &wire[..]] {
+            let mut frames = r.frames(chunk);
+            while let Some((cmd, payload)) = frames.next_frame().unwrap() {
+                got.push((cmd, payload.to_vec()));
+            }
+        }
+        check(&got[..2 * N as usize]);
+        check(&got[2 * N as usize..]);
         assert_eq!(r.buffered(), 0);
     }
 
