@@ -84,7 +84,14 @@ pub fn summary_table(summaries: &[Summary]) -> Table {
 /// T2/T3 — malware prevalence ranking: share of malicious responses per
 /// distinct malware.
 pub fn top_malware(resolved: &[ResolvedResponse]) -> Vec<RankedShare<String>> {
-    ranked_shares(tally(resolved.iter().filter_map(|r| r.malware.clone())))
+    // Tallied on the shared text; only the ranking's few names are copied.
+    let counts = tally(resolved.iter().filter_map(|r| r.malware.as_deref()));
+    ranked_shares(
+        counts
+            .into_iter()
+            .map(|(family, n)| (family.to_string(), n))
+            .collect(),
+    )
 }
 
 /// Renders a top-malware ranking.
@@ -177,12 +184,12 @@ pub fn host_concentration(resolved: &[ResolvedResponse]) -> Vec<HostShare> {
         resolved.iter().filter(|r| r.malware.is_some()).collect();
     let total = malicious.len() as u64;
     let shares = ranked_shares(tally(malicious.iter().map(|r| r.record.host.clone())));
-    let mut families_by_host: HashMap<HostKey, HashSet<String>> = HashMap::new();
+    let mut families_by_host: HashMap<HostKey, HashSet<&str>> = HashMap::new();
     for r in &malicious {
         families_by_host
             .entry(r.record.host.clone())
             .or_default()
-            .insert(r.malware.clone().expect("filtered"));
+            .insert(r.malware.as_deref().expect("filtered"));
     }
     let _ = total;
     shares
@@ -190,7 +197,7 @@ pub fn host_concentration(resolved: &[ResolvedResponse]) -> Vec<HostShare> {
         .map(|s| {
             let mut families: Vec<String> = families_by_host
                 .get(&s.item)
-                .map(|f| f.iter().cloned().collect())
+                .map(|f| f.iter().map(|s| s.to_string()).collect())
                 .unwrap_or_default();
             families.sort();
             HostShare {
@@ -279,7 +286,7 @@ pub struct SizeCensus {
 }
 
 pub fn size_census(resolved: &[ResolvedResponse]) -> SizeCensus {
-    let mut malware: BTreeMap<String, HashSet<u64>> = BTreeMap::new();
+    let mut malware: BTreeMap<&str, HashSet<u64>> = BTreeMap::new();
     let mut benign: HashMap<String, HashSet<u64>> = HashMap::new();
     for r in resolved {
         if !r.record.downloadable {
@@ -288,7 +295,7 @@ pub fn size_census(resolved: &[ResolvedResponse]) -> SizeCensus {
         match &r.malware {
             Some(fam) => {
                 malware
-                    .entry(fam.clone())
+                    .entry(fam.as_str())
                     .or_default()
                     .insert(r.record.size);
             }
@@ -306,7 +313,7 @@ pub fn size_census(resolved: &[ResolvedResponse]) -> SizeCensus {
         .map(|(k, v)| {
             let mut sizes: Vec<u64> = v.iter().copied().collect();
             sizes.sort_unstable();
-            (k.clone(), sizes)
+            (k.to_string(), sizes)
         })
         .collect();
     let malware_counts: Vec<u64> = malware.values().map(|v| v.len() as u64).collect();
@@ -410,7 +417,7 @@ mod tests {
                 host: HostKey::Guid([host; 16]),
                 downloadable: p2pmal_crawler::is_downloadable_name(name),
             },
-            malware: malware.map(|s| s.to_string()),
+            malware: malware.map(Into::into),
             scanned,
             sha1: scanned.then(|| p2pmal_hashes::sha1(name.as_bytes())),
         }

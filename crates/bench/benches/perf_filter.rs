@@ -15,8 +15,8 @@ fn responses(n: usize) -> Vec<ResolvedResponse> {
             record: ResponseRecord {
                 at: SimTime::ZERO,
                 day: 0,
-                query: format!("query number {i}"),
-                filename: format!("query_number_{i}.exe"),
+                query: format!("query number {i}").into(),
+                filename: format!("query_number_{i}.exe").into(),
                 size: 50_000 + (i as u64 % 64) * 1024,
                 source_ip: Ipv4Addr::new(10, 0, 0, 1),
                 source_port: 6346,

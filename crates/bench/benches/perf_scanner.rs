@@ -285,7 +285,7 @@ fn bench_scan_service(c: &mut Criterion) {
         at: SimTime::ZERO,
         day: 0,
         query: "q".into(),
-        filename: format!("f{i}.exe"),
+        filename: format!("f{i}.exe").into(),
         size: 0,
         source_ip: std::net::Ipv4Addr::new(10, 0, 0, 1),
         source_port: 6346,

@@ -11,7 +11,7 @@
 use p2pmal_analysis::hist_summary_line;
 use p2pmal_bench::{run_seeds, summary_to_json, BenchConfig, RunArtifact};
 use p2pmal_core::{LimewireScenario, NetworkRun, OpenFtScenario, Study};
-use p2pmal_crawler::ScanStats;
+use p2pmal_crawler::{LogFootprint, ScanStats};
 use p2pmal_json::Value;
 use p2pmal_netsim::{Counter, Subsystem};
 
@@ -124,17 +124,18 @@ fn timing_entry(label: &str, run: &NetworkRun) -> Value {
 /// facts and never reach stdout).
 fn memory_entry(run: &NetworkRun) -> Value {
     let m = &run.sim_metrics.memory;
+    // The response log belongs to the measurement, not to a node: sized
+    // beside the per-node estimate, never inside it.
+    let log = run.log.footprint();
     eprintln!(
-        "[run_study] memory {}: {} nodes, {} bytes/node app estimate ({} KiB total), RSS {} MiB (peak {} MiB)",
-        match run.network {
-            p2pmal_crawler::Network::Limewire => "LimeWire",
-            p2pmal_crawler::Network::OpenFt => "OpenFT",
-        },
+        "[run_study] memory {}: {} nodes, {} bytes/node app estimate ({} KiB total), RSS {} MiB (peak {} MiB); {}",
+        run.network.label(),
         m.nodes,
         m.bytes_per_node(),
         m.app_bytes / 1024,
         m.current_rss_kb / 1024,
         m.peak_rss_kb / 1024,
+        footprint_part(&log),
     );
     Value::Obj(vec![
         ("nodes".into(), m.nodes.into()),
@@ -142,6 +143,13 @@ fn memory_entry(run: &NetworkRun) -> Value {
         ("bytes_per_node".into(), m.bytes_per_node().into()),
         ("peak_rss_kb".into(), m.peak_rss_kb.into()),
         ("current_rss_kb".into(), m.current_rss_kb.into()),
+        ("log_records".into(), log.records.into()),
+        ("log_distinct_queries".into(), log.distinct_queries.into()),
+        (
+            "log_distinct_filenames".into(),
+            log.distinct_filenames.into(),
+        ),
+        ("log_heap_bytes".into(), log.heap_bytes.into()),
     ])
 }
 
@@ -239,6 +247,17 @@ fn write_bench_json(report: &p2pmal_core::StudyReport, cfg: &BenchConfig) {
     }
 }
 
+/// What the crawler's response log held and cost, for a summary line.
+fn footprint_part(log: &LogFootprint) -> String {
+    format!(
+        "log {} records / {} queries / {} names, {} KiB",
+        log.records,
+        log.distinct_queries,
+        log.distinct_filenames,
+        log.heap_bytes / 1024,
+    )
+}
+
 fn artifact_line(a: &RunArtifact) {
     let downloadable = a.resolved.iter().filter(|r| r.record.downloadable).count();
     let scanned = a
@@ -257,17 +276,15 @@ fn artifact_line(a: &RunArtifact) {
         0.0
     };
     println!(
-        "  {:8} seed={:<6} responses={:<6} downloadable={:<6} malicious={:<5} ({:.1}%)  sim_events={}",
-        match a.network {
-            p2pmal_crawler::Network::Limewire => "LimeWire",
-            p2pmal_crawler::Network::OpenFt => "OpenFT",
-        },
+        "  {:8} seed={:<6} responses={:<6} downloadable={:<6} malicious={:<5} ({:.1}%)  sim_events={}  {}",
+        a.network.label(),
         a.seed,
         a.resolved.len(),
         downloadable,
         malicious,
         pct,
         a.sim_events,
+        footprint_part(&a.log),
     );
 }
 

@@ -35,7 +35,8 @@
 
 use p2pmal_core::{fault_profile, LimewireScenario, OpenFtScenario};
 use p2pmal_crawler::{
-    FailureBreakdown, HostKey, Network, ResolvedResponse, ResponseRecord, RetryPolicy, ScanStats,
+    FailureBreakdown, HostKey, LogFootprint, Network, ResolvedResponse, ResponseRecord,
+    RetryPolicy, ScanStats, TextTable,
 };
 use p2pmal_json::Value;
 use p2pmal_netsim::{Counter, FaultPlan, HistSummary, SimConfig, SimTime};
@@ -64,6 +65,11 @@ pub struct RunArtifact {
     /// summaries keyed on sim time (identical for identical seeds).
     /// All-empty for artifacts written before the telemetry layer existed.
     pub telemetry: TelemetryStats,
+    /// What the crawler's response log held and cost when the run ended
+    /// (`CrawlLog::footprint`): reported beside the per-node memory
+    /// estimate, never inside it. All-zero for artifacts written before
+    /// it was recorded.
+    pub log: LogFootprint,
     pub resolved: Vec<ResolvedResponse>,
 }
 
@@ -276,12 +282,15 @@ fn resolved_to_json(r: &ResolvedResponse) -> Value {
     ])
 }
 
-fn resolved_from_json(v: &Value) -> Option<ResolvedResponse> {
+/// `texts` is the artifact's dedup table: a cached log comes back sharing
+/// one allocation per distinct query, file name and family, as the
+/// crawler built it.
+fn resolved_from_json(v: &Value, texts: &mut TextTable) -> Option<ResolvedResponse> {
     let record = ResponseRecord {
         at: SimTime::from_micros(v.get("at")?.as_u64()?),
         day: v.get("day")?.as_u64()?,
-        query: v.get("query")?.as_str()?.to_string(),
-        filename: v.get("filename")?.as_str()?.to_string(),
+        query: texts.intern(v.get("query")?.as_str()?),
+        filename: texts.intern(v.get("filename")?.as_str()?),
         size: v.get("size")?.as_u64()?,
         source_ip: v.get("source_ip")?.as_str()?.parse().ok()?,
         source_port: v.get("source_port")?.as_u64()? as u16,
@@ -297,7 +306,7 @@ fn resolved_from_json(v: &Value) -> Option<ResolvedResponse> {
     };
     Some(ResolvedResponse {
         record,
-        malware: v.get("malware")?.as_str().map(str::to_string),
+        malware: v.get("malware")?.as_str().map(|s| texts.intern(s)),
         scanned: v.get("scanned")?.as_bool()?,
         sha1,
     })
@@ -396,6 +405,24 @@ fn resilience_from_json(v: &Value) -> Option<ResilienceStats> {
     })
 }
 
+fn footprint_to_json(f: &LogFootprint) -> Value {
+    Value::Obj(vec![
+        ("records".into(), f.records.into()),
+        ("distinct_queries".into(), f.distinct_queries.into()),
+        ("distinct_filenames".into(), f.distinct_filenames.into()),
+        ("heap_bytes".into(), f.heap_bytes.into()),
+    ])
+}
+
+fn footprint_from_json(v: &Value) -> Option<LogFootprint> {
+    Some(LogFootprint {
+        records: v.get("records")?.as_u64()?,
+        distinct_queries: v.get("distinct_queries")?.as_u64()?,
+        distinct_filenames: v.get("distinct_filenames")?.as_u64()?,
+        heap_bytes: v.get("heap_bytes")?.as_u64()?,
+    })
+}
+
 /// Serializes a [`HistSummary`] as the flat object every consumer of
 /// `BENCH_study.json` and the run cache shares.
 pub fn summary_to_json(s: &HistSummary) -> Value {
@@ -480,6 +507,7 @@ fn artifact_to_json(a: &RunArtifact) -> Value {
         ("scan".into(), scan_to_json(&a.scan)),
         ("resilience".into(), resilience_to_json(&a.resilience)),
         ("telemetry".into(), telemetry_to_json(&a.telemetry)),
+        ("log".into(), footprint_to_json(&a.log)),
         (
             "resolved".into(),
             Value::Arr(a.resolved.iter().map(resolved_to_json).collect()),
@@ -493,11 +521,12 @@ fn artifact_from_json(v: &Value) -> Option<RunArtifact> {
         "openft" => Network::OpenFt,
         _ => return None,
     };
+    let mut texts = TextTable::default();
     let resolved = v
         .get("resolved")?
         .as_arr()?
         .iter()
-        .map(resolved_from_json)
+        .map(|r| resolved_from_json(r, &mut texts))
         .collect::<Option<Vec<_>>>()?;
     Some(RunArtifact {
         network,
@@ -518,6 +547,11 @@ fn artifact_from_json(v: &Value) -> Option<RunArtifact> {
         telemetry: v
             .get("telemetry")
             .and_then(telemetry_from_json)
+            .unwrap_or_default(),
+        // And for artifacts predating the log footprint.
+        log: v
+            .get("log")
+            .and_then(footprint_from_json)
             .unwrap_or_default(),
         resolved,
     })
@@ -599,6 +633,7 @@ pub fn limewire_run(cfg: &BenchConfig) -> RunArtifact {
         scan: run.log.scan,
         resilience: resilience_of(&run),
         telemetry: telemetry_of(&run),
+        log: run.log.footprint(),
         resolved: run.resolved,
     };
     store(&path, &artifact);
@@ -644,6 +679,7 @@ pub fn openft_run(cfg: &BenchConfig) -> RunArtifact {
         scan: run.log.scan,
         resilience: resilience_of(&run),
         telemetry: telemetry_of(&run),
+        log: run.log.footprint(),
         resolved: run.resolved,
     };
     store(&path, &artifact);

@@ -6,7 +6,9 @@
 //! protocol behaviour comes from [`p2pmal_gnutella::Servent`], measurement
 //! behaviour lives here.
 
-use crate::log::{CrawlLog, HostKey, HostSizeKey, NameSizeKey, ResponseRecord, ScanOutcome};
+use crate::log::{
+    CrawlLog, HostKey, HostSizeKey, NameSizeKey, ResponseRecord, ScanOutcome, Text, TextTable,
+};
 use crate::retry::{classify_gnutella, FailCause, RetryPolicy};
 use crate::scan::{FlushResult, ScanPipeline, ScanService};
 use crate::trace::DlTrace;
@@ -84,8 +86,10 @@ pub struct GnutellaCrawler {
     pipeline: ScanPipeline,
     service: ScanService,
     log: CrawlLog,
+    /// Every query and file name in the log, one allocation each.
+    texts: TextTable,
     /// Query GUID -> query text, for attributing hits.
-    queries: HashMap<Guid, String>,
+    queries: HashMap<Guid, Text>,
     query_order: VecDeque<Guid>,
     /// Downloadable responses waiting for a slot (retries re-queue at the
     /// front with their attempt count preserved).
@@ -123,6 +127,7 @@ impl GnutellaCrawler {
             service: ScanService::new(config.scan_threads),
             config,
             log: CrawlLog::new(),
+            texts: TextTable::default(),
             queries: HashMap::new(),
             query_order: VecDeque::new(),
             pending: VecDeque::new(),
@@ -156,8 +161,8 @@ impl GnutellaCrawler {
         self.servent.peer_count()
     }
 
-    fn remember_query(&mut self, guid: Guid, text: String) {
-        self.queries.insert(guid, text);
+    fn remember_query(&mut self, guid: Guid, text: &str) {
+        self.queries.insert(guid, self.texts.intern(text));
         self.query_order.push_back(guid);
         if self.query_order.len() > 8192 {
             if let Some(old) = self.query_order.pop_front() {
@@ -193,7 +198,7 @@ impl GnutellaCrawler {
                 at,
                 day: at.day(),
                 query: query.clone(),
-                filename: res.name.clone(),
+                filename: self.texts.intern(&res.name),
                 size: res.size as u64,
                 source_ip: hit.ip,
                 source_port: hit.port,
@@ -201,12 +206,14 @@ impl GnutellaCrawler {
                 host: HostKey::Guid(hit.servent_guid.0),
                 downloadable: crate::log::is_downloadable_name(&res.name),
             };
-            let want_download = record.downloadable && self.log.outcome_of(&record).is_none() && {
-                let (nk, hk) = CrawlLog::keys_of(&record);
-                !self.busy_name_size.contains(&nk) && !self.busy_host_size.contains(&hk)
-            };
-            if want_download {
-                let (nk, hk) = CrawlLog::keys_of(&record);
+            // Fetch a downloadable response unless its content has a verdict
+            // or is being fetched, under either dedup key.
+            let keys = record.downloadable.then(|| CrawlLog::keys_of(&record));
+            if let Some((nk, hk)) = keys.filter(|(nk, hk)| {
+                self.log.outcome_by(nk, hk).is_none()
+                    && !self.busy_name_size.contains(nk)
+                    && !self.busy_host_size.contains(hk)
+            }) {
                 self.busy_name_size.insert(nk);
                 self.busy_host_size.insert(hk);
                 let method = if record.needs_push {
@@ -252,7 +259,7 @@ impl GnutellaCrawler {
             }
             if ctx.telemetry_on(EventCategory::Download) {
                 let body = EventBody::DownloadStart {
-                    name: fl.record.filename.clone(),
+                    name: fl.record.filename.to_string(),
                     size: fl.record.size,
                     host: fl.request.addr.to_string(),
                     attempt: fl.attempt,
@@ -334,7 +341,7 @@ impl GnutellaCrawler {
         ctx.registry().inc(Counter::ScanVerdicts);
         if ctx.telemetry_on(EventCategory::Download) {
             let ev = EventBody::DownloadComplete {
-                name: fl.record.filename.clone(),
+                name: fl.record.filename.to_string(),
                 ok: true,
                 latency_us,
                 attempts: fl.attempt + 1,
@@ -407,7 +414,7 @@ impl GnutellaCrawler {
                 ctx.registry().inc(Counter::ScanVerdicts);
                 if ctx.telemetry_on(EventCategory::Download) {
                     let ev = EventBody::DownloadComplete {
-                        name: fl.record.filename.clone(),
+                        name: fl.record.filename.to_string(),
                         ok: true,
                         latency_us,
                         attempts: fl.attempt + 1,
@@ -419,7 +426,7 @@ impl GnutellaCrawler {
                 }
                 if ctx.telemetry_on(EventCategory::Scan) {
                     let ev = EventBody::ScanVerdict {
-                        name: fl.record.filename.clone(),
+                        name: fl.record.filename.to_string(),
                         sha1: sha1.to_hex(),
                         len: body.len() as u64,
                         detections: verdict.detections.len() as u64,
@@ -430,7 +437,7 @@ impl GnutellaCrawler {
                     }
                     for (i, d) in verdict.detections.iter().enumerate() {
                         let ev = EventBody::Infection {
-                            name: fl.record.filename.clone(),
+                            name: fl.record.filename.to_string(),
                             family: d.name.clone(),
                             sha1: sha1.to_hex(),
                         };
@@ -442,7 +449,7 @@ impl GnutellaCrawler {
                 }
                 let detections = verdict.detections.iter().map(|d| d.name.clone()).collect();
                 self.finish(
-                    &fl.record.clone(),
+                    &fl.record,
                     ScanOutcome::Scanned {
                         sha1,
                         len: body.len() as u64,
@@ -475,7 +482,7 @@ impl GnutellaCrawler {
             ctx.registry().inc(Counter::DownloadRetries);
             if ctx.telemetry_on(EventCategory::Download) {
                 let ev = EventBody::DownloadRetry {
-                    name: fl.record.filename.clone(),
+                    name: fl.record.filename.to_string(),
                     attempt: fl.attempt,
                     cause: cause.label().to_string(),
                 };
@@ -516,7 +523,7 @@ impl GnutellaCrawler {
             .record(SimHist::DownloadAttempts, fl.attempt as u64 + 1);
         if ctx.telemetry_on(EventCategory::Download) {
             let ev = EventBody::DownloadComplete {
-                name: fl.record.filename.clone(),
+                name: fl.record.filename.to_string(),
                 ok: false,
                 latency_us,
                 attempts: fl.attempt + 1,
@@ -526,7 +533,7 @@ impl GnutellaCrawler {
                 None => ctx.emit(ev),
             }
         }
-        self.finish(&fl.record.clone(), terminal);
+        self.finish(&fl.record, terminal);
         self.start_downloads(ctx);
     }
 
@@ -568,7 +575,7 @@ impl GnutellaCrawler {
         // `query_issued` is emitted (span-rooted) inside `Servent::search`,
         // so ambient auto-queries and crawler workload queries share one
         // emission point and every trace has a root.
-        self.remember_query(guid, q);
+        self.remember_query(guid, &q);
         self.log.queries_issued += 1;
         let next = self.workload.next_interval_secs(ctx.now(), ctx.rng());
         ctx.set_timer(SimDuration::from_secs(next), TIMER_QUERY);

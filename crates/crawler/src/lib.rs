@@ -29,7 +29,8 @@ pub mod workload;
 
 pub use gnutella::{GnutellaCrawler, GnutellaCrawlerConfig};
 pub use log::{
-    is_downloadable_name, CrawlLog, HostKey, Network, ResolvedResponse, ResponseRecord, ScanOutcome,
+    is_downloadable_name, CrawlLog, HostKey, LogFootprint, Network, ResolvedResponse,
+    ResponseRecord, ScanOutcome, Text, TextTable,
 };
 pub use openft::{FtCrawler, FtCrawlerConfig};
 pub use retry::{FailCause, FailureBreakdown, RetryPolicy};

@@ -15,8 +15,10 @@
 
 use p2pmal_hashes::Sha1Digest;
 use p2pmal_netsim::SimTime;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Which instrumented network produced a log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,12 +41,87 @@ pub const DOWNLOADABLE_EXTENSIONS: [&str; 7] = ["exe", "zip", "rar", "com", "scr
 
 /// True when `name`'s extension puts it in the downloadable class.
 pub fn is_downloadable_name(name: &str) -> bool {
-    match name.rsplit_once('.') {
-        Some((_, ext)) => {
-            let ext = ext.to_ascii_lowercase();
-            DOWNLOADABLE_EXTENSIONS.contains(&ext.as_str())
+    name.rsplit_once('.').is_some_and(|(_, ext)| {
+        DOWNLOADABLE_EXTENSIONS
+            .iter()
+            .any(|d| ext.eq_ignore_ascii_case(d))
+    })
+}
+
+/// Immutable text shared by reference count. A month of responses repeats
+/// a few thousand distinct queries and file names millions of times, so a
+/// record holds handles: cloning one bumps a count, and every comparison,
+/// ordering and hash is by content, exactly as for the `String` it
+/// replaces.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Text(Arc<str>);
+
+impl Text {
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl std::ops::Deref for Text {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl std::borrow::Borrow<str> for Text {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl fmt::Display for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl From<&str> for Text {
+    fn from(s: &str) -> Self {
+        Text(s.into())
+    }
+}
+
+impl From<String> for Text {
+    fn from(s: String) -> Self {
+        Text(s.into())
+    }
+}
+
+impl From<Arc<str>> for Text {
+    fn from(s: Arc<str>) -> Self {
+        Text(s)
+    }
+}
+
+/// Dedup table behind [`Text`]: one allocation per distinct string that
+/// passes through it. Each log producer (a crawler, a cache loader) owns
+/// one; it is deliberately not the world's `NameInterner`, which every
+/// node shares and which query-echo worms — a fresh name per query — would
+/// grow without bound.
+#[derive(Debug, Default)]
+pub struct TextTable(HashSet<Text>);
+
+impl TextTable {
+    pub fn intern(&mut self, s: &str) -> Text {
+        if let Some(t) = self.0.get(s) {
+            return t.clone();
         }
-        None => false,
+        let t = Text::from(s);
+        self.0.insert(t.clone());
+        t
     }
 }
 
@@ -63,8 +140,8 @@ pub struct ResponseRecord {
     pub at: SimTime,
     /// Simulated-day index, the time-series bucket.
     pub day: u64,
-    pub query: String,
-    pub filename: String,
+    pub query: Text,
+    pub filename: Text,
     pub size: u64,
     /// Address the responder *advertised* (RFC 1918 leaks live here).
     pub source_ip: Ipv4Addr,
@@ -115,6 +192,17 @@ impl ScanOutcome {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NameSizeKey(pub String, pub u64);
 
+impl NameSizeKey {
+    /// Re-keys `self` to `r` (lowered file name, size), reusing the
+    /// string's storage: a pass over many records keeps one key.
+    fn assign(&mut self, r: &ResponseRecord) {
+        self.0.clear();
+        self.0.push_str(&r.filename);
+        self.0.make_ascii_lowercase();
+        self.1 = r.size;
+    }
+}
+
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct HostSizeKey(pub HostKey, pub u64);
 
@@ -124,11 +212,20 @@ pub struct HostSizeKey(pub HostKey, pub u64);
 pub struct ResolvedResponse {
     pub record: ResponseRecord,
     /// `None` when the content was never successfully scanned.
-    pub malware: Option<String>,
+    pub malware: Option<Text>,
     /// Whether the content was scanned at all (clean or dirty).
     pub scanned: bool,
     /// SHA-1 of the downloaded content, when scanned.
     pub sha1: Option<Sha1Digest>,
+}
+
+/// What a [`CrawlLog`] holds and costs (see [`CrawlLog::footprint`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LogFootprint {
+    pub records: u64,
+    pub distinct_queries: u64,
+    pub distinct_filenames: u64,
+    pub heap_bytes: u64,
 }
 
 /// The full measurement log for one network over one collection run.
@@ -168,19 +265,23 @@ impl CrawlLog {
 
     /// Dedup keys for a response.
     pub fn keys_of(r: &ResponseRecord) -> (NameSizeKey, HostSizeKey) {
-        (
-            NameSizeKey(r.filename.to_ascii_lowercase(), r.size),
-            HostSizeKey(r.host.clone(), r.size),
-        )
+        let mut by_name = NameSizeKey(String::new(), 0);
+        by_name.assign(r);
+        (by_name, HostSizeKey(r.host.clone(), r.size))
+    }
+
+    /// The verdict filed under either dedup key, name+size first.
+    pub fn outcome_by(&self, nk: &NameSizeKey, hk: &HostSizeKey) -> Option<&ScanOutcome> {
+        self.by_name_size
+            .get(nk)
+            .or_else(|| self.by_host_size.get(hk))
     }
 
     /// Whether this response's content already has (or is known to never
     /// get) a verdict.
     pub fn outcome_of(&self, r: &ResponseRecord) -> Option<&ScanOutcome> {
         let (nk, hk) = Self::keys_of(r);
-        self.by_name_size
-            .get(&nk)
-            .or_else(|| self.by_host_size.get(&hk))
+        self.outcome_by(&nk, &hk)
     }
 
     /// Records a scan outcome under both dedup keys.
@@ -190,14 +291,21 @@ impl CrawlLog {
         self.by_host_size.insert(hk, outcome);
     }
 
-    /// Joins every response with its verdict.
+    /// Joins every response with its verdict. Allocates no text per
+    /// record: query and file name are shared with the log, the family
+    /// names (tens) are interned once, and one lookup key is refilled.
     pub fn resolved(&self) -> Vec<ResolvedResponse> {
+        let mut families = TextTable::default();
+        let mut nk = NameSizeKey(String::new(), 0);
         self.responses
             .iter()
             .map(|r| {
-                let outcome = self.outcome_of(r);
+                nk.assign(r);
+                let outcome = self.outcome_by(&nk, &HostSizeKey(r.host.clone(), r.size));
                 let scanned = matches!(outcome, Some(ScanOutcome::Scanned { .. }));
-                let malware = outcome.and_then(|o| o.primary()).map(|s| s.to_string());
+                let malware = outcome
+                    .and_then(|o| o.primary())
+                    .map(|s| families.intern(s));
                 let sha1 = match outcome {
                     Some(ScanOutcome::Scanned { sha1, .. }) => Some(*sha1),
                     _ => None,
@@ -210,6 +318,52 @@ impl CrawlLog {
                 }
             })
             .collect()
+    }
+
+    /// Sizes the log: how many records, how many distinct texts they share
+    /// and the heap all of it holds — records by capacity, each distinct
+    /// text once, the two outcome maps. "Distinct" counts allocations,
+    /// which a log filled through one [`TextTable`] makes distinct strings.
+    /// Reported beside the per-node memory estimate, never inside it: the
+    /// log belongs to the measurement, not to a node.
+    pub fn footprint(&self) -> LogFootprint {
+        use std::mem::size_of;
+        let mut heap = (self.responses.capacity() * size_of::<ResponseRecord>()) as u64;
+        // (address, length) of every text allocation the records point at.
+        let at = |t: &Text| (t.as_ptr(), t.len());
+        let queries: HashSet<_> = self.responses.iter().map(|r| at(&r.query)).collect();
+        let filenames: HashSet<_> = self.responses.iter().map(|r| at(&r.filename)).collect();
+        // An echoed name can be the query's own allocation: charged once.
+        for (_, len) in queries.union(&filenames) {
+            heap += (2 * size_of::<usize>() + len) as u64; // Arc counts + text
+        }
+        let outcome_bytes = |o: &ScanOutcome| match o {
+            ScanOutcome::Scanned { detections, .. } => {
+                detections.capacity() * size_of::<String>()
+                    + detections.iter().map(String::capacity).sum::<usize>()
+            }
+            ScanOutcome::Unreachable => 0,
+            ScanOutcome::Unscannable { reason } => reason.capacity(),
+        };
+        heap += p2pmal_corpus::hash_table_bytes(
+            self.by_name_size.len(),
+            size_of::<(NameSizeKey, ScanOutcome)>(),
+        ) + p2pmal_corpus::hash_table_bytes(
+            self.by_host_size.len(),
+            size_of::<(HostSizeKey, ScanOutcome)>(),
+        );
+        for (k, o) in &self.by_name_size {
+            heap += (k.0.capacity() + outcome_bytes(o)) as u64;
+        }
+        for o in self.by_host_size.values() {
+            heap += outcome_bytes(o) as u64;
+        }
+        LogFootprint {
+            records: self.responses.len() as u64,
+            distinct_queries: queries.len() as u64,
+            distinct_filenames: filenames.len() as u64,
+            heap_bytes: heap,
+        }
     }
 
     /// Downloadable responses (the paper's denominators).
@@ -326,5 +480,172 @@ mod tests {
         assert_eq!(resolved[1].malware, None);
         assert!(!resolved[2].scanned, "unreachable is not scanned");
         assert_eq!(log.downloadable_count(), 3);
+    }
+
+    /// The join as it was before records shared text: fresh keys per
+    /// record, every field copied out.
+    fn resolved_reference(
+        log: &CrawlLog,
+    ) -> Vec<(ResponseRecord, Option<String>, bool, Option<Sha1Digest>)> {
+        log.responses
+            .iter()
+            .map(|r| {
+                let by_name = NameSizeKey(r.filename.to_ascii_lowercase(), r.size);
+                let by_host = HostSizeKey(r.host.clone(), r.size);
+                let outcome = log
+                    .by_name_size
+                    .get(&by_name)
+                    .or_else(|| log.by_host_size.get(&by_host));
+                let sha1 = match outcome {
+                    Some(ScanOutcome::Scanned { sha1, .. }) => Some(*sha1),
+                    _ => None,
+                };
+                (
+                    r.clone(),
+                    outcome.and_then(|o| o.primary()).map(str::to_string),
+                    matches!(outcome, Some(ScanOutcome::Scanned { .. })),
+                    sha1,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn resolved_matches_the_reference_join_through_both_keys() {
+        let mut log = CrawlLog::new();
+        let mut texts = TextTable::default();
+        let worm = HostKey::Guid([7; 16]);
+        let other = HostKey::Addr(Ipv4Addr::new(9, 9, 9, 9), 1215);
+        let scanned = |name: &str, family: &str| ScanOutcome::Scanned {
+            sha1: p2pmal_hashes::sha1(name.as_bytes()),
+            len: 58_368,
+            detections: vec![family.into(), "W32.Second".into()],
+        };
+        let mut push = |log: &mut CrawlLog, name: &str, size: u64, host: &HostKey| {
+            let mut r = record(name, size, host.clone());
+            r.query = texts.intern("some query");
+            r.filename = texts.intern(name);
+            log.responses.push(r.clone());
+            r
+        };
+        // Scanned: later rows resolve by name+size across hosts (case
+        // folded) and by host+size across names — a non-downloadable name
+        // included, which nothing ever fetches but the join still resolves.
+        let first = push(&mut log, "Echo_One.exe", 58_368, &worm);
+        log.record_outcome(&first, scanned("one", "W32.Echo"));
+        push(&mut log, "ECHO_ONE.EXE", 58_368, &other);
+        push(&mut log, "echo_two.exe", 58_368, &worm);
+        let note = push(&mut log, "readme.txt", 58_368, &worm);
+        assert!(!note.downloadable);
+        // Same host, another size: a miss. Clean, unreachable, unscannable.
+        push(&mut log, "echo_two.exe", 1_111, &worm);
+        let clean = push(&mut log, "tool.zip", 10, &other);
+        log.record_outcome(
+            &clean,
+            ScanOutcome::Scanned {
+                sha1: p2pmal_hashes::sha1(b"clean"),
+                len: 10,
+                detections: vec![],
+            },
+        );
+        let dead = push(&mut log, "dead.exe", 30, &other);
+        log.record_outcome(&dead, ScanOutcome::Unreachable);
+        let torn = push(&mut log, "torn.zip", 40, &other);
+        log.record_outcome(
+            &torn,
+            ScanOutcome::Unscannable {
+                reason: "corrupt archive (truncated)".into(),
+            },
+        );
+        push(&mut log, "never_fetched.exe", 50, &other);
+
+        let resolved = log.resolved();
+        let reference = resolved_reference(&log);
+        assert_eq!(resolved.len(), reference.len());
+        for (got, (record, malware, scanned, sha1)) in resolved.iter().zip(&reference) {
+            assert_eq!(&got.record, record);
+            assert_eq!(got.malware.as_deref(), malware.as_deref(), "{record:?}");
+            assert_eq!(got.scanned, *scanned, "{record:?}");
+            assert_eq!(got.sha1, *sha1, "{record:?}");
+        }
+        let families: Vec<Option<&str>> = resolved.iter().map(|r| r.malware.as_deref()).collect();
+        let echo = Some("W32.Echo");
+        assert_eq!(
+            families,
+            [echo, echo, echo, echo, None, None, None, None, None]
+        );
+        // One allocation per family, however many records carry it.
+        let (a, b) = (&resolved[0].malware, &resolved[3].malware);
+        assert_eq!(a.as_ref().unwrap().as_ptr(), b.as_ref().unwrap().as_ptr());
+    }
+
+    #[test]
+    fn text_compares_and_hashes_by_content() {
+        use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+        let hasher = BuildHasherDefault::<DefaultHasher>::default();
+        let (a, b) = (Text::from("same.exe"), Text::from(String::from("same.exe")));
+        assert_ne!(a.as_ptr(), b.as_ptr(), "two allocations");
+        assert_eq!(a, b);
+        assert_eq!(hasher.hash_one(&a), hasher.hash_one(&b));
+        assert_eq!(
+            hasher.hash_one(&a),
+            hasher.hash_one("same.exe"),
+            "Borrow<str>"
+        );
+        assert!(Text::from("a") < Text::from("b"));
+        assert_eq!(format!("{a} {a:?}"), "same.exe \"same.exe\"");
+        // Records built from either compare (and so dedup) as equal.
+        let host = HostKey::Guid([1; 16]);
+        let (mut ra, mut rb) = (record("x", 1, host.clone()), record("x", 1, host));
+        (ra.filename, rb.filename) = (a.clone(), b);
+        assert_eq!(ra, rb);
+        // The table hands back the first allocation for equal content.
+        let mut table = TextTable::default();
+        let first = table.intern("same.exe");
+        assert_eq!(first.as_ptr(), table.intern(&a).as_ptr());
+        assert_eq!(first, a);
+    }
+
+    #[test]
+    fn footprint_charges_each_text_once() {
+        let mut log = CrawlLog::new();
+        let mut texts = TextTable::default();
+        let host = HostKey::Guid([2; 16]);
+        for (query, name) in [
+            ("q1", "a.exe"),
+            ("q1", "b.exe"),
+            ("q2", "a.exe"),
+            ("q2", "q2"),
+        ] {
+            let mut r = record(name, 5, host.clone());
+            r.query = texts.intern(query);
+            r.filename = texts.intern(name);
+            log.responses.push(r);
+        }
+        let empty_maps = log.footprint();
+        assert_eq!(
+            (
+                empty_maps.records,
+                empty_maps.distinct_queries,
+                empty_maps.distinct_filenames
+            ),
+            (4, 2, 3)
+        );
+        // q1, q2, a.exe, b.exe — the echoed "q2" is the query's allocation.
+        let texts_bytes = 4 * 16 + (2 + 2 + 5 + 5);
+        let records = log.responses.capacity() * std::mem::size_of::<ResponseRecord>();
+        assert_eq!(empty_maps.heap_bytes, (records + texts_bytes) as u64);
+        let r = log.responses[0].clone();
+        log.record_outcome(&r, ScanOutcome::Unreachable);
+        assert!(log.footprint().heap_bytes > empty_maps.heap_bytes);
+    }
+
+    /// A month of responses is millions of these: a field added to either
+    /// fails here instead of showing up as peak RSS in a benchmark run.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn record_layout_stays_small() {
+        assert!(std::mem::size_of::<ResponseRecord>() <= 88);
+        assert!(std::mem::size_of::<ResolvedResponse>() <= 128);
     }
 }

@@ -2,7 +2,9 @@
 //! workload against every SEARCH node it discovers, logging results and
 //! downloading the deduplicated archive/executable responses by MD5.
 
-use crate::log::{CrawlLog, HostKey, HostSizeKey, NameSizeKey, ResponseRecord, ScanOutcome};
+use crate::log::{
+    CrawlLog, HostKey, HostSizeKey, NameSizeKey, ResponseRecord, ScanOutcome, Text, TextTable,
+};
 use crate::retry::{classify_openft, FailCause, RetryPolicy};
 use crate::scan::{FlushResult, ScanPipeline, ScanService};
 use crate::trace::DlTrace;
@@ -75,8 +77,10 @@ pub struct FtCrawler {
     pipeline: ScanPipeline,
     service: ScanService,
     log: CrawlLog,
+    /// Every query and file name in the log, one allocation each.
+    texts: TextTable,
     /// Search id -> query text.
-    queries: HashMap<u32, String>,
+    queries: HashMap<u32, Text>,
     query_order: VecDeque<u32>,
     pending: VecDeque<InFlight>,
     in_flight: HashMap<u64, InFlight>,
@@ -108,6 +112,7 @@ impl FtCrawler {
             service: ScanService::new(config.scan_threads),
             config,
             log: CrawlLog::new(),
+            texts: TextTable::default(),
             queries: HashMap::new(),
             query_order: VecDeque::new(),
             pending: VecDeque::new(),
@@ -139,8 +144,8 @@ impl FtCrawler {
         self.node.session_count()
     }
 
-    fn remember_query(&mut self, id: u32, text: String) {
-        self.queries.insert(id, text);
+    fn remember_query(&mut self, id: u32, text: &str) {
+        self.queries.insert(id, self.texts.intern(text));
         self.query_order.push_back(id);
         if self.query_order.len() > 8192 {
             if let Some(old) = self.query_order.pop_front() {
@@ -163,7 +168,7 @@ impl FtCrawler {
             at,
             day: at.day(),
             query,
-            filename: result.filename.clone(),
+            filename: self.texts.intern(&result.filename),
             size: result.size as u64,
             source_ip: result.host,
             source_port: result.port,
@@ -171,12 +176,14 @@ impl FtCrawler {
             host: HostKey::Addr(result.host, result.port),
             downloadable: crate::log::is_downloadable_name(&result.filename),
         };
-        let want_download = record.downloadable && self.log.outcome_of(&record).is_none() && {
-            let (nk, hk) = CrawlLog::keys_of(&record);
-            !self.busy_name_size.contains(&nk) && !self.busy_host_size.contains(&hk)
-        };
-        if want_download {
-            let (nk, hk) = CrawlLog::keys_of(&record);
+        // Fetch a downloadable response unless its content has a verdict or
+        // is being fetched, under either dedup key.
+        let keys = record.downloadable.then(|| CrawlLog::keys_of(&record));
+        if let Some((nk, hk)) = keys.filter(|(nk, hk)| {
+            self.log.outcome_by(nk, hk).is_none()
+                && !self.busy_name_size.contains(nk)
+                && !self.busy_host_size.contains(hk)
+        }) {
             self.busy_name_size.insert(nk);
             self.busy_host_size.insert(hk);
             let addr = HostAddr::new(result.host, result.http_port);
@@ -222,7 +229,7 @@ impl FtCrawler {
             }
             if ctx.telemetry_on(EventCategory::Download) {
                 let body = EventBody::DownloadStart {
-                    name: fl.record.filename.clone(),
+                    name: fl.record.filename.to_string(),
                     size: fl.record.size,
                     host: fl.addr.to_string(),
                     attempt: fl.attempt,
@@ -304,7 +311,7 @@ impl FtCrawler {
         ctx.registry().inc(Counter::ScanVerdicts);
         if ctx.telemetry_on(EventCategory::Download) {
             let ev = EventBody::DownloadComplete {
-                name: fl.record.filename.clone(),
+                name: fl.record.filename.to_string(),
                 ok: true,
                 latency_us,
                 attempts: fl.attempt + 1,
@@ -375,7 +382,7 @@ impl FtCrawler {
                 ctx.registry().inc(Counter::ScanVerdicts);
                 if ctx.telemetry_on(EventCategory::Download) {
                     let ev = EventBody::DownloadComplete {
-                        name: fl.record.filename.clone(),
+                        name: fl.record.filename.to_string(),
                         ok: true,
                         latency_us,
                         attempts: fl.attempt + 1,
@@ -387,7 +394,7 @@ impl FtCrawler {
                 }
                 if ctx.telemetry_on(EventCategory::Scan) {
                     let ev = EventBody::ScanVerdict {
-                        name: fl.record.filename.clone(),
+                        name: fl.record.filename.to_string(),
                         sha1: sha1.to_hex(),
                         len: body.len() as u64,
                         detections: verdict.detections.len() as u64,
@@ -398,7 +405,7 @@ impl FtCrawler {
                     }
                     for (i, d) in verdict.detections.iter().enumerate() {
                         let ev = EventBody::Infection {
-                            name: fl.record.filename.clone(),
+                            name: fl.record.filename.to_string(),
                             family: d.name.clone(),
                             sha1: sha1.to_hex(),
                         };
@@ -410,7 +417,7 @@ impl FtCrawler {
                 }
                 let detections = verdict.detections.iter().map(|d| d.name.clone()).collect();
                 self.finish(
-                    &fl.record.clone(),
+                    &fl.record,
                     ScanOutcome::Scanned {
                         sha1,
                         len: body.len() as u64,
@@ -442,7 +449,7 @@ impl FtCrawler {
             ctx.registry().inc(Counter::DownloadRetries);
             if ctx.telemetry_on(EventCategory::Download) {
                 let ev = EventBody::DownloadRetry {
-                    name: fl.record.filename.clone(),
+                    name: fl.record.filename.to_string(),
                     attempt: fl.attempt,
                     cause: cause.label().to_string(),
                 };
@@ -477,7 +484,7 @@ impl FtCrawler {
             .record(SimHist::DownloadAttempts, fl.attempt as u64 + 1);
         if ctx.telemetry_on(EventCategory::Download) {
             let ev = EventBody::DownloadComplete {
-                name: fl.record.filename.clone(),
+                name: fl.record.filename.to_string(),
                 ok: false,
                 latency_us,
                 attempts: fl.attempt + 1,
@@ -487,7 +494,7 @@ impl FtCrawler {
                 None => ctx.emit(ev),
             }
         }
-        self.finish(&fl.record.clone(), terminal);
+        self.finish(&fl.record, terminal);
         self.start_downloads(ctx);
     }
 
@@ -524,7 +531,7 @@ impl FtCrawler {
         // `query_issued` is emitted (span-rooted) inside `FtNode::search`,
         // so ambient auto-queries and crawler workload queries share one
         // emission point and every trace has a root.
-        self.remember_query(id, q);
+        self.remember_query(id, &q);
         self.log.queries_issued += 1;
         let next = self.workload.next_interval_secs(ctx.now(), ctx.rng());
         ctx.set_timer(SimDuration::from_secs(next), TIMER_QUERY);

@@ -129,7 +129,7 @@ pub mod test_support {
                 host: HostKey::Guid([1; 16]),
                 downloadable: p2pmal_crawler::is_downloadable_name(name),
             },
-            malware: malware.map(String::from),
+            malware: malware.map(Into::into),
             scanned: sha1.is_some(),
             sha1,
         }

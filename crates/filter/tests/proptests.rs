@@ -21,7 +21,7 @@ fn resp(name: &str, size: u64, malware: bool) -> ResolvedResponse {
             host: HostKey::Guid([0; 16]),
             downloadable: p2pmal_crawler::is_downloadable_name(name),
         },
-        malware: malware.then(|| "W32.X".to_string()),
+        malware: malware.then(|| "W32.X".into()),
         scanned: true,
         sha1: None,
     }

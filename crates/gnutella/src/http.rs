@@ -15,7 +15,7 @@
 
 use crate::guid::Guid;
 use p2pmal_hashes::{base32_decode, Sha1Digest};
-use p2pmal_netsim::take_front;
+use p2pmal_netsim::{find_across, take_front};
 use std::fmt;
 
 /// Size cap for request heads, mirroring servent hardening.
@@ -221,10 +221,41 @@ fn parse_target(path: &str) -> Result<RequestTarget, HttpError> {
 // Client side
 // ---------------------------------------------------------------------------
 
+/// Decodes a response head (the blank line excluded) into
+/// `(status, Content-Length)`, refusing a body over `max_body`.
+fn parse_response_head(head: &[u8], max_body: usize) -> Result<(u16, usize), HttpError> {
+    let head = std::str::from_utf8(head).map_err(|_| HttpError::BadHeader)?;
+    let mut lines = head.split("\r\n");
+    let status_line = lines.next().ok_or(HttpError::BadStatusLine)?;
+    let mut parts = status_line.split_whitespace();
+    let proto = parts.next().ok_or(HttpError::BadStatusLine)?;
+    if !proto.starts_with("HTTP/1.") {
+        return Err(HttpError::BadStatusLine);
+    }
+    let status: u16 = parts
+        .next()
+        .and_then(|s| s.parse().ok())
+        .ok_or(HttpError::BadStatusLine)?;
+    let mut len = None;
+    for line in lines {
+        let (k, v) = line.split_once(':').ok_or(HttpError::BadHeader)?;
+        if k.trim().eq_ignore_ascii_case("content-length") {
+            len = v.trim().parse::<usize>().ok();
+        }
+    }
+    let len = len.ok_or(HttpError::MissingLength)?;
+    if len > max_body {
+        return Err(HttpError::BodyTooLong);
+    }
+    Ok((status, len))
+}
+
 /// Sans-IO download-response reader: head, then exactly `Content-Length`
 /// body bytes.
 #[derive(Debug)]
 pub struct ResponseReader {
+    /// Head bytes in [`RespState::Head`], body bytes (and whatever the
+    /// stream carries after them) from then on.
     buf: Vec<u8>,
     state: RespState,
     /// Refuse bodies larger than this (downloads in the study are capped).
@@ -254,57 +285,44 @@ impl ResponseReader {
         }
     }
 
-    pub fn push(&mut self, data: &[u8]) {
+    /// Takes delivered bytes. The head is decoded the moment it is
+    /// complete, so the body bytes behind it — the same chunk's, normally —
+    /// go straight into a buffer of their own, sized to `Content-Length`,
+    /// and are never shifted down over a consumed head. A malformed head
+    /// stays buffered for [`ResponseReader::response`] to report.
+    pub fn push(&mut self, mut data: &[u8]) {
+        if self.state == RespState::Head {
+            if let Some(end) = find_across(&self.buf, data, b"\r\n\r\n") {
+                self.buf.extend_from_slice(&data[..end]);
+                data = &data[end..];
+                let head = &self.buf[..self.buf.len() - 4];
+                if let Ok((status, len)) = parse_response_head(head, self.max_body) {
+                    self.state = RespState::Body { status, len };
+                    self.buf.clear();
+                    self.buf.reserve(len);
+                }
+            }
+        }
         self.buf.extend_from_slice(data);
     }
 
     /// Returns the response once the full body has arrived.
     pub fn response(&mut self) -> Result<Option<HttpResponse>, HttpError> {
-        if self.state == RespState::Head {
-            let end = match find_head_end(&self.buf) {
-                Some(i) => i,
-                None => {
-                    if self.buf.len() > MAX_HEAD {
-                        return Err(HttpError::HeadTooLong);
-                    }
-                    return Ok(None);
-                }
-            };
-            let head = std::str::from_utf8(&self.buf[..end]).map_err(|_| HttpError::BadHeader)?;
-            let mut lines = head.split("\r\n");
-            let status_line = lines.next().ok_or(HttpError::BadStatusLine)?;
-            let mut parts = status_line.split_whitespace();
-            let proto = parts.next().ok_or(HttpError::BadStatusLine)?;
-            if !proto.starts_with("HTTP/1.") {
-                return Err(HttpError::BadStatusLine);
+        match self.state {
+            // `push` takes a well-formed head as soon as it is complete:
+            // one still buffered is malformed, and says how here.
+            RespState::Head => match find_head_end(&self.buf) {
+                Some(end) => parse_response_head(&self.buf[..end], self.max_body).map(|_| None),
+                None if self.buf.len() > MAX_HEAD => Err(HttpError::HeadTooLong),
+                None => Ok(None),
+            },
+            RespState::Body { status, len } if self.buf.len() >= len => {
+                self.state = RespState::Done;
+                let body = take_front(&mut self.buf, len);
+                Ok(Some(HttpResponse { status, body }))
             }
-            let status: u16 = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or(HttpError::BadStatusLine)?;
-            let mut len = None;
-            for line in lines {
-                let (k, v) = line.split_once(':').ok_or(HttpError::BadHeader)?;
-                if k.trim().eq_ignore_ascii_case("content-length") {
-                    len = v.trim().parse::<usize>().ok();
-                }
-            }
-            let len = len.ok_or(HttpError::MissingLength)?;
-            if len > self.max_body {
-                return Err(HttpError::BodyTooLong);
-            }
-            self.buf.drain(..end + 4);
-            self.state = RespState::Body { status, len };
+            RespState::Body { .. } | RespState::Done => Ok(None),
         }
-        if let RespState::Body { status, len } = self.state {
-            if self.buf.len() < len {
-                return Ok(None);
-            }
-            self.state = RespState::Done;
-            let body = take_front(&mut self.buf, len);
-            return Ok(Some(HttpResponse { status, body }));
-        }
-        Ok(None)
     }
 }
 
@@ -445,8 +463,9 @@ mod tests {
         for tail in [&b""[..], b"NEXT"] {
             let mut wire = wire.clone();
             wire.extend_from_slice(tail);
-            // Whole, split inside the head, split inside the body.
-            for split in [0, 10, head_len + 100] {
+            // Whole, split inside the head, one byte before the blank line
+            // that ends it, inside that blank line, split inside the body.
+            for split in [0, 10, head_len - 5, head_len - 2, head_len + 100] {
                 let mut r = ResponseReader::new(1 << 20);
                 let mut got = None;
                 for chunk in [&wire[..split], &wire[split..]] {
@@ -476,6 +495,54 @@ mod tests {
         let mut r = ResponseReader::new(1_000_000);
         r.push(&wire);
         assert_eq!(r.response(), Err(HttpError::BodyTooLong));
+    }
+
+    /// Head and body arrive in one chunk (no MSS): the body must land in a
+    /// buffer of its own, not be shifted down over the head.
+    #[test]
+    fn body_never_shares_a_buffer_with_the_head() {
+        let body = vec![7u8; 5000];
+        let mut wire = encode_response_ok("P2PMal/0.1", body.len());
+        let head_len = wire.len();
+        wire.extend_from_slice(&body);
+        let mut r = ResponseReader::new(1 << 20);
+        r.push(&wire);
+        let resp = r.response().unwrap().unwrap();
+        assert_eq!(resp.body, body);
+        assert!(resp.body.capacity() < head_len + body.len());
+    }
+
+    /// `push` decodes the head; a malformed one must still come out of
+    /// `response` as the same error, wherever the chunks were cut, and keep
+    /// coming out.
+    #[test]
+    fn malformed_head_reports_its_error_however_it_arrives() {
+        let cases: [(&[u8], HttpError); 4] = [
+            (
+                b"HTTP/1.1 200 OK\r\nServer: x\r\n\r\nbody",
+                HttpError::MissingLength,
+            ),
+            (
+                b"ICY 200 OK\r\nContent-Length: 1\r\n\r\nx",
+                HttpError::BadStatusLine,
+            ),
+            (b"HTTP/1.1 200 OK\r\nno colon\r\n\r\n", HttpError::BadHeader),
+            (
+                b"HTTP/1.1 200 OK\r\nContent-Length: 11\r\n\r\n",
+                HttpError::BodyTooLong,
+            ),
+        ];
+        for (wire, err) in cases {
+            for split in 0..wire.len() {
+                let mut r = ResponseReader::new(10);
+                r.push(&wire[..split]);
+                let _ = r.response();
+                r.push(&wire[split..]);
+                assert_eq!(r.response(), Err(err.clone()), "split {split}");
+                r.push(b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n");
+                assert_eq!(r.response(), Err(err.clone()), "split {split}, later");
+            }
+        }
     }
 
     #[test]

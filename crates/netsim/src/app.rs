@@ -113,8 +113,17 @@ impl<'a> Ctx<'a> {
     /// real socket write after reset is lost. The copy lands in a pooled
     /// buffer that is recycled once the bytes are delivered.
     pub fn send(&mut self, conn: ConnId, data: &[u8]) {
-        let buf = self.pool.acquire(data);
-        self.actions.push(Action::Send { conn, data: buf });
+        self.send_with(conn, |out| out.extend_from_slice(data));
+    }
+
+    /// [`Ctx::send`] for bytes the caller encodes on the spot: `fill`
+    /// appends them to the (empty) pooled buffer that travels in the
+    /// event, so a message is written once instead of being built in a
+    /// `Vec` of its own and copied. Same delivery in every other respect.
+    pub fn send_with(&mut self, conn: ConnId, fill: impl FnOnce(&mut Vec<u8>)) {
+        let mut data = self.pool.acquire();
+        fill(&mut data);
+        self.actions.push(Action::Send { conn, data });
     }
 
     /// [`Ctx::send`] for a buffer the caller built for this one send (an

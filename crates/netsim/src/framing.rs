@@ -129,6 +129,26 @@ pub fn take_front(buf: &mut Vec<u8>, len: usize) -> Vec<u8> {
     std::mem::replace(buf, rest)
 }
 
+/// Where the first `delim` of the stream `buf ++ chunk` ends, as an offset
+/// into `chunk`, given that `buf` holds no complete one. A reader whose
+/// stream changes meaning at a delimiter (an HTTP head, then a body) uses
+/// it to send each part of the chunk to its own place instead of buffering
+/// the chunk whole and cutting the front off afterwards.
+pub fn find_across(buf: &[u8], chunk: &[u8], delim: &[u8]) -> Option<usize> {
+    // Straddling the seam: all but the last `k` bytes end `buf`.
+    (1..delim.len())
+        .find(|&k| {
+            let (before, after) = delim.split_at(delim.len() - k);
+            buf.ends_with(before) && chunk.starts_with(after)
+        })
+        .or_else(|| {
+            chunk
+                .windows(delim.len())
+                .position(|w| w == delim)
+                .map(|i| i + delim.len())
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,6 +211,19 @@ mod tests {
             "moved, not copied"
         );
         assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn find_across_sees_a_delimiter_on_either_side_of_the_seam() {
+        let stream = b"head\r\n\r\nbody\r\n\r\n";
+        // Wherever the stream is cut, the first delimiter ends at byte 8.
+        for cut in 0..8 {
+            let (buf, chunk) = stream.split_at(cut);
+            assert_eq!(find_across(buf, chunk, b"\r\n\r\n"), Some(8 - cut), "{cut}");
+        }
+        assert_eq!(find_across(b"head\r\n", b"\rbody", b"\r\n\r\n"), None);
+        assert_eq!(find_across(b"", b"", b"\r\n\r\n"), None);
+        assert_eq!(find_across(b"\r\n\r", b"", b"\r\n\r\n"), None);
     }
 
     #[test]

@@ -44,9 +44,9 @@ pub(crate) struct BufferPool {
 }
 
 impl BufferPool {
-    /// Returns a buffer containing a copy of `data`, reusing a freed
+    /// Returns an empty buffer for the caller to fill, reusing a freed
     /// buffer when one is available.
-    pub fn acquire(&mut self, data: &[u8]) -> Vec<u8> {
+    pub fn acquire(&mut self) -> Vec<u8> {
         let mut buf = match self.free.pop() {
             Some(b) => {
                 self.stats.hits += 1;
@@ -58,7 +58,6 @@ impl BufferPool {
             }
         };
         buf.clear();
-        buf.extend_from_slice(data);
         buf
     }
 
@@ -131,15 +130,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn acquire_copies_and_reuses() {
+    fn acquire_hands_out_empty_buffers_and_reuses() {
         let mut pool = BufferPool::default();
-        let a = pool.acquire(b"hello");
-        assert_eq!(a, b"hello");
+        let mut a = pool.acquire();
+        assert!(a.is_empty());
         assert_eq!(pool.stats.misses, 1);
+        a.extend_from_slice(b"hello");
         pool.release(a);
         assert_eq!(pool.stats.recycled_bytes, 5);
-        let b = pool.acquire(b"hi");
-        assert_eq!(b, b"hi");
+        let b = pool.acquire();
+        assert!(b.is_empty() && b.capacity() >= 5, "recycled, cleared");
         assert_eq!(pool.stats.hits, 1);
     }
 

@@ -5,7 +5,7 @@
 //! like everything else in the workspace.
 
 use p2pmal_hashes::{from_hex, Md5Digest};
-use p2pmal_netsim::take_front;
+use p2pmal_netsim::{find_across, take_front};
 use std::fmt;
 
 const MAX_HEAD: usize = 8 * 1024;
@@ -108,10 +108,40 @@ impl RequestReader {
     }
 }
 
+/// Decodes a response head (the blank line excluded) into
+/// `(status, Content-Length)`, refusing a body over `max_body`.
+fn parse_response_head(head: &[u8], max_body: usize) -> Result<(u16, usize), HttpError> {
+    let head = std::str::from_utf8(head).map_err(|_| HttpError::BadHeader)?;
+    let mut lines = head.split("\r\n");
+    let status_line = lines.next().ok_or(HttpError::BadStatusLine)?;
+    let mut parts = status_line.split_whitespace();
+    if !parts.next().unwrap_or("").starts_with("HTTP/1.") {
+        return Err(HttpError::BadStatusLine);
+    }
+    let status: u16 = parts
+        .next()
+        .and_then(|s| s.parse().ok())
+        .ok_or(HttpError::BadStatusLine)?;
+    let mut len = None;
+    for line in lines {
+        let (k, v) = line.split_once(':').ok_or(HttpError::BadHeader)?;
+        if k.trim().eq_ignore_ascii_case("content-length") {
+            len = v.trim().parse::<usize>().ok();
+        }
+    }
+    let len = len.ok_or(HttpError::MissingLength)?;
+    if len > max_body {
+        return Err(HttpError::BodyTooLong);
+    }
+    Ok((status, len))
+}
+
 /// Client-side response reader (head + Content-Length body).
 #[derive(Debug)]
 pub struct ResponseReader {
+    /// Head bytes until the head is decoded, body bytes from then on.
     buf: Vec<u8>,
+    /// `(status, Content-Length)` once the head is decoded.
     body_len: Option<(u16, usize)>,
     max_body: usize,
 }
@@ -125,56 +155,49 @@ impl ResponseReader {
         }
     }
 
-    pub fn push(&mut self, data: &[u8]) {
+    /// Takes delivered bytes. A head is decoded the moment it is complete,
+    /// so the body bytes behind it — the same chunk's, normally — go
+    /// straight into a buffer of their own, sized to `Content-Length`, and
+    /// are never shifted down over a consumed head. A malformed head stays
+    /// buffered for [`ResponseReader::response`] to report.
+    pub fn push(&mut self, mut data: &[u8]) {
+        if self.body_len.is_none() {
+            if let Some(end) = find_across(&self.buf, data, b"\r\n\r\n") {
+                self.buf.extend_from_slice(&data[..end]);
+                data = &data[end..];
+                let head = &self.buf[..self.buf.len() - 4];
+                if let Ok((status, len)) = parse_response_head(head, self.max_body) {
+                    self.body_len = Some((status, len));
+                    self.buf.clear();
+                    self.buf.reserve(len);
+                }
+            }
+        }
         self.buf.extend_from_slice(data);
     }
 
     /// Returns `(status, body)` once complete.
     pub fn response(&mut self) -> Result<Option<(u16, Vec<u8>)>, HttpError> {
-        if self.body_len.is_none() {
-            let end = match head_end(&self.buf) {
-                Some(i) => i,
-                None => {
-                    if self.buf.len() > MAX_HEAD {
-                        return Err(HttpError::HeadTooLong);
-                    }
-                    return Ok(None);
-                }
+        let Some((status, len)) = self.body_len else {
+            // `push` takes a well-formed head as soon as it is complete:
+            // one still buffered is malformed, and says how here.
+            return match head_end(&self.buf) {
+                Some(end) => parse_response_head(&self.buf[..end], self.max_body).map(|_| None),
+                None if self.buf.len() > MAX_HEAD => Err(HttpError::HeadTooLong),
+                None => Ok(None),
             };
-            let head = std::str::from_utf8(&self.buf[..end]).map_err(|_| HttpError::BadHeader)?;
-            let mut lines = head.split("\r\n");
-            let status_line = lines.next().ok_or(HttpError::BadStatusLine)?;
-            let mut parts = status_line.split_whitespace();
-            if !parts.next().unwrap_or("").starts_with("HTTP/1.") {
-                return Err(HttpError::BadStatusLine);
-            }
-            let status: u16 = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or(HttpError::BadStatusLine)?;
-            let mut len = None;
-            for line in lines {
-                let (k, v) = line.split_once(':').ok_or(HttpError::BadHeader)?;
-                if k.trim().eq_ignore_ascii_case("content-length") {
-                    len = v.trim().parse::<usize>().ok();
-                }
-            }
-            let len = len.ok_or(HttpError::MissingLength)?;
-            if len > self.max_body {
-                return Err(HttpError::BodyTooLong);
-            }
-            self.buf.drain(..end + 4);
-            self.body_len = Some((status, len));
+        };
+        if self.buf.len() < len {
+            return Ok(None);
         }
-        if let Some((status, len)) = self.body_len {
-            if self.buf.len() < len {
-                return Ok(None);
-            }
-            self.body_len = None;
-            let body = take_front(&mut self.buf, len);
-            return Ok(Some((status, body)));
+        self.body_len = None;
+        let body = take_front(&mut self.buf, len);
+        // What followed the body opens the next response.
+        if !self.buf.is_empty() {
+            let rest = std::mem::take(&mut self.buf);
+            self.push(&rest);
         }
-        Ok(None)
+        Ok(Some((status, body)))
     }
 }
 
@@ -239,8 +262,9 @@ mod tests {
             if pipelined {
                 wire.extend_from_slice(&encode_response_err(404, "Not Found"));
             }
-            // Whole, split inside the head, split inside the body.
-            for split in [0, 10, head_len + 100] {
+            // Whole, split inside the head, one byte before the blank line
+            // that ends it, inside that blank line, split inside the body.
+            for split in [0, 10, head_len - 5, head_len - 2, head_len + 100] {
                 let mut r = ResponseReader::new(1 << 20);
                 let mut got = None;
                 for chunk in [&wire[..split], &wire[split..]] {
@@ -251,6 +275,54 @@ mod tests {
                 let next = pipelined.then(|| (404, Vec::new()));
                 assert_eq!(r.response().unwrap(), next, "split {split}");
                 assert!(r.buf.is_empty());
+            }
+        }
+    }
+
+    /// Head and body arrive in one chunk (no MSS): the body must land in a
+    /// buffer of its own, not be shifted down over the head.
+    #[test]
+    fn body_never_shares_a_buffer_with_the_head() {
+        let body = vec![7u8; 5000];
+        let mut wire = encode_response_ok(body.len());
+        let head_len = wire.len();
+        wire.extend_from_slice(&body);
+        let mut r = ResponseReader::new(1 << 20);
+        r.push(&wire);
+        let (_, got) = r.response().unwrap().unwrap();
+        assert_eq!(got, body);
+        assert!(got.capacity() < head_len + body.len());
+    }
+
+    /// `push` decodes heads; a malformed one must still come out of
+    /// `response` as the same error, wherever the chunks were cut, and keep
+    /// coming out.
+    #[test]
+    fn malformed_head_reports_its_error_however_it_arrives() {
+        let cases: [(&[u8], HttpError); 4] = [
+            (
+                b"HTTP/1.1 200 OK\r\nServer: x\r\n\r\nbody",
+                HttpError::MissingLength,
+            ),
+            (
+                b"ICY 200 OK\r\nContent-Length: 1\r\n\r\nx",
+                HttpError::BadStatusLine,
+            ),
+            (b"HTTP/1.1 200 OK\r\nno colon\r\n\r\n", HttpError::BadHeader),
+            (
+                b"HTTP/1.1 200 OK\r\nContent-Length: 11\r\n\r\n",
+                HttpError::BodyTooLong,
+            ),
+        ];
+        for (wire, err) in cases {
+            for split in 0..wire.len() {
+                let mut r = ResponseReader::new(10);
+                r.push(&wire[..split]);
+                let _ = r.response();
+                r.push(&wire[split..]);
+                assert_eq!(r.response(), Err(err.clone()), "split {split}");
+                r.push(b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n");
+                assert_eq!(r.response(), Err(err.clone()), "split {split}, later");
             }
         }
     }

@@ -352,3 +352,223 @@ fn child_departure_cleans_index() {
         "index purged on child departure"
     );
 }
+
+impl FtNode {
+    /// The owning answer loop `answer_search` replaced, kept as the oracle
+    /// for [`answers_match_the_owning_loop`]: index rows in index order,
+    /// then our own shares, cut at `max_results`.
+    fn answer_reference(&self, me: std::net::Ipv4Addr, id: u32, query: &str) -> Vec<SearchResult> {
+        let compiled = self.world.compile_query(query);
+        let mut results = Vec::new();
+        if !compiled.is_empty() {
+            for s in &self.index {
+                if results.len() >= self.config.max_results {
+                    break;
+                }
+                if compiled.matches_meta(s.rec.lower(), s.rec.fp()) {
+                    results.push(SearchResult {
+                        id,
+                        host: s.host.ip,
+                        port: s.host.port,
+                        http_port: s.http_port,
+                        avail: 1,
+                        md5: s.md5,
+                        size: s.size,
+                        filename: s.rec.name().to_string(),
+                    });
+                }
+            }
+            let own = self
+                .library
+                .respond_compiled(&compiled, self.config.max_results);
+            for f in own {
+                if results.len() >= self.config.max_results {
+                    break;
+                }
+                results.push(SearchResult {
+                    id,
+                    host: me,
+                    port: self.config.port,
+                    http_port: self.config.port,
+                    avail: 1,
+                    md5: self.world.store.declared_md5(f.content),
+                    size: f.size.min(u32::MAX as u64) as u32,
+                    filename: f.name.to_string(),
+                });
+            }
+        }
+        results
+    }
+}
+
+/// A library of `names`, each backed by its own catalog title (so every
+/// file has its own MD5).
+fn named_library(world: &SharedWorld, first_item: u32, names: &[String]) -> HostLibrary {
+    let mut lib = HostLibrary::new();
+    for (item, name) in (first_item..).zip(names) {
+        let item = world.catalog.item(item);
+        lib.add_file(p2pmal_corpus::SharedFile {
+            name: name.as_str().into(),
+            size: item.variants[0].size,
+            content: p2pmal_corpus::ContentRef::Benign {
+                item: item.id,
+                variant: 0,
+            },
+        });
+    }
+    lib
+}
+
+/// What a search returns is exactly what the owning loop returned: same
+/// rows, same order, own library last, cut at the cap — with more matching
+/// rows than the cap, after a REMSHARE, and after a child left.
+#[test]
+fn answers_match_the_owning_loop() {
+    const CAP: usize = 9;
+    let world = world(8);
+    let mut sim = Simulator::new(SimConfig::default(), 8);
+    let own: Vec<String> = (0..3)
+        .map(|k| format!("Pinned_Own_{k}.exe"))
+        .chain(["unrelated_own.mp3".to_string()])
+        .collect();
+    let cfg = FtConfig {
+        max_results: CAP,
+        ..FtConfig::search_node()
+    };
+    let parent = sim.spawn(
+        NodeSpec::public().listen(1215),
+        Box::new(FtNode::new(
+            cfg,
+            world.clone(),
+            named_library(&world, 0, &own),
+        )),
+    );
+    let mut net = Net {
+        search_addrs: vec![sim.node_addr(parent)],
+        search_nodes: vec![parent],
+        sim,
+        world,
+    };
+    let children: Vec<NodeId> = (0..3u32)
+        .map(|c| {
+            let names: Vec<String> = (0..4)
+                .map(|k| format!("pinned_child{c}_{k}.mp3"))
+                .chain((0..2).map(|k| format!("other_{c}_{k}.avi")))
+                .collect();
+            let lib = named_library(&net.world, 10 + 6 * c, &names);
+            spawn_user(&mut net, lib, false)
+        })
+        .collect();
+    let asker = spawn_user(&mut net, HostLibrary::new(), true);
+    net.sim.run_until(SimTime::from_secs(300));
+    assert_eq!(
+        with_node(&mut net.sim, parent, |n, _| n.indexed_shares()),
+        18,
+        "three children registered six shares each"
+    );
+
+    // Searches `query` once the network has settled, returning what came
+    // back (in arrival order) after checking it against what the owning
+    // loop makes of the parent's state.
+    let mut now = 300;
+    let mut ask = |net: &mut Net, query: &str| {
+        net.sim.run_until(SimTime::from_secs(now + 60));
+        let id = with_node(&mut net.sim, asker, |n, ctx| n.search(ctx, query));
+        now += 120;
+        net.sim.run_until(SimTime::from_secs(now));
+        let got: Vec<SearchResult> = with_node(&mut net.sim, asker, |n, _| n.drain_events())
+            .into_iter()
+            .filter_map(|e| match e {
+                FtEvent::SearchResult { result, .. } => Some(result),
+                _ => None,
+            })
+            .collect();
+        let want = with_node(&mut net.sim, parent, |n, ctx| {
+            n.answer_reference(ctx.external_addr().ip, id, query)
+        });
+        assert_eq!(got, want, "query {query:?}");
+        got
+    };
+    let parent_ip = net.sim.node_addr(parent).ip;
+    let from_own = |rs: &[SearchResult]| rs.iter().filter(|r| r.host == parent_ip).count();
+
+    // Twelve matching rows, cap nine: the index alone fills the answer.
+    let full = ask(&mut net, "pinned");
+    assert_eq!((full.len(), from_own(&full)), (CAP, 0));
+    // Selective queries; one that only the parent's own library answers.
+    assert_eq!(ask(&mut net, "child1 pinned").len(), 4);
+    assert_eq!(from_own(&ask(&mut net, "own")), 4);
+    assert!(ask(&mut net, "nothing_shares_this").is_empty());
+
+    // REMSHARE of the first row answered: it is gone, the cut moves on.
+    let gone = full[0].clone();
+    let owner = *children
+        .iter()
+        .find(|&&c| net.sim.node_addr(c).ip == gone.host)
+        .expect("a child owns the first row");
+    with_node(&mut net.sim, owner, |n, ctx| {
+        let up: Vec<ConnId> = n
+            .conns
+            .iter()
+            .filter(|(_, k)| matches!(k, ConnKind::Peer(p) if p.parent))
+            .map(|(&c, _)| c)
+            .collect();
+        for c in up {
+            let rem = crate::packet::RemShare { md5: gone.md5 };
+            n.send_packet(ctx, c, Command::RemShare, &rem.encode());
+        }
+    });
+    let after_rem = ask(&mut net, "pinned");
+    assert_eq!((after_rem.len(), from_own(&after_rem)), (CAP, 0));
+    assert!(after_rem.iter().all(|r| r.md5 != gone.md5));
+
+    // A child leaves: seven matching rows remain, the parent's own files
+    // fill the answer up to the cap, last.
+    let leaver = *children.iter().find(|&&c| c != owner).expect("two others");
+    let leaver_ip = net.sim.node_addr(leaver).ip;
+    net.sim.stop_node(leaver);
+    let after_leave = ask(&mut net, "pinned");
+    assert_eq!((after_leave.len(), from_own(&after_leave)), (CAP, 2));
+    assert!(after_leave.iter().all(|r| r.host != leaver_ip));
+    assert!(after_leave[CAP - 2..].iter().all(|r| r.host == parent_ip));
+}
+
+/// A node nobody reads events from checks a result and counts it without
+/// materialising it; a result `Search::parse` rejects is still rejected.
+#[test]
+fn non_collecting_user_validates_results_without_keeping_them() {
+    let mut net = build(9, 1);
+    let user = spawn_user(&mut net, HostLibrary::new(), false);
+    net.sim.run_until(SimTime::from_secs(120));
+    let good = Search::Result(SearchResult {
+        id: 1,
+        host: std::net::Ipv4Addr::new(10, 0, 0, 7),
+        port: 1215,
+        http_port: 1215,
+        avail: 1,
+        md5: p2pmal_hashes::md5(b"x"),
+        size: 9,
+        filename: "tool.exe".into(),
+    })
+    .encode();
+    let mut unterminated = good.clone();
+    unterminated.pop();
+    let before = with_node(&mut net.sim, user, |n, _| n.stats());
+    with_node(&mut net.sim, user, |n, ctx| {
+        n.handle_packet(ctx, ConnId(u64::MAX), Command::Search, &good);
+        n.handle_packet(ctx, ConnId(u64::MAX), Command::Search, &unterminated);
+    });
+    let (after, events) = with_node(&mut net.sim, user, |n, _| (n.stats(), n.drain_events()));
+    assert_eq!(after.results_received - before.results_received, 1);
+    assert_eq!(after.bad_packets - before.bad_packets, 1);
+    assert!(events.is_empty());
+}
+
+/// A search scans every row: the half fingerprint lives in what was
+/// padding, so a field added here shows up as a failed test, not as a
+/// slower benchmark and a moved `app_bytes_per_node`.
+#[cfg(target_pointer_width = "64")]
+#[test]
+fn index_row_stays_48_bytes() {
+    assert_eq!(std::mem::size_of::<IndexedShare>(), 48);
+}

@@ -210,7 +210,7 @@ impl<'a> Reader<'a> {
         Ok(Md5Digest(d))
     }
 
-    fn cstr(&mut self) -> Result<String, PacketError> {
+    fn cstr(&mut self) -> Result<&'a str, PacketError> {
         let rest = &self.data[self.pos..];
         let nul = rest
             .iter()
@@ -218,7 +218,7 @@ impl<'a> Reader<'a> {
             .ok_or(PacketError::MissingNul)?;
         let s = std::str::from_utf8(&rest[..nul]).map_err(|_| PacketError::BadUtf8)?;
         self.pos += nul + 1;
-        Ok(s.to_string())
+        Ok(s)
     }
 
     fn at_end(&self) -> bool {
@@ -433,7 +433,7 @@ impl AddShare {
         Ok(AddShare {
             md5: r.md5()?,
             size: r.u32()?,
-            path: r.cstr()?,
+            path: r.cstr()?.to_string(),
         })
     }
 }
@@ -480,47 +480,133 @@ pub struct SearchResult {
     pub filename: String,
 }
 
-impl Search {
-    pub fn encode(&self) -> Vec<u8> {
-        match self {
-            Search::Request { id, query } => {
-                let mut out = Vec::new();
-                out.extend_from_slice(&id.to_be_bytes());
-                out.extend_from_slice(&1u16.to_be_bytes()); // kind 1: request
-                put_str(&mut out, query);
-                out
-            }
-            Search::Result(res) => {
-                let mut out = Vec::new();
-                out.extend_from_slice(&res.id.to_be_bytes());
-                out.extend_from_slice(&2u16.to_be_bytes()); // kind 2: result
-                out.extend_from_slice(&res.host.octets());
-                out.extend_from_slice(&res.port.to_be_bytes());
-                out.extend_from_slice(&res.http_port.to_be_bytes());
-                out.extend_from_slice(&res.avail.to_be_bytes());
-                out.extend_from_slice(&res.md5.0);
-                out.extend_from_slice(&res.size.to_be_bytes());
-                put_str(&mut out, &res.filename);
-                out
-            }
-            Search::End { id } => {
-                let mut out = Vec::new();
-                out.extend_from_slice(&id.to_be_bytes());
-                out.extend_from_slice(&3u16.to_be_bytes()); // kind 3: end
-                out
-            }
+/// A [`Search`] decoded in place, its strings still slices of the payload:
+/// all a node needs to answer a request or count a result nobody reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SearchRef<'a> {
+    Request { id: u32, query: &'a str },
+    Result(SearchResultRef<'a>),
+    End { id: u32 },
+}
+
+/// A [`SearchResult`] with the filename borrowed: what decoding yields
+/// before anything is copied, and all that encoding needs — a SEARCH node
+/// answers from an index row without building the owning form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SearchResultRef<'a> {
+    pub id: u32,
+    pub host: Ipv4Addr,
+    pub port: u16,
+    pub http_port: u16,
+    pub avail: u16,
+    pub md5: Md5Digest,
+    pub size: u32,
+    pub filename: &'a str,
+}
+
+impl SearchResult {
+    pub fn borrowed(&self) -> SearchResultRef<'_> {
+        SearchResultRef {
+            id: self.id,
+            host: self.host,
+            port: self.port,
+            http_port: self.http_port,
+            avail: self.avail,
+            md5: self.md5,
+            size: self.size,
+            filename: &self.filename,
+        }
+    }
+}
+
+impl SearchResultRef<'_> {
+    /// Payload bytes ahead of the filename.
+    const FIXED_LEN: usize = 36;
+
+    pub fn to_owned(self) -> SearchResult {
+        SearchResult {
+            id: self.id,
+            host: self.host,
+            port: self.port,
+            http_port: self.http_port,
+            avail: self.avail,
+            md5: self.md5,
+            size: self.size,
+            filename: self.filename.to_string(),
         }
     }
 
+    fn put_payload(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.id.to_be_bytes());
+        out.extend_from_slice(&2u16.to_be_bytes()); // kind 2: result
+        out.extend_from_slice(&self.host.octets());
+        out.extend_from_slice(&self.port.to_be_bytes());
+        out.extend_from_slice(&self.http_port.to_be_bytes());
+        out.extend_from_slice(&self.avail.to_be_bytes());
+        out.extend_from_slice(&self.md5.0);
+        out.extend_from_slice(&self.size.to_be_bytes());
+        put_str(out, self.filename);
+    }
+
+    /// Appends this result as one framed SEARCH packet: the bytes of
+    /// `encode_packet(Command::Search, &Search::Result(r).encode(), out)`
+    /// without the payload `Vec` in between.
+    pub fn encode_packet(&self, out: &mut Vec<u8>) {
+        let len = Self::FIXED_LEN + self.filename.len() + 1;
+        assert!(len <= MAX_PAYLOAD, "payload {len} too long");
+        out.reserve(HEADER_LEN + len);
+        out.extend_from_slice(&(len as u16).to_be_bytes());
+        out.extend_from_slice(&(Command::Search as u16).to_be_bytes());
+        self.put_payload(out);
+    }
+}
+
+impl SearchRef<'_> {
+    pub fn to_owned(self) -> Search {
+        match self {
+            SearchRef::Request { id, query } => Search::Request {
+                id,
+                query: query.to_string(),
+            },
+            SearchRef::Result(res) => Search::Result(res.to_owned()),
+            SearchRef::End { id } => Search::End { id },
+        }
+    }
+}
+
+impl Search {
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        match self {
+            Search::Request { id, query } => {
+                out.extend_from_slice(&id.to_be_bytes());
+                out.extend_from_slice(&1u16.to_be_bytes()); // kind 1: request
+                put_str(&mut out, query);
+            }
+            Search::Result(res) => res.borrowed().put_payload(&mut out),
+            Search::End { id } => {
+                out.extend_from_slice(&id.to_be_bytes());
+                out.extend_from_slice(&3u16.to_be_bytes()); // kind 3: end
+            }
+        }
+        out
+    }
+
     pub fn parse(data: &[u8]) -> Result<Self, PacketError> {
+        Self::parse_ref(data).map(SearchRef::to_owned)
+    }
+
+    /// The one decoder of SEARCH payloads: every check [`Search::parse`]
+    /// makes (it is this plus the copies) and no allocation.
+    pub fn parse_ref(data: &[u8]) -> Result<SearchRef<'_>, PacketError> {
         let mut r = Reader::new(data);
         let id = r.u32()?;
         match r.u16()? {
-            1 => Ok(Search::Request {
+            1 => Ok(SearchRef::Request {
                 id,
                 query: r.cstr()?,
             }),
-            2 => Ok(Search::Result(SearchResult {
+            2 => Ok(SearchRef::Result(SearchResultRef {
                 id,
                 host: r.ipv4()?,
                 port: r.u16()?,
@@ -530,7 +616,7 @@ impl Search {
                 size: r.u32()?,
                 filename: r.cstr()?,
             })),
-            3 => Ok(Search::End { id }),
+            3 => Ok(SearchRef::End { id }),
             k => Err(PacketError::UnknownCommand(k)),
         }
     }

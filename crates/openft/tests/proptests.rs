@@ -4,8 +4,8 @@
 use p2pmal_hashes::Md5Digest;
 use p2pmal_openft::http::{RequestReader, ResponseReader};
 use p2pmal_openft::packet::{
-    encode_packet, AddShare, Child, Command, NodeEntry, NodeInfo, NodeList, PacketReader, RemShare,
-    Search, SearchResult, Session, Version,
+    encode_packet, AddShare, Child, Command, NodeEntry, NodeInfo, NodeList, PacketError,
+    PacketReader, RemShare, Search, SearchRef, SearchResult, Session, Version, MAX_PAYLOAD,
 };
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -22,8 +22,128 @@ fn arb_str() -> impl Strategy<Value = String> {
     "[ -~&&[^\\x00]]{0,48}"
 }
 
+/// File names a result can carry: empty, one byte, non-ASCII, arbitrary
+/// (NUL-free) text, and the longest three that still fit a payload.
+fn arb_filename() -> impl Strategy<Value = String> {
+    (any::<u8>(), proptest::collection::vec(any::<u32>(), 0..40)).prop_map(|(kind, chars)| {
+        match kind % 6 {
+            0 => String::new(),
+            1 => "x".to_string(),
+            2 => "na\u{ef}ve_\u{65e5}\u{672c}.exe".to_string(),
+            3 => "n".repeat(MAX_PAYLOAD - 37 - (kind as usize / 6) % 3),
+            _ => chars
+                .into_iter()
+                .filter_map(|c| char::from_u32(c % 0x11_0000))
+                .filter(|&c| c != '\0')
+                .collect(),
+        }
+    })
+}
+
+/// The owning SEARCH decoder as it stood before `Search::parse_ref`,
+/// written out on its own: the oracle both public decoders answer to.
+fn parse_reference(data: &[u8]) -> Result<Search, PacketError> {
+    fn take<'a>(d: &mut &'a [u8], n: usize) -> Result<&'a [u8], PacketError> {
+        if d.len() < n {
+            return Err(PacketError::Truncated);
+        }
+        let (front, rest) = d.split_at(n);
+        *d = rest;
+        Ok(front)
+    }
+    fn u16_be(d: &mut &[u8]) -> Result<u16, PacketError> {
+        Ok(u16::from_be_bytes(take(d, 2)?.try_into().unwrap()))
+    }
+    fn u32_be(d: &mut &[u8]) -> Result<u32, PacketError> {
+        Ok(u32::from_be_bytes(take(d, 4)?.try_into().unwrap()))
+    }
+    fn cstr(d: &mut &[u8]) -> Result<String, PacketError> {
+        let nul = d
+            .iter()
+            .position(|&b| b == 0)
+            .ok_or(PacketError::MissingNul)?;
+        let s = std::str::from_utf8(&d[..nul]).map_err(|_| PacketError::BadUtf8)?;
+        let s = s.to_string();
+        *d = &d[nul + 1..];
+        Ok(s)
+    }
+    let d = &mut &data[..];
+    let id = u32_be(d)?;
+    match u16_be(d)? {
+        1 => Ok(Search::Request {
+            id,
+            query: cstr(d)?,
+        }),
+        2 => Ok(Search::Result(SearchResult {
+            id,
+            host: <[u8; 4]>::try_from(take(d, 4)?).unwrap().into(),
+            port: u16_be(d)?,
+            http_port: u16_be(d)?,
+            avail: u16_be(d)?,
+            md5: Md5Digest(take(d, 16)?.try_into().unwrap()),
+            size: u32_be(d)?,
+            filename: cstr(d)?,
+        })),
+        3 => Ok(Search::End { id }),
+        k => Err(PacketError::UnknownCommand(k)),
+    }
+}
+
+/// The in-place decoder and the owning one built on it accept and reject
+/// exactly what the reference does, with the same value or error.
+fn assert_search_decoders_agree(data: &[u8]) {
+    let want = parse_reference(data);
+    assert_eq!(Search::parse_ref(data).map(SearchRef::to_owned), want);
+    assert_eq!(Search::parse(data), want);
+}
+
+/// `data` with one bit flipped, and `data` cut short.
+fn damaged(data: &[u8], bit: usize, cut: usize) -> [Vec<u8>; 2] {
+    let mut flipped = data.to_vec();
+    if !flipped.is_empty() {
+        let bit = bit % (flipped.len() * 8);
+        flipped[bit / 8] ^= 1 << (bit % 8);
+    }
+    [flipped, data[..cut % (data.len() + 1)].to_vec()]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn search_decoders_agree_on_arbitrary_bytes(data in proptest::collection::vec(any::<u8>(), 0..256)) {
+        assert_search_decoders_agree(&data);
+    }
+
+    /// What a SEARCH node writes straight into the send buffer is byte for
+    /// byte the packet the owning path framed, and damaged copies of it
+    /// are judged alike by every decoder.
+    #[test]
+    fn in_place_result_is_the_framed_result(
+        id in any::<u32>(),
+        host in arb_ip(),
+        port in any::<u16>(),
+        http_port in any::<u16>(),
+        avail in any::<u16>(),
+        md5 in arb_md5(),
+        size in any::<u32>(),
+        filename in arb_filename(),
+        bit in any::<usize>(),
+        cut in any::<usize>(),
+    ) {
+        let result = SearchResult { id, host, port, http_port, avail, md5, size, filename };
+        let payload = Search::Result(result.clone()).encode();
+        let mut framed = Vec::new();
+        encode_packet(Command::Search, &payload, &mut framed);
+        // Appended: whatever the buffer held stays in front.
+        let mut in_place = vec![0xAA];
+        result.borrowed().encode_packet(&mut in_place);
+        prop_assert_eq!(&in_place[1..], &framed[..]);
+        prop_assert_eq!(Search::parse_ref(&payload), Ok(SearchRef::Result(result.borrowed())));
+        for bad in damaged(&payload, bit, cut) {
+            assert_search_decoders_agree(&bad);
+        }
+    }
 
     #[test]
     fn packet_reader_never_panics(data in proptest::collection::vec(any::<u8>(), 0..512)) {
