@@ -231,9 +231,10 @@ fn write_bench_json(report: &p2pmal_core::StudyReport, cfg: &BenchConfig) {
         ("faults".into(), cfg.faults.as_str().into()),
         ("networks".into(), Value::Arr(networks)),
     ]);
-    let path = std::env::var("P2PMAL_BENCH_JSON").unwrap_or_else(|_| "BENCH_study.json".into());
-    // `P2PMAL_BENCH_JSON=dir/file.json` must work even when `dir` does not
-    // exist yet (CI points this at a fresh artifacts directory).
+    let path = std::env::var("P2PMAL_BENCH_JSON")
+        .unwrap_or_else(|_| "target/telemetry/BENCH_study.json".into());
+    // The directory may not exist yet (a fresh checkout, or CI pointing
+    // `P2PMAL_BENCH_JSON` at a new artifacts directory).
     if let Some(dir) = std::path::Path::new(&path).parent() {
         if !dir.as_os_str().is_empty() {
             if let Err(e) = std::fs::create_dir_all(dir) {

@@ -193,7 +193,17 @@ impl CompiledQuery {
 /// tokenized + fingerprinted once per world instead of once per hop.
 #[derive(Debug, Default)]
 pub struct QueryCache {
-    map: Mutex<HashMap<String, Arc<CompiledQuery>>>,
+    state: Mutex<CacheState>,
+}
+
+/// What [`QueryCache`]'s lock guards.
+#[derive(Debug, Default)]
+struct CacheState {
+    map: HashMap<String, Arc<CompiledQuery>>,
+    /// The form `compile` returned last: a flood delivers one text to every
+    /// servent it reaches back to back, so most lookups are answered by one
+    /// string compare instead of a hash of the text.
+    last: Option<Arc<CompiledQuery>>,
 }
 
 impl QueryCache {
@@ -207,20 +217,27 @@ impl QueryCache {
 
     /// Returns the compiled form of `query`, caching per distinct text.
     pub fn compile(&self, query: &str) -> Arc<CompiledQuery> {
-        let mut map = self.map.lock().unwrap();
-        if let Some(q) = map.get(query) {
+        let mut state = self.state.lock().unwrap();
+        if let Some(q) = state.last.as_ref().filter(|q| q.raw() == query) {
             return Arc::clone(q);
         }
-        let q = Arc::new(CompiledQuery::compile(query));
-        if map.len() < Self::MAX_ENTRIES {
-            map.insert(query.to_string(), Arc::clone(&q));
-        }
+        let q = match state.map.get(query) {
+            Some(q) => Arc::clone(q),
+            None => {
+                let q = Arc::new(CompiledQuery::compile(query));
+                if state.map.len() < Self::MAX_ENTRIES {
+                    state.map.insert(query.to_string(), Arc::clone(&q));
+                }
+                q
+            }
+        };
+        state.last = Some(Arc::clone(&q));
         q
     }
 
     /// Number of distinct query texts currently cached.
     pub fn len(&self) -> usize {
-        self.map.lock().unwrap().len()
+        self.state.lock().unwrap().map.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -467,14 +484,24 @@ impl HostLibrary {
         self.respond_compiled(&CompiledQuery::compile(query), max)
     }
 
-    /// [`HostLibrary::respond`] for an already-compiled query — the hot
-    /// path. Matching uses the per-file fingerprint to reject misses with
-    /// one AND+CMP before the exact substring check; output is identical.
+    /// [`HostLibrary::respond`] for an already-compiled query: the echo
+    /// answers, then the matching static rows, as owned files.
     pub fn respond_compiled(&self, query: &CompiledQuery, max: usize) -> Vec<SharedFile> {
-        if query.is_empty() {
-            return Vec::new();
-        }
+        let mut out = self.echo_responses(query, max);
+        let room = max - out.len();
+        let fps = self.recs.iter().map(|r| r.fp());
+        self.match_rows(query, fps, room, |row| out.push(self.files[row].clone()));
+        out
+    }
+
+    /// The answers this host's echo infections fabricate for `query`, at
+    /// most `max` of them. Empty — and allocation-free — on a host without
+    /// one.
+    pub fn echo_responses(&self, query: &CompiledQuery, max: usize) -> Vec<SharedFile> {
         let mut out = Vec::new();
+        if query.is_empty() {
+            return out;
+        }
         for echo in &self.echoes {
             // Verbatim worms echo the raw query text (Mandragore-style);
             // the rest join terms with underscores, evading exact-echo
@@ -498,15 +525,46 @@ impl HostLibrary {
                 });
             }
         }
-        for (f, r) in self.files.iter().zip(&self.recs) {
-            if out.len() >= max {
+        out
+    }
+
+    /// The fingerprint of every static row's name, in row order: the column
+    /// [`HostLibrary::match_rows`] reads before it follows a row's record.
+    pub fn name_fingerprints(&self) -> Vec<u64> {
+        self.recs.iter().map(|r| r.fp()).collect()
+    }
+
+    /// The one match loop: calls `hit` with the number of each static row
+    /// (its position in [`HostLibrary::files`]) that matches `query`, in
+    /// library order, for at most `max` rows. `fps` yields the rows' name
+    /// fingerprints — from the records themselves, or from a
+    /// [`HostLibrary::name_fingerprints`] column the caller keeps, which
+    /// rejects almost every row without touching its (cold, world-shared)
+    /// record; a row that passes still runs the exact substring check.
+    pub fn match_rows(
+        &self,
+        query: &CompiledQuery,
+        fps: impl IntoIterator<Item = u64>,
+        max: usize,
+        mut hit: impl FnMut(usize),
+    ) {
+        if query.is_empty() {
+            return;
+        }
+        let want = query.fingerprint();
+        let mut room = max;
+        for (row, (fp, rec)) in fps.into_iter().zip(&self.recs).enumerate() {
+            if want & !fp != 0 {
+                continue;
+            }
+            if room == 0 {
                 break;
             }
-            if query.matches_meta(r.lower(), r.fp()) {
-                out.push(f.clone());
+            if query.matches_meta(rec.lower(), rec.fp()) {
+                hit(row);
+                room -= 1;
             }
         }
-        out
     }
 }
 
@@ -612,6 +670,11 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.len(), 1);
         assert_eq!(a.terms(), &["silver".to_string(), "echo".to_string()]);
+        // Not the text asked last any more: same form, out of the map.
+        let other = cache.compile("silver");
+        assert_eq!(other.raw(), "silver");
+        assert!(Arc::ptr_eq(&a, &cache.compile("Silver Echo")));
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

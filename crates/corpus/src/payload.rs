@@ -67,19 +67,35 @@ impl ContentStore {
 
     /// Materializes the payload bytes for `r`.
     pub fn payload(&self, r: ContentRef, catalog: &Catalog, roster: &Roster) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.payload_into(r, catalog, roster, &mut out);
+        out
+    }
+
+    /// Appends the payload bytes for `r` to `out` — an upload generates
+    /// its body behind the response head it has already written.
+    pub fn payload_into(
+        &self,
+        r: ContentRef,
+        catalog: &Catalog,
+        roster: &Roster,
+        out: &mut Vec<u8>,
+    ) {
         let key = self.content_key(r);
         match r {
             ContentRef::Benign { item, variant } => {
                 let it = catalog.item(item);
                 let size = it.variants[variant as usize].size as usize;
-                benign_payload(it.media, size, key)
+                benign_payload(it.media, size, key, out)
             }
             ContentRef::Malware { family, size_idx } => {
                 let fam = roster.get(family);
                 let size = fam.sizes[size_idx as usize] as usize;
                 match fam.container {
-                    Container::Executable => infected_exe(size, &fam.signature, key),
-                    Container::ZipOfExecutable => infected_zip(size, &fam.signature, key),
+                    Container::Executable => infected_exe(size, &fam.signature, key, out),
+                    Container::ZipOfExecutable => {
+                        out.extend_from_slice(&infected_zip(size, &fam.signature, key))
+                    }
                 }
             }
         }
@@ -174,13 +190,21 @@ fn fill_deterministic(buf: &mut [u8], key: u64) {
     }
 }
 
+/// Appends `size` zero bytes to `out` and returns them for filling in place.
+fn grow(out: &mut Vec<u8>, size: usize) -> &mut [u8] {
+    let start = out.len();
+    out.resize(start + size, 0);
+    &mut out[start..]
+}
+
 /// A benign payload: correct magic for the media type, pseudorandom body.
-fn benign_payload(media: MediaType, size: usize, key: u64) -> Vec<u8> {
+fn benign_payload(media: MediaType, size: usize, key: u64, out: &mut Vec<u8>) {
     if media == MediaType::Archive {
-        return benign_zip(size, key);
+        out.extend_from_slice(&benign_zip(size, key));
+        return;
     }
-    let mut buf = vec![0u8; size];
-    fill_deterministic(&mut buf, key);
+    let buf = grow(out, size);
+    fill_deterministic(buf, key);
     let magic: &[u8] = match media {
         MediaType::Audio => b"ID3\x03\x00",
         MediaType::Video => b"RIFF\x00\x00\x00\x00AVI ",
@@ -191,7 +215,6 @@ fn benign_payload(media: MediaType, size: usize, key: u64) -> Vec<u8> {
     };
     let n = magic.len().min(buf.len());
     buf[..n].copy_from_slice(&magic[..n]);
-    buf
 }
 
 /// Builds a real one-entry stored ZIP of exactly `target` bytes by sizing
@@ -227,17 +250,16 @@ fn benign_zip(size: usize, key: u64) -> Vec<u8> {
 
 /// An infected `MZ` image: DOS-stub-shaped head, the family signature at
 /// [`SIG_OFFSET`], pseudorandom tail.
-fn infected_exe(size: usize, signature: &[u8], key: u64) -> Vec<u8> {
+fn infected_exe(size: usize, signature: &[u8], key: u64, out: &mut Vec<u8>) {
     assert!(
         size >= SIG_OFFSET + signature.len() + 16,
         "exe size {size} too small"
     );
-    let mut buf = vec![0u8; size];
-    fill_deterministic(&mut buf, key);
+    let buf = grow(out, size);
+    fill_deterministic(buf, key);
     buf[0] = b'M';
     buf[1] = b'Z';
     buf[SIG_OFFSET..SIG_OFFSET + signature.len()].copy_from_slice(signature);
-    buf
 }
 
 /// An infected ZIP: real archive holding one *deflated* infected executable
@@ -381,6 +403,11 @@ mod tests {
         for (r, want) in pins {
             let got = sha1(&store.payload(r, &catalog, &roster)).to_hex();
             assert_eq!(got, want, "{r:?}");
+            // The same bytes behind whatever the buffer already holds.
+            let mut upload = b"head".to_vec();
+            store.payload_into(r, &catalog, &roster, &mut upload);
+            let (head, body) = upload.split_at(4);
+            assert_eq!((head, sha1(body).to_hex().as_str()), (&b"head"[..], want));
         }
     }
 

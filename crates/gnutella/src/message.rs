@@ -155,16 +155,35 @@ pub fn encode_message(
     payload: &[u8],
     out: &mut Vec<u8>,
 ) {
-    debug_assert!(payload.len() <= MAX_PAYLOAD);
+    encode_message_with(guid, msg_type, ttl, hops, out, |out| {
+        out.extend_from_slice(payload)
+    });
+}
+
+/// [`encode_message`] for a payload encoded on the spot: the header goes
+/// first, `fill` appends the payload behind it, and the header's length
+/// field is patched to what `fill` wrote.
+pub fn encode_message_with(
+    guid: Guid,
+    msg_type: MsgType,
+    ttl: u8,
+    hops: u8,
+    out: &mut Vec<u8>,
+    fill: impl FnOnce(&mut Vec<u8>),
+) {
     let header = Header {
         guid,
         msg_type,
         ttl,
         hops,
-        payload_len: payload.len() as u32,
+        payload_len: 0,
     };
     out.extend_from_slice(&header.encode());
-    out.extend_from_slice(payload);
+    let start = out.len();
+    fill(out);
+    let len = out.len() - start;
+    debug_assert!(len <= MAX_PAYLOAD);
+    out[start - 4..start].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
 /// Where the next message ends, for [`StreamBuf`]: the decoded header and

@@ -339,17 +339,6 @@ pub struct HitResult {
 }
 
 impl HitResult {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.index.to_le_bytes());
-        out.extend_from_slice(&self.size.to_le_bytes());
-        out.extend_from_slice(self.name.as_bytes());
-        out.push(0);
-        if let Some(d) = &self.sha1 {
-            out.extend_from_slice(format!("urn:sha1:{}", base32_encode(&d.0)).as_bytes());
-        }
-        out.push(0);
-    }
-
     /// Decodes one result record into its fields, the name still borrowed.
     fn parse<'a>(
         r: &mut Reader<'a>,
@@ -442,20 +431,51 @@ pub struct QueryHit {
     pub servent_guid: crate::guid::Guid,
 }
 
+/// One result record as the QUERYHIT writer takes it: `(index, size, name,
+/// urn:sha1 digest)`, the name borrowed from wherever it lives.
+pub type HitRecord<'a> = (u32, u32, &'a str, Option<&'a Sha1Digest>);
+
 impl QueryHit {
     pub fn encode(&self) -> Vec<u8> {
-        assert!(
-            self.results.len() <= 255,
-            "QUERYHIT carries at most 255 results"
-        );
         let mut out = Vec::new();
-        out.push(self.results.len() as u8);
+        let records = self
+            .results
+            .iter()
+            .map(|r| (r.index, r.size, r.name.as_str(), r.sha1.as_ref()));
+        self.encode_records(records, &mut out);
+        out
+    }
+
+    /// The one QUERYHIT writer: appends this hit's payload to `out` with
+    /// `records` as its result set (`self.results` is not read). A servent
+    /// answers a query through this straight from its library rows, into
+    /// the buffer that travels; [`QueryHit::encode`] is this over
+    /// `self.results`.
+    pub fn encode_records<'a>(
+        &self,
+        records: impl IntoIterator<Item = HitRecord<'a>>,
+        out: &mut Vec<u8>,
+    ) {
+        let count_at = out.len();
+        out.push(0); // result count, patched below
         out.extend_from_slice(&self.port.to_le_bytes());
         out.extend_from_slice(&self.ip.octets());
         out.extend_from_slice(&self.speed.to_le_bytes());
-        for res in &self.results {
-            res.encode(&mut out);
+        let mut count = 0usize;
+        for (index, size, name, sha1) in records {
+            out.extend_from_slice(&index.to_le_bytes());
+            out.extend_from_slice(&size.to_le_bytes());
+            out.extend_from_slice(name.as_bytes());
+            out.push(0);
+            if let Some(d) = sha1 {
+                out.extend_from_slice(b"urn:sha1:");
+                out.extend_from_slice(base32_encode(&d.0).as_bytes());
+            }
+            out.push(0);
+            count += 1;
         }
+        assert!(count <= 255, "QUERYHIT carries at most 255 results");
+        out[count_at] = count as u8;
         out.extend_from_slice(&self.vendor);
         out.push(2); // open data size
         out.push(self.flags.flags);
@@ -464,7 +484,6 @@ impl QueryHit {
             out.extend_from_slice(&ggep::encode(&self.ggep));
         }
         out.extend_from_slice(&self.servent_guid.0);
-        out
     }
 
     pub fn parse(data: &[u8]) -> Result<Self, PayloadError> {
@@ -748,6 +767,60 @@ mod tests {
             "unmasked bit is meaningless"
         );
         assert_eq!(parsed.results[0].sha1, Some(sha1(b"malware bytes")));
+    }
+
+    /// The owning encoder that `encode_records` replaced, kept as its
+    /// oracle.
+    fn encode_owning(hit: &QueryHit) -> Vec<u8> {
+        let mut out = vec![hit.results.len() as u8];
+        out.extend_from_slice(&hit.port.to_le_bytes());
+        out.extend_from_slice(&hit.ip.octets());
+        out.extend_from_slice(&hit.speed.to_le_bytes());
+        for res in &hit.results {
+            out.extend_from_slice(&res.index.to_le_bytes());
+            out.extend_from_slice(&res.size.to_le_bytes());
+            out.extend_from_slice(res.name.as_bytes());
+            out.push(0);
+            if let Some(d) = &res.sha1 {
+                out.extend_from_slice(format!("urn:sha1:{}", base32_encode(&d.0)).as_bytes());
+            }
+            out.push(0);
+        }
+        out.extend_from_slice(&hit.vendor);
+        out.extend_from_slice(&[2, hit.flags.flags, hit.flags.mask]);
+        if !hit.ggep.is_empty() {
+            out.extend_from_slice(&ggep::encode(&hit.ggep));
+        }
+        out.extend_from_slice(&hit.servent_guid.0);
+        out
+    }
+
+    #[test]
+    fn record_writer_equals_the_owning_encoder() {
+        let mut with_ggep = sample_hit();
+        with_ggep.ggep = vec![Extension {
+            id: "VC".into(),
+            data: b"LIME".to_vec(),
+        }];
+        let mut empty = sample_hit();
+        empty.results.clear();
+        for hit in [sample_hit(), with_ggep, empty] {
+            assert_eq!(hit.encode(), encode_owning(&hit));
+            // Behind bytes already in the buffer, from records that are not
+            // `hit.results`.
+            let head = QueryHit {
+                results: Vec::new(),
+                ..hit.clone()
+            };
+            let records = hit
+                .results
+                .iter()
+                .map(|r| (r.index, r.size, r.name.as_str(), r.sha1.as_ref()));
+            let mut out = b"frame".to_vec();
+            head.encode_records(records, &mut out);
+            assert_eq!(out[..5], b"frame"[..]);
+            assert_eq!(out[5..], encode_owning(&hit)[..]);
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! preserves the code path with our from-scratch inflater).
 
 use p2pmal_archive::{deflate, inflate};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Default table size: 2^16 slots, LimeWire's default.
@@ -259,11 +260,14 @@ impl QrpFilter {
     }
 
     /// [`QrpFilter::might_match`] for keywords hashed once up front with
-    /// [`qrp_hash_full`]. An empty slice forwards conservatively.
+    /// [`qrp_hash_full`]. An empty slice forwards conservatively. Every
+    /// slot is read whatever the earlier ones said: an ultrapeer runs this
+    /// over one filter per leaf, each on its own cold page, and loads that
+    /// hang on no branch miss side by side instead of one after another.
     pub fn might_match_hashes(&self, hashes: &[u64]) -> bool {
-        hashes
-            .iter()
-            .all(|&h| self.present((h >> (64 - self.log2_size as u64)) as usize))
+        hashes.iter().fold(true, |all, &h| {
+            all & self.present((h >> (64 - self.log2_size as u64)) as usize)
+        })
     }
 }
 
@@ -314,10 +318,10 @@ impl QrpReceiver {
                     return Err(QrpError::UnsupportedEntryBits(*entry_bits));
                 }
                 let raw = match compressor {
-                    Compressor::None => data.clone(),
-                    Compressor::Deflate => {
-                        inflate(data, filter.len() + 1024).map_err(|_| QrpError::BadCompression)?
-                    }
+                    Compressor::None => Cow::Borrowed(data.as_slice()),
+                    Compressor::Deflate => Cow::Owned(
+                        inflate(data, filter.len() + 1024).map_err(|_| QrpError::BadCompression)?,
+                    ),
                 };
                 if self.next_offset + raw.len() > filter.len() {
                     return Err(QrpError::PatchOverrun);

@@ -18,11 +18,9 @@ use crate::http::{
     encode_giv, encode_request, encode_response_err, encode_response_ok, parse_giv, Giv,
     HttpRequest, RequestReader, RequestTarget, ResponseReader,
 };
-use crate::message::{encode_message, Header, MessageReader, MsgType};
-use crate::payload::{
-    HitResult, Ping, Pong, Push, QhdFlags, Query, QueryHit, QHD_PUSH, QHD_UPLOADED,
-};
-use crate::qrp::{qrp_hash_full, QrpReceiver, QrpTable, RouteMsg};
+use crate::message::{encode_message, encode_message_with, Header, MessageReader, MsgType};
+use crate::payload::{Ping, Pong, Push, QhdFlags, Query, QueryHit, QHD_PUSH, QHD_UPLOADED};
+use crate::qrp::{qrp_hash_full, QrpFilter, QrpReceiver, QrpTable, RouteMsg};
 use p2pmal_corpus::{
     Catalog, CompiledQuery, ContentRef, ContentStore, HostLibrary, NameInterner, QueryCache,
     Roster, SharedFile,
@@ -87,10 +85,6 @@ impl SharedWorld {
     /// servent in this world.
     pub fn compile_query(&self, text: &str) -> Arc<CompiledQuery> {
         self.queries.compile(text)
-    }
-
-    fn payload_of(&self, r: ContentRef) -> Vec<u8> {
-        self.store.payload(r, &self.catalog, &self.roster)
     }
 }
 
@@ -324,7 +318,8 @@ pub struct Servent {
     /// GUID duplicate suppression, FIFO-bounded.
     seen: FifoSet<Guid>,
     /// Query GUID -> where hits go back (None = we originated it).
-    /// FIFO-bounded route table.
+    /// FIFO-bounded route table. A leaf routes nothing, so it holds only
+    /// its own searches.
     query_routes: FifoMap<Guid, Option<ConnId>>,
     /// Servent GUID -> conn that delivered its hits (PUSH routing).
     /// FIFO-bounded route table.
@@ -344,6 +339,12 @@ pub struct Servent {
     /// Our QRP table as encoded RESET/PATCH payloads, built by the first
     /// `send_qrp` (the library never changes after construction).
     qrp_payloads: Vec<Vec<u8>>,
+    /// The library's name fingerprints, one per static row, built by the
+    /// first query answered: what `answer_query` tests before it follows a
+    /// row's world-shared record.
+    name_fps: Vec<u64>,
+    /// Rows matching the query being answered (reused between queries).
+    hit_rows: Vec<u32>,
 }
 
 impl Servent {
@@ -368,6 +369,8 @@ impl Servent {
             stats: ServentStats::default(),
             started: false,
             qrp_payloads: Vec::new(),
+            name_fps: Vec::new(),
+            hit_rows: Vec::new(),
         }
     }
 
@@ -435,6 +438,8 @@ impl Servent {
             .iter()
             .map(|p| p.capacity() as u64)
             .sum::<u64>();
+        b += (self.name_fps.capacity() * size_of::<u64>()) as u64;
+        b += (self.hit_rows.capacity() * size_of::<u32>()) as u64;
         b += self.library.heap_bytes();
         b
     }
@@ -796,56 +801,39 @@ impl Servent {
             let text = text.to_string();
             self.emit(ServentEvent::QuerySeen { at, text });
         }
-        self.route_query_back(header.guid, Some(conn));
+        // Only an ultrapeer will see hits for this query come back through
+        // it; a leaf answers on the connection it is reading and forwards
+        // nothing, so it has no use for a reverse path.
+        if self.config.role == Role::Ultrapeer {
+            self.route_query_back(header.guid, Some(conn));
+        }
 
         // One compile per hop (usually a cache hit from the origination),
         // shared by the library answer and the QRP last-hop filter below.
         let compiled = self.world.compile_query(text);
 
         // Answer from our own library.
-        self.answer_query(ctx, header, &compiled);
+        self.answer_query(ctx, conn, header, &compiled);
 
         if self.config.role == Role::Leaf {
             return; // leaves never forward
         }
-        // Forward to other ultrapeers while TTL remains.
+        // Forward to other ultrapeers while TTL remains. (VecMap iterates
+        // in key order, which is the run-to-run sequencing invariant.)
         if let Some(fwd) = header.hop() {
-            let mut wire = Vec::new();
-            encode_message(
-                fwd.guid,
-                MsgType::Query,
-                fwd.ttl,
-                fwd.hops,
-                payload,
-                &mut wire,
-            );
-            let mut targets: Vec<ConnId> = self
-                .conns
-                .iter()
-                .filter(|(&c, k)| c != conn && matches!(k, ConnKind::Peer(p) if p.ultrapeer))
-                .map(|(&c, _)| c)
-                .collect();
-            // VecMap iteration is already key-sorted; the sort stays as a
-            // zero-cost guard on the run-to-run sequencing invariant.
-            targets.sort_unstable();
-            for t in targets {
-                ctx.send(t, &wire);
+            for (&c, k) in self.conns.iter() {
+                if c != conn && matches!(k, ConnKind::Peer(p) if p.ultrapeer) {
+                    ctx.send_with(c, |out| {
+                        encode_message(fwd.guid, MsgType::Query, fwd.ttl, fwd.hops, payload, out)
+                    });
+                }
             }
         }
         // Last-hop delivery to QRP-matching leaves (always, regardless of
-        // remaining TTL).
-        let mut wire = Vec::new();
-        encode_message(
-            header.guid,
-            MsgType::Query,
-            1,
-            header.hops.saturating_add(1),
-            payload,
-            &mut wire,
-        );
-        // Hash the query's QRP keywords once (compiled terms of length >= 3
-        // are exactly `qrp::keywords(text)`), then test each leaf table via
-        // a shift + lookup instead of re-tokenizing and re-hashing per leaf.
+        // remaining TTL). Hash the query's QRP keywords once (compiled
+        // terms of length >= 3 are exactly `qrp::keywords(text)`), then
+        // test each leaf table via a shift + lookup instead of
+        // re-tokenizing and re-hashing per leaf.
         let qrp_hashes: Vec<u64> = ctx.time(Subsystem::QueryMatch, || {
             compiled
                 .terms()
@@ -854,36 +842,54 @@ impl Servent {
                 .map(|t| qrp_hash_full(t))
                 .collect()
         });
-        let mut suppressed = 0u64;
-        let mut targets: Vec<ConnId> = self
+        // Gather the leaves first, then test their filters in one tight
+        // pass: every filter sits on a page of its own, and back to back
+        // their misses overlap.
+        let mut leaves: Vec<(ConnId, Option<&QrpFilter>)> = self
             .conns
             .iter()
             .filter_map(|(&c, k)| match k {
-                ConnKind::Peer(p) if c != conn && !p.ultrapeer => match p.qrp.filter() {
-                    Some(t) if !t.might_match_hashes(&qrp_hashes) => {
-                        suppressed += 1;
-                        None
-                    }
-                    _ => Some(c),
-                },
+                ConnKind::Peer(p) if c != conn && !p.ultrapeer => Some((c, p.qrp.filter())),
                 _ => None,
             })
             .collect();
-        self.stats.qrp_last_hop_suppressed += suppressed;
-        targets.sort_unstable();
-        for t in targets {
-            ctx.send(t, &wire);
+        let connected = leaves.len();
+        leaves.retain(|(_, filter)| filter.is_none_or(|f| f.might_match_hashes(&qrp_hashes)));
+        self.stats.qrp_last_hop_suppressed += (connected - leaves.len()) as u64;
+        for (c, _) in leaves {
+            ctx.send_with(c, |out| {
+                let hops = header.hops.saturating_add(1);
+                encode_message(header.guid, MsgType::Query, 1, hops, payload, out)
+            });
         }
     }
 
-    /// Builds and sends our QUERYHIT for the compiled query, if the library
-    /// matches.
-    fn answer_query(&mut self, ctx: &mut Ctx<'_>, header: Header, query: &CompiledQuery) {
-        let files = ctx.time(Subsystem::QueryMatch, || {
+    /// Answers the compiled query from our library, if it matches, with one
+    /// QUERYHIT on `conn`, the connection the query arrived on: written
+    /// from the matching rows straight into the buffer that travels.
+    fn answer_query(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        conn: ConnId,
+        header: Header,
+        query: &CompiledQuery,
+    ) {
+        let max = self.config.max_results;
+        let mut rows = std::mem::take(&mut self.hit_rows);
+        rows.clear();
+        let echoes = ctx.time(Subsystem::QueryMatch, || {
+            if self.name_fps.len() != self.library.len() {
+                self.name_fps = self.library.name_fingerprints();
+            }
+            let echoes = self.library.echo_responses(query, max);
+            let fps = self.name_fps.iter().copied();
             self.library
-                .respond_compiled(query, self.config.max_results)
+                .match_rows(query, fps, max - echoes.len(), |row| rows.push(row as u32));
+            echoes
         });
-        if files.is_empty() {
+        let results = echoes.len() + rows.len();
+        if results == 0 {
+            self.hit_rows = rows;
             return;
         }
         self.stats.queries_answered += 1;
@@ -895,7 +901,7 @@ impl Servent {
             ctx.emit_spanned(
                 EventBody::QueryMatched {
                     text: query.raw().to_string(),
-                    results: files.len() as u64,
+                    results: results as u64,
                     hops: header.hops as u64 + 1,
                 },
                 SpanCtx::child(
@@ -906,22 +912,13 @@ impl Servent {
             );
         }
         let is_nat = ctx.local_addr().ip != ctx.external_addr().ip;
-        let results = files
-            .iter()
-            .map(|f| HitResult {
-                index: self.index_of(f),
-                size: f.size.min(u32::MAX as u64) as u32,
-                name: f.name.to_string(),
-                sha1: None,
-            })
-            .collect();
         let hit = QueryHit {
             port: self.config.listen_port,
             // The advertised IP is the *locally perceived* one: NATed hosts
             // leak RFC 1918 addresses here (the paper's source artifact).
             ip: ctx.local_addr().ip,
             speed: 350,
-            results,
+            results: Vec::new(), // written from `echoes` and `rows` below
             vendor: *b"LIME",
             flags: QhdFlags::new()
                 .with(QHD_PUSH, is_nat)
@@ -929,37 +926,42 @@ impl Servent {
             ggep: Vec::new(),
             servent_guid: self.guid,
         };
-        let mut wire = Vec::new();
-        encode_message(
-            header.guid,
-            MsgType::QueryHit,
-            header.hops.saturating_add(2).max(3),
-            0,
-            &hit.encode(),
-            &mut wire,
-        );
-        // Send back along the path the query came from; for our own query
-        // (route None) nothing to do.
-        if let Some(Some(back)) = self.query_routes.get(&header.guid) {
-            ctx.send(*back, &wire);
-        }
+        let files = self.library.files();
+        let wire_size = |f: &SharedFile| f.size.min(u32::MAX as u64) as u32;
+        let records = echoes
+            .iter()
+            .map(|f| (self.echo_index(f), wire_size(f), &*f.name, None))
+            .chain(rows.iter().enumerate().map(|(n, &row)| {
+                let f = &files[row as usize];
+                // Where the library holds this very file twice, both rows
+                // matched: the HTTP index is the first one's.
+                let first = rows[..n].iter().find(|&&r| files[r as usize] == *f);
+                (*first.unwrap_or(&row), wire_size(f), &*f.name, None)
+            }));
+        let ttl = header.hops.saturating_add(2).max(3);
+        ctx.send_with(conn, |out| {
+            encode_message_with(header.guid, MsgType::QueryHit, ttl, 0, out, |out| {
+                hit.encode_records(records, out)
+            })
+        });
+        self.hit_rows = rows;
     }
 
-    /// The stable HTTP index for a shared file.
-    fn index_of(&self, f: &SharedFile) -> u32 {
-        if let ContentRef::Malware { family, size_idx } = f.content {
-            // Echo responses aren't in `files()`; give every malware
-            // response the stateless index encoding.
-            if !self.library.files().iter().any(|s| s == f) {
-                return ECHO_INDEX_BASE + (family.0 as u32) * 16 + size_idx as u32;
-            }
+    /// The HTTP index of a fabricated echo answer: the stateless
+    /// `(family, size_idx)` encoding, unless the library happens to share
+    /// that very file as a static row.
+    fn echo_index(&self, f: &SharedFile) -> u32 {
+        if let Some(row) = self.library.files().iter().position(|s| s == f) {
+            return row as u32;
         }
-        self.library
-            .files()
-            .iter()
-            .position(|s| s == f)
-            .map(|p| p as u32)
-            .unwrap_or(u32::MAX)
+        match f.content {
+            ContentRef::Malware { family, size_idx } => {
+                ECHO_INDEX_BASE + (family.0 as u32) * 16 + size_idx as u32
+            }
+            // No echo fabricates benign content; if one ever does, its
+            // index resolves to nothing.
+            ContentRef::Benign { .. } => u32::MAX,
+        }
     }
 
     /// Resolves an HTTP index back to content.
@@ -1027,19 +1029,13 @@ impl Servent {
         } else if let Some(Some(back)) = route {
             self.stats.hits_routed += 1;
             if let Some(fwd) = header.hop() {
-                let mut wire = Vec::new();
-                encode_message(
-                    fwd.guid,
-                    MsgType::QueryHit,
-                    fwd.ttl,
-                    fwd.hops,
-                    payload,
-                    &mut wire,
-                );
-                ctx.send(back, &wire);
+                ctx.send_with(back, |out| {
+                    encode_message(fwd.guid, MsgType::QueryHit, fwd.ttl, fwd.hops, payload, out)
+                });
             }
         }
-        // Otherwise the route expired: drop silently, like real servents.
+        // Otherwise we hold no route — it expired, or we are a leaf, which
+        // never has one: drop silently, like real servents.
     }
 
     fn handle_push(&mut self, ctx: &mut Ctx<'_>, _conn: ConnId, header: Header, payload: &[u8]) {
@@ -1110,12 +1106,19 @@ impl Servent {
         match content {
             Some((_name, r)) => {
                 self.stats.uploads_served += 1;
-                let body = self.world.payload_of(r);
-                let head = encode_response_ok(&self.config.user_agent, body.len());
-                let mut wire = Vec::with_capacity(head.len() + body.len());
-                wire.extend_from_slice(&head);
-                wire.extend_from_slice(&body);
-                ctx.send_owned(conn, wire);
+                let SharedWorld {
+                    store,
+                    catalog,
+                    roster,
+                    ..
+                } = &self.world;
+                let size = store.size(r, catalog, roster) as usize;
+                let mut response = encode_response_ok(&self.config.user_agent, size);
+                response.reserve_exact(size);
+                let head = response.len();
+                store.payload_into(r, catalog, roster, &mut response);
+                debug_assert_eq!(response.len(), head + size);
+                ctx.send_owned(conn, response);
             }
             None => {
                 ctx.send(

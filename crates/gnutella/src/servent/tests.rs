@@ -2,6 +2,7 @@
 //! simulator.
 
 use super::*;
+use crate::payload::HitResult;
 use p2pmal_corpus::catalog::{Catalog, CatalogConfig};
 use p2pmal_corpus::{ContentStore, FamilyId, HostLibrary, Roster};
 use p2pmal_netsim::{NodeId, NodeSpec, SimConfig, SimTime, Simulator};
@@ -561,4 +562,170 @@ fn duplicate_query_is_dropped_on_its_header() {
         );
         assert_eq!(s.query_routes.get(&header.guid), Some(&Some(ConnId(5))));
     });
+}
+
+/// The connection an ultrapeer holds to its (only) leaf.
+fn leaf_conn(sim: &mut Simulator, up: NodeId) -> ConnId {
+    with_servent(sim, up, |s, _| {
+        s.conns
+            .iter()
+            .find_map(|(&c, k)| matches!(k, ConnKind::Peer(p) if !p.ultrapeer).then_some(c))
+            .expect("the leaf attached to every ultrapeer")
+    })
+}
+
+/// A leaf forwards nothing, so it keeps no reverse path for a query that
+/// is not its own: it answers on the connection the query arrived on, and
+/// a QUERYHIT that turns up carrying that GUID on another connection (a
+/// confused or hostile ultrapeer) is checked, its push route kept, and
+/// dropped — not relayed up, as it was while the leaf remembered every
+/// foreign query's arrival connection. Its own searches are routed as ever.
+#[test]
+fn leaf_answers_on_the_arrival_connection_and_relays_no_hit() {
+    let w = world(9);
+    let mut lib = HostLibrary::new();
+    lib.add_benign(w.catalog.item(0), 0);
+    let text = w.catalog.item(0).keywords.join(" ");
+    let mut net = build_net(9, 2, Vec::new());
+    let up_addrs: Vec<HostAddr> = net.ups.iter().map(|&u| net.sim.node_addr(u)).collect();
+    let leaf = {
+        let cfg = ServentConfig {
+            collect_events: true,
+            ..ServentConfig::leaf().with_bootstrap(up_addrs)
+        };
+        let servent = Servent::new(cfg, net.world.clone(), lib);
+        net.sim
+            .spawn(NodeSpec::public().listen(6346), Box::new(servent))
+    };
+    net.sim.run_until(SimTime::from_secs(120));
+    let (up0, up1) = (net.ups[0], net.ups[1]);
+    let (conn0, conn1) = (leaf_conn(&mut net.sim, up0), leaf_conn(&mut net.sim, up1));
+    let leaf_guid = with_servent(&mut net.sim, leaf, |s, _| s.servent_guid());
+    let push_route = |sim: &mut Simulator, node, guid: Guid| {
+        with_servent(sim, node, |s, _| s.push_routes.get(&guid).copied())
+    };
+    let send = |sim: &mut Simulator, up, conn, guid, msg_type, payload: &[u8]| {
+        let mut wire = Vec::new();
+        encode_message(guid, msg_type, 3, 1, payload, &mut wire);
+        with_servent(sim, up, |_, ctx| ctx.send(conn, &wire));
+        let soon = sim.now() + SimDuration::from_secs(5);
+        sim.run_until(soon);
+    };
+
+    // A foreign QUERY arrives from ultrapeer 0: the answer goes back there
+    // (it is where the leaf's servent GUID is learned), and only there.
+    let foreign = Guid([0xA1; 16]);
+    let query = Query::keyword(&text).encode();
+    send(&mut net.sim, up0, conn0, foreign, MsgType::Query, &query);
+    assert_eq!(push_route(&mut net.sim, up0, leaf_guid), Some(conn0));
+    assert_eq!(push_route(&mut net.sim, up1, leaf_guid), None);
+    with_servent(&mut net.sim, leaf, |s, _| {
+        assert_eq!((s.stats.queries_routed, s.stats.queries_answered), (1, 1));
+        assert!(s.query_routes.is_empty(), "no route for a foreign query");
+    });
+
+    // A QUERYHIT with that GUID arrives from ultrapeer 1.
+    let stray = Guid([0xB2; 16]);
+    let hit = QueryHit {
+        port: 6346,
+        ip: std::net::Ipv4Addr::new(10, 0, 0, 9),
+        speed: 350,
+        results: vec![HitResult {
+            index: 1,
+            size: 10,
+            name: "a.mp3".into(),
+            sha1: None,
+        }],
+        vendor: *b"LIME",
+        flags: QhdFlags::new(),
+        ggep: Vec::new(),
+        servent_guid: stray,
+    }
+    .encode();
+    send(&mut net.sim, up1, conn1, foreign, MsgType::QueryHit, &hit);
+    let stats = with_servent(&mut net.sim, leaf, |s, _| s.stats());
+    assert_eq!(
+        (stats.hits_routed, stats.hits_received, stats.bad_messages),
+        (0, 0, 0)
+    );
+    assert!(push_route(&mut net.sim, leaf, stray).is_some());
+    // Nothing went up: a relayed hit would have taught its servent GUID to
+    // the ultrapeer it reached.
+    assert_eq!(push_route(&mut net.sim, up0, stray), None);
+    assert_eq!(push_route(&mut net.sim, up1, stray), None);
+
+    // The leaf's own search is in its route table, alone, and a hit for it
+    // reaches the owner.
+    let own = with_servent(&mut net.sim, leaf, |s, ctx| s.search(ctx, "anything else"));
+    with_servent(&mut net.sim, leaf, |s, _| {
+        assert_eq!(s.query_routes.len(), 1);
+        assert_eq!(s.query_routes.get(&own), Some(&None));
+        s.drain_events();
+    });
+    send(&mut net.sim, up1, conn1, own, MsgType::QueryHit, &hit);
+    let events = with_servent(&mut net.sim, leaf, |s, _| s.drain_events());
+    assert!(
+        matches!(
+            events.as_slice(),
+            [ServentEvent::QueryHit { query_guid, hit, .. }]
+                if *query_guid == own && hit.servent_guid == stray
+        ),
+        "{events:?}"
+    );
+    let stats = with_servent(&mut net.sim, leaf, |s, _| s.stats());
+    assert_eq!((stats.hits_routed, stats.hits_received), (0, 1));
+}
+
+/// The route and duplicate tables at their 16,384-entry bound, which no
+/// one-day workload reaches: node state stops growing at the first fill,
+/// eviction is FIFO (a live GUID is still a duplicate, an evicted one is
+/// fresh again), and a leaf's route table never sees the flood at all.
+#[test]
+fn route_tables_stop_growing_at_their_bound() {
+    for config in [ServentConfig::ultrapeer(), ServentConfig::leaf()] {
+        let role = config.role;
+        let mut sim = Simulator::new(SimConfig::default(), 10);
+        let servent = Servent::new(config, world(10), HostLibrary::new());
+        let node = sim.spawn(NodeSpec::public().listen(6346), Box::new(servent));
+        sim.run_until(SimTime::from_secs(1));
+        with_servent(&mut sim, node, |s, ctx| {
+            let own = s.search(ctx, "our own search");
+            let payload = Query::keyword("crimson horizon").encode();
+            let mut rng = StdRng::seed_from_u64(10);
+            let guids: Vec<Guid> = (0..SEEN_BOUND + 1_000)
+                .map(|_| Guid::random(&mut rng))
+                .collect();
+            let mut feed = |s: &mut Servent, guid: Guid| {
+                let header = Header {
+                    guid,
+                    msg_type: MsgType::Query,
+                    ttl: 3,
+                    hops: 0,
+                    payload_len: payload.len() as u32,
+                };
+                s.handle_query(ctx, ConnId(5), header, &payload);
+            };
+            let (fill, overflow) = guids.split_at(SEEN_BOUND);
+            fill.iter().for_each(|&g| feed(s, g));
+            let filled = s.memory_estimate();
+            overflow.iter().for_each(|&g| feed(s, g));
+            assert_eq!(s.memory_estimate(), filled, "{role:?}");
+            assert_eq!(s.seen.len(), SEEN_BOUND);
+
+            let before = s.stats;
+            feed(s, guids[guids.len() - 1]); // still live
+            feed(s, guids[0]); // evicted by the overflow
+            assert_eq!(s.stats.queries_duplicate, before.queries_duplicate + 1);
+            assert_eq!(s.stats.queries_routed, before.queries_routed + 1);
+            assert_eq!(s.stats.bad_messages, 0);
+
+            match role {
+                Role::Ultrapeer => assert_eq!(s.query_routes.len(), QUERY_ROUTE_BOUND),
+                Role::Leaf => {
+                    assert_eq!(s.query_routes.len(), 1, "only what search() put there");
+                    assert_eq!(s.query_routes.get(&own), Some(&None));
+                }
+            }
+        });
+    }
 }

@@ -1,15 +1,29 @@
 //! Property tests: codec roundtrips hold for arbitrary field values, and
 //! no parser panics on arbitrary (adversarial) wire bytes.
 
+use p2pmal_corpus::catalog::{Catalog, CatalogConfig};
+use p2pmal_corpus::library::name_matches;
+use p2pmal_corpus::{
+    CompiledQuery, ContentRef, ContentStore, FamilyId, HostLibrary, Roster, SharedFile,
+};
 use p2pmal_gnutella::ggep::{self, Extension};
 use p2pmal_gnutella::guid::Guid;
-use p2pmal_gnutella::handshake::{HandshakeConfig, Initiator, Responder};
+use p2pmal_gnutella::handshake::{Admission, HandshakeConfig, Initiator, RespEvent, Responder};
 use p2pmal_gnutella::http::{parse_giv, RequestReader, ResponseReader};
 use p2pmal_gnutella::message::{encode_message, Header, MessageReader, MsgType};
-use p2pmal_gnutella::payload::{Bye, HitResult, Ping, Pong, Push, QhdFlags, Query, QueryHit};
-use p2pmal_gnutella::qrp::{keywords, QrpReceiver, QrpTable, RouteMsg};
+use p2pmal_gnutella::payload::{
+    Bye, HitResult, Ping, Pong, Push, QhdFlags, Query, QueryHit, QHD_PUSH, QHD_UPLOADED,
+};
+use p2pmal_gnutella::qrp::{keywords, qrp_hash_full, QrpReceiver, QrpTable, RouteMsg};
+use p2pmal_gnutella::servent::{Role, Servent, ServentConfig, SharedWorld, ECHO_INDEX_BASE};
+use p2pmal_netsim::{
+    App, ConnId, Ctx, Direction, HostAddr, NodeSpec, SimConfig, SimTime, Simulator,
+};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 fn arb_guid() -> impl Strategy<Value = Guid> {
     any::<[u8; 16]>().prop_map(Guid)
@@ -54,6 +68,390 @@ fn arb_ggep() -> impl Strategy<Value = Vec<Extension>> {
             .map(|(id, data)| Extension { id, data })
             .collect()
     })
+}
+
+// ---------------------------------------------------------------------------
+// A servent's answer, on the wire
+// ---------------------------------------------------------------------------
+
+/// What arbitrary libraries are made of: three match words under plain,
+/// upper-case, non-ASCII and 200-byte decorations, and sizes on both sides
+/// of the wire format's `u32`.
+const WORDS: [&str; 3] = ["crimson", "horizon", "remix"];
+const SIZES: [u64; 4] = [0, 58_368, u32::MAX as u64, (1 << 33) + 5];
+
+fn words(mask: usize, sep: &str) -> String {
+    let picked: Vec<&str> = (0..WORDS.len())
+        .filter(|bit| mask >> bit & 1 == 1)
+        .map(|bit| WORDS[bit])
+        .collect();
+    picked.join(sep)
+}
+
+fn decorated(decoration: usize, mask: usize) -> String {
+    let stem = words(mask, "_");
+    match decoration {
+        0 => format!("{stem}.mp3"),
+        1 => format!("live_{stem}.ogg"),
+        2 => format!("{}.MP3", stem.to_uppercase()),
+        3 => format!("Ünï-\u{6f22}\u{5b57} {stem} \u{2014} été.mp3"),
+        _ => format!("{stem}_{}.avi", "x".repeat(200)),
+    }
+}
+
+/// One arbitrary library row: `(decoration, word mask, size, malware?)`.
+type Row = (usize, usize, usize, bool);
+
+fn arb_rows() -> impl Strategy<Value = Vec<Row>> {
+    proptest::collection::vec((0usize..5, 0usize..8, 0usize..4, any::<bool>()), 0..8)
+}
+
+fn small_world(seed: u64) -> SharedWorld {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let config = CatalogConfig {
+        titles: 20,
+        ..Default::default()
+    };
+    SharedWorld::new(
+        Arc::new(Catalog::generate(&config, &mut rng)),
+        Arc::new(Roster::limewire_2006()),
+        Arc::new(ContentStore::new(seed)),
+    )
+}
+
+/// Builds the library: `rows`, row `dup` once more at the end (a library
+/// that holds one file twice), echo infection `echo` (1: one extension,
+/// 2: two, 3: verbatim), and — `shadow` — the echo's answer to `query`
+/// shared as a static file too.
+fn library(
+    world: &SharedWorld,
+    rows: &[Row],
+    dup: Option<usize>,
+    echo: u16,
+    shadow: bool,
+    query: &CompiledQuery,
+) -> HostLibrary {
+    let mut lib = HostLibrary::new();
+    let file = |&(decoration, mask, size, malware): &Row| SharedFile {
+        name: decorated(decoration, mask).into(),
+        size: SIZES[size],
+        content: if malware {
+            ContentRef::Malware {
+                family: FamilyId(3),
+                size_idx: 0,
+            }
+        } else {
+            ContentRef::Benign {
+                item: mask as u32,
+                variant: 0,
+            }
+        },
+    };
+    rows.iter().for_each(|row| lib.add_file(file(row)));
+    if let Some(row) = dup.and_then(|d| rows.get(d % rows.len().max(1))) {
+        lib.add_file(file(row));
+    }
+    if echo > 0 {
+        let mut rng = StdRng::seed_from_u64(echo as u64);
+        lib.infect(
+            world.roster.get(FamilyId(echo - 1)),
+            &world.catalog,
+            &mut rng,
+        );
+        if shadow {
+            lib.echo_responses(query, 1)
+                .into_iter()
+                .for_each(|f| lib.add_file(f));
+        }
+    }
+    lib
+}
+
+/// The owning answer path the servent had before it wrote hits straight
+/// from its library rows, kept as the oracle: owned files, a linear scan
+/// for each one's index, a `HitResult` with a `String` per result,
+/// `QueryHit::encode`, `encode_message`.
+fn owning_answer(
+    lib: &HostLibrary,
+    query: &CompiledQuery,
+    max: usize,
+    header: Header,
+    ip: Ipv4Addr,
+    servent_guid: Guid,
+) -> Option<Vec<u8>> {
+    let files = lib.respond_compiled(query, max);
+    if files.is_empty() {
+        return None;
+    }
+    let index_of = |f: &SharedFile| {
+        if let ContentRef::Malware { family, size_idx } = f.content {
+            if !lib.files().iter().any(|s| s == f) {
+                return ECHO_INDEX_BASE + (family.0 as u32) * 16 + size_idx as u32;
+            }
+        }
+        let row = lib.files().iter().position(|s| s == f);
+        row.map_or(u32::MAX, |p| p as u32)
+    };
+    let hit = QueryHit {
+        port: 6346,
+        ip,
+        speed: 350,
+        results: files
+            .iter()
+            .map(|f| HitResult {
+                index: index_of(f),
+                size: f.size.min(u32::MAX as u64) as u32,
+                name: f.name.to_string(),
+                sha1: None,
+            })
+            .collect(),
+        vendor: *b"LIME",
+        flags: QhdFlags::new()
+            .with(QHD_PUSH, false)
+            .with(QHD_UPLOADED, true),
+        ggep: Vec::new(),
+        servent_guid,
+    };
+    let mut wire = Vec::new();
+    let ttl = header.hops.saturating_add(2).max(3);
+    encode_message(
+        header.guid,
+        MsgType::QueryHit,
+        ttl,
+        0,
+        &hit.encode(),
+        &mut wire,
+    );
+    Some(wire)
+}
+
+/// An ultrapeer played from a script: accepts the 0.6 handshake of the
+/// servent that dials it, sends it `script`, and keeps every frame that
+/// comes back.
+struct ScriptedUltrapeer {
+    handshake: Option<Responder>,
+    reader: MessageReader,
+    script: Vec<u8>,
+    frames: Vec<(Header, Vec<u8>)>,
+}
+
+impl App for ScriptedUltrapeer {
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        Some(self)
+    }
+
+    fn on_connected(&mut self, _: &mut Ctx<'_>, _: ConnId, dir: Direction, _: HostAddr) {
+        assert_eq!(dir, Direction::Inbound);
+        self.handshake = Some(Responder::new(HandshakeConfig {
+            user_agent: "Script/1".into(),
+            ultrapeer: true,
+            listen_addr: None,
+        }));
+    }
+
+    fn on_data(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, data: &[u8]) {
+        match &mut self.handshake {
+            Some(hs) => match hs.on_data(data).expect("the servent's handshake parses") {
+                RespEvent::NeedMore => {}
+                RespEvent::Decide { .. } => ctx.send(conn, &hs.admit(Admission::Accept)),
+                RespEvent::Established { leftover, .. } => {
+                    self.handshake = None;
+                    self.reader.push(&leftover);
+                    ctx.send(conn, &self.script);
+                }
+            },
+            None => self.reader.push(data),
+        }
+        while let Some(frame) = self
+            .reader
+            .next_message()
+            .expect("the servent's frames parse")
+        {
+            self.frames.push(frame);
+        }
+    }
+}
+
+/// Runs a servent holding `lib` against a scripted ultrapeer that sends it
+/// one QUERY; returns the servent's GUID and address and every QUERYHIT
+/// frame it sent back, re-framed.
+fn answers_on_the_wire(
+    world: &SharedWorld,
+    lib: HostLibrary,
+    role: Role,
+    max_results: usize,
+    header: Header,
+    text: &str,
+) -> (Guid, Ipv4Addr, Vec<Vec<u8>>) {
+    let mut script = Vec::new();
+    let payload = Query::keyword(text).encode();
+    encode_message(
+        header.guid,
+        header.msg_type,
+        header.ttl,
+        header.hops,
+        &payload,
+        &mut script,
+    );
+    let mut sim = Simulator::new(SimConfig::default(), 7);
+    let peer = sim.spawn(
+        NodeSpec::public().listen(6346),
+        Box::new(ScriptedUltrapeer {
+            handshake: None,
+            reader: MessageReader::new(),
+            script,
+            frames: Vec::new(),
+        }),
+    );
+    let base = match role {
+        Role::Ultrapeer => ServentConfig::ultrapeer(),
+        Role::Leaf => ServentConfig::leaf(),
+    };
+    let config = ServentConfig {
+        max_results,
+        ..base.with_bootstrap(vec![sim.node_addr(peer)])
+    };
+    let servent = sim.spawn(
+        NodeSpec::public().listen(6346),
+        Box::new(Servent::new(config, world.clone(), lib)),
+    );
+    sim.run_until(SimTime::from_secs(30));
+    let guid = sim
+        .with_node(servent, |app, _| {
+            let servent: &mut Servent = app.as_any_mut().unwrap().downcast_mut().unwrap();
+            assert_eq!(servent.stats().bad_messages, 0);
+            servent.servent_guid()
+        })
+        .expect("servent alive");
+    let frames = sim
+        .with_node(peer, |app, _| {
+            let peer: &mut ScriptedUltrapeer = app.as_any_mut().unwrap().downcast_mut().unwrap();
+            std::mem::take(&mut peer.frames)
+        })
+        .expect("peer alive");
+    let hits = frames
+        .into_iter()
+        .filter(|(h, _)| h.msg_type == MsgType::QueryHit)
+        .map(|(h, payload)| {
+            let mut wire = Vec::new();
+            encode_message(h.guid, h.msg_type, h.ttl, h.hops, &payload, &mut wire);
+            wire
+        })
+        .collect();
+    (guid, sim.node_addr(servent).ip, hits)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Wire identity: for any library — empty, one file, a row held twice,
+    /// non-ASCII and 200-byte names, sizes past `u32::MAX`, echo infections
+    /// (whose answer may also be shared statically), more matches than
+    /// `max_results` — what a servent sends in answer to a QUERY is, byte
+    /// for byte, what the owning path built, and it parses back.
+    #[test]
+    fn answer_on_the_wire_equals_the_owning_path(
+        rows in arb_rows(),
+        extra in (any::<bool>(), any::<usize>(), 0u16..4, any::<bool>()),
+        asked in (1usize..8, any::<bool>()),
+        max_results in 1usize..5,
+        envelope in (arb_guid(), any::<bool>(), 1u8..8, any::<u8>()),
+    ) {
+        let (dup, dup_row, echo, shadow) = extra;
+        let (guid, ultrapeer, ttl, hops) = envelope;
+        // The words of `asked.0`, or something no row carries.
+        let text = if asked.1 { "zebra quartz".to_string() } else { words(asked.0, " ") };
+        let query = CompiledQuery::compile(&text);
+        let world = small_world(5);
+        let lib = library(&world, &rows, dup.then_some(dup_row), echo, shadow, &query);
+        let role = if ultrapeer { Role::Ultrapeer } else { Role::Leaf };
+        let header = Header {
+            guid,
+            msg_type: MsgType::Query,
+            ttl,
+            hops,
+            payload_len: 0,
+        };
+        let (servent_guid, ip, hits) =
+            answers_on_the_wire(&world, lib.clone(), role, max_results, header, &text);
+        let expected = owning_answer(&lib, &query, max_results, header, ip, servent_guid);
+        prop_assert_eq!(&hits, &expected.into_iter().collect::<Vec<_>>());
+        for wire in &hits {
+            let payload = &wire[23..];
+            let parsed = QueryHit::parse(payload).expect("our own hit parses");
+            prop_assert!((1..=max_results).contains(&parsed.results.len()));
+            prop_assert_eq!(&parsed.encode()[..], payload);
+        }
+    }
+
+    /// The servent's way through the one match loop (a fingerprint column
+    /// of its own) and `respond_compiled`'s (the records' fingerprints)
+    /// select the same rows, and both are what the reference matcher
+    /// selects: echoes first, then matching files in library order, cut at
+    /// `max`.
+    #[test]
+    fn respond_compiled_equals_the_row_loop(
+        rows in arb_rows(),
+        extra in (any::<bool>(), any::<usize>(), 0u16..4, any::<bool>()),
+        text in "(crimson|horizon|remix|live|MP3|x|zebra|[ -~]{0,6})( (crimson|horizon|remix))?",
+        max in 0usize..6,
+    ) {
+        let (dup, dup_row, echo, shadow) = extra;
+        let query = CompiledQuery::compile(&text);
+        let lib = library(&small_world(5), &rows, dup.then_some(dup_row), echo, shadow, &query);
+        let owned = lib.respond_compiled(&query, max);
+
+        let mut by_column = lib.echo_responses(&query, max);
+        let echoes = by_column.len();
+        let column = lib.name_fingerprints();
+        prop_assert_eq!(column.len(), lib.len());
+        lib.match_rows(&query, column, max - echoes, |row| {
+            by_column.push(lib.files()[row].clone())
+        });
+        prop_assert_eq!(&by_column, &owned);
+
+        let matching = lib
+            .files()
+            .iter()
+            .filter(|f| name_matches(&f.name, query.terms()))
+            .take(max - echoes);
+        prop_assert_eq!(&owned[echoes..], &matching.cloned().collect::<Vec<_>>()[..]);
+        prop_assert!(owned[..echoes].iter().all(|f| f.content.is_malicious()));
+    }
+
+    /// The received filter reads every slot of a hash list with no early
+    /// exit; the verdict is the table's short-circuiting one on every
+    /// prefix of the list, the empty one included.
+    #[test]
+    fn qrp_filter_verdict_equals_the_table_on_hash_lists(
+        names in proptest::collection::vec("[a-z]{3,12}", 0..20),
+        log2 in 8u8..13,
+        strangers in proptest::collection::vec(any::<u64>(), 0..4),
+        order in any::<u64>(),
+    ) {
+        let mut table = QrpTable::new(log2, 7);
+        for n in &names {
+            table.insert_name(n);
+        }
+        let mut rx = QrpReceiver::new();
+        for m in table.to_messages(300, false) {
+            rx.apply(&m).unwrap();
+        }
+        let filter = rx.filter().unwrap();
+        // Present slots (shared names) and arbitrary ones, interleaved.
+        let mut hashes: Vec<u64> = names.iter().take(4).map(|n| qrp_hash_full(n)).collect();
+        for (i, h) in strangers.into_iter().enumerate() {
+            let at = (order >> (8 * i)) as usize % (hashes.len() + 1);
+            hashes.insert(at, h);
+        }
+        for end in 0..=hashes.len() {
+            prop_assert_eq!(
+                filter.might_match_hashes(&hashes[..end]),
+                table.might_match_hashes(&hashes[..end]),
+                "first {} of {:?}", end, hashes
+            );
+        }
+    }
 }
 
 proptest! {

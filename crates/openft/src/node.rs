@@ -810,15 +810,19 @@ impl FtNode {
         match content {
             Some(r) => {
                 self.stats.uploads_served += 1;
-                let body = self
-                    .world
-                    .store
-                    .payload(r, &self.world.catalog, &self.world.roster);
-                let head = encode_response_ok(body.len());
-                let mut wire = Vec::with_capacity(head.len() + body.len());
-                wire.extend_from_slice(&head);
-                wire.extend_from_slice(&body);
-                ctx.send_owned(conn, wire);
+                let SharedWorld {
+                    store,
+                    catalog,
+                    roster,
+                    ..
+                } = &self.world;
+                let size = store.size(r, catalog, roster) as usize;
+                let mut response = encode_response_ok(size);
+                response.reserve_exact(size);
+                let head = response.len();
+                store.payload_into(r, catalog, roster, &mut response);
+                debug_assert_eq!(response.len(), head + size);
+                ctx.send_owned(conn, response);
             }
             None => ctx.send(conn, &encode_response_err(404, "Not Found")),
         }
