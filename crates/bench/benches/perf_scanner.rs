@@ -318,7 +318,7 @@ fn bench_scan_service(c: &mut Criterion) {
                 || bodies.clone(),
                 |bs| {
                     for (i, body) in bs.into_iter().enumerate() {
-                        service.submit(record(i), body, None);
+                        service.submit(record(i), body);
                     }
                     black_box(service.flush(&mut pipeline).outcomes.len())
                 },

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Writes a machine-readable summary to `P2PMAL_BENCH_JSON`
-//! (default `BENCH_mega.json`).
+//! (default `target/telemetry/BENCH_mega.json`).
 
 use p2pmal_core::{MegaRun, MegaScenario};
 use p2pmal_json::Value;
@@ -87,7 +87,8 @@ fn write_json(run: &MegaRun, seed: u64) {
             ]),
         ),
     ]);
-    let path = std::env::var("P2PMAL_BENCH_JSON").unwrap_or_else(|_| "BENCH_mega.json".into());
+    let path = std::env::var("P2PMAL_BENCH_JSON")
+        .unwrap_or_else(|_| "target/telemetry/BENCH_mega.json".into());
     if let Some(dir) = std::path::Path::new(&path).parent() {
         if !dir.as_os_str().is_empty() {
             let _ = std::fs::create_dir_all(dir);

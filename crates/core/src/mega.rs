@@ -18,19 +18,15 @@
 //! scan pipeline), so a "bounded study run" at 250k+ nodes exercises every
 //! layer the paper-scale study does.
 
-use crate::scenario::clean_library;
-use p2pmal_corpus::catalog::{Catalog, CatalogConfig};
-use p2pmal_corpus::{ContentStore, FamilyId, HostLibrary, Roster};
-use p2pmal_crawler::{
-    CrawlLog, GnutellaCrawler, GnutellaCrawlerConfig, RetryPolicy, WorkloadConfig,
-    DEFAULT_SCAN_CACHE_ENTRIES,
-};
-use p2pmal_gnutella::servent::{Servent, ServentConfig, SharedWorld};
+use crate::scenario::{clean_library, crawl_days, make_scanner, make_world};
+use p2pmal_corpus::catalog::CatalogConfig;
+use p2pmal_corpus::{FamilyId, HostLibrary, Roster};
+use p2pmal_crawler::{CrawlLog, CrawlerConfig, GnutellaCrawler, WorkloadConfig};
+use p2pmal_gnutella::servent::{Servent, ServentConfig};
 use p2pmal_netsim::{
-    MemoryStats, NodeSpec, SchedulerKind, SimConfig, SimDuration, SimMetrics, SimTime, Simulator,
+    MemoryStats, NodeSpec, SchedulerKind, SimConfig, SimDuration, SimMetrics, Simulator,
     TelemetryConfig,
 };
-use p2pmal_scanner::Scanner;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -62,6 +58,10 @@ pub struct MegaScenario {
     /// `benchmark/src/workloads.rs` sets it; goes in the next `[benchmark]`
     /// PR.
     pub scheduler: SchedulerKind,
+    /// Scan-service worker threads (see
+    /// [`crate::LimewireScenario::scan_threads`]); [`MegaScenario::new`]
+    /// reads `P2PMAL_SCAN_THREADS`.
+    pub scan_threads: usize,
     pub telemetry: TelemetryConfig,
     pub shards: usize,
     pub shard_window_us: u64,
@@ -108,6 +108,7 @@ impl MegaScenario {
                 ..Default::default()
             },
             scheduler: SchedulerKind::Calendar,
+            scan_threads: p2pmal_crawler::scan_threads_from_env(),
             telemetry: TelemetryConfig::from_env(),
             shards: SimConfig::shards_from_env().0,
             shard_window_us: SimConfig::shards_from_env().1,
@@ -132,25 +133,10 @@ impl MegaScenario {
 
     /// Builds the population, runs the bounded collection, returns the
     /// measurement. `progress(day)` fires after each simulated day.
-    pub fn run_with_progress(&self, mut progress: impl FnMut(u64)) -> MegaRun {
+    pub fn run_with_progress(&self, progress: impl FnMut(u64)) -> MegaRun {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x11FE);
-        let world = {
-            let mut wrng = StdRng::seed_from_u64(self.seed ^ 0x0CA7_A106);
-            let catalog = Catalog::generate(&self.catalog, &mut wrng);
-            SharedWorld::new(
-                Arc::new(catalog),
-                Arc::new(Roster::limewire_2006()),
-                Arc::new(ContentStore::new(self.seed)),
-            )
-        };
-        let scanner = Arc::new(Scanner::new(
-            world
-                .roster
-                .signature_db()
-                .expect("roster db")
-                .build()
-                .expect("db compiles"),
-        ));
+        let world = make_world(self.seed, &self.catalog, Roster::limewire_2006());
+        let scanner = make_scanner(&world);
         let mut sim = Simulator::new(
             SimConfig {
                 scheduler: self.scheduler,
@@ -227,11 +213,9 @@ impl MegaScenario {
                 ServentConfig::leaf().with_bootstrap(groups[0].clone()),
                 world.clone(),
                 scanner,
-                GnutellaCrawlerConfig {
+                CrawlerConfig {
                     workload: self.workload.clone(),
-                    scan_cache_entries: DEFAULT_SCAN_CACHE_ENTRIES,
-                    scan_threads: p2pmal_crawler::scan_threads_from_env(),
-                    retry: RetryPolicy::legacy(),
+                    scan_threads: self.scan_threads,
                     ..Default::default()
                 },
             )),
@@ -240,38 +224,14 @@ impl MegaScenario {
         sim.record_memory();
         let setup_memory = sim.metrics().memory;
 
-        let mut wall = std::time::Duration::ZERO;
-        let mut last_events = 0u64;
-        for day in 1..=self.days {
-            let t0 = std::time::Instant::now();
-            sim.run_until(SimTime::from_days(day));
-            sim.barrier(crawler);
-            let day_wall = t0.elapsed();
-            wall += day_wall;
-            sim.sample_queue_depth();
-            let ev = sim.metrics().events_processed;
-            if self.telemetry.trace >= 1 {
-                eprintln!(
-                    "[trace] mega day {day}: {ev} events (+{}), {:.1}s wall, queue {} pending",
-                    ev - last_events,
-                    day_wall.as_secs_f64(),
-                    sim.pending_events(),
-                );
-            }
-            last_events = ev;
-            progress(day);
-        }
-        sim.flush_telemetry();
-        sim.record_memory();
-        let log = sim
-            .with_node(crawler, |app, _| {
-                app.as_any_mut()
-                    .expect("crawler downcasts")
-                    .downcast_mut::<GnutellaCrawler>()
-                    .expect("crawler node")
-                    .take_log()
-            })
-            .expect("crawler alive");
+        let (log, wall) = crawl_days::<Servent>(
+            &mut sim,
+            crawler,
+            "mega",
+            self.days,
+            self.telemetry.trace,
+            progress,
+        );
         MegaRun {
             nodes: self.nodes,
             ups,

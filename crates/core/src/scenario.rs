@@ -22,13 +22,13 @@
 use p2pmal_corpus::catalog::{Catalog, CatalogConfig};
 use p2pmal_corpus::{ContentStore, FamilyId, HostLibrary, Roster};
 use p2pmal_crawler::{
-    CrawlLog, FtCrawler, FtCrawlerConfig, GnutellaCrawler, GnutellaCrawlerConfig, Network,
+    CrawlLog, Crawler, CrawlerConfig, FtCrawler, GnutellaCrawler, Network, Overlay,
     ResolvedResponse, RetryPolicy, ScanStats, WorkloadConfig, DEFAULT_SCAN_CACHE_ENTRIES,
 };
 use p2pmal_gnutella::servent::{Servent, ServentConfig, SharedWorld};
 use p2pmal_netsim::{
-    FaultPlan, HostAddr, NodeSpec, SchedulerKind, SimConfig, SimDuration, SimMetrics, SimTime,
-    Simulator, TelemetryConfig,
+    FaultPlan, HostAddr, NodeId, NodeSpec, SchedulerKind, SimConfig, SimDuration, SimMetrics,
+    SimTime, Simulator, TelemetryConfig,
 };
 use p2pmal_openft::node::{FtConfig, FtNode};
 use p2pmal_scanner::Scanner;
@@ -126,16 +126,6 @@ impl NetworkRun {
     }
 }
 
-/// `P2PMAL_TRACE=1`: per-day progress line with scheduler and buffer-pool
-/// health (queue depth + peak, pool hit rate, bytes recycled), plus the
-/// scan-pipeline counters (bodies, cache hits/misses/evictions, distinct
-/// payloads, bytes hashed) when a crawler snapshot is available.
-///
-/// Accepted `P2PMAL_TRACE` values (parsed by
-/// `p2pmal_netsim::telemetry::parse_trace_level`): unset, empty, `0`,
-/// `off`, `false`, `no` → off; `2` → per-day lines *plus* per-event
-/// records on stderr; anything else (the historical `1`) → per-day lines.
-///
 /// Per-day crawler-side counters a trace line reports alongside the
 /// simulator metrics.
 struct DayCrawlStats {
@@ -156,6 +146,15 @@ impl DayCrawlStats {
     }
 }
 
+/// `P2PMAL_TRACE=1`: per-day progress line with scheduler and buffer-pool
+/// health (queue depth + peak, pool hit rate, bytes recycled), plus the
+/// scan-pipeline counters (bodies, cache hits/misses/evictions, distinct
+/// payloads, bytes hashed) and the retry/failure tallies from the crawl log.
+///
+/// Accepted `P2PMAL_TRACE` values (parsed by
+/// `p2pmal_netsim::telemetry::parse_trace_level`): unset, empty, `0`,
+/// `off`, `false`, `no` → off; `2` → per-day lines *plus* per-event
+/// records on stderr; anything else (the historical `1`) → per-day lines.
 fn trace_day(
     net: &str,
     day: u64,
@@ -163,24 +162,19 @@ fn trace_day(
     delta: u64,
     wall_secs: f64,
     sim: &Simulator,
-    crawl: Option<&DayCrawlStats>,
+    crawl: &DayCrawlStats,
 ) {
     let m = sim.metrics();
-    let scan_part = match crawl {
-        Some(c) => {
-            let s = &c.scan;
-            format!(
-                ", scan {} bodies / {} hits / {} misses / {} evict / {} distinct / {} KiB hashed",
-                s.bodies,
-                s.cache_hits,
-                s.cache_misses,
-                s.cache_evictions,
-                s.distinct_payloads,
-                s.bytes_hashed / 1024,
-            )
-        }
-        None => String::new(),
-    };
+    let s = &crawl.scan;
+    let scan_part = format!(
+        ", scan {} bodies / {} hits / {} misses / {} evict / {} distinct / {} KiB hashed",
+        s.bodies,
+        s.cache_hits,
+        s.cache_misses,
+        s.cache_evictions,
+        s.distinct_payloads,
+        s.bytes_hashed / 1024,
+    );
     let fault_events = m.faults_chunks_dropped
         + m.faults_chunks_corrupted
         + m.faults_resets
@@ -199,12 +193,13 @@ fn trace_day(
     } else {
         String::new()
     };
-    let resilience_part = match crawl {
-        Some(c) if c.retries + c.failures > 0 => format!(
+    let resilience_part = if crawl.retries + crawl.failures > 0 {
+        format!(
             ", retries {} scheduled / {} recovered / {} terminal failures",
-            c.retries, c.retry_successes, c.failures,
-        ),
-        _ => String::new(),
+            crawl.retries, crawl.retry_successes, crawl.failures,
+        )
+    } else {
+        String::new()
     };
     let timing_part = if m.timing.is_empty() {
         String::new()
@@ -223,6 +218,69 @@ fn trace_day(
     );
 }
 
+/// Runs `f` on the crawler spawned as `node` (durable, so always alive).
+fn with_crawler<O: Overlay, R>(
+    sim: &mut Simulator,
+    node: NodeId,
+    f: impl FnOnce(&mut Crawler<O>) -> R,
+) -> R {
+    sim.with_node(node, |app, _| {
+        f(app
+            .as_any_mut()
+            .expect("crawler downcasts")
+            .downcast_mut::<Crawler<O>>()
+            .expect("crawler node"))
+    })
+    .expect("crawler alive")
+}
+
+/// The collection itself, the same for every scenario: run `days` simulated
+/// days with the crawler `Crawler<O>` at `crawler`, then take its log out.
+/// Returns the log and the wall clock the day loop took. `trace` is the
+/// `P2PMAL_TRACE` level (≥ 1 prints a [`trace_day`] line per day under the
+/// `net` label); `progress(day)` fires after each day.
+pub(crate) fn crawl_days<O: Overlay>(
+    sim: &mut Simulator,
+    crawler: NodeId,
+    net: &str,
+    days: u64,
+    trace: u8,
+    mut progress: impl FnMut(u64),
+) -> (CrawlLog, std::time::Duration) {
+    let mut last_events = 0u64;
+    let mut wall = std::time::Duration::ZERO;
+    for day in 1..=days {
+        let t0 = std::time::Instant::now();
+        sim.run_until(SimTime::from_days(day));
+        // Sim-time barrier: merge any batched scan verdicts before the
+        // day's stats are read, so day lines match the inline path.
+        sim.barrier(crawler);
+        let day_wall = t0.elapsed();
+        wall += day_wall;
+        // Unconditional: every run samples queue depth identically, so
+        // the registry stays deterministic whatever the trace level.
+        sim.sample_queue_depth();
+        let ev = sim.metrics().events_processed;
+        if trace >= 1 {
+            let crawl = with_crawler::<O, _>(sim, crawler, |c| DayCrawlStats::of(c.log()));
+            trace_day(
+                net,
+                day,
+                ev,
+                ev - last_events,
+                day_wall.as_secs_f64(),
+                sim,
+                &crawl,
+            );
+        }
+        last_events = ev;
+        progress(day);
+    }
+    sim.flush_telemetry();
+    sim.record_memory();
+    (with_crawler::<O, _>(sim, crawler, Crawler::take_log), wall)
+}
+
 /// Clones the simulator metrics and fills in the counters the harness
 /// observed through the crawl log (scan pipeline, download retries).
 fn metrics_with_log(sim: &Simulator, log: &CrawlLog) -> SimMetrics {
@@ -239,7 +297,7 @@ fn metrics_with_log(sim: &Simulator, log: &CrawlLog) -> SimMetrics {
     m
 }
 
-fn make_world(seed: u64, catalog_cfg: &CatalogConfig, roster: Roster) -> SharedWorld {
+pub(crate) fn make_world(seed: u64, catalog_cfg: &CatalogConfig, roster: Roster) -> SharedWorld {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0CA7_A106);
     let catalog = Catalog::generate(catalog_cfg, &mut rng);
     SharedWorld::new(
@@ -249,7 +307,7 @@ fn make_world(seed: u64, catalog_cfg: &CatalogConfig, roster: Roster) -> SharedW
     )
 }
 
-fn make_scanner(world: &SharedWorld) -> Arc<Scanner> {
+pub(crate) fn make_scanner(world: &SharedWorld) -> Arc<Scanner> {
     Arc::new(Scanner::new(
         world
             .roster
@@ -422,7 +480,7 @@ impl LimewireScenario {
 
     /// Like [`LimewireScenario::run`], reporting each finished simulated
     /// day to `progress`.
-    pub fn run_with_progress(&self, mut progress: impl FnMut(u64)) -> NetworkRun {
+    pub fn run_with_progress(&self, progress: impl FnMut(u64)) -> NetworkRun {
         let world = make_world(self.seed, &self.catalog, Roster::limewire_2006());
         let scanner = make_scanner(&world);
         let mut sim = Simulator::new(
@@ -497,7 +555,7 @@ impl LimewireScenario {
                 ServentConfig::leaf().with_bootstrap(up_boot.clone()),
                 world.clone(),
                 scanner,
-                GnutellaCrawlerConfig {
+                CrawlerConfig {
                     workload: self.workload.clone(),
                     scan_cache_entries: self.scan_cache_entries,
                     scan_threads: self.scan_threads,
@@ -507,54 +565,14 @@ impl LimewireScenario {
             )),
         );
 
-        let mut last_events = 0u64;
-        let mut wall = std::time::Duration::ZERO;
-        for day in 1..=self.days {
-            let t0 = std::time::Instant::now();
-            sim.run_until(SimTime::from_days(day));
-            // Sim-time barrier: merge any batched scan verdicts before the
-            // day's stats are read, so day lines match the inline path.
-            sim.barrier(crawler);
-            let day_wall = t0.elapsed();
-            wall += day_wall;
-            // Unconditional: every run samples queue depth identically, so
-            // the registry stays deterministic whatever the trace level.
-            sim.sample_queue_depth();
-            let ev = sim.metrics().events_processed;
-            if self.telemetry.trace >= 1 {
-                let crawl = sim.with_node(crawler, |app, _| {
-                    DayCrawlStats::of(
-                        app.as_any_mut()
-                            .expect("crawler downcasts")
-                            .downcast_mut::<GnutellaCrawler>()
-                            .expect("crawler node")
-                            .log(),
-                    )
-                });
-                trace_day(
-                    "LW",
-                    day,
-                    ev,
-                    ev - last_events,
-                    day_wall.as_secs_f64(),
-                    &sim,
-                    crawl.as_ref(),
-                );
-            }
-            last_events = ev;
-            progress(day);
-        }
-        sim.flush_telemetry();
-        sim.record_memory();
-        let log = sim
-            .with_node(crawler, |app, _| {
-                app.as_any_mut()
-                    .expect("crawler downcasts")
-                    .downcast_mut::<GnutellaCrawler>()
-                    .expect("crawler node")
-                    .take_log()
-            })
-            .expect("crawler alive");
+        let (log, wall) = crawl_days::<Servent>(
+            &mut sim,
+            crawler,
+            "LW",
+            self.days,
+            self.telemetry.trace,
+            progress,
+        );
         let resolved = log.resolved();
         NetworkRun {
             network: Network::Limewire,
@@ -697,7 +715,7 @@ impl OpenFtScenario {
         self.run_with_progress(|_| {})
     }
 
-    pub fn run_with_progress(&self, mut progress: impl FnMut(u64)) -> NetworkRun {
+    pub fn run_with_progress(&self, progress: impl FnMut(u64)) -> NetworkRun {
         let world = make_world(self.seed, &self.catalog, Roster::openft_2006());
         let scanner = make_scanner(&world);
         let mut sim = Simulator::new(
@@ -786,7 +804,7 @@ impl OpenFtScenario {
                 crawler_cfg,
                 world.clone(),
                 scanner,
-                FtCrawlerConfig {
+                CrawlerConfig {
                     workload: self.workload.clone(),
                     scan_cache_entries: self.scan_cache_entries,
                     scan_threads: self.scan_threads,
@@ -796,54 +814,14 @@ impl OpenFtScenario {
             )),
         );
 
-        let mut last_events = 0u64;
-        let mut wall = std::time::Duration::ZERO;
-        for day in 1..=self.days {
-            let t0 = std::time::Instant::now();
-            sim.run_until(SimTime::from_days(day));
-            // Sim-time barrier: merge any batched scan verdicts before the
-            // day's stats are read, so day lines match the inline path.
-            sim.barrier(crawler);
-            let day_wall = t0.elapsed();
-            wall += day_wall;
-            // Unconditional: every run samples queue depth identically, so
-            // the registry stays deterministic whatever the trace level.
-            sim.sample_queue_depth();
-            let ev = sim.metrics().events_processed;
-            if self.telemetry.trace >= 1 {
-                let crawl = sim.with_node(crawler, |app, _| {
-                    DayCrawlStats::of(
-                        app.as_any_mut()
-                            .expect("crawler downcasts")
-                            .downcast_mut::<FtCrawler>()
-                            .expect("crawler node")
-                            .log(),
-                    )
-                });
-                trace_day(
-                    "FT",
-                    day,
-                    ev,
-                    ev - last_events,
-                    day_wall.as_secs_f64(),
-                    &sim,
-                    crawl.as_ref(),
-                );
-            }
-            last_events = ev;
-            progress(day);
-        }
-        sim.flush_telemetry();
-        sim.record_memory();
-        let log = sim
-            .with_node(crawler, |app, _| {
-                app.as_any_mut()
-                    .expect("crawler downcasts")
-                    .downcast_mut::<FtCrawler>()
-                    .expect("crawler node")
-                    .take_log()
-            })
-            .expect("crawler alive");
+        let (log, wall) = crawl_days::<FtNode>(
+            &mut sim,
+            crawler,
+            "FT",
+            self.days,
+            self.telemetry.trace,
+            progress,
+        );
         let resolved = log.resolved();
         NetworkRun {
             network: Network::OpenFt,

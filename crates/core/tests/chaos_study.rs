@@ -3,7 +3,9 @@
 //! retries visibly recovering transfers, and the headline prevalence
 //! staying in a sane band even while the network is actively hostile.
 
+use p2pmal_core::telemetry::{journal_path_for, TelemetryConfig};
 use p2pmal_core::{fault_profile, LimewireScenario, NetworkRun, OpenFtScenario};
+use p2pmal_crawler::RetryPolicy;
 
 /// Malicious share of downloadable responses, in percent.
 fn prevalence_pct(run: &NetworkRun) -> f64 {
@@ -91,8 +93,7 @@ fn assert_chaos_invariants(run: &NetworkRun, prevalence_band: (f64, f64)) {
     );
 }
 
-#[test]
-fn limewire_quick_survives_harsh_faults() {
+fn harsh_limewire() -> LimewireScenario {
     let (faults, retry) = fault_profile("harsh").expect("harsh profile exists");
     // The stock quick profile only yields a handful of unique downloadable
     // objects — too little traffic for the fault classes to show up in the
@@ -107,7 +108,12 @@ fn limewire_quick_survives_harsh_faults() {
     scenario.files_per_leaf = 30;
     scenario.catalog.media_mix_permille = [300, 100, 300, 220, 50, 30];
     scenario.workload.base_interval_secs = 45;
-    let run = scenario.run();
+    scenario
+}
+
+#[test]
+fn limewire_quick_survives_harsh_faults() {
+    let run = harsh_limewire().run();
     // The downloadable-heavy catalog dilutes the echo worms' share well
     // below the calibrated 68%, and churn moves it further; the band only
     // guards against the degenerate ends (no malware seen at all, or
@@ -115,8 +121,7 @@ fn limewire_quick_survives_harsh_faults() {
     assert_chaos_invariants(&run, (5.0, 98.0));
 }
 
-#[test]
-fn openft_quick_survives_harsh_faults() {
+fn harsh_openft() -> OpenFtScenario {
     let (faults, retry) = fault_profile("harsh").expect("harsh profile exists");
     let mut scenario = OpenFtScenario::quick(2006 ^ 0xF7).with_faults(faults, retry);
     scenario.days = 5;
@@ -127,9 +132,66 @@ fn openft_quick_survives_harsh_faults() {
     // silently erase the malicious signal.
     scenario.catalog.media_mix_permille = [300, 100, 300, 220, 50, 30];
     scenario.workload.base_interval_secs = 60;
-    let run = scenario.run();
+    scenario
+}
+
+#[test]
+fn openft_quick_survives_harsh_faults() {
+    let run = harsh_openft().run();
     // Fault-free quick runs measure a few percent malicious; the durable
     // superspreader keeps answering while clean users churn, so the share
     // can drift upward under harsh faults.
     assert_chaos_invariants(&run, (0.1, 40.0));
+}
+
+/// Hands `run` a telemetry config journaling to a temp file, runs it, and
+/// asserts the download chains it wrote have no orphans: every
+/// `download_*` event's parent span is in the journal.
+fn assert_no_orphaned_downloads(network: &str, run: impl FnOnce(TelemetryConfig) -> NetworkRun) {
+    let mut base = std::env::temp_dir();
+    base.push(format!(
+        "p2pmal-chaos-{}-{network}.jsonl",
+        std::process::id()
+    ));
+    let run = run(TelemetryConfig {
+        journal: Some(base.clone()),
+        ..TelemetryConfig::off()
+    });
+    let path = journal_path_for(&base, network);
+    let text = std::fs::read_to_string(&path).expect("journal file written");
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        run.log.retries_scheduled > 0,
+        "{network}: no in-line re-attempt happened, nothing was tested"
+    );
+    let journal = p2pmal_obs::parse_journal(&text).unwrap_or_else(|e| panic!("{network}: {e}"));
+    let orphans: Vec<_> = p2pmal_obs::analyze(network, &journal, 0)
+        .orphans
+        .into_iter()
+        .filter(|(_, _, ev)| ev.starts_with("download_"))
+        .collect();
+    assert!(orphans.is_empty(), "{network}: {orphans:?}");
+}
+
+/// Under the legacy policy a failed attempt is retried in-line, not through
+/// the queue; that re-attempt must still journal its `download_start`, or
+/// the `download_complete` that follows hangs off a span nobody emitted.
+#[test]
+fn legacy_retries_leave_no_orphaned_download_spans() {
+    assert_no_orphaned_downloads("limewire", |telemetry| {
+        LimewireScenario {
+            telemetry,
+            retry: RetryPolicy::legacy(),
+            ..harsh_limewire()
+        }
+        .run()
+    });
+    assert_no_orphaned_downloads("openft", |telemetry| {
+        OpenFtScenario {
+            telemetry,
+            retry: RetryPolicy::legacy(),
+            ..harsh_openft()
+        }
+        .run()
+    });
 }

@@ -9,30 +9,35 @@
 //!   generic 2006-era search strings, diurnally modulated);
 //! * [`log`] — response records, download dedup (by filename+size and by
 //!   host+size), scan outcomes, and the response↔verdict join;
-//! * [`gnutella`] — [`gnutella::GnutellaCrawler`], the instrumented leaf
-//!   servent (queries, hit logging, direct + PUSH downloads, scanning);
-//! * [`openft`] — [`openft::FtCrawler`], the instrumented USER node
-//!   (searches against every discovered SEARCH node, MD5 downloads,
-//!   scanning).
+//! * [`driver`] — [`Crawler`], the measurement procedure itself, written
+//!   once: query bookkeeping, response logging, dedup under both keys, the
+//!   slot-bounded download queue, retry, inline or batched scanning. It is
+//!   generic over an [`Overlay`], the little a protocol node has to tell
+//!   it;
+//! * [`servent`] / [`ftnode`] — the two [`Overlay`] adapters: a Gnutella
+//!   leaf (QUERYHITs, direct + PUSH downloads) and an OpenFT USER node
+//!   (per-result packets from every discovered SEARCH node, MD5 downloads);
+//! * [`retry`], [`scan`], [`trace`] — retry policy and failure causes, the
+//!   content-addressed scan pipeline, download-chain provenance.
 //!
-//! Both crawlers are [`p2pmal_netsim::App`]s; a harness (see
-//! `p2pmal-core`) spawns them into a simulated network, runs simulated
-//! weeks, and takes the [`log::CrawlLog`] out for analysis.
+//! [`GnutellaCrawler`] and [`FtCrawler`] are [`p2pmal_netsim::App`]s; a
+//! harness (see `p2pmal-core`) spawns one into a simulated network, runs
+//! simulated weeks, and takes the [`log::CrawlLog`] out for analysis.
 
-pub mod gnutella;
+pub mod driver;
+pub mod ftnode;
 pub mod log;
-pub mod openft;
 pub mod retry;
 pub mod scan;
+pub mod servent;
 pub mod trace;
 pub mod workload;
 
-pub use gnutella::{GnutellaCrawler, GnutellaCrawlerConfig};
+pub use driver::{Crawler, CrawlerConfig, Overlay, Response, Signal};
 pub use log::{
     is_downloadable_name, CrawlLog, HostKey, LogFootprint, Network, ResolvedResponse,
     ResponseRecord, ScanOutcome, Text, TextTable,
 };
-pub use openft::{FtCrawler, FtCrawlerConfig};
 pub use retry::{FailCause, FailureBreakdown, RetryPolicy};
 pub use scan::{
     scan_threads_from_env, FlushOutcome, FlushResult, ScanPipeline, ScanService, ScanStats,
@@ -40,3 +45,8 @@ pub use scan::{
 };
 pub use trace::DlTrace;
 pub use workload::{Workload, WorkloadConfig, GENERIC_TERMS};
+
+/// The instrumented LimeWire-side client.
+pub type GnutellaCrawler = Crawler<p2pmal_gnutella::Servent>;
+/// The instrumented giFT/OpenFT-side client.
+pub type FtCrawler = Crawler<p2pmal_openft::node::FtNode>;

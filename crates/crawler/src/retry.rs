@@ -12,9 +12,7 @@
 //! exactly, which is what keeps the fault-free seed-2006 study
 //! byte-identical to the pre-fault-injection build.
 
-use p2pmal_gnutella::servent::DownloadError;
 use p2pmal_netsim::SimDuration;
-use p2pmal_openft::node::FtDownloadError;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -96,34 +94,6 @@ impl FailureBreakdown {
             ("not_found", self.not_found),
             ("other", self.other),
         ]
-    }
-}
-
-/// Classifies a Gnutella download error.
-pub fn classify_gnutella(err: &DownloadError) -> FailCause {
-    match err {
-        DownloadError::ConnectFailed | DownloadError::NoPushRoute => FailCause::PeerGone,
-        DownloadError::Timeout => FailCause::Timeout,
-        DownloadError::Protocol(msg) if msg.contains("closed") || msg.contains("dropped") => {
-            FailCause::Reset
-        }
-        DownloadError::Protocol(_) => FailCause::Truncated,
-        DownloadError::Http(404) => FailCause::NotFound,
-        DownloadError::Http(_) => FailCause::Other,
-    }
-}
-
-/// Classifies an OpenFT download error.
-pub fn classify_openft(err: &FtDownloadError) -> FailCause {
-    match err {
-        FtDownloadError::ConnectFailed => FailCause::PeerGone,
-        FtDownloadError::Timeout => FailCause::Timeout,
-        FtDownloadError::Protocol(msg) if msg.contains("closed") || msg.contains("dropped") => {
-            FailCause::Reset
-        }
-        FtDownloadError::Protocol(_) => FailCause::Truncated,
-        FtDownloadError::Http(404) => FailCause::NotFound,
-        FtDownloadError::Http(_) => FailCause::Other,
     }
 }
 
@@ -240,63 +210,5 @@ mod tests {
         }
         assert_eq!(b.total(), 7);
         assert!(b.parts().iter().all(|(_, n)| *n == 1));
-    }
-
-    #[test]
-    fn gnutella_classification() {
-        assert_eq!(
-            classify_gnutella(&DownloadError::ConnectFailed),
-            FailCause::PeerGone
-        );
-        assert_eq!(
-            classify_gnutella(&DownloadError::NoPushRoute),
-            FailCause::PeerGone
-        );
-        assert_eq!(
-            classify_gnutella(&DownloadError::Timeout),
-            FailCause::Timeout
-        );
-        assert_eq!(
-            classify_gnutella(&DownloadError::Protocol(
-                "connection closed mid-transfer".into()
-            )),
-            FailCause::Reset
-        );
-        assert_eq!(
-            classify_gnutella(&DownloadError::Protocol("dropped".into())),
-            FailCause::Reset
-        );
-        assert_eq!(
-            classify_gnutella(&DownloadError::Protocol("bad chunk header".into())),
-            FailCause::Truncated
-        );
-        assert_eq!(
-            classify_gnutella(&DownloadError::Http(503)),
-            FailCause::Other
-        );
-        assert_eq!(
-            classify_gnutella(&DownloadError::Http(404)),
-            FailCause::NotFound
-        );
-    }
-
-    #[test]
-    fn openft_classification() {
-        assert_eq!(
-            classify_openft(&FtDownloadError::ConnectFailed),
-            FailCause::PeerGone
-        );
-        assert_eq!(
-            classify_openft(&FtDownloadError::Protocol("closed mid-transfer".into())),
-            FailCause::Reset
-        );
-        assert_eq!(
-            classify_openft(&FtDownloadError::Http(404)),
-            FailCause::NotFound
-        );
-        assert_eq!(
-            classify_openft(&FtDownloadError::Http(503)),
-            FailCause::Other
-        );
     }
 }

@@ -1,4 +1,4 @@
-//! The content-addressed download→scan pipeline shared by both crawlers.
+//! The crawler's content-addressed download→scan pipeline.
 //!
 //! Every completed download is SHA-1 hashed (the study's content identity);
 //! the digest then consults a bounded [`VerdictCache`] before the signature
@@ -10,11 +10,10 @@
 //!
 //! Scanning is a pure function of content bytes, and eviction is
 //! deterministic FIFO, so enabling the cache cannot change any logged
-//! outcome: the crawlers persist only the detection *names* from the
+//! outcome: the crawler persists only the detection *names* from the
 //! verdict, which depend on the body alone.
 
 use crate::log::ResponseRecord;
-use crate::trace::DlTrace;
 use p2pmal_hashes::Sha1Digest;
 use p2pmal_scanner::{ScanJob, ScanPool, ScanScratch, Scanner, Verdict, VerdictCache};
 use std::collections::{HashMap, HashSet};
@@ -83,27 +82,6 @@ impl ScanPipeline {
         }
     }
 
-    /// Access to the wrapped scanner (e.g. for listing signature names).
-    pub fn scanner(&self) -> &Scanner {
-        &self.scanner
-    }
-
-    /// Shared handle to the wrapped scanner, for batched off-thread scans.
-    pub fn scanner_arc(&self) -> Arc<Scanner> {
-        Arc::clone(&self.scanner)
-    }
-
-    /// Whether the verdict cache is active (capacity > 0).
-    pub fn cache_enabled(&self) -> bool {
-        self.cache.enabled()
-    }
-
-    /// Non-counting cache probe, used by [`ScanService::flush`] to plan
-    /// which bodies actually need the signature engine.
-    pub fn cache_contains(&self, digest: &Sha1Digest) -> bool {
-        self.cache.contains(digest)
-    }
-
     /// Snapshot of the pipeline counters.
     pub fn stats(&self) -> ScanStats {
         self.stats
@@ -169,7 +147,6 @@ pub const SCAN_BATCH_MAX_BYTES: u64 = 64 << 20;
 struct DeferredScan {
     record: ResponseRecord,
     body: Arc<Vec<u8>>,
-    trace: Option<DlTrace>,
 }
 
 /// One merged verdict from a batch flush, in submission order.
@@ -178,11 +155,6 @@ pub struct FlushOutcome {
     pub body_len: u64,
     pub digest: Sha1Digest,
     pub verdict: Arc<Verdict>,
-    /// Provenance of the download, carried through the batch untouched.
-    /// Note the crawlers only defer when per-scan telemetry is off (the
-    /// inline path is the one that emits `scan_verdict`), so today this
-    /// rides along for log consumers rather than event emission.
-    pub trace: Option<DlTrace>,
 }
 
 /// Everything a flush produced, plus how long the two phases took. The
@@ -234,12 +206,11 @@ impl ScanService {
     }
 
     /// Park a completed download for the next flush.
-    pub fn submit(&mut self, record: ResponseRecord, body: Vec<u8>, trace: Option<DlTrace>) {
+    pub fn submit(&mut self, record: ResponseRecord, body: Vec<u8>) {
         self.pending_bytes += body.len() as u64;
         self.pending.push(DeferredScan {
             record,
             body: Arc::new(body),
-            trace,
         });
     }
 
@@ -299,14 +270,14 @@ impl ScanService {
         // replay key to a verdict slot; cache-enabled keys are digests
         // (first occurrence wins, matching sequential verdict reuse),
         // cache-disabled keys are item indices (every body scans).
-        let cache_enabled = pipeline.cache_enabled();
+        let cache_enabled = pipeline.cache.enabled();
         let mut planned: HashMap<PlanKey, usize> = HashMap::new();
         // Verdict slot -> the item whose `(name, body)` feeds that engine run
         // (the first occurrence, matching sequential verdict reuse).
         let mut plan: Vec<usize> = Vec::new();
         for (i, digest) in digests.iter().enumerate() {
             let key = if cache_enabled {
-                if pipeline.cache_contains(digest) {
+                if pipeline.cache.contains(digest) {
                     continue;
                 }
                 PlanKey::Digest(*digest)
@@ -321,7 +292,7 @@ impl ScanService {
 
         // Phase C: run the planned scans in parallel, each on a worker's
         // reusable scratch buffers.
-        let scanner = pipeline.scanner_arc();
+        let scanner = Arc::clone(&pipeline.scanner);
         let verdict_slots = Arc::new(Mutex::new(vec![None::<Arc<Verdict>>; plan.len()]));
         let jobs: Vec<ScanJob> = plan
             .iter()
@@ -369,7 +340,6 @@ impl ScanService {
                     body_len: item.body.len() as u64,
                     digest,
                     verdict,
-                    trace: item.trace,
                 }
             })
             .collect();
@@ -506,7 +476,7 @@ mod tests {
         let mut batched = pipeline(cache_entries);
         let mut service = ScanService::new(threads);
         for (name, body) in bodies {
-            service.submit(record(name), body.to_vec(), None);
+            service.submit(record(name), body.to_vec());
         }
         let result = service.flush(&mut batched);
 
@@ -554,8 +524,8 @@ mod tests {
 
         let mut service = ScanService::new(2);
         batched.scan("a.exe", a);
-        service.submit(record("b.exe"), b.to_vec(), None);
-        service.submit(record("a2.exe"), a.to_vec(), None);
+        service.submit(record("b.exe"), b.to_vec());
+        service.submit(record("a2.exe"), a.to_vec());
         let result = service.flush(&mut batched);
 
         for (out, (digest, verdict)) in result.outcomes.iter().zip(&expected[1..]) {
@@ -581,7 +551,7 @@ mod tests {
         assert!(empty.outcomes.is_empty());
         for i in 0..SCAN_BATCH_MAX_BODIES {
             assert!(!service.should_flush());
-            service.submit(record(&format!("f{i}.exe")), vec![0u8; 8], None);
+            service.submit(record(&format!("f{i}.exe")), vec![0u8; 8]);
         }
         assert!(service.should_flush());
         service.flush(&mut p);

@@ -4,7 +4,7 @@
 
 use p2pmal_corpus::catalog::{Catalog, CatalogConfig};
 use p2pmal_corpus::{ContentStore, FamilyId, HostLibrary, Roster};
-use p2pmal_crawler::{FtCrawler, FtCrawlerConfig, GnutellaCrawler, GnutellaCrawlerConfig};
+use p2pmal_crawler::{CrawlerConfig, FtCrawler, GnutellaCrawler};
 use p2pmal_gnutella::servent::{Servent, ServentConfig, SharedWorld};
 use p2pmal_netsim::{NodeSpec, SimConfig, SimDuration, SimTime, Simulator};
 use p2pmal_openft::node::{FtConfig, FtNode};
@@ -90,7 +90,7 @@ fn gnutella_mini_study_measures_ground_truth() {
     }
 
     // The instrumented client.
-    let crawler_cfg = GnutellaCrawlerConfig {
+    let crawler_cfg = CrawlerConfig {
         start_delay: SimDuration::from_secs(120),
         ..Default::default()
     };
@@ -197,7 +197,7 @@ fn openft_mini_study_measures_ground_truth() {
             FtConfig::user().with_bootstrap(search_addrs.clone()),
             w.clone(),
             scanner(&w),
-            FtCrawlerConfig {
+            CrawlerConfig {
                 start_delay: SimDuration::from_secs(120),
                 ..Default::default()
             },
