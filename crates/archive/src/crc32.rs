@@ -1,16 +1,16 @@
 //! CRC-32 with the IEEE 802.3 (reflected 0x04C11DB7 → 0xEDB88320) polynomial,
-//! as required by the ZIP format. Slice-by-8: eight lookup tables let the
-//! inner loop fold eight input bytes per iteration instead of one.
+//! as required by the ZIP format. Slice-by-16: sixteen lookup tables let the
+//! inner loop fold sixteen input bytes per iteration instead of one.
 
 use std::sync::OnceLock;
 
-/// Lazily built slice-by-8 tables. `TABLES[0]` is the classic byte-at-a-time
-/// table; `TABLES[k][i]` advances the CRC of byte `i` through `k` additional
-/// zero bytes, so eight table reads fold a whole 64-bit word.
-fn tables() -> &'static [[u32; 256]; 8] {
-    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
+/// Lazily built slice-by-16 tables (16 KiB). `TABLES[0]` is the classic
+/// byte-at-a-time table; `TABLES[k][i]` advances the CRC of byte `i` through
+/// `k` additional zero bytes, so sixteen table reads fold four 32-bit words.
+fn tables() -> &'static [[u32; 256]; 16] {
+    static TABLES: OnceLock<[[u32; 256]; 16]> = OnceLock::new();
     TABLES.get_or_init(|| {
-        let mut t = [[0u32; 256]; 8];
+        let mut t = [[0u32; 256]; 16];
         for (i, slot) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
@@ -22,7 +22,7 @@ fn tables() -> &'static [[u32; 256]; 8] {
             }
             *slot = c;
         }
-        for k in 1..8 {
+        for k in 1..16 {
             for i in 0..256usize {
                 let prev = t[k - 1][i];
                 t[k][i] = t[0][(prev & 0xff) as usize] ^ (prev >> 8);
@@ -52,18 +52,17 @@ impl Crc32 {
     pub fn update(&mut self, data: &[u8]) {
         let t = tables();
         let mut crc = self.state;
-        let mut chunks = data.chunks_exact(8);
+        let mut chunks = data.chunks_exact(16);
         for chunk in &mut chunks {
-            let lo = u32::from_le_bytes(chunk[0..4].try_into().expect("4 bytes")) ^ crc;
-            let hi = u32::from_le_bytes(chunk[4..8].try_into().expect("4 bytes"));
-            crc = t[7][(lo & 0xff) as usize]
-                ^ t[6][((lo >> 8) & 0xff) as usize]
-                ^ t[5][((lo >> 16) & 0xff) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][(hi & 0xff) as usize]
-                ^ t[2][((hi >> 8) & 0xff) as usize]
-                ^ t[1][((hi >> 16) & 0xff) as usize]
-                ^ t[0][(hi >> 24) as usize];
+            let lo = u64::from_le_bytes(chunk[..8].try_into().expect("8 bytes")) ^ u64::from(crc);
+            let hi = u64::from_le_bytes(chunk[8..].try_into().expect("8 bytes"));
+            // Byte `k` of `lo` has 15 - k bytes of the block behind it, byte
+            // `k` of `hi` has 7 - k; only the first four reads wait on `crc`.
+            crc = 0;
+            for k in 0..8 {
+                crc ^= t[15 - k][(lo >> (8 * k)) as usize & 0xff]
+                    ^ t[7 - k][(hi >> (8 * k)) as usize & 0xff];
+            }
         }
         for &b in chunks.remainder() {
             crc = t[0][((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
@@ -83,25 +82,6 @@ pub fn crc32(data: &[u8]) -> u32 {
     c.finalize()
 }
 
-/// CRC-32 of every buffer in a batch. One table resolution and one state
-/// object cover the whole slice, so bulk integrity checks (a scan batch's
-/// bodies) skip the per-call setup of repeated [`crc32`] invocations.
-pub fn crc32_many<'a, I>(bodies: I) -> Vec<u32>
-where
-    I: IntoIterator<Item = &'a [u8]>,
-{
-    // Force the lazy tables once, outside the loop.
-    let _ = tables();
-    bodies
-        .into_iter()
-        .map(|body| {
-            let mut c = Crc32::new();
-            c.update(body);
-            c.finalize()
-        })
-        .collect()
-}
-
 /// Reference byte-at-a-time CRC-32, kept for equivalence tests and the
 /// old-vs-new benchmark in `perf_archive`.
 pub fn crc32_bytewise(data: &[u8]) -> u32 {
@@ -116,6 +96,7 @@ pub fn crc32_bytewise(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn known_vectors() {
@@ -140,14 +121,14 @@ mod tests {
     }
 
     #[test]
-    fn slice8_matches_bytewise() {
-        // All alignments and lengths around the 8-byte fold boundary, plus a
-        // pseudo-random buffer split at unaligned offsets.
+    fn slice16_matches_bytewise() {
+        // All alignments and lengths around the 16-byte fold boundary, plus
+        // a pseudo-random buffer split at unaligned offsets.
         let data: Vec<u8> = (0..1024u32)
             .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
             .collect();
-        for start in 0..8 {
-            for len in [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 100, 1000] {
+        for start in 0..16 {
+            for len in [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 100, 1000] {
                 let slice = &data[start..(start + len).min(data.len())];
                 assert_eq!(
                     crc32(slice),
@@ -158,14 +139,29 @@ mod tests {
         }
     }
 
-    #[test]
-    fn crc32_many_matches_oneshot() {
-        let bodies: Vec<Vec<u8>> = (0..6usize)
-            .map(|n| (0..n * 13).map(|i| (i * 31 + n) as u8).collect())
-            .collect();
-        let batched = crc32_many(bodies.iter().map(|b| b.as_slice()));
-        for (body, crc) in bodies.iter().zip(&batched) {
-            assert_eq!(*crc, crc32(body));
+    proptest! {
+        /// 0–70 bytes at any start alignment, fed in up to five pieces: the
+        /// 16-byte loop and the bytewise tail both run, from any state.
+        #[test]
+        fn prop_matches_bytewise_at_any_alignment_and_split(
+            data in proptest::collection::vec(any::<u8>(), 0..71),
+            start in 0usize..16,
+            splits in proptest::collection::vec(0usize..71, 0..5),
+        ) {
+            let mut padded = vec![0xA5u8; start];
+            padded.extend_from_slice(&data);
+            let data = &padded[start..];
+            let mut cuts: Vec<usize> = splits.iter().map(|&s| s.min(data.len())).collect();
+            cuts.sort_unstable();
+            let mut c = Crc32::new();
+            let mut from = 0;
+            for cut in cuts {
+                c.update(&data[from..cut]);
+                from = cut;
+            }
+            c.update(&data[from..]);
+            prop_assert_eq!(c.finalize(), crc32_bytewise(data));
+            prop_assert_eq!(crc32(data), crc32_bytewise(data));
         }
     }
 

@@ -29,7 +29,7 @@ pub mod deflate;
 pub mod inflate;
 pub mod zip;
 
-pub use crc32::{crc32, crc32_bytewise, crc32_many, Crc32};
+pub use crc32::{crc32, crc32_bytewise, Crc32};
 pub use deflate::deflate;
 pub use inflate::{inflate, inflate_into, InflateError};
 pub use zip::{Method, ZipArchive, ZipEntry, ZipError, ZipWriter};

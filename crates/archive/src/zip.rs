@@ -15,6 +15,13 @@ const LOCAL_SIG: u32 = 0x04034b50;
 const CENTRAL_SIG: u32 = 0x02014b50;
 const EOCD_SIG: u32 = 0x06054b50;
 
+/// Fixed part of a local file header; the name follows it.
+const LOCAL_HEADER_LEN: usize = 30;
+/// Fixed part of a central-directory record; the name follows it.
+const CENTRAL_HEADER_LEN: usize = 46;
+/// End-of-central-directory record without a comment.
+const EOCD_LEN: usize = 22;
+
 /// Compression method for a ZIP entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
@@ -137,12 +144,12 @@ impl<'a> ZipArchive<'a> {
     pub fn parse_with_limit(data: &'a [u8], max_entry_size: u64) -> Result<Self, ZipError> {
         // EOCD: scan backwards for the signature; the record has a variable
         // length comment so it is not at a fixed offset.
-        if data.len() < 22 {
+        if data.len() < EOCD_LEN {
             return Err(ZipError::MissingEocd);
         }
         let mut eocd = None;
-        let scan_floor = data.len().saturating_sub(22 + 0xFFFF);
-        let mut off = data.len() - 22;
+        let scan_floor = data.len().saturating_sub(EOCD_LEN + 0xFFFF);
+        let mut off = data.len() - EOCD_LEN;
         loop {
             if le32(data, off)? == EOCD_SIG {
                 eocd = Some(off);
@@ -174,7 +181,7 @@ impl<'a> ZipArchive<'a> {
             let comment_len = le16(data, pos + 32)? as usize;
             let lho = le32(data, pos + 42)?;
             let name_bytes = data
-                .get(pos + 46..pos + 46 + name_len)
+                .get(pos + CENTRAL_HEADER_LEN..pos + CENTRAL_HEADER_LEN + name_len)
                 .ok_or(ZipError::Truncated)?;
             let name = std::str::from_utf8(name_bytes)
                 .map_err(|_| ZipError::BadName)?
@@ -187,7 +194,7 @@ impl<'a> ZipArchive<'a> {
                 uncompressed_size: usize_,
                 local_header_offset: lho,
             });
-            pos += 46 + name_len + extra_len + comment_len;
+            pos += CENTRAL_HEADER_LEN + name_len + extra_len + comment_len;
         }
         Ok(ZipArchive {
             data,
@@ -223,6 +230,32 @@ impl<'a> ZipArchive<'a> {
     /// error the buffer contents are unspecified (but remain reusable).
     pub fn read_into(&self, index: usize, out: &mut Vec<u8>) -> Result<(), ZipError> {
         out.clear();
+        let (entry, comp) = self.locate(index)?;
+        match entry.method {
+            Method::Stored => out.extend_from_slice(entry.verified(comp)?),
+            Method::Deflate => {
+                inflate_into(comp, entry.uncompressed_size as usize, out)?;
+                entry.verified(out)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// A stored entry's data as the slice of the archive it occupies,
+    /// checked exactly as [`ZipArchive::read_into`] checks it (same errors
+    /// in the same order); `None` for a deflated entry, which has to be
+    /// read out. Lets a traversal examine stored members where they lie.
+    pub fn stored(&self, index: usize) -> Result<Option<&'a [u8]>, ZipError> {
+        let (entry, comp) = self.locate(index)?;
+        match entry.method {
+            Method::Stored => entry.verified(comp).map(Some),
+            Method::Deflate => Ok(None),
+        }
+    }
+
+    /// Entry `index` and its compressed bytes, after the size ceiling and
+    /// the local-header cross-check.
+    fn locate(&self, index: usize) -> Result<(&ZipEntry, &'a [u8]), ZipError> {
         let entry = self
             .entries
             .get(index)
@@ -236,29 +269,32 @@ impl<'a> ZipArchive<'a> {
         }
         let name_len = le16(self.data, lho + 26)? as usize;
         let extra_len = le16(self.data, lho + 28)? as usize;
-        let data_start = lho + 30 + name_len + extra_len;
+        let data_start = lho + LOCAL_HEADER_LEN + name_len + extra_len;
         let comp = self
             .data
             .get(data_start..data_start + entry.compressed_size as usize)
             .ok_or(ZipError::Truncated)?;
-        match entry.method {
-            Method::Stored => out.extend_from_slice(comp),
-            Method::Deflate => inflate_into(comp, entry.uncompressed_size as usize, out)?,
-        }
-        if out.len() != entry.uncompressed_size as usize {
+        Ok((entry, comp))
+    }
+}
+
+impl ZipEntry {
+    /// `data` if it has this entry's declared size and CRC-32.
+    fn verified<'d>(&self, data: &'d [u8]) -> Result<&'d [u8], ZipError> {
+        if data.len() != self.uncompressed_size as usize {
             return Err(ZipError::SizeMismatch {
-                expected: entry.uncompressed_size,
-                actual: out.len(),
+                expected: self.uncompressed_size,
+                actual: data.len(),
             });
         }
-        let actual = crc32(out);
-        if actual != entry.crc32 {
+        let actual = crc32(data);
+        if actual != self.crc32 {
             return Err(ZipError::CrcMismatch {
-                expected: entry.crc32,
+                expected: self.crc32,
                 actual,
             });
         }
-        Ok(())
+        Ok(data)
     }
 }
 
@@ -282,6 +318,8 @@ struct PendingEntry {
 /// ```
 pub struct ZipWriter {
     out: Vec<u8>,
+    /// Where the archive starts in `out`; recorded offsets count from here.
+    base: usize,
     entries: Vec<PendingEntry>,
 }
 
@@ -293,59 +331,107 @@ impl Default for ZipWriter {
 
 impl ZipWriter {
     pub fn new() -> Self {
+        Self::behind(Vec::new())
+    }
+
+    /// A writer whose archive goes behind what `out` already holds (an
+    /// upload's response head); [`ZipWriter::finish`] gives the buffer
+    /// back. The archive is the same bytes [`ZipWriter::new`] would write.
+    pub fn behind(out: Vec<u8>) -> Self {
         ZipWriter {
-            out: Vec::new(),
+            base: out.len(),
+            out,
             entries: Vec::new(),
         }
+    }
+
+    /// Bytes a member costs the archive beyond its (compressed) data: its
+    /// local header and its central-directory record.
+    pub fn member_overhead(name: &str) -> usize {
+        LOCAL_HEADER_LEN + CENTRAL_HEADER_LEN + 2 * name.len()
+    }
+
+    /// Length of the archive [`ZipWriter::finish`] would return now, not
+    /// counting what the buffer held before it.
+    pub fn finished_len(&self) -> usize {
+        let directory: usize = self
+            .entries
+            .iter()
+            .map(|e| CENTRAL_HEADER_LEN + e.name.len())
+            .sum();
+        self.out.len() - self.base + directory + EOCD_LEN
     }
 
     /// Appends a member. With [`Method::Deflate`] the data is compressed but
     /// falls back to stored if compression would expand it, mirroring what
     /// real archivers do.
     pub fn add(&mut self, name: &str, data: &[u8], method: Method) {
-        let crc = crc32(data);
-        // `None`: the member goes in as it is.
-        let deflated = match method {
-            Method::Stored => None,
-            Method::Deflate => {
-                Some(deflate(data)).filter(|c| c.len() < data.len() || data.is_empty())
+        if method == Method::Deflate {
+            let comp = deflate(data);
+            if comp.len() < data.len() || data.is_empty() {
+                let data_start = self.begin_member(name, Method::Deflate);
+                self.out.extend_from_slice(&comp);
+                self.end_member(data_start, crc32(data), data.len());
+                return;
             }
-        };
-        let (method, compressed) = match &deflated {
-            Some(comp) => (Method::Deflate, &comp[..]),
-            None => (Method::Stored, data),
-        };
-        let offset = self.out.len() as u32;
-        // Local file header.
+        }
+        self.add_stored_with(name, |out| out.extend_from_slice(data));
+    }
+
+    /// Appends a stored member whose data `fill` appends to the archive
+    /// buffer: the bytes are written once, where they stay, and the CRC is
+    /// taken over them there. `fill` must only append.
+    pub fn add_stored_with(&mut self, name: &str, fill: impl FnOnce(&mut Vec<u8>)) {
+        let data_start = self.begin_member(name, Method::Stored);
+        fill(&mut self.out);
+        let data = &self.out[data_start..];
+        let (crc, len) = (crc32(data), data.len());
+        self.end_member(data_start, crc, len);
+    }
+
+    /// Writes a local file header with CRC and sizes left for
+    /// [`ZipWriter::end_member`]; returns where the member's data starts.
+    fn begin_member(&mut self, name: &str, method: Method) -> usize {
+        let offset = (self.out.len() - self.base) as u32;
         self.out.extend_from_slice(&LOCAL_SIG.to_le_bytes());
         self.out.extend_from_slice(&20u16.to_le_bytes()); // version needed
         self.out.extend_from_slice(&0u16.to_le_bytes()); // flags
         self.out.extend_from_slice(&method.id().to_le_bytes());
         self.out.extend_from_slice(&0u16.to_le_bytes()); // mod time
         self.out.extend_from_slice(&0u16.to_le_bytes()); // mod date
-        self.out.extend_from_slice(&crc.to_le_bytes());
-        self.out
-            .extend_from_slice(&(compressed.len() as u32).to_le_bytes());
-        self.out
-            .extend_from_slice(&(data.len() as u32).to_le_bytes());
+        self.out.extend_from_slice(&[0; 12]); // crc, sizes: patched
         self.out
             .extend_from_slice(&(name.len() as u16).to_le_bytes());
         self.out.extend_from_slice(&0u16.to_le_bytes()); // extra len
         self.out.extend_from_slice(name.as_bytes());
-        self.out.extend_from_slice(compressed);
         self.entries.push(PendingEntry {
             name: name.to_string(),
             method,
-            crc32: crc,
-            compressed_size: compressed.len() as u32,
-            uncompressed_size: data.len() as u32,
+            crc32: 0,
+            compressed_size: 0,
+            uncompressed_size: 0,
             local_header_offset: offset,
         });
+        self.out.len()
     }
 
-    /// Writes the central directory and EOCD, returning the archive bytes.
+    /// Closes the member whose data runs from `data_start` to the end of
+    /// the buffer: patches its local header and completes its entry.
+    fn end_member(&mut self, data_start: usize, crc: u32, uncompressed_len: usize) {
+        let entry = self.entries.last_mut().expect("a member was begun");
+        entry.crc32 = crc;
+        entry.compressed_size = (self.out.len() - data_start) as u32;
+        entry.uncompressed_size = uncompressed_len as u32;
+        let sizes = self.base + entry.local_header_offset as usize + 14;
+        self.out[sizes..sizes + 4].copy_from_slice(&entry.crc32.to_le_bytes());
+        self.out[sizes + 4..sizes + 8].copy_from_slice(&entry.compressed_size.to_le_bytes());
+        self.out[sizes + 8..sizes + 12].copy_from_slice(&entry.uncompressed_size.to_le_bytes());
+    }
+
+    /// Writes the central directory and EOCD, returning the archive bytes
+    /// (behind whatever [`ZipWriter::behind`] was given).
     pub fn finish(mut self) -> Vec<u8> {
-        let cd_offset = self.out.len() as u32;
+        let cd_offset = (self.out.len() - self.base) as u32;
         for e in &self.entries {
             self.out.extend_from_slice(&CENTRAL_SIG.to_le_bytes());
             self.out.extend_from_slice(&20u16.to_le_bytes()); // version made by
@@ -369,7 +455,7 @@ impl ZipWriter {
                 .extend_from_slice(&e.local_header_offset.to_le_bytes());
             self.out.extend_from_slice(e.name.as_bytes());
         }
-        let cd_size = self.out.len() as u32 - cd_offset;
+        let cd_size = (self.out.len() - self.base) as u32 - cd_offset;
         let n = self.entries.len() as u16;
         self.out.extend_from_slice(&EOCD_SIG.to_le_bytes());
         self.out.extend_from_slice(&0u16.to_le_bytes()); // disk number
@@ -514,6 +600,39 @@ mod tests {
         }
     }
 
+    #[test]
+    fn sizes_are_known_before_the_bytes_are_written() {
+        let mut w = ZipWriter::new();
+        assert_eq!(w.finished_len(), ZipWriter::new().finish().len());
+        w.add("a.txt", &b"alpha ".repeat(30), Method::Deflate);
+        // A member's cost beyond its data, before it is added.
+        let want = w.finished_len() + ZipWriter::member_overhead("pad.bin") + 77;
+        w.add_stored_with("pad.bin", |out| out.resize(out.len() + 77, 7));
+        assert_eq!(w.finished_len(), want);
+        assert_eq!(w.finish().len(), want);
+    }
+
+    #[test]
+    fn stored_is_read_into_without_the_copy() {
+        let mut w = ZipWriter::new();
+        w.add("a.txt", &b"alpha ".repeat(30), Method::Deflate);
+        w.add("b.bin", b"stored bytes", Method::Stored);
+        let mut bytes = w.finish();
+        let a = ZipArchive::parse(&bytes).unwrap();
+        assert_eq!(a.stored(0), Ok(None), "deflated: has to be read out");
+        let member = a.stored(1).unwrap().expect("stored");
+        assert_eq!(member, b"stored bytes");
+        // The slice is the archive's own memory, not a copy.
+        let at = bytes.len() - 22 - 2 * (46 + 5) - member.len();
+        assert!(std::ptr::eq(member, &bytes[at..at + member.len()]));
+        assert_eq!(a.stored(2), Err(ZipError::NoSuchEntry(2)));
+        // A flipped data bit fails the same check `read` fails.
+        bytes[at] ^= 1;
+        let a = ZipArchive::parse(&bytes).unwrap();
+        assert!(matches!(a.stored(1), Err(ZipError::CrcMismatch { .. })));
+        assert_eq!(a.stored(1).err(), a.read(1).err());
+    }
+
     proptest! {
         #[test]
         fn prop_roundtrip(
@@ -540,6 +659,93 @@ mod tests {
             if let Ok(a) = ZipArchive::parse(&data) {
                 for i in 0..a.len() {
                     let _ = a.read(i);
+                }
+            }
+        }
+
+        /// An archive written behind a prefix is the archive written
+        /// alone, moved: same bytes, offsets relative to its own start.
+        #[test]
+        fn prop_archive_behind_a_prefix_is_the_same_archive(
+            prefix in proptest::collection::vec(any::<u8>(), 0..64),
+            files in proptest::collection::vec(
+                (
+                    "[a-z]{1,12}\\.(exe|zip|txt)",
+                    proptest::collection::vec(any::<u8>(), 0..300),
+                    0u8..3,
+                ),
+                0..6
+            )
+        ) {
+            let build = |mut w: ZipWriter| {
+                for (name, data, how) in &files {
+                    match how {
+                        0 => w.add(name, data, Method::Stored),
+                        // Repeated, so some members do stay deflated.
+                        1 => w.add(name, &data.repeat(3), Method::Deflate),
+                        _ => w.add_stored_with(name, |out| out.extend_from_slice(data)),
+                    }
+                }
+                let len = w.finished_len();
+                (w.finish(), len)
+            };
+            let (alone, alone_len) = build(ZipWriter::new());
+            let (behind, behind_len) = build(ZipWriter::behind(prefix.clone()));
+            prop_assert_eq!((alone_len, behind_len), (alone.len(), alone.len()));
+            prop_assert_eq!(&behind[..prefix.len()], &prefix[..]);
+            prop_assert_eq!(&behind[prefix.len()..], &alone[..]);
+            let a = ZipArchive::parse(&behind[prefix.len()..]).unwrap();
+            prop_assert_eq!(a.len(), files.len());
+            for (i, (name, data, how)) in files.iter().enumerate() {
+                prop_assert_eq!(&a.entries()[i].name, name);
+                let want = if *how == 1 { data.repeat(3) } else { data.clone() };
+                prop_assert_eq!(a.read(i).unwrap(), want);
+            }
+        }
+
+        /// Damaged archives behind the ZIP magic: no accessor panics,
+        /// nothing grows past the entry ceiling, and the borrowed and the
+        /// copying accessor make the same checks in the same order.
+        #[test]
+        fn prop_hostile_bytes_never_panic_or_overallocate(
+            files in proptest::collection::vec(
+                ("[a-z]{1,8}", proptest::collection::vec(any::<u8>(), 0..300), any::<bool>()),
+                0..5
+            ),
+            edits in proptest::collection::vec((any::<u32>(), any::<u8>()), 0..10),
+            keep in any::<u16>(),
+            limit in 0u64..700
+        ) {
+            let mut w = ZipWriter::new();
+            for (name, data, deflated) in &files {
+                if *deflated {
+                    w.add(name, &data.repeat(3), Method::Deflate);
+                } else {
+                    w.add(name, data, Method::Stored);
+                }
+            }
+            let mut bytes = w.finish();
+            for (at, byte) in edits {
+                let at = at as usize % bytes.len();
+                bytes[at] = byte;
+            }
+            // Mostly whole, sometimes cut anywhere.
+            if keep.is_multiple_of(4) {
+                bytes.truncate(keep as usize % (bytes.len() + 1));
+            }
+            bytes.splice(..bytes.len().min(4), *b"PK\x03\x04");
+            let Ok(a) = ZipArchive::parse_with_limit(&bytes, limit) else {
+                return;
+            };
+            let mut buf = Vec::new();
+            for i in 0..a.len() + 1 {
+                let read = a.read_into(i, &mut buf);
+                prop_assert!(buf.len() as u64 <= limit, "{} bytes past {limit}", buf.len());
+                prop_assert!(buf.capacity() as u64 <= 2 * limit.max(8), "{}", buf.capacity());
+                match a.stored(i) {
+                    Ok(Some(member)) => prop_assert_eq!((read, member), (Ok(()), &buf[..])),
+                    Ok(None) => prop_assert_eq!(a.entries()[i].method, Method::Deflate),
+                    Err(e) => prop_assert_eq!(read, Err(e)),
                 }
             }
         }

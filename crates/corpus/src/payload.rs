@@ -82,20 +82,20 @@ impl ContentStore {
         out: &mut Vec<u8>,
     ) {
         let key = self.content_key(r);
+        let size = self.size(r, catalog, roster) as usize;
+        // Every shape is written in place behind what `out` holds; one
+        // reservation keeps the archive shapes' trailing directory from
+        // moving the body.
+        out.reserve(size);
         match r {
-            ContentRef::Benign { item, variant } => {
-                let it = catalog.item(item);
-                let size = it.variants[variant as usize].size as usize;
-                benign_payload(it.media, size, key, out)
+            ContentRef::Benign { item, .. } => {
+                benign_payload(catalog.item(item).media, size, key, out)
             }
-            ContentRef::Malware { family, size_idx } => {
+            ContentRef::Malware { family, .. } => {
                 let fam = roster.get(family);
-                let size = fam.sizes[size_idx as usize] as usize;
                 match fam.container {
                     Container::Executable => infected_exe(size, &fam.signature, key, out),
-                    Container::ZipOfExecutable => {
-                        out.extend_from_slice(&infected_zip(size, &fam.signature, key))
-                    }
+                    Container::ZipOfExecutable => infected_zip(size, &fam.signature, key, out),
                 }
             }
         }
@@ -174,78 +174,56 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Fills `buf` with the keyed pseudorandom stream.
-fn fill_deterministic(buf: &mut [u8], key: u64) {
+/// Appends `len` bytes of the keyed pseudorandom stream to `out`, a block
+/// at a time, so the body's memory is written once (no zero-fill first).
+fn fill_deterministic(out: &mut Vec<u8>, len: usize, key: u64) {
+    const BLOCK: usize = 4096;
     let mut state = key;
-    let mut chunks = buf.chunks_exact_mut(8);
-    for chunk in &mut chunks {
-        state = splitmix64(state);
-        chunk.copy_from_slice(&state.to_le_bytes());
+    let mut block = [0u8; BLOCK];
+    let mut left = len;
+    while left > 0 {
+        let n = left.min(BLOCK);
+        // A trailing partial word is generated whole and cut by the copy.
+        for word in block[..n.next_multiple_of(8)].chunks_exact_mut(8) {
+            state = splitmix64(state);
+            word.copy_from_slice(&state.to_le_bytes());
+        }
+        out.extend_from_slice(&block[..n]);
+        left -= n;
     }
-    let rem = chunks.into_remainder();
-    if !rem.is_empty() {
-        state = splitmix64(state);
-        let bytes = state.to_le_bytes();
-        rem.copy_from_slice(&bytes[..rem.len()]);
-    }
-}
-
-/// Appends `size` zero bytes to `out` and returns them for filling in place.
-fn grow(out: &mut Vec<u8>, size: usize) -> &mut [u8] {
-    let start = out.len();
-    out.resize(start + size, 0);
-    &mut out[start..]
 }
 
 /// A benign payload: correct magic for the media type, pseudorandom body.
 fn benign_payload(media: MediaType, size: usize, key: u64, out: &mut Vec<u8>) {
-    if media == MediaType::Archive {
-        out.extend_from_slice(&benign_zip(size, key));
-        return;
-    }
-    let buf = grow(out, size);
-    fill_deterministic(buf, key);
     let magic: &[u8] = match media {
         MediaType::Audio => b"ID3\x03\x00",
         MediaType::Video => b"RIFF\x00\x00\x00\x00AVI ",
         MediaType::Application => b"MZ",
         MediaType::Document => b"%PDF-1.4\n",
         MediaType::Image => &[0xFF, 0xD8, 0xFF, 0xE0],
-        MediaType::Archive => unreachable!("handled above"),
+        MediaType::Archive => return benign_zip(size, key, out),
     };
-    let n = magic.len().min(buf.len());
-    buf[..n].copy_from_slice(&magic[..n]);
+    let start = out.len();
+    fill_deterministic(out, size, key);
+    let n = magic.len().min(size);
+    out[start..start + n].copy_from_slice(&magic[..n]);
 }
 
-/// Builds a real one-entry stored ZIP of exactly `target` bytes by sizing
-/// the inner member to absorb the container overhead.
-fn exact_size_zip(
-    target: usize,
-    inner_name: &str,
-    build_inner: impl Fn(usize) -> Vec<u8>,
-) -> Vec<u8> {
-    // Measure the fixed overhead with a zero-length member.
-    let mut probe = ZipWriter::new();
-    probe.add(inner_name, &[], Method::Stored);
-    let overhead = probe.finish().len();
+/// A real one-entry stored ZIP of exactly `size` bytes: the member is sized
+/// to absorb the container overhead and generated where it lies in `out`.
+fn benign_zip(size: usize, key: u64, out: &mut Vec<u8>) {
+    const INNER_NAME: &str = "content.dat";
+    let mut w = ZipWriter::behind(std::mem::take(out));
+    let overhead = w.finished_len() + ZipWriter::member_overhead(INNER_NAME);
     assert!(
-        target > overhead + SIG_OFFSET + 64,
-        "target zip size {target} too small (overhead {overhead})"
+        size > overhead + SIG_OFFSET + 64,
+        "target zip size {size} too small (overhead {overhead})"
     );
-    let inner = build_inner(target - overhead);
-    let mut w = ZipWriter::new();
-    w.add(inner_name, &inner, Method::Stored);
-    let out = w.finish();
-    debug_assert_eq!(out.len(), target);
-    out
-}
-
-fn benign_zip(size: usize, key: u64) -> Vec<u8> {
-    exact_size_zip(size, "content.dat", |len| {
-        let mut inner = vec![0u8; len];
-        fill_deterministic(&mut inner, key);
-        inner
-    })
+    w.add_stored_with(INNER_NAME, |buf| {
+        fill_deterministic(buf, size - overhead, key)
+    });
+    debug_assert_eq!(w.finished_len(), size);
+    *out = w.finish();
 }
 
 /// An infected `MZ` image: DOS-stub-shaped head, the family signature at
@@ -255,8 +233,9 @@ fn infected_exe(size: usize, signature: &[u8], key: u64, out: &mut Vec<u8>) {
         size >= SIG_OFFSET + signature.len() + 16,
         "exe size {size} too small"
     );
-    let buf = grow(out, size);
-    fill_deterministic(buf, key);
+    let start = out.len();
+    fill_deterministic(out, size, key);
+    let buf = &mut out[start..];
     buf[0] = b'M';
     buf[1] = b'Z';
     buf[SIG_OFFSET..SIG_OFFSET + signature.len()].copy_from_slice(signature);
@@ -270,35 +249,31 @@ fn infected_exe(size: usize, signature: &[u8], key: u64, out: &mut Vec<u8>) {
 /// are bit-packed and never appear verbatim in the raw archive — convicting
 /// these files requires the scanner to actually traverse and inflate the
 /// member, as the study's AV engine had to.
-fn infected_zip(size: usize, signature: &[u8], key: u64) -> Vec<u8> {
+fn infected_zip(size: usize, signature: &[u8], key: u64, out: &mut Vec<u8>) {
     let min_exe = SIG_OFFSET + signature.len() + 16;
     let inner_len = (size / 2).clamp(min_exe, 48 * 1024);
     // Compressible body (random head, zero tail) so the writer keeps the
     // member deflated instead of falling back to stored; real executables
     // compress too.
-    let mut inner = vec![0u8; inner_len];
-    let head = inner_len.min(4096);
-    fill_deterministic(&mut inner[..head], key);
+    let mut inner = Vec::with_capacity(inner_len);
+    fill_deterministic(&mut inner, inner_len.min(4096), key);
+    inner.resize(inner_len, 0);
     inner[0] = b'M';
     inner[1] = b'Z';
     inner[SIG_OFFSET..SIG_OFFSET + signature.len()].copy_from_slice(signature);
-    // Measure the archive with a zero-length pad, then absorb the remainder
-    // into the pad member (stored, so its size contribution is linear).
-    let build = |pad: &[u8]| {
-        let mut w = ZipWriter::new();
-        w.add("setup.exe", &inner, Method::Deflate);
-        w.add("readme.txt", pad, Method::Stored);
-        w.finish()
-    };
-    let base = build(&[]).len();
+    let mut w = ZipWriter::behind(std::mem::take(out));
+    w.add("setup.exe", &inner, Method::Deflate);
+    // The pad member (stored, so its size contribution is linear) absorbs
+    // what is left of `size` once its own headers are counted.
+    const PAD_NAME: &str = "readme.txt";
+    let base = w.finished_len() + ZipWriter::member_overhead(PAD_NAME);
     assert!(
         size >= base,
         "target zip size {size} too small (needs {base})"
     );
-    let pad = vec![0u8; size - base];
-    let out = build(&pad);
-    debug_assert_eq!(out.len(), size);
-    out
+    w.add_stored_with(PAD_NAME, |buf| buf.resize(buf.len() + size - base, 0));
+    debug_assert_eq!(w.finished_len(), size);
+    *out = w.finish();
 }
 
 #[cfg(test)]
@@ -545,11 +520,17 @@ mod tests {
 
     #[test]
     fn fill_deterministic_covers_tail() {
-        let mut a = vec![0u8; 13];
-        let mut b = vec![0u8; 13];
-        fill_deterministic(&mut a, 7);
-        fill_deterministic(&mut b, 7);
-        assert_eq!(a, b);
+        let mut a = Vec::new();
+        let mut b = b"head".to_vec();
+        fill_deterministic(&mut a, 13, 7);
+        fill_deterministic(&mut b, 13, 7);
+        assert_eq!(a.len(), 13);
+        assert_eq!(a, b[4..]);
         assert!(a[8..].iter().any(|&x| x != 0), "tail bytes must be filled");
+        // A block boundary inside the stream changes nothing.
+        let mut long = Vec::new();
+        fill_deterministic(&mut long, 4096 + 13, 7);
+        assert_eq!(long[..13], a[..]);
+        assert!(long[4096 + 8..].iter().any(|&x| x != 0));
     }
 }
