@@ -123,8 +123,9 @@ pub struct BenchConfig {
 
 /// Bumped whenever the trajectory a seed produces changes, so a cached run
 /// from before the change is never served as current. Epoch 2: the merged
-/// lane engine (PR 16).
-const TRAJECTORY_EPOCH: u32 = 2;
+/// lane engine (PR 16). Epoch 3: payload bodies are the counter-mode
+/// SplitMix64 stream, so every logged SHA-1 changed (PR 21).
+const TRAJECTORY_EPOCH: u32 = 3;
 
 impl BenchConfig {
     pub fn from_env() -> Self {

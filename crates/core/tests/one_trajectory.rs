@@ -12,8 +12,8 @@ use p2pmal_core::{LimewireScenario, NetworkRun, OpenFtScenario};
 use p2pmal_crawler::RetryPolicy;
 use p2pmal_netsim::{FaultPlan, SimMetrics};
 
-const LIMEWIRE_GOLDEN: &str = "f37ef52a057e0096ccb9f7e55383db93efacf571";
-const OPENFT_GOLDEN: &str = "18f403bc244e4c8cbe0236ce7ce77a929ccd8c4f";
+const LIMEWIRE_GOLDEN: &str = "bc030a71f28881906059cd8ff3009bfacf08ccb0";
+const OPENFT_GOLDEN: &str = "963934466183e4c791f4d081b8155f630648c74a";
 
 /// The same digests with the `sha1` column left out (see
 /// [`digest_without_sha1`]). A change to the payload *bytes* re-records the

@@ -17,7 +17,7 @@ fn limewire_quick_identical_across_scan_thread_counts() {
         let run = scenario.run();
         assert_eq!(
             run.trajectory_digest(),
-            "f37ef52a057e0096ccb9f7e55383db93efacf571",
+            "bc030a71f28881906059cd8ff3009bfacf08ccb0",
             "scan_threads={threads} changed the LimeWire quick trajectory"
         );
         match &baseline_scan {
@@ -40,7 +40,7 @@ fn openft_quick_identical_across_scan_thread_counts() {
         let run = scenario.run();
         assert_eq!(
             run.trajectory_digest(),
-            "18f403bc244e4c8cbe0236ce7ce77a929ccd8c4f",
+            "963934466183e4c791f4d081b8155f630648c74a",
             "scan_threads={threads} changed the OpenFT quick trajectory"
         );
         match &baseline_scan {

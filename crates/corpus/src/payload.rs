@@ -9,7 +9,8 @@
 //! Shapes:
 //!
 //! * benign files get the correct magic bytes for their media type and a
-//!   keyed pseudorandom body (archives are real, parseable ZIPs);
+//!   keyed pseudorandom body — the SplitMix64 stream seeded with the
+//!   content key (archives are real, parseable ZIPs);
 //! * malicious executables are `MZ` images with the family signature
 //!   embedded at a fixed offset;
 //! * `ZipOfExecutable` families are real ZIP archives holding an infected
@@ -164,18 +165,24 @@ impl ContentStore {
     }
 }
 
-/// SplitMix64 step — the keyed PRNG behind payload bodies. Chosen for
-/// determinism and speed; payload bodies only need to be incompressible and
-/// collision-free, not cryptographic.
+/// SplitMix64's increment ("golden gamma").
+const GAMMA: u64 = 0x9E3779B97F4A7C15;
+
+/// One SplitMix64 output: the state after `x` advances by [`GAMMA`], mixed.
+/// Payload bodies only need to be incompressible and collision-free, not
+/// cryptographic.
 fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
+    x = x.wrapping_add(GAMMA);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
     x ^ (x >> 31)
 }
 
-/// Appends `len` bytes of the keyed pseudorandom stream to `out`, a block
-/// at a time, so the body's memory is written once (no zero-fill first).
+/// Appends `len` bytes of the SplitMix64 stream seeded with `key` to `out`,
+/// little-endian word by word: word `i` is `splitmix64(key + i * GAMMA)`,
+/// so the words are independent of each other (a counter, not a feedback
+/// chain) and the CPU overlaps them. Written a block at a time, so the
+/// body's memory is touched once (no zero-fill first).
 fn fill_deterministic(out: &mut Vec<u8>, len: usize, key: u64) {
     const BLOCK: usize = 4096;
     let mut state = key;
@@ -185,8 +192,8 @@ fn fill_deterministic(out: &mut Vec<u8>, len: usize, key: u64) {
         let n = left.min(BLOCK);
         // A trailing partial word is generated whole and cut by the copy.
         for word in block[..n.next_multiple_of(8)].chunks_exact_mut(8) {
-            state = splitmix64(state);
-            word.copy_from_slice(&state.to_le_bytes());
+            word.copy_from_slice(&splitmix64(state).to_le_bytes());
+            state = state.wrapping_add(GAMMA);
         }
         out.extend_from_slice(&block[..n]);
         left -= n;
@@ -351,7 +358,8 @@ mod tests {
     /// The bytes themselves, pinned: every SHA-1 a study logs hangs on
     /// them, so a change to payload generation or to the ZIP writer under
     /// it must show up here and not only as a moved trajectory digest.
-    /// Recorded before `ZipWriter::add` stopped copying its members.
+    /// Recorded when the body stream became the counter-mode SplitMix64
+    /// stream; writing archives in place had left the earlier pins alone.
     #[test]
     fn payload_bytes_are_pinned_for_every_shape() {
         let (catalog, roster, store) = fixtures();
@@ -370,10 +378,10 @@ mod tests {
             Container::ZipOfExecutable
         );
         let pins = [
-            (benign(0), "6566cb183c005038a14b58acc764ec4d63228e5b"),
-            (benign(5), "cbe531edc6f5abfd7140e65c958bc4163487b3dc"),
-            (malware(0), "f0f918365efb91f5d42717185fa9f0c154faa43b"),
-            (malware(2), "60f3487a746e39a4e085a3c90e74d937d8980441"),
+            (benign(0), "f858da132ec890aa1a9821d9a4dd35a9c4d3bb00"),
+            (benign(5), "0c4c375b9fd65533dfd8864bcedeadcdf8147c28"),
+            (malware(0), "ffb55123131f47aa03026fe12d4774fbe0f48752"),
+            (malware(2), "e0a2559038410eda53310c2afaa590e26baed0e5"),
         ];
         for (r, want) in pins {
             let got = sha1(&store.payload(r, &catalog, &roster)).to_hex();
@@ -516,6 +524,26 @@ mod tests {
         let data = store.payload(r, &catalog, &roster);
         assert_eq!(a.sha1, p2pmal_hashes::sha1(&data));
         assert_eq!(a.md5, p2pmal_hashes::md5(&data));
+    }
+
+    /// The published SplitMix64 test vector: the body stream is that
+    /// generator, not a variant of it.
+    #[test]
+    fn fill_is_the_reference_splitmix64_stream() {
+        let want: [u64; 5] = [
+            6457827717110365317,
+            3203168211198807973,
+            9817491932198370423,
+            4593380528125082431,
+            16408922859458223821,
+        ];
+        let mut out = Vec::new();
+        fill_deterministic(&mut out, 40, 1234567);
+        let got: Vec<u64> = out
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]
