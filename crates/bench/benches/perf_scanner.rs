@@ -153,13 +153,13 @@ fn bench_prefilter(c: &mut Criterion) {
     g.finish();
 }
 
-/// CRC32 slice-by-8 vs the bytewise reference it replaced.
+/// CRC32 slice-by-16 vs the bytewise reference it replaced.
 fn bench_crc32(c: &mut Criterion) {
     let sample = clean_sample(1 << 20);
     let mut g = c.benchmark_group("crc32");
     g.sample_size(samples());
     g.throughput(Throughput::Bytes(sample.len() as u64));
-    g.bench_function("slice8_1MiB", |b| {
+    g.bench_function("slice16_1MiB", |b| {
         b.iter(|| black_box(p2pmal_archive::crc32(black_box(&sample))));
     });
     g.bench_function("bytewise_1MiB", |b| {

@@ -91,14 +91,24 @@ impl NetworkRun {
     /// wall time and scan-cache internals, which are allowed to vary. The
     /// golden tests pin it; the benchmark prints the same digest.
     pub fn trajectory_digest(&self) -> String {
+        self.digest(true)
+    }
+
+    /// [`Self::trajectory_digest`] with each response's SHA-1 left out:
+    /// what a change to the payload *bytes* must leave alone.
+    pub fn trajectory_digest_without_sha1(&self) -> String {
+        self.digest(false)
+    }
+
+    fn digest(&self, with_sha1: bool) -> String {
         use std::fmt::Write;
         let mut h = p2pmal_hashes::Sha1::new();
         let mut line = String::new();
         for r in &self.resolved {
             line.clear();
-            let _ = writeln!(
+            let _ = write!(
                 line,
-                "{}|{}|{}|{}|{}|{}:{}|{}|{:?}|{}|{}|{}",
+                "{}|{}|{}|{}|{}|{}:{}|{}|{:?}|{}|{}",
                 r.record.at.as_micros(),
                 r.record.day,
                 r.record.query,
@@ -110,8 +120,11 @@ impl NetworkRun {
                 r.record.host,
                 r.scanned,
                 r.malware.as_deref().unwrap_or("-"),
-                r.sha1.map(|d| d.to_hex()).unwrap_or_default(),
             );
+            if with_sha1 {
+                let _ = write!(line, "|{}", r.sha1.map(|d| d.to_hex()).unwrap_or_default());
+            }
+            line.push('\n');
             h.update(line.as_bytes());
         }
         let counters = format!(

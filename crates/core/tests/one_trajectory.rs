@@ -15,44 +15,12 @@ use p2pmal_netsim::{FaultPlan, SimMetrics};
 const LIMEWIRE_GOLDEN: &str = "bc030a71f28881906059cd8ff3009bfacf08ccb0";
 const OPENFT_GOLDEN: &str = "963934466183e4c791f4d081b8155f630648c74a";
 
-/// The same digests with the `sha1` column left out (see
-/// [`digest_without_sha1`]). A change to the payload *bytes* re-records the
-/// two goldens above and must leave these two alone: that is the evidence
-/// that only the hashed bytes moved.
+/// [`NetworkRun::trajectory_digest_without_sha1`] of the same runs. A
+/// change to the payload *bytes* re-records the two goldens above and must
+/// leave these two alone: that is the evidence that only the hashed bytes
+/// moved.
 const LIMEWIRE_GOLDEN_WITHOUT_SHA1: &str = "245c41ef69f2b84da57a12e25128385498400b2f";
 const OPENFT_GOLDEN_WITHOUT_SHA1: &str = "5ca8ea1fd17ffe150ff8a9e75538646dea101831";
-
-/// [`NetworkRun::trajectory_digest`] minus each response's SHA-1: times,
-/// queries, names, sizes, sources, verdicts and the log counters.
-fn digest_without_sha1(run: &NetworkRun) -> String {
-    let mut h = p2pmal_hashes::Sha1::new();
-    for r in &run.resolved {
-        let line = format!(
-            "{}|{}|{}|{}|{}|{}:{}|{}|{:?}|{}|{}\n",
-            r.record.at.as_micros(),
-            r.record.day,
-            r.record.query,
-            r.record.filename,
-            r.record.size,
-            r.record.source_ip,
-            r.record.source_port,
-            r.record.needs_push,
-            r.record.host,
-            r.scanned,
-            r.malware.as_deref().unwrap_or("-"),
-        );
-        h.update(line.as_bytes());
-    }
-    let counters = format!(
-        "queries={} attempted={} failed={} events={}",
-        run.log.queries_issued,
-        run.log.downloads_attempted,
-        run.log.downloads_failed,
-        run.sim_metrics.events_processed,
-    );
-    h.update(counters.as_bytes());
-    h.finalize().to_hex()
-}
 
 /// Metrics with the shard-partition-dependent parts masked out.
 fn comparable_metrics(run: &NetworkRun) -> SimMetrics {
@@ -84,7 +52,7 @@ fn assert_one_trajectory(golden: &str, without_sha1: &str, run: impl Fn(usize) -
     assert_eq!(base.shards, 1);
     assert_eq!(base.trajectory_digest(), golden, "golden moved at shards=1");
     assert_eq!(
-        digest_without_sha1(&base),
+        base.trajectory_digest_without_sha1(),
         without_sha1,
         "more than the logged SHA-1s moved"
     );
