@@ -109,6 +109,9 @@ pub(crate) enum Ev {
     Timer {
         node: NodeId,
         token: u64,
+        /// The arming node's [`NodeState::session`] at the time: a timer
+        /// belongs to the session that armed it.
+        session: u32,
     },
     ChurnDown {
         node: NodeId,
@@ -200,6 +203,11 @@ pub(crate) struct NodeState {
     next_conn: u64,
     /// Event tie-break counter; see [`pack`].
     next_seq: u32,
+    /// Counts the times this node went down. Timers carry the value they
+    /// were armed under and are discarded once it has moved on: `on_start`
+    /// arms a fresh set after a churn restart, and a chain surviving from
+    /// the session before would run beside it, twice as often per restart.
+    session: u32,
     /// Open connections, by `ConnId`. Degree-bounded, and probed on every
     /// delivery and send: a sorted vector beats hashing the id.
     views: VecMap<u64, View>,
@@ -232,6 +240,7 @@ impl NodeState {
             )),
             next_conn: (id.0 as u64) << 32,
             next_seq: 0,
+            session: 0,
             views: VecMap::new(),
             pending: VecMap::new(),
         }
@@ -451,8 +460,13 @@ impl<'a> Lane<'a> {
                     self.with_app(node, |app, ctx| app.on_start(ctx));
                 }
             }
-            Ev::Timer { node, token } => {
-                if self.alive(node) {
+            Ev::Timer {
+                node,
+                token,
+                session,
+            } => {
+                let st = &self.shard.nodes[self.slot(node)];
+                if st.alive && st.session == session {
                     self.shard.metrics.timers_fired += 1;
                     self.with_app(node, |app, ctx| app.on_timer(ctx, token));
                 }
@@ -662,7 +676,16 @@ impl<'a> Lane<'a> {
                 Action::Close { conn } => self.close_conn(node, conn),
                 Action::Timer { delay, token } => {
                     let when = self.now + delay;
-                    self.send_from(node, when, Ev::Timer { node, token });
+                    let session = self.shard.nodes[self.slot(node)].session;
+                    self.send_from(
+                        node,
+                        when,
+                        Ev::Timer {
+                            node,
+                            token,
+                            session,
+                        },
+                    );
                 }
                 Action::Shutdown => self.shutdown_node(node),
             }
@@ -862,7 +885,8 @@ impl<'a> Lane<'a> {
     }
 
     /// Takes `node` offline: FINs go out on its open connections (in id
-    /// order, so they key reproducibly) and its pending dials count as failed.
+    /// order, so they key reproducibly), its pending dials count as failed
+    /// and the timers it armed will find their session over.
     /// Returns the ids of both, for callers that notify the dying app.
     fn take_down(&mut self, node: NodeId) -> (Vec<u64>, Vec<u64>) {
         let slot = self.slot(node);
@@ -873,7 +897,9 @@ impl<'a> Lane<'a> {
             self.close_conn(node, ConnId(c));
         }
         self.shard.metrics.conns_failed += pending.len() as u64;
-        self.shard.nodes[slot].alive = false;
+        let st = &mut self.shard.nodes[slot];
+        st.alive = false;
+        st.session += 1;
         self.shard.metrics.nodes_stopped += 1;
         (open, pending)
     }

@@ -792,6 +792,56 @@ mod tests {
         });
     }
 
+    /// A timer dies with the churn session that armed it: an app that
+    /// starts one self-rearming hourly chain in `on_start` fires at most
+    /// 24 times a day however often it restarts. (A chain that outlived
+    /// its session ran beside the one the restart armed: 56-123 a day.)
+    #[test]
+    fn timers_do_not_outlive_a_churn_session() {
+        struct Hourly {
+            fired: Arc<Mutex<HashMap<usize, u64>>>,
+        }
+        impl App for Hourly {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.set_timer(SimDuration::from_secs(3600), 0);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+                *self.fired.lock().unwrap().entry(ctx.node().0).or_default() += 1;
+                ctx.set_timer(SimDuration::from_secs(3600), 0);
+            }
+        }
+        let config = SimConfig {
+            faults: FaultPlan {
+                churn: Some(crate::faults::ChurnSpec {
+                    fraction: 1.0,
+                    ..FaultPlan::harsh().churn.expect("harsh churns")
+                }),
+                ..FaultPlan::none()
+            },
+            ..SimConfig::default()
+        };
+        at_shards_1_and_2(config, 12, |mut sim, _| {
+            let fired = Arc::new(Mutex::new(HashMap::new()));
+            for _ in 0..16 {
+                let app = Hourly {
+                    fired: fired.clone(),
+                };
+                sim.spawn(NodeSpec::public(), Box::new(app));
+            }
+            sim.run_until(SimTime::from_days(1));
+            assert!(sim.metrics().faults_churn_ups >= 16 * 3, "too little churn");
+            let fired = fired.lock().unwrap();
+            assert_eq!(fired.len(), 16);
+            for (node, &n) in fired.iter() {
+                assert!(
+                    (1..=24).contains(&n),
+                    "node {node} fired {n} times in a day"
+                );
+            }
+            assert_eq!(sim.metrics().timers_fired, fired.values().sum::<u64>());
+        });
+    }
+
     #[test]
     fn run_until_advances_clock_to_deadline() {
         at_shards_1_and_2(SimConfig::default(), 9, |mut sim, _| {
