@@ -124,8 +124,10 @@ pub struct BenchConfig {
 /// Bumped whenever the trajectory a seed produces changes, so a cached run
 /// from before the change is never served as current. Epoch 2: the merged
 /// lane engine (PR 16). Epoch 3: payload bodies are the counter-mode
-/// SplitMix64 stream, so every logged SHA-1 changed (PR 21).
-const TRAJECTORY_EPOCH: u32 = 3;
+/// SplitMix64 stream, so every logged SHA-1 changed (PR 21). Epoch 4: an
+/// OpenFT answer is one write and a full node arms no tick (events and
+/// response timestamps moved); timers die with their churn session (PR 22).
+const TRAJECTORY_EPOCH: u32 = 4;
 
 impl BenchConfig {
     pub fn from_env() -> Self {

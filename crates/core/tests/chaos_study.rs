@@ -125,13 +125,21 @@ fn harsh_openft() -> OpenFtScenario {
     let (faults, retry) = fault_profile("harsh").expect("harsh profile exists");
     let mut scenario = OpenFtScenario::quick(2006 ^ 0xF7).with_faults(faults, retry);
     scenario.days = 5;
-    // More downloadable titles and a faster query clock give the fault
-    // classes real download traffic. The population itself stays stock:
-    // flooding the index with extra clean shares would push the
+    // As on the LimeWire side, the traffic has to come early and there has
+    // to be enough of it: a lost hello leaves a connection that holds its
+    // slot without ever becoming a session, so under `harsh` the crawler
+    // stops hearing answers within two days on this seed, and the stock
+    // population's ~50 distinct downloadable objects fail a handful of
+    // times, all by timeout. Twice the sharers, 16 files each, a
+    // downloadable-heavy media mix and a 45 s query clock give ~140
+    // objects and two failure causes. More than that would push the
     // superspreader past the SEARCH nodes' per-query result cap and
-    // silently erase the malicious signal.
+    // silently erase the malicious signal (1.4 % of downloadable
+    // responses here, inside the band below).
+    scenario.clean_users = 40;
+    scenario.files_per_user = 16;
     scenario.catalog.media_mix_permille = [300, 100, 300, 220, 50, 30];
-    scenario.workload.base_interval_secs = 60;
+    scenario.workload.base_interval_secs = 45;
     scenario
 }
 

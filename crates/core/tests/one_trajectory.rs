@@ -13,14 +13,14 @@ use p2pmal_crawler::RetryPolicy;
 use p2pmal_netsim::{FaultPlan, SimMetrics};
 
 const LIMEWIRE_GOLDEN: &str = "bc030a71f28881906059cd8ff3009bfacf08ccb0";
-const OPENFT_GOLDEN: &str = "963934466183e4c791f4d081b8155f630648c74a";
+const OPENFT_GOLDEN: &str = "75720da08ca56056d5febdbf350634b7db3566eb";
 
 /// [`NetworkRun::trajectory_digest_without_sha1`] of the same runs. A
 /// change to the payload *bytes* re-records the two goldens above and must
 /// leave these two alone: that is the evidence that only the hashed bytes
 /// moved.
 const LIMEWIRE_GOLDEN_WITHOUT_SHA1: &str = "245c41ef69f2b84da57a12e25128385498400b2f";
-const OPENFT_GOLDEN_WITHOUT_SHA1: &str = "5ca8ea1fd17ffe150ff8a9e75538646dea101831";
+const OPENFT_GOLDEN_WITHOUT_SHA1: &str = "960c8f0d748804d4ee189c22dbd0c60ad6321908";
 
 /// Metrics with the shard-partition-dependent parts masked out.
 fn comparable_metrics(run: &NetworkRun) -> SimMetrics {

@@ -40,7 +40,7 @@ fn openft_quick_identical_across_scan_thread_counts() {
         let run = scenario.run();
         assert_eq!(
             run.trajectory_digest(),
-            "963934466183e4c791f4d081b8155f630648c74a",
+            "75720da08ca56056d5febdbf350634b7db3566eb",
             "scan_threads={threads} changed the OpenFT quick trajectory"
         );
         match &baseline_scan {

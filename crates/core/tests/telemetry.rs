@@ -204,7 +204,7 @@ fn analysis_reports_are_pinned() {
         (
             "openft",
             run_openft_scenario_with_journal(openft, "pin-ft").1,
-            "048c105f5f4efffb4c661199afa286be58ae3acf",
+            "2410d76eabb84596dd484163353bd76d5248feb6",
         ),
     ];
     for (network, journal, want) in &journals {

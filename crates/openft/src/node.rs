@@ -218,6 +218,9 @@ pub struct FtNode {
     /// Child-registered shares (SEARCH nodes).
     index: Vec<IndexedShare>,
     next_search: u32,
+    /// A maintenance tick is scheduled. One is only while an outbound
+    /// session slot is empty (see [`FtNode::arm_tick`]).
+    tick_armed: bool,
     next_download: u64,
     events: Vec<FtEvent>,
     stats: FtStats,
@@ -234,6 +237,7 @@ impl FtNode {
             known: Vec::new(),
             index: Vec::new(),
             next_search: 1,
+            tick_armed: false,
             next_download: 1,
             events: Vec::new(),
             stats: FtStats::default(),
@@ -315,27 +319,16 @@ impl FtNode {
                 SpanCtx::root(trace, span::span_root(trace)),
             );
         }
-        let pkt = Search::Request {
-            id,
-            query: query.to_string(),
-        }
-        .encode();
-        let mut wire = Vec::new();
-        encode_packet(Command::Search, &pkt, &mut wire);
-        let mut targets: Vec<ConnId> = self
-            .conns
-            .iter()
-            .filter(|(_, k)| {
-                matches!(k, ConnKind::Peer(p) if p.session
-                    && p.info.as_ref().is_some_and(|i| i.is_search()))
-            })
-            .map(|(&c, _)| c)
-            .collect();
-        // VecMap iteration is already key-sorted; the sort stays as a
-        // zero-cost guard on the run-to-run sequencing invariant.
-        targets.sort_unstable();
-        for t in &targets {
-            ctx.send(*t, &wire);
+        // In connection-id order (how a `VecMap` iterates): the run-to-run
+        // sequencing invariant. Encoded straight into each buffer that
+        // travels.
+        let request = SearchRef::Request { id, query };
+        for (&conn, kind) in self.conns.iter() {
+            if matches!(kind, ConnKind::Peer(p) if p.session
+                && p.info.as_ref().is_some_and(|i| i.is_search()))
+            {
+                ctx.send_with(conn, |out| request.encode_packet(out));
+            }
         }
         self.stats.searches_sent += 1;
         id
@@ -389,12 +382,36 @@ impl FtNode {
         }
     }
 
-    fn maintain(&mut self, ctx: &mut Ctx<'_>) {
-        let have = self
-            .conns
+    /// Outbound session slots in use, dialing or up.
+    fn outbound(&self) -> usize {
+        self.conns
             .values()
             .filter(|k| matches!(k, ConnKind::Peer(p) if p.outbound))
-            .count();
+            .count()
+    }
+
+    /// Arms the maintenance tick unless one is armed or every outbound slot
+    /// is taken: a full node schedules nothing. Every path that loses a
+    /// session ends here — `on_closed` through [`FtNode::maintain`], which
+    /// redials first; `on_connect_failed` and `drop_conn` directly, so a
+    /// candidate that keeps refusing, or a peer that keeps earning its drop,
+    /// is redialed once a tick, not in a loop. Short of half the target the
+    /// tick is `config.tick`, past it 30 times that.
+    fn arm_tick(&mut self, ctx: &mut Ctx<'_>) {
+        if self.tick_armed || self.outbound() >= self.config.target_sessions {
+            return;
+        }
+        self.tick_armed = true;
+        let up = self.session_count();
+        let stable = up >= self.config.target_sessions / 2 && up >= 1;
+        let tick = self.config.tick.as_micros() * if stable { 30 } else { 1 };
+        ctx.set_timer(SimDuration::from_micros(tick), TIMER_MAINTENANCE);
+    }
+
+    /// Dials known SEARCH nodes into the empty outbound slots, and leaves
+    /// the tick armed if some stay empty.
+    fn maintain(&mut self, ctx: &mut Ctx<'_>) {
+        let have = self.outbound();
         if have >= self.config.target_sessions {
             return;
         }
@@ -436,24 +453,43 @@ impl FtNode {
             );
             dialed += 1;
         }
+        self.arm_tick(ctx);
     }
 
     fn send_packet(&self, ctx: &mut Ctx<'_>, conn: ConnId, cmd: Command, payload: &[u8]) {
         ctx.send_with(conn, |out| encode_packet(cmd, payload, out));
     }
 
+    /// Introduces us on a new connection: VERSION and NODEINFO, and the
+    /// session request when we are the dialer.
+    fn send_hello(&self, ctx: &mut Ctx<'_>, conn: ConnId, request_session: bool) {
+        let info = self.node_info().encode();
+        ctx.send_with(conn, |out| {
+            encode_packet(Command::Version, &Version::CURRENT.encode(), out);
+            encode_packet(Command::NodeInfo, &info, out);
+            if request_session {
+                encode_packet(Command::Session, &Session::Request.encode(), out);
+            }
+        });
+    }
+
     /// Registers our library with a freshly accepted parent.
     fn register_shares(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
-        for f in self.library.files() {
-            let md5 = self.world.store.declared_md5(f.content);
-            let add = AddShare {
-                md5,
-                size: f.size.min(u32::MAX as u64) as u32,
-                path: format!("/shared/{}", f.name),
-            };
-            self.send_packet(ctx, conn, Command::AddShare, &add.encode());
-            self.stats.shares_registered += 1;
+        let files = self.library.files();
+        if files.is_empty() {
+            return;
         }
+        ctx.send_with(conn, |out| {
+            for f in files {
+                let add = AddShare {
+                    md5: self.world.store.declared_md5(f.content),
+                    size: f.size.min(u32::MAX as u64) as u32,
+                    path: format!("/shared/{}", f.name),
+                };
+                encode_packet(Command::AddShare, &add.encode(), out);
+            }
+        });
+        self.stats.shares_registered += files.len() as u64;
     }
 
     /// Decodes and handles the packets `data` completes on a peer
@@ -768,35 +804,39 @@ impl FtNode {
                 ),
             );
         }
-        // One packet per result, encoded from the row (or the shared file)
-        // straight into the buffer that travels.
-        for s in rows {
-            let result = SearchResultRef {
-                id,
-                host: s.host.ip,
-                port: s.host.port,
-                http_port: s.http_port,
-                avail: 1,
-                md5: s.md5,
-                size: s.size,
-                filename: s.rec.name(),
-            };
-            ctx.send_with(conn, |out| result.encode_packet(out));
-        }
-        for f in &own {
-            let result = SearchResultRef {
-                id,
-                host: ctx.external_addr().ip,
-                port: self.config.port,
-                http_port: self.config.port,
-                avail: 1,
-                md5: self.world.store.declared_md5(f.content),
-                size: f.size.min(u32::MAX as u64) as u32,
-                filename: &f.name,
-            };
-            ctx.send_with(conn, |out| result.encode_packet(out));
-        }
-        self.send_packet(ctx, conn, Command::Search, &Search::End { id }.encode());
+        // One packet per result and the END behind them, encoded from the
+        // row (or the shared file) straight into the one buffer that
+        // travels: an answer is one write.
+        let me = ctx.external_addr().ip;
+        ctx.send_with(conn, |out| {
+            for s in rows {
+                let result = SearchResultRef {
+                    id,
+                    host: s.host.ip,
+                    port: s.host.port,
+                    http_port: s.http_port,
+                    avail: 1,
+                    md5: s.md5,
+                    size: s.size,
+                    filename: s.rec.name(),
+                };
+                result.encode_packet(out);
+            }
+            for f in &own {
+                let result = SearchResultRef {
+                    id,
+                    host: me,
+                    port: self.config.port,
+                    http_port: self.config.port,
+                    avail: 1,
+                    md5: self.world.store.declared_md5(f.content),
+                    size: f.size.min(u32::MAX as u64) as u32,
+                    filename: &f.name,
+                };
+                result.encode_packet(out);
+            }
+            SearchRef::End { id }.encode_packet(out);
+        });
     }
 
     /// Serves an upload request: resolve the MD5 against our library.
@@ -863,6 +903,7 @@ impl FtNode {
                 }
                 self.emit(FtEvent::SessionDown { conn });
                 ctx.close(conn);
+                self.arm_tick(ctx);
             }
             _ => {
                 ctx.close(conn);
@@ -898,9 +939,7 @@ impl FtNode {
             };
             self.conns.insert(conn, ConnKind::Peer(p));
             // Introduce ourselves (the dialer already did on connect).
-            self.send_packet(ctx, conn, Command::Version, &Version::CURRENT.encode());
-            let info = self.node_info();
-            self.send_packet(ctx, conn, Command::NodeInfo, &info.encode());
+            self.send_hello(ctx, conn, false);
             self.pump_peer(ctx, conn, &buf);
         }
     }
@@ -941,8 +980,9 @@ impl App for FtNode {
                 klass: CLASS_SEARCH,
             });
         }
+        // A restart (churn) finds whatever the last session armed gone.
+        self.tick_armed = false;
         self.maintain(ctx);
-        ctx.set_timer(self.config.tick, TIMER_MAINTENANCE);
         if let Some(iv) = self.config.auto_query {
             let jitter = SimDuration::from_micros(ctx.rng().next_u64() % iv.as_micros().max(1));
             ctx.set_timer(jitter, TIMER_AUTO_QUERY);
@@ -955,12 +995,7 @@ impl App for FtNode {
                 self.conns.insert(conn, ConnKind::Sniff(Vec::new(), peer));
             }
             Direction::Outbound => match self.conns.get(&conn) {
-                Some(ConnKind::Peer(_)) => {
-                    self.send_packet(ctx, conn, Command::Version, &Version::CURRENT.encode());
-                    let info = self.node_info();
-                    self.send_packet(ctx, conn, Command::NodeInfo, &info.encode());
-                    self.send_packet(ctx, conn, Command::Session, &Session::Request.encode());
-                }
+                Some(ConnKind::Peer(_)) => self.send_hello(ctx, conn, true),
                 Some(ConnKind::Download(d)) => {
                     let md5 = d.md5;
                     if let Some(ConnKind::Download(d)) = self.conns.get_mut(&conn) {
@@ -978,7 +1013,7 @@ impl App for FtNode {
             Some(ConnKind::Download(d)) => {
                 self.finish_download(ctx, None, d.id, Err(FtDownloadError::ConnectFailed));
             }
-            Some(ConnKind::Peer(_)) => self.maintain(ctx),
+            Some(ConnKind::Peer(_)) => self.arm_tick(ctx),
             _ => {}
         }
     }
@@ -1051,17 +1086,8 @@ impl App for FtNode {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if token == TIMER_MAINTENANCE {
+            self.tick_armed = false;
             self.maintain(ctx);
-            // Adaptive cadence: slow the idle tick 30x once sessions are
-            // up (closures re-trigger maintenance directly).
-            let stable = self.session_count() >= self.config.target_sessions / 2
-                && self.session_count() >= 1;
-            let next = if stable {
-                SimDuration::from_micros(self.config.tick.as_micros() * 30)
-            } else {
-                self.config.tick
-            };
-            ctx.set_timer(next, TIMER_MAINTENANCE);
         } else if token == TIMER_AUTO_QUERY {
             if let Some(iv) = self.config.auto_query {
                 let q = self.world.catalog.sample_query(ctx.rng());

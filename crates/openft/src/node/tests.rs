@@ -6,7 +6,7 @@ use p2pmal_corpus::{ContentStore, FamilyId, Roster};
 use p2pmal_netsim::{NodeId, NodeSpec, SimConfig, SimTime, Simulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn world(seed: u64) -> SharedWorld {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -419,20 +419,19 @@ fn named_library(world: &SharedWorld, first_item: u32, names: &[String]) -> Host
     lib
 }
 
-/// What a search returns is exactly what the owning loop returned: same
-/// rows, same order, own library last, cut at the cap — with more matching
-/// rows than the cap, after a REMSHARE, and after a child left.
-#[test]
-fn answers_match_the_owning_loop() {
-    const CAP: usize = 9;
+/// A SEARCH node sharing three `Pinned_Own_*` files of its own (and one
+/// unrelated), with three children that registered four `pinned_child*`
+/// files (and two unrelated) each: "pinned" matches twelve index rows, then
+/// three own shares.
+fn pinned_net(config: SimConfig, cap: usize) -> (Net, NodeId, Vec<NodeId>) {
     let world = world(8);
-    let mut sim = Simulator::new(SimConfig::default(), 8);
+    let mut sim = Simulator::new(config, 8);
     let own: Vec<String> = (0..3)
         .map(|k| format!("Pinned_Own_{k}.exe"))
         .chain(["unrelated_own.mp3".to_string()])
         .collect();
     let cfg = FtConfig {
-        max_results: CAP,
+        max_results: cap,
         ..FtConfig::search_node()
     };
     let parent = sim.spawn(
@@ -459,6 +458,16 @@ fn answers_match_the_owning_loop() {
             spawn_user(&mut net, lib, false)
         })
         .collect();
+    (net, parent, children)
+}
+
+/// What a search returns is exactly what the owning loop returned: same
+/// rows, same order, own library last, cut at the cap — with more matching
+/// rows than the cap, after a REMSHARE, and after a child left.
+#[test]
+fn answers_match_the_owning_loop() {
+    const CAP: usize = 9;
+    let (mut net, parent, children) = pinned_net(SimConfig::default(), CAP);
     let asker = spawn_user(&mut net, HostLibrary::new(), true);
     net.sim.run_until(SimTime::from_secs(300));
     assert_eq!(
@@ -531,6 +540,273 @@ fn answers_match_the_owning_loop() {
     assert_eq!((after_leave.len(), from_own(&after_leave)), (CAP, 2));
     assert!(after_leave.iter().all(|r| r.host != leaver_ip));
     assert!(after_leave[CAP - 2..].iter().all(|r| r.host == parent_ip));
+}
+
+/// A bare session peer: dials `server`, says hello, and keeps every chunk
+/// the simulator hands it, as handed.
+struct Tap {
+    server: HostAddr,
+    conn: Arc<Mutex<Option<ConnId>>>,
+    chunks: Arc<Mutex<Vec<Vec<u8>>>>,
+}
+
+impl App for Tap {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.connect(self.server);
+    }
+    fn on_connected(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, _: Direction, _: HostAddr) {
+        *self.conn.lock().unwrap() = Some(conn);
+        let mut hello = Vec::new();
+        encode_packet(Command::Version, &Version::CURRENT.encode(), &mut hello);
+        encode_packet(Command::Session, &Session::Request.encode(), &mut hello);
+        ctx.send(conn, &hello);
+    }
+    fn on_data(&mut self, _: &mut Ctx<'_>, _: ConnId, data: &[u8]) {
+        self.chunks.lock().unwrap().push(data.to_vec());
+    }
+}
+
+/// An answer is one write: N index rows + M own shares + the END leave as
+/// one buffer holding the N + M + 1 packets back to back, and a node
+/// reading it sees the events it saw when each packet travelled alone,
+/// however the bytes are cut on the way.
+#[test]
+fn an_answer_is_one_write() {
+    let mut events_by_mss = Vec::new();
+    for mss in [None, Some(7), Some(100)] {
+        let config = SimConfig {
+            mss,
+            ..SimConfig::default()
+        };
+        let (mut net, parent, _) = pinned_net(config, 64);
+        let asker = spawn_user(&mut net, HostLibrary::new(), true);
+        let (conn, chunks) = (Arc::default(), Arc::default());
+        let tap = net.sim.spawn(
+            NodeSpec::public(),
+            Box::new(Tap {
+                server: net.search_addrs[0],
+                conn: Arc::clone(&conn),
+                chunks: Arc::clone(&chunks),
+            }),
+        );
+        net.sim.run_until(SimTime::from_secs(300));
+        chunks.lock().unwrap().clear();
+
+        let id = with_node(&mut net.sim, asker, |n, ctx| n.search(ctx, "pinned"));
+        let tap_conn = conn.lock().unwrap().expect("tap connected");
+        net.sim.with_node(tap, |_, ctx| {
+            ctx.send_with(tap_conn, |out| {
+                SearchRef::Request {
+                    id: 77,
+                    query: "pinned",
+                }
+                .encode_packet(out)
+            })
+        });
+        net.sim.run_until(SimTime::from_secs(360));
+
+        let results = |sim: &mut Simulator, id| {
+            with_node(sim, parent, |n, ctx| {
+                n.answer_reference(ctx.external_addr().ip, id, "pinned")
+            })
+        };
+        let want = results(&mut net.sim, 77);
+        let parent_ip = net.sim.node_addr(parent).ip;
+        let own = want.iter().filter(|r| r.host == parent_ip).count();
+        assert_eq!((want.len(), own), (15, 3), "N = 12 rows, M = 3 own shares");
+        let mut wire = Vec::new();
+        for r in &want {
+            encode_packet(
+                Command::Search,
+                &Search::Result(r.clone()).encode(),
+                &mut wire,
+            );
+        }
+        encode_packet(Command::Search, &Search::End { id: 77 }.encode(), &mut wire);
+        let chunks = std::mem::take(&mut *chunks.lock().unwrap());
+        assert_eq!(chunks.concat(), wire, "mss {mss:?}");
+        assert_eq!(
+            chunks.len(),
+            mss.map_or(1, |m| wire.len().div_ceil(m)),
+            "one write, cut only by the mss ({mss:?})"
+        );
+
+        let events: Vec<Option<SearchResult>> =
+            with_node(&mut net.sim, asker, |n, _| n.drain_events())
+                .into_iter()
+                .filter_map(|e| match e {
+                    FtEvent::SearchResult { result, .. } => Some(Some(result)),
+                    FtEvent::SearchEnd { id: end, .. } => {
+                        assert_eq!(end, id);
+                        Some(None)
+                    }
+                    _ => None,
+                })
+                .collect();
+        let want: Vec<_> = results(&mut net.sim, id)
+            .into_iter()
+            .map(Some)
+            .chain([None])
+            .collect();
+        assert_eq!(events, want, "mss {mss:?}");
+        events_by_mss.push(events);
+    }
+    assert!(events_by_mss.windows(2).all(|w| w[0] == w[1]));
+}
+
+/// A node whose outbound sessions are all up schedules nothing: over a
+/// sim-day the only timers that fire are the users' hourly ambient
+/// queries. Losing a session makes a node redial, and it is quiet again
+/// once the slot is refilled.
+#[test]
+fn a_full_node_schedules_nothing() {
+    let world = world(10);
+    let mut sim = Simulator::new(SimConfig::default(), 10);
+    // Two SEARCH nodes: B sessions with A, A waits to be dialed.
+    let mut search_addrs: Vec<HostAddr> = Vec::new();
+    let search_nodes: Vec<NodeId> = (0..2)
+        .map(|i| {
+            let cfg = FtConfig {
+                target_sessions: i,
+                ..FtConfig::search_node().with_bootstrap(search_addrs.clone())
+            };
+            let node = FtNode::new(cfg, world.clone(), HostLibrary::new());
+            let id = sim.spawn(NodeSpec::public().listen(1215), Box::new(node));
+            search_addrs.push(sim.node_addr(id));
+            id
+        })
+        .collect();
+    // Six users of one session each, three bootstrapped from either node
+    // (B's users hear of A in B's NODELIST).
+    let users: Vec<NodeId> = (0..6u32)
+        .map(|u| {
+            let cfg = FtConfig {
+                target_sessions: 1,
+                auto_query: Some(SimDuration::from_secs(3600)),
+                ..FtConfig::user().with_bootstrap(vec![search_addrs[u as usize % 2]])
+            };
+            let lib = named_library(&world, u, &[format!("user_{u}.mp3")]);
+            let node = FtNode::new(cfg, world.clone(), lib);
+            sim.spawn(NodeSpec::public().listen(1215), Box::new(node))
+        })
+        .collect();
+    let sessions = |sim: &mut Simulator, nodes: &[NodeId]| -> Vec<usize> {
+        nodes
+            .iter()
+            .map(|&n| with_node(sim, n, |n, _| n.session_count()))
+            .collect()
+    };
+    let searches = |sim: &mut Simulator| -> u64 {
+        users
+            .iter()
+            .map(|&u| with_node(sim, u, |n, _| n.stats().searches_sent))
+            .sum()
+    };
+    // Runs a sim-day and checks that every timer fired was an ambient query.
+    let quiet_day = |sim: &mut Simulator| {
+        let before = (sim.metrics().timers_fired, searches(sim));
+        sim.run_until(sim.now() + SimDuration::from_secs(86_400));
+        let timers = sim.metrics().timers_fired - before.0;
+        assert_eq!(timers, searches(sim) - before.1);
+        assert_eq!(timers, 6 * 24);
+    };
+
+    sim.run_until(SimTime::from_secs(600));
+    assert_eq!(sessions(&mut sim, &users), [1; 6]);
+    assert_eq!(sessions(&mut sim, &search_nodes), [4, 4]);
+    quiet_day(&mut sim);
+
+    // B goes: its three users redial at once, A or B as the draw falls, and
+    // again a tick after each dial that B's absence refused.
+    let established = sim.metrics().conns_established;
+    sim.stop_node(search_nodes[1]);
+    sim.run_until(sim.now() + SimDuration::from_secs(20 * 10));
+    assert_eq!(sessions(&mut sim, &users), [1; 6]);
+    assert_eq!(sessions(&mut sim, &search_nodes[..1]), [6]);
+    assert_eq!(sim.metrics().conns_established, established + 3);
+    quiet_day(&mut sim);
+    assert_eq!(sim.metrics().conns_established, established + 3);
+}
+
+/// Answers the first bytes on a connection with a command nobody defined,
+/// and logs when each connection arrived.
+struct Garbage(Arc<Mutex<Vec<SimTime>>>);
+
+impl App for Garbage {
+    fn on_connected(&mut self, ctx: &mut Ctx<'_>, _: ConnId, _: Direction, _: HostAddr) {
+        self.0.lock().unwrap().push(ctx.now());
+    }
+    fn on_data(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, _: &[u8]) {
+        ctx.send(conn, &[0, 0, 0xFF, 0xFF]);
+    }
+}
+
+/// A peer dropped for a bad packet leaves a slot only the tick refills:
+/// the node is back on `known` one tick later — once a tick, not in a loop,
+/// while the peer keeps earning its drop — and quiet once a sane SEARCH
+/// node has taken the slot.
+#[test]
+fn a_dropped_peer_is_refilled_by_the_tick() {
+    let world = world(11);
+    let mut sim = Simulator::new(SimConfig::default(), 11);
+    let arrivals = Arc::new(Mutex::new(Vec::new()));
+    let garbage = sim.spawn(
+        NodeSpec::public().listen(1215),
+        Box::new(Garbage(Arc::clone(&arrivals))),
+    );
+    let cfg = FtConfig {
+        target_sessions: 1,
+        ..FtConfig::user().with_bootstrap(vec![sim.node_addr(garbage)])
+    };
+    let tick = cfg.tick.as_micros();
+    let user = sim.spawn(
+        NodeSpec::public().listen(1215),
+        Box::new(FtNode::new(cfg, world.clone(), HostLibrary::new())),
+    );
+    sim.run_until(SimTime::from_days(1));
+    let day: Vec<u64> = arrivals
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|t| t.as_micros())
+        .collect();
+    // SYN-ACK, hello, reply, tick, SYN: a redial lands one tick and four
+    // latencies (of a window + at most 150 ms each) after the dial before.
+    let slack = 4 * 1_150_000;
+    for gap in day.windows(2).map(|w| w[1] - w[0]) {
+        assert!((tick..=tick + slack).contains(&gap), "gap {gap} us");
+    }
+    assert!(day.len() as u64 >= 86_400_000_000 / (tick + slack));
+    assert_eq!(sim.metrics().conns_established, day.len() as u64);
+    let stats = with_node(&mut sim, user, |n, _| n.stats());
+    // (The day may end with the last reply still on its way.)
+    assert!(day.len() as u64 - stats.bad_packets <= 1);
+    assert_eq!(stats.sessions_up, 0);
+
+    // A sane SEARCH node turns up in `known`: some tick picks it, the slot
+    // is full and the node goes quiet.
+    let cfg = FtConfig {
+        target_sessions: 0,
+        ..FtConfig::search_node()
+    };
+    let sane = sim.spawn(
+        NodeSpec::public().listen(1215),
+        Box::new(FtNode::new(cfg, world.clone(), HostLibrary::new())),
+    );
+    let addr = sim.node_addr(sane);
+    with_node(&mut sim, user, |n, _| {
+        n.add_known(NodeEntry {
+            ip: addr.ip,
+            port: addr.port,
+            klass: CLASS_SEARCH,
+        })
+    });
+    sim.run_until(SimTime::from_secs(86_400 + 600));
+    assert_eq!(with_node(&mut sim, user, |n, _| n.session_count()), 1);
+    let settled = (sim.metrics().conns_established, sim.metrics().timers_fired);
+    sim.run_until(SimTime::from_days(3));
+    let m = sim.metrics();
+    assert_eq!((m.conns_established, m.timers_fired), settled);
 }
 
 /// A node nobody reads events from checks a result and counts it without

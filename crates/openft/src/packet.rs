@@ -572,23 +572,48 @@ impl SearchRef<'_> {
             SearchRef::End { id } => Search::End { id },
         }
     }
-}
 
-impl Search {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    fn put_payload(&self, out: &mut Vec<u8>) {
         match self {
-            Search::Request { id, query } => {
+            SearchRef::Request { id, query } => {
                 out.extend_from_slice(&id.to_be_bytes());
                 out.extend_from_slice(&1u16.to_be_bytes()); // kind 1: request
-                put_str(&mut out, query);
+                put_str(out, query);
             }
-            Search::Result(res) => res.borrowed().put_payload(&mut out),
-            Search::End { id } => {
+            SearchRef::Result(res) => res.put_payload(out),
+            SearchRef::End { id } => {
                 out.extend_from_slice(&id.to_be_bytes());
                 out.extend_from_slice(&3u16.to_be_bytes()); // kind 3: end
             }
         }
+    }
+
+    /// Appends this message as one framed SEARCH packet: the bytes of
+    /// `encode_packet(Command::Search, &self.to_owned().encode(), out)`
+    /// without the owning form or the payload `Vec` in between.
+    pub fn encode_packet(&self, out: &mut Vec<u8>) {
+        let head = out.len();
+        out.extend_from_slice(&[0, 0]);
+        out.extend_from_slice(&(Command::Search as u16).to_be_bytes());
+        self.put_payload(out);
+        let len = out.len() - head - HEADER_LEN;
+        assert!(len <= MAX_PAYLOAD, "payload {len} too long");
+        out[head..head + 2].copy_from_slice(&(len as u16).to_be_bytes());
+    }
+}
+
+impl Search {
+    pub fn borrowed(&self) -> SearchRef<'_> {
+        match self {
+            Search::Request { id, query } => SearchRef::Request { id: *id, query },
+            Search::Result(res) => SearchRef::Result(res.borrowed()),
+            Search::End { id } => SearchRef::End { id: *id },
+        }
+    }
+
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.borrowed().put_payload(&mut out);
         out
     }
 

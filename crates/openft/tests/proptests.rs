@@ -217,11 +217,17 @@ proptest! {
         filename in arb_str(),
     ) {
         let req = Search::Request { id, query };
-        prop_assert_eq!(Search::parse(&req.encode()).unwrap(), req);
         let res = Search::Result(SearchResult { id, host, port, http_port, avail, md5, size, filename });
-        prop_assert_eq!(Search::parse(&res.encode()).unwrap(), res);
         let end = Search::End { id };
-        prop_assert_eq!(Search::parse(&end.encode()).unwrap(), end);
+        for msg in [req, res, end] {
+            prop_assert_eq!(Search::parse(&msg.encode()).unwrap(), msg.clone());
+            // Framed in place: appended, and the bytes of the two-step path.
+            let mut framed = vec![0xAA];
+            encode_packet(Command::Search, &msg.encode(), &mut framed);
+            let mut in_place = vec![0xAA];
+            msg.borrowed().encode_packet(&mut in_place);
+            prop_assert_eq!(in_place, framed);
+        }
     }
 
     #[test]
