@@ -64,6 +64,8 @@ pub struct FtConfig {
     pub collect_events: bool,
     pub max_download_bytes: usize,
     pub download_timeout: SimDuration,
+    /// Maintenance tick while an outbound session slot is empty (30 times
+    /// this once half of `target_sessions` is up); a full node has none.
     pub tick: SimDuration,
 }
 
@@ -218,8 +220,8 @@ pub struct FtNode {
     /// Child-registered shares (SEARCH nodes).
     index: Vec<IndexedShare>,
     next_search: u32,
-    /// A maintenance tick is scheduled. One is only while an outbound
-    /// session slot is empty (see [`FtNode::arm_tick`]).
+    /// Whether a maintenance tick is scheduled: one is only while an
+    /// outbound session slot is empty (see [`FtNode::arm_tick`]).
     tick_armed: bool,
     next_download: u64,
     events: Vec<FtEvent>,

@@ -520,9 +520,6 @@ impl SearchResult {
 }
 
 impl SearchResultRef<'_> {
-    /// Payload bytes ahead of the filename.
-    const FIXED_LEN: usize = 36;
-
     pub fn to_owned(self) -> SearchResult {
         SearchResult {
             id: self.id,
@@ -548,16 +545,10 @@ impl SearchResultRef<'_> {
         put_str(out, self.filename);
     }
 
-    /// Appends this result as one framed SEARCH packet: the bytes of
-    /// `encode_packet(Command::Search, &Search::Result(r).encode(), out)`
-    /// without the payload `Vec` in between.
+    /// Appends this result as one framed SEARCH packet; see
+    /// [`SearchRef::encode_packet`].
     pub fn encode_packet(&self, out: &mut Vec<u8>) {
-        let len = Self::FIXED_LEN + self.filename.len() + 1;
-        assert!(len <= MAX_PAYLOAD, "payload {len} too long");
-        out.reserve(HEADER_LEN + len);
-        out.extend_from_slice(&(len as u16).to_be_bytes());
-        out.extend_from_slice(&(Command::Search as u16).to_be_bytes());
-        self.put_payload(out);
+        SearchRef::Result(*self).encode_packet(out);
     }
 }
 
