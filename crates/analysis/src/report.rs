@@ -287,7 +287,10 @@ pub struct SizeCensus {
 
 pub fn size_census(resolved: &[ResolvedResponse]) -> SizeCensus {
     let mut malware: BTreeMap<&str, HashSet<u64>> = BTreeMap::new();
-    let mut benign: HashMap<String, HashSet<u64>> = HashMap::new();
+    // Benign sizes are gathered under the name as logged and folded
+    // case-insensitively afterwards: a study logs millions of responses
+    // under a thousand names, and each is lowered once.
+    let mut benign_as_logged: HashMap<&str, HashSet<u64>> = HashMap::new();
     for r in resolved {
         if !r.record.downloadable {
             continue;
@@ -300,13 +303,20 @@ pub fn size_census(resolved: &[ResolvedResponse]) -> SizeCensus {
                     .insert(r.record.size);
             }
             None if r.scanned => {
-                benign
-                    .entry(r.record.filename.to_ascii_lowercase())
+                benign_as_logged
+                    .entry(r.record.filename.as_str())
                     .or_default()
                     .insert(r.record.size);
             }
             None => {}
         }
+    }
+    let mut benign: HashMap<String, HashSet<u64>> = HashMap::new();
+    for (name, sizes) in benign_as_logged {
+        benign
+            .entry(name.to_ascii_lowercase())
+            .or_default()
+            .extend(sizes);
     }
     let malware_sizes: BTreeMap<String, Vec<u64>> = malware
         .iter()
@@ -492,6 +502,26 @@ mod tests {
         assert_eq!(c.malware_sizes["W32.B"], vec![200]);
         assert_eq!(c.benign_distinct_counts, vec![1]);
         assert_eq!(c.malware_cdf.last().unwrap().1, 1.0);
+    }
+
+    /// Benign names that differ only in case are one file: their sizes
+    /// fold into one set, duplicates within and across spellings once.
+    #[test]
+    fn size_census_folds_benign_names_case_insensitively() {
+        let mut resolved = sample();
+        for (name, size) in [
+            ("Setup.EXE", 10),
+            ("setup.exe", 10),
+            ("setup.exe", 20),
+            ("setup.exe", 20),
+            ("SETUP.exe", 30),
+            ("TOOL.EXE", 300),
+        ] {
+            resolved.push(resp(2, "e", name, size, [9, 9, 9, 9], 5, None, true));
+        }
+        let mut counts = size_census(&resolved).benign_distinct_counts;
+        counts.sort_unstable();
+        assert_eq!(counts, [1, 3], "tool.exe one size, setup.exe three");
     }
 
     #[test]

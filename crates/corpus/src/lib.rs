@@ -34,7 +34,8 @@ pub use catalog::{BenignItem, Catalog, MediaType};
 pub use family::{Container, FamilyId, MalwareFamily, NamingStrategy, Roster};
 pub use intern::{InternStats, NameInterner, NameRecord, NO_RECORD_ID};
 pub use library::{
-    hash_table_bytes, CompiledQuery, ContentRef, HostLibrary, QueryCache, SharedFile,
+    fingerprint_superset_masks, hash_table_bytes, CompiledQuery, ContentRef, HostLibrary,
+    QueryCache, SharedFile,
 };
 pub use payload::ContentStore;
 pub use zipf::Zipf;

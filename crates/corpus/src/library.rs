@@ -186,6 +186,136 @@ impl CompiledQuery {
     pub fn matches_name(&self, name: &str) -> bool {
         name_matches(name, &self.terms)
     }
+
+    /// The one match loop, in two passes over each block of
+    /// [`MASK_BLOCK`] rows: calls `hit` with the number of each row that
+    /// matches, ascending, for at most `max` rows. `lo` and `hi` are the
+    /// halves of the rows' name fingerprints, one entry per row, which
+    /// [`fingerprint_superset_masks`] tests without touching a row; `rec`
+    /// yields the (cold, world-shared) record of a row that passed, and
+    /// only those run the exact substring check — after the whole block was
+    /// tested, so the streaming pass never waits on a record.
+    pub fn match_rows<'r>(
+        &self,
+        lo: &[u32],
+        hi: &[u32],
+        max: usize,
+        rec: impl Fn(usize) -> &'r NameRecord,
+        mut hit: impl FnMut(usize),
+    ) {
+        assert_eq!(lo.len(), hi.len(), "one half of each per row");
+        if self.is_empty() {
+            return;
+        }
+        let mut room = max;
+        let mut masks = [0; MASK_BLOCK / FLAG_CHUNK];
+        for (block, (lo, hi)) in lo.chunks(MASK_BLOCK).zip(hi.chunks(MASK_BLOCK)).enumerate() {
+            let masks = &mut masks[..lo.len().div_ceil(FLAG_CHUNK)];
+            fingerprint_superset_masks(self.fp, lo, hi, masks);
+            for (chunk, &mask) in masks.iter().enumerate() {
+                let base = block * MASK_BLOCK + chunk * FLAG_CHUNK;
+                if !self.follow(mask, base, &mut room, &rec, &mut hit) {
+                    return;
+                }
+            }
+        }
+    }
+
+    /// The second pass: runs the exact match on the rows `mask` flags from
+    /// row `base` on, and calls `hit` with the ones that match while there
+    /// is `room`; false once there is none.
+    fn follow<'r>(
+        &self,
+        mut mask: u64,
+        base: usize,
+        room: &mut usize,
+        rec: &impl Fn(usize) -> &'r NameRecord,
+        hit: &mut impl FnMut(usize),
+    ) -> bool {
+        while mask != 0 {
+            if *room == 0 {
+                return false;
+            }
+            let row = base + mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let rec = rec(row);
+            if self.matches_meta(rec.lower(), rec.fp()) {
+                hit(row);
+                *room -= 1;
+            }
+        }
+        true
+    }
+}
+
+/// Rows a mask covers: what [`superset_mask`] tests per pass over its flag
+/// array.
+const FLAG_CHUNK: usize = 64;
+
+/// Rows [`CompiledQuery::match_rows`] tests before it follows any of them.
+const MASK_BLOCK: usize = 16 * FLAG_CHUNK;
+
+/// Bit `i` is set where the `i`-th of at most [`FLAG_CHUNK`] fingerprints
+/// holds every bit of `want`, one fingerprint at a time: for what is not a
+/// whole chunk of a column. (Most tables are short — a LimeWire library has
+/// 34 rows — and on those the flag pass's set-up cost what it saved.)
+#[inline]
+fn superset_mask_of(want: u64, fps: impl Iterator<Item = u64>) -> u64 {
+    fps.enumerate()
+        .fold(0, |mask, (i, fp)| mask | u64::from(want & !fp == 0) << i)
+}
+
+/// Bit `i` is set where the fingerprint `(hi[i], lo[i])` holds every bit of
+/// `want`: `want & !fp == 0`, on both halves at once, for up to
+/// [`FLAG_CHUNK`] rows. A whole chunk fills a byte-flag array in a loop the
+/// compiler unrolls and turns into four rows per compare at the x86-64
+/// baseline; each eight flags are then gathered into a byte of the mask by
+/// one multiplication.
+#[inline(always)]
+fn superset_mask(want: u64, lo: &[u32], hi: &[u32]) -> u64 {
+    debug_assert!(lo.len() == hi.len() && lo.len() <= FLAG_CHUNK);
+    if lo.len() < FLAG_CHUNK {
+        let halves = lo.iter().zip(hi);
+        return superset_mask_of(
+            want,
+            halves.map(|(&lo, &hi)| u64::from(hi) << 32 | u64::from(lo)),
+        );
+    }
+    let (want_lo, want_hi) = (want as u32, (want >> 32) as u32);
+    let mut flags = [0u8; FLAG_CHUNK];
+    for ((flag, &lo), &hi) in flags.iter_mut().zip(lo).zip(hi) {
+        *flag = u8::from((want_lo & !lo) | (want_hi & !hi) == 0);
+    }
+    // Byte `i` of a word holds 0 or 1 and lands on bit `56 + i` of the
+    // product (through the multiplier's bit `56 - 7 i`); no two partial
+    // products meet, so nothing carries.
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    let mut mask = 0;
+    for (byte, eight) in flags.chunks_exact(8).enumerate() {
+        let word = u64::from_le_bytes(eight.try_into().expect("chunks of eight"));
+        mask |= (word.wrapping_mul(GATHER) >> 56) << (8 * byte);
+    }
+    mask
+}
+
+/// The fingerprint prefilter: sets bit `r % 64` of `masks[r / 64]` for
+/// every row `r` whose name fingerprint — low half in `lo`, high half in
+/// `hi` — is a superset of `want`, and clears every other bit. A necessary
+/// condition for a match (see [`name_fingerprint`]) that a name passes for
+/// about one query in a hundred; the rows flagged are the only ones
+/// anything follows.
+#[inline]
+pub fn fingerprint_superset_masks(want: u64, lo: &[u32], hi: &[u32], masks: &mut [u64]) {
+    assert_eq!(lo.len(), hi.len(), "one half of each per row");
+    assert_eq!(
+        masks.len(),
+        lo.len().div_ceil(FLAG_CHUNK),
+        "a mask per chunk"
+    );
+    let chunks = lo.chunks(FLAG_CHUNK).zip(hi.chunks(FLAG_CHUNK));
+    for (mask, (lo, hi)) in masks.iter_mut().zip(chunks) {
+        *mask = superset_mask(want, lo, hi);
+    }
 }
 
 /// A bounded, shared compile cache: the same query text floods through
@@ -485,12 +615,30 @@ impl HostLibrary {
     }
 
     /// [`HostLibrary::respond`] for an already-compiled query: the echo
-    /// answers, then the matching static rows, as owned files.
+    /// answers, then the matching static rows, as owned files. No column
+    /// is kept here — each chunk's mask comes from the records' own
+    /// fingerprints; a caller that answers many queries keeps the
+    /// [`HostLibrary::name_fingerprints`] columns and calls
+    /// [`HostLibrary::match_rows`] itself.
     pub fn respond_compiled(&self, query: &CompiledQuery, max: usize) -> Vec<SharedFile> {
         let mut out = self.echo_responses(query, max);
-        let room = max - out.len();
-        let fps = self.recs.iter().map(|r| r.fp());
-        self.match_rows(query, fps, room, |row| out.push(self.files[row].clone()));
+        if query.is_empty() {
+            return out;
+        }
+        let mut room = max - out.len();
+        for (chunk, recs) in self.recs.chunks(FLAG_CHUNK).enumerate() {
+            let mask = superset_mask_of(query.fp, recs.iter().map(|r| r.fp()));
+            let more = query.follow(
+                mask,
+                chunk * FLAG_CHUNK,
+                &mut room,
+                &|row| &*self.recs[row],
+                &mut |row| out.push(self.files[row].clone()),
+            );
+            if !more {
+                break;
+            }
+        }
         out
     }
 
@@ -528,43 +676,30 @@ impl HostLibrary {
         out
     }
 
-    /// The fingerprint of every static row's name, in row order: the column
-    /// [`HostLibrary::match_rows`] reads before it follows a row's record.
-    pub fn name_fingerprints(&self) -> Vec<u64> {
-        self.recs.iter().map(|r| r.fp()).collect()
+    /// The fingerprint of every static row's name as the two columns
+    /// [`HostLibrary::match_rows`] reads before it follows a row's record:
+    /// the low halves in row order, then the high halves.
+    pub fn name_fingerprints(&self) -> Vec<u32> {
+        let lo = self.recs.iter().map(|r| r.fp() as u32);
+        let hi = self.recs.iter().map(|r| (r.fp() >> 32) as u32);
+        lo.chain(hi).collect()
     }
 
-    /// The one match loop: calls `hit` with the number of each static row
-    /// (its position in [`HostLibrary::files`]) that matches `query`, in
-    /// library order, for at most `max` rows. `fps` yields the rows' name
-    /// fingerprints — from the records themselves, or from a
-    /// [`HostLibrary::name_fingerprints`] column the caller keeps, which
-    /// rejects almost every row without touching its (cold, world-shared)
-    /// record; a row that passes still runs the exact substring check.
+    /// Calls `hit` with the number of each static row (its position in
+    /// [`HostLibrary::files`]) that matches `query`, in library order, for
+    /// at most `max` rows: [`CompiledQuery::match_rows`] over this
+    /// library's records and its [`HostLibrary::name_fingerprints`]
+    /// columns, which the caller keeps.
     pub fn match_rows(
         &self,
         query: &CompiledQuery,
-        fps: impl IntoIterator<Item = u64>,
+        fps: &[u32],
         max: usize,
-        mut hit: impl FnMut(usize),
+        hit: impl FnMut(usize),
     ) {
-        if query.is_empty() {
-            return;
-        }
-        let want = query.fingerprint();
-        let mut room = max;
-        for (row, (fp, rec)) in fps.into_iter().zip(&self.recs).enumerate() {
-            if want & !fp != 0 {
-                continue;
-            }
-            if room == 0 {
-                break;
-            }
-            if query.matches_meta(rec.lower(), rec.fp()) {
-                hit(row);
-                room -= 1;
-            }
-        }
+        assert_eq!(fps.len(), 2 * self.recs.len(), "stale fingerprint columns");
+        let (lo, hi) = fps.split_at(self.recs.len());
+        query.match_rows(lo, hi, max, |row| &*self.recs[row], hit);
     }
 }
 
@@ -660,6 +795,56 @@ mod tests {
             );
             assert_eq!(cq.matches_name(name), name_matches(name, &terms));
         }
+    }
+
+    /// `match_rows` over a table longer than two mask blocks selects what
+    /// the reference matcher selects — on both sides of every chunk and
+    /// block boundary, behind rows that pass the fingerprint test only —
+    /// and stops at `max`.
+    #[test]
+    fn match_rows_equals_the_reference_across_blocks() {
+        let n = 2 * MASK_BLOCK + FLAG_CHUNK + 6;
+        let hits = [
+            0,
+            63,
+            64,
+            MASK_BLOCK - 1,
+            MASK_BLOCK,
+            2 * MASK_BLOCK + 1,
+            n - 1,
+        ];
+        let recs: Vec<NameRecord> = (0..n)
+            .map(|i| match i {
+                i if hits.contains(&i) => format!("Silver_Echo_{i}.mp3"),
+                i if i % 7 == 0 => format!("ho_ec_ch_er_lv_il_si_ve_r_{i}.mp3"),
+                i => format!("other_{i}.avi"),
+            })
+            .map(|name| NameRecord::compute(name.into()))
+            .collect();
+        let lo: Vec<u32> = recs.iter().map(|r| r.fp() as u32).collect();
+        let hi: Vec<u32> = recs.iter().map(|r| (r.fp() >> 32) as u32).collect();
+        let query = CompiledQuery::compile("silver echo");
+        let decoys = recs
+            .iter()
+            .filter(|r| query.fingerprint() & !r.fp() == 0)
+            .count();
+        assert!(decoys > hits.len(), "some rows pass the prefilter only");
+        for max in [usize::MAX, 3, 0] {
+            let mut rows = vec![7];
+            query.match_rows(&lo, &hi, max, |row| &recs[row], |row| rows.push(row as u32));
+            let expected: Vec<u32> = std::iter::once(7)
+                .chain(
+                    (0..n as u32)
+                        .filter(|&i| name_matches(recs[i as usize].name(), query.terms()))
+                        .take(max),
+                )
+                .collect();
+            assert_eq!(rows, expected, "max {max}");
+            assert_eq!(rows.len() - 1, hits.len().min(max));
+        }
+        let mut rows = Vec::new();
+        CompiledQuery::compile(" ").match_rows(&lo, &hi, 9, |row| &recs[row], |row| rows.push(row));
+        assert!(rows.is_empty(), "an empty query matches nothing");
     }
 
     #[test]

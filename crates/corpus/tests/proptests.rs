@@ -2,7 +2,10 @@
 
 use p2pmal_corpus::catalog::{Catalog, CatalogConfig};
 use p2pmal_corpus::library::{name_fingerprint, name_matches, query_terms};
-use p2pmal_corpus::{CompiledQuery, ContentRef, ContentStore, FamilyId, HostLibrary, Roster, Zipf};
+use p2pmal_corpus::{
+    fingerprint_superset_masks, CompiledQuery, ContentRef, ContentStore, FamilyId, HostLibrary,
+    Roster, Zipf,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -105,6 +108,33 @@ proptest! {
         while !lower.is_char_boundary(e) { e -= 1; }
         let sub = &lower[s..e.max(s)];
         prop_assert_eq!(name_fingerprint(sub) & !name_fingerprint(&lower), 0);
+    }
+
+    /// The flag pass over the two half columns flags exactly the rows
+    /// `want & !fp == 0` selects one at a time, whatever the masks held
+    /// before — for any table length around the 64 rows a mask covers, a
+    /// `want` that is a subset of some row's bits (down to the empty one,
+    /// which every row and no padding passes) or arbitrary.
+    #[test]
+    fn flag_pass_equals_the_subset_test_row_by_row(
+        fps in proptest::collection::vec(any::<u64>(), 0..200),
+        pick in any::<usize>(),
+        masks in (any::<u64>(), any::<u64>(), any::<bool>()),
+    ) {
+        let (keep, thin, subset) = masks;
+        let want = match fps.get(pick % fps.len().max(1)) {
+            Some(fp) if subset => fp & keep & thin,
+            _ => keep,
+        };
+        let lo: Vec<u32> = fps.iter().map(|&fp| fp as u32).collect();
+        let hi: Vec<u32> = fps.iter().map(|&fp| (fp >> 32) as u32).collect();
+        let mut masks = vec![thin; fps.len().div_ceil(64)];
+        fingerprint_superset_masks(want, &lo, &hi, &mut masks);
+        let mut expected = vec![0u64; masks.len()];
+        for (row, fp) in fps.iter().enumerate() {
+            expected[row / 64] |= u64::from(want & !fp == 0) << (row % 64);
+        }
+        prop_assert_eq!(masks, expected);
     }
 
     /// The compiled hot path is observationally identical to the reference

@@ -312,12 +312,17 @@ fn duplicates_under_either_key_are_fetched_once() {
     ran.assert_chains_closed();
 }
 
+/// One answer of many responses, as an OpenFT search node's arrives: more
+/// new files than free slots, the second response a duplicate of the first
+/// under one dedup key and a later one under the other.
 #[test]
 fn downloads_never_exceed_the_slots() {
     const NAMES: [&str; 5] = ["a.exe", "b.exe", "c.exe", "d.zip", "e.exe"];
-    let hits = (0..5)
+    let mut hits: Vec<Hit> = (0..5)
         .map(|i| hit(NAMES[i], 100 + i as u64, i as u8))
         .collect();
+    hits.insert(1, hit("a.exe", 100, 9)); // same name + size, other host
+    hits.insert(3, hit("z.exe", 101, 1)); // same host + size, other name
     let script = Script {
         answers: HashMap::from([(0, hits)]),
         outcomes: HashMap::from([("c.exe", fails(0, Some(b"xx EVILBYTES xx")))]),
@@ -330,6 +335,12 @@ fn downloads_never_exceed_the_slots() {
     assert_eq!(ran.peak_running, 2);
     assert_eq!(ran.begun_names(), NAMES, "first come, first fetched");
     assert_eq!(ran.log.scan.bodies, 5);
+    let logged: Vec<&str> = ran.log.responses.iter().map(|r| &*r.filename).collect();
+    assert_eq!(
+        logged,
+        ["a.exe", "a.exe", "b.exe", "z.exe", "c.exe", "d.zip", "e.exe"]
+    );
+    assert!(ran.log.resolved().iter().all(|r| r.scanned));
     let malicious: Vec<_> = ran
         .log
         .resolved()

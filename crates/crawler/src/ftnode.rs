@@ -1,7 +1,8 @@
 //! [`Overlay`] for the OpenFT USER node: the giFT side of the study. Every
-//! search result arrives as its own packet from the SEARCH node that
-//! indexed it and names a third-party host; a file is fetched by MD5 from
-//! that host's HTTP port, and there is no second transport to fall back to.
+//! search result is a packet of its own from the SEARCH node that indexed
+//! it — the node hands over the ones a delivery carried as one answer — and
+//! names a third-party host; a file is fetched by MD5 from that host's HTTP
+//! port, and there is no second transport to fall back to.
 
 use crate::driver::{Overlay, Response, Signal};
 use crate::log::HostKey;
@@ -10,14 +11,15 @@ use p2pmal_gnutella::servent::SharedWorld;
 use p2pmal_hashes::Md5Digest;
 use p2pmal_netsim::{telemetry_span as span, Ctx, HostAddr, SimDuration};
 use p2pmal_openft::node::{FtConfig, FtDownloadError, FtEvent, FtNode};
-use p2pmal_openft::packet::SearchResult;
+use p2pmal_openft::packet::ResultBatch;
 
 impl Overlay for FtNode {
     type Config = FtConfig;
     type QueryKey = u32;
     type Event = FtEvent;
-    /// The answering SEARCH node's routable address and its one result.
-    type Answer = (HostAddr, SearchResult);
+    /// The answering SEARCH node's routable address and the results of its
+    /// answer that arrived together.
+    type Answer = (HostAddr, ResultBatch);
     type Request = (HostAddr, Md5Digest);
     type Error = FtDownloadError;
 
@@ -42,19 +44,22 @@ impl Overlay for FtNode {
 
     fn signal(event: FtEvent) -> Signal<Self> {
         match event {
-            FtEvent::SearchResult { from, result, .. } => Signal::Answer(result.id, (from, result)),
+            FtEvent::SearchResults { from, results, .. } => {
+                Signal::Answer(results.id(), (from, results))
+            }
             FtEvent::DownloadDone { id, result, .. } => Signal::DownloadDone { id, result },
             _ => Signal::Other,
         }
     }
 
-    fn response_count(_: &(HostAddr, SearchResult)) -> usize {
-        1
+    fn response_count((_, results): &(HostAddr, ResultBatch)) -> usize {
+        results.len()
     }
 
-    fn response((_, result): &(HostAddr, SearchResult), _: usize) -> Response<'_> {
+    fn response((_, results): &(HostAddr, ResultBatch), i: usize) -> Response<'_> {
+        let result = results.get(i);
         Response {
-            name: &result.filename,
+            name: result.filename,
             size: result.size as u64,
             source: HostAddr::new(result.host, result.port),
             host: HostKey::Addr(result.host, result.port),
@@ -62,14 +67,15 @@ impl Overlay for FtNode {
         }
     }
 
-    fn request((_, result): &(HostAddr, SearchResult), _: usize) -> (HostAddr, Md5Digest) {
+    fn request((_, results): &(HostAddr, ResultBatch), i: usize) -> (HostAddr, Md5Digest) {
+        let result = results.get(i);
         (HostAddr::new(result.host, result.http_port), result.md5)
     }
 
     /// We rooted the trace in `FtNode::search` from our own routable address
     /// and the search id; the answering SEARCH node derived the same pair,
     /// so its `query_matched` span reconstructs here.
-    fn provenance(ctx: &Ctx<'_>, id: u32, (from, _): &(HostAddr, SearchResult)) -> (u64, u64) {
+    fn provenance(ctx: &Ctx<'_>, id: u32, (from, _): &(HostAddr, ResultBatch)) -> (u64, u64) {
         let origin = ctx.external_addr();
         let trace = span::trace_from_search(origin.ip, origin.port, id);
         (trace, span::span_match_addr(trace, from.ip, from.port))

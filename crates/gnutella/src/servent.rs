@@ -339,10 +339,11 @@ pub struct Servent {
     /// Our QRP table as encoded RESET/PATCH payloads, built by the first
     /// `send_qrp` (the library never changes after construction).
     qrp_payloads: Vec<Vec<u8>>,
-    /// The library's name fingerprints, one per static row, built by the
-    /// first query answered: what `answer_query` tests before it follows a
-    /// row's world-shared record.
-    name_fps: Vec<u64>,
+    /// The library's name fingerprint columns (low halves, then high
+    /// halves, one of each per static row), built by the first query
+    /// answered: what `answer_query` tests before it follows a row's
+    /// world-shared record.
+    name_fps: Vec<u32>,
     /// Rows matching the query being answered (reused between queries).
     hit_rows: Vec<u32>,
 }
@@ -438,7 +439,7 @@ impl Servent {
             .iter()
             .map(|p| p.capacity() as u64)
             .sum::<u64>();
-        b += (self.name_fps.capacity() * size_of::<u64>()) as u64;
+        b += (self.name_fps.capacity() * size_of::<u32>()) as u64;
         b += (self.hit_rows.capacity() * size_of::<u32>()) as u64;
         b += self.library.heap_bytes();
         b
@@ -878,13 +879,14 @@ impl Servent {
         let mut rows = std::mem::take(&mut self.hit_rows);
         rows.clear();
         let echoes = ctx.time(Subsystem::QueryMatch, || {
-            if self.name_fps.len() != self.library.len() {
+            if self.name_fps.len() != 2 * self.library.len() {
                 self.name_fps = self.library.name_fingerprints();
             }
             let echoes = self.library.echo_responses(query, max);
-            let fps = self.name_fps.iter().copied();
             self.library
-                .match_rows(query, fps, max - echoes.len(), |row| rows.push(row as u32));
+                .match_rows(query, &self.name_fps, max - echoes.len(), |row| {
+                    rows.push(row as u32)
+                });
             echoes
         });
         let results = echoes.len() + rows.len();

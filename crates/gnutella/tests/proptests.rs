@@ -384,7 +384,7 @@ proptest! {
         }
     }
 
-    /// The servent's way through the one match loop (a fingerprint column
+    /// The servent's way through the one match loop (fingerprint columns
     /// of its own) and `respond_compiled`'s (the records' fingerprints)
     /// select the same rows, and both are what the reference matcher
     /// selects: echoes first, then matching files in library order, cut at
@@ -403,11 +403,11 @@ proptest! {
 
         let mut by_column = lib.echo_responses(&query, max);
         let echoes = by_column.len();
-        let column = lib.name_fingerprints();
-        prop_assert_eq!(column.len(), lib.len());
-        lib.match_rows(&query, column, max - echoes, |row| {
-            by_column.push(lib.files()[row].clone())
-        });
+        let columns = lib.name_fingerprints();
+        prop_assert_eq!(columns.len(), 2 * lib.len());
+        let mut rows = Vec::new();
+        lib.match_rows(&query, &columns, max - echoes, |row| rows.push(row));
+        by_column.extend(rows.iter().map(|&row| lib.files()[row].clone()));
         prop_assert_eq!(&by_column, &owned);
 
         let matching = lib

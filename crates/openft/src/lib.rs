@@ -34,6 +34,6 @@ pub mod packet;
 
 pub use node::{FtConfig, FtDownloadError, FtEvent, FtNode, FtStats};
 pub use packet::{
-    AddShare, Child, Command, NodeEntry, NodeInfo, NodeList, PacketError, PacketReader, Search,
-    SearchResult, Session, Version, CLASS_INDEX, CLASS_SEARCH, CLASS_USER,
+    AddShare, Child, Command, NodeEntry, NodeInfo, NodeList, PacketError, PacketReader,
+    ResultBatch, Search, SearchResult, Session, Version, CLASS_INDEX, CLASS_SEARCH, CLASS_USER,
 };

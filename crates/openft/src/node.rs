@@ -24,8 +24,8 @@ use crate::http::{
     encode_request, encode_response_err, encode_response_ok, RequestReader, ResponseReader,
 };
 use crate::packet::{
-    encode_packet, AddShare, Child, Command, NodeEntry, NodeInfo, NodeList, PacketReader, Search,
-    SearchRef, SearchResult, SearchResultRef, Session, Version, CLASS_SEARCH, CLASS_USER,
+    encode_packet, AddShare, Child, Command, NodeEntry, NodeInfo, NodeList, PacketReader,
+    ResultBatch, Search, SearchRef, SearchResultRef, Session, Version, CLASS_SEARCH, CLASS_USER,
 };
 use p2pmal_corpus::{ContentRef, HostLibrary, NameRecord};
 use p2pmal_gnutella::servent::SharedWorld;
@@ -124,13 +124,14 @@ pub enum FtEvent {
     SessionDown {
         conn: ConnId,
     },
-    /// A result for one of our searches. `from` is the routable address of
-    /// the SEARCH node that answered (the session peer) — provenance
-    /// consumers derive the `query_matched` span id from it.
-    SearchResult {
+    /// The results for one of our searches that one delivery carried: a
+    /// whole answer unless the network cut it. `from` is the routable
+    /// address of the SEARCH node that answered (the session peer) —
+    /// provenance consumers derive the `query_matched` span id from it.
+    SearchResults {
         at: SimTime,
         from: HostAddr,
-        result: SearchResult,
+        results: ResultBatch,
     },
     /// The queried node finished streaming results for `id`.
     SearchEnd {
@@ -160,24 +161,66 @@ pub struct FtStats {
     pub bad_packets: u64,
 }
 
-/// One share registered by a child, denormalized for fast answering.
+/// One share registered by a child. Where it is served from is the
+/// child's business, not the share's: a result reads host and ports from
+/// the `owner`'s [`PeerState`] when it is written.
 #[derive(Debug, Clone)]
 struct IndexedShare {
     owner: ConnId,
-    host: HostAddr,
-    http_port: u16,
     md5: Md5Digest,
     size: u32,
-    /// Low half of `rec.fp()`, in what would be padding: a search rejects
-    /// most rows on it without following `rec`. (Measured on the paper
-    /// study's searches it lets through 3.4 % of rows; OR-ing the two
-    /// halves together, being denser, lets through 7.4 %.)
-    fp_lo: u32,
     /// Arena record from the world's [`p2pmal_corpus::NameInterner`]:
     /// thousands of children re-register the same catalog names, so each
     /// distinct name's text, lowered copy and match fingerprint live once
     /// per world and every index row is a single `Arc`.
     rec: std::sync::Arc<NameRecord>,
+}
+
+/// The child-registered shares of a SEARCH node. Beside the rows, in
+/// lockstep, sit the two halves of each row's name fingerprint as columns
+/// of their own: a search reads those 8 bytes a row — all 64 bits, which
+/// let through about one row in a hundred — and follows `rec` only for the
+/// rows that pass.
+#[derive(Debug, Default)]
+struct ShareIndex {
+    rows: Vec<IndexedShare>,
+    fp_lo: Vec<u32>,
+    fp_hi: Vec<u32>,
+}
+
+impl ShareIndex {
+    fn push(&mut self, share: IndexedShare) {
+        let fp = share.rec.fp();
+        self.fp_lo.push(fp as u32);
+        self.fp_hi.push((fp >> 32) as u32);
+        self.rows.push(share);
+        self.debug_assert_lockstep();
+    }
+
+    /// Keeps the rows `keep` accepts (asked once per row), and their
+    /// column entries with them.
+    fn retain(&mut self, keep: impl FnMut(&IndexedShare) -> bool) {
+        fn sift<T>(column: &mut Vec<T>, keep: &[bool]) {
+            let mut keep = keep.iter();
+            column.retain(|_| *keep.next().expect("a verdict per row"));
+        }
+        let keep: Vec<bool> = self.rows.iter().map(keep).collect();
+        sift(&mut self.rows, &keep);
+        sift(&mut self.fp_lo, &keep);
+        sift(&mut self.fp_hi, &keep);
+        self.debug_assert_lockstep();
+    }
+
+    fn debug_assert_lockstep(&self) {
+        debug_assert_eq!(self.rows.len(), self.fp_lo.len());
+        debug_assert_eq!(self.rows.len(), self.fp_hi.len());
+    }
+
+    fn heap_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        (self.rows.capacity() * size_of::<IndexedShare>()
+            + (self.fp_lo.capacity() + self.fp_hi.capacity()) * size_of::<u32>()) as u64
+    }
 }
 
 struct PeerState {
@@ -206,7 +249,6 @@ enum ConnKind {
     Peer(PeerState),
     Download(DlState),
     Upload(RequestReader),
-    Dead,
 }
 
 /// An OpenFT node.
@@ -218,7 +260,7 @@ pub struct FtNode {
     /// Discovered nodes (SEARCH/INDEX classes are the useful ones).
     known: Vec<NodeEntry>,
     /// Child-registered shares (SEARCH nodes).
-    index: Vec<IndexedShare>,
+    index: ShareIndex,
     next_search: u32,
     /// Whether a maintenance tick is scheduled: one is only while an
     /// outbound session slot is empty (see [`FtNode::arm_tick`]).
@@ -237,7 +279,7 @@ impl FtNode {
             library,
             conns: VecMap::new(),
             known: Vec::new(),
-            index: Vec::new(),
+            index: ShareIndex::default(),
             next_search: 1,
             tick_armed: false,
             next_download: 1,
@@ -265,7 +307,7 @@ impl FtNode {
 
     /// Number of shares currently indexed for children (SEARCH nodes).
     pub fn indexed_shares(&self) -> usize {
-        self.index.len()
+        self.index.rows.len()
     }
 
     /// Established sessions.
@@ -295,7 +337,7 @@ impl FtNode {
         let mut b = size_of::<Self>() as u64;
         b += self.conns.heap_bytes();
         b += (self.known.capacity() * size_of::<NodeEntry>()) as u64;
-        b += (self.index.capacity() * size_of::<IndexedShare>()) as u64;
+        b += self.index.heap_bytes();
         // config.bootstrap is Arc-shared across the population: not charged
         // per node.
         b += (self.events.capacity() * size_of::<FtEvent>()) as u64;
@@ -660,22 +702,14 @@ impl FtNode {
                     if !p.child {
                         return; // only accepted children may register
                     }
-                    let (port, http_port) = p
-                        .info
-                        .as_ref()
-                        .map(|i| (i.port, i.http_port))
-                        .unwrap_or((p.peer_addr.port, p.peer_addr.port));
                     let rec = self
                         .world
                         .names
                         .intern_record(add.path.rsplit('/').next().unwrap_or(&add.path));
                     IndexedShare {
                         owner: conn,
-                        host: HostAddr::new(p.peer_addr.ip, port),
-                        http_port,
                         md5: add.md5,
                         size: add.size,
-                        fp_lo: rec.fp() as u32,
                         rec,
                     }
                 };
@@ -703,15 +737,7 @@ impl FtNode {
                         // events nobody reads: checked and counted, never
                         // copied out of the payload.
                         if self.config.collect_events {
-                            let from = match self.conns.get(&conn) {
-                                Some(ConnKind::Peer(p)) => p.peer_addr,
-                                _ => HostAddr::new(std::net::Ipv4Addr::UNSPECIFIED, 0),
-                            };
-                            self.events.push(FtEvent::SearchResult {
-                                at: ctx.now(),
-                                from,
-                                result: result.to_owned(),
-                            });
+                            self.collect_result(ctx.now(), conn, &result);
                         }
                     }
                     SearchRef::End { id } => {
@@ -719,6 +745,37 @@ impl FtNode {
                         self.emit(FtEvent::SearchEnd { at, id });
                     }
                 }
+            }
+        }
+    }
+
+    /// The observed routable address of the session peer on `conn`.
+    fn peer_addr(&self, conn: ConnId) -> HostAddr {
+        match self.conns.get(&conn) {
+            Some(ConnKind::Peer(p)) => p.peer_addr,
+            _ => HostAddr::new(std::net::Ipv4Addr::UNSPECIFIED, 0),
+        }
+    }
+
+    /// Adds `result` to the event its answer is arriving as: the one this
+    /// delivery opened for the same search, or a new one. The packets of
+    /// one delivery are handled back to back, so that event is the last.
+    fn collect_result(&mut self, now: SimTime, conn: ConnId, result: &SearchResultRef<'_>) {
+        let peer = self.peer_addr(conn);
+        match self.events.last_mut() {
+            Some(FtEvent::SearchResults { at, from, results })
+                if *at == now && *from == peer && results.id() == result.id =>
+            {
+                results.push(result)
+            }
+            _ => {
+                let mut results = ResultBatch::new(result.id);
+                results.push(result);
+                self.events.push(FtEvent::SearchResults {
+                    at: now,
+                    from: peer,
+                    results,
+                });
             }
         }
     }
@@ -757,23 +814,18 @@ impl FtNode {
         let compiled = self.world.compile_query(query);
         let cap = self.config.max_results;
         // Matching index rows, in index order; then our own shares.
-        let mut rows: Vec<&IndexedShare> = Vec::new();
+        let mut rows: Vec<u32> = Vec::new();
         let mut own = Vec::new();
         if !compiled.is_empty() {
-            // A subset test on half the fingerprint is still a necessary
-            // condition for the whole one `matches_meta` starts with.
-            let want = compiled.fingerprint() as u32;
+            let index = &self.index;
             ctx.time(Subsystem::QueryMatch, || {
-                // A plain loop: `filter().take(cap)` into `extend` ran this
-                // scan twice as slow.
-                for s in &self.index {
-                    if rows.len() >= cap {
-                        break;
-                    }
-                    if want & !s.fp_lo == 0 && compiled.matches_meta(s.rec.lower(), s.rec.fp()) {
-                        rows.push(s);
-                    }
-                }
+                compiled.match_rows(
+                    &index.fp_lo,
+                    &index.fp_hi,
+                    cap,
+                    |row| &*index.rows[row].rec,
+                    |row| rows.push(row as u32),
+                )
             });
             // Our own shares answer too (SEARCH nodes are also users).
             own = ctx.time(Subsystem::QueryMatch, || {
@@ -787,10 +839,7 @@ impl FtNode {
             // The session peer *is* the search origin (OpenFT does not
             // forward searches), so (peer addr, id) rebuilds the trace id
             // the origin rooted in `search`.
-            let origin = match self.conns.get(&conn) {
-                Some(ConnKind::Peer(p)) => p.peer_addr,
-                _ => HostAddr::new(std::net::Ipv4Addr::UNSPECIFIED, 0),
-            };
+            let origin = self.peer_addr(conn);
             let me = ctx.external_addr();
             let trace = span::trace_from_search(origin.ip, origin.port, id);
             ctx.emit_spanned(
@@ -811,12 +860,14 @@ impl FtNode {
         // travels: an answer is one write.
         let me = ctx.external_addr().ip;
         ctx.send_with(conn, |out| {
-            for s in rows {
+            for &row in &rows {
+                let s = &self.index.rows[row as usize];
+                let (host, http_port) = self.child_addr(s.owner);
                 let result = SearchResultRef {
                     id,
-                    host: s.host.ip,
-                    port: s.host.port,
-                    http_port: s.http_port,
+                    host: host.ip,
+                    port: host.port,
+                    http_port,
                     avail: 1,
                     md5: s.md5,
                     size: s.size,
@@ -839,6 +890,21 @@ impl FtNode {
             }
             SearchRef::End { id }.encode_packet(out);
         });
+    }
+
+    /// Where the child on `owner` serves its shares from: its observed
+    /// address with the OpenFT and HTTP ports it announced (the connection's
+    /// own port twice before it announced any).
+    fn child_addr(&self, owner: ConnId) -> (HostAddr, u16) {
+        let Some(ConnKind::Peer(p)) = self.conns.get(&owner) else {
+            // Rows leave the index with their owner's connection.
+            return (HostAddr::new(std::net::Ipv4Addr::UNSPECIFIED, 0), 0);
+        };
+        let (port, http_port) = match &p.info {
+            Some(i) => (i.port, i.http_port),
+            None => (p.peer_addr.port, p.peer_addr.port),
+        };
+        (HostAddr::new(p.peer_addr.ip, port), http_port)
     }
 
     /// Serves an upload request: resolve the MD5 against our library.
@@ -878,7 +944,7 @@ impl FtNode {
         result: Result<Vec<u8>, FtDownloadError>,
     ) {
         if let Some(c) = conn {
-            self.conns.insert(c, ConnKind::Dead);
+            self.conns.remove(&c);
             ctx.close(c);
         }
         match &result {
@@ -890,7 +956,7 @@ impl FtNode {
     }
 
     fn drop_conn(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
-        match self.conns.insert(conn, ConnKind::Dead) {
+        match self.conns.remove(&conn) {
             Some(ConnKind::Download(d)) => {
                 self.finish_download(
                     ctx,
@@ -1026,14 +1092,14 @@ impl App for FtNode {
             Peer,
             Download,
             Upload,
-            Dead,
         }
         let r = match self.conns.get(&conn) {
             Some(ConnKind::Sniff(..)) => R::Sniff,
             Some(ConnKind::Peer(_)) => R::Peer,
             Some(ConnKind::Download(_)) => R::Download,
             Some(ConnKind::Upload(_)) => R::Upload,
-            Some(ConnKind::Dead) | None => R::Dead,
+            // Closed from our side; what was in flight still arrives.
+            None => return,
         };
         match r {
             R::Sniff => self.sniff(ctx, conn, data),
@@ -1061,7 +1127,6 @@ impl App for FtNode {
                 }
                 self.pump_upload(ctx, conn);
             }
-            R::Dead => {}
         }
     }
 

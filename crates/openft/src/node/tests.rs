@@ -1,6 +1,7 @@
 //! End-to-end OpenFT node tests over the simulator.
 
 use super::*;
+use crate::packet::SearchResult;
 use p2pmal_corpus::catalog::{Catalog, CatalogConfig};
 use p2pmal_corpus::{ContentStore, FamilyId, Roster};
 use p2pmal_netsim::{NodeId, NodeSpec, SimConfig, SimTime, Simulator};
@@ -34,6 +35,18 @@ fn with_node<R>(
         f(n, ctx)
     })
     .expect("node alive")
+}
+
+/// Every search result in `events`, in arrival order, as owned values.
+fn results_of(events: &[FtEvent]) -> Vec<SearchResult> {
+    events
+        .iter()
+        .filter_map(|e| match e {
+            FtEvent::SearchResults { results, .. } => Some(results),
+            _ => None,
+        })
+        .flat_map(|batch| (0..batch.len()).map(|i| batch.get(i).to_owned()))
+        .collect()
 }
 
 struct Net {
@@ -113,12 +126,9 @@ fn register_search_download_roundtrip() {
     with_node(&mut net.sim, crawler, |n, ctx| n.search(ctx, &kw.join(" ")));
     net.sim.run_until(SimTime::from_secs(360));
     let events = with_node(&mut net.sim, crawler, |n, _| n.drain_events());
-    let result = events
-        .iter()
-        .find_map(|e| match e {
-            FtEvent::SearchResult { result, .. } => Some(result.clone()),
-            _ => None,
-        })
+    let result = results_of(&events)
+        .into_iter()
+        .next()
         .expect("search returned the registered share");
     assert_eq!(result.size as u64, expected_size);
     assert_eq!(
@@ -178,13 +188,7 @@ fn superspreader_dominates_malicious_results() {
     }
     net.sim.run_until(SimTime::from_secs(500));
     let events = with_node(&mut net.sim, crawler, |n, _| n.drain_events());
-    let results: Vec<SearchResult> = events
-        .into_iter()
-        .filter_map(|e| match e {
-            FtEvent::SearchResult { result, .. } => Some(result),
-            _ => None,
-        })
-        .collect();
+    let results = results_of(&events);
     assert!(!results.is_empty());
     let spreader_ip = net.sim.node_addr(spreader).ip;
     let from_spreader = results.iter().filter(|r| r.host == spreader_ip).count();
@@ -216,13 +220,7 @@ fn downloaded_malware_scans_dirty() {
     with_node(&mut net.sim, crawler, |n, ctx| n.search(ctx, &stem));
     net.sim.run_until(SimTime::from_secs(400));
     let events = with_node(&mut net.sim, crawler, |n, _| n.drain_events());
-    let result = events
-        .iter()
-        .find_map(|e| match e {
-            FtEvent::SearchResult { result, .. } => Some(result.clone()),
-            _ => None,
-        })
-        .expect("bait found");
+    let result = results_of(&events).into_iter().next().expect("bait found");
     with_node(&mut net.sim, crawler, |n, ctx| {
         n.begin_download(
             ctx,
@@ -297,6 +295,72 @@ fn one_bit_off_md5_download_is_a_404() {
     assert_eq!(outcome, Err(FtDownloadError::Http(404)));
 }
 
+/// A connection the node closed itself is gone from its table: after any
+/// number of downloads — served, refused with a 404, timed out — the table
+/// holds the live sessions and nothing else, and `memory_estimate()` is
+/// where it was before the first.
+#[test]
+fn finished_downloads_leave_nothing_in_the_connection_table() {
+    let mut net = build(13, 1);
+    let small = net
+        .world
+        .catalog
+        .items()
+        .iter()
+        .min_by_key(|it| it.variants[0].size)
+        .expect("catalog is non-empty")
+        .clone();
+    let mut lib = HostLibrary::new();
+    lib.add_benign(&small, 0);
+    let md5 = net.world.store.declared_md5(lib.files()[0].content);
+    let mut absent = md5;
+    absent.0[0] ^= 1;
+    let sharer = spawn_user(&mut net, lib, false);
+    let cfg = FtConfig {
+        collect_events: true,
+        download_timeout: SimDuration::from_secs(1),
+        ..FtConfig::user().with_bootstrap(net.search_addrs.clone())
+    };
+    let hasty = net.sim.spawn(
+        NodeSpec::public().listen(1215),
+        Box::new(FtNode::new(cfg, net.world.clone(), HostLibrary::new())),
+    );
+    let patient = spawn_user(&mut net, HostLibrary::new(), true);
+    net.sim.run_until(SimTime::from_secs(120));
+    let target = net.sim.node_addr(sharer);
+    let table = |sim: &mut Simulator, node| {
+        with_node(sim, node, |n, _| {
+            n.drain_events();
+            let live = n.conns.values().all(|k| matches!(k, ConnKind::Peer(_)));
+            (n.conns.len(), live, n.memory_estimate())
+        })
+    };
+    let before = (table(&mut net.sim, patient), table(&mut net.sim, hasty));
+    assert!(before.0 .1 && before.1 .1, "sessions only");
+
+    const N: u64 = 24;
+    for round in 0..N {
+        // Served and 404 on the patient node; cut off by the node's own
+        // timeout on the hasty one.
+        let wanted = if round % 2 == 0 { md5 } else { absent };
+        with_node(&mut net.sim, patient, |n, ctx| {
+            n.begin_download(ctx, target, wanted)
+        });
+        with_node(&mut net.sim, hasty, |n, ctx| {
+            n.begin_download(ctx, target, md5)
+        });
+        let done = net.sim.now() + SimDuration::from_secs(900);
+        net.sim.run_until(done);
+    }
+    for (node, was) in [(patient, before.0), (hasty, before.1)] {
+        let stats = with_node(&mut net.sim, node, |n, _| n.stats());
+        assert_eq!(stats.downloads_ok + stats.downloads_failed, N);
+        assert_eq!(table(&mut net.sim, node), was);
+    }
+    let stats = with_node(&mut net.sim, patient, |n, _| n.stats());
+    assert_eq!((stats.downloads_ok, stats.downloads_failed), (N / 2, N / 2));
+}
+
 /// Share withdrawal: REMSHARE removes the entry from the parent index.
 #[test]
 fn remshare_removes_from_index() {
@@ -361,16 +425,17 @@ impl FtNode {
         let compiled = self.world.compile_query(query);
         let mut results = Vec::new();
         if !compiled.is_empty() {
-            for s in &self.index {
+            for s in &self.index.rows {
                 if results.len() >= self.config.max_results {
                     break;
                 }
                 if compiled.matches_meta(s.rec.lower(), s.rec.fp()) {
+                    let (host, http_port) = self.child_addr(s.owner);
                     results.push(SearchResult {
                         id,
-                        host: s.host.ip,
-                        port: s.host.port,
-                        http_port: s.http_port,
+                        host: host.ip,
+                        port: host.port,
+                        http_port,
                         avail: 1,
                         md5: s.md5,
                         size: s.size,
@@ -399,6 +464,15 @@ impl FtNode {
         }
         results
     }
+
+    /// The index's columns hold, row for row, the halves of the
+    /// fingerprint of the name the row points at.
+    fn assert_index_in_lockstep(&self) {
+        let fps: Vec<u64> = self.index.rows.iter().map(|s| s.rec.fp()).collect();
+        let lo: Vec<u32> = fps.iter().map(|&fp| fp as u32).collect();
+        let hi: Vec<u32> = fps.iter().map(|&fp| (fp >> 32) as u32).collect();
+        assert_eq!((&self.index.fp_lo, &self.index.fp_hi), (&lo, &hi));
+    }
 }
 
 /// A library of `names`, each backed by its own catalog title (so every
@@ -406,7 +480,7 @@ impl FtNode {
 fn named_library(world: &SharedWorld, first_item: u32, names: &[String]) -> HostLibrary {
     let mut lib = HostLibrary::new();
     for (item, name) in (first_item..).zip(names) {
-        let item = world.catalog.item(item);
+        let item = world.catalog.item(item % world.catalog.len() as u32);
         lib.add_file(p2pmal_corpus::SharedFile {
             name: name.as_str().into(),
             size: item.variants[0].size,
@@ -461,6 +535,40 @@ fn pinned_net(config: SimConfig, cap: usize) -> (Net, NodeId, Vec<NodeId>) {
     (net, parent, children)
 }
 
+/// Searches `query` from `asker` once the network has settled and returns
+/// what came back, in arrival order, after checking it against what the
+/// owning loop makes of `parent`'s state — whose index columns must hold
+/// what its rows point at.
+fn ask(net: &mut Net, asker: NodeId, parent: NodeId, query: &str) -> Vec<SearchResult> {
+    let settled = net.sim.now() + SimDuration::from_secs(60);
+    net.sim.run_until(settled);
+    let id = with_node(&mut net.sim, asker, |n, ctx| n.search(ctx, query));
+    net.sim.run_until(settled + SimDuration::from_secs(60));
+    let got = results_of(&with_node(&mut net.sim, asker, |n, _| n.drain_events()));
+    let want = with_node(&mut net.sim, parent, |n, ctx| {
+        n.assert_index_in_lockstep();
+        n.answer_reference(ctx.external_addr().ip, id, query)
+    });
+    assert_eq!(got, want, "query {query:?}");
+    got
+}
+
+/// Withdraws `md5` from every parent of `child`.
+fn remshare(net: &mut Net, child: NodeId, md5: Md5Digest) {
+    with_node(&mut net.sim, child, |n, ctx| {
+        let up: Vec<ConnId> = n
+            .conns
+            .iter()
+            .filter(|(_, k)| matches!(k, ConnKind::Peer(p) if p.parent))
+            .map(|(&c, _)| c)
+            .collect();
+        for c in up {
+            let rem = crate::packet::RemShare { md5 };
+            n.send_packet(ctx, c, Command::RemShare, &rem.encode());
+        }
+    });
+}
+
 /// What a search returns is exactly what the owning loop returned: same
 /// rows, same order, own library last, cut at the cap — with more matching
 /// rows than the cap, after a REMSHARE, and after a child left.
@@ -475,29 +583,7 @@ fn answers_match_the_owning_loop() {
         18,
         "three children registered six shares each"
     );
-
-    // Searches `query` once the network has settled, returning what came
-    // back (in arrival order) after checking it against what the owning
-    // loop makes of the parent's state.
-    let mut now = 300;
-    let mut ask = |net: &mut Net, query: &str| {
-        net.sim.run_until(SimTime::from_secs(now + 60));
-        let id = with_node(&mut net.sim, asker, |n, ctx| n.search(ctx, query));
-        now += 120;
-        net.sim.run_until(SimTime::from_secs(now));
-        let got: Vec<SearchResult> = with_node(&mut net.sim, asker, |n, _| n.drain_events())
-            .into_iter()
-            .filter_map(|e| match e {
-                FtEvent::SearchResult { result, .. } => Some(result),
-                _ => None,
-            })
-            .collect();
-        let want = with_node(&mut net.sim, parent, |n, ctx| {
-            n.answer_reference(ctx.external_addr().ip, id, query)
-        });
-        assert_eq!(got, want, "query {query:?}");
-        got
-    };
+    let ask = |net: &mut Net, query: &str| ask(net, asker, parent, query);
     let parent_ip = net.sim.node_addr(parent).ip;
     let from_own = |rs: &[SearchResult]| rs.iter().filter(|r| r.host == parent_ip).count();
 
@@ -515,18 +601,7 @@ fn answers_match_the_owning_loop() {
         .iter()
         .find(|&&c| net.sim.node_addr(c).ip == gone.host)
         .expect("a child owns the first row");
-    with_node(&mut net.sim, owner, |n, ctx| {
-        let up: Vec<ConnId> = n
-            .conns
-            .iter()
-            .filter(|(_, k)| matches!(k, ConnKind::Peer(p) if p.parent))
-            .map(|(&c, _)| c)
-            .collect();
-        for c in up {
-            let rem = crate::packet::RemShare { md5: gone.md5 };
-            n.send_packet(ctx, c, Command::RemShare, &rem.encode());
-        }
-    });
+    remshare(&mut net, owner, gone.md5);
     let after_rem = ask(&mut net, "pinned");
     assert_eq!((after_rem.len(), from_own(&after_rem)), (CAP, 0));
     assert!(after_rem.iter().all(|r| r.md5 != gone.md5));
@@ -540,6 +615,96 @@ fn answers_match_the_owning_loop() {
     assert_eq!((after_leave.len(), from_own(&after_leave)), (CAP, 2));
     assert!(after_leave.iter().all(|r| r.host != leaver_ip));
     assert!(after_leave[CAP - 2..].iter().all(|r| r.host == parent_ip));
+}
+
+/// The same at every index size around the 64 rows a search tests at a
+/// time — 0, 1, 63, 64, 65, 129 and 1,000 — with the cap reached in the
+/// middle of a chunk, rows that pass the fingerprint test and fail the
+/// match, and the rows behind a REMSHARE and behind a departed child
+/// moving up, their column entries with them.
+#[test]
+fn answers_match_the_owning_loop_at_every_index_size() {
+    const CAP: usize = 9;
+    let world = world(12);
+    let mut sim = Simulator::new(SimConfig::default(), 12);
+    let cfg = FtConfig {
+        max_results: CAP,
+        ..FtConfig::search_node()
+    };
+    let parent = sim.spawn(
+        NodeSpec::public().listen(1215),
+        Box::new(FtNode::new(cfg, world.clone(), HostLibrary::new())),
+    );
+    let mut net = Net {
+        search_addrs: vec![sim.node_addr(parent)],
+        search_nodes: vec![parent],
+        sim,
+        world,
+    };
+    let asker = spawn_user(&mut net, HostLibrary::new(), true);
+    net.sim.run_until(SimTime::from_secs(120));
+    assert!(ask(&mut net, asker, parent, "pinned").is_empty(), "size 0");
+
+    // Child `c` registers `files` shares: every fifth matches "pinned",
+    // every fifth but one holds all its letters and letter pairs and not
+    // the word, the rest are unrelated.
+    let names = |c: usize, files: usize| -> Vec<String> {
+        (0..files)
+            .map(|k| match k % 5 {
+                0 => format!("pinned_c{c}_k{k}.mp3"),
+                1 => format!("ed_ne_nn_in_pi_c{c}_k{k}.mp3"),
+                _ => format!("other_c{c}_k{k}.avi"),
+            })
+            .collect()
+    };
+    let mut size = 0;
+    let mut children = Vec::new();
+    for (c, files) in [1, 62, 1, 1, 64, 871].into_iter().enumerate() {
+        let lib = named_library(&net.world, 7 * c as u32, &names(c, files));
+        children.push(spawn_user(&mut net, lib, false));
+        size += files;
+        let settled = net.sim.now() + SimDuration::from_secs(120);
+        net.sim.run_until(settled);
+        let indexed = with_node(&mut net.sim, parent, |n, _| n.indexed_shares());
+        assert_eq!(indexed, size);
+        // The cap is reached at row 40 from the second child on.
+        let all = ask(&mut net, asker, parent, "pinned");
+        assert_eq!(all.len(), CAP.min(size.div_ceil(5)), "size {size}");
+        // The newest child's first row is the last row but `files - 1`.
+        let newest = ask(&mut net, asker, parent, &format!("c{c} k0"));
+        assert_eq!(newest.len(), 1, "size {size}");
+    }
+    assert_eq!(size, 1_000);
+    // One row each at 63, 64 and 65, and the last but five.
+    for (query, name) in [
+        ("c2", "pinned_c2_k0.mp3"),
+        ("c3", "pinned_c3_k0.mp3"),
+        ("c4 k0", "pinned_c4_k0.mp3"),
+        ("k865", "pinned_c5_k865.mp3"),
+    ] {
+        let got = ask(&mut net, asker, parent, query);
+        let got: Vec<&str> = got.iter().map(|r| r.filename.as_str()).collect();
+        assert_eq!(got, [name]);
+    }
+
+    // A REMSHARE from the middle of the first chunk, then the child that
+    // owned it leaves: rows 63 and up move to 62, then to 1.
+    let gone = ask(&mut net, asker, parent, "c1 k30").remove(0);
+    remshare(&mut net, children[1], gone.md5);
+    assert!(ask(&mut net, asker, parent, "c1 k30").is_empty());
+    assert_eq!(ask(&mut net, asker, parent, "c2").len(), 1);
+    assert_eq!(ask(&mut net, asker, parent, "pinned").len(), CAP);
+    net.sim.stop_node(children[1]);
+    assert!(ask(&mut net, asker, parent, "c1").is_empty());
+    let indexed = with_node(&mut net.sim, parent, |n, _| n.indexed_shares());
+    assert_eq!(indexed, 1_000 - 62);
+    for query in ["c2", "c3", "k865"] {
+        assert_eq!(ask(&mut net, asker, parent, query).len(), 1, "{query}");
+    }
+    // Rows 0, 1 and 2 now, and the cap six matches into the fourth child.
+    let all = ask(&mut net, asker, parent, "pinned");
+    let c4 = net.sim.node_addr(children[4]).ip;
+    assert_eq!(all.iter().filter(|r| r.host == c4).count(), CAP - 3);
 }
 
 /// A bare session peer: dials `server`, says hello, and keeps every chunk
@@ -567,19 +732,16 @@ impl App for Tap {
 }
 
 /// An answer is one write: N index rows + M own shares + the END leave as
-/// one buffer holding the N + M + 1 packets back to back, and a node
-/// reading it sees the events it saw when each packet travelled alone,
-/// however the bytes are cut on the way.
+/// one buffer holding the N + M + 1 packets back to back, cut only by the
+/// mss on the way.
 #[test]
 fn an_answer_is_one_write() {
-    let mut events_by_mss = Vec::new();
     for mss in [None, Some(7), Some(100)] {
         let config = SimConfig {
             mss,
             ..SimConfig::default()
         };
         let (mut net, parent, _) = pinned_net(config, 64);
-        let asker = spawn_user(&mut net, HostLibrary::new(), true);
         let (conn, chunks) = (Arc::default(), Arc::default());
         let tap = net.sim.spawn(
             NodeSpec::public(),
@@ -592,7 +754,6 @@ fn an_answer_is_one_write() {
         net.sim.run_until(SimTime::from_secs(300));
         chunks.lock().unwrap().clear();
 
-        let id = with_node(&mut net.sim, asker, |n, ctx| n.search(ctx, "pinned"));
         let tap_conn = conn.lock().unwrap().expect("tap connected");
         net.sim.with_node(tap, |_, ctx| {
             ctx.send_with(tap_conn, |out| {
@@ -605,12 +766,9 @@ fn an_answer_is_one_write() {
         });
         net.sim.run_until(SimTime::from_secs(360));
 
-        let results = |sim: &mut Simulator, id| {
-            with_node(sim, parent, |n, ctx| {
-                n.answer_reference(ctx.external_addr().ip, id, "pinned")
-            })
-        };
-        let want = results(&mut net.sim, 77);
+        let want = with_node(&mut net.sim, parent, |n, ctx| {
+            n.answer_reference(ctx.external_addr().ip, 77, "pinned")
+        });
         let parent_ip = net.sim.node_addr(parent).ip;
         let own = want.iter().filter(|r| r.host == parent_ip).count();
         assert_eq!((want.len(), own), (15, 3), "N = 12 rows, M = 3 own shares");
@@ -630,28 +788,57 @@ fn an_answer_is_one_write() {
             mss.map_or(1, |m| wire.len().div_ceil(m)),
             "one write, cut only by the mss ({mss:?})"
         );
-
-        let events: Vec<Option<SearchResult>> =
-            with_node(&mut net.sim, asker, |n, _| n.drain_events())
-                .into_iter()
-                .filter_map(|e| match e {
-                    FtEvent::SearchResult { result, .. } => Some(Some(result)),
-                    FtEvent::SearchEnd { id: end, .. } => {
-                        assert_eq!(end, id);
-                        Some(None)
-                    }
-                    _ => None,
-                })
-                .collect();
-        let want: Vec<_> = results(&mut net.sim, id)
-            .into_iter()
-            .map(Some)
-            .chain([None])
-            .collect();
-        assert_eq!(events, want, "mss {mss:?}");
-        events_by_mss.push(events);
     }
-    assert!(events_by_mss.windows(2).all(|w| w[0] == w[1]));
+}
+
+/// An answer is one event: a collecting node hands over the results a
+/// delivery carried together — all fifteen and then the END when nothing
+/// cut the answer — and, however the bytes were cut on the way, every
+/// result once, in order, counted once, the END behind the last.
+#[test]
+fn an_answer_is_one_event() {
+    for mss in [None, Some(7), Some(100)] {
+        let config = SimConfig {
+            mss,
+            ..SimConfig::default()
+        };
+        let (mut net, parent, _) = pinned_net(config, 64);
+        let asker = spawn_user(&mut net, HostLibrary::new(), true);
+        net.sim.run_until(SimTime::from_secs(300));
+        let before = with_node(&mut net.sim, asker, |n, _| {
+            n.drain_events();
+            n.stats().results_received
+        });
+        let id = with_node(&mut net.sim, asker, |n, ctx| n.search(ctx, "pinned"));
+        net.sim.run_until(SimTime::from_secs(360));
+
+        let want = with_node(&mut net.sim, parent, |n, ctx| {
+            n.answer_reference(ctx.external_addr().ip, id, "pinned")
+        });
+        assert_eq!(want.len(), 15);
+        let (events, received) = with_node(&mut net.sim, asker, |n, _| {
+            (n.drain_events(), n.stats().results_received)
+        });
+        assert_eq!(received - before, 15, "mss {mss:?}");
+        assert_eq!(results_of(&events), want, "mss {mss:?}");
+        let parent_addr = net.sim.node_addr(parent);
+        let mut batches = 0;
+        for e in &events[..events.len() - 1] {
+            let FtEvent::SearchResults { from, results, .. } = e else {
+                panic!("{e:?} among the results (mss {mss:?})");
+            };
+            assert_eq!((*from, results.id()), (parent_addr, id));
+            assert!(!results.is_empty());
+            batches += 1;
+        }
+        assert!(
+            matches!(events.last(), Some(FtEvent::SearchEnd { id: end, .. }) if *end == id),
+            "END after the last result (mss {mss:?})"
+        );
+        if mss.is_none() {
+            assert_eq!(batches, 1, "an uncut answer is one event");
+        }
+    }
 }
 
 /// A node whose outbound sessions are all up schedules nothing: over a
@@ -840,11 +1027,12 @@ fn non_collecting_user_validates_results_without_keeping_them() {
     assert!(events.is_empty());
 }
 
-/// A search scans every row: the half fingerprint lives in what was
-/// padding, so a field added here shows up as a failed test, not as a
-/// slower benchmark and a moved `app_bytes_per_node`.
+/// A search reads two column entries a row and follows few rows, but
+/// `app_bytes_per_node` counts every one: host and ports are the child's
+/// (`FtNode::child_addr`), so a field added here shows up as a failed
+/// test, not as a moved benchmark metric.
 #[cfg(target_pointer_width = "64")]
 #[test]
-fn index_row_stays_48_bytes() {
-    assert_eq!(std::mem::size_of::<IndexedShare>(), 48);
+fn index_row_stays_40_bytes() {
+    assert_eq!(std::mem::size_of::<IndexedShare>(), 40);
 }

@@ -504,6 +504,84 @@ pub struct SearchResultRef<'a> {
     pub filename: &'a str,
 }
 
+/// The results for one search that one delivery carried, as a collecting
+/// node keeps them: the fixed fields in rows, every filename in one buffer,
+/// read back as [`SearchResultRef`]s — no allocation per result.
+#[derive(Debug, Clone)]
+pub struct ResultBatch {
+    id: u32,
+    rows: Vec<BatchRow>,
+    names: String,
+}
+
+/// A [`SearchResultRef`] less the search id (the batch's) and with its
+/// filename as the end of a span of [`ResultBatch::names`].
+#[derive(Debug, Clone)]
+struct BatchRow {
+    host: Ipv4Addr,
+    port: u16,
+    http_port: u16,
+    avail: u16,
+    md5: Md5Digest,
+    size: u32,
+    name_end: usize,
+}
+
+impl ResultBatch {
+    /// An empty batch of results for search `id`.
+    pub fn new(id: u32) -> Self {
+        ResultBatch {
+            id,
+            rows: Vec::new(),
+            names: String::new(),
+        }
+    }
+
+    /// The search every result in the batch answers.
+    pub fn id(&self) -> u32 {
+        self.id
+    }
+
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Appends `result`, which must answer this batch's search.
+    pub fn push(&mut self, result: &SearchResultRef<'_>) {
+        debug_assert_eq!(result.id, self.id);
+        self.names.push_str(result.filename);
+        self.rows.push(BatchRow {
+            host: result.host,
+            port: result.port,
+            http_port: result.http_port,
+            avail: result.avail,
+            md5: result.md5,
+            size: result.size,
+            name_end: self.names.len(),
+        });
+    }
+
+    /// The `i`-th result, in arrival order.
+    pub fn get(&self, i: usize) -> SearchResultRef<'_> {
+        let row = &self.rows[i];
+        let start = i.checked_sub(1).map_or(0, |prev| self.rows[prev].name_end);
+        SearchResultRef {
+            id: self.id,
+            host: row.host,
+            port: row.port,
+            http_port: row.http_port,
+            avail: row.avail,
+            md5: row.md5,
+            size: row.size,
+            filename: &self.names[start..row.name_end],
+        }
+    }
+}
+
 impl SearchResult {
     pub fn borrowed(&self) -> SearchResultRef<'_> {
         SearchResultRef {
@@ -831,6 +909,33 @@ mod tests {
             Search::parse(&Search::End { id: 42 }.encode()).unwrap(),
             Search::End { id: 42 }
         );
+    }
+
+    /// A batch hands back what was pushed, in order — empty and non-ASCII
+    /// filenames included — under the batch's search id.
+    #[test]
+    fn result_batch_reads_back_what_was_pushed() {
+        let names = ["winzip_crack.exe", "", "caf\u{e9}_\u{266b}.mp3", "b.zip"];
+        let pushed: Vec<SearchResult> = (0u8..4)
+            .map(|k| SearchResult {
+                id: 42,
+                host: Ipv4Addr::new(10, 0, 0, k),
+                port: 1215 + k as u16,
+                http_port: 1216,
+                avail: k as u16,
+                md5: md5(&[k]),
+                size: 1_000 * k as u32,
+                filename: names[k as usize].into(),
+            })
+            .collect();
+        let mut batch = ResultBatch::new(42);
+        assert!(batch.is_empty());
+        for r in &pushed {
+            batch.push(&r.borrowed());
+        }
+        assert_eq!((batch.id(), batch.len()), (42, 4));
+        let read: Vec<SearchResult> = (0..4).map(|i| batch.get(i).to_owned()).collect();
+        assert_eq!(read, pushed);
     }
 
     #[test]
