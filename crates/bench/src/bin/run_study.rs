@@ -1,5 +1,6 @@
-//! Runs the full two-network study at paper scale and writes the complete
-//! report plus machine-readable comparisons.
+//! Runs the full two-network study, simulating once, and prints every
+//! table, figure and paper row, plus machine-readable comparisons. Exits
+//! non-zero at paper scale when a row leaves its band.
 //!
 //! ```sh
 //! cargo run --release -p p2pmal-bench --bin run_study           # paper scale
@@ -8,32 +9,35 @@
 //! P2PMAL_QUICK=1 P2PMAL_SEEDS=1,2,3 cargo run --release -p p2pmal-bench --bin run_study
 //! ```
 
-use p2pmal_analysis::hist_summary_line;
-use p2pmal_bench::{run_seeds, summary_to_json, BenchConfig, RunArtifact};
-use p2pmal_core::{LimewireScenario, NetworkRun, OpenFtScenario, Study};
-use p2pmal_crawler::{LogFootprint, ScanStats};
+use p2pmal_analysis::{hist_summary_line, summarize};
+use p2pmal_bench::BenchConfig;
+use p2pmal_core::{NetworkRun, StudyReport};
+use p2pmal_crawler::LogFootprint;
 use p2pmal_json::Value;
-use p2pmal_netsim::{Counter, Subsystem};
+use p2pmal_netsim::{Counter, HistSummary, Subsystem};
 
 /// One line of scan-pipeline accounting: how many download bodies reached
 /// the scanner and how much of that work the verdict cache absorbed.
-fn scan_line(label: &str, s: &ScanStats) {
-    println!(
-        "  scan pipeline [{label}]: {} bodies ({} KiB hashed), {} scanned, \
+fn scan_line(run: &NetworkRun) -> String {
+    let s = &run.log.scan;
+    format!(
+        "  scan pipeline [{}]: {} bodies ({} KiB hashed), {} scanned, \
          {} cache hits ({:.1}%), {} distinct payloads",
+        run.network.label(),
         s.bodies,
         s.bytes_hashed / 1024,
         s.bodies_scanned,
         s.cache_hits,
         s.hit_rate_pct(),
         s.distinct_payloads,
-    );
+    )
 }
 
 /// Fault-injection and retry-pipeline accounting, printed only when a
 /// non-default `P2PMAL_FAULTS` profile is active (the fault-free study's
 /// stdout stays byte-identical to the pre-fault-layer build).
-fn resilience_lines(label: &str, run: &NetworkRun, profile: &str) {
+fn resilience_lines(run: &NetworkRun, profile: &str) -> String {
+    let label = run.network.label();
     let log = &run.log;
     let m = &run.sim_metrics;
     let causes: Vec<String> = log
@@ -48,15 +52,13 @@ fn resilience_lines(label: &str, run: &NetworkRun, profile: &str) {
     } else {
         causes.join(" / ")
     };
-    println!(
-        "  resilience [{label}] (profile {profile}): {} retries ({} recovered), {} terminal failures, {} failed attempts by cause: {causes}",
+    format!(
+        "  resilience [{label}] (profile {profile}): {} retries ({} recovered), {} terminal failures, {} failed attempts by cause: {causes}\n  \
+         faults injected [{label}]: {} chunks dropped, {} corrupted, {} resets, {} latency spikes, {} churn downs / {} ups; {} push fallbacks, {} unscannable",
         log.retries_scheduled,
         log.retry_successes,
         log.downloads_failed,
         log.failures.total(),
-    );
-    println!(
-        "  faults injected [{label}]: {} chunks dropped, {} corrupted, {} resets, {} latency spikes, {} churn downs / {} ups; {} push fallbacks, {} unscannable",
         m.faults_chunks_dropped,
         m.faults_chunks_corrupted,
         m.faults_resets,
@@ -65,7 +67,7 @@ fn resilience_lines(label: &str, run: &NetworkRun, profile: &str) {
         m.faults_churn_ups,
         log.push_fallbacks,
         log.unscannable,
-    );
+    )
 }
 
 /// Per-network profiler roll-up: the wall time of the simulation loop,
@@ -153,6 +155,18 @@ fn memory_entry(run: &NetworkRun) -> Value {
     ])
 }
 
+/// A [`HistSummary`] as the flat object `BENCH_study.json` carries.
+fn summary_to_json(s: &HistSummary) -> Value {
+    Value::Obj(vec![
+        ("count".into(), s.count.into()),
+        ("min".into(), s.min.into()),
+        ("p50".into(), s.p50.into()),
+        ("p90".into(), s.p90.into()),
+        ("p99".into(), s.p99.into()),
+        ("max".into(), s.max.into()),
+    ])
+}
+
 /// The telemetry section of one network's `BENCH_study.json` entry:
 /// registry counters plus count/min/p50/p90/p99/max summaries of every
 /// sim-time histogram. Only deterministic (sim-time-keyed) values go into
@@ -217,14 +231,11 @@ fn telemetry_lines(label: &str, run: &NetworkRun) {
 
 /// Writes the machine-readable timing summary next to the human report so
 /// the perf trajectory is tracked across commits.
-fn write_bench_json(report: &p2pmal_core::StudyReport, cfg: &BenchConfig) {
-    let mut networks = Vec::new();
-    if let Some(run) = report.limewire.as_ref() {
-        networks.push(timing_entry("LimeWire", run));
-    }
-    if let Some(run) = report.openft.as_ref() {
-        networks.push(timing_entry("OpenFT", run));
-    }
+fn write_bench_json(report: &StudyReport, cfg: &BenchConfig) {
+    let networks = report
+        .runs()
+        .map(|run| timing_entry(run.network.label(), run))
+        .collect();
     let doc = Value::Obj(vec![
         ("seed".into(), cfg.seed.into()),
         ("quick".into(), cfg.quick.into()),
@@ -259,116 +270,101 @@ fn footprint_part(log: &LogFootprint) -> String {
     )
 }
 
-fn artifact_line(a: &RunArtifact) {
-    let downloadable = a.resolved.iter().filter(|r| r.record.downloadable).count();
-    let scanned = a
-        .resolved
-        .iter()
-        .filter(|r| r.record.downloadable && r.scanned)
-        .count();
-    let malicious = a
-        .resolved
-        .iter()
-        .filter(|r| r.record.downloadable && r.malware.is_some())
-        .count();
-    let pct = if scanned > 0 {
-        100.0 * malicious as f64 / scanned as f64
-    } else {
-        0.0
-    };
-    println!(
+/// A network's response counts, for a sweep line.
+fn count_line(run: &NetworkRun, seed: u64) -> String {
+    let s = summarize(run.network.label(), &run.log, &run.resolved);
+    format!(
         "  {:8} seed={:<6} responses={:<6} downloadable={:<6} malicious={:<5} ({:.1}%)  sim_events={}  {}",
-        a.network.label(),
-        a.seed,
-        a.resolved.len(),
-        downloadable,
-        malicious,
-        pct,
-        a.sim_events,
-        footprint_part(&a.log),
-    );
+        s.network,
+        seed,
+        s.responses,
+        s.downloadable,
+        s.malicious,
+        s.malicious_pct,
+        run.sim_metrics.events_processed,
+        footprint_part(&run.log.footprint()),
+    )
 }
 
+/// What a sweep prints for one seed's study: counts, scan lines, and how
+/// many paper rows hold.
+fn seed_lines(report: &StudyReport, seed: u64, faults: &str) -> String {
+    let mut lines = vec![format!("seed {seed}:")];
+    for run in report.runs() {
+        lines.push(count_line(run, seed));
+        lines.push(scan_line(run));
+        if faults != "none" {
+            lines.push(resilience_lines(run, faults));
+        }
+    }
+    let rows = report.comparisons();
+    let out: Vec<&str> = rows.failures().iter().map(|e| e.id.as_str()).collect();
+    lines.push(format!(
+        "  {} / {} rows hold{}",
+        rows.expectations.len() - out.len(),
+        rows.expectations.len(),
+        if out.is_empty() {
+            String::new()
+        } else {
+            format!("; out of band: {}", out.join(", "))
+        }
+    ));
+    lines.join("\n")
+}
+
+/// One study per seed, each on its own thread (its two networks on two
+/// more). A thread keeps only its printed lines, never the runs.
 fn sweep(cfg: &BenchConfig, seeds: &[u64]) {
     eprintln!("[run_study] multi-seed sweep over {seeds:?}, one study per thread");
     let started = std::time::Instant::now();
-    let runs = run_seeds(cfg, seeds);
+    let lines: Vec<String> = std::thread::scope(|scope| {
+        let handles: Vec<_> = seeds
+            .iter()
+            .map(|&seed| {
+                scope.spawn(move || {
+                    let report = cfg.with_seed(seed).study().run_parallel();
+                    seed_lines(&report, seed, &cfg.faults)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("seed thread panicked"))
+            .collect()
+    });
     eprintln!(
         "[run_study] sweep took {:.1}s wall",
         started.elapsed().as_secs_f64()
     );
     println!("# Multi-seed sweep");
-    for run in &runs {
-        println!("seed {}:", run.seed);
-        artifact_line(&run.limewire);
-        scan_line("LimeWire", &run.limewire.scan);
-        artifact_line(&run.openft);
-        scan_line("OpenFT", &run.openft.scan);
-        if cfg.faults != "none" {
-            for (label, a) in [("LimeWire", &run.limewire), ("OpenFT", &run.openft)] {
-                let r = &a.resilience;
-                println!(
-                    "  resilience [{label}]: {} retries ({} recovered), {} failed,                      {} faults injected",
-                    r.retries_scheduled,
-                    r.retry_successes,
-                    a.downloads_failed,
-                    r.faults_chunks_dropped + r.faults_chunks_corrupted + r.faults_resets,
-                );
-            }
-        }
+    for l in lines {
+        println!("{l}");
     }
 }
 
 fn main() {
-    let cfg = BenchConfig::from_env();
+    let cfg = BenchConfig::from_env().unwrap_or_else(|e| {
+        eprintln!("[run_study] {e}");
+        std::process::exit(2)
+    });
     if let Some(seeds) = cfg.seeds.clone() {
         sweep(&cfg, &seeds);
         return;
     }
-    let mut lw = if cfg.quick {
-        LimewireScenario::quick(cfg.seed)
-    } else {
-        LimewireScenario::paper_scale(cfg.seed)
-    };
-    let mut ft = if cfg.quick {
-        OpenFtScenario::quick(cfg.seed ^ 0xF7)
-    } else {
-        OpenFtScenario::paper_scale(cfg.seed ^ 0xF7)
-    };
-    let (plan, retry) = cfg.fault_plan();
-    lw = lw.with_faults(plan, retry);
-    ft = ft.with_faults(plan, retry);
-    if let Some(days) = cfg.days {
-        lw.days = days;
-        ft.days = days;
-    }
-    let report = Study::new()
-        .with_limewire(lw)
-        .with_openft(ft)
+    let report = cfg
+        .study()
         .run_with_progress(|net, day| eprintln!("[run_study] {net}: day {day} done"));
 
     println!("{}", report.render_markdown());
-    if let Some(run) = report.limewire.as_ref() {
-        scan_line("LimeWire", &run.log.scan);
+    for run in report.runs() {
+        println!("{}", scan_line(run));
     }
-    if let Some(run) = report.openft.as_ref() {
-        scan_line("OpenFT", &run.log.scan);
-    }
-    if cfg.faults != "none" {
-        if let Some(run) = report.limewire.as_ref() {
-            resilience_lines("LimeWire", run, &cfg.faults);
+    for run in report.runs() {
+        if cfg.faults != "none" {
+            println!("{}", resilience_lines(run, &cfg.faults));
         }
-        if let Some(run) = report.openft.as_ref() {
-            resilience_lines("OpenFT", run, &cfg.faults);
-        }
-    }
-    if let Some(run) = report.limewire.as_ref() {
-        telemetry_lines("LimeWire", run);
-        intern_lines("LimeWire", run);
-    }
-    if let Some(run) = report.openft.as_ref() {
-        telemetry_lines("OpenFT", run);
-        intern_lines("OpenFT", run);
+        telemetry_lines(run.network.label(), run);
+        intern_lines(run.network.label(), run);
     }
     write_bench_json(&report, &cfg);
     let comparisons = report.comparisons();

@@ -34,4 +34,4 @@ pub use p2pmal_netsim::telemetry;
 
 pub use mega::{MegaRun, MegaScenario};
 pub use scenario::{fault_profile, InfectionSpec, LimewireScenario, NetworkRun, OpenFtScenario};
-pub use study::{FilterRow, Study, StudyReport};
+pub use study::{Study, StudyReport};

@@ -1,9 +1,27 @@
 //! A quick (days=2, small population) end-to-end study on both networks.
 //! This is the integration test that exercises the complete pipeline; the
-//! paper-scale numbers are checked by the bench binaries / EXPERIMENTS.md.
+//! paper-scale numbers are checked by `run_study` / EXPERIMENTS.md.
 
 use p2pmal_analysis::{source_breakdown, summarize, top_malware};
 use p2pmal_core::Study;
+
+/// EXPERIMENTS.md's headline rows: ten on the LimeWire log, four on OpenFT.
+const PAPER_ROWS: [&str; 14] = [
+    "T1-limewire",
+    "T2-limewire-top3",
+    "T4-limewire-private",
+    "T6-builtin",
+    "T6-size-detection",
+    "T6-size-fp",
+    "F1-mean",
+    "F2-few-sizes",
+    "F3-knee",
+    "F4-amplification",
+    "T1-openft",
+    "T3-openft-top1",
+    "T3-openft-top3",
+    "T5-openft-host",
+];
 
 #[test]
 fn quick_study_runs_and_has_paper_shape() {
@@ -36,13 +54,17 @@ fn quick_study_runs_and_has_paper_shape() {
         top_malware(&ft.resolved).iter().take(4).collect::<Vec<_>>()
     );
     eprintln!("LW sources: {:#?}", source_breakdown(&lw.resolved));
-    eprintln!("LW filters:");
-    for f in report.filter_comparison() {
-        eprintln!(
-            "  {}: det {:.1}% fp {:.2}%",
-            f.name, f.detection_pct, f.false_positive_pct
-        );
-    }
+    let rows = report.comparisons();
+    eprintln!("{}", rows.to_table().to_markdown());
+    let ids: Vec<&str> = rows.expectations.iter().map(|e| e.id.as_str()).collect();
+    assert_eq!(ids, PAPER_ROWS, "EXPERIMENTS.md's 14 rows, in its order");
+    let measured = |id: &str| {
+        rows.expectations
+            .iter()
+            .find(|e| e.id == id)
+            .unwrap()
+            .measured
+    };
 
     // Shape checks (quick scale is noisy; bands are loose).
     assert!(lw_sum.malicious > 0, "LimeWire saw malware");
@@ -78,24 +100,14 @@ fn quick_study_runs_and_has_paper_shape() {
     );
 
     // Filters: size-based beats the built-in by a wide margin.
-    let rows = report.filter_comparison();
-    let builtin = rows.iter().find(|r| r.name == "LimeWire built-in").unwrap();
-    let size = rows.iter().find(|r| r.name == "size-based").unwrap();
+    let builtin = measured("T6-builtin");
+    let size = measured("T6-size-detection");
+    let size_fp = measured("T6-size-fp");
+    assert!(size > 90.0, "size filter detects {size:.1}%");
+    assert!(size_fp < 2.0, "size filter FP {size_fp:.2}%");
     assert!(
-        size.detection_pct > 90.0,
-        "size filter detects {:.1}%",
-        size.detection_pct
-    );
-    assert!(
-        size.false_positive_pct < 2.0,
-        "size filter FP {:.2}%",
-        size.false_positive_pct
-    );
-    assert!(
-        builtin.detection_pct < size.detection_pct / 2.0,
-        "builtin {:.1}% vs size {:.1}%",
-        builtin.detection_pct,
-        size.detection_pct
+        builtin < size / 2.0,
+        "builtin {builtin:.1}% vs size {size:.1}%"
     );
 
     // The report renders.
@@ -103,4 +115,7 @@ fn quick_study_runs_and_has_paper_shape() {
     assert!(md.contains("T1 — Data collection summary"));
     assert!(md.contains("T6 — Filter comparison"));
     assert!(md.contains("Paper vs measured"));
+    for id in PAPER_ROWS {
+        assert!(md.contains(&format!("| {id} |")), "{id} rendered");
+    }
 }

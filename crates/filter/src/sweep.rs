@@ -68,20 +68,19 @@ pub fn tolerance_ablation(
 
 /// Splits a resolved log into (train, test) halves by day: days before
 /// `split_day` train, the rest test — the deployment-honest evaluation.
+/// The log must be in day order, as the crawler appends it (sim-time
+/// order); the halves are sub-slices of it.
 pub fn split_by_day(
     resolved: &[ResolvedResponse],
     split_day: u64,
-) -> (Vec<ResolvedResponse>, Vec<ResolvedResponse>) {
-    let mut train = Vec::new();
-    let mut test = Vec::new();
-    for r in resolved {
-        if r.record.day < split_day {
-            train.push(r.clone());
-        } else {
-            test.push(r.clone());
-        }
-    }
-    (train, test)
+) -> (&[ResolvedResponse], &[ResolvedResponse]) {
+    debug_assert!(
+        resolved
+            .windows(2)
+            .all(|w| w[0].record.day <= w[1].record.day),
+        "the log is not in day order"
+    );
+    resolved.split_at(resolved.partition_point(|r| r.record.day < split_day))
 }
 
 #[cfg(test)]
@@ -142,11 +141,12 @@ mod tests {
     #[test]
     fn day_split() {
         let mut l = log();
-        for r in l.iter_mut().take(10) {
+        for r in l.iter_mut().rev().take(10) {
             r.record.day = 5;
         }
         let (train, test) = split_by_day(&l, 3);
         assert_eq!(train.len(), l.len() - 10);
         assert_eq!(test.len(), 10);
+        assert!(test.iter().all(|r| r.record.day == 5));
     }
 }

@@ -42,7 +42,7 @@ fn main() {
     );
 
     // The paper's recipe.
-    let size = SizeFilter::learn(&train, 3, 2);
+    let size = SizeFilter::learn(train, 3, 2);
     println!(
         "learned blocklist (top-3 families, <=2 sizes each): {:?}\n",
         size.blocked_sizes()
@@ -51,13 +51,13 @@ fn main() {
     // Panel comparison.
     let builtin = LimewireBuiltin::new();
     let echo = EchoHeuristicFilter::new();
-    let hash = HashBlacklist::learn(&train);
+    let hash = HashBlacklist::learn(train);
     let mut t = Table::new(
         "Filter panel (tested on the held-out half)",
         &["filter", "detection", "false positives"],
     );
     for f in [&builtin as &dyn ResponseFilter, &echo, &hash, &size] {
-        let ev = evaluate(f, &test);
+        let ev = evaluate(f, test);
         t.row(vec![
             ev.name.clone(),
             format!("{:.2}%", ev.detection_pct()),
@@ -68,7 +68,7 @@ fn main() {
 
     // k-sweep.
     let mut t = Table::new("k-sweep", &["k", "detection", "false positives"]);
-    for p in size_filter_sweep(&train, &test, &[0, 1, 2, 3, 4, 8]) {
+    for p in size_filter_sweep(train, test, &[0, 1, 2, 3, 4, 8]) {
         t.row(vec![
             p.k.to_string(),
             format!("{:.2}%", p.eval.detection_pct()),
@@ -82,7 +82,7 @@ fn main() {
         "tolerance ablation (k=4)",
         &["± bytes", "detection", "false positives"],
     );
-    for (tol, ev) in tolerance_ablation(&train, &test, 4, &[0, 1024, 16384]) {
+    for (tol, ev) in tolerance_ablation(train, test, 4, &[0, 1024, 16384]) {
         t.row(vec![
             tol.to_string(),
             format!("{:.2}%", ev.detection_pct()),
