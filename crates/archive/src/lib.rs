@@ -6,7 +6,8 @@
 //! `p2pmal-scanner` and lets `p2pmal-corpus` fabricate realistic
 //! malware-in-a-zip payloads:
 //!
-//! * [`mod@crc32`] — table-driven CRC-32 (IEEE 802.3 polynomial), as used by ZIP.
+//! * [`mod@crc32`] — CRC-32 (IEEE 802.3 polynomial), as used by ZIP: carry-less
+//!   multiply where the CPU has it, slice-by-16 tables elsewhere.
 //! * [`mod@inflate`] — a complete RFC 1951 decompressor (stored, fixed-Huffman
 //!   and dynamic-Huffman blocks), hardened against malformed input.
 //! * [`mod@deflate`] — a compressor producing stored or fixed-Huffman blocks with
@@ -29,7 +30,7 @@ pub mod deflate;
 pub mod inflate;
 pub mod zip;
 
-pub use crc32::{crc32, crc32_bytewise, Crc32};
+pub use crc32::{crc32, Crc32};
 pub use deflate::deflate;
 pub use inflate::{inflate, inflate_into, InflateError};
 pub use zip::{Method, ZipArchive, ZipEntry, ZipError, ZipWriter};

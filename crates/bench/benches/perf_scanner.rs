@@ -1,7 +1,7 @@
 //! Perf: signature scanning — Aho–Corasick multi-pattern matching vs the
 //! naive per-signature scan it replaces (the ablation DESIGN.md calls
-//! out), archive traversal cost, the first-byte prefilter ablation, and
-//! the content-addressed verdict cache on a repeated-payload workload.
+//! out), archive traversal cost, the first-byte prefilter, and the
+//! content-addressed verdict cache on a repeated-payload workload.
 //!
 //! `P2PMAL_PERF_SMOKE=1` cuts sample counts for the CI smoke run; the
 //! numbers it prints are not publication-grade.
@@ -111,8 +111,8 @@ fn bench_automaton_build(c: &mut Criterion) {
     });
 }
 
-/// The first-byte prefilter ablation: the same roster automaton over the
-/// same clean megabyte, with and without the skip loop.
+/// The first-byte prefilter: the roster's anchor automaton over a clean
+/// megabyte, where the root skip loop does nearly all the work.
 fn bench_prefilter(c: &mut Criterion) {
     let roster = Roster::limewire_2006();
     let anchors: Vec<Vec<u8>> = roster
@@ -139,31 +139,6 @@ fn bench_prefilter(c: &mut Criterion) {
             });
             black_box(n)
         });
-    });
-    g.bench_function("find_each_unfiltered_1MiB_clean", |b| {
-        b.iter(|| {
-            let mut n = 0u32;
-            ac.find_each_unfiltered(black_box(&sample), |_| {
-                n += 1;
-                true
-            });
-            black_box(n)
-        });
-    });
-    g.finish();
-}
-
-/// CRC32 slice-by-16 vs the bytewise reference it replaced.
-fn bench_crc32(c: &mut Criterion) {
-    let sample = clean_sample(1 << 20);
-    let mut g = c.benchmark_group("crc32");
-    g.sample_size(samples());
-    g.throughput(Throughput::Bytes(sample.len() as u64));
-    g.bench_function("slice16_1MiB", |b| {
-        b.iter(|| black_box(p2pmal_archive::crc32(black_box(&sample))));
-    });
-    g.bench_function("bytewise_1MiB", |b| {
-        b.iter(|| black_box(p2pmal_archive::crc32_bytewise(black_box(&sample))));
     });
     g.finish();
 }
@@ -334,7 +309,6 @@ criterion_group!(
     bench_scan,
     bench_automaton_build,
     bench_prefilter,
-    bench_crc32,
     bench_verdict_cache,
     bench_scan_service
 );

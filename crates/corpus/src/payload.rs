@@ -82,6 +82,19 @@ impl ContentStore {
         roster: &Roster,
         out: &mut Vec<u8>,
     ) {
+        self.payload_on(r, catalog, roster, out, true);
+    }
+
+    /// [`ContentStore::payload_into`] with the body stream's SIMD arm
+    /// allowed or not (see [`fill_on`]); the bytes are the same.
+    fn payload_on(
+        &self,
+        r: ContentRef,
+        catalog: &Catalog,
+        roster: &Roster,
+        out: &mut Vec<u8>,
+        simd: bool,
+    ) {
         let key = self.content_key(r);
         let size = self.size(r, catalog, roster) as usize;
         // Every shape is written in place behind what `out` holds; one
@@ -90,13 +103,15 @@ impl ContentStore {
         out.reserve(size);
         match r {
             ContentRef::Benign { item, .. } => {
-                benign_payload(catalog.item(item).media, size, key, out)
+                benign_payload(catalog.item(item).media, size, key, out, simd)
             }
             ContentRef::Malware { family, .. } => {
                 let fam = roster.get(family);
                 match fam.container {
-                    Container::Executable => infected_exe(size, &fam.signature, key, out),
-                    Container::ZipOfExecutable => infected_zip(size, &fam.signature, key, out),
+                    Container::Executable => infected_exe(size, &fam.signature, key, out, simd),
+                    Container::ZipOfExecutable => {
+                        infected_zip(size, &fam.signature, key, out, simd)
+                    }
                 }
             }
         }
@@ -181,44 +196,118 @@ fn splitmix64(mut x: u64) -> u64 {
 /// Appends `len` bytes of the SplitMix64 stream seeded with `key` to `out`,
 /// little-endian word by word: word `i` is `splitmix64(key + i * GAMMA)`,
 /// so the words are independent of each other (a counter, not a feedback
-/// chain) and the CPU overlaps them. Written a block at a time, so the
-/// body's memory is touched once (no zero-fill first).
-fn fill_deterministic(out: &mut Vec<u8>, len: usize, key: u64) {
-    const BLOCK: usize = 4096;
-    let mut state = key;
-    let mut block = [0u8; BLOCK];
-    let mut left = len;
-    while left > 0 {
-        let n = left.min(BLOCK);
-        // A trailing partial word is generated whole and cut by the copy.
-        for word in block[..n.next_multiple_of(8)].chunks_exact_mut(8) {
-            word.copy_from_slice(&splitmix64(state).to_le_bytes());
-            state = state.wrapping_add(GAMMA);
+/// chain). They are written straight into `out`'s spare capacity, so the
+/// body's memory is touched once (no zero-fill first). `simd` allows the
+/// AVX2 arm, taken when the CPU has it; both arms write the same bytes.
+fn fill_on(out: &mut Vec<u8>, len: usize, key: u64, simd: bool) {
+    out.reserve(len);
+    let words = len / 8;
+    #[cfg(target_arch = "x86_64")]
+    let vector = if simd && std::arch::is_x86_feature_detected!("avx2") {
+        let vector = words - words % avx2::WORDS_PER_STEP;
+        // SAFETY: AVX2 was detected just above.
+        unsafe { avx2::push_words(out, vector, key) };
+        vector
+    } else {
+        0
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let vector = {
+        let _ = simd;
+        0
+    };
+    let mut state = key.wrapping_add(GAMMA.wrapping_mul(vector as u64));
+    for _ in vector..words {
+        out.extend_from_slice(&splitmix64(state).to_le_bytes());
+        state = state.wrapping_add(GAMMA);
+    }
+    // A trailing partial word is the next word of the stream, cut.
+    out.extend_from_slice(&splitmix64(state).to_le_bytes()[..len % 8]);
+}
+
+/// The body stream four 64-bit lanes to a vector, two vectors per step.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::GAMMA;
+    use core::arch::x86_64::*;
+
+    pub const WORDS_PER_STEP: usize = 8;
+
+    /// `x · c` mod 2^64 in each lane, from three 32 × 32 → 64-bit products
+    /// (AVX2 has no 64-bit multiply): lo·lo + ((hi·lo + lo·hi) << 32).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn mul(x: __m256i, c: u64) -> __m256i {
+        let c_lo = _mm256_set1_epi64x(c as u32 as i64);
+        let c_hi = _mm256_set1_epi64x((c >> 32) as i64);
+        let cross = _mm256_add_epi64(
+            _mm256_mul_epu32(_mm256_srli_epi64(x, 32), c_lo),
+            _mm256_mul_epu32(x, c_hi),
+        );
+        _mm256_add_epi64(_mm256_mul_epu32(x, c_lo), _mm256_slli_epi64(cross, 32))
+    }
+
+    /// SplitMix64's output mix, lane by lane (see [`super::splitmix64`]).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn mix(x: __m256i) -> __m256i {
+        let x = mul(
+            _mm256_xor_si256(x, _mm256_srli_epi64(x, 30)),
+            0xBF58476D1CE4E5B9,
+        );
+        let x = mul(
+            _mm256_xor_si256(x, _mm256_srli_epi64(x, 27)),
+            0x94D049BB133111EB,
+        );
+        _mm256_xor_si256(x, _mm256_srli_epi64(x, 31))
+    }
+
+    /// Appends words `0..words` of the stream seeded with `key` to `out`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2. `words` must be a multiple of
+    /// [`WORDS_PER_STEP`].
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn push_words(out: &mut Vec<u8>, words: usize, key: u64) {
+        assert!(words.is_multiple_of(WORDS_PER_STEP));
+        out.reserve(words * 8);
+        let dst = out.as_mut_ptr().add(out.len()) as *mut __m256i;
+        // Lane j of `a` holds the state before word j's mix, of `b` word 4 + j.
+        let at = |j: u64| key.wrapping_add(GAMMA.wrapping_mul(j)) as i64;
+        let mut a = _mm256_set_epi64x(at(4), at(3), at(2), at(1));
+        let mut b = _mm256_set_epi64x(at(8), at(7), at(6), at(5));
+        let step = _mm256_set1_epi64x(GAMMA.wrapping_mul(WORDS_PER_STEP as u64) as i64);
+        for v in 0..words / WORDS_PER_STEP {
+            _mm256_storeu_si256(dst.add(2 * v), mix(a));
+            _mm256_storeu_si256(dst.add(2 * v + 1), mix(b));
+            a = _mm256_add_epi64(a, step);
+            b = _mm256_add_epi64(b, step);
         }
-        out.extend_from_slice(&block[..n]);
-        left -= n;
+        // The `words * 8` bytes past the old length were reserved above and
+        // have all been written.
+        out.set_len(out.len() + words * 8);
     }
 }
 
 /// A benign payload: correct magic for the media type, pseudorandom body.
-fn benign_payload(media: MediaType, size: usize, key: u64, out: &mut Vec<u8>) {
+fn benign_payload(media: MediaType, size: usize, key: u64, out: &mut Vec<u8>, simd: bool) {
     let magic: &[u8] = match media {
         MediaType::Audio => b"ID3\x03\x00",
         MediaType::Video => b"RIFF\x00\x00\x00\x00AVI ",
         MediaType::Application => b"MZ",
         MediaType::Document => b"%PDF-1.4\n",
         MediaType::Image => &[0xFF, 0xD8, 0xFF, 0xE0],
-        MediaType::Archive => return benign_zip(size, key, out),
+        MediaType::Archive => return benign_zip(size, key, out, simd),
     };
     let start = out.len();
-    fill_deterministic(out, size, key);
+    fill_on(out, size, key, simd);
     let n = magic.len().min(size);
     out[start..start + n].copy_from_slice(&magic[..n]);
 }
 
 /// A real one-entry stored ZIP of exactly `size` bytes: the member is sized
 /// to absorb the container overhead and generated where it lies in `out`.
-fn benign_zip(size: usize, key: u64, out: &mut Vec<u8>) {
+fn benign_zip(size: usize, key: u64, out: &mut Vec<u8>, simd: bool) {
     const INNER_NAME: &str = "content.dat";
     let mut w = ZipWriter::behind(std::mem::take(out));
     let overhead = w.finished_len() + ZipWriter::member_overhead(INNER_NAME);
@@ -226,22 +315,20 @@ fn benign_zip(size: usize, key: u64, out: &mut Vec<u8>) {
         size > overhead + SIG_OFFSET + 64,
         "target zip size {size} too small (overhead {overhead})"
     );
-    w.add_stored_with(INNER_NAME, |buf| {
-        fill_deterministic(buf, size - overhead, key)
-    });
+    w.add_stored_with(INNER_NAME, |buf| fill_on(buf, size - overhead, key, simd));
     debug_assert_eq!(w.finished_len(), size);
     *out = w.finish();
 }
 
 /// An infected `MZ` image: DOS-stub-shaped head, the family signature at
 /// [`SIG_OFFSET`], pseudorandom tail.
-fn infected_exe(size: usize, signature: &[u8], key: u64, out: &mut Vec<u8>) {
+fn infected_exe(size: usize, signature: &[u8], key: u64, out: &mut Vec<u8>, simd: bool) {
     assert!(
         size >= SIG_OFFSET + signature.len() + 16,
         "exe size {size} too small"
     );
     let start = out.len();
-    fill_deterministic(out, size, key);
+    fill_on(out, size, key, simd);
     let buf = &mut out[start..];
     buf[0] = b'M';
     buf[1] = b'Z';
@@ -256,14 +343,14 @@ fn infected_exe(size: usize, signature: &[u8], key: u64, out: &mut Vec<u8>) {
 /// are bit-packed and never appear verbatim in the raw archive — convicting
 /// these files requires the scanner to actually traverse and inflate the
 /// member, as the study's AV engine had to.
-fn infected_zip(size: usize, signature: &[u8], key: u64, out: &mut Vec<u8>) {
+fn infected_zip(size: usize, signature: &[u8], key: u64, out: &mut Vec<u8>, simd: bool) {
     let min_exe = SIG_OFFSET + signature.len() + 16;
     let inner_len = (size / 2).clamp(min_exe, 48 * 1024);
     // Compressible body (random head, zero tail) so the writer keeps the
     // member deflated instead of falling back to stored; real executables
     // compress too.
     let mut inner = Vec::with_capacity(inner_len);
-    fill_deterministic(&mut inner, inner_len.min(4096), key);
+    fill_on(&mut inner, inner_len.min(4096), key, simd);
     inner.resize(inner_len, 0);
     inner[0] = b'M';
     inner[1] = b'Z';
@@ -355,13 +442,25 @@ mod tests {
         }
     }
 
+    fn print_native_arm() {
+        #[cfg(target_arch = "x86_64")]
+        println!(
+            "payload fill native arm: avx2 {}",
+            std::arch::is_x86_feature_detected!("avx2")
+        );
+        #[cfg(not(target_arch = "x86_64"))]
+        println!("payload fill native arm: none on this architecture");
+    }
+
     /// The bytes themselves, pinned: every SHA-1 a study logs hangs on
     /// them, so a change to payload generation or to the ZIP writer under
     /// it must show up here and not only as a moved trajectory digest.
     /// Recorded when the body stream became the counter-mode SplitMix64
     /// stream; writing archives in place had left the earlier pins alone.
+    /// Both arms of the body stream write every pinned byte.
     #[test]
     fn payload_bytes_are_pinned_for_every_shape() {
+        print_native_arm();
         let (catalog, roster, store) = fixtures();
         let benign = |item| ContentRef::Benign { item, variant: 0 };
         let malware = |family| ContentRef::Malware {
@@ -384,13 +483,17 @@ mod tests {
             (malware(2), "e0a2559038410eda53310c2afaa590e26baed0e5"),
         ];
         for (r, want) in pins {
-            let got = sha1(&store.payload(r, &catalog, &roster)).to_hex();
-            assert_eq!(got, want, "{r:?}");
-            // The same bytes behind whatever the buffer already holds.
-            let mut upload = b"head".to_vec();
-            store.payload_into(r, &catalog, &roster, &mut upload);
-            let (head, body) = upload.split_at(4);
-            assert_eq!((head, sha1(body).to_hex().as_str()), (&b"head"[..], want));
+            for simd in [true, false] {
+                let mut body = Vec::new();
+                store.payload_on(r, &catalog, &roster, &mut body, simd);
+                assert_eq!(sha1(&body).to_hex(), want, "{r:?}, simd {simd}");
+                // The same bytes behind whatever the buffer already holds.
+                let mut upload = b"head".to_vec();
+                store.payload_on(r, &catalog, &roster, &mut upload, simd);
+                let (head, body) = upload.split_at(4);
+                assert_eq!((head, sha1(body).to_hex().as_str()), (&b"head"[..], want));
+            }
+            assert_eq!(sha1(&store.payload(r, &catalog, &roster)).to_hex(), want);
         }
     }
 
@@ -527,38 +630,43 @@ mod tests {
     }
 
     /// The published SplitMix64 test vector: the body stream is that
-    /// generator, not a variant of it.
+    /// generator, not a variant of it — on both arms, at every length to
+    /// 41 words (partial words, a vector step and the scalar words after
+    /// it) and behind a head.
     #[test]
     fn fill_is_the_reference_splitmix64_stream() {
-        let want: [u64; 5] = [
+        print_native_arm();
+        const KEY: u64 = 1234567;
+        let reference: Vec<u8> = (0..41u64)
+            .flat_map(|i| splitmix64(KEY.wrapping_add(GAMMA.wrapping_mul(i))).to_le_bytes())
+            .collect();
+        let published: [u64; 5] = [
             6457827717110365317,
             3203168211198807973,
             9817491932198370423,
             4593380528125082431,
             16408922859458223821,
         ];
-        let mut out = Vec::new();
-        fill_deterministic(&mut out, 40, 1234567);
-        let got: Vec<u64> = out
-            .chunks_exact(8)
-            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
-            .collect();
-        assert_eq!(got, want);
+        for (word, want) in reference.chunks_exact(8).zip(published) {
+            assert_eq!(u64::from_le_bytes(word.try_into().unwrap()), want);
+        }
+        for simd in [false, true] {
+            for len in 0..=reference.len() {
+                let mut out = b"head".to_vec();
+                fill_on(&mut out, len, KEY, simd);
+                assert_eq!(out[..4], b"head"[..]);
+                assert_eq!(out[4..], reference[..len], "len {len}, simd {simd}");
+            }
+        }
     }
 
+    /// A 5 MiB body: both arms write the same bytes all the way through.
     #[test]
-    fn fill_deterministic_covers_tail() {
-        let mut a = Vec::new();
-        let mut b = b"head".to_vec();
-        fill_deterministic(&mut a, 13, 7);
-        fill_deterministic(&mut b, 13, 7);
-        assert_eq!(a.len(), 13);
-        assert_eq!(a, b[4..]);
-        assert!(a[8..].iter().any(|&x| x != 0), "tail bytes must be filled");
-        // A block boundary inside the stream changes nothing.
-        let mut long = Vec::new();
-        fill_deterministic(&mut long, 4096 + 13, 7);
-        assert_eq!(long[..13], a[..]);
-        assert!(long[4096 + 8..].iter().any(|&x| x != 0));
+    fn fill_arms_agree_on_a_5_mib_body() {
+        print_native_arm();
+        let (mut native, mut scalar) = (Vec::new(), Vec::new());
+        fill_on(&mut native, (5 << 20) + 5, 0xC0FFEE, true);
+        fill_on(&mut scalar, (5 << 20) + 5, 0xC0FFEE, false);
+        assert!(native == scalar);
     }
 }

@@ -83,13 +83,25 @@ impl Sha1 {
     /// scalar rounds otherwise. Both paths compute the identical FIPS 180-1
     /// function, so which one runs never affects any digest.
     fn compress_many(state: &mut [u32; 5], blocks: &[u8]) {
+        Self::compress_on(state, blocks, true);
+    }
+
+    /// [`Sha1::compress_many`] with the SHA-NI arm allowed (`simd`, taken
+    /// when the CPU has it) or not.
+    fn compress_on(state: &mut [u32; 5], blocks: &[u8], simd: bool) {
         debug_assert_eq!(blocks.len() % 64, 0);
         #[cfg(target_arch = "x86_64")]
-        if ni::available() {
-            // SAFETY: `available` verified the sha/ssse3/sse4.1 features.
+        if simd
+            && std::arch::is_x86_feature_detected!("sha")
+            && std::arch::is_x86_feature_detected!("ssse3")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+        {
+            // SAFETY: the sha/ssse3/sse4.1 features were detected just above.
             unsafe { ni::compress_blocks(state, blocks) };
             return;
         }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = simd;
         for chunk in blocks.chunks_exact(64) {
             let block: &[u8; 64] = chunk.try_into().expect("chunks_exact yields 64 bytes");
             Self::compress(state, block);
@@ -207,24 +219,6 @@ impl Sha1 {
 #[cfg(target_arch = "x86_64")]
 mod ni {
     use core::arch::x86_64::*;
-    use std::sync::atomic::{AtomicU8, Ordering};
-
-    /// 0 = unprobed, 1 = unavailable, 2 = available.
-    static AVAILABLE: AtomicU8 = AtomicU8::new(0);
-
-    #[inline]
-    pub fn available() -> bool {
-        match AVAILABLE.load(Ordering::Relaxed) {
-            0 => {
-                let ok = std::arch::is_x86_feature_detected!("sha")
-                    && std::arch::is_x86_feature_detected!("ssse3")
-                    && std::arch::is_x86_feature_detected!("sse4.1");
-                AVAILABLE.store(if ok { 2 } else { 1 }, Ordering::Relaxed);
-                ok
-            }
-            v => v == 2,
-        }
-    }
 
     /// Compresses whole 64-byte blocks with the SHA-NI round instructions.
     ///
@@ -235,8 +229,8 @@ mod ni {
     /// the schedule pipelined three groups ahead.
     ///
     /// # Safety
-    /// Caller must ensure the CPU supports sha, ssse3 and sse4.1
-    /// (see [`available`]). `blocks.len()` must be a multiple of 64.
+    /// Caller must ensure the CPU supports sha, ssse3 and sse4.1.
+    /// `blocks.len()` must be a multiple of 64.
     #[target_feature(enable = "sha,ssse3,sse4.1")]
     pub unsafe fn compress_blocks(state: &mut [u32; 5], blocks: &[u8]) {
         debug_assert_eq!(blocks.len() % 64, 0);
@@ -524,20 +518,30 @@ mod tests {
         assert_eq!(h.finalize_reset(), sha1(b"hello world"));
     }
 
+    /// Both arms of `compress_many` from the same states over 0–24 blocks
+    /// of noise; the vectors above pin the native arm's digests.
     #[test]
-    fn hardware_and_scalar_compress_agree() {
-        // `compress_many` dispatches to SHA-NI when present; the scalar
-        // rounds are the reference. On hosts without the extension this
-        // degenerates to scalar-vs-scalar, which is fine — the vector tests
-        // above still pin absolute correctness.
-        let data: Vec<u8> = (0..64 * 7).map(|i| (i * 31 + 7) as u8).collect();
-        let mut dispatched = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
-        let mut scalar = dispatched;
-        Sha1::compress_many(&mut dispatched, &data);
-        for chunk in data.chunks_exact(64) {
-            Sha1::compress(&mut scalar, chunk.try_into().unwrap());
+    fn sha1_arms_agree() {
+        #[cfg(target_arch = "x86_64")]
+        println!(
+            "sha1 native arm: sha {}, ssse3 {}, sse4.1 {}",
+            std::arch::is_x86_feature_detected!("sha"),
+            std::arch::is_x86_feature_detected!("ssse3"),
+            std::arch::is_x86_feature_detected!("sse4.1")
+        );
+        #[cfg(not(target_arch = "x86_64"))]
+        println!("sha1 native arm: none on this architecture");
+        let data: Vec<u8> = (0..64 * 24u32)
+            .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
+            .collect();
+        for blocks in 0..=24 {
+            let mut native = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
+            native[blocks % 5] ^= (blocks as u32).wrapping_mul(0x9E37_79B9);
+            let mut scalar = native;
+            Sha1::compress_on(&mut native, &data[..64 * blocks], true);
+            Sha1::compress_on(&mut scalar, &data[..64 * blocks], false);
+            assert_eq!(native, scalar, "{blocks} blocks");
         }
-        assert_eq!(dispatched, scalar);
     }
 
     #[test]

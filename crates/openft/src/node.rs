@@ -1081,7 +1081,16 @@ impl App for FtNode {
             Some(ConnKind::Download(d)) => {
                 self.finish_download(ctx, None, d.id, Err(FtDownloadError::ConnectFailed));
             }
-            Some(ConnKind::Peer(_)) => self.arm_tick(ctx),
+            Some(ConnKind::Peer(p)) => {
+                // An address nobody answers at is forgotten (a misframed
+                // NODELIST can name hundreds), until a NODELIST names it
+                // again; the configured bootstrap nodes never are.
+                if !self.config.bootstrap.contains(&p.peer_addr) {
+                    let gone = p.peer_addr;
+                    self.known.retain(|k| HostAddr::new(k.ip, k.port) != gone);
+                }
+                self.arm_tick(ctx);
+            }
             _ => {}
         }
     }

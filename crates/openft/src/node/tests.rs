@@ -996,6 +996,71 @@ fn a_dropped_peer_is_refilled_by_the_tick() {
     assert_eq!((m.conns_established, m.timers_fired), settled);
 }
 
+/// A refused dial forgets the address it went to, so the next tick dials
+/// only what is left — here the bootstrap node, which is never forgotten —
+/// and a NODELIST that names the address again brings it back.
+#[test]
+fn a_refused_address_is_forgotten_but_bootstrap_is_not() {
+    let phantom = |last| HostAddr::new(std::net::Ipv4Addr::new(9, 9, 9, last), 1215);
+    let (boot, learned) = (phantom(1), phantom(2));
+    let mut sim = Simulator::new(SimConfig::default(), 12);
+    let cfg = FtConfig {
+        target_sessions: 2,
+        ..FtConfig::user().with_bootstrap(vec![boot])
+    };
+    let tick = cfg.tick;
+    let user = sim.spawn(
+        NodeSpec::public().listen(1215),
+        Box::new(FtNode::new(cfg, world(12), HostLibrary::new())),
+    );
+    let nodelist = NodeList::Response(vec![NodeEntry {
+        ip: learned.ip,
+        port: learned.port,
+        klass: CLASS_SEARCH,
+    }])
+    .encode();
+    let known = |sim: &mut Simulator| {
+        with_node(sim, user, |n, _| {
+            let mut k: Vec<HostAddr> = n
+                .known
+                .iter()
+                .map(|e| HostAddr::new(e.ip, e.port))
+                .collect();
+            k.sort();
+            k
+        })
+    };
+    // A refusal arrives within a few seconds of its dial.
+    let settle = SimDuration::from_secs(5);
+    sim.run_until(SimTime::ZERO + settle);
+    assert_eq!(sim.metrics().conns_failed, 1);
+    with_node(&mut sim, user, |n, ctx| {
+        n.handle_packet(ctx, ConnId(u64::MAX), Command::NodeList, &nodelist)
+    });
+    assert_eq!(known(&mut sim), [boot, learned]);
+    // The next tick dials both; both are refused.
+    let failed = sim.metrics().conns_failed;
+    sim.run_until(sim.now() + tick + settle);
+    assert_eq!(sim.metrics().conns_failed, failed + 2);
+    assert_eq!(known(&mut sim), [boot]);
+    // What the tick after that dials: the bootstrap node alone.
+    let dialed = with_node(&mut sim, user, |n, ctx| {
+        n.maintain(ctx);
+        n.conns
+            .values()
+            .filter_map(|k| match k {
+                ConnKind::Peer(p) if p.outbound => Some(p.peer_addr),
+                _ => None,
+            })
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(dialed, [boot]);
+    with_node(&mut sim, user, |n, ctx| {
+        n.handle_packet(ctx, ConnId(u64::MAX), Command::NodeList, &nodelist)
+    });
+    assert_eq!(known(&mut sim), [boot, learned]);
+}
+
 /// A node nobody reads events from checks a result and counts it without
 /// materialising it; a result `Search::parse` rejects is still rejected.
 #[test]
