@@ -153,7 +153,9 @@ impl<'a> Ctx<'a> {
 
     /// Times `f` into wall-clock bucket `s` of the simulation's
     /// [`SubsystemProfile`] — how apps attribute their scan-pipeline and
-    /// query-matching work. Diagnostics only; never affects determinism.
+    /// query-matching work. `Scan` is always timed; a sampled bucket such
+    /// as `QueryMatch` only inside the callbacks the profiler times, and
+    /// counted in the rest. Diagnostics only; never affects determinism.
     #[inline]
     pub fn time<R>(&mut self, s: Subsystem, f: impl FnOnce() -> R) -> R {
         self.profile.time(s, f)

@@ -12,26 +12,25 @@
 //!   An empty map is one `Vec` (24 bytes, no allocation); a populated map
 //!   stores exactly its entries plus growth slack, with no hash state and
 //!   no per-slot control bytes.
-//! * [`FifoMap`] / [`FifoSet`] — an open-addressed, power-of-two table
-//!   keyed through the [`KeyHash`] trait, paired with a FIFO eviction
-//!   queue, for the bounded route/duplicate tables (seen-GUIDs, query
+//! * [`FifoMap`] / [`FifoSet`] — an insertion-order ring of entries plus
+//!   an open-addressed index of `u32` tags keyed through the [`KeyHash`]
+//!   trait, for the bounded route/duplicate tables (seen-GUIDs, query
 //!   routes, push routes). Replaces the `HashMap` + `VecDeque` pairs with
-//!   one allocation-free-when-empty structure and a multiply-shift hash
-//!   instead of SipHash.
+//!   one allocation-free-when-empty structure whose duplicate check reads
+//!   one index cache line, and the ring only when an 8-bit tag matches.
 //!
 //! Both preserve the *exact* observable semantics of the `HashMap`-based
 //! code they replace (the proptest suites below drive them against the
-//! std-collections reference): full-key equality on every probe, value
+//! std-collections reference): full-key equality on every match, value
 //! overwrite without FIFO reordering, eviction strictly in insert order.
 //! Iteration order of [`VecMap`] is sorted by key — already deterministic,
 //! unlike `HashMap`, so the fan-out sites that used to collect-and-sort
 //! can keep their sort as a no-op safety net.
 
-use std::collections::VecDeque;
-
 /// A 64-bit hash for open-addressed table keys. Implementors must provide
-/// a well-mixed value (the table uses the high bits via multiply-shift);
-/// equality of hashes is *never* trusted — every probe compares full keys.
+/// a well-mixed value (the index takes its slot from the high half and a
+/// tag from the low half); equality of hashes is *never* trusted — a tag
+/// match is confirmed by comparing full keys.
 pub trait KeyHash {
     fn key_hash(&self) -> u64;
 }
@@ -180,191 +179,191 @@ impl<K: Ord + Copy, V> VecMap<K, V> {
 // FifoMap / FifoSet
 // ---------------------------------------------------------------------------
 
-/// One open-addressing slot. `Tombstone` keeps probe chains intact after
-/// removals; tombstones are reclaimed wholesale on rehash.
-#[derive(Debug, Clone)]
-enum Slot<K, V> {
-    Empty,
-    Tombstone,
-    Full(K, V),
-}
+/// An index entry is `tag | (ring position + 1)`: the position in the low
+/// `POS_BITS` bits (so 0 can mean "empty"), 8 bits of the key's hash above.
+const POS_BITS: u32 = 24;
+const POS_MASK: u32 = (1 << POS_BITS) - 1;
 
-/// An open-addressed hash map with FIFO capacity eviction: the
-/// `HashMap + VecDeque` route-table idiom as one structure. `insert` on a
-/// *fresh* key records it in the eviction queue and, past `bound` live
-/// keys, removes the oldest; `insert` on an *existing* key overwrites the
-/// value without touching the queue — exactly the semantics of the code
-/// it replaces (`remember_seen` / `route_query_back`).
+/// A hash map with FIFO capacity eviction: the `HashMap + VecDeque`
+/// route-table idiom as one structure. `insert` on a *fresh* key adds it
+/// and, once `bound` keys are held, evicts the oldest; `insert` on an
+/// *existing* key overwrites the value without changing its age — exactly
+/// the semantics of the code it replaces (`remember_seen` /
+/// `route_query_back`).
 ///
-/// Unbounded use is supported with `bound = usize::MAX`. An empty map
-/// holds no heap allocation, and a map evicting at its bound stays at the
-/// allocation of its first fill.
+/// Entries live in `ring` in insertion order. Until `bound` are held a
+/// fresh key is pushed; from then on `head` is the oldest, and a fresh key
+/// overwrites it in place. `index` is open-addressed with linear probing,
+/// a power of two at most half full, and each used slot names a ring
+/// position and carries a tag: a probe reads the ring only when the tag
+/// matches. Eviction deletes by backward shift, so there are no
+/// tombstones, and a full map never rehashes. An empty map holds no heap
+/// allocation, and a map evicting at its bound stays at the allocation of
+/// its first fill.
 #[derive(Debug, Clone)]
 pub struct FifoMap<K, V> {
-    slots: Vec<Slot<K, V>>,
-    order: VecDeque<K>,
+    ring: Vec<(K, V)>,
+    /// The oldest entry once the ring is full (0 until then).
+    head: usize,
+    index: Vec<u32>,
     bound: usize,
-    len: usize,
-    /// Full (non-tombstone) plus tombstone slots — the rehash trigger.
-    used: usize,
 }
 
 impl<K: KeyHash + Eq + Copy, V> FifoMap<K, V> {
     pub fn bounded(bound: usize) -> Self {
         assert!(bound > 0, "a FifoMap holds at least one key");
+        assert!(
+            bound < 1 << POS_BITS,
+            "a FifoMap holds fewer than 2^24 keys"
+        );
         FifoMap {
-            slots: Vec::new(),
-            order: VecDeque::new(),
+            ring: Vec::new(),
+            head: 0,
+            index: Vec::new(),
             bound,
-            len: 0,
-            used: 0,
         }
     }
 
     pub fn len(&self) -> usize {
-        self.len
+        self.ring.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.ring.is_empty()
+    }
+
+    /// The index slot a hash probes first.
+    #[inline]
+    fn home(&self, h: u64) -> usize {
+        (h >> 32) as usize & (self.index.len() - 1)
     }
 
     #[inline]
-    fn mask(&self) -> usize {
-        self.slots.len() - 1
+    fn tag(h: u64) -> u32 {
+        h as u32 & !POS_MASK
     }
 
-    /// Finds `key`'s slot (Ok) or the first insertable slot on its probe
-    /// chain (Err). Caller guarantees the table is allocated and not full.
-    fn probe(&self, key: &K) -> Result<usize, usize> {
-        let mask = self.mask();
-        let mut i = (key.key_hash() >> 32) as usize & mask;
-        let mut insert_at = None;
+    /// The index slot naming `key` (Ok), or the empty slot that ends its
+    /// probe chain (Err). The index must be allocated.
+    #[inline]
+    fn find(&self, key: &K, h: u64) -> Result<usize, usize> {
+        let mask = self.index.len() - 1;
+        let tag = Self::tag(h);
+        let mut i = self.home(h);
         loop {
-            match &self.slots[i] {
-                Slot::Empty => return Err(insert_at.unwrap_or(i)),
-                Slot::Tombstone => {
-                    if insert_at.is_none() {
-                        insert_at = Some(i);
-                    }
-                }
-                Slot::Full(k, _) => {
-                    if k == key {
-                        return Ok(i);
-                    }
-                }
+            let e = self.index[i];
+            if e == 0 {
+                return Err(i);
+            }
+            if e & !POS_MASK == tag && self.ring[(e & POS_MASK) as usize - 1].0 == *key {
+                return Ok(i);
             }
             i = (i + 1) & mask;
         }
     }
 
-    /// Rebuilds the table without its tombstones: at the same size while
-    /// the live keys fill at most half of it — under steady FIFO eviction it
-    /// is tombstones, not keys, that reach the load limit — and doubled
-    /// otherwise.
-    fn rehash(&mut self) {
-        let cap = self.slots.len();
-        let new_cap = if self.len * 2 <= cap { cap } else { cap * 2 }.max(16);
-        let old = std::mem::take(&mut self.slots);
-        self.slots.resize_with(new_cap, || Slot::Empty);
-        self.used = self.len;
-        for slot in old {
-            if let Slot::Full(k, v) = slot {
-                let i = match self.probe(&k) {
-                    Ok(i) | Err(i) => i,
-                };
-                self.slots[i] = Slot::Full(k, v);
-            }
+    /// The ring position of `key`'s entry.
+    #[inline]
+    fn position(&self, key: &K) -> Option<usize> {
+        if self.index.is_empty() {
+            return None;
         }
-    }
-
-    /// Rehashes so at least one more entry fits below 7/8 load.
-    fn reserve_one(&mut self) {
-        if self.slots.is_empty() || (self.used + 1) * 8 > self.slots.len() * 7 {
-            self.rehash();
-        }
+        let i = self.find(key, key.key_hash()).ok()?;
+        Some((self.index[i] & POS_MASK) as usize - 1)
     }
 
     pub fn contains_key(&self, key: &K) -> bool {
-        !self.slots.is_empty() && self.probe(key).is_ok()
+        self.position(key).is_some()
     }
 
     pub fn get(&self, key: &K) -> Option<&V> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        match self.probe(key) {
-            Ok(i) => match &self.slots[i] {
-                Slot::Full(_, v) => Some(v),
-                _ => unreachable!(),
-            },
-            Err(_) => None,
-        }
+        self.position(key).map(|p| &self.ring[p].1)
     }
 
-    /// Removes `key` without touching the eviction queue (the stale queue
-    /// entry is skipped at eviction time — same net behavior as the
-    /// original idiom, which never removed mid-queue either).
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        if self.slots.is_empty() {
-            return None;
+    /// Names ring position `pos` in the first empty slot of `h`'s chain.
+    fn place(&mut self, h: u64, pos: usize) {
+        let mask = self.index.len() - 1;
+        let mut i = self.home(h);
+        while self.index[i] != 0 {
+            i = (i + 1) & mask;
         }
-        match self.probe(key) {
-            Ok(i) => {
-                let slot = std::mem::replace(&mut self.slots[i], Slot::Tombstone);
-                self.len -= 1;
-                match slot {
-                    Slot::Full(_, v) => Some(v),
-                    _ => unreachable!(),
-                }
+        self.index[i] = Self::tag(h) | (pos as u32 + 1);
+    }
+
+    /// Empties index slot `hole` by backward shift: each later entry of its
+    /// cluster whose chain passes through the hole moves into it, and the
+    /// slot it left becomes the hole, so no probe chain is ever cut.
+    fn delete(&mut self, mut hole: usize) {
+        let mask = self.index.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let e = self.index[i];
+            if e == 0 {
+                break;
             }
-            Err(_) => None,
-        }
-    }
-
-    fn raw_insert(&mut self, key: K, value: V) -> Option<V> {
-        self.reserve_one();
-        match self.probe(&key) {
-            Ok(i) => match &mut self.slots[i] {
-                Slot::Full(_, v) => Some(std::mem::replace(v, value)),
-                _ => unreachable!(),
-            },
-            Err(i) => {
-                if matches!(self.slots[i], Slot::Empty) {
-                    self.used += 1;
-                }
-                self.slots[i] = Slot::Full(key, value);
-                self.len += 1;
-                None
+            let home = self.home(self.ring[(e & POS_MASK) as usize - 1].0.key_hash());
+            // The hole lies on this entry's chain when it is no further from
+            // the entry's home than the entry itself.
+            if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
+                self.index[hole] = e;
+                hole = i;
             }
         }
+        self.index[hole] = 0;
     }
 
-    /// Inserts with FIFO bounding. A fresh key joins the eviction queue
-    /// (evicting the oldest live key once over `bound`); overwriting an
-    /// existing key's value leaves the queue untouched.
+    /// Doubles the index (8 slots at first use) and places every entry
+    /// anew.
+    fn grow_index(&mut self) {
+        self.index = vec![0; (self.index.len() * 2).max(8)];
+        for pos in 0..self.ring.len() {
+            self.place(self.ring[pos].0.key_hash(), pos);
+        }
+    }
+
+    /// Inserts with FIFO bounding. A fresh key evicts the oldest once
+    /// `bound` keys are held; overwriting an existing key's value leaves
+    /// its age alone.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let prev = self.raw_insert(key, value);
-        if prev.is_none() {
-            // Once `bound` keys are queued the oldest leaves the queue before
-            // the new one joins, so the queue never outgrows its first fill.
-            let oldest = if self.order.len() >= self.bound {
-                self.order.pop_front()
-            } else {
-                None
-            };
-            self.order.push_back(key);
-            if let Some(old) = oldest {
-                self.remove(&old);
-            }
+        if let Some(p) = self.position(&key) {
+            return Some(std::mem::replace(&mut self.ring[p].1, value));
         }
-        prev
+        let h = key.key_hash();
+        let len = self.ring.len();
+        if len < self.bound {
+            if (len + 1) * 2 > self.index.len() {
+                self.grow_index();
+            }
+            if len == self.ring.capacity() {
+                // Doubling, but never past the bound.
+                let want = (len * 2).max(4).min(self.bound);
+                self.ring.reserve_exact(want - len);
+            }
+            self.place(h, len);
+            self.ring.push((key, value));
+        } else {
+            // The oldest entry's slot is the first one from its key's home
+            // that names `head`: no key is compared on the way.
+            let head = self.head;
+            let named = head as u32 + 1;
+            let mask = self.index.len() - 1;
+            let mut i = self.home(self.ring[head].0.key_hash());
+            while self.index[i] & POS_MASK != named {
+                i = (i + 1) & mask;
+            }
+            self.delete(i);
+            self.ring[head] = (key, value);
+            self.place(h, head);
+            self.head = (head + 1) % self.bound;
+        }
+        None
     }
 
-    /// Heap bytes held by the table and eviction queue.
+    /// Heap bytes held by the ring and the index.
     pub fn heap_bytes(&self) -> u64 {
-        (self.slots.capacity() * std::mem::size_of::<Slot<K, V>>()
-            + self.order.capacity() * std::mem::size_of::<K>()) as u64
+        (self.ring.capacity() * std::mem::size_of::<(K, V)>()
+            + self.index.capacity() * std::mem::size_of::<u32>()) as u64
     }
 }
 
@@ -428,8 +427,8 @@ mod tests {
         assert!(!m.contains_key(&9));
     }
 
-    /// At steady-state eviction the 7/8 trigger is reached by tombstones;
-    /// the table must rehash at its size, not double on every cycle.
+    /// At steady-state eviction the allocation of the first fill is the
+    /// last: nothing grows, however many times the ring wraps.
     #[test]
     fn fifomap_stops_growing_once_full() {
         const BOUND: usize = 16_384;
@@ -495,6 +494,127 @@ mod tests {
         assert_eq!(v.heap_bytes(), 0);
     }
 
+    /// A full map holds its ring at the bound and its index at twice that.
+    #[test]
+    fn fifomap_full_size_is_ring_plus_half_full_index() {
+        let mut m: FifoMap<u64, ()> = FifoMap::bounded(16_384);
+        for k in 0..20_000u64 {
+            m.insert(k, ());
+        }
+        assert_eq!(m.heap_bytes(), 16_384 * 8 + 32_768 * 4);
+    }
+
+    /// A key whose hash takes one of two values: every probe collides, so
+    /// only the full-key compare tells keys apart, and every eviction
+    /// shifts a long cluster back.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    struct Clash(u64);
+
+    impl KeyHash for Clash {
+        fn key_hash(&self) -> u64 {
+            if self.0.is_multiple_of(2) {
+                0x0123_4567_89AB_CDEF
+            } else {
+                0x0123_4568_79AB_CDEF
+            }
+        }
+    }
+
+    std::thread_local! {
+        static COMPARES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A key that shares one home slot with every other and has a tag of
+    /// its own (its low byte), and counts full-key compares.
+    #[derive(Debug, Clone, Copy)]
+    struct Tagged(u8);
+
+    impl PartialEq for Tagged {
+        fn eq(&self, other: &Self) -> bool {
+            COMPARES.with(|c| c.set(c.get() + 1));
+            self.0 == other.0
+        }
+    }
+
+    impl Eq for Tagged {}
+
+    impl KeyHash for Tagged {
+        fn key_hash(&self) -> u64 {
+            (self.0 as u64) << POS_BITS
+        }
+    }
+
+    /// A probe reads the ring only where a tag matches: a miss down a
+    /// cluster of other tags compares no key, a hit compares one.
+    #[test]
+    fn probes_compare_keys_only_on_a_tag_match() {
+        let mut m: FifoMap<Tagged, u8> = FifoMap::bounded(16);
+        for k in 1..=12 {
+            m.insert(Tagged(k), k);
+        }
+        let compares = |m: &FifoMap<Tagged, u8>, k: u8| {
+            COMPARES.with(|c| c.set(0));
+            let got = m.get(&Tagged(k)).copied();
+            (got, COMPARES.with(|c| c.get()))
+        };
+        assert_eq!(compares(&m, 200), (None, 0));
+        assert_eq!(compares(&m, 12), (Some(12), 1));
+        assert_eq!(compares(&m, 1), (Some(1), 1));
+    }
+
+    /// The `HashMap` + `VecDeque` idiom `FifoMap` replaces.
+    struct Reference<K, V> {
+        map: HashMap<K, V>,
+        order: std::collections::VecDeque<K>,
+        bound: usize,
+    }
+
+    impl<K: std::hash::Hash + Eq + Copy, V> Reference<K, V> {
+        fn new(bound: usize) -> Self {
+            Reference {
+                map: HashMap::new(),
+                order: Default::default(),
+                bound,
+            }
+        }
+
+        fn insert(&mut self, k: K, v: V) -> Option<V> {
+            let prev = self.map.insert(k, v);
+            if prev.is_none() {
+                self.order.push_back(k);
+                if self.order.len() > self.bound {
+                    let old = self.order.pop_front().unwrap();
+                    self.map.remove(&old);
+                }
+            }
+            prev
+        }
+    }
+
+    /// Drives a `FifoMap` and the reference through one op stream:
+    /// op 0 inserts, anything else looks up; every key is checked at the
+    /// end.
+    fn equivalent<K, F>(bound: usize, keys: u64, ops: &[(u8, u64, u32)], key: F)
+    where
+        K: KeyHash + Eq + Copy + std::hash::Hash + std::fmt::Debug,
+        F: Fn(u64) -> K,
+    {
+        let mut fm: FifoMap<K, u32> = FifoMap::bounded(bound);
+        let mut reference = Reference::new(bound);
+        for &(op, k, v) in ops {
+            let k = key(k);
+            if op == 0 {
+                assert_eq!(fm.insert(k, v), reference.insert(k, v), "insert {k:?}");
+            } else {
+                assert_eq!(fm.get(&k), reference.map.get(&k), "get {k:?}");
+            }
+            assert_eq!(fm.len(), reference.map.len());
+        }
+        for k in (0..keys).map(&key) {
+            assert_eq!(fm.get(&k), reference.map.get(&k), "final key {k:?}");
+        }
+    }
+
     proptest::proptest! {
         /// VecMap vs HashMap under a random op stream.
         #[test]
@@ -517,37 +637,24 @@ mod tests {
             proptest::prop_assert_eq!(got, reference, "sorted iteration matches");
         }
 
-        /// FifoMap vs the HashMap+VecDeque idiom it replaces, including
-        /// interleaved removes (which leave stale queue entries in both).
+        /// FifoMap vs the HashMap+VecDeque idiom it replaces, over op
+        /// streams long enough to wrap the ring many times.
         #[test]
         fn fifomap_equivalence(
-            bound in 1usize..8,
-            ops in proptest::collection::vec((0u8..3, 0u64..16, 0u32..100), 0..200),
+            bound in 1usize..40,
+            ops in proptest::collection::vec((0u8..2, 0u64..64, 0u32..100), 0..2000),
         ) {
-            let mut fm: FifoMap<u64, u32> = FifoMap::bounded(bound);
-            let mut hm: HashMap<u64, u32> = HashMap::new();
-            let mut order: std::collections::VecDeque<u64> = Default::default();
-            for (op, k, v) in ops {
-                match op {
-                    0 => {
-                        let prev = hm.insert(k, v);
-                        if prev.is_none() {
-                            order.push_back(k);
-                            if order.len() > bound {
-                                let old = order.pop_front().unwrap();
-                                hm.remove(&old);
-                            }
-                        }
-                        proptest::prop_assert_eq!(fm.insert(k, v), prev);
-                    }
-                    1 => proptest::prop_assert_eq!(fm.remove(&k), hm.remove(&k)),
-                    _ => proptest::prop_assert_eq!(fm.get(&k), hm.get(&k)),
-                }
-                proptest::prop_assert_eq!(fm.len(), hm.len());
-            }
-            for k in 0..16u64 {
-                proptest::prop_assert_eq!(fm.get(&k), hm.get(&k), "final key {}", k);
-            }
+            equivalent(bound, 64, &ops, |k| k);
+        }
+
+        /// The same with every probe colliding: the full-key compare and
+        /// the backward shift run on every operation.
+        #[test]
+        fn fifomap_equivalence_under_collisions(
+            bound in 1usize..40,
+            ops in proptest::collection::vec((0u8..2, 0u64..64, 0u32..100), 0..2000),
+        ) {
+            equivalent(bound, 64, &ops, Clash);
         }
 
         /// FifoSet vs HashSet+VecDeque (the remember_seen idiom).

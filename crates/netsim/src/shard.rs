@@ -55,7 +55,7 @@ use crate::compact::VecMap;
 use crate::faults::ChunkFate;
 use crate::metrics::SimMetrics;
 use crate::pool::{BufferPool, Payload};
-use crate::profile::{Subsystem, SubsystemProfile};
+use crate::profile::{Stopwatch, Subsystem, SubsystemProfile};
 use crate::queue::{CalendarQueue, Scheduler};
 use crate::sim::SimConfig;
 use crate::telemetry::{
@@ -379,9 +379,9 @@ fn drop_chunk(shard: &mut Shard, now: SimTime, payload: Payload) {
     }
 }
 
-/// Nanoseconds attributed to callbacks so far; a run loop's remainder —
-/// queue operations, dispatch overhead — goes to `Scheduler` without
-/// per-event clock reads beyond the ones `with_app` makes.
+/// Nanoseconds attributed to callbacks so far (sampled estimates); a run
+/// loop's remainder — queue operations, dispatch overhead — goes to
+/// `Scheduler` without per-event clock reads of its own.
 fn callback_nanos(t: &SubsystemProfile) -> u64 {
     t.nanos(Subsystem::App) + t.nanos(Subsystem::TcpPump)
 }
@@ -608,18 +608,18 @@ impl<'a> Lane<'a> {
 
     /// Runs `f` against `node`'s app, which appends its commands to
     /// `self.actions` for the caller to apply or discard. Returns `f`'s
-    /// result and the instant the callback returned; `None` on a
-    /// re-entrant dispatch.
+    /// result and, when the profiler times this callback, its still
+    /// running stopwatch; `None` on a re-entrant dispatch.
     fn call_app<R>(
         &mut self,
         node: NodeId,
         f: impl FnOnce(&mut dyn App, &mut Ctx<'_>) -> R,
-    ) -> Option<(R, Instant)> {
+    ) -> Option<(R, Option<Stopwatch>)> {
         let slot = self.slot(node);
         let shard = &mut *self.shard;
         let st = &mut shard.nodes[slot];
         let mut app = st.app.take()?;
-        let start = Instant::now();
+        let mut watch = shard.metrics.timing.open_callback().then(Stopwatch::start);
         let r = f(
             app.as_mut(),
             &mut Ctx {
@@ -636,13 +636,10 @@ impl<'a> Lane<'a> {
                 telemetry: &mut shard.telemetry,
             },
         );
-        let end = Instant::now();
-        shard
-            .metrics
-            .timing
-            .record(Subsystem::App, (end - start).as_nanos() as u64);
+        let measured = watch.as_mut().map(Stopwatch::lap);
+        shard.metrics.timing.close_callback(measured);
         st.app = Some(app);
-        Some((r, end))
+        Some((r, watch))
     }
 
     /// Runs `f` against `node`'s app, then applies the actions it buffered.
@@ -652,17 +649,20 @@ impl<'a> Lane<'a> {
         node: NodeId,
         f: impl FnOnce(&mut dyn App, &mut Ctx<'_>) -> R,
     ) -> Option<R> {
-        let (r, mid) = self.call_app(node, f)?;
+        let (r, mut watch) = self.call_app(node, f)?;
         // Most callbacks queue nothing (a dropped duplicate, a routed
         // message with no taker): those count as a pump call of no length
-        // rather than costing a third clock read.
+        // rather than costing another clock read.
         let pump = if self.actions.is_empty() {
             0
         } else {
             self.apply(node);
-            mid.elapsed().as_nanos() as u64
+            watch.as_mut().map_or(0, Stopwatch::lap)
         };
-        self.shard.metrics.timing.record(Subsystem::TcpPump, pump);
+        self.shard
+            .metrics
+            .timing
+            .record_sampled(Subsystem::TcpPump, pump);
         Some(r)
     }
 

@@ -28,6 +28,12 @@
 //! * **`bytes_per_node` has a tolerance** ([`DiffOptions::max_bytes_regress_pct`])
 //!   — byte-for-byte identical on the same toolchain, but allocator and
 //!   layout shifts across toolchains shouldn't fail the gate.
+//! * **A malformed document never passes.** A section the comparison
+//!   reads (`subsystems`, `memory`, `telemetry`, `networks`) that is
+//!   missing or of the wrong type on either side, an exact field missing or
+//!   not a number, and a wall time, bucket time, rate or byte count that is
+//!   not a finite non-negative number (a wall time must also be above zero)
+//!   are failures, whatever [`DiffOptions::lenient_exact`] says.
 
 use p2pmal_json::Value;
 
@@ -124,9 +130,11 @@ fn pct_delta(base: f64, cand: f64) -> f64 {
     }
 }
 
-/// Exact comparison of one deterministic numeric field.
+/// Exact comparison of one deterministic numeric field. A field missing
+/// (or not a number) on both sides is a failure too: there is nothing to
+/// compare, and silence would read as agreement.
 fn exact(diff: &mut Diff, opts: &DiffOptions, what: &str, base: Option<f64>, cand: Option<f64>) {
-    if base == cand {
+    if base == cand && base.is_some() {
         return;
     }
     let msg = format!(
@@ -134,16 +142,88 @@ fn exact(diff: &mut Diff, opts: &DiffOptions, what: &str, base: Option<f64>, can
         base.map_or("<missing>".into(), |v| v.to_string()),
         cand.map_or("<missing>".into(), |v| v.to_string()),
     );
-    if opts.lenient_exact {
+    if opts.lenient_exact && base.is_some() && cand.is_some() {
         diff.notes.push(msg);
     } else {
         diff.failures.push(msg);
     }
 }
 
-/// Walks two flat numeric objects (counters, one hist, one subsystem
-/// bucket) comparing every key exactly, both directions.
+/// `v[key]` when it is a finite number, not negative, and (if `positive`)
+/// above zero; otherwise a failure naming `side`, and 0.
+fn measured(diff: &mut Diff, side: &str, what: &str, v: &Value, key: &str, positive: bool) -> f64 {
+    match f64_field(v, key) {
+        Some(x) if x.is_finite() && (x > 0.0 || x == 0.0 && !positive) => x,
+        _ => {
+            let got = v
+                .get(key)
+                .map_or("<missing>".into(), Value::to_string_compact);
+            let want = if positive { "positive" } else { "non-negative" };
+            diff.failures.push(format!(
+                "{what}.{key}: {side} has {got}, not a {want} number"
+            ));
+            0.0
+        }
+    }
+}
+
+/// [`measured`] on both documents.
+fn measured_pair(
+    diff: &mut Diff,
+    what: &str,
+    base: &Value,
+    cand: &Value,
+    key: &str,
+    positive: bool,
+) -> (f64, f64) {
+    (
+        measured(diff, "baseline", what, base, key, positive),
+        measured(diff, "candidate", what, cand, key, positive),
+    )
+}
+
+/// The `key` sections of both documents when each is an object (or, with
+/// `array`, an array); otherwise a failure and `None`.
+fn section<'v>(
+    diff: &mut Diff,
+    what: &str,
+    base: &'v Value,
+    cand: &'v Value,
+    key: &str,
+    array: bool,
+) -> Option<(&'v Value, &'v Value)> {
+    let usable = |v: Option<&'v Value>| {
+        v.filter(|v| match v {
+            Value::Obj(_) => !array,
+            Value::Arr(_) => array,
+            _ => false,
+        })
+    };
+    let kind = if array { "array" } else { "object" };
+    match (usable(base.get(key)), usable(cand.get(key))) {
+        (Some(b), Some(c)) => return Some((b, c)),
+        (None, Some(_)) => diff
+            .failures
+            .push(format!("{what}{key}: baseline has no {kind} here")),
+        (Some(_), None) => diff
+            .failures
+            .push(format!("{what}{key}: candidate has no {kind} here")),
+        (None, None) => diff
+            .failures
+            .push(format!("{what}{key}: neither document has an {kind} here")),
+    }
+    None
+}
+
+/// Walks two flat numeric objects (counters, one hist) comparing every key
+/// exactly, both directions.
 fn exact_obj(diff: &mut Diff, opts: &DiffOptions, what: &str, base: &Value, cand: &Value) {
+    for (side, v) in [("baseline", base), ("candidate", cand)] {
+        if !matches!(v, Value::Obj(_)) {
+            diff.failures
+                .push(format!("{what}: {side} has no object here"));
+        }
+    }
     for (key, bval) in obj_entries(base) {
         exact(
             diff,
@@ -160,6 +240,20 @@ fn exact_obj(diff: &mut Diff, opts: &DiffOptions, what: &str, base: &Value, cand
     }
 }
 
+/// Every key of two objects: the baseline's in order, then the
+/// candidate's own.
+fn union_keys<'v>(base: &'v Value, cand: &'v Value) -> Vec<&'v str> {
+    let mut keys: Vec<&str> = obj_entries(base).iter().map(|(k, _)| k.as_str()).collect();
+    for (k, _) in obj_entries(cand) {
+        if base.get(k).is_none() {
+            keys.push(k);
+        }
+    }
+    keys
+}
+
+static NULL: Value = Value::Null;
+
 fn diff_memory(diff: &mut Diff, opts: &DiffOptions, what: &str, base: &Value, cand: &Value) {
     exact(
         diff,
@@ -168,10 +262,7 @@ fn diff_memory(diff: &mut Diff, opts: &DiffOptions, what: &str, base: &Value, ca
         f64_field(base, "nodes"),
         f64_field(cand, "nodes"),
     );
-    let (b, c) = (
-        f64_field(base, "bytes_per_node").unwrap_or(0.0),
-        f64_field(cand, "bytes_per_node").unwrap_or(0.0),
-    );
+    let (b, c) = measured_pair(diff, what, base, cand, "bytes_per_node", false);
     let delta = pct_delta(b, c);
     if delta > opts.max_bytes_regress_pct {
         diff.failures.push(format!(
@@ -185,7 +276,8 @@ fn diff_memory(diff: &mut Diff, opts: &DiffOptions, what: &str, base: &Value, ca
     }
 }
 
-fn diff_throughput(diff: &mut Diff, opts: &DiffOptions, what: &str, base: f64, cand: f64) {
+fn diff_throughput(diff: &mut Diff, opts: &DiffOptions, what: &str, base: &Value, cand: &Value) {
+    let (base, cand) = measured_pair(diff, what, base, cand, "events_per_sec", false);
     let delta = pct_delta(base, cand);
     let msg = format!("{what}.events_per_sec: {base:.0} -> {cand:.0} ({delta:+.1}%)");
     if opts.fail_on_throughput && -delta > opts.max_throughput_regress_pct {
@@ -205,21 +297,18 @@ fn diff_buckets(
     base: &Value,
     cand: &Value,
 ) {
-    for (bucket, bval) in obj_entries(base) {
-        let b_secs = f64_field(bval, "secs").unwrap_or(0.0);
-        let c_secs = cand
-            .get(bucket)
-            .and_then(|v| f64_field(v, "secs"))
-            .unwrap_or(0.0);
+    for bucket in union_keys(base, cand) {
+        let scope = format!("{what}.{bucket}");
+        let bval = base.get(bucket).unwrap_or(&NULL);
+        let cval = cand.get(bucket).unwrap_or(&NULL);
         exact(
             diff,
             opts,
-            &format!("{what}.{bucket}.calls"),
-            bval.get("calls").and_then(Value::as_f64),
-            cand.get(bucket)
-                .and_then(|v| v.get("calls"))
-                .and_then(Value::as_f64),
+            &format!("{scope}.calls"),
+            f64_field(bval, "calls"),
+            f64_field(cval, "calls"),
         );
+        let (b_secs, c_secs) = measured_pair(diff, &scope, bval, cval, "secs", false);
         let b_share = if base_wall > 0.0 {
             b_secs / base_wall * 100.0
         } else {
@@ -237,7 +326,7 @@ fn diff_buckets(
             && c_share - b_share > opts.min_share_points;
         diff.rows.push(Value::Obj(vec![
             ("scope".into(), Value::Str(what.to_string())),
-            ("bucket".into(), Value::Str(bucket.clone())),
+            ("bucket".into(), Value::Str(bucket.to_string())),
             ("base_secs".into(), Value::Num(b_secs)),
             ("cand_secs".into(), Value::Num(c_secs)),
             ("base_share_pct".into(), Value::Num(b_share)),
@@ -247,7 +336,7 @@ fn diff_buckets(
         ]));
         if regressed {
             diff.failures.push(format!(
-                "{what}.{bucket}: wall share {b_share:.1}% -> {c_share:.1}% \
+                "{scope}: wall share {b_share:.1}% -> {c_share:.1}% \
                  (relative +{:.1}% > {:.1}%, absolute +{:.1}pt > {:.1}pt)",
                 pct_delta(b_share, c_share),
                 opts.max_share_regress_pct,
@@ -273,54 +362,43 @@ fn diff_network(diff: &mut Diff, opts: &DiffOptions, base: &Value, cand: &Value)
             f64_field(cand, key),
         );
     }
-    diff_throughput(
-        diff,
-        opts,
-        &name,
-        f64_field(base, "events_per_sec").unwrap_or(0.0),
-        f64_field(cand, "events_per_sec").unwrap_or(0.0),
-    );
-    let base_wall = f64_field(base, "wall_secs").unwrap_or(0.0);
-    let cand_wall = f64_field(cand, "wall_secs").unwrap_or(0.0);
+    diff_throughput(diff, opts, &name, base, cand);
+    let (base_wall, cand_wall) = measured_pair(diff, &name, base, cand, "wall_secs", true);
     diff.notes.push(format!(
         "{name}.wall_secs: {base_wall:.2} -> {cand_wall:.2} ({:+.1}%)",
         pct_delta(base_wall, cand_wall)
     ));
-    if let (Some(b), Some(c)) = (base.get("subsystems"), cand.get("subsystems")) {
-        diff_buckets(
-            diff,
-            opts,
-            &format!("{name}.subsystems"),
-            base_wall,
-            cand_wall,
-            b,
-            c,
-        );
+    let scope = format!("{name}.");
+    if let Some((b, c)) = section(diff, &scope, base, cand, "subsystems", false) {
+        let what = format!("{name}.subsystems");
+        diff_buckets(diff, opts, &what, base_wall, cand_wall, b, c);
     }
-    if let (Some(b), Some(c)) = (base.get("memory"), cand.get("memory")) {
+    if let Some((b, c)) = section(diff, &scope, base, cand, "memory", false) {
         diff_memory(diff, opts, &format!("{name}.memory"), b, c);
     }
-    let (btel, ctel) = (base.get("telemetry"), cand.get("telemetry"));
-    if let (Some(b), Some(c)) = (btel, ctel) {
-        if let (Some(bc), Some(cc)) = (b.get("counters"), c.get("counters")) {
-            exact_obj(diff, opts, &format!("{name}.counters"), bc, cc);
-        }
-        if let (Some(bh), Some(ch)) = (b.get("hists"), c.get("hists")) {
-            for (hist, bval) in obj_entries(bh) {
-                let cval = ch.get(hist).cloned().unwrap_or(Value::Null);
-                // Counts are deterministic for every hist; quantiles only
-                // for sim-time-valued ones (wall hists vary per machine).
-                if hist.contains("wall") {
-                    exact(
-                        diff,
-                        opts,
-                        &format!("{name}.hists.{hist}.count"),
-                        bval.get("count").and_then(Value::as_f64),
-                        cval.get("count").and_then(Value::as_f64),
-                    );
-                } else {
-                    exact_obj(diff, opts, &format!("{name}.hists.{hist}"), bval, &cval);
-                }
+    let Some((btel, ctel)) = section(diff, &scope, base, cand, "telemetry", false) else {
+        return;
+    };
+    let scope = format!("{name}.telemetry.");
+    if let Some((bc, cc)) = section(diff, &scope, btel, ctel, "counters", false) {
+        exact_obj(diff, opts, &format!("{name}.counters"), bc, cc);
+    }
+    if let Some((bh, ch)) = section(diff, &scope, btel, ctel, "hists", false) {
+        for hist in union_keys(bh, ch) {
+            let bval = bh.get(hist).unwrap_or(&NULL);
+            let cval = ch.get(hist).unwrap_or(&NULL);
+            // Counts are deterministic for every hist; quantiles only
+            // for sim-time-valued ones (wall hists vary per machine).
+            if hist.contains("wall") {
+                exact(
+                    diff,
+                    opts,
+                    &format!("{name}.hists.{hist}.count"),
+                    bval.get("count").and_then(Value::as_f64),
+                    cval.get("count").and_then(Value::as_f64),
+                );
+            } else {
+                exact_obj(diff, opts, &format!("{name}.hists.{hist}"), bval, cval);
             }
         }
     }
@@ -336,15 +414,14 @@ fn diff_study(diff: &mut Diff, opts: &DiffOptions, base: &Value, cand: &Value) {
             f64_field(cand, key).or_else(|| cand.get(key).and_then(Value::as_bool).map(f64::from)),
         );
     }
-    let empty = Vec::new();
-    let base_nets = base
-        .get("networks")
-        .and_then(Value::as_arr)
-        .unwrap_or(&empty);
-    let cand_nets = cand
-        .get("networks")
-        .and_then(Value::as_arr)
-        .unwrap_or(&empty);
+    let Some((base_nets, cand_nets)) = section(diff, "", base, cand, "networks", true) else {
+        return;
+    };
+    let (base_nets, cand_nets) = (arr(base_nets), arr(cand_nets));
+    if base_nets.is_empty() {
+        diff.failures
+            .push("networks: the baseline has none to compare".into());
+    }
     for bnet in base_nets {
         let name = bnet.get("network").and_then(Value::as_str).unwrap_or("");
         match cand_nets
@@ -369,6 +446,11 @@ fn diff_study(diff: &mut Diff, opts: &DiffOptions, base: &Value, cand: &Value) {
     }
 }
 
+/// The elements of an array value (empty for anything else).
+fn arr(v: &Value) -> &[Value] {
+    v.as_arr().unwrap_or(&[])
+}
+
 fn diff_mega(diff: &mut Diff, opts: &DiffOptions, base: &Value, cand: &Value) {
     for key in [
         "seed",
@@ -382,22 +464,15 @@ fn diff_mega(diff: &mut Diff, opts: &DiffOptions, base: &Value, cand: &Value) {
     ] {
         exact(diff, opts, key, f64_field(base, key), f64_field(cand, key));
     }
-    diff_throughput(
-        diff,
-        opts,
-        "mega",
-        f64_field(base, "events_per_sec").unwrap_or(0.0),
-        f64_field(cand, "events_per_sec").unwrap_or(0.0),
-    );
-    diff.notes.push(format!(
-        "mega.run_secs: {:.2} -> {:.2}",
-        f64_field(base, "run_secs").unwrap_or(0.0),
-        f64_field(cand, "run_secs").unwrap_or(0.0)
-    ));
-    let empty = Vec::new();
-    let base_mem = base.get("memory").and_then(Value::as_arr).unwrap_or(&empty);
-    let cand_mem = cand.get("memory").and_then(Value::as_arr).unwrap_or(&empty);
-    for bphase in base_mem {
+    diff_throughput(diff, opts, "mega", base, cand);
+    let (b_run, c_run) = measured_pair(diff, "mega", base, cand, "run_secs", true);
+    diff.notes
+        .push(format!("mega.run_secs: {b_run:.2} -> {c_run:.2}"));
+    let Some((base_mem, cand_mem)) = section(diff, "", base, cand, "memory", true) else {
+        return;
+    };
+    let cand_mem = arr(cand_mem);
+    for bphase in arr(base_mem) {
         let phase = bphase.get("phase").and_then(Value::as_str).unwrap_or("");
         match cand_mem
             .iter()

@@ -41,6 +41,11 @@ const TIMER_MAINTENANCE: u64 = 0;
 const TIMER_AUTO_QUERY: u64 = 1;
 const TIMER_DL_BASE: u64 = 1 << 32;
 
+/// How long an outbound connection may take to become a session with a
+/// known peer. A lost hello or session reply would otherwise hold its
+/// outbound slot for good.
+const HANDSHAKE_TIMEOUT: SimDuration = SimDuration(60_000_000);
+
 /// Node tunables. Defaults mirror a giFT 0.11 deployment.
 #[derive(Debug, Clone)]
 pub struct FtConfig {
@@ -234,6 +239,8 @@ struct PeerState {
     /// We accepted them as a child.
     child: bool,
     outbound: bool,
+    /// When we dialed or accepted the connection.
+    opened: SimTime,
 }
 
 struct DlState {
@@ -493,6 +500,7 @@ impl FtNode {
                     parent: false,
                     child: false,
                     outbound: true,
+                    opened: ctx.now(),
                 }),
             );
             dialed += 1;
@@ -955,6 +963,34 @@ impl FtNode {
         self.emit(FtEvent::DownloadDone { at, id, result });
     }
 
+    /// Drops, through [`FtNode::drop_conn`], every outbound connection that
+    /// has not become a session with a known peer (its NODEINFO read)
+    /// within [`HANDSHAKE_TIMEOUT`] of its dial: that frees the slot and
+    /// arms the tick. A session whose NODEINFO was lost is never searched
+    /// nor asked for a parent, so it counts as unfinished. Run on the
+    /// callbacks a node already gets other than data deliveries, so it
+    /// costs no timer of its own and nothing on the hot path.
+    fn expire_handshakes(&mut self, ctx: &mut Ctx<'_>) {
+        let now = ctx.now();
+        let stale: Vec<ConnId> = self
+            .conns
+            .iter()
+            .filter_map(|(&conn, k)| match k {
+                ConnKind::Peer(p)
+                    if p.outbound
+                        && !(p.session && p.info.is_some())
+                        && now.saturating_sub(p.opened) >= HANDSHAKE_TIMEOUT =>
+                {
+                    Some(conn)
+                }
+                _ => None,
+            })
+            .collect();
+        for conn in stale {
+            self.drop_conn(ctx, conn);
+        }
+    }
+
     fn drop_conn(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
         match self.conns.remove(&conn) {
             Some(ConnKind::Download(d)) => {
@@ -1004,6 +1040,7 @@ impl FtNode {
                 parent: false,
                 child: false,
                 outbound: false,
+                opened: ctx.now(),
             };
             self.conns.insert(conn, ConnKind::Peer(p));
             // Introduce ourselves (the dialer already did on connect).
@@ -1048,8 +1085,11 @@ impl App for FtNode {
                 klass: CLASS_SEARCH,
             });
         }
-        // A restart (churn) finds whatever the last session armed gone.
+        // A restart (churn) finds whatever the last session armed gone, and
+        // every connection it held: the simulator closed them all, and a
+        // dial made while the node went down never left the machine.
         self.tick_armed = false;
+        self.conns = VecMap::new();
         self.maintain(ctx);
         if let Some(iv) = self.config.auto_query {
             let jitter = SimDuration::from_micros(ctx.rng().next_u64() % iv.as_micros().max(1));
@@ -1058,6 +1098,7 @@ impl App for FtNode {
     }
 
     fn on_connected(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, dir: Direction, peer: HostAddr) {
+        self.expire_handshakes(ctx);
         match dir {
             Direction::Inbound => {
                 self.conns.insert(conn, ConnKind::Sniff(Vec::new(), peer));
@@ -1077,6 +1118,7 @@ impl App for FtNode {
     }
 
     fn on_connect_failed(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
+        self.expire_handshakes(ctx);
         match self.conns.remove(&conn) {
             Some(ConnKind::Download(d)) => {
                 self.finish_download(ctx, None, d.id, Err(FtDownloadError::ConnectFailed));
@@ -1140,6 +1182,7 @@ impl App for FtNode {
     }
 
     fn on_closed(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
+        self.expire_handshakes(ctx);
         match self.conns.remove(&conn) {
             Some(ConnKind::Peer(p)) => {
                 if p.child {
@@ -1161,6 +1204,7 @@ impl App for FtNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        self.expire_handshakes(ctx);
         if token == TIMER_MAINTENANCE {
             self.tick_armed = false;
             self.maintain(ctx);

@@ -996,6 +996,129 @@ fn a_dropped_peer_is_refilled_by_the_tick() {
     assert_eq!((m.conns_established, m.timers_fired), settled);
 }
 
+/// Accepts every connection, logs when it arrived, and answers the first
+/// bytes on each with `reply` (nothing at all when it is empty).
+struct Scripted {
+    arrivals: Arc<Mutex<Vec<SimTime>>>,
+    reply: Vec<u8>,
+}
+
+impl App for Scripted {
+    fn on_connected(&mut self, ctx: &mut Ctx<'_>, _: ConnId, _: Direction, _: HostAddr) {
+        self.arrivals.lock().unwrap().push(ctx.now());
+    }
+    fn on_data(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, _: &[u8]) {
+        if !self.reply.is_empty() {
+            ctx.send(conn, &self.reply);
+        }
+    }
+}
+
+/// A dial whose hello goes unanswered — or is answered with a session but
+/// no NODEINFO, as when the acceptor's hello is lost and its session reply
+/// is not — holds its outbound slot only until the handshake times out:
+/// the next event the node gets after that (here its hourly ambient query)
+/// drops the connection, and the tick redials.
+#[test]
+fn an_unfinished_handshake_frees_its_slot() {
+    let mut session_only = Vec::new();
+    encode_packet(
+        Command::Session,
+        &Session::Response { accepted: true }.encode(),
+        &mut session_only,
+    );
+    for reply in [Vec::new(), session_only] {
+        let mut sim = Simulator::new(SimConfig::default(), 13);
+        let arrivals = Arc::new(Mutex::new(Vec::new()));
+        let peer = sim.spawn(
+            NodeSpec::public().listen(1215),
+            Box::new(Scripted {
+                arrivals: Arc::clone(&arrivals),
+                reply,
+            }),
+        );
+        let hour = SimDuration::from_hours(1);
+        let cfg = FtConfig {
+            target_sessions: 1,
+            auto_query: Some(hour),
+            ..FtConfig::user().with_bootstrap(vec![sim.node_addr(peer)])
+        };
+        let tick = cfg.tick.as_micros();
+        let user = sim.spawn(
+            NodeSpec::public().listen(1215),
+            Box::new(FtNode::new(cfg, world(13), HostLibrary::new())),
+        );
+        sim.run_until(SimTime::from_secs(4 * 3600));
+        let day: Vec<u64> = arrivals
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|t| t.as_micros())
+            .collect();
+        // One redial per ambient query that finds the handshake stale, a
+        // tick (and a few latencies) after it.
+        assert!((4..=5).contains(&day.len()), "{day:?}");
+        let timeout = HANDSHAKE_TIMEOUT.as_micros();
+        for gap in day.windows(2).map(|w| w[1] - w[0]) {
+            assert!(gap >= timeout, "gap {gap} us");
+            assert!(
+                gap <= hour.as_micros() + timeout + tick + 4_000_000,
+                "gap {gap} us"
+            );
+        }
+        // The dropped connections are gone from the table: one dial open.
+        let open = with_node(&mut sim, user, |n, _| n.conns.len());
+        assert_eq!(open, 1);
+    }
+}
+
+/// A node that churns comes back with no connection of its last session:
+/// the redial its dying `on_closed` made was discarded with the rest of its
+/// reactions, and must not hold the outbound slot after the restart.
+#[test]
+fn a_restarted_node_redials_every_slot() {
+    let world = world(14);
+    let faults = p2pmal_netsim::FaultPlan {
+        churn: Some(p2pmal_netsim::ChurnSpec {
+            fraction: 1.0,
+            uptime_secs: (3_600, 3_600),
+            downtime_secs: (600, 600),
+        }),
+        ..p2pmal_netsim::FaultPlan::none()
+    };
+    let mut sim = Simulator::new(
+        SimConfig {
+            faults,
+            ..SimConfig::default()
+        },
+        14,
+    );
+    let search = sim.spawn(
+        NodeSpec::public().listen(1215).durable(),
+        Box::new(FtNode::new(
+            FtConfig::search_node(),
+            world.clone(),
+            HostLibrary::new(),
+        )),
+    );
+    let cfg = FtConfig {
+        target_sessions: 1,
+        ..FtConfig::user().with_bootstrap(vec![sim.node_addr(search)])
+    };
+    let user = sim.spawn(
+        NodeSpec::public().listen(1215),
+        Box::new(FtNode::new(cfg, world, HostLibrary::new())),
+    );
+    // Five sessions, each ended by churn; look a minute into the sixth.
+    sim.run_until(SimTime::from_secs(5 * 4_200 + 60));
+    assert!(sim.is_alive(user));
+    let (sessions, up) = with_node(&mut sim, user, |n, _| {
+        (n.session_count(), n.stats().sessions_up)
+    });
+    assert_eq!(sessions, 1);
+    assert_eq!(up, 6);
+}
+
 /// A refused dial forgets the address it went to, so the next tick dials
 /// only what is left — here the bootstrap node, which is never forgotten —
 /// and a NODELIST that names the address again brings it back.
