@@ -113,28 +113,50 @@ fn hash3(data: &[u8], pos: usize) -> usize {
     (h.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize & (HASH_SIZE - 1)
 }
 
+/// How many bytes `data[a..]` and `data[b..]` share, up to `limit`
+/// (`a, b <= data.len() - limit`): eight at a time, the first differing
+/// byte found by XOR and `trailing_zeros`, the last few one at a time.
+#[inline]
+fn match_len(data: &[u8], a: usize, b: usize, limit: usize) -> usize {
+    let word = |at: usize| u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"));
+    let mut l = 0;
+    while l + 8 <= limit {
+        let diff = word(a + l) ^ word(b + l);
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    while l < limit && data[a + l] == data[b + l] {
+        l += 1;
+    }
+    l
+}
+
 /// Compresses `data` into a single fixed-Huffman DEFLATE block.
+///
+/// The hash chains hold `position + 1` as `u32`, 0 meaning none, so both
+/// tables start as zeroed memory.
 pub fn deflate(data: &[u8]) -> Vec<u8> {
+    assert!(data.len() < u32::MAX as usize, "deflate input over 4 GiB");
     let mut w = BitWriter::new();
     w.bits(1, 1); // BFINAL
     w.bits(1, 2); // BTYPE=01 fixed Huffman
 
-    let mut head = vec![usize::MAX; HASH_SIZE];
-    let mut prev = vec![usize::MAX; WINDOW];
+    let mut head = vec![0u32; HASH_SIZE];
+    let mut prev = vec![0u32; WINDOW];
     let mut pos = 0;
     while pos < data.len() {
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
         if pos + MIN_MATCH <= data.len() {
             let h = hash3(data, pos);
-            let mut cand = head[h];
+            let mut next = head[h];
             let mut chain = 0;
-            while cand != usize::MAX && pos - cand <= WINDOW && chain < MAX_CHAIN {
-                let limit = (data.len() - pos).min(MAX_MATCH);
-                let mut l = 0;
-                while l < limit && data[cand + l] == data[pos + l] {
-                    l += 1;
-                }
+            let limit = (data.len() - pos).min(MAX_MATCH);
+            while next != 0 && pos - (next as usize - 1) <= WINDOW && chain < MAX_CHAIN {
+                let cand = next as usize - 1;
+                let l = match_len(data, cand, pos, limit);
                 if l > best_len {
                     best_len = l;
                     best_dist = pos - cand;
@@ -142,7 +164,7 @@ pub fn deflate(data: &[u8]) -> Vec<u8> {
                         break;
                     }
                 }
-                cand = prev[cand % WINDOW];
+                next = prev[cand % WINDOW];
                 chain += 1;
             }
         }
@@ -159,7 +181,7 @@ pub fn deflate(data: &[u8]) -> Vec<u8> {
             for p in pos..(pos + best_len).min(data.len().saturating_sub(MIN_MATCH - 1)) {
                 let h = hash3(data, p);
                 prev[p % WINDOW] = head[h];
-                head[h] = p;
+                head[h] = p as u32 + 1;
             }
             pos += best_len;
         } else {
@@ -168,7 +190,7 @@ pub fn deflate(data: &[u8]) -> Vec<u8> {
             if pos + MIN_MATCH <= data.len() {
                 let h = hash3(data, pos);
                 prev[pos % WINDOW] = head[h];
-                head[h] = pos;
+                head[h] = pos as u32 + 1;
             }
             pos += 1;
         }
@@ -205,6 +227,108 @@ mod tests {
     use crate::inflate::inflate;
     use proptest::prelude::*;
     use rand::{Rng, RngCore, SeedableRng};
+
+    /// The matcher `deflate` replaced: `usize` chains initialised to a
+    /// sentinel, matches extended one byte at a time. `deflate` must write
+    /// exactly its bytes.
+    fn deflate_bytewise(data: &[u8]) -> Vec<u8> {
+        let mut w = BitWriter::new();
+        w.bits(1, 1);
+        w.bits(1, 2);
+        let mut head = vec![usize::MAX; HASH_SIZE];
+        let mut prev = vec![usize::MAX; WINDOW];
+        let mut pos = 0;
+        while pos < data.len() {
+            let mut best_len = 0usize;
+            let mut best_dist = 0usize;
+            if pos + MIN_MATCH <= data.len() {
+                let h = hash3(data, pos);
+                let mut cand = head[h];
+                let mut chain = 0;
+                while cand != usize::MAX && pos - cand <= WINDOW && chain < MAX_CHAIN {
+                    let limit = (data.len() - pos).min(MAX_MATCH);
+                    let mut l = 0;
+                    while l < limit && data[cand + l] == data[pos + l] {
+                        l += 1;
+                    }
+                    if l > best_len {
+                        best_len = l;
+                        best_dist = pos - cand;
+                        if l == limit {
+                            break;
+                        }
+                    }
+                    cand = prev[cand % WINDOW];
+                    chain += 1;
+                }
+            }
+            if best_len >= MIN_MATCH && best_dist >= 1 {
+                let (lsym, lextra, lval) = length_code(best_len);
+                let (code, bits) = fixed_lit_code(lsym);
+                w.code(code, bits);
+                w.bits(lval, lextra);
+                let (dsym, dextra, dval) = dist_code(best_dist);
+                w.code(dsym as u32, 5);
+                w.bits(dval, dextra);
+                for p in pos..(pos + best_len).min(data.len().saturating_sub(MIN_MATCH - 1)) {
+                    let h = hash3(data, p);
+                    prev[p % WINDOW] = head[h];
+                    head[h] = p;
+                }
+                pos += best_len;
+            } else {
+                let (code, bits) = fixed_lit_code(data[pos] as u16);
+                w.code(code, bits);
+                if pos + MIN_MATCH <= data.len() {
+                    let h = hash3(data, pos);
+                    prev[pos % WINDOW] = head[h];
+                    head[h] = pos;
+                }
+                pos += 1;
+            }
+        }
+        let (code, bits) = fixed_lit_code(256);
+        w.code(code, bits);
+        w.finish()
+    }
+
+    /// A QRP patch's shape: a `len`-slot delta table, 0x00 (absent) but for
+    /// `present` slots of 0xFA, scattered by `seed`.
+    fn qrp_shaped(len: usize, present: usize, seed: u64) -> Vec<u8> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut data = vec![0u8; len];
+        for _ in 0..present.min(len) {
+            let at = rng.gen_range(0..len);
+            data[at] = 0xFA;
+        }
+        data
+    }
+
+    #[test]
+    fn matches_the_bytewise_matcher_on_tables_and_window_edges() {
+        for (len, present) in [
+            (1 << 16, 150),
+            (1 << 16, 0),
+            (1 << 16, 1 << 16),
+            (1 << 12, 900),
+        ] {
+            let data = qrp_shaped(len, present, len as u64 ^ present as u64);
+            assert_eq!(deflate(&data), deflate_bytewise(&data), "{len} / {present}");
+        }
+        // Matches reaching back exactly one window, and past it.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut block = vec![0u8; WINDOW];
+        rng.fill_bytes(&mut block);
+        let twice: Vec<u8> = block
+            .iter()
+            .chain(&block)
+            .chain(&block[..300])
+            .copied()
+            .collect();
+        assert_eq!(deflate(&twice), deflate_bytewise(&twice));
+        let all: Vec<u8> = (0..=255u8).cycle().take(70_000).collect();
+        assert_eq!(deflate(&all), deflate_bytewise(&all));
+    }
 
     fn roundtrip(data: &[u8]) {
         let comp = deflate(data);
@@ -294,6 +418,26 @@ mod tests {
             }
             let comp = deflate(&data);
             prop_assert_eq!(inflate(&comp, data.len() + 64).unwrap(), data);
+        }
+
+        /// Random bytes, runs of random length over a small alphabet (the
+        /// 8-byte extension stopping at every offset), and QRP-shaped
+        /// tables: the same bytes as the byte-at-a-time matcher.
+        #[test]
+        fn prop_matches_the_bytewise_matcher(
+            noise in proptest::collection::vec(any::<u8>(), 0..2048),
+            runs in proptest::collection::vec((0u8..4, 1usize..300), 0..80),
+            table in (8u32..15, 0usize..600, any::<u64>()),
+        ) {
+            prop_assert_eq!(deflate(&noise), deflate_bytewise(&noise));
+            let mut data = Vec::new();
+            for (b, n) in runs {
+                data.extend(std::iter::repeat_n(b, n));
+            }
+            prop_assert_eq!(deflate(&data), deflate_bytewise(&data));
+            let (log2, present, seed) = table;
+            let data = qrp_shaped(1 << log2, present, seed);
+            prop_assert_eq!(deflate(&data), deflate_bytewise(&data));
         }
     }
 }

@@ -284,10 +284,23 @@ fn fixed_tables() -> (Huffman, Huffman) {
     )
 }
 
+/// Makes room for `extra` more bytes of `out`, whose caller has checked
+/// that `out.len() + extra <= max_out`: by doubling, as `Vec` would, but
+/// never past `max_out`, so a stream that overstates its output costs at
+/// most the ceiling in buffer, not the next power of two above it.
+#[inline]
+fn reserve_within(out: &mut Vec<u8>, extra: usize, max_out: usize) {
+    if out.capacity() - out.len() < extra {
+        let want = (2 * out.capacity()).max(out.len() + extra).max(64);
+        out.reserve_exact(want.min(max_out) - out.len());
+    }
+}
+
 /// Decompresses a raw DEFLATE stream.
 ///
 /// `max_out` caps the decompressed size; exceeding it returns
 /// [`InflateError::OutputLimitExceeded`] rather than allocating further.
+/// The output buffer never holds more than `max_out` bytes of capacity.
 pub fn inflate(data: &[u8], max_out: usize) -> Result<Vec<u8>, InflateError> {
     let mut out: Vec<u8> = Vec::new();
     inflate_into(data, max_out, &mut out)?;
@@ -297,7 +310,8 @@ pub fn inflate(data: &[u8], max_out: usize) -> Result<Vec<u8>, InflateError> {
 /// Like [`inflate`], but appends into a caller-supplied buffer so repeated
 /// decompressions (archive traversal over a batch of downloads) reuse one
 /// allocation instead of growing a fresh `Vec` per member. The buffer is
-/// *not* cleared first; `max_out` caps the total buffer length.
+/// *not* cleared first; `max_out` caps the total buffer length, and this
+/// call grows the buffer's capacity to at most `max_out` bytes.
 pub fn inflate_into(data: &[u8], max_out: usize, out: &mut Vec<u8>) -> Result<(), InflateError> {
     let mut r = BitReader::new(data);
     loop {
@@ -315,7 +329,9 @@ pub fn inflate_into(data: &[u8], max_out: usize, out: &mut Vec<u8>) -> Result<()
                 if out.len() + len > max_out {
                     return Err(InflateError::OutputLimitExceeded);
                 }
-                out.extend_from_slice(r.take_bytes(len)?);
+                let bytes = r.take_bytes(len)?;
+                reserve_within(out, len, max_out);
+                out.extend_from_slice(bytes);
             }
             1 => {
                 let (lit, dist) = fixed_tables();
@@ -403,6 +419,7 @@ fn inflate_block(
                 if out.len() >= max_out {
                     return Err(InflateError::OutputLimitExceeded);
                 }
+                reserve_within(out, 1, max_out);
                 out.push(sym as u8);
             }
             256 => return Ok(()),
@@ -420,6 +437,7 @@ fn inflate_block(
                 if out.len() + len > max_out {
                     return Err(InflateError::OutputLimitExceeded);
                 }
+                reserve_within(out, len, max_out);
                 let start = out.len() - d;
                 if d >= len {
                     out.extend_from_within(start..start + len);

@@ -2,7 +2,8 @@
 //! DEFLATE compression) — the per-query cost at every ultrapeer.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use p2pmal_gnutella::qrp::{qrp_hash, QrpReceiver, QrpTable};
+use p2pmal_gnutella::qrp::{qrp_hash, QrpIndex, QrpTable};
+use p2pmal_netsim::ConnId;
 use std::hint::black_box;
 
 fn populated_table() -> QrpTable {
@@ -26,11 +27,12 @@ fn bench_qrp(c: &mut Criterion) {
     c.bench_function("qrp_table_transfer_compressed", |b| {
         b.iter(|| {
             let msgs = table.to_messages(4096, true);
-            let mut rx = QrpReceiver::new();
+            let mut index = QrpIndex::new();
+            index.add_leaf(ConnId(1));
             for m in &msgs {
-                rx.apply(m).unwrap();
+                index.apply(ConnId(1), m).unwrap();
             }
-            black_box(rx.filter().unwrap().population())
+            black_box(index.heap_bytes())
         });
     });
 }

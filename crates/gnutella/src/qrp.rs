@@ -14,6 +14,7 @@
 //! preserves the code path with our from-scratch inflater).
 
 use p2pmal_archive::{deflate, inflate};
+use p2pmal_netsim::ConnId;
 use std::borrow::Cow;
 use std::fmt;
 
@@ -183,63 +184,59 @@ impl QrpTable {
     }
 }
 
-/// A received routing table compacted to one *present* bit per slot — the
-/// only thing the last-hop forwarding predicate ever reads. An ultrapeer
-/// holds one of these per leaf connection, so the 8x compaction versus the
-/// full 8-bit entry table (8 KiB versus 64 KiB at the default 2^16 size)
-/// is the dominant memory lever at mega populations.
-///
-/// Exactness: within one RESET cycle the receiver's patch offset strictly
-/// advances, so every slot is patched at most once. A slot starts at
-/// `infinity` and a single 8-bit delta `d` leaves it at
-/// `clamp(infinity + d, 0, 255)`, which is below `infinity` iff `d < 0`.
-/// The bit therefore reproduces the full table's `entry < infinity`
-/// predicate bit-for-bit.
+/// A key is one `u64`, a bitset one bit a slot: a table whose present
+/// slots number more than `2^log2 / SLOTS_PER_KEY` would cost more as keys
+/// than as its bitset, so [`QrpIndex`] holds it as a bitset instead.
+const SLOTS_PER_KEY: usize = u64::BITS as usize;
+
+/// The most present slots a `2^log2`-slot table keeps as keys: as many
+/// bytes as its bitset, and not one more.
+fn sparse_limit(log2: u8) -> usize {
+    (1usize << log2) / SLOTS_PER_KEY
+}
+
+/// `log2(table_len)` for the sizes a RESET may announce, 2^8 to 2^24.
+fn table_log2(table_len: u32) -> Option<u8> {
+    (table_len.is_power_of_two() && (1 << 8..=1 << 24).contains(&table_len))
+        .then_some(table_len.trailing_zeros() as u8)
+}
+
+/// An index key: `(log2 << 56) | (slot << 16) | column`. Sorted, the keys
+/// of one table size are one run, and within it the keys of one slot are
+/// one run, a key for each peer whose table has that slot present.
+fn key(log2: u8, slot: usize, column: u16) -> u64 {
+    (log2 as u64) << 56 | (slot as u64) << 16 | column as u64
+}
+
+fn key_slot(key: u64) -> usize {
+    (key >> 16) as usize & 0xFF_FFFF
+}
+
+/// A received table held as one *present* bit per slot: the form
+/// [`QrpIndex`] keeps for a table with too many present slots to hold as
+/// keys (an echo worm claims every slot). 8 KiB at the default 2^16 size,
+/// against 64 KiB for the byte table.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QrpFilter {
+struct QrpFilter {
     log2_size: u8,
-    bits: Vec<u64>,
+    bits: Box<[u64]>,
 }
 
 impl QrpFilter {
     fn new(log2_size: u8) -> Self {
         QrpFilter {
             log2_size,
-            bits: vec![0u64; (1usize << log2_size) / 64],
+            bits: vec![0u64; (1usize << log2_size) / 64].into_boxed_slice(),
         }
     }
 
-    pub fn log2_size(&self) -> u8 {
-        self.log2_size
-    }
-
-    /// Number of slots (not bytes) in the underlying table.
-    pub fn len(&self) -> usize {
-        1usize << self.log2_size
-    }
-
-    pub fn is_empty(&self) -> bool {
-        false // size is fixed at construction
-    }
-
-    /// Number of present slots (diagnostics).
-    pub fn population(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Heap bytes held by this filter (memory-accounting diagnostics).
-    pub fn heap_bytes(&self) -> u64 {
-        (self.bits.capacity() * 8) as u64
+    fn heap_bytes(&self) -> u64 {
+        (self.bits.len() * 8) as u64
     }
 
     #[inline]
-    fn set(&mut self, slot: usize, present: bool) {
-        let (w, b) = (slot / 64, slot % 64);
-        if present {
-            self.bits[w] |= 1u64 << b;
-        } else {
-            self.bits[w] &= !(1u64 << b);
-        }
+    fn set(&mut self, slot: usize) {
+        self.bits[slot / 64] |= 1u64 << (slot % 64);
     }
 
     #[inline]
@@ -247,65 +244,150 @@ impl QrpFilter {
         self.bits[slot / 64] >> (slot % 64) & 1 != 0
     }
 
-    /// True when every keyword of `query` hashes to a present slot — the
-    /// last-hop forwarding predicate, identical to
-    /// [`QrpTable::might_match`] on the transmitted table.
-    pub fn might_match(&self, query: &str) -> bool {
-        let kws = keywords(query);
-        if kws.is_empty() {
-            return true;
-        }
-        kws.iter()
-            .all(|w| self.present(qrp_hash(w, self.log2_size) as usize))
-    }
-
-    /// [`QrpFilter::might_match`] for keywords hashed once up front with
-    /// [`qrp_hash_full`]. An empty slice forwards conservatively. Every
-    /// slot is read whatever the earlier ones said: an ultrapeer runs this
-    /// over one filter per leaf, each on its own cold page, and loads that
-    /// hang on no branch miss side by side instead of one after another.
-    pub fn might_match_hashes(&self, hashes: &[u64]) -> bool {
+    /// True when every hash's slot is present, for keywords hashed once
+    /// with [`qrp_hash_full`]; an empty slice passes. Every slot is read
+    /// whatever the earlier ones said, so the loads of one filter go out
+    /// side by side.
+    fn might_match_hashes(&self, hashes: &[u64]) -> bool {
         hashes.iter().fold(true, |all, &h| {
             all & self.present((h >> (64 - self.log2_size as u64)) as usize)
         })
     }
 }
 
-/// A receiver-side filter under reconstruction from RESET/PATCH messages.
-#[derive(Debug, Clone, Default)]
-pub struct QrpReceiver {
-    filter: Option<QrpFilter>,
-    next_offset: usize,
+/// `Peer::flags`: the peer is a leaf.
+const LEAF: u8 = 1;
+/// `Peer::flags`: its table is a bitset in [`QrpIndex::dense`], not keys.
+const DENSE: u8 = 2;
+
+/// A peer as every lookup walks it: 16 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Peer {
+    conn: ConnId,
+    /// Slots this RESET cycle's PATCHes have covered.
+    offset: u32,
+    /// The low 16 bits of this peer's keys, and its bit in a lookup's
+    /// column masks.
+    column: u16,
+    /// The table's size, `2^log2` slots; 0 before the first RESET.
+    log2: u8,
+    flags: u8,
 }
 
-impl QrpReceiver {
+/// Directory buckets over the keys of the most common table size:
+/// `2^DIR_BITS` `u32` positions, 4 KiB.
+const DIR_BITS: u8 = 10;
+
+/// The QRP tables a servent's peers sent it, kept slot-major: the last
+/// hop's question, "which of my leaves hold every keyword of this query",
+/// costs one directory lookup per keyword rather than a cold bitset read
+/// per leaf per keyword.
+///
+/// Layout. `keys` is one sorted `Vec<u64>` with a key
+/// `(log2 << 56) | (slot << 16) | column` for each present slot of each
+/// sparse table. `peers`, sorted by [`ConnId`], holds each peer's column,
+/// patch offset, table size, and whether it is a leaf. A table with more
+/// present slots than [`sparse_limit`] is held in `dense` as a bitset
+/// instead, so a peer's table never takes more bytes than its bitset would.
+/// `dir` holds, for the table size with the most keys, where each of 2^10
+/// slot ranges starts in `keys`. A lookup ORs, for each keyword, the
+/// columns of that slot's run of keys into a mask, ANDs the masks across
+/// keywords (one pass per distinct table size), then walks `peers` once to
+/// emit the passing leaves in `ConnId` order.
+///
+/// Exactness. Within one RESET cycle a peer's patch offset strictly
+/// advances, so every slot is patched at most once. A slot starts at
+/// `infinity` and a single 8-bit delta `d` leaves it at
+/// `clamp(infinity + d, 0, 255)`, which is below `infinity` iff `d < 0`.
+/// So adding the slots whose delta is negative, and dropping every key at
+/// a RESET, reproduces the sent table's `entry < infinity` predicate on
+/// every slot.
+///
+/// Nothing is allocated until the first leaf or RESET.
+#[derive(Debug, Default)]
+pub struct QrpIndex {
+    keys: Vec<u64>,
+    peers: Vec<Peer>,
+    /// The bitset tables, by column.
+    dense: Vec<(u16, QrpFilter)>,
+    /// `dir[b]`: the first key of table size `dir_log2` whose slot's top
+    /// bits are at least `b`.
+    dir: Vec<u32>,
+    dir_log2: u8,
+    /// Columns in use, a bit each.
+    columns: Vec<u64>,
+    /// Lookup scratch: the passing, all-keywords and this-keyword masks.
+    masks: Vec<u64>,
+}
+
+impl QrpIndex {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The fully or partially patched filter, if a RESET has been seen.
-    pub fn filter(&self) -> Option<&QrpFilter> {
-        self.filter.as_ref()
+    /// Registers a leaf connection: it is sent every query until its first
+    /// RESET.
+    pub fn add_leaf(&mut self, conn: ConnId) {
+        let i = self.entry(conn);
+        self.peers[i].flags |= LEAF;
     }
 
-    /// Heap bytes held by the filter under reconstruction, if any.
+    /// The registered leaf connections, in order.
+    pub fn leaves(&self) -> impl Iterator<Item = ConnId> + '_ {
+        self.peers
+            .iter()
+            .filter(|p| p.flags & LEAF != 0)
+            .map(|p| p.conn)
+    }
+
+    /// Forgets `conn` and whatever table it sent.
+    pub fn remove(&mut self, conn: ConnId) {
+        let Ok(i) = self.find(conn) else {
+            return;
+        };
+        let peer = self.peers.remove(i);
+        self.drop_table(peer);
+        let column = peer.column as usize;
+        self.columns[column / 64] &= !(1u64 << (column % 64));
+        while self.columns.last() == Some(&0) {
+            self.columns.pop();
+        }
+    }
+
+    /// Heap bytes held: keys, bitsets, the directory, the peer list and
+    /// lookup scratch.
     pub fn heap_bytes(&self) -> u64 {
-        self.filter.as_ref().map_or(0, |f| f.heap_bytes())
+        use std::mem::size_of;
+        let dense: u64 = self.dense.iter().map(|(_, f)| f.heap_bytes()).sum();
+        let words = self.keys.capacity() + self.columns.capacity() + self.masks.capacity();
+        (words * 8
+            + self.dir.capacity() * size_of::<u32>()
+            + self.peers.capacity() * size_of::<Peer>()
+            + self.dense.capacity() * size_of::<(u16, QrpFilter)>()) as u64
+            + dense
     }
 
-    /// Applies one route message. Errors are protocol violations.
-    pub fn apply(&mut self, msg: &RouteMsg) -> Result<(), QrpError> {
+    /// Applies one route message from `conn`; errors are protocol
+    /// violations and leave the table as it was. A connection never passed
+    /// to [`QrpIndex::add_leaf`] is an ultrapeer: its table is kept, and
+    /// its errors are the same, but no lookup reads it.
+    ///
+    /// A compressed PATCH inflates into at most `table_len + 1024` bytes,
+    /// freed before this returns; what stays is the table's keys or its
+    /// bitset, whichever is smaller.
+    pub fn apply(&mut self, conn: ConnId, msg: &RouteMsg) -> Result<(), QrpError> {
         match msg {
-            RouteMsg::Reset {
-                table_len,
-                infinity: _,
-            } => {
-                let log2 = (*table_len as f64).log2();
-                if log2.fract() != 0.0 || !(8.0..=24.0).contains(&log2) {
-                    return Err(QrpError::BadTableLen(*table_len));
-                }
-                self.filter = Some(QrpFilter::new(log2 as u8));
-                self.next_offset = 0;
+            RouteMsg::Reset { table_len, .. } => {
+                let log2 = table_log2(*table_len).ok_or(QrpError::BadTableLen(*table_len))?;
+                let i = self.entry(conn);
+                let old = self.peers[i];
+                self.peers[i] = Peer {
+                    offset: 0,
+                    log2,
+                    flags: old.flags & LEAF,
+                    ..old
+                };
+                self.drop_table(old);
             }
             RouteMsg::Patch {
                 compressor,
@@ -313,29 +395,282 @@ impl QrpReceiver {
                 data,
                 ..
             } => {
-                let filter = self.filter.as_mut().ok_or(QrpError::PatchBeforeReset)?;
+                let i = self.find(conn).map_err(|_| QrpError::PatchBeforeReset)?;
+                let peer = self.peers[i];
+                if peer.log2 == 0 {
+                    return Err(QrpError::PatchBeforeReset);
+                }
                 if *entry_bits != 8 {
                     return Err(QrpError::UnsupportedEntryBits(*entry_bits));
                 }
+                let len = 1usize << peer.log2;
                 let raw = match compressor {
                     Compressor::None => Cow::Borrowed(data.as_slice()),
-                    Compressor::Deflate => Cow::Owned(
-                        inflate(data, filter.len() + 1024).map_err(|_| QrpError::BadCompression)?,
-                    ),
+                    Compressor::Deflate => {
+                        Cow::Owned(inflate(data, len + 1024).map_err(|_| QrpError::BadCompression)?)
+                    }
                 };
-                if self.next_offset + raw.len() > filter.len() {
+                let start = peer.offset as usize;
+                if start + raw.len() > len {
                     return Err(QrpError::PatchOverrun);
                 }
-                for (i, &d) in raw.iter().enumerate() {
-                    // See the QrpFilter doc: one patch per slot per cycle,
-                    // so `delta < 0` is exactly `entry < infinity`.
-                    filter.set(self.next_offset + i, (d as i8) < 0);
-                }
-                self.next_offset += raw.len();
+                self.peers[i].offset += raw.len() as u32;
+                self.patch(i, start, &raw);
             }
         }
         Ok(())
     }
+
+    /// Calls `send` for each leaf but `except` whose table holds every
+    /// keyword hash in `hashes` (hashed once with [`qrp_hash_full`]), in
+    /// `ConnId` order, and returns how many leaves it kept the query from.
+    /// An empty `hashes` (no keyword of three or more characters) passes
+    /// every leaf, and so does a leaf that has sent no RESET.
+    pub fn route_last_hop(
+        &mut self,
+        hashes: &[u64],
+        except: ConnId,
+        mut send: impl FnMut(ConnId),
+    ) -> u64 {
+        let words = self.columns.len();
+        self.masks.clear();
+        self.masks.resize(3 * words, 0);
+        let (pass, rest) = self.masks.split_at_mut(words);
+        let (all, this) = rest.split_at_mut(words);
+        let keys = &self.keys[..];
+        let mut start = if hashes.is_empty() { keys.len() } else { 0 };
+        while start < keys.len() {
+            let log2 = (keys[start] >> 56) as u8;
+            let size = |k: u64| k >> 56 == log2 as u64;
+            let end = match keys.last() {
+                Some(&last) if size(last) => keys.len(),
+                _ => start + keys[start..].partition_point(|&k| size(k)),
+            };
+            all.fill(u64::MAX);
+            for &h in hashes {
+                let slot = (h >> (64 - log2 as u64)) as usize;
+                let target = key(log2, slot, 0);
+                let (lo, hi) = if log2 == self.dir_log2 {
+                    let b = slot >> (log2 - log2.min(DIR_BITS));
+                    let hi = self.dir.get(b + 1).map_or(end, |&i| i as usize);
+                    (self.dir[b] as usize, hi)
+                } else {
+                    (start, end)
+                };
+                let at = lo + seek(&keys[lo..hi], target);
+                this.fill(0);
+                for &k in keys[at..end]
+                    .iter()
+                    .take_while(|&&k| k < target + (1 << 16))
+                {
+                    let c = k as u16 as usize;
+                    this[c / 64] |= 1u64 << (c % 64);
+                }
+                let mut left = 0;
+                for (a, t) in all.iter_mut().zip(this.iter()) {
+                    *a &= t;
+                    left |= *a;
+                }
+                if left == 0 {
+                    break;
+                }
+            }
+            for (p, a) in pass.iter_mut().zip(all.iter()) {
+                *p |= a;
+            }
+            start = end;
+        }
+        let mut suppressed = 0;
+        for peer in &self.peers {
+            if peer.flags & LEAF == 0 || peer.conn == except {
+                continue;
+            }
+            let c = peer.column as usize;
+            let passes = hashes.is_empty()
+                || peer.log2 == 0
+                || if peer.flags & DENSE != 0 {
+                    let (_, f) = self
+                        .dense
+                        .iter()
+                        .find(|(d, _)| *d == peer.column)
+                        .expect("a dense peer's bitset");
+                    f.might_match_hashes(hashes)
+                } else {
+                    pass[c / 64] >> (c % 64) & 1 != 0
+                };
+            if passes {
+                send(peer.conn);
+            } else {
+                suppressed += 1;
+            }
+        }
+        suppressed
+    }
+
+    fn find(&self, conn: ConnId) -> Result<usize, usize> {
+        self.peers.binary_search_by_key(&conn, |p| p.conn)
+    }
+
+    /// `conn`'s place in `peers`, registering it (an ultrapeer, with no
+    /// table and the lowest free column) if it has none.
+    fn entry(&mut self, conn: ConnId) -> usize {
+        let i = match self.find(conn) {
+            Ok(i) => return i,
+            Err(i) => i,
+        };
+        let word = match self.columns.iter().position(|&w| w != u64::MAX) {
+            Some(word) => word,
+            None => {
+                self.columns.push(0);
+                self.columns.len() - 1
+            }
+        };
+        let bit = self.columns[word].trailing_ones() as usize;
+        self.columns[word] |= 1u64 << bit;
+        let column = u16::try_from(word * 64 + bit).expect("at most 65,536 peers");
+        let peer = Peer {
+            conn,
+            offset: 0,
+            column,
+            log2: 0,
+            flags: 0,
+        };
+        self.peers.insert(i, peer);
+        i
+    }
+
+    /// Drops the keys or the bitset `peer`'s table held.
+    fn drop_table(&mut self, peer: Peer) {
+        if peer.flags & DENSE != 0 {
+            self.dense.retain(|(c, _)| *c != peer.column);
+        } else if peer.log2 != 0 {
+            let before = self.keys.len();
+            self.keys.retain(|&k| k as u16 != peer.column);
+            if self.keys.len() != before {
+                self.keys.shrink_to_fit();
+                self.reindex();
+            }
+        }
+    }
+
+    /// Adds the slots from `start` whose delta in `deltas` is negative to
+    /// peer `i`'s table: as one merge into `keys`, or, once the table
+    /// would outgrow [`sparse_limit`], by moving it into a bitset.
+    fn patch(&mut self, i: usize, start: usize, deltas: &[u8]) {
+        let added = || {
+            deltas
+                .iter()
+                .enumerate()
+                .filter(|&(_, &d)| (d as i8) < 0)
+                .map(move |(j, _)| start + j)
+        };
+        let Peer {
+            column,
+            log2,
+            flags,
+            ..
+        } = self.peers[i];
+        if flags & DENSE != 0 {
+            let (_, f) = self
+                .dense
+                .iter_mut()
+                .find(|(c, _)| *c == column)
+                .expect("a dense peer's bitset");
+            added().for_each(|slot| f.set(slot));
+            return;
+        }
+        let count = added().count();
+        if count == 0 {
+            return;
+        }
+        let present = self.keys.iter().filter(|&&k| k as u16 == column).count();
+        if present + count <= sparse_limit(log2) {
+            merge_keys(
+                &mut self.keys,
+                added().rev().map(|slot| key(log2, slot, column)),
+                count,
+            );
+        } else {
+            let mut f = QrpFilter::new(log2);
+            self.keys.retain(|&k| {
+                let mine = k as u16 == column;
+                if mine {
+                    f.set(key_slot(k));
+                }
+                !mine
+            });
+            self.keys.shrink_to_fit();
+            added().for_each(|slot| f.set(slot));
+            self.dense.push((column, f));
+            self.peers[i].flags |= DENSE;
+        }
+        self.reindex();
+    }
+
+    /// Rebuilds `dir` over the table size with the most keys.
+    fn reindex(&mut self) {
+        let (mut best, mut start) = ((0u8, 0usize, 0usize), 0);
+        while let Some(&first) = self.keys.get(start) {
+            let log2 = (first >> 56) as u8;
+            let len = self.keys[start..].partition_point(|&k| k >> 56 == log2 as u64);
+            if len > best.2 {
+                best = (log2, start, len);
+            }
+            start += len;
+        }
+        let (log2, start, len) = best;
+        self.dir_log2 = log2;
+        self.dir.clear();
+        if len == 0 {
+            self.dir = Vec::new();
+            return;
+        }
+        let bits = log2.min(DIR_BITS);
+        let shift = log2 - bits;
+        self.dir.reserve_exact(1 << bits);
+        let mut at = start;
+        for b in 0..1usize << bits {
+            while at < start + len && key_slot(self.keys[at]) >> shift < b {
+                at += 1;
+            }
+            self.dir
+                .push(u32::try_from(at).expect("fewer than 2^32 keys"));
+        }
+    }
+}
+
+/// The first index of sorted `keys` whose key is at least `target`. A
+/// directory bucket is short, and a queried slot is usually a popular one
+/// whose run fills most of its bucket, so the answer is nearly always
+/// among its first eight keys: scan those, and bisect the rest only if it
+/// is not.
+fn seek(keys: &[u64], target: u64) -> usize {
+    match keys.iter().take(8).position(|&k| k >= target) {
+        Some(at) => at,
+        None => {
+            let line = keys.len().min(8);
+            line + keys[line..].partition_point(|&k| k < target)
+        }
+    }
+}
+
+/// Merges `count` new keys, given largest first, into the sorted `keys` in
+/// place from the back: one pass, and `keys` grows by exactly `count`.
+fn merge_keys(keys: &mut Vec<u64>, descending: impl Iterator<Item = u64>, count: usize) {
+    let mut old = keys.len();
+    keys.reserve_exact(count);
+    keys.resize(old + count, 0);
+    let mut at = keys.len();
+    for k in descending {
+        while old > 0 && keys[old - 1] > k {
+            at -= 1;
+            old -= 1;
+            keys[at] = keys[old];
+        }
+        at -= 1;
+        keys[at] = k;
+    }
+    debug_assert_eq!(at, old, "{count} keys merged");
 }
 
 /// Patch compressor ids (wire values).
@@ -459,279 +794,4 @@ impl RouteMsg {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn hash_is_case_insensitive_and_in_range() {
-        for bits in [8u8, 13, 16] {
-            for w in ["hello", "HELLO", "HeLLo"] {
-                let h = qrp_hash(w, bits);
-                assert_eq!(h, qrp_hash("hello", bits));
-                assert!(h < (1 << bits));
-            }
-        }
-        assert_ne!(qrp_hash("hello", 16), qrp_hash("world", 16));
-    }
-
-    #[test]
-    fn keyword_extraction() {
-        assert_eq!(
-            keywords("crimson_horizon-remix.mp3"),
-            vec!["crimson", "horizon", "remix", "mp3"]
-        );
-        assert_eq!(keywords("a bb ccc"), vec!["ccc"], "short words dropped");
-        assert!(keywords("--//--").is_empty());
-    }
-
-    #[test]
-    fn insert_and_match() {
-        let mut t = QrpTable::new(12, 7);
-        t.insert_name("crimson_horizon_remix.mp3");
-        assert!(t.might_match("crimson horizon"));
-        assert!(t.might_match("CRIMSON"));
-        assert!(!t.might_match("crimson missingword"));
-        assert!(
-            t.might_match("zz"),
-            "keyword-free queries pass conservatively"
-        );
-        assert!(t.population() >= 3);
-    }
-
-    #[test]
-    fn might_match_hashes_agrees_with_might_match() {
-        let mut t = QrpTable::new(12, 7);
-        t.insert_name("crimson_horizon_remix.mp3");
-        for q in [
-            "crimson horizon",
-            "CRIMSON",
-            "crimson missingword",
-            "zz",
-            "remix mp3",
-        ] {
-            let hashes: Vec<u64> = keywords(q).iter().map(|w| qrp_hash_full(w)).collect();
-            assert_eq!(
-                t.might_match_hashes(&hashes),
-                t.might_match(q),
-                "query {q:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn full_hash_derives_sized_hash() {
-        for w in ["hello", "WORLD", "a", "crimson_horizon"] {
-            for bits in [8u8, 13, 16, 24] {
-                assert_eq!(
-                    (qrp_hash_full(w) >> (64 - bits as u64)) as u32,
-                    qrp_hash(w, bits)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn route_msg_roundtrip() {
-        let msgs = [
-            RouteMsg::Reset {
-                table_len: 65536,
-                infinity: 7,
-            },
-            RouteMsg::Patch {
-                seq_no: 1,
-                seq_count: 2,
-                compressor: Compressor::None,
-                entry_bits: 8,
-                data: vec![0xFA, 0x00, 0x06],
-            },
-        ];
-        for m in msgs {
-            assert_eq!(RouteMsg::parse(&m.encode()).unwrap(), m);
-        }
-        assert_eq!(RouteMsg::parse(&[]), Err(QrpError::Truncated));
-        assert_eq!(RouteMsg::parse(&[0x07]), Err(QrpError::BadVariant(0x07)));
-    }
-
-    /// The received filter must reproduce the sent table's presence
-    /// predicate on every slot.
-    fn assert_filter_equals_table(rx: &QrpReceiver, t: &QrpTable) {
-        let f = rx.filter().expect("filter built");
-        assert_eq!(f.log2_size(), t.log2_size());
-        assert_eq!(f.len(), t.len());
-        assert_eq!(f.population(), t.population());
-        for slot in 0..t.len() {
-            assert_eq!(
-                f.present(slot),
-                t.entries[slot] < t.infinity(),
-                "slot {slot}"
-            );
-        }
-    }
-
-    #[test]
-    fn table_transfer_uncompressed_roundtrip() {
-        let mut t = QrpTable::new(10, 7);
-        t.insert_name("silver echo serenade");
-        t.insert_name("turbo dynamo toolkit");
-        let mut rx = QrpReceiver::new();
-        for m in t.to_messages(256, false) {
-            let wire = m.encode();
-            rx.apply(&RouteMsg::parse(&wire).unwrap()).unwrap();
-        }
-        assert_filter_equals_table(&rx, &t);
-    }
-
-    #[test]
-    fn table_transfer_deflate_roundtrip() {
-        let mut t = QrpTable::new(14, 7);
-        for name in ["alpha beta gamma", "delta epsilon", "zeta_eta_theta.exe"] {
-            t.insert_name(name);
-        }
-        let mut rx = QrpReceiver::new();
-        let msgs = t.to_messages(4096, true);
-        assert_eq!(msgs.len(), 2, "reset + one compressed patch");
-        for m in &msgs {
-            rx.apply(m).unwrap();
-        }
-        assert_filter_equals_table(&rx, &t);
-        // Compression must actually compress a sparse table.
-        if let RouteMsg::Patch { data, .. } = &msgs[1] {
-            assert!(data.len() < (1 << 14) / 4, "patch bytes {}", data.len());
-        } else {
-            panic!("expected patch");
-        }
-    }
-
-    #[test]
-    fn filter_matches_agree_with_table() {
-        let mut t = QrpTable::new(12, 7);
-        t.insert_name("crimson_horizon_remix.mp3");
-        let mut rx = QrpReceiver::new();
-        for m in t.to_messages(2048, true) {
-            rx.apply(&m).unwrap();
-        }
-        let f = rx.filter().unwrap();
-        for q in [
-            "crimson horizon",
-            "CRIMSON",
-            "crimson missingword",
-            "zz",
-            "remix mp3",
-            "",
-        ] {
-            assert_eq!(f.might_match(q), t.might_match(q), "query {q:?}");
-            let hashes: Vec<u64> = keywords(q).iter().map(|w| qrp_hash_full(w)).collect();
-            assert_eq!(
-                f.might_match_hashes(&hashes),
-                t.might_match_hashes(&hashes),
-                "query {q:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn filter_is_8x_smaller_than_table() {
-        let t = QrpTable::default_table();
-        let mut rx = QrpReceiver::new();
-        for m in t.to_messages(4096, true) {
-            rx.apply(&m).unwrap();
-        }
-        assert_eq!(rx.heap_bytes() * 8, t.heap_bytes());
-    }
-
-    #[test]
-    fn saturated_table_is_all_present_and_delta_clean() {
-        let t = QrpTable::saturated(10, 7);
-        assert_eq!(t.population(), t.len());
-        // Its wire form is the same full-table patch of -(infinity - 1)
-        // deltas a receiver-built saturated table produced.
-        let msgs = t.to_messages(1 << 10, false);
-        let RouteMsg::Patch { data, .. } = &msgs[1] else {
-            panic!("expected patch");
-        };
-        assert!(data.iter().all(|&d| d as i8 == -6));
-        let mut rx = QrpReceiver::new();
-        for m in &msgs {
-            rx.apply(m).unwrap();
-        }
-        assert_eq!(rx.filter().unwrap().population(), t.len());
-    }
-
-    #[test]
-    fn receiver_rejects_protocol_violations() {
-        let mut rx = QrpReceiver::new();
-        let patch = RouteMsg::Patch {
-            seq_no: 1,
-            seq_count: 1,
-            compressor: Compressor::None,
-            entry_bits: 8,
-            data: vec![0; 16],
-        };
-        assert_eq!(rx.apply(&patch), Err(QrpError::PatchBeforeReset));
-        rx.apply(&RouteMsg::Reset {
-            table_len: 1000,
-            infinity: 7,
-        })
-        .unwrap_err(); // not a power of two
-        rx.apply(&RouteMsg::Reset {
-            table_len: 256,
-            infinity: 7,
-        })
-        .unwrap();
-        let overrun = RouteMsg::Patch {
-            seq_no: 1,
-            seq_count: 1,
-            compressor: Compressor::None,
-            entry_bits: 8,
-            data: vec![0; 257],
-        };
-        assert_eq!(rx.apply(&overrun), Err(QrpError::PatchOverrun));
-        let bad_bits = RouteMsg::Patch {
-            seq_no: 1,
-            seq_count: 1,
-            compressor: Compressor::None,
-            entry_bits: 4,
-            data: vec![0; 8],
-        };
-        assert_eq!(rx.apply(&bad_bits), Err(QrpError::UnsupportedEntryBits(4)));
-    }
-
-    #[test]
-    fn patches_accumulate_across_chunks() {
-        let mut t = QrpTable::new(10, 7);
-        t.insert_name("one two three four five six seven");
-        let msgs = t.to_messages(100, false); // many small chunks
-        assert!(msgs.len() > 3);
-        let mut rx = QrpReceiver::new();
-        for m in msgs {
-            rx.apply(&m).unwrap();
-        }
-        assert_filter_equals_table(&rx, &t);
-    }
-
-    proptest::proptest! {
-        /// Random tables, chunkings and compression modes: the received
-        /// filter always reproduces the table's per-slot presence.
-        #[test]
-        fn prop_filter_equals_table(
-            names in proptest::collection::vec("[a-zA-Z0-9_ .]{0,24}", 0..24),
-            log2 in 8u8..13,
-            chunk in 1usize..600,
-            compress in proptest::any::<bool>(),
-        ) {
-            let mut t = QrpTable::new(log2, 7);
-            for n in &names {
-                t.insert_name(n);
-            }
-            let mut rx = QrpReceiver::new();
-            for m in t.to_messages(chunk, compress) {
-                rx.apply(&RouteMsg::parse(&m.encode()).unwrap()).unwrap();
-            }
-            let f = rx.filter().unwrap();
-            proptest::prop_assert_eq!(f.population(), t.population());
-            for slot in 0..t.len() {
-                proptest::prop_assert_eq!(f.present(slot), t.entries[slot] < t.infinity());
-            }
-        }
-    }
-}
+mod tests;

@@ -20,7 +20,7 @@ use crate::http::{
 };
 use crate::message::{encode_message, encode_message_with, Header, MessageReader, MsgType};
 use crate::payload::{Ping, Pong, Push, QhdFlags, Query, QueryHit, QHD_PUSH, QHD_UPLOADED};
-use crate::qrp::{qrp_hash_full, QrpFilter, QrpReceiver, QrpTable, RouteMsg};
+use crate::qrp::{qrp_hash_full, QrpIndex, QrpTable, RouteMsg};
 use p2pmal_corpus::{
     Catalog, CompiledQuery, ContentRef, ContentStore, HostLibrary, NameInterner, QueryCache,
     Roster, SharedFile,
@@ -259,9 +259,6 @@ pub struct ServentStats {
 struct PeerConn {
     reader: MessageReader,
     ultrapeer: bool,
-    /// QRP table announced by this peer (meaningful for leaf connections on
-    /// an ultrapeer).
-    qrp: QrpReceiver,
 }
 
 struct DownloadConn {
@@ -315,6 +312,11 @@ pub struct Servent {
     conns: VecMap<ConnId, ConnKind>,
     /// Current outbound overlay dials/sessions, to avoid duplicate dials.
     outbound_targets: VecMap<ConnId, HostAddr>,
+    /// The QRP tables our peers sent, and which peers are leaves: every
+    /// leaf `Peer` entry of `conns` is registered here, and leaves it with
+    /// its connection. Boxed at the first leaf or route message, so a leaf
+    /// servent, which gets neither, carries one pointer.
+    qrp: Option<Box<QrpIndex>>,
     /// GUID duplicate suppression, FIFO-bounded.
     seen: FifoSet<Guid>,
     /// Query GUID -> where hits go back (None = we originated it).
@@ -358,6 +360,7 @@ impl Servent {
             guid: Guid([0u8; 16]), // replaced in on_start with a seeded GUID
             conns: VecMap::new(),
             outbound_targets: VecMap::new(),
+            qrp: None,
             seen: FifoSet::bounded(SEEN_BOUND),
             query_routes: FifoMap::bounded(QUERY_ROUTE_BOUND),
             push_routes: FifoMap::bounded(PUSH_ROUTE_BOUND),
@@ -411,17 +414,16 @@ impl Servent {
     }
 
     /// Deterministic deep-heap estimate (see [`App::memory_estimate`]):
-    /// container storage plus the dominant owned allocations — per-leaf
-    /// QRP state on ultrapeers and the share library's match metadata.
+    /// container storage plus the dominant owned allocations — the peers'
+    /// QRP tables on ultrapeers and the share library's match metadata.
     fn heap_bytes(&self) -> u64 {
         use std::mem::size_of;
         let mut b = size_of::<Self>() as u64;
         b += self.conns.heap_bytes();
-        for k in self.conns.values() {
-            if let ConnKind::Peer(p) = k {
-                b += p.qrp.heap_bytes();
-            }
-        }
+        b += self
+            .qrp
+            .as_ref()
+            .map_or(0, |q| size_of::<QrpIndex>() as u64 + q.heap_bytes());
         b += self.outbound_targets.heap_bytes();
         b += self.seen.heap_bytes();
         b += self.query_routes.heap_bytes();
@@ -670,9 +672,11 @@ impl Servent {
         let pc = PeerConn {
             reader: MessageReader::new(),
             ultrapeer: peer_ultrapeer,
-            qrp: QrpReceiver::new(),
         };
         self.conns.insert(conn, ConnKind::Peer(pc));
+        if !peer_ultrapeer {
+            self.qrp.get_or_insert_with(Box::default).add_leaf(conn);
+        }
         self.emit(ServentEvent::PeerUp {
             conn,
             addr: HostAddr::new(ctx.external_addr().ip, 0),
@@ -832,9 +836,8 @@ impl Servent {
         }
         // Last-hop delivery to QRP-matching leaves (always, regardless of
         // remaining TTL). Hash the query's QRP keywords once (compiled
-        // terms of length >= 3 are exactly `qrp::keywords(text)`), then
-        // test each leaf table via a shift + lookup instead of
-        // re-tokenizing and re-hashing per leaf.
+        // terms of length >= 3 are exactly `qrp::keywords(text)`); the index
+        // finds each keyword's slot once for every leaf table at a time.
         let qrp_hashes: Vec<u64> = ctx.time(Subsystem::QueryMatch, || {
             compiled
                 .terms()
@@ -843,26 +846,15 @@ impl Servent {
                 .map(|t| qrp_hash_full(t))
                 .collect()
         });
-        // Gather the leaves first, then test their filters in one tight
-        // pass: every filter sits on a page of its own, and back to back
-        // their misses overlap.
-        let mut leaves: Vec<(ConnId, Option<&QrpFilter>)> = self
-            .conns
-            .iter()
-            .filter_map(|(&c, k)| match k {
-                ConnKind::Peer(p) if c != conn && !p.ultrapeer => Some((c, p.qrp.filter())),
-                _ => None,
-            })
-            .collect();
-        let connected = leaves.len();
-        leaves.retain(|(_, filter)| filter.is_none_or(|f| f.might_match_hashes(&qrp_hashes)));
-        self.stats.qrp_last_hop_suppressed += (connected - leaves.len()) as u64;
-        for (c, _) in leaves {
+        let Some(qrp) = self.qrp.as_mut() else {
+            return; // no leaves
+        };
+        let hops = header.hops.saturating_add(1);
+        self.stats.qrp_last_hop_suppressed += qrp.route_last_hop(&qrp_hashes, conn, |c| {
             ctx.send_with(c, |out| {
-                let hops = header.hops.saturating_add(1);
                 encode_message(header.guid, MsgType::Query, 1, hops, payload, out)
-            });
-        }
+            })
+        });
     }
 
     /// Answers the compiled query from our library, if it matches, with one
@@ -1085,10 +1077,14 @@ impl Servent {
             self.stats.bad_messages += 1;
             return;
         };
-        if let Some(ConnKind::Peer(pc)) = self.conns.get_mut(&conn) {
-            if pc.qrp.apply(&msg).is_err() {
-                self.stats.bad_messages += 1;
-            }
+        if matches!(self.conns.get(&conn), Some(ConnKind::Peer(_)))
+            && self
+                .qrp
+                .get_or_insert_with(Box::default)
+                .apply(conn, &msg)
+                .is_err()
+        {
+            self.stats.bad_messages += 1;
         }
     }
 
@@ -1158,6 +1154,9 @@ impl Servent {
 
     fn drop_conn(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
         self.outbound_targets.remove(&conn);
+        if let Some(qrp) = &mut self.qrp {
+            qrp.remove(conn);
+        }
         if let Some(ConnKind::Download(d)) = self.conns.insert(conn, ConnKind::Dead) {
             self.active_downloads.remove(&d.id);
             self.finish_download(ctx, d.id, Err(DownloadError::Protocol("dropped".into())));
@@ -1324,78 +1323,9 @@ fn saturated_table() -> QrpTable {
     QrpTable::saturated(crate::qrp::DEFAULT_LOG2_SIZE, crate::qrp::DEFAULT_INFINITY)
 }
 
-impl App for Servent {
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
-
-    fn memory_estimate(&self) -> u64 {
-        self.heap_bytes()
-    }
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.guid = Guid::random(ctx.rng());
-        self.started = true;
-        let boot = self.config.bootstrap.clone();
-        self.add_hosts(boot.iter().copied());
-        self.maintain_connectivity(ctx);
-        ctx.set_timer(self.config.tick, TIMER_MAINTENANCE);
-        if let Some(iv) = self.config.auto_query {
-            // Staggered first query to avoid thundering herds.
-            let jitter = SimDuration::from_micros(ctx.rng().next_u64() % iv.as_micros().max(1));
-            ctx.set_timer(jitter, TIMER_AUTO_QUERY);
-        }
-    }
-
-    fn on_connected(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, dir: Direction, _peer: HostAddr) {
-        match dir {
-            Direction::Inbound => {
-                self.conns.insert(conn, ConnKind::SniffIn(Vec::new()));
-            }
-            Direction::Outbound => match self.conns.get(&conn) {
-                Some(ConnKind::HsOut(init)) => {
-                    let greeting = init.greeting();
-                    ctx.send(conn, &greeting);
-                }
-                Some(ConnKind::Download(d)) => {
-                    // Direct download: the dial completed; send the GET.
-                    let id = d.id;
-                    if let Some(request) = self.direct_requests.remove(&id) {
-                        let target = RequestTarget::ByIndex {
-                            index: request.index,
-                            name: request.name,
-                        };
-                        ctx.send(conn, &encode_request(&target, &self.config.user_agent));
-                    }
-                }
-                Some(ConnKind::PushUpload(pu)) => {
-                    let giv = Giv {
-                        index: pu.index,
-                        servent_guid: self.guid,
-                        name: pu.name.clone(),
-                    };
-                    ctx.send(conn, &encode_giv(&giv));
-                }
-                _ => {}
-            },
-        }
-    }
-
-    fn on_connect_failed(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
-        self.outbound_targets.remove(&conn);
-        match self.conns.remove(&conn) {
-            Some(ConnKind::Download(d)) => {
-                self.active_downloads.remove(&d.id);
-                self.finish_download(ctx, d.id, Err(DownloadError::ConnectFailed));
-            }
-            Some(ConnKind::HsOut(_)) => {
-                self.maintain_connectivity(ctx);
-            }
-            _ => {}
-        }
-    }
-
-    fn on_data(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, data: &[u8]) {
+impl Servent {
+    /// Hands `data` to whatever is reading `conn`.
+    fn deliver(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, data: &[u8]) {
         enum Route {
             HsOut,
             HsIn,
@@ -1483,8 +1413,106 @@ impl App for Servent {
         }
     }
 
+    /// Debug builds: the QRP index's leaves are exactly the leaf `Peer`
+    /// entries of `conns`, checked after every callback.
+    fn debug_assert_leaf_set(&self) {
+        if cfg!(debug_assertions) {
+            let leaves = self
+                .conns
+                .iter()
+                .filter_map(|(&c, k)| matches!(k, ConnKind::Peer(p) if !p.ultrapeer).then_some(c));
+            assert!(
+                leaves.eq(self.qrp.iter().flat_map(|q| q.leaves())),
+                "QRP index leaves out of step with the connection table"
+            );
+        }
+    }
+}
+
+impl App for Servent {
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        Some(self)
+    }
+
+    fn memory_estimate(&self) -> u64 {
+        self.heap_bytes()
+    }
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.guid = Guid::random(ctx.rng());
+        self.started = true;
+        let boot = self.config.bootstrap.clone();
+        self.add_hosts(boot.iter().copied());
+        self.maintain_connectivity(ctx);
+        ctx.set_timer(self.config.tick, TIMER_MAINTENANCE);
+        if let Some(iv) = self.config.auto_query {
+            // Staggered first query to avoid thundering herds.
+            let jitter = SimDuration::from_micros(ctx.rng().next_u64() % iv.as_micros().max(1));
+            ctx.set_timer(jitter, TIMER_AUTO_QUERY);
+        }
+        self.debug_assert_leaf_set();
+    }
+
+    fn on_connected(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, dir: Direction, _peer: HostAddr) {
+        match dir {
+            Direction::Inbound => {
+                self.conns.insert(conn, ConnKind::SniffIn(Vec::new()));
+            }
+            Direction::Outbound => match self.conns.get(&conn) {
+                Some(ConnKind::HsOut(init)) => {
+                    let greeting = init.greeting();
+                    ctx.send(conn, &greeting);
+                }
+                Some(ConnKind::Download(d)) => {
+                    // Direct download: the dial completed; send the GET.
+                    let id = d.id;
+                    if let Some(request) = self.direct_requests.remove(&id) {
+                        let target = RequestTarget::ByIndex {
+                            index: request.index,
+                            name: request.name,
+                        };
+                        ctx.send(conn, &encode_request(&target, &self.config.user_agent));
+                    }
+                }
+                Some(ConnKind::PushUpload(pu)) => {
+                    let giv = Giv {
+                        index: pu.index,
+                        servent_guid: self.guid,
+                        name: pu.name.clone(),
+                    };
+                    ctx.send(conn, &encode_giv(&giv));
+                }
+                _ => {}
+            },
+        }
+        self.debug_assert_leaf_set();
+    }
+
+    fn on_connect_failed(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
+        self.outbound_targets.remove(&conn);
+        match self.conns.remove(&conn) {
+            Some(ConnKind::Download(d)) => {
+                self.active_downloads.remove(&d.id);
+                self.finish_download(ctx, d.id, Err(DownloadError::ConnectFailed));
+            }
+            Some(ConnKind::HsOut(_)) => {
+                self.maintain_connectivity(ctx);
+            }
+            _ => {}
+        }
+        self.debug_assert_leaf_set();
+    }
+
+    fn on_data(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, data: &[u8]) {
+        self.deliver(ctx, conn, data);
+        self.debug_assert_leaf_set();
+    }
+
     fn on_closed(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
         self.outbound_targets.remove(&conn);
+        if let Some(qrp) = &mut self.qrp {
+            qrp.remove(conn);
+        }
         match self.conns.remove(&conn) {
             Some(ConnKind::Peer(_)) => {
                 self.emit(ServentEvent::PeerDown { conn });
@@ -1502,6 +1530,7 @@ impl App for Servent {
             }
             _ => {}
         }
+        self.debug_assert_leaf_set();
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -1546,6 +1575,7 @@ impl App for Servent {
                 self.finish_download(ctx, id, Err(DownloadError::Timeout));
             }
         }
+        self.debug_assert_leaf_set();
     }
 }
 

@@ -14,7 +14,7 @@ use p2pmal_gnutella::message::{encode_message, Header, MessageReader, MsgType};
 use p2pmal_gnutella::payload::{
     Bye, HitResult, Ping, Pong, Push, QhdFlags, Query, QueryHit, QHD_PUSH, QHD_UPLOADED,
 };
-use p2pmal_gnutella::qrp::{keywords, qrp_hash_full, QrpReceiver, QrpTable, RouteMsg};
+use p2pmal_gnutella::qrp::{keywords, qrp_hash_full, QrpIndex, QrpTable, RouteMsg};
 use p2pmal_gnutella::servent::{Role, Servent, ServentConfig, SharedWorld, ECHO_INDEX_BASE};
 use p2pmal_netsim::{
     App, ConnId, Ctx, Direction, HostAddr, NodeSpec, SimConfig, SimTime, Simulator,
@@ -419,11 +419,10 @@ proptest! {
         prop_assert!(owned[..echoes].iter().all(|f| f.content.is_malicious()));
     }
 
-    /// The received filter reads every slot of a hash list with no early
-    /// exit; the verdict is the table's short-circuiting one on every
-    /// prefix of the list, the empty one included.
+    /// The index's verdict on a received table is the table's own on
+    /// every prefix of a hash list, the empty one included.
     #[test]
-    fn qrp_filter_verdict_equals_the_table_on_hash_lists(
+    fn qrp_index_verdict_equals_the_table_on_hash_lists(
         names in proptest::collection::vec("[a-z]{3,12}", 0..20),
         log2 in 8u8..13,
         strangers in proptest::collection::vec(any::<u64>(), 0..4),
@@ -433,25 +432,44 @@ proptest! {
         for n in &names {
             table.insert_name(n);
         }
-        let mut rx = QrpReceiver::new();
-        for m in table.to_messages(300, false) {
-            rx.apply(&m).unwrap();
-        }
-        let filter = rx.filter().unwrap();
+        let index = received(&table, 300, false);
         // Present slots (shared names) and arbitrary ones, interleaved.
         let mut hashes: Vec<u64> = names.iter().take(4).map(|n| qrp_hash_full(n)).collect();
         for (i, h) in strangers.into_iter().enumerate() {
             let at = (order >> (8 * i)) as usize % (hashes.len() + 1);
             hashes.insert(at, h);
         }
+        let mut index = index;
         for end in 0..=hashes.len() {
             prop_assert_eq!(
-                filter.might_match_hashes(&hashes[..end]),
+                routes_to_leaf(&mut index, &hashes[..end]),
                 table.might_match_hashes(&hashes[..end]),
                 "first {} of {:?}", end, hashes
             );
         }
     }
+}
+
+const LEAF: ConnId = ConnId(7);
+
+/// An ultrapeer's index after leaf [`LEAF`] sent `table`.
+fn received(table: &QrpTable, chunk: usize, compress: bool) -> QrpIndex {
+    let mut index = QrpIndex::new();
+    index.add_leaf(LEAF);
+    for m in table.to_messages(chunk, compress) {
+        // Wire roundtrip each message too.
+        index
+            .apply(LEAF, &RouteMsg::parse(&m.encode()).unwrap())
+            .unwrap();
+    }
+    index
+}
+
+/// Whether a query with these keyword hashes reaches [`LEAF`].
+fn routes_to_leaf(index: &mut QrpIndex, hashes: &[u64]) -> bool {
+    let mut sent = false;
+    index.route_last_hop(hashes, ConnId(0), |c| sent |= c == LEAF);
+    sent
 }
 
 proptest! {
@@ -657,21 +675,15 @@ proptest! {
         for n in &names {
             t.insert_name(n);
         }
-        let mut rx = QrpReceiver::new();
-        for m in t.to_messages(128, compress) {
-            // Wire roundtrip each message too.
-            let m2 = RouteMsg::parse(&m.encode()).unwrap();
-            rx.apply(&m2).unwrap();
-        }
-        // The received present-bit filter must agree with the sent table
-        // on every query (the only observable the forwarding path reads).
-        let f = rx.filter().unwrap();
-        prop_assert_eq!(f.population(), t.population());
+        // The ultrapeer's index must agree with the sent table on every
+        // query (the only observable the forwarding path reads).
+        let mut index = received(&t, 128, compress);
+        let hashes = |q: &str| keywords(q).iter().map(|w| qrp_hash_full(w)).collect::<Vec<_>>();
         for n in &names {
-            prop_assert_eq!(f.might_match(n), t.might_match(n), "query {:?}", n);
+            prop_assert_eq!(routes_to_leaf(&mut index, &hashes(n)), t.might_match(n), "query {:?}", n);
         }
         for probe in ["zzz", "qqq xxx", "abc"] {
-            prop_assert_eq!(f.might_match(probe), t.might_match(probe), "probe {:?}", probe);
+            prop_assert_eq!(routes_to_leaf(&mut index, &hashes(probe)), t.might_match(probe), "probe {:?}", probe);
         }
     }
 

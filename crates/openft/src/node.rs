@@ -433,6 +433,14 @@ impl FtNode {
         }
     }
 
+    /// Drops `addr` from `known`, until a NODELIST names it again; the
+    /// configured bootstrap nodes are never forgotten.
+    fn forget(&mut self, addr: HostAddr) {
+        if !self.config.bootstrap.contains(&addr) {
+            self.known.retain(|k| HostAddr::new(k.ip, k.port) != addr);
+        }
+    }
+
     /// Outbound session slots in use, dialing or up.
     fn outbound(&self) -> usize {
         self.conns
@@ -597,6 +605,11 @@ impl FtNode {
                         port: info.port,
                         klass: info.klass,
                     };
+                    // An outbound slot is for a SEARCH or INDEX node; one
+                    // that reaches a USER (corrupted bytes can list one as a
+                    // SEARCH node) would hold a session nobody searches.
+                    let user = p.outbound && !info.is_search() && !info.is_index();
+                    let dialed = p.peer_addr;
                     // Dedup the alias through the world interner: every
                     // session with the same node (and the stock "user" /
                     // "search" aliases network-wide) would otherwise hold
@@ -605,6 +618,10 @@ impl FtNode {
                     info.alias = self.world.names.intern(&info.alias);
                     p.info = Some(info);
                     self.add_known(entry);
+                    if user {
+                        self.forget(dialed);
+                        self.drop_conn(ctx, conn);
+                    }
                 }
             }
             Command::NodeList => {
@@ -1125,12 +1142,8 @@ impl App for FtNode {
             }
             Some(ConnKind::Peer(p)) => {
                 // An address nobody answers at is forgotten (a misframed
-                // NODELIST can name hundreds), until a NODELIST names it
-                // again; the configured bootstrap nodes never are.
-                if !self.config.bootstrap.contains(&p.peer_addr) {
-                    let gone = p.peer_addr;
-                    self.known.retain(|k| HostAddr::new(k.ip, k.port) != gone);
-                }
+                // NODELIST can name hundreds).
+                self.forget(p.peer_addr);
                 self.arm_tick(ctx);
             }
             _ => {}

@@ -1072,6 +1072,71 @@ fn an_unfinished_handshake_frees_its_slot() {
     }
 }
 
+/// A dial that reaches a USER node — one that corrupted bytes listed as a
+/// SEARCH node — is dropped as soon as the peer's NODEINFO says so, though
+/// the peer accepts the session: the slot is free, and the address is
+/// forgotten unless it is a bootstrap node, which the next tick redials.
+#[test]
+fn a_user_class_peer_gives_its_slot_back() {
+    let mut reply = Vec::new();
+    let user_info = NodeInfo {
+        klass: CLASS_USER,
+        port: 1215,
+        http_port: 1215,
+        alias: "user".into(),
+    };
+    encode_packet(Command::Version, &Version::CURRENT.encode(), &mut reply);
+    encode_packet(Command::NodeInfo, &user_info.encode(), &mut reply);
+    encode_packet(
+        Command::Session,
+        &Session::Response { accepted: true }.encode(),
+        &mut reply,
+    );
+    for bootstrap in [false, true] {
+        let mut sim = Simulator::new(SimConfig::default(), 15);
+        let arrivals = Arc::new(Mutex::new(Vec::new()));
+        let peer = sim.spawn(
+            NodeSpec::public().listen(1215),
+            Box::new(Scripted {
+                arrivals: Arc::clone(&arrivals),
+                reply: reply.clone(),
+            }),
+        );
+        let addr = sim.node_addr(peer);
+        let cfg = FtConfig {
+            target_sessions: 1,
+            ..FtConfig::user().with_bootstrap(if bootstrap { vec![addr] } else { vec![] })
+        };
+        let tick = cfg.tick;
+        let user = sim.spawn(
+            NodeSpec::public().listen(1215),
+            Box::new(FtNode::new(cfg, world(15), HostLibrary::new())),
+        );
+        sim.run_until(SimTime::from_secs(1));
+        if !bootstrap {
+            with_node(&mut sim, user, |n, ctx| {
+                n.add_known(NodeEntry {
+                    ip: addr.ip,
+                    port: addr.port,
+                    klass: CLASS_SEARCH,
+                });
+                n.maintain(ctx);
+            });
+        }
+        sim.run_until(SimTime::from_secs(6));
+        assert_eq!(arrivals.lock().unwrap().len(), 1);
+        let (open, up, known) = with_node(&mut sim, user, |n, _| {
+            let known = n.known.iter().any(|k| HostAddr::new(k.ip, k.port) == addr);
+            (n.conns.len(), n.session_count(), known)
+        });
+        assert_eq!((open, up), (0, 0), "bootstrap {bootstrap}");
+        assert_eq!(known, bootstrap);
+        sim.run_until(SimTime::from_secs(6) + tick + SimDuration::from_secs(5));
+        let dials = if bootstrap { 2 } else { 1 };
+        assert_eq!(arrivals.lock().unwrap().len(), dials);
+    }
+}
+
 /// A node that churns comes back with no connection of its last session:
 /// the redial its dying `on_closed` made was discarded with the rest of its
 /// reactions, and must not hold the outbound slot after the restart.

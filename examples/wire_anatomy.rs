@@ -8,7 +8,7 @@
 use p2pmal::gnutella::guid::Guid;
 use p2pmal::gnutella::message::{encode_message, MessageReader, MsgType};
 use p2pmal::gnutella::payload::{HitResult, QhdFlags, Query, QueryHit, QHD_PUSH};
-use p2pmal::gnutella::qrp::{QrpReceiver, QrpTable};
+use p2pmal::gnutella::qrp::{keywords, qrp_hash_full, QrpIndex, QrpTable};
 use p2pmal::hashes::sha1;
 use p2pmal::openft::packet::{encode_packet, Command, PacketReader, Search, SearchResult};
 use rand::rngs::StdRng;
@@ -113,15 +113,24 @@ fn main() {
         table.population(),
         msgs.len()
     );
-    let mut rx = QrpReceiver::new();
+    // The ultrapeer files the table under the leaf's connection, then asks
+    // which leaves a query's keywords reach.
+    let leaf = p2pmal::netsim::ConnId(1);
+    let mut index = QrpIndex::new();
+    index.add_leaf(leaf);
     for m in &msgs {
-        rx.apply(m).unwrap();
+        index.apply(leaf, m).unwrap();
     }
-    let rebuilt = rx.filter().unwrap();
+    let mut reaches = |query: &str| {
+        let hashes: Vec<u64> = keywords(query).iter().map(|w| qrp_hash_full(w)).collect();
+        let mut sent = false;
+        index.route_last_hop(&hashes, p2pmal::netsim::ConnId(0), |c| sent |= c == leaf);
+        sent
+    };
     println!(
         "ultrapeer side after RESET+PATCH: matches 'crimson horizon'? {} — 'metallica'? {}\n",
-        rebuilt.might_match("crimson horizon"),
-        rebuilt.might_match("metallica"),
+        reaches("crimson horizon"),
+        reaches("metallica"),
     );
 
     // --- OpenFT: a search round trip -------------------------------------
