@@ -7,9 +7,11 @@
 //! ```
 //!
 //! Writes a machine-readable summary to `P2PMAL_BENCH_JSON`
-//! (default `target/telemetry/BENCH_mega.json`).
+//! (default `target/telemetry/BENCH_mega.json`) and exits 1 when it
+//! cannot; exits 2 on a bad `P2PMAL_*` variable.
 
-use p2pmal_core::{MegaRun, MegaScenario};
+use p2pmal_bench::{mega_from_env, write_summary};
+use p2pmal_core::MegaRun;
 use p2pmal_json::Value;
 
 fn mem_entry(label: &str, m: &p2pmal_netsim::MemoryStats) -> Value {
@@ -61,7 +63,8 @@ fn report(run: &MegaRun) {
     );
 }
 
-fn write_json(run: &MegaRun, seed: u64) {
+/// False when the summary could not be written.
+fn write_bench_json(run: &MegaRun, seed: u64) -> bool {
     let run_secs = run.wall.as_secs_f64();
     let events = run.sim_metrics.events_processed;
     let doc = Value::Obj(vec![
@@ -87,30 +90,21 @@ fn write_json(run: &MegaRun, seed: u64) {
             ]),
         ),
     ]);
-    let path = std::env::var("P2PMAL_BENCH_JSON")
-        .unwrap_or_else(|_| "target/telemetry/BENCH_mega.json".into());
-    if let Some(dir) = std::path::Path::new(&path).parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    match std::fs::write(&path, doc.to_string_compact()) {
-        Ok(()) => eprintln!("[run_mega] wrote summary to {path}"),
-        Err(e) => eprintln!("[run_mega] could not write {path}: {e}"),
-    }
+    write_summary("run_mega", "BENCH_mega.json", &doc)
 }
 
 fn main() {
-    let seed = std::env::var("P2PMAL_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
-    let scen = MegaScenario::from_env(seed);
+    let scen = mega_from_env().unwrap_or_else(|e| {
+        eprintln!("[run_mega] {e}");
+        std::process::exit(2)
+    });
     eprintln!(
-        "[run_mega] seed {seed}, {} nodes, {} days, {} shards",
-        scen.nodes, scen.days, scen.shards,
+        "[run_mega] seed {}, {} nodes, {} days, {} shards",
+        scen.seed, scen.nodes, scen.days, scen.shards,
     );
     let run = scen.run_with_progress(|day| eprintln!("[run_mega] day {day} done"));
     report(&run);
-    write_json(&run, seed);
+    if !write_bench_json(&run, scen.seed) {
+        std::process::exit(1);
+    }
 }

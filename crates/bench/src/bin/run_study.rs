@@ -1,6 +1,7 @@
 //! Runs the full two-network study, simulating once, and prints every
-//! table, figure and paper row, plus machine-readable comparisons. Exits
-//! non-zero at paper scale when a row leaves its band.
+//! table, figure and paper row, plus machine-readable comparisons. Exits 1
+//! at paper scale when a row leaves its band, and whenever the BENCH JSON
+//! summary cannot be written; 2 on a bad `P2PMAL_*` variable.
 //!
 //! ```sh
 //! cargo run --release -p p2pmal-bench --bin run_study           # paper scale
@@ -10,7 +11,7 @@
 //! ```
 
 use p2pmal_analysis::{hist_summary_line, summarize};
-use p2pmal_bench::BenchConfig;
+use p2pmal_bench::{write_summary, BenchConfig};
 use p2pmal_core::{NetworkRun, StudyReport};
 use p2pmal_crawler::LogFootprint;
 use p2pmal_json::Value;
@@ -230,8 +231,8 @@ fn telemetry_lines(label: &str, run: &NetworkRun) {
 }
 
 /// Writes the machine-readable timing summary next to the human report so
-/// the perf trajectory is tracked across commits.
-fn write_bench_json(report: &StudyReport, cfg: &BenchConfig) {
+/// the perf trajectory is tracked across commits. False when it could not.
+fn write_bench_json(report: &StudyReport, cfg: &BenchConfig) -> bool {
     let networks = report
         .runs()
         .map(|run| timing_entry(run.network.label(), run))
@@ -242,21 +243,7 @@ fn write_bench_json(report: &StudyReport, cfg: &BenchConfig) {
         ("faults".into(), cfg.faults.as_str().into()),
         ("networks".into(), Value::Arr(networks)),
     ]);
-    let path = std::env::var("P2PMAL_BENCH_JSON")
-        .unwrap_or_else(|_| "target/telemetry/BENCH_study.json".into());
-    // The directory may not exist yet (a fresh checkout, or CI pointing
-    // `P2PMAL_BENCH_JSON` at a new artifacts directory).
-    if let Some(dir) = std::path::Path::new(&path).parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("[run_study] could not create {}: {e}", dir.display());
-            }
-        }
-    }
-    match std::fs::write(&path, doc.to_string_compact()) {
-        Ok(()) => eprintln!("[run_study] wrote timing summary to {path}"),
-        Err(e) => eprintln!("[run_study] could not write {path}: {e}"),
-    }
+    write_summary("run_study", "BENCH_study.json", &doc)
 }
 
 /// What the crawler's response log held and cost, for a summary line.
@@ -366,7 +353,7 @@ fn main() {
         telemetry_lines(run.network.label(), run);
         intern_lines(run.network.label(), run);
     }
-    write_bench_json(&report, &cfg);
+    let written = write_bench_json(&report, &cfg);
     let comparisons = report.comparisons();
     eprintln!("{}", comparisons.to_json());
     if comparisons.all_hold() {
@@ -379,8 +366,8 @@ fn main() {
             "[run_study] {} expectation(s) out of band",
             comparisons.failures().len()
         );
-        if !cfg.quick {
-            std::process::exit(1);
-        }
+    }
+    if !written || (!comparisons.all_hold() && !cfg.quick) {
+        std::process::exit(1);
     }
 }

@@ -1,39 +1,99 @@
-//! Configuration of `run_study`, the one program that simulates the study
-//! and prints every paper row.
+//! Configuration of the two programs that simulate: `run_study` (both
+//! networks, every table, figure and paper row) and `run_mega` (one
+//! mega-tier population).
 //!
-//! Scale control via environment:
-//!
-//! * `P2PMAL_QUICK=1` — run the minutes-scale `quick()` scenarios;
-//! * `P2PMAL_SEED=<n>` — change the seed (default 2006);
-//! * `P2PMAL_SEEDS=<a,b,c>` — multi-seed sweep: every seed's two-network
-//!   study runs on its own thread and prints its rows held;
-//! * `P2PMAL_DAYS=<n>` — override the collection length;
-//! * `P2PMAL_TRACE=<level>` — leveled trace on stderr. Unset, empty, `0`,
-//!   `off`, `false` and `no` disable it; `1` prints the per-day
-//!   event/wall-time trace, including buffer-pool, queue-depth and
-//!   scan-pipeline (cache hit/miss/eviction, bytes hashed) statistics;
-//!   `2` additionally renders every telemetry event as it is recorded;
-//! * `P2PMAL_JOURNAL=<path>` — write the structured sim-time event journal
-//!   (one JSON object per line) to `<path>.limewire.jsonl` and
-//!   `<path>.openft.jsonl`, creating parent directories as needed;
-//! * `P2PMAL_JOURNAL_SAMPLE=<cat=N,...>` — journal only every Nth event of
-//!   a category (`query`, `download`, `scan`, `fault`, `churn`); `cat=0`
-//!   drops the category entirely;
-//! * `P2PMAL_FAULTS=none|mild|harsh` — network fault profile: packet loss,
-//!   spontaneous resets, latency spikes, corruption and host churn, with
-//!   the retry policy calibrated for each profile (`none` is the default
-//!   and is byte-identical to a fault-free simulator);
-//! * `P2PMAL_RETRIES=<n>` — override the per-object retry budget of the
-//!   selected fault profile (for retry-budget sweeps).
-//!
-//! A set knob that does not parse is an error, never the default.
+//! Both are driven by `P2PMAL_*` environment variables. [`KNOBS`] is the
+//! one list of their names, and README's knob table (kept equal to it by a
+//! unit test) says what each takes, its default and which program reads
+//! it. Either program exits 2 on a set name outside [`KNOBS`] or on a knob
+//! it reads that does not parse; it never falls back to the default.
 
-use p2pmal_core::{fault_profile, LimewireScenario, OpenFtScenario, Study};
-use p2pmal_crawler::RetryPolicy;
-use p2pmal_netsim::FaultPlan;
+use p2pmal_core::{fault_profile, LimewireScenario, MegaScenario, OpenFtScenario, Study};
+use p2pmal_crawler::{parse_scan_threads, RetryPolicy};
+use p2pmal_json::Value;
+use p2pmal_netsim::{FaultPlan, SimConfig, TelemetryConfig};
+use std::path::Path;
 use std::str::FromStr;
 
-/// Harness configuration from the environment.
+/// Every `P2PMAL_*` variable `run_study` and `run_mega` know, in the order
+/// of README's knob table.
+pub const KNOBS: [&str; 14] = [
+    "P2PMAL_QUICK",
+    "P2PMAL_SEED",
+    "P2PMAL_SEEDS",
+    "P2PMAL_DAYS",
+    "P2PMAL_FAULTS",
+    "P2PMAL_RETRIES",
+    "P2PMAL_MEGA_NODES",
+    "P2PMAL_SCAN_THREADS",
+    "P2PMAL_SHARDS",
+    "P2PMAL_SHARD_WINDOW_MS",
+    "P2PMAL_TRACE",
+    "P2PMAL_JOURNAL",
+    "P2PMAL_JOURNAL_SAMPLE",
+    "P2PMAL_BENCH_JSON",
+];
+
+/// Set `P2PMAL_*` variables, name then value.
+type Vars = [(String, String)];
+
+/// This process's `P2PMAL_*` variables.
+fn env_vars() -> Vec<(String, String)> {
+    std::env::vars_os()
+        .map(|(k, v)| {
+            let (k, v) = (k.to_string_lossy(), v.to_string_lossy());
+            (k.into_owned(), v.into_owned())
+        })
+        .filter(|(k, _)| k.starts_with("P2PMAL_"))
+        .collect()
+}
+
+fn var<'a>(vars: &'a Vars, name: &str) -> Option<&'a str> {
+    vars.iter()
+        .find(|(k, _)| k == name)
+        .map(|(_, v)| v.as_str())
+}
+
+/// `name`'s value read by `parse`, `None` when unset, an error naming both
+/// when it does not parse.
+fn knob<T>(
+    vars: &Vars,
+    name: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    var(vars, name)
+        .map(|v| parse(v).ok_or_else(|| format!("{name}={v:?} is not a valid value")))
+        .transpose()
+}
+
+fn parsed<T: FromStr>(vars: &Vars, name: &str) -> Result<Option<T>, String> {
+    knob(vars, name, |v| v.parse().ok())
+}
+
+/// What both programs check before a preset reads the environment: every
+/// set name is one of [`KNOBS`], and each engine knob the presets read
+/// parses by the presets' own rule (a preset that meets a malformed one
+/// does not fail: it runs as if the knob were unset, or inline for scan
+/// threads).
+fn check_env(vars: &Vars) -> Result<(), String> {
+    if let Some((name, _)) = vars.iter().find(|(k, _)| !KNOBS.contains(&k.as_str())) {
+        return Err(format!(
+            "{name} is not a known variable ({})",
+            KNOBS.join(", ")
+        ));
+    }
+    knob(vars, "P2PMAL_SHARDS", SimConfig::parse_shards)?;
+    knob(
+        vars,
+        "P2PMAL_SHARD_WINDOW_MS",
+        SimConfig::parse_shard_window_us,
+    )?;
+    knob(vars, "P2PMAL_SCAN_THREADS", parse_scan_threads)?;
+    knob(vars, "P2PMAL_JOURNAL_SAMPLE", TelemetryConfig::parse_sample)?;
+    Ok(())
+}
+
+/// `run_study`'s configuration from the environment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchConfig {
     pub quick: bool,
@@ -49,28 +109,15 @@ pub struct BenchConfig {
     pub retries: Option<u8>,
 }
 
-/// `name`'s value parsed, `None` when unset, an error naming both when it
-/// does not parse.
-fn parsed<T: FromStr>(
-    var: &dyn Fn(&str) -> Option<String>,
-    name: &str,
-) -> Result<Option<T>, String> {
-    var(name)
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("{name}={v:?} is not a valid value"))
-        })
-        .transpose()
-}
-
 impl BenchConfig {
     pub fn from_env() -> Result<Self, String> {
-        Self::from_lookup(&|name| std::env::var(name).ok())
+        Self::from_vars(&env_vars())
     }
 
-    /// [`Self::from_env`] over any variable lookup.
-    fn from_lookup(var: &dyn Fn(&str) -> Option<String>) -> Result<Self, String> {
-        let seeds = match var("P2PMAL_SEEDS") {
+    /// [`Self::from_env`] over any set of variables.
+    fn from_vars(vars: &Vars) -> Result<Self, String> {
+        check_env(vars)?;
+        let seeds = match var(vars, "P2PMAL_SEEDS") {
             Some(v) if !v.trim().is_empty() => Some(
                 v.split(',')
                     .map(|s| {
@@ -82,19 +129,19 @@ impl BenchConfig {
             ),
             _ => None,
         };
-        let faults = var("P2PMAL_FAULTS").unwrap_or_else(|| "none".into());
+        let faults = var(vars, "P2PMAL_FAULTS").unwrap_or("none").to_string();
         if fault_profile(&faults).is_none() {
             return Err(format!(
                 "P2PMAL_FAULTS={faults:?} is not a known profile (none|mild|harsh)"
             ));
         }
         Ok(BenchConfig {
-            quick: var("P2PMAL_QUICK").is_some_and(|v| v == "1"),
-            seed: parsed(var, "P2PMAL_SEED")?.unwrap_or(2006),
-            days: parsed(var, "P2PMAL_DAYS")?,
+            quick: var(vars, "P2PMAL_QUICK") == Some("1"),
+            seed: parsed(vars, "P2PMAL_SEED")?.unwrap_or(2006),
+            days: parsed(vars, "P2PMAL_DAYS")?,
             seeds,
             faults,
-            retries: parsed(var, "P2PMAL_RETRIES")?,
+            retries: parsed(vars, "P2PMAL_RETRIES")?,
         })
     }
 
@@ -140,16 +187,64 @@ impl BenchConfig {
     }
 }
 
+/// The mega-tier world `run_mega` runs: `P2PMAL_MEGA_NODES` servents
+/// (default 50,000) for `P2PMAL_DAYS` days at `P2PMAL_SEED` (default 42, the
+/// seed `bench/BENCH_mega.json` records).
+pub fn mega_from_env() -> Result<MegaScenario, String> {
+    mega_from_vars(&env_vars())
+}
+
+fn mega_from_vars(vars: &Vars) -> Result<MegaScenario, String> {
+    check_env(vars)?;
+    let mut scen = MegaScenario::new(
+        parsed(vars, "P2PMAL_SEED")?.unwrap_or(42),
+        parsed(vars, "P2PMAL_MEGA_NODES")?.unwrap_or(50_000),
+    );
+    if let Some(days) = parsed(vars, "P2PMAL_DAYS")? {
+        scen.days = days;
+    }
+    Ok(scen)
+}
+
+/// Writes `program`'s machine-readable summary to `P2PMAL_BENCH_JSON`, else
+/// `target/telemetry/<file>`, and says on stderr where or why not. False
+/// when it could not, which both programs turn into exit status 1.
+pub fn write_summary(program: &str, file: &str, doc: &Value) -> bool {
+    let path =
+        std::env::var("P2PMAL_BENCH_JSON").unwrap_or_else(|_| format!("target/telemetry/{file}"));
+    let written = write_json(&path, doc);
+    match &written {
+        Ok(()) => eprintln!("[{program}] wrote summary to {path}"),
+        Err(e) => eprintln!("[{program}] {e}"),
+    }
+    written.is_ok()
+}
+
+/// Writes `doc` to `path`, creating the directory it names (a fresh
+/// checkout, or `P2PMAL_BENCH_JSON` pointing at a new artifacts directory).
+/// The error names the path.
+fn write_json(path: &str, doc: &Value) -> Result<(), String> {
+    let path = Path::new(path);
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("could not create {}: {e}", dir.display()))?;
+    }
+    std::fs::write(path, doc.to_string_compact())
+        .map_err(|e| format!("could not write {}: {e}", path.display()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn config(vars: &[(&str, &str)]) -> Result<BenchConfig, String> {
-        BenchConfig::from_lookup(&|name| {
-            vars.iter()
-                .find(|(k, _)| *k == name)
-                .map(|(_, v)| v.to_string())
-        })
+    fn vars(set: &[(&str, &str)]) -> Vec<(String, String)> {
+        set.iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
+
+    fn config(set: &[(&str, &str)]) -> Result<BenchConfig, String> {
+        BenchConfig::from_vars(&vars(set))
     }
 
     #[test]
@@ -199,5 +294,80 @@ mod tests {
                 "{name}={value}: {err}"
             );
         }
+
+        let mega = mega_from_vars(&vars(&[])).expect("nothing set is valid");
+        assert_eq!((mega.seed, mega.nodes, mega.days), (42, 50_000, 2));
+        let mega = mega_from_vars(&vars(&[
+            ("P2PMAL_SEED", "7"),
+            ("P2PMAL_MEGA_NODES", "1000"),
+            ("P2PMAL_DAYS", "1"),
+        ]))
+        .expect("every mega knob well formed");
+        assert_eq!((mega.seed, mega.nodes, mega.days), (7, 1_000, 1));
+        for (name, value) in [
+            ("P2PMAL_SEED", "4x2"),
+            ("P2PMAL_MEGA_NODES", "50k"),
+            ("P2PMAL_DAYS", "two"),
+        ] {
+            let err = mega_from_vars(&vars(&[(name, value)])).expect_err(name);
+            assert!(
+                err.contains(name) && err.contains(value),
+                "{name}={value}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_engine_knobs_and_unknown_names_fail_both_programs() {
+        let well_formed = vars(&[
+            ("P2PMAL_SHARDS", "4"),
+            ("P2PMAL_SHARD_WINDOW_MS", "250"),
+            ("P2PMAL_SCAN_THREADS", "0"),
+            ("P2PMAL_JOURNAL_SAMPLE", "query=10, download=0,"),
+        ]);
+        BenchConfig::from_vars(&well_formed).expect("engine knobs well formed");
+        mega_from_vars(&well_formed).expect("engine knobs well formed");
+        for (name, value) in [
+            ("P2PMAL_SHARDS", "four"),
+            ("P2PMAL_SHARD_WINDOW_MS", "1s"),
+            ("P2PMAL_SCAN_THREADS", "x"),
+            ("P2PMAL_JOURNAL_SAMPLE", "queries=10"),
+            ("P2PMAL_JOURNAL_SAMPLE", "query=-1"),
+            ("P2PMAL_SHARD", "4"),
+            ("P2PMAL_THREADS", "2"),
+        ] {
+            let set = vars(&[(name, value)]);
+            for err in [
+                BenchConfig::from_vars(&set).expect_err(name),
+                mega_from_vars(&set).expect_err(name),
+            ] {
+                assert!(err.contains(name), "{name}={value}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn readme_knob_table_lists_exactly_the_known_names() {
+        let table: Vec<&str> = include_str!("../../../README.md")
+            .lines()
+            .filter_map(|l| l.strip_prefix("| `P2PMAL_"))
+            .map(|rest| &rest[..rest.find('`').expect("closing backtick")])
+            .collect();
+        let known: Vec<&str> = KNOBS.iter().map(|k| &k["P2PMAL_".len()..]).collect();
+        assert_eq!(table, known, "README knob table vs KNOBS");
+    }
+
+    #[test]
+    fn a_summary_that_cannot_be_written_is_an_error_naming_the_path() {
+        let dir = std::env::temp_dir().join(format!("p2pmal-bench-{}", std::process::id()));
+        let fresh = dir.join("new").join("BENCH.json");
+        write_json(fresh.to_str().unwrap(), &Value::Null).expect("creates its directory");
+        assert_eq!(std::fs::read_to_string(&fresh).unwrap(), "null");
+        // A path whose parent is a file.
+        let blocked = fresh.join("BENCH.json");
+        let err =
+            write_json(blocked.to_str().unwrap(), &Value::Null).expect_err("parent is a file");
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(err.contains(&*fresh.to_string_lossy()), "{err}");
     }
 }

@@ -5,8 +5,8 @@
 //! Differences from [`crate::LimewireScenario`]:
 //!
 //! * the population is parameterized by a single `nodes` count
-//!   (`P2PMAL_MEGA_NODES`), with the ultrapeer backbone, leaf libraries and
-//!   infection mix all derived proportionally;
+//!   (`P2PMAL_MEGA_NODES` in `run_mega`), with the ultrapeer backbone,
+//!   leaf libraries and infection mix all derived proportionally;
 //! * ultrapeers bootstrap off a bounded window of prior ultrapeers and
 //!   leaves off shared bootstrap groups, so population setup is O(nodes),
 //!   not O(ultrapeers × leaves);
@@ -113,22 +113,6 @@ impl MegaScenario {
             shards: SimConfig::shards_from_env().0,
             shard_window_us: SimConfig::shards_from_env().1,
         }
-    }
-
-    /// Reads `P2PMAL_MEGA_NODES` (default 50_000) and `P2PMAL_DAYS`.
-    pub fn from_env(seed: u64) -> Self {
-        let nodes = std::env::var("P2PMAL_MEGA_NODES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(50_000);
-        let mut s = Self::new(seed, nodes);
-        if let Some(days) = std::env::var("P2PMAL_DAYS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            s.days = days;
-        }
-        s
     }
 
     /// Builds the population, runs the bounded collection, returns the

@@ -40,8 +40,8 @@ pub use log::{
 };
 pub use retry::{FailCause, FailureBreakdown, RetryPolicy};
 pub use scan::{
-    scan_threads_from_env, FlushOutcome, FlushResult, ScanPipeline, ScanService, ScanStats,
-    DEFAULT_SCAN_CACHE_ENTRIES,
+    parse_scan_threads, scan_threads_from_env, FlushOutcome, FlushResult, ScanPipeline,
+    ScanService, ScanStats, DEFAULT_SCAN_CACHE_ENTRIES,
 };
 pub use trace::DlTrace;
 pub use workload::{Workload, WorkloadConfig, GENERIC_TERMS};

@@ -366,22 +366,23 @@ enum PlanKey {
     Index(usize),
 }
 
-/// Scan-service worker count from `P2PMAL_SCAN_THREADS`.
-///
-/// `0` or `1` force the sequential inline path; `N` caps at 8 (batches are
-/// small, more workers just contend); unset picks the host's available
-/// parallelism, likewise capped.
+/// Scan-service worker count from `P2PMAL_SCAN_THREADS`
+/// ([`parse_scan_threads`]; a value that does not parse scans inline).
+/// Unset picks the host's available parallelism, capped at 8.
 pub fn scan_threads_from_env() -> usize {
     match std::env::var("P2PMAL_SCAN_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(0) | Ok(1) | Err(_) => 1,
-            Ok(n) => n.min(8),
-        },
+        Ok(v) => parse_scan_threads(&v).unwrap_or(1),
         Err(_) => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
             .min(8),
     }
+}
+
+/// A `P2PMAL_SCAN_THREADS` value: `0` or `1` force the sequential inline
+/// path; `N` caps at 8 (batches are small, more workers just contend).
+pub fn parse_scan_threads(v: &str) -> Option<usize> {
+    v.trim().parse::<usize>().ok().map(|n| n.clamp(1, 8))
 }
 
 #[cfg(test)]

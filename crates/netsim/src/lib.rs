@@ -11,7 +11,7 @@
 //! [`App`] trait: every callback receives a [`Ctx`] through which the app
 //! reads the clock, sends bytes, opens/closes connections and arms timers.
 //! The same trait runs unchanged over real TCP sockets via the [`live`]
-//! module, which is how the `live_tcp` example demonstrates wire-level
+//! module, which is how the `live_gnutella` example demonstrates wire-level
 //! fidelity outside the simulator.
 //!
 //! Determinism contract: given the same seed and the same sequence of API
@@ -73,7 +73,7 @@ pub use faults::{ChurnSpec, FaultPlan};
 pub use framing::{find_across, take_front, Feed, StreamBuf};
 pub use metrics::{process_rss_kb, MemoryStats, SimMetrics};
 pub use profile::{Subsystem, SubsystemProfile, SUBSYSTEM_COUNT};
-pub use queue::{CalendarQueue, HeapQueue, Scheduler, SchedulerKind};
+pub use queue::{CalendarQueue, Scheduler, SchedulerKind};
 pub use shard::shard_of;
 pub use sim::{NodeSpec, SimConfig, Simulator};
 pub use telemetry::span as telemetry_span;

@@ -3,7 +3,7 @@
 //! This is the second transport behind the [`App`] trait: the same protocol
 //! state machines that run under the simulator can be attached to actual
 //! `std::net` sockets, demonstrating that the implementations are wire-real
-//! and not simulator artifacts (see `examples/live_tcp.rs`).
+//! and not simulator artifacts (see `examples/live_gnutella.rs`).
 //!
 //! The runtime is intentionally simple — one OS thread multiplexes each
 //! node's callbacks through an mpsc channel, one reader thread per

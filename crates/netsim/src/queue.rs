@@ -10,11 +10,9 @@
 //! ring's horizon go to an overflow heap and are pulled forward as the
 //! cursor reaches them, so far-future timers stay cheap too.
 //!
-//! [`HeapQueue`], a `BinaryHeap` over `(time, seq)` at `O(log n)` per
-//! operation, is the original scheduler. The simulator cannot run on it
-//! any more; it stays as the ordering oracle of the equivalence tests below
-//! and as the baseline of the hold-model benchmark in
-//! `crates/bench/benches/perf_simulator.rs`.
+//! The original scheduler, a `BinaryHeap` over `(time, seq)` at `O(log n)`
+//! per operation, lives on only in the tests below (`HeapQueue`), as the
+//! ordering oracle the calendar queue is checked against.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -72,8 +70,8 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// The scheduler interface the simulator, the oracle and the benchmarks
-/// share.
+/// The scheduler interface the simulator, the test oracle and the
+/// benchmark's queue probe share.
 pub trait Scheduler<T> {
     /// Enqueues `item` at `time`. Items at equal times dequeue in push
     /// order.
@@ -97,49 +95,6 @@ pub trait Scheduler<T> {
     fn len(&self) -> usize;
     fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// The `(time, seq)` binary-heap scheduler: the calendar queue's oracle.
-pub struct HeapQueue<T> {
-    heap: BinaryHeap<Entry<T>>,
-    next_seq: u64,
-}
-
-impl<T> Default for HeapQueue<T> {
-    fn default() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-}
-
-impl<T> Scheduler<T> for HeapQueue<T> {
-    fn push(&mut self, time: SimTime, item: T) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { time, seq, item });
-    }
-
-    fn push_keyed(&mut self, time: SimTime, seq: u64, item: T) {
-        self.heap.push(Entry { time, seq, item });
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.heap.pop().map(|e| (e.time, e.item))
-    }
-
-    fn pop_keyed(&mut self) -> Option<(SimTime, u64, T)> {
-        self.heap.pop().map(|e| (e.time, e.seq, e.item))
-    }
-
-    fn peek_time(&mut self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
     }
 }
 
@@ -315,6 +270,49 @@ mod tests {
 
     fn drain<S: Scheduler<u64>>(q: &mut S) -> Vec<(SimTime, u64)> {
         std::iter::from_fn(|| q.pop()).collect()
+    }
+
+    /// The `(time, seq)` binary-heap scheduler: the calendar queue's oracle.
+    struct HeapQueue<T> {
+        heap: BinaryHeap<Entry<T>>,
+        next_seq: u64,
+    }
+
+    impl<T> Default for HeapQueue<T> {
+        fn default() -> Self {
+            HeapQueue {
+                heap: BinaryHeap::new(),
+                next_seq: 0,
+            }
+        }
+    }
+
+    impl<T> Scheduler<T> for HeapQueue<T> {
+        fn push(&mut self, time: SimTime, item: T) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(Entry { time, seq, item });
+        }
+
+        fn push_keyed(&mut self, time: SimTime, seq: u64, item: T) {
+            self.heap.push(Entry { time, seq, item });
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, T)> {
+            self.heap.pop().map(|e| (e.time, e.item))
+        }
+
+        fn pop_keyed(&mut self) -> Option<(SimTime, u64, T)> {
+            self.heap.pop().map(|e| (e.time, e.seq, e.item))
+        }
+
+        fn peek_time(&mut self) -> Option<SimTime> {
+            self.heap.peek().map(|e| e.time)
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
     }
 
     #[test]

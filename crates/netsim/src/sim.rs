@@ -76,22 +76,26 @@ impl Default for SimConfig {
 
 impl SimConfig {
     /// Reads the sharding knobs from the environment: `P2PMAL_SHARDS`
-    /// (clamped to 1..=64; unset or unparsable means 1) and
-    /// `P2PMAL_SHARD_WINDOW_MS` (window length in milliseconds, min 1;
-    /// default 1000). Returns `(shards, shard_window_us)` for harnesses to
-    /// drop into a config.
+    /// ([`Self::parse_shards`]; unset or unparsable means 1) and
+    /// `P2PMAL_SHARD_WINDOW_MS` ([`Self::parse_shard_window_us`]; unset or
+    /// unparsable means 1000). Returns `(shards, shard_window_us)` for
+    /// harnesses to drop into a config.
     pub fn shards_from_env() -> (usize, u64) {
-        let shards = std::env::var("P2PMAL_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|n| n.clamp(1, 64))
-            .unwrap_or(1);
-        let window_us = std::env::var("P2PMAL_SHARD_WINDOW_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .map(|ms| ms.max(1) * 1_000)
-            .unwrap_or(1_000_000);
-        (shards, window_us)
+        let var = |name| std::env::var(name).ok();
+        let shards = var("P2PMAL_SHARDS").and_then(|v| Self::parse_shards(&v));
+        let window_us = var("P2PMAL_SHARD_WINDOW_MS").and_then(|v| Self::parse_shard_window_us(&v));
+        (shards.unwrap_or(1), window_us.unwrap_or(1_000_000))
+    }
+
+    /// A `P2PMAL_SHARDS` value: a shard count, clamped to 1..=64.
+    pub fn parse_shards(v: &str) -> Option<usize> {
+        v.parse::<usize>().ok().map(|n| n.clamp(1, 64))
+    }
+
+    /// A `P2PMAL_SHARD_WINDOW_MS` value (whole milliseconds, min 1) in
+    /// microseconds.
+    pub fn parse_shard_window_us(v: &str) -> Option<u64> {
+        v.parse::<u64>().ok()?.max(1).checked_mul(1_000)
     }
 }
 

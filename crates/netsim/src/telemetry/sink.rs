@@ -331,30 +331,35 @@ impl TelemetryConfig {
     }
 
     /// Reads `P2PMAL_JOURNAL`, `P2PMAL_TRACE` and `P2PMAL_JOURNAL_SAMPLE`
-    /// (`cat=N` pairs, comma-separated: `query=10,download=1`).
+    /// (see [`Self::parse_sample`]; a value that does not parse samples
+    /// nothing out).
     pub fn from_env() -> Self {
         let journal = std::env::var("P2PMAL_JOURNAL")
             .ok()
             .filter(|p| !p.trim().is_empty())
             .map(PathBuf::from);
-        let mut sample = [1u32; CATEGORY_COUNT];
-        if let Ok(spec) = std::env::var("P2PMAL_JOURNAL_SAMPLE") {
-            for part in spec.split(',') {
-                let Some((cat, n)) = part.split_once('=') else {
-                    continue;
-                };
-                if let (Some(cat), Ok(n)) =
-                    (EventCategory::from_label(cat.trim()), n.trim().parse())
-                {
-                    sample[cat as usize] = n;
-                }
-            }
-        }
+        let sample = std::env::var("P2PMAL_JOURNAL_SAMPLE")
+            .ok()
+            .and_then(|spec| Self::parse_sample(&spec))
+            .unwrap_or([1; CATEGORY_COUNT]);
         TelemetryConfig {
             journal,
             trace: trace_level(),
             sample,
         }
+    }
+
+    /// A `P2PMAL_JOURNAL_SAMPLE` value: comma-separated `cat=N` pairs
+    /// (`query=10,download=1`); a category not named keeps every event.
+    /// `None` when a pair names no category or `N` is not a count.
+    pub fn parse_sample(spec: &str) -> Option<[u32; CATEGORY_COUNT]> {
+        let mut sample = [1; CATEGORY_COUNT];
+        for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
+            let (cat, n) = part.split_once('=')?;
+            let cat = EventCategory::from_label(cat.trim())?;
+            sample[cat as usize] = n.trim().parse().ok()?;
+        }
+        Some(sample)
     }
 
     /// Builds the sink hub for one network run. `label` tags the journal
