@@ -12,13 +12,15 @@
 //! machine-readable report covering all journals. The last summary line is
 //! the process's own peak RSS: 64 bytes per journal event plus the indexes.
 //!
-//! `--strict` makes the bin a CI check: exit 1 unless every journal has
-//! **zero orphan spans**, **zero sim-time monotonicity violations**, and
-//! **at least one complete** `query_issued -> query_matched ->
-//! download_start -> download_complete -> scan_verdict` chain.
+//! `--strict` makes the bin the CI journal gate: exit 1 unless every
+//! journal has **at least one complete** `query_issued -> query_matched ->
+//! download_start -> download_complete -> scan_verdict` chain, **no orphan
+//! span**, only known categories, unique span ids, sim time that never
+//! goes backwards, and every `parent` emitted on an earlier line
+//! (`p2pmal_obs::strict_failures`). A journal that cannot be read exits 2.
 
 use p2pmal_json::Value;
-use p2pmal_obs::{analyze, load_journal};
+use p2pmal_obs::{analyze, load_journal, strict_failures};
 
 fn usage() -> ! {
     eprintln!("usage: trace_report [--top-k N] [--json PATH] [--strict] <journal.jsonl>...");
@@ -64,19 +66,10 @@ fn main() {
         };
         let analysis = analyze(path, &events, top_k);
         print!("{}", analysis.render_summary());
-        if !analysis.orphans.is_empty()
-            || analysis.monotone_violations > 0
-            || analysis.complete_chains == 0
-        {
-            strict_ok = false;
-            if strict {
-                eprintln!(
-                    "trace_report: {path}: strict check failed \
-                     ({} orphans, {} monotonicity violations, {} complete chains)",
-                    analysis.orphans.len(),
-                    analysis.monotone_violations,
-                    analysis.complete_chains
-                );
+        if strict {
+            for failure in strict_failures(&events, &analysis) {
+                eprintln!("trace_report: {path}: strict check failed: {failure}");
+                strict_ok = false;
             }
         }
         reports.push(analysis.to_json());
@@ -96,7 +89,7 @@ fn main() {
         println!("report written to {path}");
     }
 
-    if strict && !strict_ok {
+    if !strict_ok {
         std::process::exit(1);
     }
 }

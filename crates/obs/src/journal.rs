@@ -162,7 +162,7 @@ pub fn scan_line(line: &str) -> Result<Line<'_>, String> {
 /// Feeds each line of `source` to `each` with its 1-based number and its
 /// line ending (the ones `str::lines` strips) removed, reusing one buffer.
 /// The error is the number of the line that failed and what was wrong.
-pub fn for_each_line(
+fn for_each_line(
     mut source: impl BufRead,
     mut each: impl FnMut(usize, &str) -> Result<(), String>,
 ) -> Result<(), (usize, String)> {

@@ -11,11 +11,13 @@
 //! `trace_report` bin prints: per-edge sim-time latency, hop-depth
 //! distributions, per-family propagation stats, and top-K deepest / widest
 //! traces. Every ranking breaks ties on ids, so reports are byte-stable.
+//! [`strict_failures`] is what `trace_report --strict` rejects.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use p2pmal_json::Value;
 use p2pmal_netsim::telemetry_span::span_hex;
+use p2pmal_netsim::EventCategory;
 
 use crate::journal::Journal;
 
@@ -405,6 +407,77 @@ pub fn analyze(label: &str, journal: &Journal, top_k: usize) -> Analysis {
     widest.truncate(top_k);
     analysis.widest = widest;
     analysis
+}
+
+/// Why `journal`, whose [`Analysis`] is `analysis`, fails the strict gate;
+/// empty when it passes. From the analysis: an orphan span, sim time
+/// decreasing along an edge, or no complete chain. From one pass in file
+/// order: a `cat` that is no [`EventCategory`], a span id emitted twice, sim
+/// time decreasing from one line to the next, or a `parent` that names no
+/// span emitted on an earlier line (a self-parent included).
+pub fn strict_failures(journal: &Journal, analysis: &Analysis) -> Vec<String> {
+    let mut failures = Vec::new();
+    if let Some((line, parent, ev)) = analysis.orphans.first() {
+        failures.push(format!(
+            "{} orphan spans (first: line {line}, {ev} under {})",
+            analysis.orphans.len(),
+            span_hex(*parent)
+        ));
+    }
+    if analysis.monotone_violations > 0 {
+        failures.push(format!(
+            "{} edges where sim time goes backwards",
+            analysis.monotone_violations
+        ));
+    }
+    if analysis.complete_chains == 0 {
+        failures.push("no complete query->match->download->verdict chain".into());
+    }
+
+    // Per check: its name, how many lines fail it, what the first one did.
+    let mut checks = [
+        "unknown categories",
+        "sim-time reversals",
+        "parents not emitted earlier",
+        "duplicate span ids",
+    ]
+    .map(|name| (name, 0, String::new()));
+    let mut fail = |check: usize, idx: usize, what: String| {
+        let (_, count, first) = &mut checks[check];
+        if *count == 0 {
+            *first = format!("line {}: {what}", journal.line_of(idx));
+        }
+        *count += 1;
+    };
+    let mut earlier: HashSet<u64> = HashSet::with_capacity(analysis.spanned);
+    let mut last_t = 0;
+    for (idx, e) in journal.iter().enumerate() {
+        if EventCategory::from_label(e.cat).is_none() {
+            fail(0, idx, format!("unknown `cat` {:?}", e.cat));
+        }
+        if e.t < last_t {
+            fail(1, idx, format!("sim time {} after {last_t}", e.t));
+        }
+        last_t = e.t;
+        // Looked up before this line's own span is added: a self-parent
+        // names no earlier span.
+        if let Some(parent) = e.parent.filter(|p| !earlier.contains(p)) {
+            fail(
+                2,
+                idx,
+                format!("parent {} not emitted earlier", span_hex(parent)),
+            );
+        }
+        if let Some(span) = e.span.filter(|&s| !earlier.insert(s)) {
+            fail(3, idx, format!("span {} emitted again", span_hex(span)));
+        }
+    }
+    for (name, count, first) in checks {
+        if count > 0 {
+            failures.push(format!("{count} {name} (first: {first})"));
+        }
+    }
+    failures
 }
 
 fn hist_json(hist: &BTreeMap<u64, u64>) -> Value {

@@ -572,8 +572,7 @@ impl FtNode {
                 }
                 Ok(None) => break true,
                 Err(_) => {
-                    self.stats.bad_packets += 1;
-                    self.drop_conn(ctx, conn);
+                    self.reject_packet(ctx, conn);
                     break false;
                 }
             }
@@ -586,17 +585,24 @@ impl FtNode {
         }
     }
 
+    /// A packet that does not frame or parse: counted, and its session
+    /// dropped. Bytes after it on the stream are misframed, so nothing
+    /// that follows on this connection (a NODELIST, say) may be believed.
+    fn reject_packet(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
+        self.stats.bad_packets += 1;
+        self.drop_conn(ctx, conn);
+    }
+
     fn handle_packet(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, cmd: Command, payload: &[u8]) {
         match cmd {
             Command::Version => {
                 if Version::parse(payload).is_err() {
-                    self.stats.bad_packets += 1;
-                    self.drop_conn(ctx, conn);
+                    self.reject_packet(ctx, conn);
                 }
             }
             Command::NodeInfo => {
                 let Ok(info) = NodeInfo::parse(payload) else {
-                    self.stats.bad_packets += 1;
+                    self.reject_packet(ctx, conn);
                     return;
                 };
                 if let Some(ConnKind::Peer(p)) = self.conns.get_mut(&conn) {
@@ -626,7 +632,7 @@ impl FtNode {
             }
             Command::NodeList => {
                 let Ok(list) = NodeList::parse(payload) else {
-                    self.stats.bad_packets += 1;
+                    self.reject_packet(ctx, conn);
                     return;
                 };
                 match list {
@@ -657,7 +663,7 @@ impl FtNode {
             }
             Command::Session => {
                 let Ok(sess) = Session::parse(payload) else {
-                    self.stats.bad_packets += 1;
+                    self.reject_packet(ctx, conn);
                     return;
                 };
                 match sess {
@@ -681,7 +687,7 @@ impl FtNode {
             }
             Command::Child => {
                 let Ok(child) = Child::parse(payload) else {
-                    self.stats.bad_packets += 1;
+                    self.reject_packet(ctx, conn);
                     return;
                 };
                 match child {
@@ -717,7 +723,7 @@ impl FtNode {
             }
             Command::AddShare => {
                 let Ok(add) = AddShare::parse(payload) else {
-                    self.stats.bad_packets += 1;
+                    self.reject_packet(ctx, conn);
                     return;
                 };
                 let share = {
@@ -743,7 +749,7 @@ impl FtNode {
             }
             Command::RemShare => {
                 let Ok(rem) = crate::packet::RemShare::parse(payload) else {
-                    self.stats.bad_packets += 1;
+                    self.reject_packet(ctx, conn);
                     return;
                 };
                 self.index
@@ -751,7 +757,7 @@ impl FtNode {
             }
             Command::Search => {
                 let Ok(search) = Search::parse_ref(payload) else {
-                    self.stats.bad_packets += 1;
+                    self.reject_packet(ctx, conn);
                     return;
                 };
                 match search {

@@ -1289,3 +1289,36 @@ fn non_collecting_user_validates_results_without_keeping_them() {
 fn index_row_stays_40_bytes() {
     assert_eq!(std::mem::size_of::<IndexedShare>(), 40);
 }
+
+/// A NODELIST that does not parse ends its session: the stream is
+/// misframed from there on, so a well-formed NODELIST right behind it on
+/// the same read is never believed, and `known` stays as it was.
+#[test]
+fn a_garbage_nodelist_drops_the_session_and_teaches_nothing() {
+    let mut net = build(13, 1);
+    let user = spawn_user(&mut net, HostLibrary::new(), false);
+    net.sim.run_until(SimTime::from_secs(120));
+    let learned = NodeList::Response(vec![NodeEntry {
+        ip: std::net::Ipv4Addr::new(9, 9, 9, 9),
+        port: 1215,
+        klass: CLASS_SEARCH,
+    }]);
+    let mut data = Vec::new();
+    encode_packet(Command::NodeList, &[0xde, 0xad, 0xbe], &mut data);
+    encode_packet(Command::NodeList, &learned.encode(), &mut data);
+    let (before, after) = with_node(&mut net.sim, user, |n, ctx| {
+        let state = |n: &FtNode| (n.session_count(), n.stats().bad_packets, n.known.clone());
+        let before = state(n);
+        let conn = *n
+            .conns
+            .iter()
+            .find(|(_, k)| matches!(k, ConnKind::Peer(p) if p.session))
+            .expect("a live session")
+            .0;
+        n.pump_peer(ctx, conn, &data);
+        assert!(!n.conns.contains_key(&conn), "the session is dropped");
+        (before, state(n))
+    });
+    assert_eq!((after.0, after.1), (before.0 - 1, before.1 + 1));
+    assert_eq!(after.2, before.2, "known is unchanged");
+}
