@@ -182,7 +182,6 @@ pub struct HostShare {
 pub fn host_concentration(resolved: &[ResolvedResponse]) -> Vec<HostShare> {
     let malicious: Vec<&ResolvedResponse> =
         resolved.iter().filter(|r| r.malware.is_some()).collect();
-    let total = malicious.len() as u64;
     let shares = ranked_shares(tally(malicious.iter().map(|r| r.record.host.clone())));
     let mut families_by_host: HashMap<HostKey, HashSet<&str>> = HashMap::new();
     for r in &malicious {
@@ -191,7 +190,6 @@ pub fn host_concentration(resolved: &[ResolvedResponse]) -> Vec<HostShare> {
             .or_default()
             .insert(r.malware.as_deref().expect("filtered"));
     }
-    let _ = total;
     shares
         .into_iter()
         .map(|s| {
@@ -245,7 +243,7 @@ pub fn daily_fraction(resolved: &[ResolvedResponse]) -> Vec<(u64, u64, u64, f64)
         if !r.record.downloadable || !r.scanned {
             continue;
         }
-        let e = per_day.entry(r.record.day).or_insert((0, 0));
+        let e = per_day.entry(u64::from(r.record.day)).or_insert((0, 0));
         e.0 += 1;
         if r.malware.is_some() {
             e.1 += 1;
@@ -405,7 +403,7 @@ mod tests {
 
     #[allow(clippy::too_many_arguments)]
     fn resp(
-        day: u64,
+        day: u32,
         query: &str,
         name: &str,
         size: u64,
@@ -416,7 +414,7 @@ mod tests {
     ) -> ResolvedResponse {
         ResolvedResponse {
             record: ResponseRecord {
-                at: SimTime::from_days(day),
+                at: SimTime::from_days(day.into()),
                 day,
                 query: query.into(),
                 filename: name.into(),

@@ -13,7 +13,7 @@
 use p2pmal_analysis::{hist_summary_line, summarize};
 use p2pmal_bench::{write_summary, BenchConfig};
 use p2pmal_core::{NetworkRun, StudyReport};
-use p2pmal_crawler::LogFootprint;
+use p2pmal_crawler::{LogFootprint, ResolvedResponse};
 use p2pmal_json::Value;
 use p2pmal_netsim::{Counter, HistSummary, Subsystem};
 
@@ -128,10 +128,12 @@ fn timing_entry(label: &str, run: &NetworkRun) -> Value {
 fn memory_entry(run: &NetworkRun) -> Value {
     let m = &run.sim_metrics.memory;
     // The response log belongs to the measurement, not to a node: sized
-    // beside the per-node estimate, never inside it.
+    // beside the per-node estimate, never inside it. So is its resolved
+    // copy, whose rows share the log's texts.
     let log = run.log.footprint();
+    let resolved = run.resolved.capacity() * std::mem::size_of::<ResolvedResponse>();
     eprintln!(
-        "[run_study] memory {}: {} nodes, {} bytes/node app estimate ({} KiB total), RSS {} MiB (peak {} MiB); {}",
+        "[run_study] memory {}: {} nodes, {} bytes/node app estimate ({} KiB total), RSS {} MiB (peak {} MiB); {}, resolved {} KiB",
         run.network.label(),
         m.nodes,
         m.bytes_per_node(),
@@ -139,6 +141,7 @@ fn memory_entry(run: &NetworkRun) -> Value {
         m.current_rss_kb / 1024,
         m.peak_rss_kb / 1024,
         footprint_part(&log),
+        resolved / 1024,
     );
     Value::Obj(vec![
         ("nodes".into(), m.nodes.into()),
@@ -153,6 +156,7 @@ fn memory_entry(run: &NetworkRun) -> Value {
             log.distinct_filenames.into(),
         ),
         ("log_heap_bytes".into(), log.heap_bytes.into()),
+        ("resolved_heap_bytes".into(), (resolved as u64).into()),
     ])
 }
 

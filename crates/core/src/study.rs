@@ -189,7 +189,7 @@ impl LimewireAnalysis {
         let echo = EchoHeuristicFilter::new();
         let hash = HashBlacklist::learn(resolved);
         // The log is in sim-time order, so its last day is the study's.
-        let days = resolved.last().map_or(0, |r| r.record.day + 1);
+        let days = resolved.last().map_or(0, |r| u64::from(r.record.day) + 1);
         let split = days / 2;
         let (train, test) = split_by_day(resolved, split);
         LimewireAnalysis {
@@ -603,7 +603,7 @@ mod tests {
         ResolvedResponse {
             record: ResponseRecord {
                 at: SimTime::from_days(day),
-                day,
+                day: day as u32,
                 query: format!("q{}", size % 7).as_str().into(),
                 filename: format!("f{size}.exe").as_str().into(),
                 size,

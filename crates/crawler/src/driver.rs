@@ -271,7 +271,7 @@ impl<O: Overlay> Crawler<O> {
             let res = O::response(answer, i);
             let record = ResponseRecord {
                 at,
-                day: at.day(),
+                day: u32::try_from(at.day()).expect("a u64 of µs spans < 2^32 days"),
                 query: query.clone(),
                 filename: self.texts.intern(res.name),
                 size: res.size,

@@ -52,13 +52,22 @@ pub fn is_downloadable_name(name: &str) -> bool {
 /// a few thousand distinct queries and file names millions of times, so a
 /// record holds handles: cloning one bumps a count, and every comparison,
 /// ordering and hash is by content, exactly as for the `String` it
-/// replaces.
+/// replaces. The handle is one pointer (8 bytes, and so is an
+/// `Option<Text>`): the length lives in the shared allocation beside the
+/// counts, not in every record.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Text(Arc<str>);
+pub struct Text(Arc<Box<str>>);
 
 impl Text {
     pub fn as_str(&self) -> &str {
         &self.0
+    }
+
+    /// Heap bytes behind one distinct text: the shared allocation (two
+    /// counts and the boxed string's pointer and length) plus its bytes.
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        2 * size_of::<usize>() + size_of::<Box<str>>() + self.len()
     }
 }
 
@@ -84,31 +93,26 @@ impl fmt::Display for Text {
 
 impl fmt::Debug for Text {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&*self.0, f)
+        fmt::Debug::fmt(self.as_str(), f)
     }
 }
 
 impl From<&str> for Text {
     fn from(s: &str) -> Self {
-        Text(s.into())
+        Text(Arc::new(s.into()))
     }
 }
 
 impl From<String> for Text {
     fn from(s: String) -> Self {
-        Text(s.into())
+        Text(Arc::new(s.into_boxed_str()))
     }
 }
 
-impl From<Arc<str>> for Text {
-    fn from(s: Arc<str>) -> Self {
-        Text(s)
-    }
-}
-
-/// Dedup table behind [`Text`]: one allocation per distinct string that
-/// passes through it. Each log producer (a crawler, a cache loader) owns
-/// one; it is deliberately not the world's `NameInterner`, which every
+/// Dedup table behind [`Text`]: one shared handle per distinct string that
+/// passes through it, which is two allocations (the counts with the boxed
+/// string, then its bytes). Each log producer (a crawler, a cache loader)
+/// owns one; it is deliberately not the world's `NameInterner`, which every
 /// node shares and which query-echo worms — a fresh name per query — would
 /// grow without bound.
 #[derive(Debug, Default)]
@@ -138,8 +142,10 @@ pub enum HostKey {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResponseRecord {
     pub at: SimTime,
-    /// Simulated-day index, the time-series bucket.
-    pub day: u64,
+    /// Simulated-day index, the time-series bucket. A `u64` of
+    /// microseconds spans fewer than 2.2 × 10⁸ days, so [`SimTime::day`]
+    /// always fits.
+    pub day: u32,
     pub query: Text,
     pub filename: Text,
     pub size: u64,
@@ -322,20 +328,22 @@ impl CrawlLog {
 
     /// Sizes the log: how many records, how many distinct texts they share
     /// and the heap all of it holds — records by capacity, each distinct
-    /// text once, the two outcome maps. "Distinct" counts allocations,
-    /// which a log filled through one [`TextTable`] makes distinct strings.
+    /// text once (its counted handle and its bytes), the two outcome maps.
+    /// "Distinct" counts allocations, which a log filled through one
+    /// [`TextTable`] makes distinct strings.
     /// Reported beside the per-node memory estimate, never inside it: the
     /// log belongs to the measurement, not to a node.
     pub fn footprint(&self) -> LogFootprint {
         use std::mem::size_of;
         let mut heap = (self.responses.capacity() * size_of::<ResponseRecord>()) as u64;
-        // (address, length) of every text allocation the records point at.
-        let at = |t: &Text| (t.as_ptr(), t.len());
+        // (shared allocation, bytes behind it) of every text the records
+        // point at.
+        let at = |t: &Text| (Arc::as_ptr(&t.0), t.heap_bytes());
         let queries: HashSet<_> = self.responses.iter().map(|r| at(&r.query)).collect();
         let filenames: HashSet<_> = self.responses.iter().map(|r| at(&r.filename)).collect();
         // An echoed name can be the query's own allocation: charged once.
-        for (_, len) in queries.union(&filenames) {
-            heap += (2 * size_of::<usize>() + len) as u64; // Arc counts + text
+        for (_, bytes) in queries.union(&filenames) {
+            heap += *bytes as u64;
         }
         let outcome_bytes = |o: &ScanOutcome| match o {
             ScanOutcome::Scanned { detections, .. } => {
@@ -632,8 +640,12 @@ mod tests {
             (4, 2, 3)
         );
         // q1, q2, a.exe, b.exe — the echoed "q2" is the query's allocation.
-        let texts_bytes = 4 * 16 + (2 + 2 + 5 + 5);
-        let records = log.responses.capacity() * std::mem::size_of::<ResponseRecord>();
+        // Each is one counted handle (two counts and a boxed string's
+        // pointer and length) plus its bytes.
+        use std::mem::size_of;
+        let handle = 2 * size_of::<usize>() + size_of::<Box<str>>();
+        let texts_bytes = 4 * handle + (2 + 2 + 5 + 5);
+        let records = log.responses.capacity() * size_of::<ResponseRecord>();
         assert_eq!(empty_maps.heap_bytes, (records + texts_bytes) as u64);
         let r = log.responses[0].clone();
         log.record_outcome(&r, ScanOutcome::Unreachable);
@@ -645,7 +657,17 @@ mod tests {
     #[cfg(target_pointer_width = "64")]
     #[test]
     fn record_layout_stays_small() {
-        assert!(std::mem::size_of::<ResponseRecord>() <= 88);
-        assert!(std::mem::size_of::<ResolvedResponse>() <= 128);
+        use std::mem::size_of;
+        assert_eq!(size_of::<Text>(), 8, "a text is one thin pointer");
+        assert_eq!(size_of::<Option<Text>>(), 8, "and `None` costs nothing");
+        assert!(size_of::<ResponseRecord>() <= 64);
+        assert!(size_of::<ResolvedResponse>() <= 96);
+    }
+
+    #[test]
+    fn the_last_instant_has_a_day_that_fits_the_record() {
+        let last = SimTime::from_micros(u64::MAX).day();
+        assert!(last < 220_000_000);
+        assert!(u32::try_from(last).is_ok());
     }
 }

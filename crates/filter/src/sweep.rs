@@ -80,7 +80,7 @@ pub fn split_by_day(
             .all(|w| w[0].record.day <= w[1].record.day),
         "the log is not in day order"
     );
-    resolved.split_at(resolved.partition_point(|r| r.record.day < split_day))
+    resolved.split_at(resolved.partition_point(|r| u64::from(r.record.day) < split_day))
 }
 
 #[cfg(test)]
