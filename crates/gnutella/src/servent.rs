@@ -26,8 +26,8 @@ use p2pmal_corpus::{
     Roster, SharedFile,
 };
 use p2pmal_netsim::{
-    telemetry_span as span, App, ConnId, Ctx, Direction, EventBody, EventCategory, FifoMap,
-    FifoSet, HostAddr, SimDuration, SimTime, SpanCtx, Subsystem, VecMap,
+    telemetry_span as span, AgedMap, App, ConnId, Ctx, Direction, EventBody, EventCategory,
+    FifoMap, HostAddr, SimDuration, SimTime, SpanCtx, Subsystem, VecMap,
 };
 use rand::RngCore;
 use std::collections::VecDeque;
@@ -43,10 +43,29 @@ const TIMER_MAINTENANCE: u64 = 0;
 const TIMER_AUTO_QUERY: u64 = 1;
 const TIMER_DL_BASE: u64 = 1 << 32;
 
-/// FIFO bounds of the route/duplicate tables (entries, not bytes).
-const SEEN_BOUND: usize = 16_384;
-const QUERY_ROUTE_BOUND: usize = 16_384;
+/// Bounds of the GUID and push-route tables (entries, not bytes).
+const GUID_BOUND: usize = 16_384;
 const PUSH_ROUTE_BOUND: usize = 8_192;
+
+/// The GUID table remembers a GUID for at least this long and at most
+/// twice it: LimeWire's route lifetime. Intact copies of a query and its
+/// hits cross at most four hops of at most 4 s each (DESIGN.md "Bounded
+/// route tables").
+const GUID_LIFETIME: SimDuration = SimDuration::from_mins(10);
+
+/// How long our own searches take hits: as long as the GUID table could
+/// hold a route.
+const SEARCH_LIFETIME: SimDuration = SimDuration::from_mins(20);
+
+/// What the GUID table knows of a foreign message GUID.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    /// A query an ultrapeer routed: its hits go back on this connection.
+    Via(ConnId),
+    /// Any other GUID seen (a leaf's foreign query, a ping): a duplicate
+    /// if it comes again, with no way back.
+    Seen,
+}
 
 /// Node role in the two-tier overlay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -317,12 +336,15 @@ pub struct Servent {
     /// its connection. Boxed at the first leaf or route message, so a leaf
     /// servent, which gets neither, carries one pointer.
     qrp: Option<Box<QrpIndex>>,
-    /// GUID duplicate suppression, FIFO-bounded.
-    seen: FifoSet<Guid>,
-    /// Query GUID -> where hits go back (None = we originated it).
-    /// FIFO-bounded route table. A leaf routes nothing, so it holds only
-    /// its own searches.
-    query_routes: FifoMap<Guid, Option<ConnId>>,
+    /// Every foreign message GUID seen in the last one to two
+    /// `GUID_LIFETIME`s, and where a QUERYHIT carrying it goes: duplicate
+    /// suppression and query routing in one table. A leaf routes nothing,
+    /// so it holds no `Via`.
+    guids: AgedMap<Guid, Route, { GUID_LIFETIME.as_micros() }>,
+    /// Our own searches of the last `SEARCH_LIFETIME`, and when each went
+    /// out: their hits are ours, and their echoes duplicates. Kept apart
+    /// from `guids` so that no flood of foreign GUIDs evicts them.
+    searches: VecMap<Guid, SimTime>,
     /// Servent GUID -> conn that delivered its hits (PUSH routing).
     /// FIFO-bounded route table.
     push_routes: FifoMap<Guid, ConnId>,
@@ -361,8 +383,8 @@ impl Servent {
             conns: VecMap::new(),
             outbound_targets: VecMap::new(),
             qrp: None,
-            seen: FifoSet::bounded(SEEN_BOUND),
-            query_routes: FifoMap::bounded(QUERY_ROUTE_BOUND),
+            guids: AgedMap::new(GUID_BOUND),
+            searches: VecMap::new(),
             push_routes: FifoMap::bounded(PUSH_ROUTE_BOUND),
             host_cache: Vec::new(),
             pending_pushes: VecMap::new(),
@@ -425,8 +447,8 @@ impl Servent {
             .as_ref()
             .map_or(0, |q| size_of::<QrpIndex>() as u64 + q.heap_bytes());
         b += self.outbound_targets.heap_bytes();
-        b += self.seen.heap_bytes();
-        b += self.query_routes.heap_bytes();
+        b += self.guids.heap_bytes();
+        b += self.searches.heap_bytes();
         b += self.push_routes.heap_bytes();
         b += (self.host_cache.capacity() * size_of::<HostAddr>()) as u64;
         // config.bootstrap is Arc-shared across the population: not charged
@@ -451,8 +473,10 @@ impl Servent {
     /// incoming [`ServentEvent::QueryHit`]s.
     pub fn search(&mut self, ctx: &mut Ctx<'_>, text: &str) -> Guid {
         let guid = Guid::random(ctx.rng());
-        self.remember_seen(guid);
-        self.route_query_back(guid, None);
+        let now = ctx.now();
+        self.searches
+            .retain(|_, &mut at| now < at + SEARCH_LIFETIME);
+        self.searches.insert(guid, now);
         // Trace root: every event descending from this query (matches,
         // downloads, verdicts) derives its trace id from the query GUID.
         if ctx.telemetry_on(EventCategory::Query) {
@@ -552,12 +576,11 @@ impl Servent {
         }
     }
 
-    fn remember_seen(&mut self, guid: Guid) -> bool {
-        self.seen.insert(guid)
-    }
-
-    fn route_query_back(&mut self, guid: Guid, via: Option<ConnId>) {
-        self.query_routes.insert(guid, via);
+    /// Whether `guid` is a search of ours that still takes hits.
+    fn is_own(&self, now: SimTime, guid: &Guid) -> bool {
+        self.searches
+            .get(guid)
+            .is_some_and(|&at| now < at + SEARCH_LIFETIME)
     }
 
     fn remember_push_route(&mut self, guid: Guid, conn: ConnId) {
@@ -739,9 +762,11 @@ impl Servent {
     }
 
     fn handle_ping(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, header: Header) {
-        if !self.remember_seen(header.guid) {
+        let now = ctx.now();
+        if self.guids.contains_key(now, &header.guid) {
             return;
         }
+        self.guids.insert(now, header.guid, Route::Seen);
         let shared: u64 = self.library.files().iter().map(|f| f.size).sum::<u64>() / 1024;
         let pong = Pong {
             port: self.config.listen_port,
@@ -791,7 +816,8 @@ impl Servent {
         // Most queries a flooded overlay delivers are duplicates via
         // another path: those go on their header alone, as in LimeWire's
         // router, before any payload work.
-        if self.seen.contains(&header.guid) {
+        let now = ctx.now();
+        if self.guids.contains_key(now, &header.guid) || self.is_own(now, &header.guid) {
             self.stats.queries_duplicate += 1;
             return;
         }
@@ -799,18 +825,18 @@ impl Servent {
             self.stats.bad_messages += 1;
             return;
         };
-        self.remember_seen(header.guid);
-        self.stats.queries_routed += 1;
-        if self.config.collect_events {
-            let at = ctx.now();
-            let text = text.to_string();
-            self.emit(ServentEvent::QuerySeen { at, text });
-        }
         // Only an ultrapeer will see hits for this query come back through
         // it; a leaf answers on the connection it is reading and forwards
         // nothing, so it has no use for a reverse path.
-        if self.config.role == Role::Ultrapeer {
-            self.route_query_back(header.guid, Some(conn));
+        let route = match self.config.role {
+            Role::Ultrapeer => Route::Via(conn),
+            Role::Leaf => Route::Seen,
+        };
+        self.guids.insert(now, header.guid, route);
+        self.stats.queries_routed += 1;
+        if self.config.collect_events {
+            let text = text.to_string();
+            self.emit(ServentEvent::QuerySeen { at: now, text });
         }
 
         // One compile per hop (usually a cache hit from the origination),
@@ -993,8 +1019,9 @@ impl Servent {
         header: Header,
         payload: &[u8],
     ) {
-        let route = self.query_routes.get(&header.guid).copied();
-        let own = route == Some(None);
+        let now = ctx.now();
+        let own = self.is_own(now, &header.guid);
+        let route = self.guids.get(now, &header.guid).copied();
         // A hit has one reader: the owner of the servent whose query it
         // answers, through its events. Every other hit — one passing
         // through, or one answering the ambient query of a servent nobody
@@ -1013,14 +1040,13 @@ impl Servent {
         if own {
             self.stats.hits_received += 1;
             if let Some(hit) = hit {
-                let at = ctx.now();
                 self.emit(ServentEvent::QueryHit {
-                    at,
+                    at: now,
                     query_guid: header.guid,
                     hit,
                 });
             }
-        } else if let Some(Some(back)) = route {
+        } else if let Some(Route::Via(back)) = route {
             self.stats.hits_routed += 1;
             if let Some(fwd) = header.hop() {
                 ctx.send_with(back, |out| {
@@ -1028,7 +1054,7 @@ impl Servent {
                 });
             }
         }
-        // Otherwise we hold no route — it expired, or we are a leaf, which
+        // Otherwise we hold no route — it aged out, or we are a leaf, which
         // never has one: drop silently, like real servents.
     }
 
@@ -1543,8 +1569,9 @@ impl App for Servent {
                 .filter(|(_, k)| matches!(k, ConnKind::Peer(_)))
                 .map(|(&c, _)| c)
                 .collect();
-            // Sorted so the RNG pick below lands on the same peer no matter
-            // how the conns map happens to hash this process.
+            // `conns` iterates in key order, so this sort is a no-op; it
+            // stays as a guard that the RNG pick below lands on the same
+            // peer in every run.
             peers.sort_unstable();
             if !peers.is_empty() && ctx.rng().next_u64() % 6 == 0 {
                 let pick = peers[(ctx.rng().next_u64() % peers.len() as u64) as usize];

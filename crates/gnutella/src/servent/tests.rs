@@ -93,6 +93,25 @@ fn with_servent<R>(
     .expect("node alive")
 }
 
+/// A QUERYHIT of one 10-byte result from `servent_guid`.
+fn one_result_hit(servent_guid: Guid) -> QueryHit {
+    QueryHit {
+        port: 6346,
+        ip: std::net::Ipv4Addr::new(10, 0, 0, 9),
+        speed: 350,
+        results: vec![HitResult {
+            index: 1,
+            size: 10,
+            name: "a.mp3".into(),
+            sha1: None,
+        }],
+        vendor: *b"LIME",
+        flags: QhdFlags::new(),
+        ggep: Vec::new(),
+        servent_guid,
+    }
+}
+
 /// A leaf that shares a benign title; a second (crawler-style) leaf
 /// searches for it and gets a routed QUERYHIT back through the ultrapeer.
 #[test]
@@ -479,22 +498,9 @@ fn malformed_routed_hit_is_rejected_without_a_parse() {
     with_servent(&mut sim, node, |s, ctx| {
         let query = Guid([7; 16]);
         let (good, bad) = (Guid([1; 16]), Guid([2; 16]));
-        s.route_query_back(query, Some(ConnId(99)));
-        let hit = |servent_guid| QueryHit {
-            port: 6346,
-            ip: std::net::Ipv4Addr::new(10, 0, 0, 9),
-            speed: 350,
-            results: vec![HitResult {
-                index: 1,
-                size: 10,
-                name: "a.mp3".into(),
-                sha1: None,
-            }],
-            vendor: *b"LIME",
-            flags: QhdFlags::new(),
-            ggep: Vec::new(),
-            servent_guid,
-        };
+        let now = ctx.now();
+        s.guids.insert(now, query, Route::Via(ConnId(99)));
+        let hit = one_result_hit;
         let mut deliver = |s: &mut Servent, query: Guid, payload: &[u8]| {
             let header = Header {
                 guid: query,
@@ -519,7 +525,7 @@ fn malformed_routed_hit_is_rejected_without_a_parse() {
         // Same for a hit answering our own query when nobody drains our
         // events: counted when sound, rejected when not, never parsed.
         let own = Guid([8; 16]);
-        s.route_query_back(own, None);
+        s.searches.insert(own, now);
         deliver(s, own, &payload);
         assert_eq!((s.stats.hits_received, s.stats.bad_messages), (0, 2));
         assert_eq!(s.push_routes.get(&bad), None);
@@ -549,7 +555,7 @@ fn duplicate_query_is_dropped_on_its_header() {
         };
         // Malformed and fresh: counted as bad, and not remembered.
         s.handle_query(ctx, ConnId(5), header, &[0xFF]);
-        assert_eq!((s.stats.bad_messages, s.seen.len()), (1, 0));
+        assert_eq!((s.stats.bad_messages, s.guids.len()), (1, 0));
         s.handle_query(ctx, ConnId(5), header, &payload);
         s.handle_query(ctx, ConnId(6), header, &payload);
         s.handle_query(ctx, ConnId(6), header, &[0xFF]);
@@ -560,7 +566,10 @@ fn duplicate_query_is_dropped_on_its_header() {
             stats.bad_messages, 1,
             "a malformed duplicate is a duplicate"
         );
-        assert_eq!(s.query_routes.get(&header.guid), Some(&Some(ConnId(5))));
+        assert_eq!(
+            s.guids.get(ctx.now(), &header.guid),
+            Some(&Route::Via(ConnId(5)))
+        );
     });
 }
 
@@ -619,29 +628,15 @@ fn leaf_answers_on_the_arrival_connection_and_relays_no_hit() {
     send(&mut net.sim, up0, conn0, foreign, MsgType::Query, &query);
     assert_eq!(push_route(&mut net.sim, up0, leaf_guid), Some(conn0));
     assert_eq!(push_route(&mut net.sim, up1, leaf_guid), None);
-    with_servent(&mut net.sim, leaf, |s, _| {
+    with_servent(&mut net.sim, leaf, |s, ctx| {
         assert_eq!((s.stats.queries_routed, s.stats.queries_answered), (1, 1));
-        assert!(s.query_routes.is_empty(), "no route for a foreign query");
+        let route = s.guids.get(ctx.now(), &foreign);
+        assert_eq!(route, Some(&Route::Seen), "no route for a foreign query");
     });
 
     // A QUERYHIT with that GUID arrives from ultrapeer 1.
     let stray = Guid([0xB2; 16]);
-    let hit = QueryHit {
-        port: 6346,
-        ip: std::net::Ipv4Addr::new(10, 0, 0, 9),
-        speed: 350,
-        results: vec![HitResult {
-            index: 1,
-            size: 10,
-            name: "a.mp3".into(),
-            sha1: None,
-        }],
-        vendor: *b"LIME",
-        flags: QhdFlags::new(),
-        ggep: Vec::new(),
-        servent_guid: stray,
-    }
-    .encode();
+    let hit = one_result_hit(stray).encode();
     send(&mut net.sim, up1, conn1, foreign, MsgType::QueryHit, &hit);
     let stats = with_servent(&mut net.sim, leaf, |s, _| s.stats());
     assert_eq!(
@@ -654,12 +649,12 @@ fn leaf_answers_on_the_arrival_connection_and_relays_no_hit() {
     assert_eq!(push_route(&mut net.sim, up0, stray), None);
     assert_eq!(push_route(&mut net.sim, up1, stray), None);
 
-    // The leaf's own search is in its route table, alone, and a hit for it
-    // reaches the owner.
+    // The leaf's own search is its only route, and a hit for it reaches
+    // the owner.
     let own = with_servent(&mut net.sim, leaf, |s, ctx| s.search(ctx, "anything else"));
-    with_servent(&mut net.sim, leaf, |s, _| {
-        assert_eq!(s.query_routes.len(), 1);
-        assert_eq!(s.query_routes.get(&own), Some(&None));
+    with_servent(&mut net.sim, leaf, |s, ctx| {
+        assert!(s.is_own(ctx.now(), &own));
+        assert_eq!(s.guids.get(ctx.now(), &own), None);
         s.drain_events();
     });
     send(&mut net.sim, up1, conn1, own, MsgType::QueryHit, &hit);
@@ -676,12 +671,22 @@ fn leaf_answers_on_the_arrival_connection_and_relays_no_hit() {
     assert_eq!((stats.hits_routed, stats.hits_received), (0, 1));
 }
 
-/// The route and duplicate tables at their 16,384-entry bound, which no
-/// one-day workload reaches: node state stops growing at the first fill,
-/// eviction is FIFO (a live GUID is still a duplicate, an evicted one is
-/// fresh again), and a leaf's route table never sees the flood at all.
+/// A flood of 17,384 fresh QUERYs in one instant, which no workload comes
+/// near: the GUID table holds at most 16,384 keys and stops growing once
+/// its young generation is full, at no more heap than the count-bounded
+/// tables it replaced held when full. Eviction is FIFO (a live GUID is
+/// still a duplicate, an evicted one is fresh again), and a leaf keeps no
+/// route for any of it. The search made before the flood is still ours:
+/// foreign GUIDs never evict an own search.
 #[test]
-fn route_tables_stop_growing_at_their_bound() {
+fn a_same_instant_flood_stays_within_the_count_bounded_tables() {
+    // Full, those held a 16,384-entry ring of GUIDs (16 bytes) on every
+    // servent and one of query routes (32 bytes) on an ultrapeer, each
+    // beside a 32,768-slot `u32` index.
+    let replaced = |role| match role {
+        Role::Ultrapeer => 16_384 * (16 + 32) + 2 * 32_768 * 4,
+        Role::Leaf => 16_384 * 16 + 32_768 * 4,
+    };
     for config in [ServentConfig::ultrapeer(), ServentConfig::leaf()] {
         let role = config.role;
         let mut sim = Simulator::new(SimConfig::default(), 10);
@@ -692,7 +697,7 @@ fn route_tables_stop_growing_at_their_bound() {
             let own = s.search(ctx, "our own search");
             let payload = Query::keyword("crimson horizon").encode();
             let mut rng = StdRng::seed_from_u64(10);
-            let guids: Vec<Guid> = (0..SEEN_BOUND + 1_000)
+            let guids: Vec<Guid> = (0..GUID_BOUND + 1_000)
                 .map(|_| Guid::random(&mut rng))
                 .collect();
             let mut feed = |s: &mut Servent, guid: Guid| {
@@ -705,27 +710,77 @@ fn route_tables_stop_growing_at_their_bound() {
                 };
                 s.handle_query(ctx, ConnId(5), header, &payload);
             };
-            let (fill, overflow) = guids.split_at(SEEN_BOUND);
+            let (fill, overflow) = guids.split_at(GUID_BOUND / 2);
             fill.iter().for_each(|&g| feed(s, g));
             let filled = s.memory_estimate();
             overflow.iter().for_each(|&g| feed(s, g));
             assert_eq!(s.memory_estimate(), filled, "{role:?}");
-            assert_eq!(s.seen.len(), SEEN_BOUND);
+            assert!(s.guids.len() <= GUID_BOUND);
+            assert!(s.guids.heap_bytes() <= replaced(role), "{role:?}");
 
             let before = s.stats;
-            feed(s, guids[guids.len() - 1]); // still live
+            let live = guids[guids.len() - 1];
+            feed(s, live);
             feed(s, guids[0]); // evicted by the overflow
-            assert_eq!(s.stats.queries_duplicate, before.queries_duplicate + 1);
+            feed(s, own); // the echo of our search
+            assert_eq!(s.stats.queries_duplicate, before.queries_duplicate + 2);
             assert_eq!(s.stats.queries_routed, before.queries_routed + 1);
             assert_eq!(s.stats.bad_messages, 0);
-
-            match role {
-                Role::Ultrapeer => assert_eq!(s.query_routes.len(), QUERY_ROUTE_BOUND),
-                Role::Leaf => {
-                    assert_eq!(s.query_routes.len(), 1, "only what search() put there");
-                    assert_eq!(s.query_routes.get(&own), Some(&None));
-                }
-            }
+            let route = match role {
+                Role::Ultrapeer => Route::Via(ConnId(5)),
+                Role::Leaf => Route::Seen,
+            };
+            assert_eq!(s.guids.get(ctx.now(), &live), Some(&route));
+            assert!(s.is_own(ctx.now(), &own), "{role:?}");
         });
     }
+}
+
+/// The GUID table forgets by age. A QUERY replayed a lifetime less a
+/// microsecond after it came is a duplicate; replayed two lifetimes after,
+/// it is routed afresh. A QUERYHIT within a lifetime of its query is
+/// forwarded, and one two lifetimes after is dropped, as a hit whose route
+/// expired always was.
+#[test]
+fn replays_are_duplicates_for_a_lifetime_and_fresh_after_two() {
+    let mut sim = Simulator::new(SimConfig::default(), 11);
+    let servent = Servent::new(ServentConfig::ultrapeer(), world(11), HostLibrary::new());
+    let node = sim.spawn(NodeSpec::public().listen(6346), Box::new(servent));
+    sim.run_until(SimTime::from_secs(1));
+    let query = Query::keyword("crimson horizon").encode();
+    let hit = one_result_hit(Guid([3; 16])).encode();
+    let deliver = |sim: &mut Simulator, at, guid, msg_type, payload: &[u8]| {
+        sim.run_until(at);
+        with_servent(sim, node, |s, ctx| {
+            let header = Header {
+                guid,
+                msg_type,
+                ttl: 3,
+                hops: 1,
+                payload_len: payload.len() as u32,
+            };
+            s.handle_message(ctx, ConnId(5), header, payload);
+            s.stats()
+        })
+    };
+    let (replayed, answered) = (Guid([1; 16]), Guid([2; 16]));
+    let t = sim.now();
+    deliver(&mut sim, t, replayed, MsgType::Query, &query);
+    deliver(&mut sim, t, answered, MsgType::Query, &query);
+
+    let within = SimTime::from_micros((t + GUID_LIFETIME).as_micros() - 1);
+    let s = deliver(&mut sim, within, replayed, MsgType::Query, &query);
+    assert_eq!((s.queries_routed, s.queries_duplicate), (2, 1));
+    let s = deliver(&mut sim, within, answered, MsgType::QueryHit, &hit);
+    assert_eq!(s.hits_routed, 1);
+
+    let after = t + GUID_LIFETIME + GUID_LIFETIME;
+    let s = deliver(&mut sim, after, answered, MsgType::QueryHit, &hit);
+    assert_eq!(
+        (s.hits_routed, s.bad_messages),
+        (1, 0),
+        "the route aged out"
+    );
+    let s = deliver(&mut sim, after, replayed, MsgType::Query, &query);
+    assert_eq!((s.queries_routed, s.queries_duplicate), (3, 1));
 }

@@ -3,7 +3,7 @@
 //! At paper scale (a few hundred nodes) each servent carrying half a dozen
 //! `HashMap`s is invisible. At 10^5–10^6 nodes the fixed overhead of those
 //! maps — SipHash state, load-factor slack, 48-byte struct headers —
-//! dominates the bytes-per-node budget. Two replacements cover every
+//! dominates the bytes-per-node budget. Three containers cover every
 //! per-node table in the protocol crates:
 //!
 //! * [`VecMap`] — a sorted `Vec<(K, V)>` with binary-search lookup, for
@@ -12,20 +12,27 @@
 //!   An empty map is one `Vec` (24 bytes, no allocation); a populated map
 //!   stores exactly its entries plus growth slack, with no hash state and
 //!   no per-slot control bytes.
-//! * [`FifoMap`] / [`FifoSet`] — an insertion-order ring of entries plus
-//!   an open-addressed index of `u32` tags keyed through the [`KeyHash`]
-//!   trait, for the bounded route/duplicate tables (seen-GUIDs, query
-//!   routes, push routes). Replaces the `HashMap` + `VecDeque` pairs with
-//!   one allocation-free-when-empty structure whose duplicate check reads
-//!   one index cache line, and the ring only when an 8-bit tag matches.
+//! * [`FifoMap`] — an insertion-order ring of entries plus an
+//!   open-addressed index of `u32` tags keyed through the [`KeyHash`]
+//!   trait, for the count-bounded push-route table. Replaces the
+//!   `HashMap` + `VecDeque` pair with one allocation-free-when-empty
+//!   structure whose probe reads one index cache line, and the ring only
+//!   when an 8-bit tag matches.
+//! * [`AgedMap`] — two `FifoMap` generations flipped by sim time, for the
+//!   GUID table (duplicate suppression and query routes): an entry lives
+//!   between one and two lifetimes, so the table holds what the last few
+//!   minutes of traffic need rather than the last 16,384 keys.
 //!
-//! Both preserve the *exact* observable semantics of the `HashMap`-based
-//! code they replace (the proptest suites below drive them against the
-//! std-collections reference): full-key equality on every match, value
-//! overwrite without FIFO reordering, eviction strictly in insert order.
-//! Iteration order of [`VecMap`] is sorted by key — already deterministic,
-//! unlike `HashMap`, so the fan-out sites that used to collect-and-sort
-//! can keep their sort as a no-op safety net.
+//! `VecMap` and `FifoMap` preserve the *exact* observable semantics of the
+//! `HashMap`-based code they replace (the proptest suites below drive them
+//! against the std-collections reference): full-key equality on every
+//! match, value overwrite without FIFO reordering, eviction strictly in
+//! insert order. `AgedMap` is driven against a model that records when
+//! each key was inserted. Iteration order of [`VecMap`] is sorted by key —
+//! already deterministic, unlike `HashMap`, so the fan-out sites that used
+//! to collect-and-sort can keep their sort as a no-op safety net.
+
+use crate::{SimDuration, SimTime};
 
 /// A 64-bit hash for open-addressed table keys. Implementors must provide
 /// a well-mixed value (the index takes its slot from the high half and a
@@ -176,7 +183,7 @@ impl<K: Ord + Copy, V> VecMap<K, V> {
 }
 
 // ---------------------------------------------------------------------------
-// FifoMap / FifoSet
+// FifoMap
 // ---------------------------------------------------------------------------
 
 /// An index entry is `tag | (ring position + 1)`: the position in the low
@@ -188,8 +195,7 @@ const POS_MASK: u32 = (1 << POS_BITS) - 1;
 /// route-table idiom as one structure. `insert` on a *fresh* key adds it
 /// and, once `bound` keys are held, evicts the oldest; `insert` on an
 /// *existing* key overwrites the value without changing its age — exactly
-/// the semantics of the code it replaces (`remember_seen` /
-/// `route_query_back`).
+/// the semantics of the route tables it replaced.
 ///
 /// Entries live in `ring` in insertion order. Until `bound` are held a
 /// fresh key is pushed; from then on `head` is the oldest, and a fresh key
@@ -203,10 +209,11 @@ const POS_MASK: u32 = (1 << POS_BITS) - 1;
 #[derive(Debug, Clone)]
 pub struct FifoMap<K, V> {
     ring: Vec<(K, V)>,
-    /// The oldest entry once the ring is full (0 until then).
-    head: usize,
     index: Vec<u32>,
-    bound: usize,
+    /// The oldest entry once the ring is full (0 until then). It and
+    /// `bound` are ring positions, under 2^24.
+    head: u32,
+    bound: u32,
 }
 
 impl<K: KeyHash + Eq + Copy, V> FifoMap<K, V> {
@@ -218,9 +225,9 @@ impl<K: KeyHash + Eq + Copy, V> FifoMap<K, V> {
         );
         FifoMap {
             ring: Vec::new(),
-            head: 0,
             index: Vec::new(),
-            bound,
+            head: 0,
+            bound: bound as u32,
         }
     }
 
@@ -331,13 +338,14 @@ impl<K: KeyHash + Eq + Copy, V> FifoMap<K, V> {
         }
         let h = key.key_hash();
         let len = self.ring.len();
-        if len < self.bound {
+        let bound = self.bound as usize;
+        if len < bound {
             if (len + 1) * 2 > self.index.len() {
                 self.grow_index();
             }
             if len == self.ring.capacity() {
                 // Doubling, but never past the bound.
-                let want = (len * 2).max(4).min(self.bound);
+                let want = (len * 2).max(4).min(bound);
                 self.ring.reserve_exact(want - len);
             }
             self.place(h, len);
@@ -345,8 +353,8 @@ impl<K: KeyHash + Eq + Copy, V> FifoMap<K, V> {
         } else {
             // The oldest entry's slot is the first one from its key's home
             // that names `head`: no key is compared on the way.
-            let head = self.head;
-            let named = head as u32 + 1;
+            let head = self.head as usize;
+            let named = self.head + 1;
             let mask = self.index.len() - 1;
             let mut i = self.home(self.ring[head].0.key_hash());
             while self.index[i] & POS_MASK != named {
@@ -355,9 +363,16 @@ impl<K: KeyHash + Eq + Copy, V> FifoMap<K, V> {
             self.delete(i);
             self.ring[head] = (key, value);
             self.place(h, head);
-            self.head = (head + 1) % self.bound;
+            self.head = (self.head + 1) % self.bound;
         }
         None
+    }
+
+    /// Empties the map, keeping its allocation.
+    pub fn clear(&mut self) {
+        self.ring.clear();
+        self.index.fill(0);
+        self.head = 0;
     }
 
     /// Heap bytes held by the ring and the index.
@@ -367,46 +382,95 @@ impl<K: KeyHash + Eq + Copy, V> FifoMap<K, V> {
     }
 }
 
-/// [`FifoMap`] with unit values: the bounded duplicate-suppression set.
+// ---------------------------------------------------------------------------
+// AgedMap
+// ---------------------------------------------------------------------------
+
+/// A map that forgets by age: a key inserted at `t` is found throughout
+/// `[t, t + L)` and never at or after `t + 2L`, where `L` is
+/// `LIFETIME_US` microseconds of sim time.
+///
+/// Two [`FifoMap`] generations, as in LimeWire's `RouteTable`. Fresh keys
+/// go to the young one. Once it is a lifetime old it becomes the old one,
+/// and the old one is cleared and reused as the young one, keeping its
+/// allocation. Every call takes the clock and ages the map first, so what
+/// it holds is a pure function of the inserts and `now`, wherever the
+/// calls fall. An overwrite leaves the key in its generation. Each
+/// generation evicts FIFO past half the bound, so the two together never
+/// hold more than `bound` keys.
 #[derive(Debug, Clone)]
-pub struct FifoSet<K> {
-    map: FifoMap<K, ()>,
+pub struct AgedMap<K, V, const LIFETIME_US: u64> {
+    young: FifoMap<K, V>,
+    old: FifoMap<K, V>,
+    /// When `young` began taking keys; it takes them for one lifetime.
+    born: SimTime,
 }
 
-impl<K: KeyHash + Eq + Copy> FifoSet<K> {
-    pub fn bounded(bound: usize) -> Self {
-        FifoSet {
-            map: FifoMap::bounded(bound),
+impl<K: KeyHash + Eq + Copy, V, const LIFETIME_US: u64> AgedMap<K, V, LIFETIME_US> {
+    const LIFETIME: SimDuration = SimDuration(LIFETIME_US);
+
+    pub fn new(bound: usize) -> Self {
+        assert!(LIFETIME_US > 0, "an AgedMap needs a lifetime");
+        AgedMap {
+            young: FifoMap::bounded(bound / 2),
+            old: FifoMap::bounded(bound / 2),
+            born: SimTime::ZERO,
         }
     }
 
+    /// Keys held, counting any `now` has not yet aged out.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.young.len() + self.old.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
-    pub fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
+    /// Flips the generations once the young one is a lifetime old; when it
+    /// is two, its keys are past their time too and both start empty.
+    fn age(&mut self, now: SimTime) {
+        if now < self.born + Self::LIFETIME {
+            return;
+        }
+        std::mem::swap(&mut self.young, &mut self.old);
+        self.young.clear();
+        self.born += Self::LIFETIME;
+        if now >= self.born + Self::LIFETIME {
+            self.old.clear();
+            self.born = now;
+        }
     }
 
-    /// Inserts; returns true when the key was fresh (`HashSet::insert`
-    /// semantics), evicting FIFO past the bound.
-    pub fn insert(&mut self, key: K) -> bool {
-        self.map.insert(key, ()).is_none()
+    pub fn get(&mut self, now: SimTime, key: &K) -> Option<&V> {
+        self.age(now);
+        self.young.get(key).or_else(|| self.old.get(key))
     }
 
+    pub fn contains_key(&mut self, now: SimTime, key: &K) -> bool {
+        self.get(now, key).is_some()
+    }
+
+    /// Inserts at `now`, returning the value a live key held. The
+    /// overwritten key keeps its generation, and so its expiry.
+    pub fn insert(&mut self, now: SimTime, key: K, value: V) -> Option<V> {
+        self.age(now);
+        if self.old.contains_key(&key) {
+            return self.old.insert(key, value);
+        }
+        self.young.insert(key, value)
+    }
+
+    /// Heap bytes held by both generations.
     pub fn heap_bytes(&self) -> u64 {
-        self.map.heap_bytes()
+        self.young.heap_bytes() + self.old.heap_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::{HashMap, HashSet};
+    use std::collections::HashMap;
 
     #[test]
     fn vecmap_basics() {
@@ -464,34 +528,34 @@ mod tests {
     }
 
     #[test]
-    fn fifoset_matches_manual_idiom() {
-        // Reference: the exact remember_seen idiom from the servent.
-        let bound = 4;
-        let mut set = HashSet::new();
-        let mut order = std::collections::VecDeque::new();
-        let mut fifo: FifoSet<u64> = FifoSet::bounded(bound);
-        for k in [1u64, 2, 3, 1, 4, 5, 6, 2, 2, 7, 1] {
-            let fresh_ref = set.insert(k);
-            if fresh_ref {
-                order.push_back(k);
-                if order.len() > bound {
-                    let old = order.pop_front().unwrap();
-                    set.remove(&old);
-                }
-            }
-            assert_eq!(fifo.insert(k), fresh_ref, "key {k}");
-        }
-        for k in 0..10u64 {
-            assert_eq!(fifo.contains(&k), set.contains(&k), "key {k}");
-        }
-    }
-
-    #[test]
     fn empty_maps_hold_no_heap() {
         let m: FifoMap<u64, u64> = FifoMap::bounded(16);
         assert_eq!(m.heap_bytes(), 0);
         let v: VecMap<u64, u64> = VecMap::new();
         assert_eq!(v.heap_bytes(), 0);
+        let a: AgedMap<u64, u64, 1_000_000> = AgedMap::new(16);
+        assert_eq!(a.heap_bytes(), 0);
+    }
+
+    /// Steady traffic flips the generations for ever on the allocation of
+    /// the first two lifetimes, and holds two lifetimes of keys at most.
+    #[test]
+    fn agedmap_reuses_its_generations() {
+        type Map = AgedMap<u64, u64, 600_000_000>;
+        let mut m = Map::new(16_384);
+        let insert_each_second = |m: &mut Map, keys: std::ops::Range<u64>| {
+            for k in keys {
+                m.insert(SimTime::from_secs(k), k, k);
+                assert!(m.len() <= 1_200);
+            }
+        };
+        insert_each_second(&mut m, 0..2_000);
+        let steady = m.heap_bytes();
+        insert_each_second(&mut m, 2_000..100_000);
+        assert_eq!(m.heap_bytes(), steady);
+        let now = SimTime::from_secs(100_000);
+        assert!(m.contains_key(now, &(100_000 - 600)));
+        assert!(!m.contains_key(now, &(100_000 - 1_200)));
     }
 
     /// A full map holds its ring at the bound and its index at twice that.
@@ -657,30 +721,61 @@ mod tests {
             equivalent(bound, 64, &ops, Clash);
         }
 
-        /// FifoSet vs HashSet+VecDeque (the remember_seen idiom).
+        /// AgedMap vs its model, never at its bound: every key keeps to
+        /// its lifetimes exactly.
         #[test]
-        fn fifoset_equivalence(
-            bound in 1usize..8,
-            keys in proptest::collection::vec(0u64..16, 0..200),
+        fn agedmap_keeps_to_its_lifetimes(
+            ops in proptest::collection::vec((0u8..2, 0u64..AGED_KEYS, 0u32..100, 0u64..450), 0..2000),
         ) {
-            let mut fs: FifoSet<u64> = FifoSet::bounded(bound);
-            let mut hs: HashSet<u64> = HashSet::new();
-            let mut order: std::collections::VecDeque<u64> = Default::default();
-            for k in keys {
-                let fresh = hs.insert(k);
-                if fresh {
-                    order.push_back(k);
-                    if order.len() > bound {
-                        let old = order.pop_front().unwrap();
-                        hs.remove(&old);
-                    }
+            aged_equivalent(16_384, &ops);
+        }
+
+        /// The same with generations too small for the keys: the map
+        /// never holds more than its bound, and a key evicted early is
+        /// gone, never stale.
+        #[test]
+        fn agedmap_stays_within_its_bound(
+            bound in 2usize..40,
+            ops in proptest::collection::vec((0u8..2, 0u64..AGED_KEYS, 0u32..100, 0u64..450), 0..2000),
+        ) {
+            aged_equivalent(bound, &ops);
+        }
+    }
+
+    const AGED_KEYS: u64 = 64;
+
+    /// Drives an `AgedMap` with a lifetime of 100 µs against a model of each
+    /// key's value and insert time. Each op first moves the clock on (by
+    /// nothing about half the time, by up to 2.5 lifetimes otherwise), then
+    /// looks its key up and, for op 0, inserts it. A key inserted at `t` is
+    /// found with its latest value throughout `[t, t + 100)` unless the
+    /// bound is too small for the keys, and never from `t + 200` on; an
+    /// overwrite keeps `t`.
+    fn aged_equivalent(bound: usize, ops: &[(u8, u64, u32, u64)]) {
+        const L: u64 = 100;
+        let mut map: AgedMap<u64, u32, L> = AgedMap::new(bound);
+        let mut model: HashMap<u64, (u32, u64)> = HashMap::new();
+        let capped = (bound / 2) < AGED_KEYS as usize;
+        let mut now = 0;
+        for &(op, k, v, dt) in ops {
+            now += dt.saturating_sub(200);
+            let t = SimTime::from_micros(now);
+            let got = map.get(t, &k).copied();
+            match model.get(&k) {
+                Some(&(want, at)) if now - at < L && !capped => {
+                    assert_eq!(got, Some(want), "key {k} at {now}")
                 }
-                proptest::prop_assert_eq!(fs.insert(k), fresh);
-                proptest::prop_assert_eq!(fs.len(), hs.len());
+                Some(&(want, at)) if now - at < 2 * L => {
+                    assert!(got.is_none() || got == Some(want), "key {k} at {now}")
+                }
+                _ => assert_eq!(got, None, "key {k} at {now}"),
             }
-            for k in 0..16u64 {
-                proptest::prop_assert_eq!(fs.contains(&k), hs.contains(&k));
+            if op == 0 {
+                assert_eq!(map.insert(t, k, v), got);
+                let at = if got.is_some() { model[&k].1 } else { now };
+                model.insert(k, (v, at));
             }
+            assert!(map.len() <= bound);
         }
     }
 }

@@ -68,7 +68,7 @@ mod time;
 
 pub use addr::{ip_class, AddressAllocator, HostAddr, IpClass};
 pub use app::{App, ConnId, Ctx, Direction, NodeId, TimerToken};
-pub use compact::{FifoMap, FifoSet, KeyHash, VecMap};
+pub use compact::{AgedMap, FifoMap, KeyHash, VecMap};
 pub use faults::{ChurnSpec, FaultPlan};
 pub use framing::{find_across, take_front, Feed, StreamBuf};
 pub use metrics::{process_rss_kb, MemoryStats, SimMetrics};

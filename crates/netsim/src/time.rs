@@ -66,7 +66,7 @@ impl SimDuration {
         SimDuration(s * 1_000_000)
     }
 
-    pub fn from_mins(m: u64) -> Self {
+    pub const fn from_mins(m: u64) -> Self {
         SimDuration(m * 60 * 1_000_000)
     }
 
@@ -74,7 +74,7 @@ impl SimDuration {
         SimDuration(h * 3_600 * 1_000_000)
     }
 
-    pub fn as_micros(self) -> u64 {
+    pub const fn as_micros(self) -> u64 {
         self.0
     }
 
