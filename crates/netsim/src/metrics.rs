@@ -7,7 +7,10 @@ use crate::telemetry::MetricsRegistry;
 ///
 /// `app_bytes` sums every live app's [`crate::App::memory_estimate`] — a
 /// deterministic deep-heap estimate of protocol state (connection maps,
-/// routing tables, share libraries). The RSS gauges read
+/// routing tables, share libraries). `queue_bytes` sums every lane's
+/// scheduler buffers (`CalendarQueue::heap_bytes`): engine
+/// memory, kept beside the per-node estimate and never inside it. The RSS
+/// gauges read
 /// `/proc/self/status` and are inherently wall-machine facts, so the whole
 /// struct hides behind an always-equal `PartialEq` shield (the same device
 /// as [`SubsystemProfile`]): identical-seed metric snapshots stay equal
@@ -18,6 +21,8 @@ pub struct MemoryStats {
     pub nodes: u64,
     /// Summed per-app deep-heap estimates (bytes).
     pub app_bytes: u64,
+    /// Bytes the lanes' event queues hold, in use or not.
+    pub queue_bytes: u64,
     /// Process peak resident set (`VmHWM`, KiB; 0 where unsupported).
     pub peak_rss_kb: u64,
     /// Process current resident set (`VmRSS`, KiB; 0 where unsupported).
@@ -38,6 +43,7 @@ impl MemoryStats {
     pub(crate) fn merge(&mut self, other: &MemoryStats) {
         self.nodes += other.nodes;
         self.app_bytes += other.app_bytes;
+        self.queue_bytes += other.queue_bytes;
         self.peak_rss_kb = self.peak_rss_kb.max(other.peak_rss_kb);
         self.current_rss_kb = self.current_rss_kb.max(other.current_rss_kb);
     }

@@ -26,11 +26,11 @@ pub(crate) struct PoolStats {
     /// Acquisitions that had to allocate.
     pub misses: u64,
     /// Total payload bytes whose buffers returned to the free list. This
-    /// counts buffer *contents*, not capacity: the simulated apps fan
-    /// messages out over `HashMap`-ordered peer sets, so while every
-    /// payload is delivered at a deterministic time, the pairing of
-    /// payloads to recycled buffers (and hence capacity growth) is not —
-    /// content bytes are, keeping the metric reproducible run to run.
+    /// counts buffer *contents*, not capacity: contents are traffic, set
+    /// by what the apps sent, while a buffer's capacity is the largest
+    /// payload it has carried since it was allocated, which depends on
+    /// the free list's pairing of payloads to buffers and on `Vec`'s
+    /// growth policy rather than on the workload.
     pub recycled_bytes: u64,
     /// Peak free-list length.
     pub high_water: u64,

@@ -10,6 +10,13 @@
 //! ring's horizon go to an overflow heap and are pulled forward as the
 //! cursor reaches them, so far-future timers stay cheap too.
 //!
+//! A bucket's buffer does not stay in its slot once the cursor has drained
+//! and left it: it goes onto a spare stack, and the next slot that needs a
+//! buffer takes it from there. The queue therefore holds at most one
+//! buffer per simultaneously non-empty bucket, plus the cursor's, so what
+//! it retains follows the work queued, not the ring's size. A buffer is
+//! moved, never freed: the cursor leaves millions of buckets a sim-day.
+//!
 //! The original scheduler, a `BinaryHeap` over `(time, seq)` at `O(log n)`
 //! per operation, lives on only in the tests below (`HeapQueue`), as the
 //! ordering oracle the calendar queue is checked against.
@@ -108,6 +115,9 @@ pub trait Scheduler<T> {
 /// `cursor % BUCKETS` is known to belong to bucket `cursor` exactly.
 pub struct CalendarQueue<T> {
     ring: Vec<Vec<Entry<T>>>,
+    /// Empty buffers of buckets the cursor has drained and left, handed to
+    /// the next slot that needs one.
+    spare: Vec<Vec<Entry<T>>>,
     /// Absolute index of the earliest bucket that may hold entries.
     cursor: u64,
     /// Whether the current bucket is sorted descending by `(time, seq)`
@@ -127,6 +137,7 @@ impl<T> Default for CalendarQueue<T> {
         ring.resize_with(BUCKETS, Vec::new);
         CalendarQueue {
             ring,
+            spare: Vec::new(),
             cursor: 0,
             sorted: false,
             overflow: BinaryHeap::new(),
@@ -147,6 +158,21 @@ impl<T> CalendarQueue<T> {
         self.high_water
     }
 
+    /// Heap bytes the queue holds: the ring's and the spare stack's
+    /// buffer headers plus every entry slot allocated in the ring, on the
+    /// spare stack and in the overflow heap, whether or not it is in use.
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        let headers =
+            (self.ring.capacity() + self.spare.capacity()) * std::mem::size_of::<Vec<Entry<T>>>();
+        (headers + self.entry_slots() * std::mem::size_of::<Entry<T>>()) as u64
+    }
+
+    /// Entry slots allocated, in use or not.
+    fn entry_slots(&self) -> usize {
+        let buffers = self.ring.iter().chain(&self.spare);
+        buffers.map(Vec::capacity).sum::<usize>() + self.overflow.capacity()
+    }
+
     fn insert_ring(&mut self, entry: Entry<T>) {
         // Clamp into the current bucket: schedulers never travel backwards,
         // but an entry clamped forward still pops in correct `(time, seq)`
@@ -155,6 +181,11 @@ impl<T> CalendarQueue<T> {
         debug_assert!(abs < self.cursor + BUCKETS as u64);
         let slot = (abs as usize) & (BUCKETS - 1);
         let bucket = &mut self.ring[slot];
+        if bucket.capacity() == 0 {
+            if let Some(buf) = self.spare.pop() {
+                *bucket = buf;
+            }
+        }
         if abs == self.cursor && self.sorted {
             // The live bucket is already sorted descending; splice the new
             // entry into position so the back stays the minimum.
@@ -180,15 +211,27 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// Advances the cursor to the next non-empty bucket and sorts it.
-    /// Returns false when the queue is empty.
+    /// Moves the drained current bucket's buffer onto the spare stack.
+    fn retire_cursor_bucket(&mut self) {
+        let slot = (self.cursor as usize) & (BUCKETS - 1);
+        if self.ring[slot].capacity() > 0 {
+            debug_assert!(self.ring[slot].is_empty());
+            self.spare.push(std::mem::take(&mut self.ring[slot]));
+        }
+    }
+
+    /// Advances the cursor to the next non-empty bucket and sorts it,
+    /// retiring the buffer of every drained bucket it leaves. Returns false
+    /// when the queue is empty.
     fn settle(&mut self) -> bool {
         if self.ring_len == 0 {
             // Jump straight to the overflow's first bucket instead of
             // walking up to it one bucket at a time.
             match self.overflow.peek() {
                 Some(e) => {
-                    self.cursor = Self::abs_bucket(e.time);
+                    let abs = Self::abs_bucket(e.time);
+                    self.retire_cursor_bucket();
+                    self.cursor = abs;
                     self.sorted = false;
                     self.refill();
                 }
@@ -204,6 +247,7 @@ impl<T> CalendarQueue<T> {
                 }
                 return true;
             }
+            self.retire_cursor_bucket();
             self.cursor += 1;
             self.sorted = false;
             self.refill();
@@ -491,5 +535,116 @@ mod tests {
             }
             assert_eq!(drain(&mut cal), drain(&mut heap));
         }
+    }
+
+    /// Property: bursty traffic that walks the cursor around the ring three
+    /// times, so drained buckets retire their buffers and later buckets
+    /// reuse them, still dispatches in exactly the oracle's order. The
+    /// streams include pushes into the live sorted bucket and idle gaps
+    /// that empty the ring and make the cursor jump to the overflow's first
+    /// bucket.
+    #[test]
+    fn matches_heap_on_bursty_sweeps() {
+        let width = 1u64 << BUCKET_SHIFT;
+        let horizon = (BUCKETS as u64) << BUCKET_SHIFT;
+        let mut rng = StdRng::seed_from_u64(0xB025_7A11);
+        let (mut live_pushes, mut jumps, mut reuses) = (0u32, 0u32, 0u32);
+        for _case in 0..4 {
+            let mut cal = CalendarQueue::default();
+            let mut heap = HeapQueue::default();
+            let mut id = 0u64;
+            let mut now = 0u64;
+            // Buckets the cursor crossed one by one, not by a jump.
+            let mut walked = 0u64;
+            while walked <= 3 * BUCKETS as u64 {
+                match rng.gen_range(0..100u32) {
+                    0..=1 => {
+                        // Idle gap: one far-future event, then drain the
+                        // ring so the last pop jumps to the overflow.
+                        let far = now + horizon + rng.gen_range(0..2 * horizon);
+                        cal.push(t(far), id);
+                        heap.push(t(far), id);
+                        id += 1;
+                        while cal.len() > cal.overflow.len() {
+                            assert_eq!(cal.pop(), heap.pop());
+                        }
+                        let popped = cal.pop();
+                        assert_eq!(popped, heap.pop());
+                        now = popped.expect("far event queued").0.as_micros();
+                        jumps += 1;
+                    }
+                    2..=49 => {
+                        // A burst into nearby buckets; offset 0 lands in
+                        // the live bucket once it is sorted.
+                        let base = now + width * rng.gen_range(0..16u64);
+                        let spares = cal.spare.len();
+                        for _ in 0..rng.gen_range(1..40u32) {
+                            let at = base + rng.gen_range(0..width);
+                            live_pushes +=
+                                u32::from(cal.sorted && at >> BUCKET_SHIFT == cal.cursor);
+                            cal.push(t(at), id);
+                            heap.push(t(at), id);
+                            id += 1;
+                        }
+                        reuses += u32::from(cal.spare.len() < spares);
+                    }
+                    _ => {
+                        for _ in 0..rng.gen_range(1..30u32) {
+                            let (cursor, walking) = (cal.cursor, cal.ring_len > 0);
+                            assert_eq!(cal.peek_time(), heap.peek_time());
+                            let popped = cal.pop();
+                            assert_eq!(popped, heap.pop());
+                            if walking {
+                                walked += cal.cursor - cursor;
+                            }
+                            if let Some((time, _)) = popped {
+                                now = time.as_micros();
+                            }
+                        }
+                    }
+                }
+            }
+            assert_eq!(drain(&mut cal), drain(&mut heap));
+        }
+        assert!(live_pushes > 100 && jumps > 100 && reuses > 1000);
+    }
+
+    /// The queue retains buffers for the buckets that hold work, not for
+    /// every slot the cursor has passed: `W` consecutive buckets of `B`
+    /// entries, slid around the ring three times, keep at most `W + 1`
+    /// buffers of `B.next_power_of_two()` slots each.
+    #[test]
+    fn retained_capacity_follows_live_buckets() {
+        const W: u64 = 8;
+        const B: u64 = 20;
+        let width = 1u64 << BUCKET_SHIFT;
+        let mut q = CalendarQueue::default();
+        let mut id = 0u64;
+        let mut fill = |q: &mut CalendarQueue<u64>, bucket: u64| {
+            for i in 0..B {
+                q.push(t(bucket * width + i), id);
+                id += 1;
+            }
+        };
+        for bucket in 0..W {
+            fill(&mut q, bucket);
+        }
+        for bucket in 0..3 * BUCKETS as u64 {
+            for _ in 0..B {
+                assert_eq!(
+                    q.pop().map(|(time, _)| time.as_micros() / width),
+                    Some(bucket)
+                );
+            }
+            fill(&mut q, bucket + W);
+        }
+        let bound = (W as usize + 1) * (B as usize).next_power_of_two();
+        assert!(
+            q.entry_slots() <= bound,
+            "{} slots retained",
+            q.entry_slots()
+        );
+        let entry = std::mem::size_of::<Entry<u64>>();
+        assert!(q.heap_bytes() >= (q.entry_slots() * entry) as u64);
     }
 }

@@ -351,11 +351,15 @@ impl Simulator {
     }
 
     /// Records a memory-accounting snapshot into `metrics().memory`: every
-    /// live app's [`App::memory_estimate`] summed, plus the process RSS
-    /// gauges. Diagnostics only — draws no randomness, schedules nothing,
-    /// and the snapshot hides behind an always-equal `PartialEq` shield.
+    /// live app's [`App::memory_estimate`] summed, every lane's queue
+    /// buffers, plus the process RSS gauges. Diagnostics only — draws no
+    /// randomness, schedules nothing, and the snapshot hides behind an
+    /// always-equal `PartialEq` shield.
     pub fn record_memory(&mut self) {
-        let mut mem = MemoryStats::default();
+        let mut mem = MemoryStats {
+            queue_bytes: self.shards.iter().map(|s| s.queue.heap_bytes()).sum(),
+            ..MemoryStats::default()
+        };
         let nodes = self.shards.iter().flat_map(|s| &s.nodes);
         for app in nodes.filter_map(|st| st.app.as_ref()) {
             mem.nodes += 1;
