@@ -600,6 +600,11 @@ impl<O: Overlay> App for Crawler<O> {
         self.pump(ctx);
     }
 
+    fn on_data_owned(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, data: Vec<u8>) {
+        self.overlay.on_data_owned(ctx, conn, data);
+        self.pump(ctx);
+    }
+
     fn on_closed(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
         self.overlay.on_closed(ctx, conn);
         self.pump(ctx);

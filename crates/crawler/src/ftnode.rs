@@ -116,10 +116,43 @@ mod tests {
                 FtDownloadError::Protocol("closed mid-transfer".into()),
                 FailCause::Reset,
             ),
+            (
+                FtDownloadError::Protocol("dropped".into()),
+                FailCause::Reset,
+            ),
             (FtDownloadError::Http(404), FailCause::NotFound),
             (FtDownloadError::Http(503), FailCause::Other),
         ] {
             assert_eq!(classify(&err), cause, "{err:?}");
+        }
+    }
+
+    /// `classify` reads a protocol error's text, so the table pins every
+    /// reader error's text to a truncated transfer: a reworded message
+    /// cannot turn one into a reset unnoticed. The match makes a new
+    /// variant join the table.
+    #[test]
+    fn every_http_error_is_a_truncation() {
+        use p2pmal_openft::http::HttpError;
+        let all = [
+            HttpError::BadRequest,
+            HttpError::BadStatusLine,
+            HttpError::BadHeader,
+            HttpError::MissingLength,
+            HttpError::HeadTooLong,
+            HttpError::BodyTooLong,
+        ];
+        for e in all {
+            match e {
+                HttpError::BadRequest
+                | HttpError::BadStatusLine
+                | HttpError::BadHeader
+                | HttpError::MissingLength
+                | HttpError::HeadTooLong
+                | HttpError::BodyTooLong => {}
+            }
+            let err = FtDownloadError::Protocol(e.to_string());
+            assert_eq!(FtNode::classify(&err), FailCause::Truncated, "{e:?}");
         }
     }
 }

@@ -143,4 +143,37 @@ mod tests {
             assert_eq!(classify(&err), cause, "{err:?}");
         }
     }
+
+    /// `classify` reads a protocol error's text, so the table pins every
+    /// reader error's text to a truncated transfer: a reworded message
+    /// cannot turn one into a reset unnoticed. The match makes a new
+    /// variant join the table.
+    #[test]
+    fn every_http_error_is_a_truncation() {
+        use p2pmal_gnutella::http::HttpError;
+        let all = [
+            HttpError::BadRequestLine,
+            HttpError::BadHeader,
+            HttpError::BadTarget,
+            HttpError::BadStatusLine,
+            HttpError::MissingLength,
+            HttpError::HeadTooLong,
+            HttpError::BodyTooLong,
+            HttpError::BadGiv,
+        ];
+        for e in all {
+            match e {
+                HttpError::BadRequestLine
+                | HttpError::BadHeader
+                | HttpError::BadTarget
+                | HttpError::BadStatusLine
+                | HttpError::MissingLength
+                | HttpError::HeadTooLong
+                | HttpError::BodyTooLong
+                | HttpError::BadGiv => {}
+            }
+            let err = DownloadError::Protocol(e.to_string());
+            assert_eq!(Servent::classify(&err), FailCause::Truncated, "{e:?}");
+        }
+    }
 }

@@ -16,7 +16,7 @@
 use crate::guid::Guid;
 use p2pmal_hashes::{base32_decode, Sha1Digest};
 use p2pmal_netsim::{find_across, take_front};
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Size cap for request heads, mirroring servent hardening.
 const MAX_HEAD: usize = 8 * 1024;
@@ -43,7 +43,7 @@ impl fmt::Display for HttpError {
             HttpError::BadStatusLine => "malformed status line",
             HttpError::MissingLength => "response without Content-Length",
             HttpError::HeadTooLong => "head exceeds size limit",
-            HttpError::BodyTooLong => "body exceeds declared length",
+            HttpError::BodyTooLong => "declared length exceeds download cap",
             HttpError::BadGiv => "malformed GIV line",
         };
         f.write_str(s)
@@ -68,43 +68,40 @@ pub struct HttpRequest {
     pub user_agent: String,
 }
 
-/// Minimal percent-encoding for filenames in request paths (space and the
-/// reserved characters servents escaped).
+/// Minimal percent-encoding for filenames in request paths: space and the
+/// reserved characters servents escaped, plus every control byte and every
+/// byte of a non-ASCII character's UTF-8 encoding, as `%XX`.
 pub fn percent_encode(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     for b in name.bytes() {
         match b {
-            b' ' => out.push_str("%20"),
-            b'%' => out.push_str("%25"),
-            b'?' => out.push_str("%3F"),
-            b'#' => out.push_str("%23"),
+            b' ' | b'%' | b'?' | b'#' | 0..=0x1F | 0x7F.. => {
+                let _ = write!(out, "%{b:02X}");
+            }
             _ => out.push(b as char),
         }
     }
     out
 }
 
-/// Decodes `%XX` escapes; invalid escapes pass through literally, the
-/// tolerant behaviour of deployed servents.
+/// Decodes `%XX` escapes into bytes, read as UTF-8 (an invalid sequence
+/// becomes U+FFFD); invalid escapes pass through literally, the tolerant
+/// behaviour of deployed servents.
 pub fn percent_decode(s: &str) -> String {
     let bytes = s.as_bytes();
-    let mut out = String::with_capacity(bytes.len());
+    let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
-        if bytes[i] == b'%' && i + 2 < bytes.len() + 1 && i + 2 < bytes.len() + 1 {
-            if let (Some(h), Some(l)) = (
-                bytes.get(i + 1).and_then(|c| (*c as char).to_digit(16)),
-                bytes.get(i + 2).and_then(|c| (*c as char).to_digit(16)),
-            ) {
-                out.push(((h * 16 + l) as u8) as char);
-                i += 3;
-                continue;
-            }
+        let hex = |j: usize| bytes.get(j).and_then(|c| (*c as char).to_digit(16));
+        if let (b'%', Some(h), Some(l)) = (bytes[i], hex(i + 1), hex(i + 2)) {
+            out.push((h * 16 + l) as u8);
+            i += 3;
+        } else {
+            out.push(bytes[i]);
+            i += 1;
         }
-        out.push(bytes[i] as char);
-        i += 1;
     }
-    out
+    String::from_utf8_lossy(&out).into_owned()
 }
 
 /// Builds the GET request for `target`.
@@ -304,6 +301,24 @@ impl ResponseReader {
             }
         }
         self.buf.extend_from_slice(data);
+    }
+
+    /// [`ResponseReader::push`] for a buffer the caller hands over (an
+    /// upload written for this delivery). When it opens a response with a
+    /// well-formed head, the head is cut off in place and the buffer kept
+    /// as the body: no receive copy. Anything else goes through `push`.
+    pub fn push_owned(&mut self, mut data: Vec<u8>) {
+        if self.state == RespState::Head && self.buf.is_empty() {
+            if let Some(end) = find_head_end(&data) {
+                if let Ok((status, len)) = parse_response_head(&data[..end], self.max_body) {
+                    self.state = RespState::Body { status, len };
+                    data.drain(..end + 4);
+                    self.buf = data;
+                    return;
+                }
+            }
+        }
+        self.push(&data);
     }
 
     /// Returns the response once the full body has arrived.
@@ -580,11 +595,38 @@ mod tests {
         }
     }
 
+    /// The upload body's own buffer becomes the response body.
+    #[test]
+    fn push_owned_keeps_the_buffer() {
+        let body: Vec<u8> = (0..=255u8).cycle().take(5_000).collect();
+        let mut wire = encode_response_ok("P2PMal/0.1", body.len());
+        wire.extend_from_slice(&body);
+        let ptr = wire.as_ptr();
+        let mut r = ResponseReader::new(1 << 20);
+        r.push_owned(wire);
+        let resp = r.response().unwrap().unwrap();
+        assert_eq!((resp.status, &resp.body), (200, &body));
+        assert_eq!(resp.body.as_ptr(), ptr);
+    }
+
     #[test]
     fn percent_codec_roundtrip() {
-        for s in ["plain", "has space", "odd%chars?#", "a%20b"] {
+        for s in [
+            "plain",
+            "has space",
+            "odd%chars?#",
+            "a%20b",
+            "é",
+            "tab\there\u{7f}",
+        ] {
             assert_eq!(percent_decode(&percent_encode(s)), s);
         }
+        // The four ASCII escapes are what they always were; a non-ASCII
+        // character goes out as its UTF-8 bytes.
+        assert_eq!(percent_encode("a b%c?d#e"), "a%20b%25c%3Fd%23e");
+        assert_eq!(percent_encode("é"), "%C3%A9");
+        assert_eq!(percent_decode("%C3%A9"), "é");
+        assert_eq!(percent_decode("%FF"), "\u{FFFD}");
         // Tolerant decode of invalid escapes.
         assert_eq!(percent_decode("100%"), "100%");
         assert_eq!(percent_decode("%zz"), "%zz");

@@ -1137,12 +1137,14 @@ impl Servent {
                     ..
                 } = &self.world;
                 let size = store.size(r, catalog, roster) as usize;
-                let mut response = encode_response_ok(&self.config.user_agent, size);
-                response.reserve_exact(size);
-                let head = response.len();
-                store.payload_into(r, catalog, roster, &mut response);
-                debug_assert_eq!(response.len(), head + size);
-                ctx.send_owned(conn, response);
+                let head = encode_response_ok(&self.config.user_agent, size);
+                let (store, catalog, roster) = (store.clone(), catalog.clone(), roster.clone());
+                // Head and body are written where they land, into the
+                // buffer the downloader keeps.
+                ctx.send_deferred(conn, head.len() + size, move |out| {
+                    out.extend_from_slice(&head);
+                    store.payload_into(r, &catalog, &roster, out);
+                });
             }
             None => {
                 ctx.send(
@@ -1278,12 +1280,19 @@ impl Servent {
         self.serve_request(ctx, conn, &req);
     }
 
-    fn pump_download(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, data: &[u8]) {
+    /// Feeds a download connection's reader through `push` and finishes
+    /// the download once its response is complete.
+    fn pump_download(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        conn: ConnId,
+        push: impl FnOnce(&mut ResponseReader),
+    ) {
         let (id, outcome) = {
             let Some(ConnKind::Download(d)) = self.conns.get_mut(&conn) else {
                 return;
             };
-            d.reader.push(data);
+            push(&mut d.reader);
             match d.reader.response() {
                 Ok(Some(resp)) if resp.status == 200 => (d.id, Ok(resp.body)),
                 Ok(Some(resp)) => (d.id, Err(DownloadError::Http(resp.status))),
@@ -1411,7 +1420,7 @@ impl Servent {
             }
             Route::Sniff => self.sniff(ctx, conn, data),
             Route::Peer => self.pump_peer(ctx, conn, data),
-            Route::Download => self.pump_download(ctx, conn, data),
+            Route::Download => self.pump_download(ctx, conn, |r| r.push(data)),
             Route::Upload => {
                 if let Some(ConnKind::Upload(reader)) = self.conns.get_mut(&conn) {
                     reader.push(data);
@@ -1531,6 +1540,17 @@ impl App for Servent {
 
     fn on_data(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, data: &[u8]) {
         self.deliver(ctx, conn, data);
+        self.debug_assert_leaf_set();
+    }
+
+    /// An upload body written for this delivery: a download connection's
+    /// reader keeps the buffer instead of copying it.
+    fn on_data_owned(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, data: Vec<u8>) {
+        if let Some(ConnKind::Download(_)) = self.conns.get(&conn) {
+            self.pump_download(ctx, conn, |r| r.push_owned(data));
+        } else {
+            self.deliver(ctx, conn, &data);
+        }
         self.debug_assert_leaf_set();
     }
 

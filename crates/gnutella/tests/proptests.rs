@@ -9,7 +9,9 @@ use p2pmal_corpus::{
 use p2pmal_gnutella::ggep::{self, Extension};
 use p2pmal_gnutella::guid::Guid;
 use p2pmal_gnutella::handshake::{Admission, HandshakeConfig, Initiator, RespEvent, Responder};
-use p2pmal_gnutella::http::{parse_giv, RequestReader, ResponseReader};
+use p2pmal_gnutella::http::{
+    parse_giv, percent_decode, percent_encode, RequestReader, ResponseReader,
+};
 use p2pmal_gnutella::message::{encode_message, Header, MessageReader, MsgType};
 use p2pmal_gnutella::payload::{
     Bye, HitResult, Ping, Pong, Push, QhdFlags, Query, QueryHit, QHD_PUSH, QHD_UPLOADED,
@@ -27,6 +29,46 @@ use std::sync::Arc;
 
 fn arb_guid() -> impl Strategy<Value = Guid> {
     any::<[u8; 16]>().prop_map(Guid)
+}
+
+/// What a download reader may be handed, capped at 200 body bytes: a
+/// well-formed head, a 404, a head without Content-Length, a bad status
+/// line, a bad header, or raw bytes; a declared length within or over the
+/// cap; a body shorter than, equal to or longer than declared.
+fn arb_response_wire() -> impl Strategy<Value = Vec<u8>> {
+    (
+        any::<u8>(),
+        0usize..300,
+        0usize..300,
+        proptest::collection::vec(any::<u8>(), 0..64),
+    )
+        .prop_map(|(kind, declared, body_len, raw)| {
+            let head = match kind % 6 {
+                0 => format!("HTTP/1.1 200 OK\r\nContent-Length: {declared}\r\n\r\n"),
+                1 => format!("HTTP/1.0 404 Not Found\r\nContent-Length: {declared}\r\n\r\n"),
+                2 => "HTTP/1.1 200 OK\r\nServer: x\r\n\r\n".to_string(),
+                3 => format!("ICY 200 OK\r\nContent-Length: {declared}\r\n\r\n"),
+                4 => "HTTP/1.1 200 OK\r\nno colon\r\n\r\n".to_string(),
+                _ => return raw,
+            };
+            let body = (0..body_len).map(|i| (i * 31 + kind as usize) as u8);
+            head.bytes().chain(body).collect()
+        })
+}
+
+/// Any text: ASCII, BMP and supplementary-plane characters, controls
+/// included.
+fn arb_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(any::<u32>(), 0..40).prop_map(|v| {
+        let pick = |x: u32| match x % 3 {
+            0 => (x >> 2) & 0x7F,
+            1 => (x >> 2) & 0xFFFF,
+            _ => (x >> 2) % 0x11_0000,
+        };
+        v.into_iter()
+            .filter_map(|x| char::from_u32(pick(x)))
+            .collect()
+    })
 }
 
 fn arb_ip() -> impl Strategy<Value = Ipv4Addr> {
@@ -693,5 +735,30 @@ proptest! {
             prop_assert!(k.len() >= 3);
             prop_assert_eq!(k.clone(), k.to_ascii_lowercase());
         }
+    }
+}
+
+proptest! {
+    /// A reader handed its buffer reads what it reads from a borrowed
+    /// slice: the same response or the same error, whether the owned part
+    /// opens the stream (half the cases) or follows a borrowed prefix.
+    #[test]
+    fn push_owned_reads_what_push_reads(wire in arb_response_wire(), cut in any::<u16>()) {
+        let cut = if cut.is_multiple_of(2) { 0 } else { cut as usize % (wire.len() + 1) };
+        let mut borrowed = ResponseReader::new(200);
+        let mut owned = ResponseReader::new(200);
+        borrowed.push(&wire[..cut]);
+        owned.push(&wire[..cut]);
+        prop_assert_eq!(borrowed.response(), owned.response());
+        borrowed.push(&wire[cut..]);
+        owned.push_owned(wire[cut..].to_vec());
+        prop_assert_eq!(borrowed.response(), owned.response());
+        prop_assert_eq!(borrowed.response(), owned.response());
+    }
+
+    /// Any name survives the request path, non-ASCII included.
+    #[test]
+    fn percent_coding_roundtrips(s in arb_text()) {
+        prop_assert_eq!(percent_decode(&percent_encode(&s)), s);
     }
 }

@@ -2,7 +2,7 @@
 //! [`App`] and interact with the outside world exclusively through [`Ctx`].
 
 use crate::addr::HostAddr;
-use crate::pool::BufferPool;
+use crate::pool::{BufferPool, Payload};
 use crate::profile::{Subsystem, SubsystemProfile};
 use crate::telemetry::{
     EventBody, EventCategory, MetricsRegistry, SpanCtx, Telemetry, TelemetryEvent,
@@ -32,7 +32,6 @@ pub enum Direction {
 
 /// Actions an app can request during a callback; applied by the simulator
 /// (or the live-TCP runtime) after the callback returns.
-#[derive(Debug)]
 pub(crate) enum Action {
     Connect {
         conn: ConnId,
@@ -40,7 +39,7 @@ pub(crate) enum Action {
     },
     Send {
         conn: ConnId,
-        data: Vec<u8>,
+        data: Payload,
     },
     Close {
         conn: ConnId,
@@ -123,14 +122,27 @@ impl<'a> Ctx<'a> {
     pub fn send_with(&mut self, conn: ConnId, fill: impl FnOnce(&mut Vec<u8>)) {
         let mut data = self.pool.acquire();
         fill(&mut data);
+        let data = Payload::Owned(data);
         self.actions.push(Action::Send { conn, data });
     }
 
-    /// [`Ctx::send`] for a buffer the caller built for this one send (an
-    /// upload's head + body): the `Vec` itself travels in the event, so
-    /// the bytes are not copied into a pooled buffer first. Same delivery
-    /// in every other respect.
-    pub fn send_owned(&mut self, conn: ConnId, data: Vec<u8>) {
+    /// [`Ctx::send`] for `len` bytes that `fill` writes later, only where
+    /// they are needed: normally into the buffer the receiving app is
+    /// handed by [`App::on_data_owned`], otherwise for an MSS split or a
+    /// corrupting fault. Bytes lost on the way (a closed connection, a
+    /// reset, a dropped chunk) are never written. `fill` must append
+    /// exactly `len` bytes, or the engine panics, and must draw no
+    /// randomness of the simulation's. The link is charged for `len` now,
+    /// so delivery is the same as a [`Ctx::send`] of those bytes in every
+    /// respect. An upload sends its multi-megabyte body this way.
+    pub fn send_deferred(
+        &mut self,
+        conn: ConnId,
+        len: usize,
+        fill: impl FnOnce(&mut Vec<u8>) + Send + 'static,
+    ) {
+        let fill = Box::new(fill);
+        let data = Payload::Deferred { len, fill };
         self.actions.push(Action::Send { conn, data });
     }
 
@@ -236,6 +248,13 @@ pub trait App: Send {
 
     /// Bytes arrived. Chunk boundaries carry no meaning; apps must frame.
     fn on_data(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, data: &[u8]) {}
+
+    /// Bytes arrived in a buffer written for this delivery alone (a
+    /// [`Ctx::send_deferred`] payload), which the app may keep instead of
+    /// copying. Default: [`App::on_data`] on the same bytes.
+    fn on_data_owned(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, data: Vec<u8>) {
+        self.on_data(ctx, conn, &data);
+    }
 
     /// The peer closed the connection (or the node it lived on shut down).
     fn on_closed(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {}

@@ -258,6 +258,7 @@ fn run_app_loop(
                     });
                 }
                 Action::Send { conn, data } => {
+                    let data = data.into_vec();
                     let mut failed = false;
                     if let Some(s) = streams.get_mut(&conn.0) {
                         failed = s.write_all(&data).is_err();
@@ -315,7 +316,8 @@ mod tests {
             ctx.connect(self.target);
         }
         fn on_connected(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, _d: Direction, _p: HostAddr) {
-            ctx.send(conn, b"over real tcp");
+            ctx.send(conn, b"over real ");
+            ctx.send_deferred(conn, 3, |out| out.extend_from_slice(b"tcp"));
         }
         fn on_data(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, data: &[u8]) {
             self.got.lock().unwrap().extend_from_slice(data);

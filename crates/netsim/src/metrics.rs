@@ -8,8 +8,10 @@ use crate::telemetry::MetricsRegistry;
 /// `app_bytes` sums every live app's [`crate::App::memory_estimate`] — a
 /// deterministic deep-heap estimate of protocol state (connection maps,
 /// routing tables, share libraries). `queue_bytes` sums every lane's
-/// scheduler buffers (`CalendarQueue::heap_bytes`): engine
-/// memory, kept beside the per-node estimate and never inside it. The RSS
+/// scheduler buffers (`CalendarQueue::heap_bytes`) and
+/// `payload_peak_bytes` the bytes its queued deliveries held at their
+/// most: engine memory, kept beside the per-node estimate and never
+/// inside it. The RSS
 /// gauges read
 /// `/proc/self/status` and are inherently wall-machine facts, so the whole
 /// struct hides behind an always-equal `PartialEq` shield (the same device
@@ -23,6 +25,10 @@ pub struct MemoryStats {
     pub app_bytes: u64,
     /// Bytes the lanes' event queues hold, in use or not.
     pub queue_bytes: u64,
+    /// The most payload bytes queued `Data` events held at once, per lane,
+    /// summed over lanes: payload lengths, not buffer capacities, and a
+    /// deferred payload counts 0 until it is written.
+    pub payload_peak_bytes: u64,
     /// Process peak resident set (`VmHWM`, KiB; 0 where unsupported).
     pub peak_rss_kb: u64,
     /// Process current resident set (`VmRSS`, KiB; 0 where unsupported).
@@ -44,6 +50,7 @@ impl MemoryStats {
         self.nodes += other.nodes;
         self.app_bytes += other.app_bytes;
         self.queue_bytes += other.queue_bytes;
+        self.payload_peak_bytes += other.payload_peak_bytes;
         self.peak_rss_kb = self.peak_rss_kb.max(other.peak_rss_kb);
         self.current_rss_kb = self.current_rss_kb.max(other.current_rss_kb);
     }

@@ -5,7 +5,9 @@
 //! short-lived allocations whose lifetimes all end inside `on_data`. The
 //! pool keeps freed buffers on a free list and hands them back out, and the
 //! MSS fan-out path shares one buffer across all fragments instead of
-//! copying each chunk.
+//! copying each chunk. Multi-megabyte upload bodies never pass through the
+//! pool: they travel as [`Payload::Deferred`] and are written once, into
+//! the buffer the receiving app keeps.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -13,9 +15,9 @@ use std::sync::Arc;
 /// Buffers retained on the free list; beyond this, freed buffers drop.
 const MAX_POOLED_BUFFERS: usize = 1024;
 /// Buffers whose payload exceeds this are not retained, and retained
-/// buffers are shrunk to at most this capacity (a month-scale run
-/// occasionally moves multi-megabyte payloads; hoarding those would pin
-/// memory long after the transfer).
+/// buffers are shrunk to at most this capacity (a truncated or bit-flipped
+/// upload body arrives as a one-off buffer of several megabytes; hoarding
+/// those would pin memory long after the transfer).
 const MAX_POOLED_CAPACITY: usize = 256 * 1024;
 
 /// Counters the simulator mirrors into `SimMetrics`.
@@ -80,7 +82,8 @@ impl BufferPool {
 
     /// Reclaims a delivered payload's storage where possible: owned
     /// buffers always return; a shared buffer returns when this was the
-    /// last fragment referencing it.
+    /// last fragment referencing it. A deferred payload was never written
+    /// and has no storage to reclaim.
     pub fn recycle(&mut self, payload: Payload) {
         match payload {
             Payload::Owned(buf) => self.release(buf),
@@ -89,19 +92,31 @@ impl BufferPool {
                     self.release(inner);
                 }
             }
+            Payload::Deferred { .. } => {}
         }
     }
 }
 
-/// Bytes in flight: either a whole (pooled) buffer, or a zero-copy window
-/// into a buffer shared by every fragment of one MSS fan-out.
-#[derive(Debug, Clone)]
+/// Writes a payload's bytes on demand: appends them to the empty buffer it
+/// is given. See [`crate::Ctx::send_deferred`].
+pub(crate) type Fill = Box<dyn FnOnce(&mut Vec<u8>) + Send>;
+
+/// Bytes in flight: a whole (pooled) buffer, a zero-copy window into a
+/// buffer shared by every fragment of one MSS fan-out, or `len` bytes not
+/// written yet.
 pub(crate) enum Payload {
     Owned(Vec<u8>),
     Shared {
         buf: Arc<Vec<u8>>,
         start: usize,
         end: usize,
+    },
+    /// Written only where its bytes are needed — at delivery, for an MSS
+    /// split, or when a corrupting fault hits it — and never when it is
+    /// lost first.
+    Deferred {
+        len: usize,
+        fill: Fill,
     },
 }
 
@@ -110,17 +125,51 @@ impl Payload {
         match self {
             Payload::Owned(v) => v.len(),
             Payload::Shared { start, end, .. } => end - start,
+            Payload::Deferred { len, .. } => *len,
         }
     }
+
+    /// Bytes this payload holds in memory: its length once written, 0
+    /// while deferred.
+    pub fn held(&self) -> usize {
+        match self {
+            Payload::Deferred { .. } => 0,
+            _ => self.len(),
+        }
+    }
+
+    /// The payload's bytes in a buffer of their own: an owned buffer as it
+    /// is, a shared window copied out, a deferred payload written.
+    pub fn into_vec(self) -> Vec<u8> {
+        match self {
+            Payload::Owned(v) => v,
+            Payload::Shared { buf, start, end } => buf[start..end].to_vec(),
+            Payload::Deferred { len, fill } => write_deferred(len, fill),
+        }
+    }
+}
+
+/// Runs `fill` into a buffer of exactly `len` bytes' capacity. Panics when
+/// it writes any other length: the sender charged the link for `len`.
+pub(crate) fn write_deferred(len: usize, fill: Fill) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(len);
+    fill(&mut buf);
+    assert_eq!(buf.len(), len, "a deferred payload wrote another length");
+    buf
 }
 
 impl Deref for Payload {
     type Target = [u8];
 
+    /// A deferred payload has no bytes to show; the engine writes it
+    /// ([`Payload::into_vec`]) before it reads one.
     fn deref(&self) -> &[u8] {
         match self {
             Payload::Owned(v) => v,
             Payload::Shared { buf, start, end } => &buf[*start..*end],
+            Payload::Deferred { .. } => {
+                unreachable!("a deferred payload has no bytes until it is written")
+            }
         }
     }
 }
@@ -184,6 +233,28 @@ mod tests {
         pool.recycle(b);
         assert_eq!(pool.free.len(), 1, "last fragment returns the buffer");
         assert_eq!(pool.stats.recycled_bytes, 300);
+    }
+
+    /// A deferred payload travels in the same 32 bytes as a buffer.
+    #[test]
+    fn payload_layout_is_pinned() {
+        assert_eq!(std::mem::size_of::<Payload>(), 32);
+    }
+
+    #[test]
+    fn deferred_payload_is_written_on_demand() {
+        let p = Payload::Deferred {
+            len: 3,
+            fill: Box::new(|out: &mut Vec<u8>| out.extend_from_slice(b"abc")),
+        };
+        assert_eq!((p.len(), p.held()), (3, 0));
+        assert_eq!(p.into_vec(), b"abc");
+        let mut pool = BufferPool::default();
+        pool.recycle(Payload::Deferred {
+            len: 1,
+            fill: Box::new(|_: &mut Vec<u8>| unreachable!("never written")),
+        });
+        assert_eq!(pool.free.len(), 0);
     }
 
     #[test]

@@ -44,7 +44,7 @@ const BUCKET_SHIFT: u32 = 15;
 /// waits in the overflow heap.
 const BUCKETS: usize = 4096;
 
-struct Entry<T> {
+pub(crate) struct Entry<T> {
     time: SimTime,
     seq: u64,
     item: T,

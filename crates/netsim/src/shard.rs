@@ -54,7 +54,7 @@ use crate::app::{Action, App, ConnId, Ctx, Direction, NodeId};
 use crate::compact::VecMap;
 use crate::faults::ChunkFate;
 use crate::metrics::SimMetrics;
-use crate::pool::{BufferPool, Payload};
+use crate::pool::{write_deferred, BufferPool, Payload};
 use crate::profile::{Stopwatch, Subsystem, SubsystemProfile};
 use crate::queue::{CalendarQueue, Scheduler};
 use crate::sim::SimConfig;
@@ -284,6 +284,10 @@ pub(crate) struct Shard {
     /// Key-tagged events drained after each dispatch, awaiting the window
     /// boundary.
     tel_buf: Vec<Tagged>,
+    /// Payload bytes the queued `Data` events hold ([`Payload::held`]),
+    /// and the most they ever held at once.
+    payload_bytes: u64,
+    pub payload_peak: u64,
 }
 
 impl Shard {
@@ -295,7 +299,18 @@ impl Shard {
             pool: BufferPool::default(),
             telemetry: Telemetry::buffered([false; CATEGORY_COUNT]),
             tel_buf: Vec::new(),
+            payload_bytes: 0,
+            payload_peak: 0,
         }
+    }
+
+    /// Queues a node-sent event, counting the bytes a `Data` payload holds.
+    fn push(&mut self, time: SimTime, key: u64, ev: Ev) {
+        if let Ev::Data { data, .. } = &ev {
+            self.payload_bytes += data.held() as u64;
+            self.payload_peak = self.payload_peak.max(self.payload_bytes);
+        }
+        self.queue.push_keyed(time, key, ev);
     }
 
     fn next_time(&mut self) -> u64 {
@@ -413,7 +428,7 @@ impl<'a> Lane<'a> {
         st.next_seq += 1;
         let dst = self.world.dir[ev.target().0].shard;
         if dst == self.id {
-            self.shard.queue.push_keyed(time, key, ev);
+            self.shard.push(time, key, ev);
         } else {
             if self.outbox.len() <= dst {
                 self.outbox.resize_with(dst + 1, Vec::new);
@@ -435,6 +450,9 @@ impl<'a> Lane<'a> {
                 break;
             }
             let (time, key, ev) = self.shard.queue.pop_keyed().expect("peeked");
+            if let Ev::Data { data, .. } = &ev {
+                self.shard.payload_bytes -= data.held() as u64;
+            }
             self.dispatch(time, ev);
             last = time.as_micros();
             // Tag this dispatch's telemetry with its key, preserving
@@ -569,13 +587,25 @@ impl<'a> Lane<'a> {
                 let slot = self.slot(to);
                 let shard = &mut *self.shard;
                 let st = &shard.nodes[slot];
-                if st.alive && st.views.contains_key(&conn.0) {
-                    shard.metrics.bytes_delivered += data.len() as u64;
-                    self.with_app(to, |app, ctx| app.on_data(ctx, conn, &data));
-                } else {
+                if !(st.alive && st.views.contains_key(&conn.0)) {
                     shard.metrics.bytes_dropped += data.len() as u64;
+                    shard.pool.recycle(data);
+                    return;
                 }
-                self.shard.pool.recycle(data);
+                shard.metrics.bytes_delivered += data.len() as u64;
+                match data {
+                    // Written inside the receiving callback, so the cost
+                    // is that node's, into the buffer it keeps.
+                    Payload::Deferred { len, fill } => {
+                        self.with_app(to, |app, ctx| {
+                            app.on_data_owned(ctx, conn, write_deferred(len, fill))
+                        });
+                    }
+                    data => {
+                        self.with_app(to, |app, ctx| app.on_data(ctx, conn, &data));
+                        self.shard.pool.recycle(data);
+                    }
+                }
             }
             Ev::Close { conn, to } => {
                 let slot = self.slot(to);
@@ -732,7 +762,7 @@ impl<'a> Lane<'a> {
         }
     }
 
-    fn send_bytes(&mut self, from: NodeId, conn: ConnId, data: Vec<u8>) {
+    fn send_bytes(&mut self, from: NodeId, conn: ConnId, data: Payload) {
         let config = &self.world.config;
         let slot = self.slot(from);
         let shard = &mut *self.shard;
@@ -749,7 +779,7 @@ impl<'a> Lane<'a> {
                 // Closed or still-pending connection: bytes are lost, like
                 // a socket write after reset.
                 shard.metrics.bytes_dropped += data.len() as u64;
-                shard.pool.release(data);
+                shard.pool.recycle(data);
                 return;
             }
         };
@@ -763,7 +793,7 @@ impl<'a> Lane<'a> {
             emit_fault(&mut shard.telemetry, self.now, FaultKind::Reset);
             shard.metrics.conns_closed += 1;
             shard.metrics.bytes_dropped += data.len() as u64;
-            shard.pool.release(data);
+            shard.pool.recycle(data);
             self.send_from(from, self.now, Ev::Reset { conn, to: from });
             self.send_from(from, self.now + latency, Ev::Reset { conn, to });
             return;
@@ -775,7 +805,7 @@ impl<'a> Lane<'a> {
                 // order. The buffer returns to the pool when the last
                 // fragment is delivered.
                 let total = data.len();
-                let buf = Arc::new(data);
+                let buf = Arc::new(data.into_vec());
                 let mut t = arrival_base;
                 let mut start = 0;
                 while start < total {
@@ -793,7 +823,7 @@ impl<'a> Lane<'a> {
                 }
             }
             _ => {
-                if let Some(data) = self.fault_chunk(from, Payload::Owned(data)) {
+                if let Some(data) = self.fault_chunk(from, data) {
                     self.send_from(from, arrival_base, Ev::Data { conn, to, data });
                 }
             }
@@ -828,15 +858,16 @@ impl<'a> Lane<'a> {
                 emit_fault(&mut shard.telemetry, self.now, FaultKind::ChunkTruncate);
                 shard.metrics.bytes_dropped += (len - keep) as u64;
                 Some(match payload {
-                    Payload::Owned(mut v) => {
-                        v.truncate(keep);
-                        Payload::Owned(v)
-                    }
                     Payload::Shared { buf, start, .. } => Payload::Shared {
                         buf,
                         start,
                         end: start + keep,
                     },
+                    payload => {
+                        let mut v = payload.into_vec();
+                        v.truncate(keep);
+                        Payload::Owned(v)
+                    }
                 })
             }
             ChunkFate::BitFlip => {
@@ -847,17 +878,9 @@ impl<'a> Lane<'a> {
                 shard.metrics.faults_chunks_corrupted += 1;
                 emit_fault(&mut shard.telemetry, self.now, FaultKind::ChunkBitFlip);
                 let bit = rng.gen_range(0..len * 8);
-                Some(match payload {
-                    Payload::Owned(mut v) => {
-                        v[bit / 8] ^= 1 << (bit % 8);
-                        Payload::Owned(v)
-                    }
-                    Payload::Shared { buf, start, end } => {
-                        let mut v = buf[start..end].to_vec();
-                        v[bit / 8] ^= 1 << (bit % 8);
-                        Payload::Owned(v)
-                    }
-                })
+                let mut v = payload.into_vec();
+                v[bit / 8] ^= 1 << (bit % 8);
+                Some(Payload::Owned(v))
             }
         }
     }
@@ -1067,9 +1090,7 @@ fn worker_loop(mut lane: Lane<'_>, coord: &Coord, mut leader: Option<Leader<'_>>
         for src in 0..n {
             let incoming = std::mem::take(&mut *coord.mailboxes[src * n + id].lock().unwrap());
             for m in incoming {
-                shard
-                    .queue
-                    .push_keyed(SimTime::from_micros(m.time), m.key, m.ev);
+                shard.push(SimTime::from_micros(m.time), m.key, m.ev);
             }
         }
         coord.next_times[id].store(shard.next_time(), Ordering::SeqCst);
@@ -1164,9 +1185,7 @@ pub(crate) fn serial_lane<R>(
     let r = f(&mut lane);
     for (dst, msgs) in lane.outbox.into_iter().enumerate() {
         for m in msgs {
-            shards[dst]
-                .queue
-                .push_keyed(SimTime::from_micros(m.time), m.key, m.ev);
+            shards[dst].push(SimTime::from_micros(m.time), m.key, m.ev);
         }
     }
     for ev in shards[sh].telemetry.drain_buffered() {
@@ -1178,6 +1197,13 @@ pub(crate) fn serial_lane<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A queue entry stays 72 bytes: a deferred upload body rides in the
+    /// same `Data` event as a pooled buffer.
+    #[test]
+    fn event_layout_is_pinned() {
+        assert_eq!(std::mem::size_of::<crate::queue::Entry<Ev>>(), 72);
+    }
 
     #[test]
     fn shard_assignment_is_pure_in_range_and_balanced() {

@@ -358,6 +358,7 @@ impl Simulator {
     pub fn record_memory(&mut self) {
         let mut mem = MemoryStats {
             queue_bytes: self.shards.iter().map(|s| s.queue.heap_bytes()).sum(),
+            payload_peak_bytes: self.shards.iter().map(|s| s.payload_peak).sum(),
             ..MemoryStats::default()
         };
         let nodes = self.shards.iter().flat_map(|s| &s.nodes);
@@ -463,6 +464,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::app::{ConnId, Direction};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex};
 
     // Per-node logs: with several lanes the cross-node interleaving of
@@ -676,63 +678,205 @@ mod tests {
         });
     }
 
-    /// `send_owned` is `send` minus the pool copy: same bytes, same chunks,
-    /// same sim-times, whole or fragmented.
-    #[test]
-    fn send_owned_delivers_what_send_delivers() {
-        struct Sender {
-            server: HostAddr,
-            owned: bool,
+    /// The bytes of a test send: a function of its length and position.
+    fn pattern(len: usize) -> impl Iterator<Item = u8> {
+        (0..len).map(move |i| (i * 7 + len) as u8)
+    }
+
+    /// Sends `lens` on its connection, copied or deferred, then closes it
+    /// and sends once more: bytes that are lost, and never written.
+    struct Sender {
+        server: HostAddr,
+        deferred: bool,
+        lens: Vec<usize>,
+        /// Deferred writes run so far.
+        fills: Arc<AtomicUsize>,
+    }
+    impl Sender {
+        fn send(&self, ctx: &mut Ctx<'_>, c: ConnId, len: usize) {
+            if self.deferred {
+                let fills = self.fills.clone();
+                ctx.send_deferred(c, len, move |out| {
+                    fills.fetch_add(1, Ordering::SeqCst);
+                    out.extend(pattern(len));
+                });
+            } else {
+                ctx.send(c, &pattern(len).collect::<Vec<u8>>());
+            }
         }
-        impl App for Sender {
+    }
+    impl App for Sender {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.connect(self.server);
+        }
+        fn on_connected(&mut self, ctx: &mut Ctx<'_>, c: ConnId, _d: Direction, _p: HostAddr) {
+            for &len in &self.lens {
+                self.send(ctx, c, len);
+            }
+            ctx.close(c);
+            self.send(ctx, c, 5_000);
+        }
+    }
+
+    type Deliveries = Arc<Mutex<Vec<(SimTime, Vec<u8>)>>>;
+    struct Collect {
+        got: Deliveries,
+    }
+    impl App for Collect {
+        fn on_data(&mut self, ctx: &mut Ctx<'_>, _c: ConnId, data: &[u8]) {
+            self.got.lock().unwrap().push((ctx.now(), data.to_vec()));
+        }
+    }
+
+    /// What one sender → collector run delivered, and how many deferred
+    /// writes it ran.
+    struct Outcome {
+        got: Vec<(SimTime, Vec<u8>)>,
+        metrics: SimMetrics,
+        now: SimTime,
+        fills: usize,
+        payload_peak: u64,
+    }
+    impl Outcome {
+        fn delivered(&self) -> (&[(SimTime, Vec<u8>)], &SimMetrics, SimTime) {
+            (&self.got, &self.metrics, self.now)
+        }
+    }
+
+    fn deliver(config: &SimConfig, seed: u64, lens: &[usize], deferred: bool) -> Outcome {
+        let mut sim = Simulator::new(config.clone(), seed);
+        let got = Deliveries::default();
+        let sink = sim.spawn(
+            NodeSpec::public().listen(80),
+            Box::new(Collect { got: got.clone() }),
+        );
+        let fills = Arc::new(AtomicUsize::new(0));
+        let sender = Sender {
+            server: sim.node_addr(sink),
+            deferred,
+            lens: lens.to_vec(),
+            fills: fills.clone(),
+        };
+        sim.spawn(NodeSpec::public(), Box::new(sender));
+        sim.run_to_quiescence();
+        sim.record_memory();
+        let mut metrics = sim.metrics().clone();
+        // The copied sends borrow pooled buffers; the deferred ones do not.
+        (metrics.pool_hits, metrics.pool_misses) = (0, 0);
+        (metrics.pool_recycled_bytes, metrics.pool_high_water) = (0, 0);
+        let got = std::mem::take(&mut *got.lock().unwrap());
+        Outcome {
+            got,
+            metrics,
+            now: sim.now(),
+            fills: fills.load(Ordering::SeqCst),
+            payload_peak: sim.metrics().memory.payload_peak_bytes,
+        }
+    }
+
+    /// A deferred send delivers what a copied send of the same bytes does:
+    /// same chunks at the same sim-times, same counters, whole or
+    /// fragmented, on one lane or two. It is written once per delivery
+    /// (once per split when fragmented), never when lost to the closed
+    /// connection, and holds no queued bytes until it is written.
+    #[test]
+    fn deferred_delivers_what_send_delivers() {
+        // Small, larger than the pool retains, small again.
+        let lens = [10usize, 300_000, 1_000];
+        for (mss, shards) in [(None, 1), (None, 2), (Some(1_000), 1), (Some(1_000), 2)] {
+            let config = SimConfig {
+                mss,
+                shards,
+                ..SimConfig::default()
+            };
+            let copied = deliver(&config, 11, &lens, false);
+            assert_eq!(copied.metrics.bytes_delivered, 301_010);
+            assert_eq!(copied.metrics.bytes_dropped, 5_000, "the send after close");
+            let chunks = if mss.is_some() { 1 + 300 + 1 } else { 3 };
+            assert_eq!(copied.got.len(), chunks);
+            // All three sends queue at once.
+            assert_eq!(copied.payload_peak, 301_010);
+            let deferred = deliver(&config, 11, &lens, true);
+            assert_eq!(deferred.fills, 3, "mss {mss:?}, shards {shards}");
+            // Only a payload split into fragments is written before it lands.
+            let peak = if mss.is_some() { 300_000 } else { 0 };
+            assert_eq!(deferred.payload_peak, peak, "mss {mss:?}");
+            assert_eq!(deferred.delivered(), copied.delivered());
+        }
+    }
+
+    /// Under every chunk fate — delivered, dropped, truncated, bit-flipped
+    /// — a deferred send comes out as the copied one does, at a fixed
+    /// seed: writing draws no randomness. A dropped chunk or a reset
+    /// connection loses its payload unwritten.
+    #[test]
+    fn deferred_matches_send_under_every_fault() {
+        let lens: Vec<usize> = (0..40).map(|i| 200 + 97 * i).collect();
+        let sent: Vec<Vec<u8>> = lens.iter().map(|&l| pattern(l).collect()).collect();
+        let mixed = FaultPlan {
+            chunk_loss: 0.25,
+            corrupt: 0.5,
+            ..FaultPlan::none()
+        };
+        let dropped = FaultPlan {
+            chunk_loss: 1.0,
+            ..FaultPlan::none()
+        };
+        let reset = FaultPlan {
+            reset: 1.0,
+            ..FaultPlan::none()
+        };
+        for (faults, shards) in [(mixed, 1), (mixed, 2), (dropped, 1), (reset, 2)] {
+            let config = SimConfig {
+                faults,
+                shards,
+                ..SimConfig::default()
+            };
+            let copied = deliver(&config, 23, &lens, false);
+            let deferred = deliver(&config, 23, &lens, true);
+            // Written exactly once per delivered chunk.
+            assert_eq!(deferred.fills, copied.got.len(), "{faults:?}");
+            // Only a corrupted chunk is written before it lands.
+            assert!(deferred.payload_peak <= copied.payload_peak);
+            assert_eq!(deferred.delivered(), copied.delivered());
+            if faults == mixed {
+                // Every fate happened: lost, intact, cut short, flipped.
+                let m = &copied.metrics;
+                assert!(m.faults_chunks_dropped > 0 && copied.got.len() < lens.len());
+                assert!(deferred.payload_peak < copied.payload_peak);
+                let got: Vec<&Vec<u8>> = copied.got.iter().map(|(_, b)| b).collect();
+                let sent_as = |b: &Vec<u8>| sent.iter().find(|s| s.len() == b.len());
+                assert!(got.iter().any(|b| sent.contains(b)), "delivered");
+                assert!(got.iter().any(|b| sent_as(b).is_none()), "truncated");
+                assert!(
+                    got.iter().any(|b| sent_as(b).is_some_and(|s| s != *b)),
+                    "bit-flipped"
+                );
+            } else {
+                assert!(copied.got.is_empty(), "{faults:?}");
+                assert_eq!(deferred.payload_peak, 0);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a deferred payload wrote another length")]
+    fn deferred_fill_of_the_wrong_length_panics() {
+        struct Liar(HostAddr);
+        impl App for Liar {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.connect(self.server);
+                ctx.connect(self.0);
             }
             fn on_connected(&mut self, ctx: &mut Ctx<'_>, c: ConnId, _d: Direction, _p: HostAddr) {
-                // Small, larger than the pool retains, small again.
-                for len in [10usize, 300_000, 1_000] {
-                    let data: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
-                    if self.owned {
-                        ctx.send_owned(c, data);
-                    } else {
-                        ctx.send(c, &data);
-                    }
-                }
+                ctx.send_deferred(c, 100, |out| out.extend_from_slice(&[0; 99]));
             }
         }
-        type Deliveries = Arc<Mutex<Vec<(SimTime, Vec<u8>)>>>;
-        struct Collect {
-            got: Deliveries,
-        }
-        impl App for Collect {
-            fn on_data(&mut self, ctx: &mut Ctx<'_>, _c: ConnId, data: &[u8]) {
-                self.got.lock().unwrap().push((ctx.now(), data.to_vec()));
-            }
-        }
-        for (mss, shards) in [(None, 1), (None, 2), (Some(1_000), 1), (Some(1_000), 2)] {
-            let deliveries = |owned| {
-                let config = SimConfig {
-                    mss,
-                    shards,
-                    ..SimConfig::default()
-                };
-                let mut sim = Simulator::new(config, 11);
-                let got = Deliveries::default();
-                let sink = sim.spawn(
-                    NodeSpec::public().listen(80),
-                    Box::new(Collect { got: got.clone() }),
-                );
-                let server = sim.node_addr(sink);
-                sim.spawn(NodeSpec::public(), Box::new(Sender { server, owned }));
-                sim.run_to_quiescence();
-                let got = std::mem::take(&mut *got.lock().unwrap());
-                (got, sim.metrics().bytes_delivered, sim.now())
-            };
-            let copied = deliveries(false);
-            assert_eq!(copied.1, 301_010);
-            assert_eq!(copied.0.len(), if mss.is_some() { 1 + 300 + 1 } else { 3 });
-            assert_eq!(deliveries(true), copied);
-        }
+        let mut sim = Simulator::new(SimConfig::default(), 5);
+        let got = Deliveries::default();
+        let sink = sim.spawn(NodeSpec::public().listen(80), Box::new(Collect { got }));
+        let server = sim.node_addr(sink);
+        sim.spawn(NodeSpec::public(), Box::new(Liar(server)));
+        sim.run_to_quiescence();
     }
 
     #[test]

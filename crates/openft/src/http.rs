@@ -176,6 +176,24 @@ impl ResponseReader {
         self.buf.extend_from_slice(data);
     }
 
+    /// [`ResponseReader::push`] for a buffer the caller hands over (an
+    /// upload written for this delivery). When it opens a response with a
+    /// well-formed head, the head is cut off in place and the buffer kept
+    /// as the body: no receive copy. Anything else goes through `push`.
+    pub fn push_owned(&mut self, mut data: Vec<u8>) {
+        if self.body_len.is_none() && self.buf.is_empty() {
+            if let Some(end) = head_end(&data) {
+                if let Ok(head) = parse_response_head(&data[..end], self.max_body) {
+                    self.body_len = Some(head);
+                    data.drain(..end + 4);
+                    self.buf = data;
+                    return;
+                }
+            }
+        }
+        self.push(&data);
+    }
+
     /// Returns `(status, body)` once complete.
     pub fn response(&mut self) -> Result<Option<(u16, Vec<u8>)>, HttpError> {
         let Some((status, len)) = self.body_len else {
@@ -325,6 +343,20 @@ mod tests {
                 assert_eq!(r.response(), Err(err.clone()), "split {split}, later");
             }
         }
+    }
+
+    /// The upload body's own buffer becomes the response body.
+    #[test]
+    fn push_owned_keeps_the_buffer() {
+        let body: Vec<u8> = (0..=255u8).cycle().take(5_000).collect();
+        let mut wire = encode_response_ok(body.len());
+        wire.extend_from_slice(&body);
+        let ptr = wire.as_ptr();
+        let mut r = ResponseReader::new(1 << 20);
+        r.push_owned(wire);
+        let (status, got) = r.response().unwrap().unwrap();
+        assert_eq!((status, &got), (200, &body));
+        assert_eq!(got.as_ptr(), ptr);
     }
 
     #[test]

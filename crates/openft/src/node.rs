@@ -956,14 +956,41 @@ impl FtNode {
                     ..
                 } = &self.world;
                 let size = store.size(r, catalog, roster) as usize;
-                let mut response = encode_response_ok(size);
-                response.reserve_exact(size);
-                let head = response.len();
-                store.payload_into(r, catalog, roster, &mut response);
-                debug_assert_eq!(response.len(), head + size);
-                ctx.send_owned(conn, response);
+                let head = encode_response_ok(size);
+                let (store, catalog, roster) = (store.clone(), catalog.clone(), roster.clone());
+                // Head and body are written where they land, into the
+                // buffer the downloader keeps.
+                ctx.send_deferred(conn, head.len() + size, move |out| {
+                    out.extend_from_slice(&head);
+                    store.payload_into(r, &catalog, &roster, out);
+                });
             }
             None => ctx.send(conn, &encode_response_err(404, "Not Found")),
+        }
+    }
+
+    /// Feeds a download connection's reader through `push` and finishes
+    /// the download once its response is complete.
+    fn pump_download(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        conn: ConnId,
+        push: impl FnOnce(&mut ResponseReader),
+    ) {
+        let outcome = {
+            let Some(ConnKind::Download(d)) = self.conns.get_mut(&conn) else {
+                return;
+            };
+            push(&mut d.reader);
+            match d.reader.response() {
+                Ok(Some((200, body))) => Some((d.id, Ok(body))),
+                Ok(Some((status, _))) => Some((d.id, Err(FtDownloadError::Http(status)))),
+                Ok(None) => None,
+                Err(e) => Some((d.id, Err(FtDownloadError::Protocol(e.to_string())))),
+            }
+        };
+        if let Some((id, result)) = outcome {
+            self.finish_download(ctx, Some(conn), id, result);
         }
     }
 
@@ -1174,29 +1201,23 @@ impl App for FtNode {
         match r {
             R::Sniff => self.sniff(ctx, conn, data),
             R::Peer => self.pump_peer(ctx, conn, data),
-            R::Download => {
-                let outcome = {
-                    let Some(ConnKind::Download(d)) = self.conns.get_mut(&conn) else {
-                        return;
-                    };
-                    d.reader.push(data);
-                    match d.reader.response() {
-                        Ok(Some((200, body))) => Some((d.id, Ok(body))),
-                        Ok(Some((status, _))) => Some((d.id, Err(FtDownloadError::Http(status)))),
-                        Ok(None) => None,
-                        Err(e) => Some((d.id, Err(FtDownloadError::Protocol(e.to_string())))),
-                    }
-                };
-                if let Some((id, result)) = outcome {
-                    self.finish_download(ctx, Some(conn), id, result);
-                }
-            }
+            R::Download => self.pump_download(ctx, conn, |r| r.push(data)),
             R::Upload => {
                 if let Some(ConnKind::Upload(reader)) = self.conns.get_mut(&conn) {
                     reader.push(data);
                 }
                 self.pump_upload(ctx, conn);
             }
+        }
+    }
+
+    /// An upload body written for this delivery: a download connection's
+    /// reader keeps the buffer instead of copying it.
+    fn on_data_owned(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, data: Vec<u8>) {
+        if let Some(ConnKind::Download(_)) = self.conns.get(&conn) {
+            self.pump_download(ctx, conn, |r| r.push_owned(data));
+        } else {
+            self.on_data(ctx, conn, &data);
         }
     }
 
