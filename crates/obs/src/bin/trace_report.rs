@@ -10,7 +10,8 @@
 //! of clean vs malicious verdicts, per-family propagation, top-K deepest
 //! and widest traces, orphan diagnostics) and, with `--json`, writes a
 //! machine-readable report covering all journals. The last summary line is
-//! the process's own peak RSS: 64 bytes per journal event plus the indexes.
+//! the process's own peak RSS: 32 bytes per journal event, tables per
+//! `(trace, parent)` context, and with `--strict` a hash set of span ids.
 //!
 //! `--strict` makes the bin the CI journal gate: exit 1 unless every
 //! journal has **at least one complete** `query_issued -> query_matched ->

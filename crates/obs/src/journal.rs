@@ -10,8 +10,8 @@
 //! accepts, with keys in any order and the first of a duplicated key
 //! winning) and picks out the fields below without building a value tree.
 //! [`Journal`] streams a file through it line by line and keeps one
-//! 64-byte record per event, so memory is `64 B × events` plus the label
-//! tables however long the strings in the journal are.
+//! 32-byte record per event, so memory is `32 B × events` plus the label
+//! and context tables however long the strings in the journal are.
 //!
 //! What is kept per event: `t`, `day`, `cat`, `ev`, `trace`/`span`/`parent`
 //! and the three body fields the analyses read — `hops`, `detections` and
@@ -19,6 +19,14 @@
 //! is validated and dropped; to reach one, read line
 //! [`Journal::line_of`]`(idx)` of the file again and hand it to
 //! `p2pmal_json::parse`.
+//!
+//! A record holds the span itself; the `(trace, parent)` pair it shares
+//! with its siblings is a *context*, interned once per journal (a LimeWire
+//! journal has about 45 events per context). The simulator writes at most
+//! one of `hops`, `detections` and `family` per event, and the record holds
+//! it in one `u32`. An event that does not fit — a `day` or extra above
+//! `u32::MAX`, or two extras — keeps those fields in a side table, so
+//! [`Journal::get`] is exact for every line [`scan_line`] accepts.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -182,49 +190,53 @@ fn for_each_line(
     Ok(())
 }
 
-const HAS_TRACE: u8 = 1;
-const HAS_PARENT: u8 = 2;
-const HAS_HOPS: u8 = 4;
-const HAS_DETECTIONS: u8 = 8;
-const HAS_FAMILY: u8 = 16;
+const HAS_HOPS: u8 = 1;
+const HAS_DETECTIONS: u8 = 2;
+const HAS_FAMILY: u8 = 4;
+/// The event's `day` and extras are in [`Journal::wide`], not the record.
+const WIDE: u8 = 8;
 
-/// One event, 64 bytes. `trace` and `span` are set together
-/// ([`HAS_TRACE`]); the label fields index the journal's tables.
+/// [`Record::ctx`] of a spanless event. A journal holds at most
+/// `u32::MAX` events, so no context is numbered this.
+const NO_CTX: u32 = u32::MAX;
+
+/// What a spanned event shares with its siblings: its trace and the span
+/// it names as parent. Interned per journal; events point at it by code.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct Ctx {
+    pub(crate) trace: u64,
+    pub(crate) parent: Option<u64>,
+}
+
+/// One event, 32 bytes. `ctx` is [`NO_CTX`] for a spanless event; `aux`
+/// holds the one extra its flag names. An event whose `day` or extra does
+/// not fit a `u32`, or that carries two extras, is [`WIDE`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Record {
     pub(crate) t: u64,
-    day: u64,
-    pub(crate) trace: u64,
     pub(crate) span: u64,
-    parent: u64,
-    hops: u64,
-    detections: u64,
-    family: u32,
+    pub(crate) ctx: u32,
+    day: u32,
+    aux: u32,
     pub(crate) ev: u16,
     cat: u8,
     flags: u8,
 }
 
 impl Record {
-    fn opt(&self, flag: u8, v: u64) -> Option<u64> {
-        (self.flags & flag != 0).then_some(v)
-    }
-
     pub(crate) fn spanned(&self) -> bool {
-        self.flags & HAS_TRACE != 0
+        self.ctx != NO_CTX
     }
+}
 
-    pub(crate) fn parent(&self) -> Option<u64> {
-        self.opt(HAS_PARENT, self.parent)
-    }
-
-    pub(crate) fn hops(&self) -> Option<u64> {
-        self.opt(HAS_HOPS, self.hops)
-    }
-
-    pub(crate) fn detections(&self) -> Option<u64> {
-        self.opt(HAS_DETECTIONS, self.detections)
-    }
+/// The day and the extras the analyses read of one event; `family` is a
+/// code in the journal's family table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Extras {
+    day: u64,
+    pub(crate) hops: Option<u64>,
+    pub(crate) detections: Option<u64>,
+    family: Option<u32>,
 }
 
 /// Distinct strings of one field, numbered in order of first appearance.
@@ -266,13 +278,21 @@ pub struct Event<'a> {
     pub family: Option<&'a str>,
 }
 
-/// A loaded journal: one fixed-size record per event plus label tables.
+/// A loaded journal: one fixed-size record per event plus label and
+/// context tables.
 #[derive(Debug, Default)]
 pub struct Journal {
     records: Vec<Record>,
     cats: Labels,
     evs: Labels,
     families: Labels,
+    /// Distinct contexts, numbered in order of first appearance.
+    contexts: Vec<Ctx>,
+    context_codes: HashMap<Ctx, u32>,
+    /// The extras of each [`WIDE`] event by ascending event index; normally
+    /// empty. Keeps [`Journal::get`] exact for every line [`scan_line`]
+    /// accepts.
+    wide: Vec<(u32, Extras)>,
     /// For each blank line of the source, the number of events before it;
     /// non-decreasing and normally empty. Keeps [`Journal::line_of`] exact.
     blanks: Vec<u32>,
@@ -301,33 +321,61 @@ impl Journal {
 
     /// Stores one event; the error names the label field whose table is full.
     fn push(&mut self, line: &Line<'_>) -> Result<(), &'static str> {
-        let mut flags = 0;
-        for (flag, present) in [
-            (HAS_TRACE, line.trace.is_some()),
-            (HAS_PARENT, line.parent.is_some()),
-            (HAS_HOPS, line.hops.is_some()),
-            (HAS_DETECTIONS, line.detections.is_some()),
-            (HAS_FAMILY, line.family.is_some()),
-        ] {
-            if present {
-                flags |= flag;
+        let extras = Extras {
+            day: line.day,
+            hops: line.hops,
+            detections: line.detections,
+            family: match &line.family {
+                Some(f) => Some(self.families.intern(f, u32::MAX).ok_or("family")?),
+                None => None,
+            },
+        };
+        let ev = self.evs.intern(&line.ev, u16::MAX as u32).ok_or("ev")? as u16;
+        let cat = self.cats.intern(&line.cat, u8::MAX as u32).ok_or("cat")? as u8;
+
+        let mut carried = [
+            (HAS_HOPS, extras.hops),
+            (HAS_DETECTIONS, extras.detections),
+            (HAS_FAMILY, extras.family.map(u64::from)),
+        ]
+        .into_iter()
+        .filter_map(|(flag, v)| Some((flag, v?)));
+        let narrow = match (carried.next(), carried.next()) {
+            (None, _) => Some((0, 0)),
+            (Some((flag, v)), None) => u32::try_from(v).ok().map(|v| (flag, v)),
+            _ => None,
+        };
+        let (flags, day, aux) = match (narrow, u32::try_from(line.day)) {
+            (Some((flag, aux)), Ok(day)) => (flag, day, aux),
+            _ => {
+                self.wide.push((self.records.len() as u32, extras));
+                (WIDE, 0, 0)
             }
-        }
-        let family = match &line.family {
-            Some(f) => self.families.intern(f, u32::MAX).ok_or("family")?,
-            None => 0,
+        };
+
+        let ctx = match line.trace {
+            Some(trace) => {
+                let ctx = Ctx {
+                    trace,
+                    parent: line.parent,
+                };
+                let next = self.contexts.len() as u32;
+                let code = *self.context_codes.entry(ctx).or_insert(next);
+                if code == next {
+                    self.contexts.push(ctx);
+                }
+                code
+            }
+            None => NO_CTX,
         };
         self.records.push(Record {
             t: line.t,
-            day: line.day,
-            trace: line.trace.unwrap_or(0),
             span: line.span.unwrap_or(0),
-            parent: line.parent.unwrap_or(0),
-            hops: line.hops.unwrap_or(0),
-            detections: line.detections.unwrap_or(0),
-            family,
-            ev: self.evs.intern(&line.ev, u16::MAX as u32).ok_or("ev")? as u16,
-            cat: self.cats.intern(&line.cat, u8::MAX as u32).ok_or("cat")? as u8,
+            ctx,
+            day,
+            aux,
+            ev,
+            cat,
             flags,
         });
         Ok(())
@@ -344,17 +392,19 @@ impl Journal {
     /// The event at 0-based `idx`. Panics when out of range.
     pub fn get(&self, idx: usize) -> Event<'_> {
         let r = &self.records[idx];
+        let ctx = self.context_of(r);
+        let extras = self.extras(idx);
         Event {
             t: r.t,
-            day: r.day,
+            day: extras.day,
             cat: &self.cats.names[r.cat as usize],
             ev: self.ev_label(r.ev),
-            trace: r.opt(HAS_TRACE, r.trace),
-            span: r.opt(HAS_TRACE, r.span),
-            parent: r.parent(),
-            hops: r.hops(),
-            detections: r.detections(),
-            family: self.family_of(r),
+            trace: ctx.map(|c| c.trace),
+            span: ctx.map(|_| r.span),
+            parent: ctx.and_then(|c| c.parent),
+            hops: extras.hops,
+            detections: extras.detections,
+            family: self.family_of(idx),
         }
     }
 
@@ -374,6 +424,35 @@ impl Journal {
         &self.records
     }
 
+    pub(crate) fn contexts(&self) -> &[Ctx] {
+        &self.contexts
+    }
+
+    /// The context of a spanned record.
+    pub(crate) fn context_of(&self, r: &Record) -> Option<&Ctx> {
+        r.spanned().then(|| &self.contexts[r.ctx as usize])
+    }
+
+    /// The code of `ctx`, if an event of this journal has it.
+    pub(crate) fn context_code(&self, ctx: &Ctx) -> Option<u32> {
+        self.context_codes.get(ctx).copied()
+    }
+
+    pub(crate) fn extras(&self, idx: usize) -> Extras {
+        let r = &self.records[idx];
+        if r.flags & WIDE != 0 {
+            let at = self.wide.partition_point(|&(i, _)| (i as usize) < idx);
+            return self.wide[at].1;
+        }
+        let aux = |flag: u8| (r.flags & flag != 0).then_some(r.aux);
+        Extras {
+            day: r.day.into(),
+            hops: aux(HAS_HOPS).map(u64::from),
+            detections: aux(HAS_DETECTIONS).map(u64::from),
+            family: aux(HAS_FAMILY),
+        }
+    }
+
     pub(crate) fn ev_label(&self, code: u16) -> &str {
         &self.evs.names[code as usize]
     }
@@ -383,8 +462,11 @@ impl Journal {
         self.evs.codes.get(label).map(|&c| c as u16)
     }
 
-    pub(crate) fn family_of(&self, r: &Record) -> Option<&str> {
-        (r.flags & HAS_FAMILY != 0).then(|| self.families.names[r.family as usize].as_str())
+    /// The `family` of event `idx`.
+    pub(crate) fn family_of(&self, idx: usize) -> Option<&str> {
+        self.extras(idx)
+            .family
+            .map(|code| self.families.names[code as usize].as_str())
     }
 }
 
@@ -405,8 +487,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_are_64_bytes() {
-        assert_eq!(std::mem::size_of::<Record>(), 64);
+    fn records_are_32_bytes() {
+        assert_eq!(std::mem::size_of::<Record>(), 32);
     }
 
     #[test]
@@ -578,6 +660,47 @@ mod tests {
         assert!(scan_line(&deep).is_err());
     }
 
+    /// `v` cut to its top `64 - shift` bits: small and huge values alike.
+    fn scaled((v, shift): (u64, u32)) -> u64 {
+        v >> shift
+    }
+
+    /// [`Journal::get`]'s view of an event as the [`Line`] it came from.
+    fn line_of_event(e: Event<'_>) -> Line<'_> {
+        Line {
+            t: e.t,
+            day: e.day,
+            cat: Cow::Borrowed(e.cat),
+            ev: Cow::Borrowed(e.ev),
+            trace: e.trace,
+            span: e.span,
+            parent: e.parent,
+            hops: e.hops,
+            detections: e.detections,
+            family: e.family.map(Cow::Borrowed),
+        }
+    }
+
+    #[test]
+    fn wide_events_keep_every_field() {
+        let text = concat!(
+            "{\"t\":1,\"day\":4294967296,\"cat\":\"c\",\"ev\":\"e\"}\n",
+            "{\"t\":2,\"day\":1,\"cat\":\"c\",\"ev\":\"e\",\"hops\":4294967296}\n",
+            "{\"t\":3,\"day\":1,\"cat\":\"c\",\"ev\":\"e\",\"hops\":4294967295}\n",
+            "{\"t\":4,\"day\":1,\"cat\":\"c\",\"ev\":\"e\",",
+            "\"hops\":1,\"detections\":2,\"family\":\"f\"}\n",
+        );
+        let journal = parse_journal(text).unwrap();
+        assert_eq!(
+            journal.wide.len(),
+            3,
+            "the day, the hops and the three extras"
+        );
+        for (idx, line) in text.lines().enumerate() {
+            assert_eq!(line_of_event(journal.get(idx)), scan_line(line).unwrap());
+        }
+    }
+
     const KEYS: [&str; 13] = [
         "t",
         "day",
@@ -645,6 +768,56 @@ mod tests {
             let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
             let text = format!("{{{}}}{}", body.join(","), TAILS[tail]);
             proptest::prop_assert_eq!(scan_line(&text), oracle(&text), "{}", text);
+        }
+
+        /// [`Journal::get`] returns every field [`scan_line`] picked out of
+        /// the event's line: `t`, `day`, `hops` and `detections` across all
+        /// of `u64`, any subset of the three extras, spanned or not.
+        #[test]
+        fn get_returns_every_field_of_its_line(
+            events in proptest::collection::vec(
+                (
+                    ((proptest::any::<u64>(), 0u32..64), (proptest::any::<u64>(), 0u32..64)),
+                    ((proptest::any::<u64>(), 0u32..64), (proptest::any::<u64>(), 0u32..64)),
+                    (0u8..32, 0u8..3),
+                    (0u64..3, 0u64..6, 0u64..7),
+                ),
+                1..16,
+            )
+        ) {
+            let mut text = String::new();
+            for ((t, day), (hops, detections), (fields, family), (trace, span, parent)) in events {
+                text.push_str(&format!(
+                    "{{\"t\":{},\"day\":{},\"cat\":\"c{}\",\"ev\":\"e{}\"",
+                    scaled(t), scaled(day), trace, span
+                ));
+                if fields & 1 != 0 {
+                    text.push_str(&format!(",\"hops\":{}", scaled(hops)));
+                }
+                if fields & 2 != 0 {
+                    text.push_str(&format!(",\"detections\":{}", scaled(detections)));
+                }
+                if fields & 4 != 0 {
+                    text.push_str(&format!(",\"family\":\"f{family}\""));
+                }
+                if fields & 8 != 0 {
+                    text.push_str(&format!(",\"trace\":\"{trace:x}\",\"span\":\"{span:x}\""));
+                    if fields & 16 != 0 {
+                        text.push_str(&format!(",\"parent\":\"{parent:x}\""));
+                    }
+                }
+                text.push_str("}\n");
+            }
+            let journal = parse_journal(&text).unwrap();
+            proptest::prop_assert_eq!(journal.len(), text.lines().count());
+            for (idx, line) in text.lines().enumerate() {
+                proptest::prop_assert_eq!(
+                    line_of_event(journal.get(idx)),
+                    scan_line(line).unwrap(),
+                    "{}",
+                    line
+                );
+            }
         }
 
         /// Whatever the bytes, loading either fails with a line number or

@@ -3,15 +3,18 @@
 //! Spanned journal events form, per trace id, a forest: `query_issued`
 //! roots, `query_matched` children, and the download / scan / infection
 //! chain hanging off each match (the exact shape is documented in
-//! `p2pmal-crawler`'s `trace.rs`). This module rebuilds those trees as two
-//! flat index vectors over the [`Journal`] — one sorted span table and one
-//! parent link per event — checks referential integrity (every `parent`
-//! must resolve to a span emitted somewhere in the same trace; sim-time
-//! must not decrease from parent to child), and derives the analyses the
-//! `trace_report` bin prints: per-edge sim-time latency, hop-depth
-//! distributions, per-family propagation stats, and top-K deepest / widest
-//! traces. Every ranking breaks ties on ids, so reports are byte-stable.
-//! [`strict_failures`] is what `trace_report --strict` rejects.
+//! `p2pmal-crawler`'s `trace.rs`). The siblings under one parent span
+//! share a *context* of the [`Journal`] — its `(trace, parent)` pair — so
+//! this module rebuilds the trees as a few arrays over contexts, not
+//! events: which event emitted the span a context names, how many events
+//! it has, and which trace it is in. It checks referential integrity
+//! (every `parent` must resolve to a span emitted somewhere in the same
+//! trace; sim-time must not decrease from parent to child), and derives the
+//! analyses the `trace_report` bin prints in one pass over the events:
+//! per-edge sim-time latency, hop-depth distributions, per-family
+//! propagation stats, and top-K deepest / widest traces. Every ranking
+//! breaks ties on ids, so reports are byte-stable. [`strict_failures`] is
+//! what `trace_report --strict` rejects.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -19,24 +22,27 @@ use p2pmal_json::Value;
 use p2pmal_netsim::telemetry_span::span_hex;
 use p2pmal_netsim::EventCategory;
 
-use crate::journal::Journal;
+use crate::journal::{Ctx, Journal, Record};
 
-/// "No resolved parent" in [`TraceForest::parent`]: the event is a root,
-/// spanless, or an orphan. A journal holds fewer than `u32::MAX` events.
+/// "No event" in [`TraceForest::owner`]: a root context, or one whose
+/// parent span was never emitted. A journal holds fewer than `u32::MAX`
+/// events.
 const NONE: u32 = u32::MAX;
 
 /// All traces of a journal plus integrity bookkeeping.
 #[derive(Debug)]
 pub struct TraceForest<'j> {
     journal: &'j Journal,
-    /// `(trace, span, event)` of every spanned event, sorted. The first
-    /// entry of a `(trace, span)` run is the event that defined the span;
-    /// the entries of one trace are contiguous.
-    spans: Vec<(u64, u64, u32)>,
-    /// Per event, the event that defined its `parent` span, or [`NONE`].
-    parent: Vec<u32>,
-    /// Events whose `parent` span was never emitted, by (trace, event).
-    orphans: Vec<u32>,
+    /// Per context, the first event in the file that emitted the span its
+    /// events name as parent, or [`NONE`].
+    owner: Vec<u32>,
+    /// Per context, how many events it has: the fanout of the span it
+    /// names, resolved or not.
+    members: Vec<u32>,
+    /// Per context, the position of its trace in `traces`.
+    trace_at: Vec<u32>,
+    /// The distinct trace ids, ascending.
+    traces: Vec<u64>,
     /// Events without provenance (fault/churn or sampled-out categories).
     pub spanless: usize,
     /// Events carrying a span.
@@ -51,42 +57,62 @@ impl<'j> TraceForest<'j> {
     /// reconstructs identically however its shards interleaved.
     pub fn build(journal: &'j Journal) -> TraceForest<'j> {
         let records = journal.records();
-        let mut spans: Vec<(u64, u64, u32)> = records
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.spanned())
-            .map(|(idx, r)| (r.trace, r.span, idx as u32))
-            .collect();
-        spans.sort_unstable();
-
-        let mut parent = vec![NONE; records.len()];
-        let mut orphans = Vec::new();
-        let mut monotone_violations = Vec::new();
+        let contexts = journal.contexts();
+        let mut owner = vec![NONE; contexts.len()];
+        let mut members = vec![0u32; contexts.len()];
         for (idx, r) in records.iter().enumerate() {
-            let Some(span) = r.parent() else {
+            let Some(ctx) = journal.context_of(r) else {
                 continue;
             };
-            let at = spans.partition_point(|&(t, s, _)| (t, s) < (r.trace, span));
-            match spans.get(at) {
-                Some(&(t, s, owner)) if (t, s) == (r.trace, span) => {
-                    parent[idx] = owner;
-                    if records[owner as usize].t > r.t {
-                        monotone_violations.push((idx, owner as usize));
-                    }
+            members[r.ctx as usize] += 1;
+            let named = Ctx {
+                trace: ctx.trace,
+                parent: Some(r.span),
+            };
+            if let Some(c) = journal.context_code(&named) {
+                let first = &mut owner[c as usize];
+                if *first == NONE {
+                    *first = idx as u32;
                 }
-                _ => orphans.push(idx as u32),
             }
         }
-        orphans.sort_unstable_by_key(|&idx| (records[idx as usize].trace, idx));
-        TraceForest {
+
+        let mut traces: Vec<u64> = contexts.iter().map(|ctx| ctx.trace).collect();
+        traces.sort_unstable();
+        traces.dedup();
+        let trace_at = contexts
+            .iter()
+            .map(|ctx| traces.partition_point(|&t| t < ctx.trace) as u32)
+            .collect();
+
+        let spanned = members.iter().map(|&n| n as usize).sum();
+        let mut forest = TraceForest {
             journal,
-            spanless: records.len() - spans.len(),
-            spanned: spans.len(),
-            spans,
-            parent,
-            orphans,
-            monotone_violations,
+            owner,
+            members,
+            trace_at,
+            traces,
+            spanless: records.len() - spanned,
+            spanned,
+            monotone_violations: Vec::new(),
+        };
+        for (idx, r) in records.iter().enumerate() {
+            if let Some(owner) = forest.parent_of(r) {
+                if records[owner].t > r.t {
+                    forest.monotone_violations.push((idx, owner));
+                }
+            }
         }
+        forest
+    }
+
+    /// The event that emitted `r`'s parent span, if `r` has one and it
+    /// resolves.
+    fn parent_of(&self, r: &Record) -> Option<usize> {
+        r.spanned()
+            .then(|| self.owner[r.ctx as usize])
+            .filter(|&owner| owner != NONE)
+            .map(|owner| owner as usize)
     }
 
     /// Visits `idx` and then each ancestor up to its root. `false` if a
@@ -94,19 +120,19 @@ impl<'j> TraceForest<'j> {
     /// made until then still happened.
     fn ascend(&self, idx: usize, mut visit: impl FnMut(usize)) -> bool {
         let records = self.journal.records();
-        if !records[idx].spanned() {
-            return false;
-        }
         let mut cur = idx;
         for _ in 0..=records.len() {
+            let Some(ctx) = self.journal.context_of(&records[cur]) else {
+                return false;
+            };
             visit(cur);
-            if records[cur].parent().is_none() {
+            if ctx.parent.is_none() {
                 return true;
             }
-            if self.parent[cur] == NONE {
-                return false;
+            match self.parent_of(&records[cur]) {
+                Some(owner) => cur = owner,
+                None => return false,
             }
-            cur = self.parent[cur] as usize;
         }
         false // cycle guard
     }
@@ -122,17 +148,19 @@ impl<'j> TraceForest<'j> {
         Some(path)
     }
 
-    /// The span table cut into one slice per trace, ascending trace id.
-    fn traces(&self) -> impl Iterator<Item = &[(u64, u64, u32)]> {
-        self.spans.chunk_by(|a, b| a.0 == b.0)
-    }
-
     pub fn trace_count(&self) -> usize {
-        self.traces().count()
+        self.traces.len()
     }
 
     pub fn orphan_count(&self) -> usize {
-        self.orphans.len()
+        self.journal
+            .contexts()
+            .iter()
+            .zip(&self.owner)
+            .zip(&self.members)
+            .filter(|((ctx, &owner), _)| ctx.parent.is_some() && owner == NONE)
+            .map(|(_, &n)| n as usize)
+            .sum()
     }
 }
 
@@ -142,7 +170,8 @@ pub struct EdgeAgg {
     pub count: u64,
     pub min_us: u64,
     pub max_us: u64,
-    pub sum_us: u64,
+    /// Wide enough for any count of `u64` latencies.
+    pub sum_us: u128,
 }
 
 impl EdgeAgg {
@@ -154,7 +183,7 @@ impl EdgeAgg {
             self.max_us = dt;
         }
         self.count += 1;
-        self.sum_us += dt;
+        self.sum_us += u128::from(dt);
     }
 
     fn merge(&mut self, other: &EdgeAgg) {
@@ -166,8 +195,11 @@ impl EdgeAgg {
         self.sum_us += other.sum_us;
     }
 
+    /// The mean, rounded down; it lies between `min_us` and `max_us`.
     pub fn mean_us(&self) -> u64 {
-        self.sum_us.checked_div(self.count).unwrap_or(0)
+        self.sum_us
+            .checked_div(u128::from(self.count))
+            .map_or(0, |mean| mean as u64)
     }
 }
 
@@ -231,6 +263,7 @@ pub struct Analysis {
 pub fn analyze(label: &str, journal: &Journal, top_k: usize) -> Analysis {
     let forest = TraceForest::build(journal);
     let records = journal.records();
+    let contexts = journal.contexts();
     let ev_of = |idx: usize| journal.ev_label(records[idx].ev);
     let mut analysis = Analysis {
         label: label.to_string(),
@@ -238,18 +271,7 @@ pub fn analyze(label: &str, journal: &Journal, top_k: usize) -> Analysis {
         spanless: forest.spanless,
         spanned: forest.spanned,
         trace_count: forest.trace_count(),
-        orphans: forest
-            .orphans
-            .iter()
-            .map(|&idx| {
-                let idx = idx as usize;
-                (
-                    journal.line_of(idx),
-                    records[idx].parent().unwrap_or(0),
-                    ev_of(idx).to_string(),
-                )
-            })
-            .collect(),
+        orphans: Vec::new(),
         monotone_violations: forest.monotone_violations.len(),
         complete_chains: 0,
         spanned_verdicts: 0,
@@ -261,20 +283,82 @@ pub fn analyze(label: &str, journal: &Journal, top_k: usize) -> Analysis {
         widest: Vec::new(),
     };
 
-    // Per-edge sim-time latency and per-span fanout, keyed by label code
-    // while counting.
+    let code = |label: &str| journal.ev_code(label);
+    let (issued, matched) = (code("query_issued"), code("query_matched"));
+    let (start, complete) = (code("download_start"), code("download_complete"));
+    let (verdict, infection) = (code("scan_verdict"), code("infection"));
+    // The chain behind `idx`: its depth, which stages it passes, the stage
+    // at its root, and the `hops` of the `query_matched` nearest the root.
+    let chain = |idx: usize| {
+        let (mut depth, mut seen, mut root, mut hops) = (0, [false; 3], None, None);
+        let resolved = forest.ascend(idx, |i| {
+            let ev = Some(records[i].ev);
+            depth += 1;
+            root = ev;
+            for (stage, flag) in [matched, start, complete].iter().zip(&mut seen) {
+                *flag |= ev == *stage;
+            }
+            if ev == matched {
+                hops = journal.extras(i).hops;
+            }
+        });
+        resolved.then_some((depth, seen, root, hops))
+    };
+
+    // One pass in file order: per-edge sim-time latency keyed by label
+    // code, orphans, chains anchored on scan verdicts, per-family
+    // propagation anchored on infection events, and per trace its longest
+    // root→leaf path (the earliest event on ties).
     let mut edges: BTreeMap<(u16, u16), EdgeAgg> = BTreeMap::new();
-    let mut fanout = vec![0u32; records.len()];
-    for (r, &owner) in records.iter().zip(&forest.parent) {
-        if owner == NONE {
-            continue;
+    let mut orphans: Vec<(u64, usize)> = Vec::new();
+    let mut deepest_at: Vec<(usize, usize)> = vec![(0, 0); forest.trace_count()];
+    for (idx, r) in records.iter().enumerate() {
+        let ctx = journal.context_of(r);
+        if let Some(owner) = forest.parent_of(r) {
+            let parent = &records[owner];
+            edges
+                .entry((parent.ev, r.ev))
+                .or_default()
+                .push(r.t.saturating_sub(parent.t));
+        } else if let Some(ctx) = ctx.filter(|c| c.parent.is_some()) {
+            orphans.push((ctx.trace, idx));
         }
-        let parent = &records[owner as usize];
-        fanout[owner as usize] += 1;
-        edges
-            .entry((parent.ev, r.ev))
-            .or_default()
-            .push(r.t.saturating_sub(parent.t));
+        let chain = chain(idx);
+        if let Some((depth, ..)) = chain {
+            let best = &mut deepest_at[forest.trace_at[r.ctx as usize] as usize];
+            if depth > best.0 {
+                *best = (depth, idx);
+            }
+        }
+        let ev = Some(r.ev);
+        if ev == verdict && ctx.is_some() {
+            analysis.spanned_verdicts += 1;
+            let Some((_, seen, root, hops)) = chain else {
+                continue;
+            };
+            if root == issued && seen == [true; 3] {
+                analysis.complete_chains += 1;
+            }
+            if let Some(hops) = hops {
+                let bucket = if journal.extras(idx).detections.unwrap_or(0) > 0 {
+                    &mut analysis.hops_malicious
+                } else {
+                    &mut analysis.hops_clean
+                };
+                *bucket.entry(hops).or_insert(0) += 1;
+            }
+        }
+        if ev == infection {
+            let family = journal.family_of(idx).unwrap_or("unknown").to_string();
+            let stats = analysis.families.entry(family).or_default();
+            stats.infections += 1;
+            if let Some(ctx) = ctx {
+                *stats.traces.entry(ctx.trace).or_insert(0) += 1;
+                if let Some((.., Some(hops))) = chain {
+                    *stats.hops.entry(hops).or_insert(0) += 1;
+                }
+            }
+        }
     }
     for ((parent_ev, child_ev), agg) in edges {
         let key = format!(
@@ -284,107 +368,51 @@ pub fn analyze(label: &str, journal: &Journal, top_k: usize) -> Analysis {
         );
         analysis.edges.entry(key).or_default().merge(&agg);
     }
+    orphans.sort_unstable();
+    analysis.orphans = orphans
+        .into_iter()
+        .map(|(_, idx)| {
+            let parent = journal.context_of(&records[idx]).and_then(|c| c.parent);
+            (
+                journal.line_of(idx),
+                parent.unwrap_or(0),
+                ev_of(idx).to_string(),
+            )
+        })
+        .collect();
 
-    // Chain completeness + hop depth, anchored on scan verdicts; per-family
-    // propagation, anchored on infection events.
-    let code = |label: &str| journal.ev_code(label);
-    let (issued, matched) = (code("query_issued"), code("query_matched"));
-    let (start, complete) = (code("download_start"), code("download_complete"));
-    let (verdict, infection) = (code("scan_verdict"), code("infection"));
-    // The chain behind `idx`: which stages it passes, the stage at its root,
-    // and the `hops` of the `query_matched` nearest the root.
-    let chain = |idx: usize| {
-        let (mut seen, mut root, mut hops) = ([false; 3], None, None);
-        let resolved = forest.ascend(idx, |i| {
-            let ev = Some(records[i].ev);
-            root = ev;
-            for (stage, flag) in [matched, start, complete].iter().zip(&mut seen) {
-                *flag |= ev == *stage;
-            }
-            if ev == matched {
-                hops = records[i].hops();
-            }
-        });
-        resolved.then_some((seen, root, hops))
-    };
-    for (idx, r) in records.iter().enumerate() {
-        let ev = Some(r.ev);
-        if ev == verdict && r.spanned() {
-            analysis.spanned_verdicts += 1;
-            let Some((seen, root, hops)) = chain(idx) else {
-                continue;
-            };
-            if root == issued && seen == [true; 3] {
-                analysis.complete_chains += 1;
-            }
-            if let Some(hops) = hops {
-                let bucket = if r.detections().unwrap_or(0) > 0 {
-                    &mut analysis.hops_malicious
-                } else {
-                    &mut analysis.hops_clean
-                };
-                *bucket.entry(hops).or_insert(0) += 1;
-            }
-        }
-        if ev == infection {
-            let family = journal.family_of(r).unwrap_or("unknown").to_string();
-            let stats = analysis.families.entry(family).or_default();
-            stats.infections += 1;
-            if r.spanned() {
-                *stats.traces.entry(r.trace).or_insert(0) += 1;
-                if let Some((_, _, Some(hops))) = chain(idx) {
-                    *stats.hops.entry(hops).or_insert(0) += 1;
-                }
+    // Per trace: its events, and its bushiest span — the parent a context
+    // names, whether emitted or not — by (fanout, span id).
+    let mut events_at = vec![0usize; forest.trace_count()];
+    let mut widest_at: Vec<Option<(u32, u64, u32)>> = vec![None; forest.trace_count()];
+    for (c, ctx) in contexts.iter().enumerate() {
+        let at = forest.trace_at[c] as usize;
+        let kids = forest.members[c];
+        events_at[at] += kids as usize;
+        if let Some(span) = ctx.parent {
+            let widest = &mut widest_at[at];
+            if widest.is_none_or(|(k, s, _)| (kids, span) > (k, s)) {
+                *widest = Some((kids, span, forest.owner[c]));
             }
         }
     }
-
-    // Orphans sharing a missing parent count as that span's fanout too.
-    let mut orphan_fanout: BTreeMap<(u64, u64), usize> = BTreeMap::new();
-    for &idx in &forest.orphans {
-        let r = &records[idx as usize];
-        *orphan_fanout
-            .entry((r.trace, r.parent().unwrap_or(0)))
-            .or_insert(0) += 1;
-    }
-
-    // Per trace: its longest root→leaf path (the earliest event on ties)
-    // and its bushiest span (the largest span id on ties).
     let mut deepest: Vec<(usize, u64, usize)> = Vec::new();
     let mut widest: Vec<WidthDesc> = Vec::new();
-    for spans in forest.traces() {
-        let trace = spans[0].0;
-        let mut best: Option<(usize, usize)> = None;
-        for &(_, _, idx) in spans {
-            let mut depth = 0;
-            let idx = idx as usize;
-            if forest.ascend(idx, |_| depth += 1)
-                && best.is_none_or(|(d, i)| depth > d || (depth == d && idx < i))
-            {
-                best = Some((depth, idx));
-            }
-        }
-        if let Some((depth, idx)) = best {
+    for (at, &trace) in forest.traces.iter().enumerate() {
+        let (depth, idx) = deepest_at[at];
+        if depth > 0 {
             deepest.push((depth, trace, idx));
         }
-        let resolved = spans
-            .chunk_by(|a, b| a.1 == b.1)
-            .map(|run| (fanout[run[0].2 as usize] as usize, run[0].1, Some(run[0].2)));
-        let unresolved = orphan_fanout
-            .range((trace, 0)..=(trace, u64::MAX))
-            .map(|(&(_, span), &kids)| (kids, span, None));
-        if let Some((kids, _, owner)) = resolved
-            .chain(unresolved)
-            .filter(|&(kids, _, _)| kids > 0)
-            .max_by_key(|&(kids, span, _)| (kids, span))
-        {
+        if let Some((kids, _, owner)) = widest_at[at] {
             widest.push(WidthDesc {
                 trace,
-                span_ev: owner
-                    .map_or("<orphaned>", |i| ev_of(i as usize))
-                    .to_string(),
-                fanout: kids,
-                events: spans.len(),
+                span_ev: match owner {
+                    NONE => "<orphaned>",
+                    owner => ev_of(owner as usize),
+                }
+                .to_string(),
+                fanout: kids as usize,
+                events: events_at[at],
             });
         }
     }
@@ -824,5 +852,111 @@ mod tests {
         let deepest: Vec<(u64, usize)> =
             a.deepest.iter().map(|c| (c.trace, c.path.len())).collect();
         assert_eq!(deepest, [(3, 4), (6, 2), (7, 2)]);
+    }
+
+    /// Of two equally deep leaves, the earlier line is the trace's deepest,
+    /// though the later one has the smaller span id and sim time.
+    #[test]
+    fn deepest_ties_go_to_the_earliest_event() {
+        let text = concat!(
+            "{\"t\":1,\"day\":0,\"cat\":\"query\",\"ev\":\"query_issued\",\"trace\":\"1\",\"span\":\"5\"}\n",
+            "{\"t\":4,\"day\":0,\"cat\":\"query\",\"ev\":\"query_matched\",\"trace\":\"1\",\"span\":\"9\",\"parent\":\"5\"}\n",
+            "{\"t\":3,\"day\":0,\"cat\":\"query\",\"ev\":\"query_matched\",\"trace\":\"1\",\"span\":\"3\",\"parent\":\"5\"}\n",
+        );
+        let a = analyze("tie", &parse_journal(text).unwrap(), 1);
+        let times: Vec<u64> = a.deepest[0].path.iter().map(|&(_, t)| t).collect();
+        assert_eq!(times, [1, 4]);
+    }
+
+    /// Two latencies near `u64::MAX` sum past it; the mean stays exact.
+    #[test]
+    fn edge_latency_sums_do_not_overflow() {
+        let text = concat!(
+            "{\"t\":0,\"day\":0,\"cat\":\"query\",\"ev\":\"query_issued\",\"trace\":\"1\",\"span\":\"10\"}\n",
+            "{\"t\":10000000000000000000,\"day\":0,\"cat\":\"query\",\"ev\":\"query_matched\",\"trace\":\"1\",\"span\":\"11\",\"parent\":\"10\"}\n",
+            "{\"t\":10000000000000000000,\"day\":0,\"cat\":\"query\",\"ev\":\"query_matched\",\"trace\":\"1\",\"span\":\"12\",\"parent\":\"10\"}\n",
+        );
+        let a = analyze("big", &parse_journal(text).unwrap(), 3);
+        let edge = a.edges["query_issued->query_matched"];
+        let dt = 10_000_000_000_000_000_000;
+        assert_eq!(
+            (edge.count, edge.min_us, edge.mean_us(), edge.max_us),
+            (2, dt, dt, dt)
+        );
+        assert!(a.render_summary().contains(&format!("{dt}/{dt}/{dt}")));
+    }
+
+    const EVS: [(&str, &str); 8] = [
+        ("query", "query_issued"),
+        ("query", "query_matched"),
+        ("download", "download_start"),
+        ("download", "download_complete"),
+        ("download", "download_retry"),
+        ("scan", "scan_verdict"),
+        ("scan", "infection"),
+        ("bogus", "churn_down"),
+    ];
+
+    proptest::proptest! {
+        /// Journals of chain-shaped lines over a few traces and spans, with
+        /// `t` and `hops` across all of `u64`, duplicate spans, cycles,
+        /// orphans and spanless lines: the analysis, both renderings and
+        /// the strict gate never panic, and the counts agree.
+        #[test]
+        fn analysis_never_panics(
+            events in proptest::collection::vec(
+                (
+                    (proptest::any::<u64>(), 0u32..4),
+                    (0usize..2 * EVS.len(), 0u8..8),
+                    (0u64..2, 0u64..4, 0u64..4),
+                    (proptest::any::<u64>(), 0u32..64),
+                ),
+                0..40,
+            ),
+            top_k in 0usize..4
+        ) {
+            let mut text = String::new();
+            for ((t, t_shift), (ev, fields), (trace, span, parent), (extra, shift)) in events {
+                // Half the lines are matches, so edge kinds repeat.
+                let (cat, ev) = *EVS.get(ev).unwrap_or(&EVS[1]);
+                text.push_str(&format!(
+                    "{{\"t\":{},\"day\":0,\"cat\":\"{cat}\",\"ev\":\"{ev}\"",
+                    t >> (t_shift * 21)
+                ));
+                if fields & 1 != 0 {
+                    text.push_str(&format!(",\"trace\":\"{trace:x}\",\"span\":\"{span:x}\""));
+                    if fields & 2 != 0 {
+                        text.push_str(&format!(",\"parent\":\"{parent:x}\""));
+                    }
+                }
+                match ev {
+                    "query_matched" => text.push_str(&format!(",\"hops\":{}", extra >> shift)),
+                    "scan_verdict" => text.push_str(&format!(",\"detections\":{}", extra % 3)),
+                    "infection" if fields & 4 != 0 => {
+                        text.push_str(&format!(",\"family\":\"f{}\"", extra % 3))
+                    }
+                    _ => {}
+                }
+                text.push_str("}\n");
+            }
+            let journal = parse_journal(&text).unwrap();
+            let forest = TraceForest::build(&journal);
+            for idx in 0..journal.len() {
+                if let Some(path) = forest.path_of(idx) {
+                    proptest::prop_assert_eq!(path.last(), Some(&idx));
+                    proptest::prop_assert!(journal.get(path[0]).parent.is_none());
+                }
+            }
+            let a = analyze("prop", &journal, top_k);
+            proptest::prop_assert_eq!(a.spanned + a.spanless, journal.len());
+            proptest::prop_assert_eq!(a.orphans.len(), forest.orphan_count());
+            proptest::prop_assert_eq!(a.trace_count, forest.trace_count());
+            for agg in a.edges.values() {
+                proptest::prop_assert!(agg.min_us <= agg.mean_us() && agg.mean_us() <= agg.max_us);
+            }
+            let _ = a.to_json().to_string_pretty();
+            let _ = a.render_summary();
+            let _ = strict_failures(&journal, &a);
+        }
     }
 }
