@@ -2,10 +2,12 @@
 //! both networks — no panics, every terminal failure classified by cause,
 //! retries visibly recovering transfers, and the headline prevalence
 //! staying in a sane band even while the network is actively hostile.
+//! Each network's failure breakdown is pinned, so a failure counted under
+//! the wrong cause fails here.
 
 use p2pmal_core::telemetry::{journal_path_for, TelemetryConfig};
 use p2pmal_core::{fault_profile, LimewireScenario, NetworkRun, OpenFtScenario};
-use p2pmal_crawler::RetryPolicy;
+use p2pmal_crawler::{FailureBreakdown, RetryPolicy};
 
 /// Malicious share of downloadable responses, in percent.
 fn prevalence_pct(run: &NetworkRun) -> f64 {
@@ -25,7 +27,11 @@ fn prevalence_pct(run: &NetworkRun) -> f64 {
     malicious as f64 * 100.0 / total as f64
 }
 
-fn assert_chaos_invariants(run: &NetworkRun, prevalence_band: (f64, f64)) {
+/// What a harsh run's failures came to: the count per cause, then
+/// `[retries_scheduled, retry_successes, push_fallbacks]`.
+type Breakdown = (FailureBreakdown, [u64; 3]);
+
+fn assert_chaos_invariants(run: &NetworkRun, prevalence_band: (f64, f64), pinned: Breakdown) {
     let label = run.network.label();
     let log = &run.log;
     let m = &run.sim_metrics;
@@ -85,6 +91,14 @@ fn assert_chaos_invariants(run: &NetworkRun, prevalence_band: (f64, f64)) {
     assert_eq!(m.dl_retries, log.retries_scheduled);
     assert_eq!(m.dl_retry_successes, log.retry_successes);
 
+    // Every failure sits in the bucket it sat in when this was pinned.
+    let retries = [
+        log.retries_scheduled,
+        log.retry_successes,
+        log.push_fallbacks,
+    ];
+    assert_eq!((log.failures, retries), pinned, "{label}: breakdown moved");
+
     // The study still measures something sane.
     let prev = prevalence_pct(run);
     assert!(
@@ -118,7 +132,12 @@ fn limewire_quick_survives_harsh_faults() {
     // below the calibrated 68%, and churn moves it further; the band only
     // guards against the degenerate ends (no malware seen at all, or
     // nothing but malware).
-    assert_chaos_invariants(&run, (5.0, 98.0));
+    let failures = FailureBreakdown {
+        timeout: 27,
+        reset: 2,
+        ..FailureBreakdown::default()
+    };
+    assert_chaos_invariants(&run, (5.0, 98.0), (failures, [25, 7, 5]));
 }
 
 fn harsh_openft() -> OpenFtScenario {
@@ -149,7 +168,12 @@ fn openft_quick_survives_harsh_faults() {
     // Fault-free quick runs measure a few percent malicious; the durable
     // superspreader keeps answering while clean users churn, so the share
     // can drift upward under harsh faults.
-    assert_chaos_invariants(&run, (0.1, 40.0));
+    let failures = FailureBreakdown {
+        timeout: 7,
+        reset: 3,
+        ..FailureBreakdown::default()
+    };
+    assert_chaos_invariants(&run, (0.1, 40.0), (failures, [10, 9, 0]));
 }
 
 /// Hands `run` a telemetry config journaling to a temp file, runs it, and

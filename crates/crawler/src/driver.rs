@@ -22,6 +22,7 @@ use crate::trace::DlTrace;
 use crate::workload::{Workload, WorkloadConfig};
 use p2pmal_corpus::Catalog;
 use p2pmal_gnutella::servent::SharedWorld;
+use p2pmal_gnutella::DownloadError;
 use p2pmal_hashes::Sha1Digest;
 use p2pmal_netsim::{
     App, ConnId, Counter, Ctx, Direction, EventBody, EventCategory, Gauge, HostAddr, SimDuration,
@@ -92,14 +93,16 @@ pub enum Signal<O: Overlay> {
     Answer(O::QueryKey, O::Answer),
     DownloadDone {
         id: u64,
-        result: Result<Vec<u8>, O::Error>,
+        result: Result<Vec<u8>, DownloadError>,
     },
     /// Overlay housekeeping the measurement ignores.
     Other,
 }
 
 /// What the measurement procedure needs from a protocol node: only what
-/// really differs between the two networks.
+/// really differs between the two networks. Both fetch files with the one
+/// HTTP download client, so a failed download arrives as its
+/// [`DownloadError`], whose cause [`FailCause::of`] reads.
 pub trait Overlay: App + Sized + 'static {
     type Config;
     /// Identifies a search and the answers to it (GUID / search id).
@@ -109,7 +112,6 @@ pub trait Overlay: App + Sized + 'static {
     type Answer;
     /// Everything `begin_download` needs to fetch one response.
     type Request: Send;
-    type Error;
 
     /// Builds the node as the measurement host: events collected, no
     /// ambient queries of its own, and a 1800 s download timeout (benign
@@ -134,7 +136,6 @@ pub trait Overlay: App + Sized + 'static {
     /// Steps the request down to the overlay's fallback transport before a
     /// retry; true when it changed.
     fn fall_back(request: &mut Self::Request) -> bool;
-    fn classify(err: &Self::Error) -> FailCause;
 }
 
 /// A downloadable object somewhere in its attempt lifecycle.
@@ -408,14 +409,19 @@ impl<O: Overlay> Crawler<O> {
         self.start_downloads(ctx);
     }
 
-    fn on_download_done(&mut self, ctx: &mut Ctx<'_>, id: u64, result: Result<Vec<u8>, O::Error>) {
+    fn on_download_done(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        id: u64,
+        result: Result<Vec<u8>, DownloadError>,
+    ) {
         let Some(fl) = self.in_flight.remove(&id) else {
             return;
         };
         let body = match result {
             Ok(body) => body,
             Err(e) => {
-                self.fail_or_retry(ctx, fl, O::classify(&e), ScanOutcome::Unreachable);
+                self.fail_or_retry(ctx, fl, FailCause::of(&e), ScanOutcome::Unreachable);
                 return;
             }
         };

@@ -46,7 +46,7 @@ struct Script {
     /// Search number (0-based) -> the responses it gets, in one answer.
     answers: HashMap<u32, Vec<Hit>>,
     /// File name -> outcome of each successive attempt.
-    outcomes: HashMap<&'static str, VecDeque<Result<Vec<u8>, ()>>>,
+    outcomes: HashMap<&'static str, VecDeque<Result<Vec<u8>, DownloadError>>>,
 }
 
 struct Fake {
@@ -79,7 +79,6 @@ impl Overlay for Fake {
     type Event = Signal<Fake>;
     type Answer = Vec<Hit>;
     type Request = Request;
-    type Error = ();
 
     fn instrumented(script: Script, _world: SharedWorld) -> Self {
         Fake {
@@ -153,10 +152,6 @@ impl Overlay for Fake {
 
     fn fall_back(request: &mut Request) -> bool {
         !std::mem::replace(&mut request.push, true)
-    }
-
-    fn classify(_: &()) -> FailCause {
-        FailCause::PeerGone
     }
 }
 
@@ -273,9 +268,9 @@ fn run(script: Script, config: CrawlerConfig, scan_events: bool) -> Ran {
     }
 }
 
-fn fails(n: usize, then: Option<&[u8]>) -> VecDeque<Result<Vec<u8>, ()>> {
+fn fails(n: usize, then: Option<&[u8]>) -> VecDeque<Result<Vec<u8>, DownloadError>> {
     (0..n)
-        .map(|_| Err(()))
+        .map(|_| Err(DownloadError::ConnectFailed))
         .chain(then.map(|body| Ok(body.to_vec())))
         .collect()
 }

@@ -6,11 +6,10 @@
 
 use crate::driver::{Overlay, Response, Signal};
 use crate::log::HostKey;
-use crate::retry::FailCause;
 use p2pmal_gnutella::servent::SharedWorld;
 use p2pmal_hashes::Md5Digest;
 use p2pmal_netsim::{telemetry_span as span, Ctx, HostAddr, SimDuration};
-use p2pmal_openft::node::{FtConfig, FtDownloadError, FtEvent, FtNode};
+use p2pmal_openft::node::{FtConfig, FtEvent, FtNode};
 use p2pmal_openft::packet::ResultBatch;
 
 impl Overlay for FtNode {
@@ -21,7 +20,6 @@ impl Overlay for FtNode {
     /// answer that arrived together.
     type Answer = (HostAddr, ResultBatch);
     type Request = (HostAddr, Md5Digest);
-    type Error = FtDownloadError;
 
     fn instrumented(mut config: FtConfig, world: SharedWorld) -> Self {
         config.collect_events = true;
@@ -87,72 +85,5 @@ impl Overlay for FtNode {
 
     fn fall_back(_: &mut (HostAddr, Md5Digest)) -> bool {
         false
-    }
-
-    fn classify(err: &FtDownloadError) -> FailCause {
-        match err {
-            FtDownloadError::ConnectFailed => FailCause::PeerGone,
-            FtDownloadError::Timeout => FailCause::Timeout,
-            FtDownloadError::Protocol(msg) if msg.contains("closed") || msg.contains("dropped") => {
-                FailCause::Reset
-            }
-            FtDownloadError::Protocol(_) => FailCause::Truncated,
-            FtDownloadError::Http(404) => FailCause::NotFound,
-            FtDownloadError::Http(_) => FailCause::Other,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn openft_classification() {
-        let classify = <FtNode as Overlay>::classify;
-        for (err, cause) in [
-            (FtDownloadError::ConnectFailed, FailCause::PeerGone),
-            (
-                FtDownloadError::Protocol("closed mid-transfer".into()),
-                FailCause::Reset,
-            ),
-            (
-                FtDownloadError::Protocol("dropped".into()),
-                FailCause::Reset,
-            ),
-            (FtDownloadError::Http(404), FailCause::NotFound),
-            (FtDownloadError::Http(503), FailCause::Other),
-        ] {
-            assert_eq!(classify(&err), cause, "{err:?}");
-        }
-    }
-
-    /// `classify` reads a protocol error's text, so the table pins every
-    /// reader error's text to a truncated transfer: a reworded message
-    /// cannot turn one into a reset unnoticed. The match makes a new
-    /// variant join the table.
-    #[test]
-    fn every_http_error_is_a_truncation() {
-        use p2pmal_openft::http::HttpError;
-        let all = [
-            HttpError::BadRequest,
-            HttpError::BadStatusLine,
-            HttpError::BadHeader,
-            HttpError::MissingLength,
-            HttpError::HeadTooLong,
-            HttpError::BodyTooLong,
-        ];
-        for e in all {
-            match e {
-                HttpError::BadRequest
-                | HttpError::BadStatusLine
-                | HttpError::BadHeader
-                | HttpError::MissingLength
-                | HttpError::HeadTooLong
-                | HttpError::BodyTooLong => {}
-            }
-            let err = FtDownloadError::Protocol(e.to_string());
-            assert_eq!(FtNode::classify(&err), FailCause::Truncated, "{e:?}");
-        }
     }
 }

@@ -13,12 +13,15 @@
 //!   once: query bookkeeping, response logging, dedup under both keys, the
 //!   slot-bounded download queue, retry, inline or batched scanning. It is
 //!   generic over an [`Overlay`], the little a protocol node has to tell
-//!   it;
+//!   it; a failed download reaches it as the one
+//!   [`p2pmal_gnutella::DownloadError`] both overlays' HTTP client
+//!   reports;
 //! * [`servent`] / [`ftnode`] — the two [`Overlay`] adapters: a Gnutella
 //!   leaf (QUERYHITs, direct + PUSH downloads) and an OpenFT USER node
 //!   (per-result packets from every discovered SEARCH node, MD5 downloads);
-//! * [`retry`], [`scan`], [`trace`] — retry policy and failure causes, the
-//!   content-addressed scan pipeline, download-chain provenance.
+//! * [`retry`], [`scan`], [`trace`] — retry policy and failure causes (one
+//!   [`FailCause`] per `DownloadError` variant), the content-addressed scan
+//!   pipeline, download-chain provenance.
 //!
 //! [`GnutellaCrawler`] and [`FtCrawler`] are [`p2pmal_netsim::App`]s; a
 //! harness (see `p2pmal-core`) spawns one into a simulated network, runs

@@ -5,13 +5,16 @@
 //! pathologies now reach the crawlers, and this module decides what they do
 //! about them: a bounded retry budget with exponential backoff + jitter
 //! (over sim-time timers), and a [`FailureBreakdown`] classifying every
-//! terminal failure by cause in the [`crate::log::CrawlLog`].
+//! terminal failure by cause in the [`crate::log::CrawlLog`]. The cause is
+//! read from the failed attempt's `DownloadError` variant
+//! ([`FailCause::of`]), the same on both overlays.
 //!
 //! The default [`RetryPolicy::legacy()`] (`backoff_base == 0`) reproduces
 //! the historical behavior — one immediate fallback attempt, no timers —
 //! exactly, which is what keeps the fault-free seed-2006 study
 //! byte-identical to the pre-fault-injection build.
 
+use p2pmal_gnutella::DownloadError;
 use p2pmal_netsim::SimDuration;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -40,6 +43,18 @@ pub enum FailCause {
 }
 
 impl FailCause {
+    /// The cause a failed download attempt counts under, on either overlay.
+    pub fn of(err: &DownloadError) -> FailCause {
+        match err {
+            DownloadError::ConnectFailed | DownloadError::NoPushRoute => FailCause::PeerGone,
+            DownloadError::Timeout => FailCause::Timeout,
+            DownloadError::Reset => FailCause::Reset,
+            DownloadError::Malformed(_) => FailCause::Truncated,
+            DownloadError::Http(404) => FailCause::NotFound,
+            DownloadError::Http(_) => FailCause::Other,
+        }
+    }
+
     /// Stable snake_case label (telemetry journal `cause` field).
     pub fn label(self) -> &'static str {
         match self {
@@ -210,5 +225,47 @@ mod tests {
         }
         assert_eq!(b.total(), 7);
         assert!(b.parts().iter().all(|(_, n)| *n == 1));
+    }
+
+    /// The cause of every download error, and of `Malformed` for every
+    /// reader error. The match is the table: a new variant must join it.
+    #[test]
+    fn every_download_error_has_one_cause() {
+        use p2pmal_gnutella::http::HttpError::*;
+        use DownloadError::*;
+        let malformed = [
+            BadRequestLine,
+            BadHeader,
+            BadTarget,
+            BadStatusLine,
+            MissingLength,
+            HeadTooLong,
+            BodyTooLong,
+            BadGiv,
+        ];
+        let errors = [
+            ConnectFailed,
+            NoPushRoute,
+            Timeout,
+            Http(404),
+            Http(503),
+            Reset,
+        ]
+        .into_iter()
+        .chain(malformed.map(Malformed));
+        for err in errors {
+            let cause = match err {
+                ConnectFailed | NoPushRoute => FailCause::PeerGone,
+                Timeout => FailCause::Timeout,
+                Http(404) => FailCause::NotFound,
+                Http(_) => FailCause::Other,
+                Reset => FailCause::Reset,
+                Malformed(
+                    BadRequestLine | BadHeader | BadTarget | BadStatusLine | MissingLength
+                    | HeadTooLong | BodyTooLong | BadGiv,
+                ) => FailCause::Truncated,
+            };
+            assert_eq!(FailCause::of(&err), cause, "{err:?}");
+        }
     }
 }

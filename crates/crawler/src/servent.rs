@@ -5,10 +5,8 @@
 
 use crate::driver::{Overlay, Response, Signal};
 use crate::log::HostKey;
-use crate::retry::FailCause;
 use p2pmal_gnutella::servent::{
-    DownloadError, DownloadMethod, DownloadRequest, Servent, ServentConfig, ServentEvent,
-    SharedWorld,
+    DownloadMethod, DownloadRequest, Servent, ServentConfig, ServentEvent, SharedWorld,
 };
 use p2pmal_gnutella::{Guid, QueryHit};
 use p2pmal_netsim::{telemetry_span as span, Ctx, HostAddr, SimDuration};
@@ -19,7 +17,6 @@ impl Overlay for Servent {
     type Event = ServentEvent;
     type Answer = QueryHit;
     type Request = DownloadRequest;
-    type Error = DownloadError;
 
     fn instrumented(mut config: ServentConfig, world: SharedWorld) -> Self {
         config.collect_events = true;
@@ -101,79 +98,5 @@ impl Overlay for Servent {
         let direct = request.method == DownloadMethod::Direct;
         request.method = DownloadMethod::Push;
         direct
-    }
-
-    fn classify(err: &DownloadError) -> FailCause {
-        match err {
-            DownloadError::ConnectFailed | DownloadError::NoPushRoute => FailCause::PeerGone,
-            DownloadError::Timeout => FailCause::Timeout,
-            DownloadError::Protocol(msg) if msg.contains("closed") || msg.contains("dropped") => {
-                FailCause::Reset
-            }
-            DownloadError::Protocol(_) => FailCause::Truncated,
-            DownloadError::Http(404) => FailCause::NotFound,
-            DownloadError::Http(_) => FailCause::Other,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn gnutella_classification() {
-        let classify = <Servent as Overlay>::classify;
-        for (err, cause) in [
-            (DownloadError::ConnectFailed, FailCause::PeerGone),
-            (DownloadError::NoPushRoute, FailCause::PeerGone),
-            (DownloadError::Timeout, FailCause::Timeout),
-            (
-                DownloadError::Protocol("connection closed mid-transfer".into()),
-                FailCause::Reset,
-            ),
-            (DownloadError::Protocol("dropped".into()), FailCause::Reset),
-            (
-                DownloadError::Protocol("bad chunk header".into()),
-                FailCause::Truncated,
-            ),
-            (DownloadError::Http(503), FailCause::Other),
-            (DownloadError::Http(404), FailCause::NotFound),
-        ] {
-            assert_eq!(classify(&err), cause, "{err:?}");
-        }
-    }
-
-    /// `classify` reads a protocol error's text, so the table pins every
-    /// reader error's text to a truncated transfer: a reworded message
-    /// cannot turn one into a reset unnoticed. The match makes a new
-    /// variant join the table.
-    #[test]
-    fn every_http_error_is_a_truncation() {
-        use p2pmal_gnutella::http::HttpError;
-        let all = [
-            HttpError::BadRequestLine,
-            HttpError::BadHeader,
-            HttpError::BadTarget,
-            HttpError::BadStatusLine,
-            HttpError::MissingLength,
-            HttpError::HeadTooLong,
-            HttpError::BodyTooLong,
-            HttpError::BadGiv,
-        ];
-        for e in all {
-            match e {
-                HttpError::BadRequestLine
-                | HttpError::BadHeader
-                | HttpError::BadTarget
-                | HttpError::BadStatusLine
-                | HttpError::MissingLength
-                | HttpError::HeadTooLong
-                | HttpError::BodyTooLong
-                | HttpError::BadGiv => {}
-            }
-            let err = DownloadError::Protocol(e.to_string());
-            assert_eq!(Servent::classify(&err), FailCause::Truncated, "{e:?}");
-        }
     }
 }

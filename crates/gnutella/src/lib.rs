@@ -9,7 +9,8 @@
 //! * [`ggep`] — GGEP extension blocks;
 //! * [`qrp`] — query-routing tables, the QRP hash, RESET/PATCH transfer;
 //! * [`handshake`] — the 0.6 three-group HTTP-style handshake;
-//! * [`http`] — HTTP/1.1 file transfer plus the `GIV` push handshake;
+//! * [`http`] — HTTP/1.1 file transfer plus the `GIV` push handshake, and
+//!   the download client OpenFT uses too;
 //! * [`servent`] — a complete node (ultrapeer or leaf) over
 //!   [`p2pmal_netsim::App`], with query flooding, reverse-path hit and PUSH
 //!   routing, QRP-filtered last-hop delivery, uploads and downloads.
@@ -49,9 +50,10 @@ pub mod qrp;
 pub mod servent;
 
 pub use guid::Guid;
+pub use http::DownloadError;
 pub use message::{FrameError, Header, MessageReader, MsgType};
 pub use payload::{Bye, HitResult, Ping, Pong, Push, Query, QueryHit};
 pub use servent::{
-    DownloadError, DownloadMethod, DownloadOutcome, DownloadRequest, Role, Servent, ServentConfig,
-    ServentEvent, ServentStats, SharedWorld, ECHO_INDEX_BASE,
+    DownloadMethod, DownloadOutcome, DownloadRequest, Role, Servent, ServentConfig, ServentEvent,
+    ServentStats, SharedWorld, ECHO_INDEX_BASE,
 };

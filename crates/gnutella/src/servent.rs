@@ -15,8 +15,8 @@
 use crate::guid::Guid;
 use crate::handshake::{Admission, HandshakeConfig, HsEvent, Initiator, RespEvent, Responder};
 use crate::http::{
-    encode_giv, encode_request, encode_response_err, encode_response_ok, parse_giv, Giv,
-    HttpRequest, RequestReader, RequestTarget, ResponseReader,
+    encode_giv, encode_request, encode_response_err, encode_response_ok, parse_giv, DownloadError,
+    Giv, HttpRequest, RequestReader, RequestTarget, ResponseReader,
 };
 use crate::message::{encode_message, encode_message_with, Header, MessageReader, MsgType};
 use crate::payload::{Ping, Pong, Push, QhdFlags, Query, QueryHit, QHD_PUSH, QHD_UPLOADED};
@@ -172,21 +172,6 @@ impl ServentConfig {
         self.bootstrap = hosts.into();
         self
     }
-}
-
-/// Why a download failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DownloadError {
-    /// TCP connect to the advertised address failed (dead, NATed, bogus).
-    ConnectFailed,
-    /// PUSH was routed but no GIV came back in time.
-    Timeout,
-    /// Upload side returned an HTTP error.
-    Http(u16),
-    /// Framing/protocol violation on the transfer connection.
-    Protocol(String),
-    /// No overlay route existed for the PUSH.
-    NoPushRoute,
 }
 
 /// A completed download, with everything the study logs.
@@ -1187,7 +1172,7 @@ impl Servent {
         }
         if let Some(ConnKind::Download(d)) = self.conns.insert(conn, ConnKind::Dead) {
             self.active_downloads.remove(&d.id);
-            self.finish_download(ctx, d.id, Err(DownloadError::Protocol("dropped".into())));
+            self.finish_download(ctx, d.id, Err(DownloadError::Reset));
         }
         ctx.close(conn);
     }
@@ -1293,12 +1278,10 @@ impl Servent {
                 return;
             };
             push(&mut d.reader);
-            match d.reader.response() {
-                Ok(Some(resp)) if resp.status == 200 => (d.id, Ok(resp.body)),
-                Ok(Some(resp)) => (d.id, Err(DownloadError::Http(resp.status))),
-                Ok(None) => return,
-                Err(e) => (d.id, Err(DownloadError::Protocol(e.to_string()))),
-            }
+            let Some(outcome) = d.reader.response().transpose() else {
+                return;
+            };
+            (d.id, outcome)
         };
         self.finish_download(ctx, id, outcome);
     }
@@ -1566,13 +1549,7 @@ impl App for Servent {
             }
             Some(ConnKind::Download(d)) => {
                 self.active_downloads.remove(&d.id);
-                self.finish_download(
-                    ctx,
-                    d.id,
-                    Err(DownloadError::Protocol(
-                        "connection closed mid-transfer".into(),
-                    )),
-                );
+                self.finish_download(ctx, d.id, Err(DownloadError::Reset));
             }
             _ => {}
         }

@@ -10,7 +10,8 @@ use p2pmal_gnutella::ggep::{self, Extension};
 use p2pmal_gnutella::guid::Guid;
 use p2pmal_gnutella::handshake::{Admission, HandshakeConfig, Initiator, RespEvent, Responder};
 use p2pmal_gnutella::http::{
-    parse_giv, percent_decode, percent_encode, RequestReader, ResponseReader,
+    encode_response_err, encode_response_ok, parse_giv, percent_decode, percent_encode,
+    RequestReader, ResponseReader,
 };
 use p2pmal_gnutella::message::{encode_message, Header, MessageReader, MsgType};
 use p2pmal_gnutella::payload::{
@@ -32,9 +33,10 @@ fn arb_guid() -> impl Strategy<Value = Guid> {
 }
 
 /// What a download reader may be handed, capped at 200 body bytes: a
-/// well-formed head, a 404, a head without Content-Length, a bad status
-/// line, a bad header, or raw bytes; a declared length within or over the
-/// cap; a body shorter than, equal to or longer than declared.
+/// well-formed head, a 404, either overlay's real `200` and `404` heads, a
+/// head without Content-Length, a bad status line, a bad header, or raw
+/// bytes; a declared length within or over the cap; a body shorter than,
+/// equal to or longer than declared.
 fn arb_response_wire() -> impl Strategy<Value = Vec<u8>> {
     (
         any::<u8>(),
@@ -43,12 +45,21 @@ fn arb_response_wire() -> impl Strategy<Value = Vec<u8>> {
         proptest::collection::vec(any::<u8>(), 0..64),
     )
         .prop_map(|(kind, declared, body_len, raw)| {
-            let head = match kind % 6 {
+            let head = match kind % 10 {
                 0 => format!("HTTP/1.1 200 OK\r\nContent-Length: {declared}\r\n\r\n"),
                 1 => format!("HTTP/1.0 404 Not Found\r\nContent-Length: {declared}\r\n\r\n"),
                 2 => "HTTP/1.1 200 OK\r\nServer: x\r\n\r\n".to_string(),
                 3 => format!("ICY 200 OK\r\nContent-Length: {declared}\r\n\r\n"),
                 4 => "HTTP/1.1 200 OK\r\nno colon\r\n\r\n".to_string(),
+                5 => String::from_utf8(encode_response_ok("LimeWire/4.12", declared)).unwrap(),
+                6 => String::from_utf8(encode_response_err("LimeWire/4.12", 404, "Not Found"))
+                    .unwrap(),
+                // `p2pmal_openft::http::encode_response_ok` and `_err`.
+                7 => format!(
+                    "HTTP/1.1 200 OK\r\nServer: giFT/0.11 (OpenFT)\r\nContent-Type: application/octet-stream\r\nContent-Length: {declared}\r\n\r\n"
+                ),
+                8 => "HTTP/1.1 404 Not Found\r\nServer: giFT/0.11 (OpenFT)\r\nContent-Length: 0\r\n\r\n"
+                    .to_string(),
                 _ => return raw,
             };
             let body = (0..body_len).map(|i| (i * 31 + kind as usize) as u8);

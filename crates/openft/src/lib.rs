@@ -10,7 +10,8 @@
 //! * [`packet`] — length/command framing and all typed payloads
 //!   (VERSION, NODEINFO, NODELIST, SESSION, CHILD, ADDSHARE, REMSHARE,
 //!   SEARCH, ...);
-//! * [`http`] — the MD5-addressed transfer channel;
+//! * [`http`] — the MD5-addressed transfer channel's requests and response
+//!   heads (responses are read by `p2pmal_gnutella::http`'s client);
 //! * [`node`] — a complete node over [`p2pmal_netsim::App`] supporting the
 //!   USER, SEARCH and INDEX classes.
 //!
@@ -32,7 +33,7 @@ pub mod http;
 pub mod node;
 pub mod packet;
 
-pub use node::{FtConfig, FtDownloadError, FtEvent, FtNode, FtStats};
+pub use node::{FtConfig, FtEvent, FtNode, FtStats};
 pub use packet::{
     AddShare, Child, Command, NodeEntry, NodeInfo, NodeList, PacketError, PacketReader,
     ResultBatch, Search, SearchResult, Session, Version, CLASS_INDEX, CLASS_SEARCH, CLASS_USER,

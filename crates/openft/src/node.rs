@@ -20,14 +20,13 @@
 //! firewalled-source PUSH relay is not modelled (the study's OpenFT
 //! population is dominated by publicly reachable hosts).
 
-use crate::http::{
-    encode_request, encode_response_err, encode_response_ok, RequestReader, ResponseReader,
-};
+use crate::http::{encode_request, encode_response_err, encode_response_ok, RequestReader};
 use crate::packet::{
     encode_packet, AddShare, Child, Command, NodeEntry, NodeInfo, NodeList, PacketReader,
     ResultBatch, Search, SearchRef, SearchResultRef, Session, Version, CLASS_SEARCH, CLASS_USER,
 };
 use p2pmal_corpus::{ContentRef, HostLibrary, NameRecord};
+use p2pmal_gnutella::http::{DownloadError, ResponseReader};
 use p2pmal_gnutella::servent::SharedWorld;
 use p2pmal_hashes::Md5Digest;
 use p2pmal_netsim::{
@@ -109,15 +108,6 @@ impl FtConfig {
     }
 }
 
-/// Download failure modes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FtDownloadError {
-    ConnectFailed,
-    Timeout,
-    Http(u16),
-    Protocol(String),
-}
-
 /// Node events for instrumented owners.
 #[derive(Debug, Clone)]
 pub enum FtEvent {
@@ -146,7 +136,7 @@ pub enum FtEvent {
     DownloadDone {
         at: SimTime,
         id: u64,
-        result: Result<Vec<u8>, FtDownloadError>,
+        result: Result<Vec<u8>, DownloadError>,
     },
 }
 
@@ -977,21 +967,17 @@ impl FtNode {
         conn: ConnId,
         push: impl FnOnce(&mut ResponseReader),
     ) {
-        let outcome = {
+        let (id, outcome) = {
             let Some(ConnKind::Download(d)) = self.conns.get_mut(&conn) else {
                 return;
             };
             push(&mut d.reader);
-            match d.reader.response() {
-                Ok(Some((200, body))) => Some((d.id, Ok(body))),
-                Ok(Some((status, _))) => Some((d.id, Err(FtDownloadError::Http(status)))),
-                Ok(None) => None,
-                Err(e) => Some((d.id, Err(FtDownloadError::Protocol(e.to_string())))),
-            }
+            let Some(outcome) = d.reader.response().transpose() else {
+                return;
+            };
+            (d.id, outcome)
         };
-        if let Some((id, result)) = outcome {
-            self.finish_download(ctx, Some(conn), id, result);
-        }
+        self.finish_download(ctx, Some(conn), id, outcome);
     }
 
     fn finish_download(
@@ -999,7 +985,7 @@ impl FtNode {
         ctx: &mut Ctx<'_>,
         conn: Option<ConnId>,
         id: u64,
-        result: Result<Vec<u8>, FtDownloadError>,
+        result: Result<Vec<u8>, DownloadError>,
     ) {
         if let Some(c) = conn {
             self.conns.remove(&c);
@@ -1044,12 +1030,7 @@ impl FtNode {
     fn drop_conn(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
         match self.conns.remove(&conn) {
             Some(ConnKind::Download(d)) => {
-                self.finish_download(
-                    ctx,
-                    Some(conn),
-                    d.id,
-                    Err(FtDownloadError::Protocol("dropped".into())),
-                );
+                self.finish_download(ctx, Some(conn), d.id, Err(DownloadError::Reset));
             }
             Some(ConnKind::Peer(p)) => {
                 if p.child {
@@ -1171,7 +1152,7 @@ impl App for FtNode {
         self.expire_handshakes(ctx);
         match self.conns.remove(&conn) {
             Some(ConnKind::Download(d)) => {
-                self.finish_download(ctx, None, d.id, Err(FtDownloadError::ConnectFailed));
+                self.finish_download(ctx, None, d.id, Err(DownloadError::ConnectFailed));
             }
             Some(ConnKind::Peer(p)) => {
                 // An address nobody answers at is forgotten (a misframed
@@ -1232,12 +1213,7 @@ impl App for FtNode {
                 self.maintain(ctx);
             }
             Some(ConnKind::Download(d)) => {
-                self.finish_download(
-                    ctx,
-                    None,
-                    d.id,
-                    Err(FtDownloadError::Protocol("closed mid-transfer".into())),
-                );
+                self.finish_download(ctx, None, d.id, Err(DownloadError::Reset));
             }
             _ => {}
         }
@@ -1261,7 +1237,7 @@ impl App for FtNode {
                 _ => None,
             });
             if let Some(c) = conn {
-                self.finish_download(ctx, Some(c), id, Err(FtDownloadError::Timeout));
+                self.finish_download(ctx, Some(c), id, Err(DownloadError::Timeout));
             }
         }
     }

@@ -292,7 +292,7 @@ fn one_bit_off_md5_download_is_a_404() {
             _ => None,
         })
         .expect("download resolved");
-    assert_eq!(outcome, Err(FtDownloadError::Http(404)));
+    assert_eq!(outcome, Err(DownloadError::Http(404)));
 }
 
 /// A connection the node closed itself is gone from its table: after any
