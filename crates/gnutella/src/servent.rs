@@ -331,7 +331,8 @@ pub struct Servent {
     /// from `guids` so that no flood of foreign GUIDs evicts them.
     searches: VecMap<Guid, SimTime>,
     /// Servent GUID -> conn that delivered its hits (PUSH routing).
-    /// FIFO-bounded route table.
+    /// FIFO-bounded route table, filled only where `keeps_push_routes`:
+    /// a plain leaf's stays empty and allocates nothing.
     push_routes: FifoMap<Guid, ConnId>,
     /// Known ultrapeer addresses.
     host_cache: Vec<HostAddr>,
@@ -566,6 +567,13 @@ impl Servent {
         self.searches
             .get(guid)
             .is_some_and(|&at| now < at + SEARCH_LIFETIME)
+    }
+
+    /// Whether this servent can use a push route: an ultrapeer routes
+    /// PUSH by servent GUID, and an owned servent sends one from
+    /// `begin_download`. A plain leaf does neither, so it keeps none.
+    fn keeps_push_routes(&self) -> bool {
+        self.config.role == Role::Ultrapeer || self.config.collect_events
     }
 
     fn remember_push_route(&mut self, guid: Guid, conn: ConnId) {
@@ -1011,7 +1019,8 @@ impl Servent {
         // answers, through its events. Every other hit — one passing
         // through, or one answering the ambient query of a servent nobody
         // listens to — is checked just as strictly, but nothing of it is
-        // kept beyond the push route to its servent.
+        // kept beyond the push route to its servent, and that only where a
+        // PUSH is sent or routed.
         let decoded = if own && self.config.collect_events {
             QueryHit::parse(payload).map(|hit| (hit.servent_guid, Some(hit)))
         } else {
@@ -1021,7 +1030,9 @@ impl Servent {
             self.stats.bad_messages += 1;
             return;
         };
-        self.remember_push_route(servent_guid, conn);
+        if self.keeps_push_routes() {
+            self.remember_push_route(servent_guid, conn);
+        }
         if own {
             self.stats.hits_received += 1;
             if let Some(hit) = hit {
@@ -1065,7 +1076,12 @@ impl Servent {
             );
             return;
         }
-        // Route toward the target servent.
+        // Route toward the target servent. A leaf relays nothing: a PUSH
+        // for another servent ends here, even where an owned leaf holds a
+        // route to it.
+        if self.config.role != Role::Ultrapeer {
+            return;
+        }
         if let Some(&next) = self.push_routes.get(&push.servent_guid) {
             if let Some(fwd) = header.hop() {
                 self.stats.pushes_routed += 1;

@@ -671,6 +671,122 @@ fn leaf_answers_on_the_arrival_connection_and_relays_no_hit() {
     assert_eq!((stats.hits_routed, stats.hits_received), (0, 1));
 }
 
+/// Push routes are kept only where a PUSH is sent or routed. Two leaves
+/// search for a title two responders share: the owned leaf, which may
+/// send a PUSH, and the ultrapeers, which route one, learn a route to each
+/// responder from the hits; a plain leaf learns nothing from the same hits
+/// and its table allocates nothing.
+#[test]
+fn only_ultrapeers_and_owned_servents_keep_push_routes() {
+    let w = world(12);
+    let responder = || {
+        let mut lib = HostLibrary::new();
+        lib.add_benign(w.catalog.item(0), 0);
+        (lib, false)
+    };
+    let text = w.catalog.item(0).keywords.join(" ");
+    let mut net = build_net(12, 2, vec![responder(), responder()]);
+    let up_addrs: Vec<HostAddr> = net.ups.iter().map(|&u| net.sim.node_addr(u)).collect();
+    let mut searcher = |collect_events| {
+        let cfg = ServentConfig {
+            collect_events,
+            ..ServentConfig::leaf().with_bootstrap(up_addrs.clone())
+        };
+        let servent = Servent::new(cfg, net.world.clone(), HostLibrary::new());
+        net.sim
+            .spawn(NodeSpec::public().listen(6346), Box::new(servent))
+    };
+    let (plain, owned) = (searcher(false), searcher(true));
+    net.sim.run_until(SimTime::from_secs(120));
+    for leaf in [plain, owned] {
+        with_servent(&mut net.sim, leaf, |s, ctx| s.search(ctx, &text));
+    }
+    net.sim.run_until(SimTime::from_secs(180));
+
+    let responders: Vec<Guid> = net
+        .leaves
+        .iter()
+        .map(|&r| with_servent(&mut net.sim, r, |s, _| s.servent_guid()))
+        .collect();
+    with_servent(&mut net.sim, plain, |s, _| {
+        assert_eq!(s.stats.hits_received, 2, "both responders answered");
+        assert!(s.push_routes.is_empty());
+        assert_eq!(s.push_routes.heap_bytes(), 0, "nothing charged");
+    });
+    with_servent(&mut net.sim, owned, |s, _| {
+        assert_eq!(s.stats.hits_received, 2, "both responders answered");
+        for g in &responders {
+            assert!(s.push_routes.get(g).is_some(), "owned leaf routes {g:?}");
+        }
+    });
+    for g in &responders {
+        let routed = net
+            .ups
+            .iter()
+            .any(|&u| with_servent(&mut net.sim, u, |s, _| s.push_routes.get(g).is_some()));
+        assert!(routed, "an ultrapeer routes a PUSH to {g:?}");
+    }
+}
+
+/// A leaf relays no PUSH, not even an owned leaf that holds a route for
+/// the servent it names: a PUSH for another servent ends at the leaf.
+#[test]
+fn a_leaf_drops_a_push_for_another_servent() {
+    let mut net = build_net(13, 2, Vec::new());
+    let up_addrs: Vec<HostAddr> = net.ups.iter().map(|&u| net.sim.node_addr(u)).collect();
+    let leaf = {
+        let cfg = ServentConfig {
+            collect_events: true,
+            ..ServentConfig::leaf().with_bootstrap(up_addrs)
+        };
+        let servent = Servent::new(cfg, net.world.clone(), HostLibrary::new());
+        net.sim
+            .spawn(NodeSpec::public().listen(6346), Box::new(servent))
+    };
+    net.sim.run_until(SimTime::from_secs(120));
+    let (up0, up1) = (net.ups[0], net.ups[1]);
+    let (conn0, conn1) = (leaf_conn(&mut net.sim, up0), leaf_conn(&mut net.sim, up1));
+    let send = |sim: &mut Simulator, up, conn, msg_type, payload: &[u8]| {
+        let mut wire = Vec::new();
+        encode_message(Guid([0xC3; 16]), msg_type, 3, 1, payload, &mut wire);
+        with_servent(sim, up, |_, ctx| ctx.send(conn, &wire));
+        let soon = sim.now() + SimDuration::from_secs(5);
+        sim.run_until(soon);
+    };
+    // A stray hit from ultrapeer 1 naming servent G teaches the owned leaf
+    // a route for G toward ultrapeer 1. G is ultrapeer 1 itself, so a
+    // relayed PUSH would be served there.
+    let target = with_servent(&mut net.sim, up1, |s, _| s.servent_guid());
+    let hit = one_result_hit(target).encode();
+    send(&mut net.sim, up1, conn1, MsgType::QueryHit, &hit);
+    let routed = with_servent(&mut net.sim, leaf, |s, _| {
+        s.push_routes.get(&target).is_some()
+    });
+    assert!(routed, "the owned leaf holds a route for G");
+
+    let push = Push {
+        servent_guid: target,
+        index: 1,
+        ip: std::net::Ipv4Addr::new(10, 0, 0, 9),
+        port: 6346,
+    };
+    send(&mut net.sim, up0, conn0, MsgType::Push, &push.encode());
+
+    let stats = with_servent(&mut net.sim, leaf, |s, _| s.stats());
+    assert_eq!((stats.pushes_routed, stats.pushes_served), (0, 0));
+    assert_eq!(stats.bad_messages, 0);
+    for up in [up0, up1] {
+        with_servent(&mut net.sim, up, |s, _| {
+            let stats = s.stats();
+            assert_eq!(
+                (stats.pushes_routed, stats.pushes_served, stats.bad_messages),
+                (0, 0, 0)
+            );
+            assert!(s.push_routes.get(&target).is_none());
+        });
+    }
+}
+
 /// A flood of 17,384 fresh QUERYs in one instant, which no workload comes
 /// near: the GUID table holds at most 16,384 keys and stops growing once
 /// its young generation is full, at no more heap than the count-bounded

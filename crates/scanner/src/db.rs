@@ -371,7 +371,47 @@ mod tests {
         assert_eq!(db.matches(&hay), vec!["Sig.0001", "Sig.0270"]);
     }
 
+    /// `parse_text` either rejects `text` or yields a database that
+    /// compiles without a panic and renders to text that parses back to the
+    /// same rendering.
+    fn parse_text_round_trips(text: &str) {
+        let Ok(db) = SignatureDb::parse_text(text) else {
+            return;
+        };
+        let rendered = db.to_text();
+        let again = SignatureDb::parse_text(&rendered).expect("a rendering parses");
+        assert_eq!(again.to_text(), rendered, "{text:?}");
+        let _ = db.build();
+    }
+
+    /// Any string: ASCII and any other scalar value, mixed.
+    fn any_text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(any::<u32>(), 0..64).prop_map(|cs| {
+            cs.into_iter()
+                .map(|c| match c & 1 {
+                    0 => char::from((c >> 1) as u8 & 0x7F),
+                    _ => char::from_u32((c >> 1) % 0x11_0000).unwrap_or('\u{FFFD}'),
+                })
+                .collect()
+        })
+    }
+
+    /// Lines of `:`, `*`, `?`, `#`, hex digits and whitespace: well-formed
+    /// `name:pattern` lines (names from the same alphabet) mixed with noise.
+    const LINE_SHAPED: &str = "(([ \t]?[0-9a-fA-F#?* ]{0,4}:[ \t]?([0-9a-fA-F]{2}){4,6}\
+        ((\\?\\?|\\*|[ \t])([0-9a-fA-F]{2}){4,6}){0,3}|[0-9a-fA-F:*?# \t]{0,24})\r?\n){0,6}";
+
     proptest! {
+        #[test]
+        fn parse_text_never_panics_on_any_text(text in any_text()) {
+            parse_text_round_trips(&text);
+        }
+
+        #[test]
+        fn parse_text_never_panics_on_line_shaped_text(text in LINE_SHAPED) {
+            parse_text_round_trips(&text);
+        }
+
         /// The compiled (prefiltered) matcher agrees with the slow
         /// Signature::matches path on random inputs.
         #[test]
