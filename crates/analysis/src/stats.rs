@@ -78,7 +78,7 @@ pub fn ecdf(mut samples: Vec<u64>) -> Vec<(u64, f64)> {
 
 /// Renders one histogram-summary line (`label: n=.. min=.. p50=.. p90=..
 /// p99=.. max=..`) from pre-extracted percentiles, so callers holding a
-/// telemetry [`HistSummary`]-shaped record can report it without this
+/// telemetry `HistSummary`-shaped record can report it without this
 /// crate depending on the telemetry layer.
 pub fn hist_summary_line(
     label: &str,

@@ -8,7 +8,8 @@
 //!
 //! Writes a machine-readable summary to `P2PMAL_BENCH_JSON`
 //! (default `target/telemetry/BENCH_mega.json`) and exits 1 when it
-//! cannot; exits 2 on a bad `P2PMAL_*` variable.
+//! cannot; exits 2 on a bad `P2PMAL_*` variable or a journal it cannot
+//! create.
 
 use p2pmal_bench::{mega_from_env, write_summary};
 use p2pmal_core::MegaRun;

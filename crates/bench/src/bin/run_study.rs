@@ -1,7 +1,8 @@
 //! Runs the full two-network study, simulating once, and prints every
 //! table, figure and paper row, plus machine-readable comparisons. Exits 1
 //! at paper scale when a row leaves its band, and whenever the BENCH JSON
-//! summary cannot be written; 2 on a bad `P2PMAL_*` variable.
+//! summary cannot be written; 2 on a bad `P2PMAL_*` variable or a journal
+//! it cannot create.
 //!
 //! ```sh
 //! cargo run --release -p p2pmal-bench --bin run_study           # paper scale

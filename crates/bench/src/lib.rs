@@ -5,12 +5,14 @@
 //! Both are driven by `P2PMAL_*` environment variables. [`KNOBS`] is the
 //! one list of their names, and README's knob table (kept equal to it by a
 //! unit test) says what each takes, its default and which program reads
-//! it. Either program exits 2 on a set name outside [`KNOBS`] or on a knob
-//! it reads that does not parse; it never falls back to the default.
+//! it. Either program exits 2 on a set name outside [`KNOBS`], on a knob
+//! it reads that does not parse, or on a journal file it cannot create; it
+//! never falls back to the default.
 
 use p2pmal_core::{fault_profile, LimewireScenario, MegaScenario, OpenFtScenario, Study};
 use p2pmal_crawler::{parse_scan_threads, RetryPolicy};
 use p2pmal_json::Value;
+use p2pmal_netsim::telemetry::{journal_path_for, JsonlSink};
 use p2pmal_netsim::{FaultPlan, SimConfig, TelemetryConfig};
 use std::path::Path;
 use std::str::FromStr;
@@ -93,6 +95,27 @@ fn check_env(vars: &Vars) -> Result<(), String> {
     Ok(())
 }
 
+/// Creates the journal file of each network in `labels` under the
+/// `P2PMAL_JOURNAL` base (see [`journal_path_for`]) the way the run's sink
+/// will, so a journal that cannot be written stops the program before it
+/// simulates instead of leaving a run without one. The run truncates each
+/// file again when it opens its sink.
+fn check_journals(vars: &Vars, labels: &[&str]) -> Result<(), String> {
+    let Some(base) = var(vars, "P2PMAL_JOURNAL").filter(|p| !p.trim().is_empty()) else {
+        return Ok(());
+    };
+    for label in labels {
+        let path = journal_path_for(Path::new(base), label);
+        JsonlSink::create(&path).map_err(|e| {
+            format!(
+                "P2PMAL_JOURNAL={base:?}: cannot create {}: {e}",
+                path.display()
+            )
+        })?;
+    }
+    Ok(())
+}
+
 /// `run_study`'s configuration from the environment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchConfig {
@@ -117,6 +140,7 @@ impl BenchConfig {
     /// [`Self::from_env`] over any set of variables.
     fn from_vars(vars: &Vars) -> Result<Self, String> {
         check_env(vars)?;
+        check_journals(vars, &["limewire", "openft"])?;
         let seeds = match var(vars, "P2PMAL_SEEDS") {
             Some(v) if !v.trim().is_empty() => Some(
                 v.split(',')
@@ -196,6 +220,7 @@ pub fn mega_from_env() -> Result<MegaScenario, String> {
 
 fn mega_from_vars(vars: &Vars) -> Result<MegaScenario, String> {
     check_env(vars)?;
+    check_journals(vars, &["mega"])?;
     let mut scen = MegaScenario::new(
         parsed(vars, "P2PMAL_SEED")?.unwrap_or(42),
         parsed(vars, "P2PMAL_MEGA_NODES")?.unwrap_or(50_000),
@@ -343,6 +368,34 @@ mod tests {
             ] {
                 assert!(err.contains(name), "{name}={value}: {err}");
             }
+        }
+    }
+
+    #[test]
+    fn a_journal_that_cannot_be_created_fails_both_programs() {
+        let dir = std::env::temp_dir().join(format!("p2pmal-journal-{}", std::process::id()));
+        let base = dir.join("new").join("journal.jsonl");
+        let writable = vars(&[("P2PMAL_JOURNAL", base.to_str().unwrap())]);
+        BenchConfig::from_vars(&writable).expect("journal directory is created");
+        mega_from_vars(&writable).expect("journal directory is created");
+        for label in ["limewire", "openft", "mega"] {
+            assert!(journal_path_for(&base, label).is_file(), "{label}");
+        }
+        // A base whose parent is a file.
+        let blocked = journal_path_for(&base, "mega").join("journal.jsonl");
+        let set = vars(&[("P2PMAL_JOURNAL", blocked.to_str().unwrap())]);
+        let errs = [
+            (
+                BenchConfig::from_vars(&set).expect_err("run_study"),
+                "limewire",
+            ),
+            (mega_from_vars(&set).expect_err("run_mega"), "mega"),
+        ];
+        std::fs::remove_dir_all(&dir).unwrap();
+        for (err, label) in errs {
+            let path = journal_path_for(&blocked, label);
+            assert!(err.contains("P2PMAL_JOURNAL"), "{err}");
+            assert!(err.contains(&*path.to_string_lossy()), "{err}");
         }
     }
 

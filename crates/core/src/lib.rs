@@ -10,6 +10,11 @@
 //! * [`scenario`] — calibrated population presets
 //!   ([`LimewireScenario`], [`OpenFtScenario`]) with `paper_scale()` and
 //!   `quick()` variants;
+//! * [`mega`] — the mega-tier preset ([`MegaScenario`]), a Gnutella world
+//!   of 50k–1M servents sized by one node count;
+//! * `population` (crate-private) — the one builder the three presets wire
+//!   their worlds through: world, simulator and telemetry, backbone and
+//!   bootstrap groups, crawler, and the collection;
 //! * [`study`] — the [`Study`] builder and [`StudyReport`] with every
 //!   reconstructed table/figure plus paper-vs-measured comparisons.
 //!
@@ -24,6 +29,7 @@
 //! ```
 
 pub mod mega;
+mod population;
 pub mod scenario;
 pub mod study;
 

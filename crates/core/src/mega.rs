@@ -2,34 +2,41 @@
 //! servents, built for memory/setup-throughput measurement rather than
 //! paper-number calibration.
 //!
-//! Differences from [`crate::LimewireScenario`]:
+//! It is wired by the same population builder as
+//! [`crate::LimewireScenario`]: the same ultrapeer backbone with leaf slots
+//! covering the leaves, leaf servents, durable crawler and collection.
+//! What differs is who joins:
 //!
-//! * the population is parameterized by a single `nodes` count
-//!   (`P2PMAL_MEGA_NODES` in `run_mega`), with the ultrapeer backbone,
-//!   leaf libraries and infection mix all derived proportionally;
-//! * ultrapeers bootstrap off a bounded window of prior ultrapeers and
-//!   leaves off shared bootstrap groups, so population setup is O(nodes),
-//!   not O(ultrapeers × leaves);
-//! * only a sampled fraction of leaves runs ambient hourly queries — at a
-//!   million nodes an every-leaf workload would measure the query flood,
-//!   not the per-node state this tier exists to size.
+//! * **the bootstrap window.** Each ultrapeer bootstraps off the previous
+//!   `bootstrap_fanout` ultrapeers, and the leaves take turns over groups
+//!   of `bootstrap_fanout` consecutive ultrapeers. LimeWire's window is the
+//!   whole backbone, so there every node sees every earlier ultrapeer and
+//!   there is one group;
+//! * **strided infections.** A `nodes` count (`P2PMAL_MEGA_NODES` in
+//!   `run_mega`) sizes the backbone and leaves. The echo worm (family 0)
+//!   sits on leaves at an even stride, `echo_hosts_per_10k` per 10k
+//!   leaves, and the trojan (family 3) on a second stride, instead of
+//!   LimeWire's per-family host counts with chosen NAT hosts. Every leaf
+//!   whose index ends in 0–2 sits behind NAT;
+//! * **sampled ambient queries.** Only every `ambient_every`-th leaf runs
+//!   hourly queries. At a million nodes an every-leaf workload would
+//!   measure the query flood, not the per-node state this tier exists to
+//!   size.
 //!
 //! The run still carries the full instrumented crawler (queries, downloads,
 //! scan pipeline), so a "bounded study run" at 250k+ nodes exercises every
 //! layer the paper-scale study does.
 
-use crate::scenario::{clean_library, crawl_days, make_scanner, make_world};
+use crate::population::{clean_library, EngineEnv, Population};
 use p2pmal_corpus::catalog::CatalogConfig;
-use p2pmal_corpus::{FamilyId, HostLibrary, Roster};
-use p2pmal_crawler::{CrawlLog, CrawlerConfig, GnutellaCrawler, WorkloadConfig};
+use p2pmal_corpus::{FamilyId, Roster};
+use p2pmal_crawler::{CrawlLog, CrawlerConfig, WorkloadConfig};
 use p2pmal_gnutella::servent::{Servent, ServentConfig};
 use p2pmal_netsim::{
-    MemoryStats, NodeSpec, SchedulerKind, SimConfig, SimDuration, SimMetrics, Simulator,
-    TelemetryConfig,
+    MemoryStats, SchedulerKind, SimConfig, SimDuration, SimMetrics, TelemetryConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 /// Configuration for one mega-tier world.
 #[derive(Debug, Clone)]
@@ -89,6 +96,7 @@ pub struct MegaRun {
 impl MegaScenario {
     /// Defaults for a `nodes`-servent world; see field docs for the knobs.
     pub fn new(seed: u64, nodes: usize) -> Self {
+        let env = EngineEnv::read();
         MegaScenario {
             seed,
             nodes,
@@ -108,10 +116,10 @@ impl MegaScenario {
                 ..Default::default()
             },
             scheduler: SchedulerKind::Calendar,
-            scan_threads: p2pmal_crawler::scan_threads_from_env(),
-            telemetry: TelemetryConfig::from_env(),
-            shards: SimConfig::shards_from_env().0,
-            shard_window_us: SimConfig::shards_from_env().1,
+            scan_threads: env.scan_threads,
+            telemetry: env.telemetry,
+            shards: env.shards,
+            shard_window_us: env.shard_window_us,
         }
     }
 
@@ -119,53 +127,24 @@ impl MegaScenario {
     /// measurement. `progress(day)` fires after each simulated day.
     pub fn run_with_progress(&self, progress: impl FnMut(u64)) -> MegaRun {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x11FE);
-        let world = make_world(self.seed, &self.catalog, Roster::limewire_2006());
-        let scanner = make_scanner(&world);
-        let mut sim = Simulator::new(
+        let mut pop = Population::new(
+            self.seed,
+            &self.catalog,
+            Roster::limewire_2006(),
             SimConfig {
                 scheduler: self.scheduler,
                 shards: self.shards,
                 shard_window_us: self.shard_window_us,
                 ..SimConfig::default()
             },
-            self.seed,
+            &self.telemetry,
+            "mega",
         );
-        sim.set_telemetry(self.telemetry.build("mega"));
 
         let setup_t0 = std::time::Instant::now();
         let ups = (self.nodes / (self.leaves_per_up + 1)).max(1);
         let leaves = self.nodes.saturating_sub(ups + 1);
-        let fanout = self.bootstrap_fanout.max(1);
-
-        // Backbone. Overflow-safe slot arithmetic: at 10^6 leaves the naive
-        // `leaves * degree * 13` product is fine on 64-bit but saturate
-        // anyway so 32-bit hosts degrade to "plenty" instead of wrapping.
-        let slots_needed = leaves.saturating_mul(ServentConfig::leaf().target_degree);
-        let slots_per_up = (slots_needed.saturating_mul(13) / 10 / ups).max(30);
-        let mut up_addrs: Vec<p2pmal_netsim::HostAddr> = Vec::with_capacity(ups);
-        for i in 0..ups {
-            // Bounded bootstrap window: the previous `fanout` ultrapeers.
-            let window = up_addrs[i.saturating_sub(fanout)..i].to_vec();
-            let mut cfg = ServentConfig::ultrapeer().with_bootstrap(window);
-            cfg.max_leaf_slots = slots_per_up;
-            let id = sim.spawn(
-                NodeSpec::public().listen(6346),
-                Box::new(Servent::new(cfg, world.clone(), HostLibrary::new())),
-            );
-            up_addrs.push(sim.node_addr(id));
-        }
-
-        // Leaf bootstrap groups: `fanout` consecutive ultrapeers per group,
-        // shared by every leaf assigned to that group. The final group is
-        // pulled back so it keeps full width when `ups % fanout != 0`.
-        let num_groups = ups.div_ceil(fanout);
-        let groups: Vec<Arc<[p2pmal_netsim::HostAddr]>> = (0..num_groups)
-            .map(|g| {
-                let start = (g * fanout).min(ups.saturating_sub(fanout));
-                let end = (start + fanout).min(ups);
-                up_addrs[start..end].to_vec().into()
-            })
-            .collect();
+        pop.ultrapeers(ups, self.bootstrap_fanout, leaves);
 
         let echo_total = leaves * self.echo_hosts_per_10k / 10_000;
         let trojan_total = leaves * self.trojan_hosts_per_10k / 10_000;
@@ -173,61 +152,42 @@ impl MegaScenario {
         let trojan_stride = leaves.checked_div(trojan_total).unwrap_or(0);
 
         for i in 0..leaves {
-            let mut lib = clean_library(&world, self.files_per_leaf, &mut rng);
+            let mut lib = clean_library(&pop.world, self.files_per_leaf, &mut rng);
+            let world = &pop.world;
             if echo_stride > 0 && i % echo_stride == 0 {
                 lib.infect(world.roster.get(FamilyId(0)), &world.catalog, &mut rng);
             } else if trojan_stride > 0 && i % trojan_stride == 1 {
                 lib.infect(world.roster.get(FamilyId(3)), &world.catalog, &mut rng);
             }
-            let mut cfg = ServentConfig::leaf().with_bootstrap(groups[i % num_groups].clone());
-            if self.ambient_every > 0 && i % self.ambient_every == 0 {
-                cfg.auto_query = Some(SimDuration::from_hours(1));
-            }
-            let spec = if i % 10 < 3 {
-                NodeSpec::nat()
-            } else {
-                NodeSpec::public().listen(6346)
-            };
-            sim.spawn(spec, Box::new(Servent::new(cfg, world.clone(), lib)));
+            let ambient = (self.ambient_every > 0 && i % self.ambient_every == 0)
+                .then(|| SimDuration::from_hours(1));
+            pop.gnutella_leaf(lib, i % 10 < 3, ambient);
         }
 
-        let crawler = sim.spawn(
-            NodeSpec::public().listen(6346).durable(),
-            Box::new(GnutellaCrawler::new(
-                ServentConfig::leaf().with_bootstrap(groups[0].clone()),
-                world.clone(),
-                scanner,
-                CrawlerConfig {
-                    workload: self.workload.clone(),
-                    scan_threads: self.scan_threads,
-                    ..Default::default()
-                },
-            )),
-        );
+        let node = ServentConfig::leaf().with_bootstrap(pop.bootstrap(0));
+        let config = CrawlerConfig {
+            workload: self.workload.clone(),
+            scan_threads: self.scan_threads,
+            ..Default::default()
+        };
+        let crawler = pop.crawler::<Servent>(6346, node, config);
         let setup_wall = setup_t0.elapsed();
-        sim.record_memory();
-        let setup_memory = sim.metrics().memory;
+        pop.sim.record_memory();
+        let setup_memory = pop.sim.metrics().memory;
 
-        let (log, wall) = crawl_days::<Servent>(
-            &mut sim,
-            crawler,
-            "mega",
-            self.days,
-            self.telemetry.trace,
-            progress,
-        );
+        let crawl = pop.crawl::<Servent>(crawler, "mega", self.days, progress);
         MegaRun {
             nodes: self.nodes,
             ups,
             leaves,
             days: self.days,
             setup_wall,
-            wall,
+            wall: crawl.wall,
             setup_memory,
-            sim_metrics: sim.metrics().clone(),
-            log,
-            shards: sim.shard_count(),
-            shard_window_us: sim.shard_window_us(),
+            sim_metrics: crawl.sim_metrics,
+            log: crawl.log,
+            shards: crawl.shards,
+            shard_window_us: crawl.shard_window_us,
         }
     }
 

@@ -19,23 +19,20 @@
 //!   popular bait titles, with a handful of minor infected users supplying
 //!   the remaining third of malicious responses.
 
-use p2pmal_corpus::catalog::{Catalog, CatalogConfig};
-use p2pmal_corpus::{ContentStore, FamilyId, HostLibrary, Roster};
+use crate::population::{clean_library, EngineEnv, Population};
+use p2pmal_corpus::catalog::CatalogConfig;
+use p2pmal_corpus::{FamilyId, HostLibrary, Roster};
 use p2pmal_crawler::{
-    CrawlLog, Crawler, CrawlerConfig, FtCrawler, GnutellaCrawler, Network, Overlay,
-    ResolvedResponse, RetryPolicy, ScanStats, WorkloadConfig, DEFAULT_SCAN_CACHE_ENTRIES,
+    CrawlLog, CrawlerConfig, Network, ResolvedResponse, RetryPolicy, WorkloadConfig,
+    DEFAULT_SCAN_CACHE_ENTRIES,
 };
 use p2pmal_gnutella::servent::{Servent, ServentConfig, SharedWorld};
 use p2pmal_netsim::{
-    FaultPlan, HostAddr, NodeId, NodeSpec, SchedulerKind, SimConfig, SimDuration, SimMetrics,
-    SimTime, Simulator, TelemetryConfig,
+    FaultPlan, NodeSpec, SchedulerKind, SimConfig, SimDuration, SimMetrics, TelemetryConfig,
 };
 use p2pmal_openft::node::{FtConfig, FtNode};
-use p2pmal_scanner::Scanner;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
-use std::sync::Arc;
+use rand::SeedableRng;
 
 /// How many hosts carry one malware family, and how many of them sit
 /// behind NAT (advertising RFC 1918 addresses).
@@ -139,215 +136,6 @@ impl NetworkRun {
     }
 }
 
-/// Per-day crawler-side counters a trace line reports alongside the
-/// simulator metrics.
-struct DayCrawlStats {
-    scan: ScanStats,
-    retries: u64,
-    retry_successes: u64,
-    failures: u64,
-}
-
-impl DayCrawlStats {
-    fn of(log: &CrawlLog) -> Self {
-        DayCrawlStats {
-            scan: log.scan,
-            retries: log.retries_scheduled,
-            retry_successes: log.retry_successes,
-            failures: log.failures.total(),
-        }
-    }
-}
-
-/// `P2PMAL_TRACE=1`: per-day progress line with scheduler and buffer-pool
-/// health (queue depth + peak, pool hit rate, bytes recycled), plus the
-/// scan-pipeline counters (bodies, cache hits/misses/evictions, distinct
-/// payloads, bytes hashed) and the retry/failure tallies from the crawl log.
-///
-/// Accepted `P2PMAL_TRACE` values (parsed by
-/// `p2pmal_netsim::telemetry::parse_trace_level`): unset, empty, `0`,
-/// `off`, `false`, `no` → off; `2` → per-day lines *plus* per-event
-/// records on stderr; anything else (the historical `1`) → per-day lines.
-fn trace_day(
-    net: &str,
-    day: u64,
-    events: u64,
-    delta: u64,
-    wall_secs: f64,
-    sim: &Simulator,
-    crawl: &DayCrawlStats,
-) {
-    let m = sim.metrics();
-    let s = &crawl.scan;
-    let scan_part = format!(
-        ", scan {} bodies / {} hits / {} misses / {} evict / {} distinct / {} KiB hashed",
-        s.bodies,
-        s.cache_hits,
-        s.cache_misses,
-        s.cache_evictions,
-        s.distinct_payloads,
-        s.bytes_hashed / 1024,
-    );
-    let fault_events = m.faults_chunks_dropped
-        + m.faults_chunks_corrupted
-        + m.faults_resets
-        + m.faults_latency_spikes
-        + m.faults_churn_downs;
-    let fault_part = if fault_events > 0 {
-        format!(
-            ", faults {} drop / {} corrupt / {} reset / {} spike / {} down / {} up",
-            m.faults_chunks_dropped,
-            m.faults_chunks_corrupted,
-            m.faults_resets,
-            m.faults_latency_spikes,
-            m.faults_churn_downs,
-            m.faults_churn_ups,
-        )
-    } else {
-        String::new()
-    };
-    let resilience_part = if crawl.retries + crawl.failures > 0 {
-        format!(
-            ", retries {} scheduled / {} recovered / {} terminal failures",
-            crawl.retries, crawl.retry_successes, crawl.failures,
-        )
-    } else {
-        String::new()
-    };
-    let timing_part = if m.timing.is_empty() {
-        String::new()
-    } else {
-        format!(", timing {}", m.timing.render_compact())
-    };
-    eprintln!(
-        "[trace] {net} day {day}: {events} events (+{delta}), {wall_secs:.1}s wall, \
-         queue {} pending (peak {}), pool {} hits / {} misses / {} KiB recycled (free peak {}){scan_part}{fault_part}{resilience_part}{timing_part}",
-        sim.pending_events(),
-        m.queue_high_water,
-        m.pool_hits,
-        m.pool_misses,
-        m.pool_recycled_bytes / 1024,
-        m.pool_high_water,
-    );
-}
-
-/// Runs `f` on the crawler spawned as `node` (durable, so always alive).
-fn with_crawler<O: Overlay, R>(
-    sim: &mut Simulator,
-    node: NodeId,
-    f: impl FnOnce(&mut Crawler<O>) -> R,
-) -> R {
-    sim.with_node(node, |app, _| {
-        f(app
-            .as_any_mut()
-            .expect("crawler downcasts")
-            .downcast_mut::<Crawler<O>>()
-            .expect("crawler node"))
-    })
-    .expect("crawler alive")
-}
-
-/// The collection itself, the same for every scenario: run `days` simulated
-/// days with the crawler `Crawler<O>` at `crawler`, then take its log out.
-/// Returns the log and the wall clock the day loop took. `trace` is the
-/// `P2PMAL_TRACE` level (≥ 1 prints a [`trace_day`] line per day under the
-/// `net` label); `progress(day)` fires after each day.
-pub(crate) fn crawl_days<O: Overlay>(
-    sim: &mut Simulator,
-    crawler: NodeId,
-    net: &str,
-    days: u64,
-    trace: u8,
-    mut progress: impl FnMut(u64),
-) -> (CrawlLog, std::time::Duration) {
-    let mut last_events = 0u64;
-    let mut wall = std::time::Duration::ZERO;
-    for day in 1..=days {
-        let t0 = std::time::Instant::now();
-        sim.run_until(SimTime::from_days(day));
-        // Sim-time barrier: merge any batched scan verdicts before the
-        // day's stats are read, so day lines match the inline path.
-        sim.barrier(crawler);
-        let day_wall = t0.elapsed();
-        wall += day_wall;
-        // Unconditional: every run samples queue depth identically, so
-        // the registry stays deterministic whatever the trace level.
-        sim.sample_queue_depth();
-        let ev = sim.metrics().events_processed;
-        if trace >= 1 {
-            let crawl = with_crawler::<O, _>(sim, crawler, |c| DayCrawlStats::of(c.log()));
-            trace_day(
-                net,
-                day,
-                ev,
-                ev - last_events,
-                day_wall.as_secs_f64(),
-                sim,
-                &crawl,
-            );
-        }
-        last_events = ev;
-        progress(day);
-    }
-    sim.flush_telemetry();
-    sim.record_memory();
-    (with_crawler::<O, _>(sim, crawler, Crawler::take_log), wall)
-}
-
-/// Clones the simulator metrics and fills in the counters the harness
-/// observed through the crawl log (scan pipeline, download retries).
-fn metrics_with_log(sim: &Simulator, log: &CrawlLog) -> SimMetrics {
-    let mut m = sim.metrics().clone();
-    let scan = log.scan;
-    m.scan_bodies = scan.bodies;
-    m.scan_bytes_hashed = scan.bytes_hashed;
-    m.scan_cache_hits = scan.cache_hits;
-    m.scan_cache_misses = scan.cache_misses;
-    m.scan_cache_evictions = scan.cache_evictions;
-    m.scan_distinct_payloads = scan.distinct_payloads;
-    m.dl_retries = log.retries_scheduled;
-    m.dl_retry_successes = log.retry_successes;
-    m
-}
-
-pub(crate) fn make_world(seed: u64, catalog_cfg: &CatalogConfig, roster: Roster) -> SharedWorld {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x0CA7_A106);
-    let catalog = Catalog::generate(catalog_cfg, &mut rng);
-    SharedWorld::new(
-        Arc::new(catalog),
-        Arc::new(roster),
-        Arc::new(ContentStore::new(seed)),
-    )
-}
-
-pub(crate) fn make_scanner(world: &SharedWorld) -> Arc<Scanner> {
-    Arc::new(Scanner::new(
-        world
-            .roster
-            .signature_db()
-            .expect("roster db")
-            .build()
-            .expect("db compiles"),
-    ))
-}
-
-/// A clean host's library: `files` popularity-sampled titles, one random
-/// variant each.
-pub(crate) fn clean_library(world: &SharedWorld, files: usize, rng: &mut StdRng) -> HostLibrary {
-    let mut lib = HostLibrary::new();
-    let mut seen = HashSet::new();
-    let mut attempts = 0;
-    while lib.len() < files && attempts < files * 10 {
-        attempts += 1;
-        let item = world.catalog.sample(rng);
-        if seen.insert(item.id) {
-            let variant = rng.gen_range(0..item.variants.len());
-            lib.add_benign(item, variant);
-        }
-    }
-    lib
-}
-
 // ---------------------------------------------------------------------------
 // LimeWire scenario
 // ---------------------------------------------------------------------------
@@ -408,6 +196,7 @@ pub struct LimewireScenario {
 impl LimewireScenario {
     /// The paper-scale run behind EXPERIMENTS.md.
     pub fn paper_scale(seed: u64) -> Self {
+        let env = EngineEnv::read();
         LimewireScenario {
             seed,
             days: 35,
@@ -428,12 +217,12 @@ impl LimewireScenario {
             ambient_query: Some(SimDuration::from_hours(1)),
             scheduler: SchedulerKind::Calendar,
             scan_cache_entries: DEFAULT_SCAN_CACHE_ENTRIES,
-            scan_threads: p2pmal_crawler::scan_threads_from_env(),
+            scan_threads: env.scan_threads,
             faults: FaultPlan::none(),
             retry: RetryPolicy::legacy(),
-            telemetry: TelemetryConfig::from_env(),
-            shards: SimConfig::shards_from_env().0,
-            shard_window_us: SimConfig::shards_from_env().1,
+            telemetry: env.telemetry,
+            shards: env.shards,
+            shard_window_us: env.shard_window_us,
         }
     }
 
@@ -494,9 +283,10 @@ impl LimewireScenario {
     /// Like [`LimewireScenario::run`], reporting each finished simulated
     /// day to `progress`.
     pub fn run_with_progress(&self, progress: impl FnMut(u64)) -> NetworkRun {
-        let world = make_world(self.seed, &self.catalog, Roster::limewire_2006());
-        let scanner = make_scanner(&world);
-        let mut sim = Simulator::new(
+        let mut pop = Population::new(
+            self.seed,
+            &self.catalog,
+            Roster::limewire_2006(),
             SimConfig {
                 scheduler: self.scheduler,
                 faults: self.faults,
@@ -504,99 +294,48 @@ impl LimewireScenario {
                 shard_window_us: self.shard_window_us,
                 ..SimConfig::default()
             },
-            self.seed,
+            &self.telemetry,
+            "limewire",
         );
-        sim.set_telemetry(self.telemetry.build("limewire"));
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x11FE);
 
-        // Ultrapeer backbone. Leaf slots must cover the population
-        // (every leaf holds `target_degree` ultrapeer connections) or the
-        // overflow would churn through rejection/retry forever.
-        let leaves = self.clean_leaves + self.infections.iter().map(|i| i.hosts).sum::<usize>() + 1; // the crawler
-                                                                                                     // Saturating: at mega populations `leaves * degree * 13` would
-                                                                                                     // overflow 32-bit-ish intermediate products on exotic targets.
-        let slots_needed = leaves.saturating_mul(ServentConfig::leaf().target_degree);
-        let slots_per_up = (slots_needed.saturating_mul(13) / 10 / self.ultrapeers.max(1)).max(30);
-        let mut up_addrs = Vec::new();
-        for _ in 0..self.ultrapeers {
-            let mut cfg = ServentConfig::ultrapeer().with_bootstrap(up_addrs.clone());
-            cfg.max_leaf_slots = slots_per_up;
-            let id = sim.spawn(
-                NodeSpec::public().listen(6346),
-                Box::new(Servent::new(cfg, world.clone(), HostLibrary::new())),
-            );
-            up_addrs.push(sim.node_addr(id));
-        }
-        // One shared ultrapeer list for every leaf (and the crawler): spawning
-        // N leaves used to copy the full list N times, an O(UPs x leaves)
-        // setup cost that dominated at mega populations.
-        let up_boot: Arc<[HostAddr]> = up_addrs.into();
-
-        let spawn_leaf =
-            |sim: &mut Simulator, lib: HostLibrary, nat: bool, ambient: Option<SimDuration>| {
-                let mut cfg = ServentConfig::leaf().with_bootstrap(up_boot.clone());
-                cfg.auto_query = ambient;
-                let spec = if nat {
-                    NodeSpec::nat()
-                } else {
-                    NodeSpec::public().listen(6346)
-                };
-                sim.spawn(spec, Box::new(Servent::new(cfg, world.clone(), lib)))
-            };
+        // One bootstrap group of every ultrapeer, shared by every leaf and
+        // the crawler.
+        let infected: usize = self.infections.iter().map(|i| i.hosts).sum();
+        let leaves = self.clean_leaves + infected + 1; // the crawler
+        pop.ultrapeers(self.ultrapeers, self.ultrapeers, leaves);
 
         // Clean population.
         for i in 0..self.clean_leaves {
-            let lib = clean_library(&world, self.files_per_leaf, &mut rng);
+            let lib = clean_library(&pop.world, self.files_per_leaf, &mut rng);
             let nat = (i as f64 + 0.5) / self.clean_leaves as f64 <= self.clean_nat_fraction;
-            spawn_leaf(&mut sim, lib, nat, self.ambient_query);
+            pop.gnutella_leaf(lib, nat, self.ambient_query);
         }
 
         // Infected population.
         for spec in &self.infections {
             for h in 0..spec.hosts {
-                let mut lib = clean_library(&world, self.infected_benign_files, &mut rng);
-                lib.infect(world.roster.get(spec.family), &world.catalog, &mut rng);
-                spawn_leaf(&mut sim, lib, h < spec.nat_hosts, None);
+                let mut lib = clean_library(&pop.world, self.infected_benign_files, &mut rng);
+                lib.infect(
+                    pop.world.roster.get(spec.family),
+                    &pop.world.catalog,
+                    &mut rng,
+                );
+                pop.gnutella_leaf(lib, h < spec.nat_hosts, None);
             }
         }
 
-        // The instrumented client. Durable: the measurement host never
-        // churns, only the network around it does.
-        let crawler = sim.spawn(
-            NodeSpec::public().listen(6346).durable(),
-            Box::new(GnutellaCrawler::new(
-                ServentConfig::leaf().with_bootstrap(up_boot.clone()),
-                world.clone(),
-                scanner,
-                CrawlerConfig {
-                    workload: self.workload.clone(),
-                    scan_cache_entries: self.scan_cache_entries,
-                    scan_threads: self.scan_threads,
-                    retry: self.retry,
-                    ..Default::default()
-                },
-            )),
-        );
-
-        let (log, wall) = crawl_days::<Servent>(
-            &mut sim,
-            crawler,
-            "LW",
-            self.days,
-            self.telemetry.trace,
-            progress,
-        );
-        let resolved = log.resolved();
-        NetworkRun {
-            network: Network::Limewire,
-            sim_metrics: metrics_with_log(&sim, &log),
-            log,
-            resolved,
-            world,
-            wall,
-            shards: sim.shard_count(),
-            shard_window_us: sim.shard_window_us(),
-        }
+        let config = CrawlerConfig {
+            workload: self.workload.clone(),
+            scan_cache_entries: self.scan_cache_entries,
+            scan_threads: self.scan_threads,
+            retry: self.retry,
+            ..Default::default()
+        };
+        let node = ServentConfig::leaf().with_bootstrap(pop.bootstrap(0));
+        let crawler = pop.crawler::<Servent>(6346, node, config);
+        pop.crawl::<Servent>(crawler, "LW", self.days, progress)
+            .into_network_run(Network::Limewire)
     }
 }
 
@@ -627,12 +366,9 @@ pub struct OpenFtScenario {
     /// `benchmark/src/workloads.rs` sets it; goes in the next `[benchmark]`
     /// PR.
     pub scheduler: SchedulerKind,
-    /// Verdict-cache capacity for the crawler's scan pipeline (0 disables;
-    /// outcomes are identical either way, only wall time changes).
+    /// Verdict-cache capacity (see [`LimewireScenario::scan_cache_entries`]).
     pub scan_cache_entries: usize,
-    /// Scan-service worker threads (1 = inline sequential scanning). The
-    /// presets read `P2PMAL_SCAN_THREADS`; any value produces byte-identical
-    /// reports, only wall time changes.
+    /// Scan-service worker threads (see [`LimewireScenario::scan_threads`]).
     pub scan_threads: usize,
     /// Network fault injection ([`FaultPlan::none()`] by default).
     pub faults: FaultPlan,
@@ -650,6 +386,7 @@ pub struct OpenFtScenario {
 
 impl OpenFtScenario {
     pub fn paper_scale(seed: u64) -> Self {
+        let env = EngineEnv::read();
         OpenFtScenario {
             seed,
             days: 35,
@@ -683,12 +420,12 @@ impl OpenFtScenario {
             ambient_query: Some(SimDuration::from_hours(1)),
             scheduler: SchedulerKind::Calendar,
             scan_cache_entries: DEFAULT_SCAN_CACHE_ENTRIES,
-            scan_threads: p2pmal_crawler::scan_threads_from_env(),
+            scan_threads: env.scan_threads,
             faults: FaultPlan::none(),
             retry: RetryPolicy::legacy(),
-            telemetry: TelemetryConfig::from_env(),
-            shards: SimConfig::shards_from_env().0,
-            shard_window_us: SimConfig::shards_from_env().1,
+            telemetry: env.telemetry,
+            shards: env.shards,
+            shard_window_us: env.shard_window_us,
         }
     }
 
@@ -729,9 +466,10 @@ impl OpenFtScenario {
     }
 
     pub fn run_with_progress(&self, progress: impl FnMut(u64)) -> NetworkRun {
-        let world = make_world(self.seed, &self.catalog, Roster::openft_2006());
-        let scanner = make_scanner(&world);
-        let mut sim = Simulator::new(
+        let mut pop = Population::new(
+            self.seed,
+            &self.catalog,
+            Roster::openft_2006(),
             SimConfig {
                 scheduler: self.scheduler,
                 faults: self.faults,
@@ -739,43 +477,31 @@ impl OpenFtScenario {
                 shard_window_us: self.shard_window_us,
                 ..SimConfig::default()
             },
-            self.seed,
+            &self.telemetry,
+            "openft",
         );
-        sim.set_telemetry(self.telemetry.build("openft"));
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x0F7);
 
-        let mut search_addrs = Vec::new();
-        for _ in 0..self.search_nodes {
-            let cfg = FtConfig::search_node().with_bootstrap(search_addrs.clone());
-            let id = sim.spawn(
-                NodeSpec::public().listen(1215),
-                Box::new(FtNode::new(cfg, world.clone(), HostLibrary::new())),
-            );
-            search_addrs.push(sim.node_addr(id));
-        }
-        // Shared across every USER node and the crawler, as on the LW side.
-        let search_boot: Arc<[HostAddr]> = search_addrs.into();
+        // The SEARCH backbone, one bootstrap group shared across every USER
+        // node and the crawler, as on the LW side.
+        let world = pop.world.clone();
+        pop.backbone(self.search_nodes, self.search_nodes, 1215, |boot| {
+            let cfg = FtConfig::search_node().with_bootstrap(boot);
+            Box::new(FtNode::new(cfg, world.clone(), HostLibrary::new()))
+        });
+        let search_boot = pop.bootstrap(0);
 
-        let spawn_user = |sim: &mut Simulator,
-                          lib: HostLibrary,
-                          ambient: Option<SimDuration>,
-                          upload: Option<u64>,
-                          durable: bool| {
+        let user = NodeSpec::public().listen(1215);
+        let spawn_user = |pop: &mut Population, lib, ambient, spec| {
             let mut cfg = FtConfig::user().with_bootstrap(search_boot.clone());
             cfg.auto_query = ambient;
-            let mut spec = NodeSpec::public().listen(1215);
-            if let Some(bps) = upload {
-                spec = spec.upload(bps);
-            }
-            if durable {
-                spec = spec.durable();
-            }
-            sim.spawn(spec, Box::new(FtNode::new(cfg, world.clone(), lib)))
+            let node = FtNode::new(cfg, world.clone(), lib);
+            pop.sim.spawn(spec, Box::new(node))
         };
 
         for _ in 0..self.clean_users {
             let lib = clean_library(&world, self.files_per_user, &mut rng);
-            spawn_user(&mut sim, lib, self.ambient_query, None, false);
+            spawn_user(&mut pop, lib, self.ambient_query, user.clone());
         }
 
         // The superspreader: one always-on, well-provisioned host sharing
@@ -788,7 +514,8 @@ impl OpenFtScenario {
             self.superspreader_baits,
             &mut rng,
         );
-        spawn_user(&mut sim, spreader_lib, None, Some(512_000), true);
+        let spreader = user.clone().upload(512_000).durable();
+        spawn_user(&mut pop, spreader_lib, None, spreader);
 
         // Minor infected users: each baits a few uniformly-chosen titles.
         for (family, hosts, baits) in &self.minor_infections {
@@ -800,51 +527,26 @@ impl OpenFtScenario {
                     *baits,
                     &mut rng,
                 );
-                spawn_user(&mut sim, lib, None, None, false);
+                spawn_user(&mut pop, lib, None, user.clone());
             }
         }
 
         // The instrumented client sessions with every SEARCH node so its
         // searches cover all registration indexes, as the study's
         // instrumented giFT did.
-        let crawler_cfg = FtConfig {
+        let node = FtConfig {
             target_sessions: self.search_nodes.max(3),
             ..FtConfig::user().with_bootstrap(search_boot.clone())
         };
-        let crawler = sim.spawn(
-            NodeSpec::public().listen(1215).durable(),
-            Box::new(FtCrawler::new(
-                crawler_cfg,
-                world.clone(),
-                scanner,
-                CrawlerConfig {
-                    workload: self.workload.clone(),
-                    scan_cache_entries: self.scan_cache_entries,
-                    scan_threads: self.scan_threads,
-                    retry: self.retry,
-                    ..Default::default()
-                },
-            )),
-        );
-
-        let (log, wall) = crawl_days::<FtNode>(
-            &mut sim,
-            crawler,
-            "FT",
-            self.days,
-            self.telemetry.trace,
-            progress,
-        );
-        let resolved = log.resolved();
-        NetworkRun {
-            network: Network::OpenFt,
-            sim_metrics: metrics_with_log(&sim, &log),
-            log,
-            resolved,
-            world,
-            wall,
-            shards: sim.shard_count(),
-            shard_window_us: sim.shard_window_us(),
-        }
+        let config = CrawlerConfig {
+            workload: self.workload.clone(),
+            scan_cache_entries: self.scan_cache_entries,
+            scan_threads: self.scan_threads,
+            retry: self.retry,
+            ..Default::default()
+        };
+        let crawler = pop.crawler::<FtNode>(1215, node, config);
+        pop.crawl::<FtNode>(crawler, "FT", self.days, progress)
+            .into_network_run(Network::OpenFt)
     }
 }

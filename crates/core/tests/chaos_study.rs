@@ -88,8 +88,6 @@ fn assert_chaos_invariants(run: &NetworkRun, prevalence_band: (f64, f64), pinned
         "{label}: retries never recovered a transfer ({} scheduled)",
         log.retries_scheduled
     );
-    assert_eq!(m.dl_retries, log.retries_scheduled);
-    assert_eq!(m.dl_retry_successes, log.retry_successes);
 
     // Every failure sits in the bucket it sat in when this was pinned.
     let retries = [

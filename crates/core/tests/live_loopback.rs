@@ -1,38 +1,42 @@
-//! Live TCP demonstration: the same sans-IO Gnutella servents that power
-//! the month-scale simulation, attached to real sockets on localhost.
+//! The same sans-IO Gnutella servents that run in the simulator, attached
+//! to real TCP sockets on 127.0.0.1 through `p2pmal_netsim::live`.
 //!
-//! ```sh
-//! cargo run --release --example live_gnutella
-//! ```
-//!
-//! Topology: one ultrapeer, one sharing leaf (carrying a query-echo worm
-//! infection), and a searching leaf, all on 127.0.0.1. The searcher issues
-//! a query over real TCP, receives a wire-format QUERYHIT fabricated by the
-//! worm, downloads the payload over HTTP on the same socket pair, and
-//! scans it — the full measurement pipeline, no simulator involved.
+//! Topology: one ultrapeer, one sharing leaf carrying a query-echo worm,
+//! and a searching leaf. The searcher queries over real TCP, must receive
+//! the worm's wire-format QUERYHIT, download the payload over HTTP, and
+//! scan it as the worm's family: the measurement pipeline with no
+//! simulator involved.
 
-use p2pmal::corpus::catalog::{Catalog, CatalogConfig};
-use p2pmal::corpus::{ContentStore, FamilyId, HostLibrary, Roster};
-use p2pmal::gnutella::servent::{
+use p2pmal_corpus::catalog::{Catalog, CatalogConfig};
+use p2pmal_corpus::{ContentStore, FamilyId, HostLibrary, Roster};
+use p2pmal_gnutella::servent::{
     DownloadMethod, DownloadRequest, Servent, ServentConfig, ServentEvent, SharedWorld,
 };
-use p2pmal::netsim::live::LiveNode;
-use p2pmal::netsim::{App, ConnId, Ctx, Direction, HostAddr, SimDuration};
-use p2pmal::scanner::Scanner;
+use p2pmal_netsim::live::LiveNode;
+use p2pmal_netsim::{App, ConnId, Ctx, Direction, HostAddr, SimDuration};
+use p2pmal_scanner::Scanner;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
+use std::time::Duration;
+
+/// What the searcher reports, in order.
+enum Seen {
+    /// A QUERYHIT for the query arrived; its first result's name.
+    Hit(String),
+    /// The download of that result finished with this body.
+    Body(Vec<u8>),
+}
 
 /// Wraps the stock servent: search after a settle delay, then download the
-/// first hit and report over a channel.
+/// first hit and report both over a channel.
 struct Searcher {
     servent: Servent,
     query: String,
-    tx: Sender<(String, u64, Vec<u8>)>,
+    tx: Sender<Seen>,
     searched: bool,
     downloading: bool,
-    hit_name: String,
 }
 
 const T_SEARCH: u64 = 1 << 50;
@@ -59,7 +63,6 @@ impl App for Searcher {
         if token == T_SEARCH {
             if !self.searched {
                 self.searched = true;
-                eprintln!("[searcher] querying: {:?}", self.query);
                 let q = self.query.clone();
                 self.servent.search(ctx, &q);
             }
@@ -76,12 +79,8 @@ impl Searcher {
             match ev {
                 ServentEvent::QueryHit { hit, .. } if !self.downloading => {
                     let res = &hit.results[0];
-                    eprintln!(
-                        "[searcher] hit from {}:{} — {:?} ({} bytes)",
-                        hit.ip, hit.port, res.name, res.size
-                    );
                     self.downloading = true;
-                    self.hit_name = res.name.clone();
+                    let _ = self.tx.send(Seen::Hit(res.name.clone()));
                     self.servent.begin_download(
                         ctx,
                         DownloadRequest {
@@ -95,9 +94,7 @@ impl Searcher {
                 }
                 ServentEvent::DownloadDone(done) => {
                     if let Ok(body) = done.result {
-                        let _ = self
-                            .tx
-                            .send((self.hit_name.clone(), body.len() as u64, body));
+                        let _ = self.tx.send(Seen::Body(body));
                     }
                 }
                 _ => {}
@@ -106,7 +103,13 @@ impl Searcher {
     }
 }
 
-fn main() {
+fn next(rx: &Receiver<Seen>, what: &str) -> Seen {
+    rx.recv_timeout(Duration::from_secs(30))
+        .unwrap_or_else(|_| panic!("no {what} over live TCP within 30 s"))
+}
+
+#[test]
+fn a_worm_hit_downloads_and_scans_over_loopback_tcp() {
     let mut rng = StdRng::seed_from_u64(1);
     let catalog = Catalog::generate(
         &CatalogConfig {
@@ -122,11 +125,10 @@ fn main() {
     );
 
     // Servents advertise `config.listen_port` in query hits and pongs, so
-    // the live socket must be bound to that same port. Derive a base from
-    // the PID to dodge collisions with other local runs.
+    // each live socket is bound to that same port. The base comes from the
+    // PID so that concurrent runs on one host do not collide.
     let base = 20_000 + (std::process::id() % 20_000) as u16;
 
-    // Ultrapeer on a real socket.
     let mut up_cfg = ServentConfig::ultrapeer();
     up_cfg.listen_port = base;
     let up = LiveNode::spawn(
@@ -134,11 +136,11 @@ fn main() {
         base,
     )
     .expect("bind ultrapeer");
-    eprintln!("[up] ultrapeer listening on {}", up.addr());
 
-    // Infected leaf (query-echo worm).
+    // The sharing leaf, infected with a query-echo worm.
+    let worm = world.roster.get(FamilyId(0));
     let mut lib = HostLibrary::new();
-    lib.infect(world.roster.get(FamilyId(0)), &world.catalog, &mut rng);
+    lib.infect(worm, &world.catalog, &mut rng);
     let mut leaf_cfg = ServentConfig::leaf().with_bootstrap(vec![up.addr()]);
     leaf_cfg.listen_port = base + 1;
     let leaf = LiveNode::spawn(
@@ -146,14 +148,11 @@ fn main() {
         base + 1,
     )
     .expect("bind sharer");
-    eprintln!("[leaf] infected leaf on {}", leaf.addr());
 
-    // Searching leaf with a reporting channel.
     let (tx, rx) = channel();
     let mut cfg = ServentConfig::leaf().with_bootstrap(vec![up.addr()]);
     cfg.listen_port = base + 2;
     cfg.collect_events = true;
-    let searcher_port = base + 2;
     let searcher = LiveNode::spawn(
         Box::new(Searcher {
             servent: Servent::new(cfg, world.clone(), HostLibrary::new()),
@@ -161,31 +160,23 @@ fn main() {
             tx,
             searched: false,
             downloading: false,
-            hit_name: String::new(),
         }),
-        searcher_port,
+        base + 2,
     )
     .expect("bind searcher");
-    eprintln!("[searcher] on {}", searcher.addr());
 
-    let (name, len, body) = rx
-        .recv_timeout(std::time::Duration::from_secs(30))
-        .expect("download completes over live TCP");
-    println!("downloaded {name:?}: {len} bytes over real TCP");
-
-    let scanner = Scanner::new(world.roster.signature_db().unwrap().build().unwrap());
-    let verdict = scanner.scan(&name, &body);
-    match verdict.primary() {
-        Some(fam) => println!("scanner verdict: INFECTED — {fam}"),
-        None => println!("scanner verdict: clean"),
-    }
-    assert_eq!(
-        verdict.primary(),
-        Some(world.roster.get(FamilyId(0)).name.as_str())
-    );
-    println!("live wire-level round trip complete.");
-
+    let Seen::Hit(name) = next(&rx, "QUERYHIT") else {
+        panic!("a download finished before any QUERYHIT");
+    };
+    let Seen::Body(body) = next(&rx, "completed download") else {
+        panic!("a second QUERYHIT was reported");
+    };
     searcher.stop();
     leaf.stop();
     up.stop();
+
+    assert!(!body.is_empty(), "empty body for {name:?}");
+    let scanner = Scanner::new(world.roster.signature_db().unwrap().build().unwrap());
+    let verdict = scanner.scan(&name, &body);
+    assert_eq!(verdict.primary(), Some(worm.name.as_str()), "{name:?}");
 }

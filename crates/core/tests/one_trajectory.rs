@@ -11,9 +11,16 @@
 
 use std::fmt::Write as _;
 
-use p2pmal_core::{LimewireScenario, NetworkRun, OpenFtScenario};
-use p2pmal_crawler::RetryPolicy;
-use p2pmal_netsim::{Counter, FaultPlan, SimMetrics, Subsystem};
+use std::sync::Arc;
+
+use p2pmal_core::{LimewireScenario, MegaScenario, NetworkRun, OpenFtScenario};
+use p2pmal_corpus::catalog::{Catalog, CatalogConfig};
+use p2pmal_corpus::{ContentStore, FamilyId, Roster};
+use p2pmal_crawler::{Network, RetryPolicy, WorkloadConfig};
+use p2pmal_gnutella::servent::SharedWorld;
+use p2pmal_netsim::{Counter, FaultPlan, SimMetrics, Subsystem, TelemetryConfig};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const LIMEWIRE_GOLDEN: &str = "bc030a71f28881906059cd8ff3009bfacf08ccb0";
 const OPENFT_GOLDEN: &str = "75720da08ca56056d5febdbf350634b7db3566eb";
@@ -205,4 +212,92 @@ fn journals_and_propagation_trees_match_at_1_and_4_shards() {
     let failures = p2pmal_obs::strict_failures(&ev1, &a1);
     assert!(failures.is_empty(), "{failures:?}");
     assert_eq!(a1.complete_chains, a1.spanned_verdicts);
+}
+
+/// [`NetworkRun::trajectory_digest`] of the small mega world below, lifted
+/// into a [`NetworkRun`] the way the benchmark's `mega_shards2` lifts it.
+const MEGA_GOLDEN: &str = "fa7febf04af6d087e6ebcf930adffa71021e509a";
+/// Its engine counts and the setup / steady `app_bytes`.
+const MEGA_COUNTS: &str = concat!(
+    "events_processed=128142 timers_fired=34952 bytes_delivered=51181720 ",
+    "setup_app_bytes=123922 steady_app_bytes=686130"
+);
+
+/// 120 servents for one day: 12 ultrapeers in three bootstrap groups of
+/// four, five echo-worm and three trojan hosts among the 107 leaves.
+fn mega(shards: usize) -> MegaScenario {
+    MegaScenario {
+        days: 1,
+        leaves_per_up: 9,
+        bootstrap_fanout: 4,
+        echo_hosts_per_10k: 500,
+        trojan_hosts_per_10k: 300,
+        ambient_every: 10,
+        catalog: CatalogConfig {
+            titles: 400,
+            ..Default::default()
+        },
+        workload: WorkloadConfig {
+            base_interval_secs: 600,
+            ..Default::default()
+        },
+        telemetry: TelemetryConfig::off(),
+        shards,
+        ..MegaScenario::new(2006, 120)
+    }
+}
+
+/// Runs [`mega`] at `shards`; returns its digest and [`MEGA_COUNTS`]' line.
+fn mega_digest_and_counts(shards: usize) -> (String, String) {
+    let s = mega(shards);
+    let m = s.run();
+    assert_eq!(m.shards, shards);
+    assert_eq!((m.ups, m.leaves), (12, 107));
+    let counts = format!(
+        "events_processed={} timers_fired={} bytes_delivered={} setup_app_bytes={} steady_app_bytes={}",
+        m.sim_metrics.events_processed,
+        m.sim_metrics.timers_fired,
+        m.sim_metrics.bytes_delivered,
+        m.setup_memory.app_bytes,
+        m.sim_metrics.memory.app_bytes,
+    );
+    // The world as the benchmark rebuilds it from the seed.
+    let mut rng = StdRng::seed_from_u64(s.seed ^ 0x0CA7_A106);
+    let world = SharedWorld::new(
+        Arc::new(Catalog::generate(&s.catalog, &mut rng)),
+        Arc::new(Roster::limewire_2006()),
+        Arc::new(ContentStore::new(s.seed)),
+    );
+    // Both planted families answer the crawler, and their bodies scan as
+    // what they are.
+    let resolved = m.log.resolved();
+    for family in [0, 3] {
+        let name = &world.roster.get(FamilyId(family)).name;
+        assert!(
+            resolved
+                .iter()
+                .any(|r| r.malware.as_deref() == Some(name.as_str())),
+            "no {name} verdict at shards={shards}"
+        );
+    }
+    let run = NetworkRun {
+        network: Network::Limewire,
+        resolved,
+        log: m.log,
+        world,
+        sim_metrics: m.sim_metrics,
+        wall: m.wall,
+        shards: m.shards,
+        shard_window_us: m.shard_window_us,
+    };
+    (run.trajectory_digest(), counts)
+}
+
+#[test]
+fn mega_small_world_golden_at_1_and_2_shards() {
+    for shards in [1usize, 2] {
+        let (digest, counts) = mega_digest_and_counts(shards);
+        assert_eq!(digest, MEGA_GOLDEN, "mega golden moved at shards={shards}");
+        assert_eq!(counts, MEGA_COUNTS, "mega counts moved at shards={shards}");
+    }
 }

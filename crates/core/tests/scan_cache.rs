@@ -72,12 +72,6 @@ fn limewire_cache_on_and_off_agree_byte_for_byte() {
         cached.log.scan.bodies_scanned,
         cached.log.scan.distinct_payloads
     );
-    // Metrics surface the same counters.
-    assert_eq!(
-        cached.sim_metrics.scan_cache_hits,
-        cached.log.scan.cache_hits
-    );
-    assert_eq!(cached.sim_metrics.scan_bodies, cached.log.scan.bodies);
 }
 
 #[test]

@@ -188,7 +188,7 @@ impl CompiledQuery {
     }
 
     /// The one match loop, in two passes over each block of
-    /// [`MASK_BLOCK`] rows: calls `hit` with the number of each row that
+    /// `MASK_BLOCK` rows: calls `hit` with the number of each row that
     /// matches, ascending, for at most `max` rows. `lo` and `hi` are the
     /// halves of the rows' name fingerprints, one entry per row, which
     /// [`fingerprint_superset_masks`] tests without touching a row; `rec`

@@ -366,19 +366,6 @@ enum PlanKey {
     Index(usize),
 }
 
-/// Scan-service worker count from `P2PMAL_SCAN_THREADS`
-/// ([`parse_scan_threads`]; a value that does not parse scans inline).
-/// Unset picks the host's available parallelism, capped at 8.
-pub fn scan_threads_from_env() -> usize {
-    match std::env::var("P2PMAL_SCAN_THREADS") {
-        Ok(v) => parse_scan_threads(&v).unwrap_or(1),
-        Err(_) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8),
-    }
-}
-
 /// A `P2PMAL_SCAN_THREADS` value: `0` or `1` force the sequential inline
 /// path; `N` caps at 8 (batches are small, more workers just contend).
 pub fn parse_scan_threads(v: &str) -> Option<usize> {

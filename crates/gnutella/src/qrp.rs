@@ -287,7 +287,7 @@ const DIR_BITS: u8 = 10;
 /// `(log2 << 56) | (slot << 16) | column` for each present slot of each
 /// sparse table. `peers`, sorted by [`ConnId`], holds each peer's column,
 /// patch offset, table size, and whether it is a leaf. A table with more
-/// present slots than [`sparse_limit`] is held in `dense` as a bitset
+/// present slots than `sparse_limit` is held in `dense` as a bitset
 /// instead, so a peer's table never takes more bytes than its bitset would.
 /// `dir` holds, for the table size with the most keys, where each of 2^10
 /// slot ranges starts in `keys`. A lookup ORs, for each keyword, the

@@ -316,8 +316,8 @@ pub const MAX_DEPTH: usize = 128;
 
 /// The tokenizer [`parse`] is built on, for callers that validate a document
 /// and pick fields out of it without building a [`Value`] tree (the journal
-/// scanner in `p2pmal-obs`). [`Reader::skip_value`] accepts exactly what
-/// [`Reader::value`] accepts.
+/// scanner in `p2pmal-obs`). [`Reader::skip_value`] accepts exactly the
+/// values [`parse`] accepts.
 pub struct Reader<'a> {
     input: &'a str,
     pos: usize,

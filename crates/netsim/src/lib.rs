@@ -11,8 +11,8 @@
 //! [`App`] trait: every callback receives a [`Ctx`] through which the app
 //! reads the clock, sends bytes, opens/closes connections and arms timers.
 //! The same trait runs unchanged over real TCP sockets via the [`live`]
-//! module, which is how the `live_gnutella` example demonstrates wire-level
-//! fidelity outside the simulator.
+//! module, which is how `p2pmal-core`'s `live_loopback` test shows
+//! wire-level fidelity outside the simulator.
 //!
 //! Determinism contract: given the same seed and the same sequence of API
 //! calls, a simulation produces byte-identical event orderings — at every

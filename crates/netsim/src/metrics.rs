@@ -132,25 +132,6 @@ pub struct SimMetrics {
     pub faults_churn_downs: u64,
     /// Fault injection: churn sessions bringing a node back.
     pub faults_churn_ups: u64,
-    /// Download retries scheduled by the crawlers. Harness-filled, like the
-    /// `scan_*` counters below.
-    pub dl_retries: u64,
-    /// Download retries that subsequently succeeded.
-    pub dl_retry_successes: u64,
-    /// Download bodies entering the scan pipeline. Filled in by harnesses
-    /// that run a scanning crawler (see `p2pmal-core`); the simulator core
-    /// does not compute these.
-    pub scan_bodies: u64,
-    /// Bytes SHA-1 hashed by the scan pipeline.
-    pub scan_bytes_hashed: u64,
-    /// Verdict-cache hits (bodies resolved without running the scanner).
-    pub scan_cache_hits: u64,
-    /// Verdict-cache misses (bodies fully scanned).
-    pub scan_cache_misses: u64,
-    /// Verdict-cache evictions (capacity pressure; 0 on realistic runs).
-    pub scan_cache_evictions: u64,
-    /// Distinct payload digests observed by the scan pipeline.
-    pub scan_distinct_payloads: u64,
     /// Per-subsystem wall-clock profile. Diagnostics only: it compares
     /// equal to any other profile, so identical-seed metric snapshots stay
     /// equal even though their wall timings differ.
@@ -191,14 +172,6 @@ impl SimMetrics {
         self.faults_latency_spikes += other.faults_latency_spikes;
         self.faults_churn_downs += other.faults_churn_downs;
         self.faults_churn_ups += other.faults_churn_ups;
-        self.dl_retries += other.dl_retries;
-        self.dl_retry_successes += other.dl_retry_successes;
-        self.scan_bodies += other.scan_bodies;
-        self.scan_bytes_hashed += other.scan_bytes_hashed;
-        self.scan_cache_hits += other.scan_cache_hits;
-        self.scan_cache_misses += other.scan_cache_misses;
-        self.scan_cache_evictions += other.scan_cache_evictions;
-        self.scan_distinct_payloads += other.scan_distinct_payloads;
         self.memory.merge(&other.memory);
         self.timing.merge(&other.timing);
         self.telemetry.merge(&other.telemetry);

@@ -31,7 +31,7 @@ pub use event::{EventBody, EventCategory, FaultKind, TelemetryEvent, CATEGORY_CO
 pub use hist::{HistSummary, Log2Histogram, LOG2_BUCKETS};
 pub use registry::{Counter, Gauge, MetricsRegistry, SimHist, WallHist, WallHists};
 pub use sink::{
-    journal_path_for, parse_trace_level, trace_level, JsonlSink, NullSink, RingSink, Telemetry,
-    TelemetryConfig, TelemetrySink, TraceSink,
+    journal_path_for, parse_trace_level, JsonlSink, NullSink, RingSink, Telemetry, TelemetryConfig,
+    TelemetrySink, TraceSink,
 };
 pub use span::SpanCtx;

@@ -284,11 +284,6 @@ pub fn parse_trace_level(value: Option<&str>) -> u8 {
     }
 }
 
-/// The current `P2PMAL_TRACE` level (see [`parse_trace_level`]).
-pub fn trace_level() -> u8 {
-    parse_trace_level(std::env::var("P2PMAL_TRACE").ok().as_deref())
-}
-
 /// Derives a per-network journal path from the user-supplied one by
 /// inserting the network label before the extension:
 /// `journal.jsonl` + `limewire` → `journal.limewire.jsonl`.
@@ -327,25 +322,6 @@ impl TelemetryConfig {
             journal: None,
             trace: 0,
             sample: [1; CATEGORY_COUNT],
-        }
-    }
-
-    /// Reads `P2PMAL_JOURNAL`, `P2PMAL_TRACE` and `P2PMAL_JOURNAL_SAMPLE`
-    /// (see [`Self::parse_sample`]; a value that does not parse samples
-    /// nothing out).
-    pub fn from_env() -> Self {
-        let journal = std::env::var("P2PMAL_JOURNAL")
-            .ok()
-            .filter(|p| !p.trim().is_empty())
-            .map(PathBuf::from);
-        let sample = std::env::var("P2PMAL_JOURNAL_SAMPLE")
-            .ok()
-            .and_then(|spec| Self::parse_sample(&spec))
-            .unwrap_or([1; CATEGORY_COUNT]);
-        TelemetryConfig {
-            journal,
-            trace: trace_level(),
-            sample,
         }
     }
 
