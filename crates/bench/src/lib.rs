@@ -10,7 +10,7 @@
 //! never falls back to the default.
 
 use p2pmal_core::{fault_profile, LimewireScenario, MegaScenario, OpenFtScenario, Study};
-use p2pmal_crawler::{parse_scan_threads, RetryPolicy};
+use p2pmal_crawler::RetryPolicy;
 use p2pmal_json::Value;
 use p2pmal_netsim::telemetry::{journal_path_for, JsonlSink};
 use p2pmal_netsim::{FaultPlan, SimConfig, TelemetryConfig};
@@ -19,7 +19,7 @@ use std::str::FromStr;
 
 /// Every `P2PMAL_*` variable `run_study` and `run_mega` know, in the order
 /// of README's knob table.
-pub const KNOBS: [&str; 14] = [
+pub const KNOBS: [&str; 13] = [
     "P2PMAL_QUICK",
     "P2PMAL_SEED",
     "P2PMAL_SEEDS",
@@ -27,7 +27,6 @@ pub const KNOBS: [&str; 14] = [
     "P2PMAL_FAULTS",
     "P2PMAL_RETRIES",
     "P2PMAL_MEGA_NODES",
-    "P2PMAL_SCAN_THREADS",
     "P2PMAL_SHARDS",
     "P2PMAL_SHARD_WINDOW_MS",
     "P2PMAL_TRACE",
@@ -75,8 +74,7 @@ fn parsed<T: FromStr>(vars: &Vars, name: &str) -> Result<Option<T>, String> {
 /// What both programs check before a preset reads the environment: every
 /// set name is one of [`KNOBS`], and each engine knob the presets read
 /// parses by the presets' own rule (a preset that meets a malformed one
-/// does not fail: it runs as if the knob were unset, or inline for scan
-/// threads).
+/// does not fail: it runs as if the knob were unset).
 fn check_env(vars: &Vars) -> Result<(), String> {
     if let Some((name, _)) = vars.iter().find(|(k, _)| !KNOBS.contains(&k.as_str())) {
         return Err(format!(
@@ -90,9 +88,13 @@ fn check_env(vars: &Vars) -> Result<(), String> {
         "P2PMAL_SHARD_WINDOW_MS",
         SimConfig::parse_shard_window_us,
     )?;
-    knob(vars, "P2PMAL_SCAN_THREADS", parse_scan_threads)?;
     knob(vars, "P2PMAL_JOURNAL_SAMPLE", TelemetryConfig::parse_sample)?;
     Ok(())
+}
+
+/// The `P2PMAL_JOURNAL` base path, `None` when unset or empty (no journal).
+fn journal_base(vars: &Vars) -> Option<&str> {
+    var(vars, "P2PMAL_JOURNAL").filter(|p| !p.trim().is_empty())
 }
 
 /// Creates the journal file of each network in `labels` under the
@@ -101,7 +103,7 @@ fn check_env(vars: &Vars) -> Result<(), String> {
 /// simulates instead of leaving a run without one. The run truncates each
 /// file again when it opens its sink.
 fn check_journals(vars: &Vars, labels: &[&str]) -> Result<(), String> {
-    let Some(base) = var(vars, "P2PMAL_JOURNAL").filter(|p| !p.trim().is_empty()) else {
+    let Some(base) = journal_base(vars) else {
         return Ok(());
     };
     for label in labels {
@@ -140,7 +142,6 @@ impl BenchConfig {
     /// [`Self::from_env`] over any set of variables.
     fn from_vars(vars: &Vars) -> Result<Self, String> {
         check_env(vars)?;
-        check_journals(vars, &["limewire", "openft"])?;
         let seeds = match var(vars, "P2PMAL_SEEDS") {
             Some(v) if !v.trim().is_empty() => Some(
                 v.split(',')
@@ -153,6 +154,12 @@ impl BenchConfig {
             ),
             _ => None,
         };
+        if seeds.is_some() && journal_base(vars).is_some() {
+            return Err("P2PMAL_SEEDS and P2PMAL_JOURNAL cannot be set together: \
+                        every seed of the sweep would write the same journal files"
+                .to_string());
+        }
+        check_journals(vars, &["limewire", "openft"])?;
         let faults = var(vars, "P2PMAL_FAULTS").unwrap_or("none").to_string();
         if fault_profile(&faults).is_none() {
             return Err(format!(
@@ -160,7 +167,12 @@ impl BenchConfig {
             ));
         }
         Ok(BenchConfig {
-            quick: var(vars, "P2PMAL_QUICK") == Some("1"),
+            quick: knob(vars, "P2PMAL_QUICK", |v| match v {
+                "0" => Some(false),
+                "1" => Some(true),
+                _ => None,
+            })?
+            .unwrap_or(false),
             seed: parsed(vars, "P2PMAL_SEED")?.unwrap_or(2006),
             days: parsed(vars, "P2PMAL_DAYS")?,
             seeds,
@@ -306,7 +318,11 @@ mod tests {
                 retries: Some(4),
             }
         );
+        assert!(!config(&[("P2PMAL_QUICK", "0")]).unwrap().quick);
         for (name, value) in [
+            ("P2PMAL_QUICK", "true"),
+            ("P2PMAL_QUICK", "2"),
+            ("P2PMAL_QUICK", ""),
             ("P2PMAL_SEED", "abc"),
             ("P2PMAL_SEEDS", "1,x,3"),
             ("P2PMAL_DAYS", "-1"),
@@ -347,7 +363,6 @@ mod tests {
         let well_formed = vars(&[
             ("P2PMAL_SHARDS", "4"),
             ("P2PMAL_SHARD_WINDOW_MS", "250"),
-            ("P2PMAL_SCAN_THREADS", "0"),
             ("P2PMAL_JOURNAL_SAMPLE", "query=10, download=0,"),
         ]);
         BenchConfig::from_vars(&well_formed).expect("engine knobs well formed");
@@ -355,7 +370,6 @@ mod tests {
         for (name, value) in [
             ("P2PMAL_SHARDS", "four"),
             ("P2PMAL_SHARD_WINDOW_MS", "1s"),
-            ("P2PMAL_SCAN_THREADS", "x"),
             ("P2PMAL_JOURNAL_SAMPLE", "queries=10"),
             ("P2PMAL_JOURNAL_SAMPLE", "query=-1"),
             ("P2PMAL_SHARD", "4"),
@@ -369,6 +383,37 @@ mod tests {
                 assert!(err.contains(name), "{name}={value}: {err}");
             }
         }
+        // Scanning has one mode now: the old thread-count knob, even at a
+        // value it used to take, is an unknown name.
+        let set = vars(&[("P2PMAL_SCAN_THREADS", "2")]);
+        for err in [
+            BenchConfig::from_vars(&set).expect_err("run_study"),
+            mega_from_vars(&set).expect_err("run_mega"),
+        ] {
+            assert!(
+                err.contains("P2PMAL_SCAN_THREADS is not a known variable"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_seed_sweep_cannot_write_a_journal() {
+        let dir = std::env::temp_dir().join(format!("p2pmal-sweep-{}", std::process::id()));
+        let base = dir.join("journal.jsonl");
+        let set = vars(&[
+            ("P2PMAL_SEEDS", "1,2"),
+            ("P2PMAL_JOURNAL", base.to_str().unwrap()),
+        ]);
+        let err = BenchConfig::from_vars(&set).expect_err("sweep with a journal");
+        assert!(
+            err.contains("P2PMAL_SEEDS") && err.contains("P2PMAL_JOURNAL"),
+            "{err}"
+        );
+        assert!(!dir.exists(), "nothing is created before the error");
+        // Either one alone is fine; an empty journal base writes none.
+        let empty = vars(&[("P2PMAL_SEEDS", "1,2"), ("P2PMAL_JOURNAL", "")]);
+        BenchConfig::from_vars(&empty).expect("no journal");
     }
 
     #[test]

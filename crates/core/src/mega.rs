@@ -65,10 +65,6 @@ pub struct MegaScenario {
     /// `benchmark/src/workloads.rs` sets it; goes in the next `[benchmark]`
     /// PR.
     pub scheduler: SchedulerKind,
-    /// Scan-service worker threads (see
-    /// [`crate::LimewireScenario::scan_threads`]); [`MegaScenario::new`]
-    /// reads `P2PMAL_SCAN_THREADS`.
-    pub scan_threads: usize,
     pub telemetry: TelemetryConfig,
     pub shards: usize,
     pub shard_window_us: u64,
@@ -116,7 +112,6 @@ impl MegaScenario {
                 ..Default::default()
             },
             scheduler: SchedulerKind::Calendar,
-            scan_threads: env.scan_threads,
             telemetry: env.telemetry,
             shards: env.shards,
             shard_window_us: env.shard_window_us,
@@ -167,7 +162,6 @@ impl MegaScenario {
         let node = ServentConfig::leaf().with_bootstrap(pop.bootstrap(0));
         let config = CrawlerConfig {
             workload: self.workload.clone(),
-            scan_threads: self.scan_threads,
             ..Default::default()
         };
         let crawler = pop.crawler::<Servent>(6346, node, config);

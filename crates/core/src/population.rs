@@ -7,9 +7,7 @@
 use crate::scenario::NetworkRun;
 use p2pmal_corpus::catalog::{Catalog, CatalogConfig};
 use p2pmal_corpus::{ContentStore, HostLibrary, Roster};
-use p2pmal_crawler::{
-    parse_scan_threads, CrawlLog, Crawler, CrawlerConfig, Network, Overlay, ScanStats,
-};
+use p2pmal_crawler::{CrawlLog, Crawler, CrawlerConfig, Network, Overlay, ScanStats};
 use p2pmal_gnutella::servent::{Servent, ServentConfig, SharedWorld};
 use p2pmal_netsim::telemetry::parse_trace_level;
 use p2pmal_netsim::{
@@ -23,9 +21,8 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// The six engine knobs, the one place a preset reads the environment.
+/// The five engine knobs, the one place a preset reads the environment.
 pub(crate) struct EngineEnv {
-    pub scan_threads: usize,
     pub telemetry: TelemetryConfig,
     pub shards: usize,
     pub shard_window_us: u64,
@@ -33,18 +30,13 @@ pub(crate) struct EngineEnv {
 
 impl EngineEnv {
     /// Each knob parses by the rule `p2pmal-bench` checks it with. A value
-    /// that does not parse reads as the default (inline scanning, no
-    /// sampling, one shard, a 1 s window), as does an unset one, except
-    /// that an unset `P2PMAL_SCAN_THREADS` takes the host's available
-    /// parallelism, capped at 8. An empty `P2PMAL_JOURNAL` writes none.
+    /// that does not parse reads as the default (no sampling, one shard, a
+    /// 1 s window), as does an unset one. An empty `P2PMAL_JOURNAL` writes
+    /// none.
     pub(crate) fn read() -> Self {
         let var = |name| std::env::var(name).ok();
         let off = TelemetryConfig::off();
         EngineEnv {
-            scan_threads: match var("P2PMAL_SCAN_THREADS") {
-                Some(v) => parse_scan_threads(&v).unwrap_or(1),
-                None => std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
-            },
             telemetry: TelemetryConfig {
                 journal: var("P2PMAL_JOURNAL")
                     .filter(|p| !p.trim().is_empty())
@@ -214,9 +206,6 @@ impl Population {
         for day in 1..=days {
             let t0 = std::time::Instant::now();
             sim.run_until(SimTime::from_days(day));
-            // Sim-time barrier: merge any batched scan verdicts before the
-            // day's stats are read, so day lines match the inline path.
-            sim.barrier(crawler);
             let day_wall = t0.elapsed();
             wall += day_wall;
             // Unconditional: every run samples queue depth identically, so

@@ -167,9 +167,9 @@ pub struct LimewireScenario {
     /// Verdict-cache capacity for the crawler's scan pipeline (0 disables;
     /// outcomes are identical either way, only wall time changes).
     pub scan_cache_entries: usize,
-    /// Scan-service worker threads (1 = inline sequential scanning). The
-    /// presets read `P2PMAL_SCAN_THREADS`; any value produces byte-identical
-    /// reports, only wall time changes.
+    /// Selects nothing: every download is scanned where it lands. Kept
+    /// only because `benchmark/src/workloads.rs` sets it; the next
+    /// `[benchmark]` PR removes it.
     pub scan_threads: usize,
     /// Network fault injection ([`FaultPlan::none()`] by default, which is
     /// byte-identical to a fault-free simulator).
@@ -217,7 +217,7 @@ impl LimewireScenario {
             ambient_query: Some(SimDuration::from_hours(1)),
             scheduler: SchedulerKind::Calendar,
             scan_cache_entries: DEFAULT_SCAN_CACHE_ENTRIES,
-            scan_threads: env.scan_threads,
+            scan_threads: 1,
             faults: FaultPlan::none(),
             retry: RetryPolicy::legacy(),
             telemetry: env.telemetry,
@@ -328,7 +328,6 @@ impl LimewireScenario {
         let config = CrawlerConfig {
             workload: self.workload.clone(),
             scan_cache_entries: self.scan_cache_entries,
-            scan_threads: self.scan_threads,
             retry: self.retry,
             ..Default::default()
         };
@@ -368,7 +367,7 @@ pub struct OpenFtScenario {
     pub scheduler: SchedulerKind,
     /// Verdict-cache capacity (see [`LimewireScenario::scan_cache_entries`]).
     pub scan_cache_entries: usize,
-    /// Scan-service worker threads (see [`LimewireScenario::scan_threads`]).
+    /// Selects nothing (see [`LimewireScenario::scan_threads`]).
     pub scan_threads: usize,
     /// Network fault injection ([`FaultPlan::none()`] by default).
     pub faults: FaultPlan,
@@ -420,7 +419,7 @@ impl OpenFtScenario {
             ambient_query: Some(SimDuration::from_hours(1)),
             scheduler: SchedulerKind::Calendar,
             scan_cache_entries: DEFAULT_SCAN_CACHE_ENTRIES,
-            scan_threads: env.scan_threads,
+            scan_threads: 1,
             faults: FaultPlan::none(),
             retry: RetryPolicy::legacy(),
             telemetry: env.telemetry,
@@ -541,7 +540,6 @@ impl OpenFtScenario {
         let config = CrawlerConfig {
             workload: self.workload.clone(),
             scan_cache_entries: self.scan_cache_entries,
-            scan_threads: self.scan_threads,
             retry: self.retry,
             ..Default::default()
         };

@@ -35,30 +35,30 @@ const OPENFT_GOLDEN_WITHOUT_SHA1: &str = "960c8f0d748804d4ee189c22dbd0c60ad63219
 /// [`pinned_counts`] of the same runs.
 const LIMEWIRE_COUNTS: &str = concat!(
     "timers_fired=24717 bytes_delivered=133168926 conns_established=155 ",
-    "query_match_calls=21517 queries_issued=1063 downloads_started=38 ",
+    "query_match_calls=21517 scan_calls=38 queries_issued=1063 downloads_started=38 ",
     "download_retries=0 scan_verdicts=38 download_latency_us=38/67108863/268825867 ",
     "responses_per_query=1062/15/33 download_attempts=38/1/1 queue_depth=7064/63/127"
 );
 const OPENFT_COUNTS: &str = concat!(
     "timers_fired=16613 bytes_delivered=125411367 conns_established=84 ",
-    "query_match_calls=4116 queries_issued=1029 downloads_started=32 ",
+    "query_match_calls=4116 scan_calls=32 queries_issued=1029 downloads_started=32 ",
     "download_retries=0 scan_verdicts=32 download_latency_us=32/67108863/325109397 ",
     "responses_per_query=1028/3/28 download_attempts=32/1/1 queue_depth=3767/31/63"
 );
 
-/// What the digests do not cover: engine counts, query-match calls, every
-/// registry counter, and each sim-time histogram's count, p50 and p99. A
-/// change to download timing can move a latency quantile while every
-/// logged response stays the same. Scan calls are left out: they depend on
-/// whether bodies are scanned inline or in batches.
+/// What the digests do not cover: engine counts, query-match and scan
+/// calls, every registry counter, and each sim-time histogram's count, p50
+/// and p99. A change to download timing can move a latency quantile while
+/// every logged response stays the same.
 fn pinned_counts(run: &NetworkRun) -> String {
     let m = &run.sim_metrics;
     let mut out = format!(
-        "timers_fired={} bytes_delivered={} conns_established={} query_match_calls={}",
+        "timers_fired={} bytes_delivered={} conns_established={} query_match_calls={} scan_calls={}",
         m.timers_fired,
         m.bytes_delivered,
         m.conns_established,
-        m.timing.calls(Subsystem::QueryMatch)
+        m.timing.calls(Subsystem::QueryMatch),
+        m.timing.calls(Subsystem::Scan)
     );
     for c in Counter::ALL {
         let _ = write!(out, " {}={}", c.label(), m.telemetry.counter(c));
@@ -217,10 +217,10 @@ fn journals_and_propagation_trees_match_at_1_and_4_shards() {
 /// [`NetworkRun::trajectory_digest`] of the small mega world below, lifted
 /// into a [`NetworkRun`] the way the benchmark's `mega_shards2` lifts it.
 const MEGA_GOLDEN: &str = "fa7febf04af6d087e6ebcf930adffa71021e509a";
-/// Its engine counts and the setup / steady `app_bytes`.
+/// Its engine counts, the setup / steady `app_bytes` and its scan calls.
 const MEGA_COUNTS: &str = concat!(
     "events_processed=128142 timers_fired=34952 bytes_delivered=51181720 ",
-    "setup_app_bytes=123922 steady_app_bytes=686130"
+    "setup_app_bytes=123922 steady_app_bytes=686130 scan_calls=18"
 );
 
 /// 120 servents for one day: 12 ultrapeers in three bootstrap groups of
@@ -254,12 +254,13 @@ fn mega_digest_and_counts(shards: usize) -> (String, String) {
     assert_eq!(m.shards, shards);
     assert_eq!((m.ups, m.leaves), (12, 107));
     let counts = format!(
-        "events_processed={} timers_fired={} bytes_delivered={} setup_app_bytes={} steady_app_bytes={}",
+        "events_processed={} timers_fired={} bytes_delivered={} setup_app_bytes={} steady_app_bytes={} scan_calls={}",
         m.sim_metrics.events_processed,
         m.sim_metrics.timers_fired,
         m.sim_metrics.bytes_delivered,
         m.setup_memory.app_bytes,
         m.sim_metrics.memory.app_bytes,
+        m.sim_metrics.timing.calls(Subsystem::Scan),
     );
     // The world as the benchmark rebuilds it from the seed.
     let mut rng = StdRng::seed_from_u64(s.seed ^ 0x0CA7_A106);

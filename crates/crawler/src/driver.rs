@@ -17,7 +17,7 @@ use crate::log::{
     CrawlLog, HostKey, HostSizeKey, NameSizeKey, ResponseRecord, ScanOutcome, Text, TextTable,
 };
 use crate::retry::{FailCause, RetryPolicy};
-use crate::scan::{FlushResult, ScanPipeline, ScanService};
+use crate::scan::ScanPipeline;
 use crate::trace::DlTrace;
 use crate::workload::{Workload, WorkloadConfig};
 use p2pmal_corpus::Catalog;
@@ -57,11 +57,6 @@ pub struct CrawlerConfig {
     pub retry: RetryPolicy,
     /// Verdict-cache capacity for the scan pipeline (0 disables caching).
     pub scan_cache_entries: usize,
-    /// Scan-service worker threads. `1` (the default) scans every download
-    /// inline; `>1` batches completed downloads and scans them on a
-    /// work-stealing pool between sim-time barriers, merging verdicts back
-    /// in submission order so all logged outcomes stay identical.
-    pub scan_threads: usize,
 }
 
 impl Default for CrawlerConfig {
@@ -72,7 +67,6 @@ impl Default for CrawlerConfig {
             start_delay: SimDuration::from_secs(300),
             retry: RetryPolicy::legacy(),
             scan_cache_entries: crate::scan::DEFAULT_SCAN_CACHE_ENTRIES,
-            scan_threads: 1,
         }
     }
 }
@@ -178,7 +172,6 @@ pub struct Crawler<O: Overlay> {
     catalog: Arc<Catalog>,
     workload: Workload,
     pipeline: ScanPipeline,
-    service: ScanService,
     log: CrawlLog,
     /// Every query and file name in the log, one allocation each.
     texts: TextTable,
@@ -214,7 +207,6 @@ impl<O: Overlay> Crawler<O> {
             overlay: O::instrumented(node_config, world),
             workload: Workload::new(config.workload.clone()),
             pipeline: ScanPipeline::new(scanner, config.scan_cache_entries),
-            service: ScanService::new(config.scan_threads),
             config,
             log: CrawlLog::new(),
             texts: TextTable::default(),
@@ -235,12 +227,8 @@ impl<O: Overlay> Crawler<O> {
         &self.log
     }
 
-    /// Takes the log out of the crawler (end of the run). Any downloads
-    /// still parked in the scan service are merged first so the log is
-    /// complete even without a closing barrier.
+    /// Takes the log out of the crawler (end of the run).
     pub fn take_log(&mut self) -> CrawlLog {
-        let result = self.service.flush(&mut self.pipeline);
-        self.merge_flush(result);
         std::mem::take(&mut self.log)
     }
 
@@ -381,34 +369,6 @@ impl<O: Overlay> Crawler<O> {
         self.log.record_outcome(record, outcome);
     }
 
-    /// Record every merged verdict from a batch flush, releasing the busy
-    /// keys the deferred downloads were holding.
-    fn merge_flush(&mut self, result: FlushResult) {
-        self.log.scan = self.pipeline.stats();
-        for out in result.outcomes {
-            self.finish(&out.record, scanned(out.digest, out.body_len, &out.verdict));
-        }
-    }
-
-    /// Drain the scan-service batch: parallel hash+scan, then in-order
-    /// merge. Pool wall time lands in the `scan` profiler bucket, replay in
-    /// `scan_merge`.
-    fn flush_scans(&mut self, ctx: &mut Ctx<'_>) {
-        if self.service.pending_len() == 0 {
-            return;
-        }
-        let wall_start = std::time::Instant::now();
-        let result = self.service.flush(&mut self.pipeline);
-        ctx.record_profile(Subsystem::Scan, result.prepare_nanos);
-        ctx.record_profile(Subsystem::ScanMerge, result.merge_nanos);
-        ctx.registry().record_wall(
-            WallHist::ScanWallUs,
-            wall_start.elapsed().as_micros() as u64,
-        );
-        self.merge_flush(result);
-        self.start_downloads(ctx);
-    }
-
     fn on_download_done(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -425,24 +385,6 @@ impl<O: Overlay> Crawler<O> {
                 return;
             }
         };
-        // Park the body for the batched scan service when that cannot
-        // change observable behavior: backoff-mode retries need the verdict
-        // synchronously (unscannable bodies re-fetch), and per-scan
-        // telemetry must interleave exactly as the inline path does. The
-        // busy keys stay held until the merged verdict lands, suppressing
-        // duplicate fetches exactly as the recorded outcome would.
-        if self.service.deferring()
-            && !self.config.retry.uses_backoff()
-            && !ctx.telemetry_on(EventCategory::Scan)
-        {
-            self.complete(ctx, &fl, true);
-            self.service.submit(fl.record, body);
-            if self.service.should_flush() {
-                self.flush_scans(ctx);
-            }
-            self.start_downloads(ctx);
-            return;
-        }
         let scan_start = std::time::Instant::now();
         let (sha1, verdict) = ctx.time(Subsystem::Scan, || {
             self.pipeline.scan(&fl.record.filename, &body)
@@ -585,10 +527,6 @@ impl<O: Overlay> App for Crawler<O> {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.overlay.on_start(ctx);
         ctx.set_timer(self.config.start_delay, TIMER_QUERY);
-    }
-
-    fn on_barrier(&mut self, ctx: &mut Ctx<'_>) {
-        self.flush_scans(ctx);
     }
 
     fn on_connected(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, dir: Direction, peer: HostAddr) {

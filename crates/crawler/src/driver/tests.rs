@@ -244,13 +244,11 @@ fn run(script: Script, config: CrawlerConfig, scan_events: bool) -> Ran {
                 .unwrap()
                 .downcast_mut::<Crawler<Fake>>()
                 .unwrap();
-            // The batched scan service holds bodies (and their dedup keys)
-            // until a barrier; nothing else may outlive its download.
+            // Every body is scanned where it lands: nothing, and no dedup
+            // key, outlives its download.
             assert!(c.pending.is_empty() && c.in_flight.is_empty() && c.retry_wait.is_empty());
-            assert_eq!(c.busy_name_size.len(), c.service.pending_len());
-            assert_eq!(c.busy_host_size.len(), c.service.pending_len());
-            let log = c.take_log();
             assert!(c.busy_name_size.is_empty() && c.busy_host_size.is_empty());
+            let log = c.take_log();
             (log, c.overlay.begun.clone(), c.overlay.peak_running)
         })
         .unwrap();
@@ -406,8 +404,6 @@ fn backoff_retries_refetch_unscannable_bodies_and_fall_back_once() {
     };
     let config = CrawlerConfig {
         retry: RetryPolicy::backoff(3, 30),
-        // Backoff needs every verdict inline, whatever the thread count.
-        scan_threads: 2,
         ..Default::default()
     };
     let ran = run(script, config, true);
@@ -444,29 +440,5 @@ fn backoff_retries_refetch_unscannable_bodies_and_fall_back_once() {
     );
     assert_eq!(ran.count("download_start"), 7);
     assert_eq!(ran.count("scan_verdict"), 1);
-    ran.assert_chains_closed();
-}
-
-#[test]
-fn batched_scans_hold_their_keys_until_the_flush() {
-    let script = Script {
-        answers: HashMap::from([
-            (0, vec![hit("a.exe", 100, 1), hit("b.exe", 200, 2)]),
-            // While a.exe's body waits in the batch, not yet a verdict.
-            (10, vec![hit("a.exe", 100, 3)]),
-        ]),
-        ..Default::default()
-    };
-    let config = CrawlerConfig {
-        scan_threads: 2,
-        ..Default::default()
-    };
-    // `run` asserts the parked bodies are what holds the keys, and that
-    // `take_log` merges them.
-    let ran = run(script, config, false);
-    assert_eq!(ran.begun_names(), ["a.exe", "b.exe"]);
-    assert_eq!(ran.log.scan.bodies, 2);
-    assert!(ran.log.resolved().iter().all(|r| r.scanned));
-    assert_eq!(ran.count("download_complete"), 2);
     ran.assert_chains_closed();
 }

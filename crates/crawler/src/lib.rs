@@ -11,9 +11,9 @@
 //!   host+size), scan outcomes, and the response↔verdict join;
 //! * [`driver`] — [`Crawler`], the measurement procedure itself, written
 //!   once: query bookkeeping, response logging, dedup under both keys, the
-//!   slot-bounded download queue, retry, inline or batched scanning. It is
-//!   generic over an [`Overlay`], the little a protocol node has to tell
-//!   it; a failed download reaches it as the one
+//!   slot-bounded download queue, retry, and a scan of each body where it
+//!   lands. It is generic over an [`Overlay`], the little a protocol node
+//!   has to tell it; a failed download reaches it as the one
 //!   [`p2pmal_gnutella::DownloadError`] both overlays' HTTP client
 //!   reports;
 //! * [`servent`] / [`ftnode`] — the two [`Overlay`] adapters: a Gnutella
@@ -42,10 +42,7 @@ pub use log::{
     ResponseRecord, ScanOutcome, Text, TextTable,
 };
 pub use retry::{FailCause, FailureBreakdown, RetryPolicy};
-pub use scan::{
-    parse_scan_threads, FlushOutcome, FlushResult, ScanPipeline, ScanService, ScanStats,
-    DEFAULT_SCAN_CACHE_ENTRIES,
-};
+pub use scan::{ScanPipeline, ScanStats, DEFAULT_SCAN_CACHE_ENTRIES};
 pub use trace::DlTrace;
 pub use workload::{Workload, WorkloadConfig, GENERIC_TERMS};
 

@@ -22,7 +22,7 @@ mod sha1;
 
 pub use base32::{base32_decode, base32_encode, Base32Error};
 pub use md5::{md5, Md5, Md5Digest};
-pub use sha1::{sha1, sha1_many, Sha1, Sha1Digest};
+pub use sha1::{sha1, Sha1, Sha1Digest};
 
 /// Renders `bytes` as lowercase hexadecimal.
 pub fn to_hex(bytes: &[u8]) -> String {

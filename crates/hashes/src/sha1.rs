@@ -108,22 +108,6 @@ impl Sha1 {
         }
     }
 
-    /// Rewinds the hasher to its initial state so one allocation-free
-    /// instance can digest a whole batch of messages (see [`sha1_many`]).
-    pub fn reset(&mut self) {
-        self.state = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
-        self.len = 0;
-        self.buf_len = 0;
-    }
-
-    /// Produces the digest of everything fed so far and resets the hasher
-    /// for the next message in the batch.
-    pub fn finalize_reset(&mut self) -> Sha1Digest {
-        let digest = self.clone().finalize();
-        self.reset();
-        digest
-    }
-
     pub fn finalize(mut self) -> Sha1Digest {
         let bit_len = self.len.wrapping_mul(8);
         // Pad in place: 0x80, zeros to 56 mod 64, then the 64-bit big-endian
@@ -400,23 +384,6 @@ pub fn sha1(data: &[u8]) -> Sha1Digest {
     h.finalize()
 }
 
-/// SHA-1 of every message in a batch, reusing one hasher across the whole
-/// slice so per-message setup is paid once. This is the bulk entry point the
-/// batched scan service hashes accumulated download bodies through.
-pub fn sha1_many<'a, I>(bodies: I) -> Vec<Sha1Digest>
-where
-    I: IntoIterator<Item = &'a [u8]>,
-{
-    let mut h = Sha1::new();
-    bodies
-        .into_iter()
-        .map(|body| {
-            h.update(body);
-            h.finalize_reset()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,26 +463,6 @@ mod tests {
             let data: Vec<u8> = (0..n).map(|i| ((i * 7 + 3) % 256) as u8).collect();
             assert_eq!(sha1(&data).to_hex(), hex, "length {n}");
         }
-    }
-
-    #[test]
-    fn sha1_many_matches_oneshot() {
-        let bodies: Vec<Vec<u8>> = (0..8usize)
-            .map(|n| (0..n * 37).map(|i| (i * 11 + n) as u8).collect())
-            .collect();
-        let batched = sha1_many(bodies.iter().map(|b| b.as_slice()));
-        for (body, digest) in bodies.iter().zip(&batched) {
-            assert_eq!(*digest, sha1(body));
-        }
-    }
-
-    #[test]
-    fn finalize_reset_chains_messages() {
-        let mut h = Sha1::new();
-        h.update(b"abc");
-        assert_eq!(h.finalize_reset(), sha1(b"abc"));
-        h.update(b"hello world");
-        assert_eq!(h.finalize_reset(), sha1(b"hello world"));
     }
 
     /// Both arms of `compress_many` from the same states over 0–24 blocks

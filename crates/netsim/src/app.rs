@@ -173,14 +173,6 @@ impl<'a> Ctx<'a> {
         self.profile.time(s, f)
     }
 
-    /// Adds an already-measured wall-clock interval to bucket `s`. The
-    /// batched scan service times its flush phases internally (they run
-    /// without a `Ctx`) and attributes them here afterwards.
-    #[inline]
-    pub fn record_profile(&mut self, s: Subsystem, nanos: u64) {
-        self.profile.record(s, nanos);
-    }
-
     /// The simulation's metrics registry — where instrumented apps record
     /// named counters, gauges and histograms (rolled up into
     /// `SimMetrics::telemetry`).
@@ -261,12 +253,6 @@ pub trait App: Send {
 
     /// A timer armed with [`Ctx::set_timer`] fired.
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {}
-
-    /// A sim-time barrier: the harness has run the simulation up to a
-    /// quiescent point (e.g. the end of a crawl day) and gives the app a
-    /// chance to settle deferred work — the batched scan service merges its
-    /// pending verdicts here. Default: nothing deferred, nothing to do.
-    fn on_barrier(&mut self, ctx: &mut Ctx<'_>) {}
 
     /// Deterministic deep-heap estimate of this app's state in bytes
     /// (container capacities, owned buffers, per-node routing tables).

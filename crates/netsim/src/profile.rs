@@ -11,9 +11,8 @@
 //! counts every app callback but times one in `SAMPLE` (16), picked by a
 //! Fibonacci hash of the lane's callback counter; `App`, `TcpPump` and
 //! `QueryMatch` are estimates, each timed interval scaled by `SAMPLE`.
-//! `Scan` and `ScanMerge` are rare and long, so they are always timed and
-//! exact; a callback adds them to `App` unscaled. Every `calls` count is
-//! exact.
+//! `Scan` is rare and long, so it is always timed and exact; a callback
+//! adds it to `App` unscaled. Every `calls` count is exact.
 //!
 //! Wall-clock time is *diagnostics, not simulation state*: two runs of the
 //! same seed produce identical event trajectories but different timings.
@@ -32,10 +31,9 @@ pub const SUBSYSTEM_COUNT: usize = 7;
 ///
 /// `Scheduler`, `App` and `TcpPump` partition the run loop: queue + conn
 /// table + dispatch overhead, app callback bodies, and buffered-action
-/// application (dominated by the byte pump). `Scan`, `ScanMerge` and
-/// `QueryMatch` are *nested* inside `App` — apps opt in via
-/// [`crate::Ctx::time`] / [`crate::Ctx::record_profile`] around their
-/// scan-pipeline and query-matching work. `App`, `TcpPump` and
+/// application (dominated by the byte pump). `Scan` and `QueryMatch` are
+/// *nested* inside `App` — apps opt in via [`crate::Ctx::time`] around
+/// their scan-pipeline and query-matching work. `App`, `TcpPump` and
 /// `QueryMatch` are sampled estimates; `Scheduler` is the run loop's wall
 /// time less the `App` and `TcpPump` estimates; the rest are exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,11 +44,12 @@ pub enum Subsystem {
     App = 1,
     /// Applying buffered actions: the simulated-TCP byte pump.
     TcpPump = 2,
-    /// Scan-pipeline work: hashing + signature engine, including the
-    /// parallel batch phases of the scan service (nested inside `App`).
+    /// Scan-pipeline work: hashing + signature engine, one interval per
+    /// downloaded body (nested inside `App`).
     Scan = 3,
-    /// Deterministic in-order merge of batched scan verdicts back into the
-    /// crawl log at a sim-time barrier (nested inside `App`).
+    /// Records nothing: kept only because `benchmark/src/workloads.rs`
+    /// reads it (`scanner.scan_merge_s` is 0); goes in the next
+    /// `[benchmark]` PR.
     ScanMerge = 4,
     /// Query matching against share libraries (nested inside `App`).
     QueryMatch = 5,
@@ -150,12 +149,12 @@ impl SubsystemProfile {
     }
 
     /// Adds one exactly measured interval to a bucket. An interval of
-    /// `Scan` or `ScanMerge` also counts toward the open callback's `App`.
+    /// `Scan` also counts toward the open callback's `App`.
     #[inline]
     pub fn record(&mut self, s: Subsystem, nanos: u64) {
         self.nanos[s as usize] += nanos;
         self.calls[s as usize] += 1;
-        if matches!(s, Subsystem::Scan | Subsystem::ScanMerge) {
+        if s == Subsystem::Scan {
             self.exact += nanos;
         }
     }
@@ -219,7 +218,7 @@ impl SubsystemProfile {
     }
 
     /// Nanoseconds across the disjoint run-loop buckets (excludes the
-    /// nested `Scan`/`ScanMerge`/`QueryMatch`, which are already inside
+    /// nested `Scan`/`QueryMatch`, which are already inside
     /// `App`).
     pub fn total_nanos(&self) -> u64 {
         self.nanos(Subsystem::Scheduler)
@@ -241,17 +240,15 @@ impl SubsystemProfile {
     }
 
     /// Compact one-line rendering, e.g. for `P2PMAL_TRACE` day lines:
-    /// `sched 1.2s app 3.4s pump 0.5s scan 0.2s merge 0.0s match 0.1s
-    /// xchg 0.0s`.
+    /// `sched 1.2s app 3.4s pump 0.5s scan 0.2s match 0.1s xchg 0.0s`.
     pub fn render_compact(&self) -> String {
         let secs = |s: Subsystem| self.nanos(s) as f64 / 1e9;
         format!(
-            "sched {:.1}s app {:.1}s pump {:.1}s scan {:.1}s merge {:.1}s match {:.1}s xchg {:.1}s",
+            "sched {:.1}s app {:.1}s pump {:.1}s scan {:.1}s match {:.1}s xchg {:.1}s",
             secs(Subsystem::Scheduler),
             secs(Subsystem::App),
             secs(Subsystem::TcpPump),
             secs(Subsystem::Scan),
-            secs(Subsystem::ScanMerge),
             secs(Subsystem::QueryMatch),
             secs(Subsystem::ShardExchange),
         )

@@ -420,15 +420,6 @@ impl Simulator {
         self.on_lane(node, |lane| lane.with_app(node, f))
     }
 
-    /// Dispatches [`App::on_barrier`] to one node: the harness's sim-time
-    /// barrier seam. Call after `run_until` reaches a quiescent point so
-    /// apps with deferred work (the batched scan service) settle it before
-    /// the harness inspects their state. No-op for offline nodes and for
-    /// apps with the default `on_barrier`.
-    pub fn barrier(&mut self, node: NodeId) {
-        self.with_node(node, |app, ctx| app.on_barrier(ctx));
-    }
-
     /// Rebuilds the merged snapshot: control slice plus every shard slice,
     /// with pool statistics synced first. The merged queue high-water is
     /// the peak *global* boundary depth (shard-count-invariant), not the

@@ -65,13 +65,6 @@ impl VerdictCache {
         self.stats
     }
 
-    /// Non-counting presence probe. The batched scan service uses this to
-    /// plan which bodies need engine scans *without* perturbing the hit/miss
-    /// counters that the sequential replay will account for.
-    pub fn contains(&self, digest: &Sha1Digest) -> bool {
-        self.map.contains_key(digest)
-    }
-
     /// Looks up a digest, counting a hit or miss.
     pub fn get(&mut self, digest: &Sha1Digest) -> Option<Arc<Verdict>> {
         match self.map.get(digest) {
@@ -131,16 +124,6 @@ mod tests {
         assert!(c.get(&digest(2)).is_none());
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.insertions, s.evictions), (1, 2, 1, 0));
-    }
-
-    #[test]
-    fn contains_does_not_count() {
-        let mut c = VerdictCache::new(8);
-        c.insert(digest(1), verdict());
-        assert!(c.contains(&digest(1)));
-        assert!(!c.contains(&digest(2)));
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses), (0, 0));
     }
 
     #[test]

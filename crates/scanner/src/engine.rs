@@ -75,8 +75,8 @@ impl Verdict {
 /// [`Scanner::scan_with_scratch`] inflates deflated members into these
 /// instead of allocating a fresh `Vec` per member (stored members are not
 /// extracted at all: they are examined where they lie in the enclosing
-/// body), so a long batch of scans settles into zero allocator traffic per
-/// body. Each worker thread of the batched scan service owns one.
+/// body), so a long run of scans settles into zero allocator traffic per
+/// body. The crawler's scan pipeline owns one.
 #[derive(Default)]
 pub struct ScanScratch {
     levels: Vec<Vec<u8>>,

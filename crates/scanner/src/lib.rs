@@ -10,11 +10,10 @@
 //! * [`sig`] — hex signatures with `??` single-byte wildcards and `*` gaps,
 //! * [`db`] — a signature database with a text format and builder API,
 //! * [`filetype`] — magic-byte and extension-based file typing (the study
-//!   classifies responses into executables, archives and media), and
+//!   classifies responses into executables, archives and media),
 //! * [`engine`] — the scan engine, which recurses into ZIP archives exactly
 //!   like the study's scanner had to, and
-//! * [`batch`] — a work-stealing thread pool that scans whole batches of
-//!   bodies between the harness's sim-time barriers.
+//! * [`cache`] — a bounded, content-addressed verdict cache.
 //!
 //! ```
 //! use p2pmal_scanner::{SignatureDb, Scanner};
@@ -26,7 +25,6 @@
 //! ```
 
 pub mod aho;
-pub mod batch;
 pub mod cache;
 pub mod db;
 pub mod engine;
@@ -34,7 +32,6 @@ pub mod filetype;
 pub mod sig;
 
 pub use aho::AhoCorasick;
-pub use batch::{ScanJob, ScanPool};
 pub use cache::{VerdictCache, VerdictCacheStats};
 pub use db::{CompiledDb, SignatureDb, SignatureError};
 pub use engine::{Detection, ScanConfig, ScanScratch, Scanner, Verdict};
