@@ -27,11 +27,13 @@ pub struct Summary {
 
 /// Computes the T1 summary.
 pub fn summarize(network: &str, log: &CrawlLog, resolved: &[ResolvedResponse]) -> Summary {
-    let downloadable: Vec<&ResolvedResponse> =
-        resolved.iter().filter(|r| r.record.downloadable).collect();
-    let scanned = downloadable.iter().filter(|r| r.scanned).count() as u64;
-    let malicious = downloadable.iter().filter(|r| r.malware.is_some()).count() as u64;
-    let hosts: HashSet<&HostKey> = resolved.iter().map(|r| &r.record.host).collect();
+    let (mut downloadable, mut scanned, mut malicious) = (0u64, 0u64, 0u64);
+    for r in resolved.iter().filter(|r| r.record.downloadable) {
+        downloadable += 1;
+        scanned += u64::from(r.scanned);
+        malicious += u64::from(r.malware.is_some());
+    }
+    let hosts: HashSet<&HostKey> = resolved.iter().map(|r| &*r.record.host).collect();
     let malware: HashSet<&str> = resolved
         .iter()
         .filter_map(|r| r.malware.as_deref())
@@ -40,7 +42,7 @@ pub fn summarize(network: &str, log: &CrawlLog, resolved: &[ResolvedResponse]) -
         network: network.to_string(),
         queries: log.queries_issued,
         responses: resolved.len() as u64,
-        downloadable: downloadable.len() as u64,
+        downloadable,
         scanned,
         malicious,
         malicious_pct: pct(malicious, scanned),
@@ -182,11 +184,11 @@ pub struct HostShare {
 pub fn host_concentration(resolved: &[ResolvedResponse]) -> Vec<HostShare> {
     let malicious: Vec<&ResolvedResponse> =
         resolved.iter().filter(|r| r.malware.is_some()).collect();
-    let shares = ranked_shares(tally(malicious.iter().map(|r| r.record.host.clone())));
-    let mut families_by_host: HashMap<HostKey, HashSet<&str>> = HashMap::new();
+    let shares = ranked_shares(tally(malicious.iter().map(|r| &*r.record.host)));
+    let mut families_by_host: HashMap<&HostKey, HashSet<&str>> = HashMap::new();
     for r in &malicious {
         families_by_host
-            .entry(r.record.host.clone())
+            .entry(&*r.record.host)
             .or_default()
             .insert(r.malware.as_deref().expect("filtered"));
     }
@@ -200,7 +202,7 @@ pub fn host_concentration(resolved: &[ResolvedResponse]) -> Vec<HostShare> {
             families.sort();
             HostShare {
                 rank: s.rank,
-                host: match &s.item {
+                host: match s.item {
                     HostKey::Guid(g) => format!("guid:{}", p2pmal_hashes::to_hex(&g[..4])),
                     HostKey::Addr(ip, port) => format!("{ip}:{port}"),
                 },
@@ -298,13 +300,13 @@ pub fn size_census(resolved: &[ResolvedResponse]) -> SizeCensus {
                 malware
                     .entry(fam.as_str())
                     .or_default()
-                    .insert(r.record.size);
+                    .insert(u64::from(r.record.size));
             }
             None if r.scanned => {
                 benign_as_logged
                     .entry(r.record.filename.as_str())
                     .or_default()
-                    .insert(r.record.size);
+                    .insert(u64::from(r.record.size));
             }
             None => {}
         }
@@ -369,11 +371,11 @@ pub fn echo_amplification(resolved: &[ResolvedResponse]) -> EchoAmplification {
     let mut dirty: HashSet<&HostKey> = HashSet::new();
     for r in resolved {
         queries
-            .entry(&r.record.host)
+            .entry(&*r.record.host)
             .or_default()
             .insert(r.record.query.as_str());
         if r.malware.is_some() {
-            dirty.insert(&r.record.host);
+            dirty.insert(&*r.record.host);
         }
     }
     let (mut mq, mut mh, mut cq, mut ch) = (0u64, 0u64, 0u64, 0u64);
@@ -406,7 +408,7 @@ mod tests {
         day: u32,
         query: &str,
         name: &str,
-        size: u64,
+        size: u32,
         ip: [u8; 4],
         host: u8,
         malware: Option<&str>,
@@ -422,7 +424,7 @@ mod tests {
                 source_ip: Ipv4Addr::new(ip[0], ip[1], ip[2], ip[3]),
                 source_port: 6346,
                 needs_push: false,
-                host: HostKey::Guid([host; 16]),
+                host: HostKey::Guid([host; 16]).into(),
                 downloadable: p2pmal_crawler::is_downloadable_name(name),
             },
             malware: malware.map(Into::into),
@@ -455,6 +457,70 @@ mod tests {
         assert!((s.malicious_pct - 75.0).abs() < 1e-9);
         assert_eq!(s.distinct_hosts, 4);
         assert_eq!(s.distinct_malware, 2);
+    }
+
+    /// The two-pass summary `summarize` replaced: the downloadable rows
+    /// collected first, then counted.
+    fn summarize_reference(log: &CrawlLog, resolved: &[ResolvedResponse]) -> Summary {
+        let downloadable: Vec<&ResolvedResponse> =
+            resolved.iter().filter(|r| r.record.downloadable).collect();
+        let scanned = downloadable.iter().filter(|r| r.scanned).count() as u64;
+        let malicious = downloadable.iter().filter(|r| r.malware.is_some()).count() as u64;
+        let hosts: HashSet<&HostKey> = resolved.iter().map(|r| &*r.record.host).collect();
+        let malware: HashSet<&str> = resolved
+            .iter()
+            .filter_map(|r| r.malware.as_deref())
+            .collect();
+        Summary {
+            network: "X".to_string(),
+            queries: log.queries_issued,
+            responses: resolved.len() as u64,
+            downloadable: downloadable.len() as u64,
+            scanned,
+            malicious,
+            malicious_pct: pct(malicious, scanned),
+            distinct_hosts: hosts.len() as u64,
+            distinct_malware: malware.len() as u64,
+        }
+    }
+
+    #[test]
+    fn one_pass_summary_matches_the_reference() {
+        let mut log = CrawlLog::new();
+        log.queries_issued = 9;
+        // Every (downloadable, scanned, malicious) combination a joined row
+        // can have (malware implies scanned), a name the host+size key
+        // resolved to malware included ("notes.txt").
+        let mut mixed = sample();
+        for (i, (name, malware, scanned)) in [
+            ("notes.txt", Some("W32.A"), true),
+            ("song.mp3", None, true),
+            ("clip.avi", None, false),
+            ("pack.zip", Some("W32.C"), true),
+            ("pack.zip", None, true),
+            ("gone.scr", None, false),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let host = 10 + (i % 3) as u8;
+            mixed.push(resp(
+                2,
+                "m",
+                name,
+                600,
+                [1, 2, 3, 4],
+                host,
+                malware,
+                scanned,
+            ));
+        }
+        for resolved in [Vec::new(), sample(), mixed] {
+            assert_eq!(
+                summarize("X", &log, &resolved),
+                summarize_reference(&log, &resolved)
+            );
+        }
     }
 
     #[test]

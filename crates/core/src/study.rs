@@ -599,28 +599,28 @@ mod tests {
             .collect()
     }
 
-    fn resp(day: u64, host: u8, size: u64, malware: Option<&str>) -> ResolvedResponse {
+    fn resp(day: u32, host: u8, size: u32, malware: Option<&str>) -> ResolvedResponse {
         ResolvedResponse {
             record: ResponseRecord {
-                at: SimTime::from_days(day),
-                day: day as u32,
+                at: SimTime::from_days(day.into()),
+                day,
                 query: format!("q{}", size % 7).as_str().into(),
                 filename: format!("f{size}.exe").as_str().into(),
                 size,
                 source_ip: Ipv4Addr::new(192, 168, 0, host),
                 source_port: 6346,
                 needs_push: false,
-                host: HostKey::Guid([host; 16]),
+                host: HostKey::Guid([host; 16]).into(),
                 downloadable: true,
             },
             malware: malware.map(Into::into),
             scanned: true,
-            sha1: Some(p2pmal_hashes::sha1(&size.to_le_bytes())),
+            sha1: Some(p2pmal_hashes::sha1(&u64::from(size).to_le_bytes())),
         }
     }
 
     /// Malicious host 1 and clean host 2 over `days` days.
-    fn mixed(days: u64) -> Vec<ResolvedResponse> {
+    fn mixed(days: u32) -> Vec<ResolvedResponse> {
         let mut log = Vec::new();
         for day in 0..days {
             log.push(resp(day, 1, 100, Some("W32.A")));

@@ -14,7 +14,8 @@
 //! timer, RNG-draw and emission order are what the trajectory digests pin.
 
 use crate::log::{
-    CrawlLog, HostKey, HostSizeKey, NameSizeKey, ResponseRecord, ScanOutcome, Text, TextTable,
+    CrawlLog, HostKey, HostSizeKey, HostTable, NameSizeKey, ResponseRecord, ScanOutcome, Text,
+    TextTable,
 };
 use crate::retry::{FailCause, RetryPolicy};
 use crate::scan::ScanPipeline;
@@ -74,7 +75,7 @@ impl Default for CrawlerConfig {
 /// One response inside an answer, borrowed from the overlay's event.
 pub struct Response<'a> {
     pub name: &'a str,
-    pub size: u64,
+    pub size: u32,
     /// The address the responder advertises (RFC 1918 for NATed hosts).
     pub source: HostAddr,
     pub host: HostKey,
@@ -175,6 +176,8 @@ pub struct Crawler<O: Overlay> {
     log: CrawlLog,
     /// Every query and file name in the log, one allocation each.
     texts: TextTable,
+    /// Every responder in the log, one allocation each.
+    hosts: HostTable,
     /// Query key -> query text, for attributing responses.
     queries: HashMap<O::QueryKey, Text>,
     query_order: VecDeque<O::QueryKey>,
@@ -210,6 +213,7 @@ impl<O: Overlay> Crawler<O> {
             config,
             log: CrawlLog::new(),
             texts: TextTable::default(),
+            hosts: HostTable::default(),
             queries: HashMap::new(),
             query_order: VecDeque::new(),
             pending: VecDeque::new(),
@@ -267,7 +271,7 @@ impl<O: Overlay> Crawler<O> {
                 source_ip: res.source.ip,
                 source_port: res.source.port,
                 needs_push: res.needs_push,
-                host: res.host,
+                host: self.hosts.intern(res.host),
                 downloadable: crate::log::is_downloadable_name(res.name),
             };
             // Fetch a downloadable response unless its content has a verdict
@@ -287,7 +291,7 @@ impl<O: Overlay> Crawler<O> {
                         trace,
                         matched,
                         &record.filename,
-                        record.size,
+                        u64::from(record.size),
                         &O::request_addr(&request).to_string(),
                     )
                 });
@@ -313,7 +317,7 @@ impl<O: Overlay> Crawler<O> {
         if ctx.telemetry_on(EventCategory::Download) {
             let body = EventBody::DownloadStart {
                 name: fl.record.filename.to_string(),
-                size: fl.record.size,
+                size: u64::from(fl.record.size),
                 host: O::request_addr(&fl.request).to_string(),
                 attempt: fl.attempt,
             };

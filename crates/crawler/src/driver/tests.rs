@@ -25,12 +25,12 @@ const MATCHED: u64 = 0x3a7c;
 #[derive(Clone, Copy)]
 struct Hit {
     name: &'static str,
-    size: u64,
+    size: u32,
     /// Last octet of the responder's address (and its whole identity).
     host: u8,
 }
 
-fn hit(name: &'static str, size: u64, host: u8) -> Hit {
+fn hit(name: &'static str, size: u32, host: u8) -> Hit {
     Hit { name, size, host }
 }
 
@@ -312,7 +312,7 @@ fn duplicates_under_either_key_are_fetched_once() {
 fn downloads_never_exceed_the_slots() {
     const NAMES: [&str; 5] = ["a.exe", "b.exe", "c.exe", "d.zip", "e.exe"];
     let mut hits: Vec<Hit> = (0..5)
-        .map(|i| hit(NAMES[i], 100 + i as u64, i as u8))
+        .map(|i| hit(NAMES[i], 100 + i as u32, i as u8))
         .collect();
     hits.insert(1, hit("a.exe", 100, 9)); // same name + size, other host
     hits.insert(3, hit("z.exe", 101, 1)); // same host + size, other name

@@ -58,7 +58,7 @@ impl Overlay for FtNode {
         let result = results.get(i);
         Response {
             name: result.filename,
-            size: result.size as u64,
+            size: result.size,
             source: HostAddr::new(result.host, result.port),
             host: HostKey::Addr(result.host, result.port),
             needs_push: false,

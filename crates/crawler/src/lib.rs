@@ -38,8 +38,8 @@ pub mod workload;
 
 pub use driver::{Crawler, CrawlerConfig, Overlay, Response, Signal};
 pub use log::{
-    is_downloadable_name, CrawlLog, HostKey, LogFootprint, Network, ResolvedResponse,
-    ResponseRecord, ScanOutcome, Text, TextTable,
+    is_downloadable_name, CrawlLog, Host, HostKey, HostTable, LogFootprint, Network,
+    ResolvedResponse, ResponseRecord, ScanOutcome, Text, TextTable,
 };
 pub use retry::{FailCause, FailureBreakdown, RetryPolicy};
 pub use scan::{ScanPipeline, ScanStats, DEFAULT_SCAN_CACHE_ENTRIES};

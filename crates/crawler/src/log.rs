@@ -138,6 +138,58 @@ pub enum HostKey {
     Addr(Ipv4Addr, u16),
 }
 
+/// A [`HostKey`] shared by reference count. A month of responses repeats
+/// a few hundred responders millions of times, so a record holds one
+/// pointer (8 bytes, and so is an `Option<Host>`) to its responder's one
+/// allocation instead of the 18-byte key. It derefs to the key, and every comparison, ordering
+/// and hash is the key's — `{:?}` too, so digests that format a record's
+/// host print exactly what the key printed.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Host(Arc<HostKey>);
+
+impl std::ops::Deref for Host {
+    type Target = HostKey;
+
+    fn deref(&self) -> &HostKey {
+        &self.0
+    }
+}
+
+impl std::borrow::Borrow<HostKey> for Host {
+    fn borrow(&self) -> &HostKey {
+        &self.0
+    }
+}
+
+impl fmt::Debug for Host {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl From<HostKey> for Host {
+    fn from(key: HostKey) -> Self {
+        Host(Arc::new(key))
+    }
+}
+
+/// Dedup table behind [`Host`]: one shared allocation per distinct
+/// responder, kept by each log producer beside its [`TextTable`]. Empty
+/// until the first insert, so building one allocates nothing.
+#[derive(Debug, Default)]
+pub struct HostTable(HashSet<Host>);
+
+impl HostTable {
+    pub fn intern(&mut self, key: HostKey) -> Host {
+        if let Some(h) = self.0.get(&key) {
+            return h.clone();
+        }
+        let h = Host::from(key);
+        self.0.insert(h.clone());
+        h
+    }
+}
+
 /// One logged query response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResponseRecord {
@@ -148,13 +200,15 @@ pub struct ResponseRecord {
     pub day: u32,
     pub query: Text,
     pub filename: Text,
-    pub size: u64,
+    /// Advertised size: both wires carry a `u32` (Gnutella's hit result,
+    /// OpenFT's search result).
+    pub size: u32,
     /// Address the responder *advertised* (RFC 1918 leaks live here).
     pub source_ip: Ipv4Addr,
     pub source_port: u16,
     /// The responder declared it needs a PUSH (Gnutella only).
     pub needs_push: bool,
-    pub host: HostKey,
+    pub host: Host,
     /// Extension-classified downloadable (archive/executable) response.
     pub downloadable: bool,
 }
@@ -196,7 +250,7 @@ impl ScanOutcome {
 
 /// Dedup keys a response resolves through.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct NameSizeKey(pub String, pub u64);
+pub struct NameSizeKey(pub String, pub u32);
 
 impl NameSizeKey {
     /// Re-keys `self` to `r` (lowered file name, size), reusing the
@@ -210,7 +264,7 @@ impl NameSizeKey {
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct HostSizeKey(pub HostKey, pub u64);
+pub struct HostSizeKey(pub HostKey, pub u32);
 
 /// A response joined with its scan verdict (produced by
 /// [`CrawlLog::resolved`]).
@@ -273,7 +327,7 @@ impl CrawlLog {
     pub fn keys_of(r: &ResponseRecord) -> (NameSizeKey, HostSizeKey) {
         let mut by_name = NameSizeKey(String::new(), 0);
         by_name.assign(r);
-        (by_name, HostSizeKey(r.host.clone(), r.size))
+        (by_name, HostSizeKey(HostKey::clone(&r.host), r.size))
     }
 
     /// The verdict filed under either dedup key, name+size first.
@@ -307,7 +361,7 @@ impl CrawlLog {
             .iter()
             .map(|r| {
                 nk.assign(r);
-                let outcome = self.outcome_by(&nk, &HostSizeKey(r.host.clone(), r.size));
+                let outcome = self.outcome_by(&nk, &HostSizeKey(HostKey::clone(&r.host), r.size));
                 let scanned = matches!(outcome, Some(ScanOutcome::Scanned { .. }));
                 let malware = outcome
                     .and_then(|o| o.primary())
@@ -328,9 +382,10 @@ impl CrawlLog {
 
     /// Sizes the log: how many records, how many distinct texts they share
     /// and the heap all of it holds — records by capacity, each distinct
-    /// text once (its counted handle and its bytes), the two outcome maps.
-    /// "Distinct" counts allocations, which a log filled through one
-    /// [`TextTable`] makes distinct strings.
+    /// text once (its counted handle and its bytes), each distinct host
+    /// allocation once, the two outcome maps. "Distinct" counts
+    /// allocations, which a log filled through one [`TextTable`] and one
+    /// [`HostTable`] makes distinct strings and responders.
     /// Reported beside the per-node memory estimate, never inside it: the
     /// log belongs to the measurement, not to a node.
     pub fn footprint(&self) -> LogFootprint {
@@ -345,6 +400,13 @@ impl CrawlLog {
         for (_, bytes) in queries.union(&filenames) {
             heap += *bytes as u64;
         }
+        let hosts: HashSet<_> = self
+            .responses
+            .iter()
+            .map(|r| Arc::as_ptr(&r.host.0))
+            .collect();
+        // One shared allocation per host: two counts beside the key.
+        heap += (hosts.len() * size_of::<(usize, usize, HostKey)>()) as u64;
         let outcome_bytes = |o: &ScanOutcome| match o {
             ScanOutcome::Scanned { detections, .. } => {
                 detections.capacity() * size_of::<String>()
@@ -384,7 +446,7 @@ impl CrawlLog {
 mod tests {
     use super::*;
 
-    fn record(name: &str, size: u64, host: HostKey) -> ResponseRecord {
+    fn record(name: &str, size: u32, host: HostKey) -> ResponseRecord {
         ResponseRecord {
             at: SimTime::ZERO,
             day: 0,
@@ -394,7 +456,7 @@ mod tests {
             source_ip: Ipv4Addr::new(1, 2, 3, 4),
             source_port: 6346,
             needs_push: false,
-            host,
+            host: host.into(),
             downloadable: is_downloadable_name(name),
         }
     }
@@ -499,7 +561,7 @@ mod tests {
             .iter()
             .map(|r| {
                 let by_name = NameSizeKey(r.filename.to_ascii_lowercase(), r.size);
-                let by_host = HostSizeKey(r.host.clone(), r.size);
+                let by_host = HostSizeKey(HostKey::clone(&r.host), r.size);
                 let outcome = log
                     .by_name_size
                     .get(&by_name)
@@ -529,7 +591,7 @@ mod tests {
             len: 58_368,
             detections: vec![family.into(), "W32.Second".into()],
         };
-        let mut push = |log: &mut CrawlLog, name: &str, size: u64, host: &HostKey| {
+        let mut push = |log: &mut CrawlLog, name: &str, size: u32, host: &HostKey| {
             let mut r = record(name, size, host.clone());
             r.query = texts.intern("some query");
             r.filename = texts.intern(name);
@@ -614,20 +676,69 @@ mod tests {
         assert_eq!(first, a);
     }
 
+    /// A `Host` is its key to everything that formats, hashes, compares
+    /// or sorts a record: the trajectory digests print it with `{:?}`.
+    #[test]
+    fn host_formats_hashes_and_orders_as_its_key() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+        let hasher = BuildHasherDefault::<DefaultHasher>::default();
+        let mut rng = StdRng::seed_from_u64(43);
+        let mut keys: Vec<HostKey> = (0..64)
+            .map(|i| {
+                if i % 2 == 0 {
+                    let mut guid = [0u8; 16];
+                    rng.fill(&mut guid);
+                    HostKey::Guid(guid)
+                } else {
+                    HostKey::Addr(Ipv4Addr::from(rng.gen::<u32>()), rng.gen())
+                }
+            })
+            .collect();
+        // Equal keys behind distinct allocations.
+        keys.extend([keys[0].clone(), keys[1].clone()]);
+        let hosts: Vec<Host> = keys.iter().cloned().map(Host::from).collect();
+        for (a, ha) in keys.iter().zip(&hosts) {
+            assert_eq!(**ha, *a);
+            assert_eq!(format!("{ha:?}"), format!("{a:?}"));
+            assert_eq!(format!("{ha:#?}"), format!("{a:#?}"));
+            assert_eq!(hasher.hash_one(ha), hasher.hash_one(a));
+            for (b, hb) in keys.iter().zip(&hosts) {
+                assert_eq!(ha == hb, a == b, "{a:?} vs {b:?}");
+                assert_eq!(ha.cmp(hb), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
+        assert_eq!(
+            format!("{:?}", Host::from(HostKey::Guid([7; 16]))),
+            "Guid([7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7])"
+        );
+        let HostKey::Addr(ip, port) = &keys[1] else {
+            unreachable!("odd keys are addresses")
+        };
+        assert_eq!(format!("{:?}", hosts[1]), format!("Addr({ip}, {port})"));
+        // The table hands back the first allocation for an equal key.
+        let mut table = HostTable::default();
+        let first = table.intern(keys[0].clone());
+        assert!(std::ptr::eq(&*first, &*table.intern(keys[0].clone())));
+        assert!(!std::ptr::eq(&*first, &*hosts[0]));
+        assert_eq!(first, hosts[0]);
+    }
+
     #[test]
     fn footprint_charges_each_text_once() {
         let mut log = CrawlLog::new();
         let mut texts = TextTable::default();
-        let host = HostKey::Guid([2; 16]);
-        for (query, name) in [
-            ("q1", "a.exe"),
-            ("q1", "b.exe"),
-            ("q2", "a.exe"),
-            ("q2", "q2"),
+        let mut hosts = HostTable::default();
+        for (query, name, host) in [
+            ("q1", "a.exe", 2),
+            ("q1", "b.exe", 3),
+            ("q2", "a.exe", 2),
+            ("q2", "q2", 2),
         ] {
-            let mut r = record(name, 5, host.clone());
+            let mut r = record(name, 5, HostKey::Guid([0; 16]));
             r.query = texts.intern(query);
             r.filename = texts.intern(name);
+            r.host = hosts.intern(HostKey::Guid([host; 16]));
             log.responses.push(r);
         }
         let empty_maps = log.footprint();
@@ -645,8 +756,15 @@ mod tests {
         use std::mem::size_of;
         let handle = 2 * size_of::<usize>() + size_of::<Box<str>>();
         let texts_bytes = 4 * handle + (2 + 2 + 5 + 5);
+        // Two responders, each one allocation: two counts beside the key,
+        // padded to the pointer's alignment.
+        let host_alloc = (2 * size_of::<usize>() + size_of::<HostKey>())
+            .next_multiple_of(std::mem::align_of::<usize>());
         let records = log.responses.capacity() * size_of::<ResponseRecord>();
-        assert_eq!(empty_maps.heap_bytes, (records + texts_bytes) as u64);
+        assert_eq!(
+            empty_maps.heap_bytes,
+            (records + texts_bytes + 2 * host_alloc) as u64
+        );
         let r = log.responses[0].clone();
         log.record_outcome(&r, ScanOutcome::Unreachable);
         assert!(log.footprint().heap_bytes > empty_maps.heap_bytes);
@@ -660,8 +778,10 @@ mod tests {
         use std::mem::size_of;
         assert_eq!(size_of::<Text>(), 8, "a text is one thin pointer");
         assert_eq!(size_of::<Option<Text>>(), 8, "and `None` costs nothing");
-        assert!(size_of::<ResponseRecord>() <= 64);
-        assert!(size_of::<ResolvedResponse>() <= 96);
+        assert_eq!(size_of::<Host>(), 8, "a host is one pointer");
+        assert_eq!(size_of::<Option<Host>>(), 8);
+        assert_eq!(size_of::<ResponseRecord>(), 48);
+        assert_eq!(size_of::<ResolvedResponse>(), 80);
     }
 
     #[test]

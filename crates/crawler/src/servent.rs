@@ -59,7 +59,7 @@ impl Overlay for Servent {
         let source = HostAddr::new(hit.ip, hit.port);
         Response {
             name: &res.name,
-            size: res.size as u64,
+            size: res.size,
             source,
             host: HostKey::Guid(hit.servent_guid.0),
             needs_push: hit.flags.needs_push() || source.is_private(),

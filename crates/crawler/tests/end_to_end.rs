@@ -134,7 +134,7 @@ fn gnutella_mini_study_measures_ground_truth() {
             r.malware.as_deref(),
             Some(w.roster.get(FamilyId(0)).name.as_str())
         );
-        assert_eq!(r.record.size, w.roster.get(FamilyId(0)).sizes[0]);
+        assert_eq!(u64::from(r.record.size), w.roster.get(FamilyId(0)).sizes[0]);
     }
     // The NATed worm produced private-source responses.
     assert!(

@@ -99,7 +99,7 @@ pub mod test_support {
     use p2pmal_netsim::SimTime;
     use std::net::Ipv4Addr;
 
-    pub fn resp(query: &str, name: &str, size: u64, malware: Option<&str>) -> ResolvedResponse {
+    pub fn resp(query: &str, name: &str, size: u32, malware: Option<&str>) -> ResolvedResponse {
         resp_with_sha1(
             query,
             name,
@@ -112,7 +112,7 @@ pub mod test_support {
     pub fn resp_with_sha1(
         query: &str,
         name: &str,
-        size: u64,
+        size: u32,
         malware: Option<&str>,
         sha1: Option<Sha1Digest>,
     ) -> ResolvedResponse {
@@ -126,7 +126,7 @@ pub mod test_support {
                 source_ip: Ipv4Addr::new(9, 9, 9, 9),
                 source_port: 6346,
                 needs_push: false,
-                host: HostKey::Guid([1; 16]),
+                host: HostKey::Guid([1; 16]).into(),
                 downloadable: p2pmal_crawler::is_downloadable_name(name),
             },
             malware: malware.map(Into::into),

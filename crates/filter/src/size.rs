@@ -45,7 +45,9 @@ impl SizeFilter {
         for r in training {
             if let Some(fam) = r.malware.as_deref() {
                 *family_counts.entry(fam).or_insert(0) += 1;
-                *size_counts.entry((fam, r.record.size)).or_insert(0) += 1;
+                *size_counts
+                    .entry((fam, u64::from(r.record.size)))
+                    .or_insert(0) += 1;
             }
         }
         let mut families: Vec<(&str, u64)> = family_counts.into_iter().collect();
@@ -100,7 +102,7 @@ impl ResponseFilter for SizeFilter {
     }
 
     fn blocks(&self, r: &ResolvedResponse) -> bool {
-        r.record.downloadable && self.blocks_size(r.record.size)
+        r.record.downloadable && self.blocks_size(u64::from(r.record.size))
     }
 }
 

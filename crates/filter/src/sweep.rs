@@ -19,7 +19,7 @@ pub fn ranked_malicious_sizes(training: &[ResolvedResponse]) -> Vec<(u64, u64)> 
     let mut counts: HashMap<u64, u64> = HashMap::new();
     for r in training {
         if r.malware.is_some() {
-            *counts.entry(r.record.size).or_insert(0) += 1;
+            *counts.entry(u64::from(r.record.size)).or_insert(0) += 1;
         }
     }
     let mut v: Vec<(u64, u64)> = counts.into_iter().collect();

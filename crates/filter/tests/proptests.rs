@@ -7,7 +7,7 @@ use p2pmal_netsim::SimTime;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
-fn resp(name: &str, size: u64, malware: bool) -> ResolvedResponse {
+fn resp(name: &str, size: u32, malware: bool) -> ResolvedResponse {
     ResolvedResponse {
         record: ResponseRecord {
             at: SimTime::ZERO,
@@ -18,7 +18,7 @@ fn resp(name: &str, size: u64, malware: bool) -> ResolvedResponse {
             source_ip: Ipv4Addr::new(1, 1, 1, 1),
             source_port: 1,
             needs_push: false,
-            host: HostKey::Guid([0; 16]),
+            host: HostKey::Guid([0; 16]).into(),
             downloadable: p2pmal_crawler::is_downloadable_name(name),
         },
         malware: malware.then(|| "W32.X".into()),
@@ -45,7 +45,7 @@ proptest! {
     /// Evaluation conserves the universe: TP+FN+FP+TN equals the number of
     /// scanned downloadable responses, and rates stay in [0, 1].
     #[test]
-    fn eval_conserves_counts(rows in proptest::collection::vec((0u64..5000, any::<bool>(), any::<bool>()), 0..100)) {
+    fn eval_conserves_counts(rows in proptest::collection::vec((0u32..5000, any::<bool>(), any::<bool>()), 0..100)) {
         let responses: Vec<ResolvedResponse> = rows
             .iter()
             .map(|&(size, malware, exe)| resp(if exe { "f.exe" } else { "f.mp3" }, size, malware))
@@ -62,7 +62,7 @@ proptest! {
     /// A learned filter always blocks the most common size of the most
     /// popular family in its own training data (k >= 1).
     #[test]
-    fn learn_blocks_dominant_size(extra in proptest::collection::vec((0u64..9000, any::<bool>()), 0..40)) {
+    fn learn_blocks_dominant_size(extra in proptest::collection::vec((0u32..9000, any::<bool>()), 0..40)) {
         let mut train: Vec<ResolvedResponse> =
             (0..50).map(|_| resp("worm.exe", 12_345, true)).collect();
         train.extend(extra.iter().map(|&(size, malware)| resp("other.exe", size, malware)));
@@ -74,12 +74,12 @@ proptest! {
 
     /// Widening the blocklist never reduces detection.
     #[test]
-    fn more_sizes_never_hurt_detection(sizes in proptest::collection::vec(0u64..10_000, 1..12)) {
+    fn more_sizes_never_hurt_detection(sizes in proptest::collection::vec(0u32..10_000, 1..12)) {
         let universe: Vec<ResolvedResponse> =
             sizes.iter().map(|&s| resp("m.exe", s, true)).collect();
         let mut det = Vec::new();
         for k in 0..=sizes.len() {
-            let f = SizeFilter::from_sizes(sizes[..k].iter().copied());
+            let f = SizeFilter::from_sizes(sizes[..k].iter().copied().map(u64::from));
             det.push(evaluate(&f, &universe).detection_rate());
         }
         for w in det.windows(2) {

@@ -28,7 +28,7 @@ fn measured_families_exist_in_roster_and_sizes_match() {
             .by_name(name)
             .unwrap_or_else(|| panic!("unknown family {name}"));
         assert!(
-            fam.sizes.contains(&r.record.size),
+            fam.sizes.contains(&u64::from(r.record.size)),
             "{name} advertised size {} not in {:?}",
             r.record.size,
             fam.sizes
@@ -64,7 +64,7 @@ fn scanned_content_hashes_match_store() {
         let size_idx = fam
             .sizes
             .iter()
-            .position(|&s| s == r.record.size)
+            .position(|&s| s == u64::from(r.record.size))
             .expect("size is characteristic") as u8;
         let ground = world.store.sha1_of(
             ContentRef::Malware {
