@@ -28,16 +28,22 @@ pub struct Summary {
 /// Computes the T1 summary.
 pub fn summarize(network: &str, log: &CrawlLog, resolved: &[ResolvedResponse]) -> Summary {
     let (mut downloadable, mut scanned, mut malicious) = (0u64, 0u64, 0u64);
-    for r in resolved.iter().filter(|r| r.record.downloadable) {
-        downloadable += 1;
-        scanned += u64::from(r.scanned);
-        malicious += u64::from(r.malware.is_some());
+    // Both sets grow as they fill: collected from the rows, the host set
+    // would be sized by the row count (1.78 M slots for a month of OpenFT)
+    // to hold about a hundred hosts.
+    let mut hosts: HashSet<&HostKey> = HashSet::new();
+    let mut malware: HashSet<&str> = HashSet::new();
+    for r in resolved {
+        hosts.insert(&r.record.host);
+        if let Some(family) = r.malware.as_deref() {
+            malware.insert(family);
+        }
+        if r.record.downloadable {
+            downloadable += 1;
+            scanned += u64::from(r.scanned);
+            malicious += u64::from(r.malware.is_some());
+        }
     }
-    let hosts: HashSet<&HostKey> = resolved.iter().map(|r| &*r.record.host).collect();
-    let malware: HashSet<&str> = resolved
-        .iter()
-        .filter_map(|r| r.malware.as_deref())
-        .collect();
     Summary {
         network: network.to_string(),
         queries: log.queries_issued,

@@ -11,8 +11,8 @@ use p2pmal_crawler::{CrawlLog, Crawler, CrawlerConfig, Network, Overlay, ScanSta
 use p2pmal_gnutella::servent::{Servent, ServentConfig, SharedWorld};
 use p2pmal_netsim::telemetry::parse_trace_level;
 use p2pmal_netsim::{
-    App, HostAddr, NodeId, NodeSpec, SimConfig, SimDuration, SimMetrics, SimTime, Simulator,
-    TelemetryConfig,
+    process_rss_kb, App, HostAddr, NodeId, NodeSpec, SimConfig, SimDuration, SimMetrics, SimTime,
+    Simulator, TelemetryConfig,
 };
 use p2pmal_scanner::Scanner;
 use rand::rngs::StdRng;
@@ -250,11 +250,15 @@ pub(crate) struct Crawl {
 }
 
 impl Crawl {
-    /// The run the study reports, its log resolved.
-    pub(crate) fn into_network_run(self, network: Network) -> NetworkRun {
+    /// The run the study reports, its log resolved. The day loop read the
+    /// process's peak resident set before the resolved copy existed; it is
+    /// read again once the copy is made, so the run's peak includes it.
+    pub(crate) fn into_network_run(mut self, network: Network) -> NetworkRun {
+        let resolved = self.log.resolved();
+        self.sim_metrics.memory.peak_rss_kb = process_rss_kb().0;
         NetworkRun {
             network,
-            resolved: self.log.resolved(),
+            resolved,
             log: self.log,
             world: self.world,
             sim_metrics: self.sim_metrics,
@@ -268,7 +272,7 @@ impl Crawl {
 /// A clean host's library: `files` popularity-sampled titles, one random
 /// variant each.
 pub(crate) fn clean_library(world: &SharedWorld, files: usize, rng: &mut StdRng) -> HostLibrary {
-    let mut lib = HostLibrary::new();
+    let mut lib = HostLibrary::with_capacity(files);
     let mut seen = HashSet::new();
     let mut attempts = 0;
     while lib.len() < files && attempts < files * 10 {

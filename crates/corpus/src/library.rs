@@ -380,6 +380,16 @@ impl HostLibrary {
         Self::default()
     }
 
+    /// An empty library with room for `files` static files, so one built
+    /// to a known count holds exactly that many slots.
+    pub fn with_capacity(files: usize) -> Self {
+        HostLibrary {
+            files: Vec::with_capacity(files),
+            recs: Vec::with_capacity(files),
+            ..Self::default()
+        }
+    }
+
     /// All static files (echo responses are fabricated per query and do not
     /// appear here).
     pub fn files(&self) -> &[SharedFile] {
@@ -471,6 +481,13 @@ impl HostLibrary {
         self.files.iter().any(|f| &*f.name == name)
     }
 
+    /// Room for `more` static files, exactly: an infection adds its few
+    /// files to a library already built to size.
+    fn reserve_exact(&mut self, more: usize) {
+        self.files.reserve_exact(more);
+        self.recs.reserve_exact(more);
+    }
+
     /// Infects this host with `family`. The host picks one characteristic
     /// size (the first size is the most common replica, weighted 4:1 over
     /// the rest, which is what makes "most commonly seen sizes" meaningful)
@@ -501,6 +518,7 @@ impl HostLibrary {
                 });
             }
             NamingStrategy::FixedNames(names) => {
+                self.reserve_exact(names.len());
                 for name in names {
                     self.push_file(SharedFile {
                         name: name.as_str().into(),
@@ -515,6 +533,7 @@ impl HostLibrary {
                 // such families are well under 1% of malicious responses,
                 // which uniform title mass reproduces (DESIGN.md §4, T2).
                 const BAIT_TITLES: usize = 6;
+                self.reserve_exact(BAIT_TITLES);
                 for _ in 0..BAIT_TITLES {
                     let title = catalog.sample_uniform(rng);
                     let name = format!("{}.{extension}", title.keywords.join("_"));
@@ -559,6 +578,7 @@ impl HostLibrary {
         // calibration knob (bait count -> share of malicious responses)
         // stable across seeds.
         let skip = catalog.len() / 10;
+        self.reserve_exact(baits);
         while added < baits && attempts < baits * 8 {
             attempts += 1;
             let rank = skip + (rng.next_u64() as usize) % (catalog.len() - skip).max(1);
@@ -923,6 +943,24 @@ mod tests {
         let first_word = name.split('_').next().unwrap().to_string();
         assert!(!lib.respond(&first_word, 64).is_empty());
         assert!(lib.respond("completely unrelated", 64).is_empty());
+    }
+
+    /// A library built to a known count holds exactly that many slots, and
+    /// an infection adds exactly the slots of the files it shares: nothing
+    /// is left to doubling (34 files would sit in 64 slots).
+    #[test]
+    fn libraries_are_built_at_their_size() {
+        let cat = catalog();
+        let slots = |lib: &HostLibrary| (lib.files.capacity(), lib.recs.capacity());
+        let mut lib = HostLibrary::with_capacity(34);
+        for i in 0..34 {
+            lib.add_benign(cat.item(i), 0);
+        }
+        assert_eq!(slots(&lib), (34, 34));
+        let roster = Roster::openft_2006();
+        lib.infect(roster.get(FamilyId(0)), &cat, &mut StdRng::seed_from_u64(7));
+        assert_eq!(lib.len(), 34 + 4, "four enticing names");
+        assert_eq!(slots(&lib), (38, 38));
     }
 
     #[test]

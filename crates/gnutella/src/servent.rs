@@ -62,9 +62,71 @@ const SEARCH_LIFETIME: SimDuration = SimDuration::from_mins(20);
 enum Route {
     /// A query an ultrapeer routed: its hits go back on this connection.
     Via(ConnId),
-    /// Any other GUID seen (a leaf's foreign query, a ping): a duplicate
-    /// if it comes again, with no way back.
+    /// Any other GUID seen (a ping, and every GUID a leaf holds): a
+    /// duplicate if it comes again, with no way back.
     Seen,
+}
+
+type Aged<V> = AgedMap<Guid, V, { GUID_LIFETIME.as_micros() }>;
+
+/// Every foreign message GUID seen in the last one to two
+/// `GUID_LIFETIME`s: duplicate suppression and query routing in one table,
+/// sized by role. Only an ultrapeer sees the hits for a query come back
+/// through it; a leaf answers on the connection it is reading and forwards
+/// nothing, so it keeps the GUIDs alone (16-byte entries, where an
+/// ultrapeer's carry a `Route` and take 32). Both age, bound and evict
+/// alike: which keys a table holds does not depend on its values.
+enum GuidTable {
+    Leaf(Aged<()>),
+    Ultrapeer(Aged<Route>),
+}
+
+impl GuidTable {
+    fn new(role: Role, bound: usize) -> Self {
+        match role {
+            Role::Leaf => GuidTable::Leaf(AgedMap::new(bound)),
+            Role::Ultrapeer => GuidTable::Ultrapeer(AgedMap::new(bound)),
+        }
+    }
+
+    /// What the table knows of `guid` at `now`: on a leaf, `Seen` at most.
+    fn get(&mut self, now: SimTime, guid: &Guid) -> Option<Route> {
+        match self {
+            GuidTable::Leaf(m) => m.contains_key(now, guid).then_some(Route::Seen),
+            GuidTable::Ultrapeer(m) => m.get(now, guid).copied(),
+        }
+    }
+
+    fn contains_key(&mut self, now: SimTime, guid: &Guid) -> bool {
+        self.get(now, guid).is_some()
+    }
+
+    /// Remembers `guid` at `now`; a leaf's table drops the route.
+    fn insert(&mut self, now: SimTime, guid: Guid, route: Route) {
+        match self {
+            GuidTable::Leaf(m) => {
+                m.insert(now, guid, ());
+            }
+            GuidTable::Ultrapeer(m) => {
+                m.insert(now, guid, route);
+            }
+        }
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        match self {
+            GuidTable::Leaf(m) => m.len(),
+            GuidTable::Ultrapeer(m) => m.len(),
+        }
+    }
+
+    fn heap_bytes(&self) -> u64 {
+        match self {
+            GuidTable::Leaf(m) => m.heap_bytes(),
+            GuidTable::Ultrapeer(m) => m.heap_bytes(),
+        }
+    }
 }
 
 /// Node role in the two-tier overlay.
@@ -276,23 +338,40 @@ struct PushUploadConn {
     reader: RequestReader,
 }
 
+/// What a connection is doing. The passing states (handshakes, downloads,
+/// push uploads) are boxed, so the slot every established peer holds for
+/// the life of its connection is sized for `PeerConn`, not for a
+/// `Responder`. A connection this servent closes leaves the table at once:
+/// the engine tells only the far side, so nothing would remove it later.
 enum ConnKind {
     /// Outbound overlay dial: waiting for TCP, then handshaking.
-    HsOut(Initiator),
+    HsOut(Box<Initiator>),
     /// Inbound, protocol not yet identified.
     SniffIn(Vec<u8>),
     /// Inbound overlay handshake in progress.
-    HsIn(Responder),
+    HsIn(Box<Responder>),
     /// Established overlay connection.
     Peer(PeerConn),
     /// Outbound download (dialing or transferring).
-    Download(DownloadConn),
+    Download(Box<DownloadConn>),
     /// Outbound push upload: dial requester, say GIV, then serve one GET.
-    PushUpload(PushUploadConn),
+    PushUpload(Box<PushUploadConn>),
     /// Inbound upload (after sniffing a GET).
     Upload(RequestReader),
-    /// Closed / poisoned; awaiting on_closed.
-    Dead,
+}
+
+impl ConnKind {
+    /// Bytes of the state this connection holds boxed outside its slot.
+    fn boxed_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        (match self {
+            ConnKind::HsOut(_) => size_of::<Initiator>(),
+            ConnKind::HsIn(_) => size_of::<Responder>(),
+            ConnKind::Download(_) => size_of::<DownloadConn>(),
+            ConnKind::PushUpload(_) => size_of::<PushUploadConn>(),
+            _ => 0,
+        }) as u64
+    }
 }
 
 /// A download not yet bound to a connection (push pending) or in flight.
@@ -321,11 +400,9 @@ pub struct Servent {
     /// its connection. Boxed at the first leaf or route message, so a leaf
     /// servent, which gets neither, carries one pointer.
     qrp: Option<Box<QrpIndex>>,
-    /// Every foreign message GUID seen in the last one to two
-    /// `GUID_LIFETIME`s, and where a QUERYHIT carrying it goes: duplicate
-    /// suppression and query routing in one table. A leaf routes nothing,
-    /// so it holds no `Via`.
-    guids: AgedMap<Guid, Route, { GUID_LIFETIME.as_micros() }>,
+    /// Every foreign message GUID seen lately, and on an ultrapeer where a
+    /// QUERYHIT carrying it goes.
+    guids: GuidTable,
     /// Our own searches of the last `SEARCH_LIFETIME`, and when each went
     /// out: their hits are ours, and their echoes duplicates. Kept apart
     /// from `guids` so that no flood of foreign GUIDs evicts them.
@@ -345,7 +422,6 @@ pub struct Servent {
     next_download: u64,
     events: VecDeque<ServentEvent>,
     stats: ServentStats,
-    started: bool,
     /// Our QRP table as encoded RESET/PATCH payloads, built by the first
     /// `send_qrp` (the library never changes after construction).
     qrp_payloads: Vec<Vec<u8>>,
@@ -361,6 +437,7 @@ pub struct Servent {
 impl Servent {
     pub fn new(config: ServentConfig, world: SharedWorld, mut library: HostLibrary) -> Self {
         library.set_interner(world.names.clone());
+        let guids = GuidTable::new(config.role, GUID_BOUND);
         Servent {
             config,
             world,
@@ -369,7 +446,7 @@ impl Servent {
             conns: VecMap::new(),
             outbound_targets: VecMap::new(),
             qrp: None,
-            guids: AgedMap::new(GUID_BOUND),
+            guids,
             searches: VecMap::new(),
             push_routes: FifoMap::bounded(PUSH_ROUTE_BOUND),
             host_cache: Vec::new(),
@@ -379,7 +456,6 @@ impl Servent {
             next_download: 1,
             events: VecDeque::new(),
             stats: ServentStats::default(),
-            started: false,
             qrp_payloads: Vec::new(),
             name_fps: Vec::new(),
             hit_rows: Vec::new(),
@@ -428,6 +504,7 @@ impl Servent {
         use std::mem::size_of;
         let mut b = size_of::<Self>() as u64;
         b += self.conns.heap_bytes();
+        b += self.conns.values().map(ConnKind::boxed_bytes).sum::<u64>();
         b += self
             .qrp
             .as_ref()
@@ -517,10 +594,10 @@ impl Servent {
                 self.active_downloads.insert(id, conn);
                 self.conns.insert(
                     conn,
-                    ConnKind::Download(DownloadConn {
+                    ConnKind::Download(Box::new(DownloadConn {
                         id,
                         reader: ResponseReader::new(self.config.max_download_bytes),
-                    }),
+                    })),
                 );
                 // Remember target details for the GET we send on connect.
                 self.direct_requests.insert(id, request);
@@ -627,7 +704,7 @@ impl Servent {
         while have + dialed < self.config.target_degree && !candidates.is_empty() {
             let i = (ctx.rng().next_u64() % candidates.len() as u64) as usize;
             let target = candidates.swap_remove(i);
-            let init = Initiator::new(self.handshake_config(ctx));
+            let init = Box::new(Initiator::new(self.handshake_config(ctx)));
             let conn = ctx.connect(target);
             self.conns.insert(conn, ConnKind::HsOut(init));
             self.outbound_targets.insert(conn, target);
@@ -818,14 +895,8 @@ impl Servent {
             self.stats.bad_messages += 1;
             return;
         };
-        // Only an ultrapeer will see hits for this query come back through
-        // it; a leaf answers on the connection it is reading and forwards
-        // nothing, so it has no use for a reverse path.
-        let route = match self.config.role {
-            Role::Ultrapeer => Route::Via(conn),
-            Role::Leaf => Route::Seen,
-        };
-        self.guids.insert(now, header.guid, route);
+        // The reverse path for this query's hits (a leaf keeps none).
+        self.guids.insert(now, header.guid, Route::Via(conn));
         self.stats.queries_routed += 1;
         if self.config.collect_events {
             let text = text.to_string();
@@ -1014,7 +1085,7 @@ impl Servent {
     ) {
         let now = ctx.now();
         let own = self.is_own(now, &header.guid);
-        let route = self.guids.get(now, &header.guid).copied();
+        let route = self.guids.get(now, &header.guid);
         // A hit has one reader: the owner of the servent whose query it
         // answers, through its events. Every other hit — one passing
         // through, or one answering the ambient query of a servent nobody
@@ -1068,11 +1139,11 @@ impl Servent {
             let conn = ctx.connect(HostAddr::new(push.ip, push.port));
             self.conns.insert(
                 conn,
-                ConnKind::PushUpload(PushUploadConn {
+                ConnKind::PushUpload(Box::new(PushUploadConn {
                     index: push.index,
                     name,
                     reader: RequestReader::new(),
-                }),
+                })),
             );
             return;
         }
@@ -1164,7 +1235,7 @@ impl Servent {
     ) {
         // Remove all state referring to this download.
         if let Some(conn) = self.active_downloads.remove(&id) {
-            self.conns.insert(conn, ConnKind::Dead);
+            self.conns.remove(&conn);
             ctx.close(conn);
         }
         self.pending_pushes.retain(|_, p| p.id != id);
@@ -1186,7 +1257,7 @@ impl Servent {
         if let Some(qrp) = &mut self.qrp {
             qrp.remove(conn);
         }
-        if let Some(ConnKind::Download(d)) = self.conns.insert(conn, ConnKind::Dead) {
+        if let Some(ConnKind::Download(d)) = self.conns.remove(&conn) {
             self.active_downloads.remove(&d.id);
             self.finish_download(ctx, d.id, Err(DownloadError::Reset));
         }
@@ -1206,13 +1277,9 @@ impl Servent {
             std::mem::take(buf)
         };
         if buf.starts_with(b"GNUTELLA") || b"GNUTELLA".starts_with(&buf[..buf.len().min(8)]) {
-            let mut resp = Responder::new(self.handshake_config(ctx));
+            let resp = Box::new(Responder::new(self.handshake_config(ctx)));
             self.conns.remove(&conn);
-            self.feed_responder(ctx, conn, &mut resp, &buf);
-            // feed_responder installs Peer/Dead itself when the handshake
-            // resolved; otherwise keep handshaking.
-            self.conns
-                .entry_or_insert_with(conn, || ConnKind::HsIn(resp));
+            self.feed_responder(ctx, conn, resp, &buf);
             return;
         }
         if buf.starts_with(b"GET ") || buf.starts_with(b"HEAD") {
@@ -1252,10 +1319,10 @@ impl Servent {
         self.active_downloads.insert(pending.id, conn);
         self.conns.insert(
             conn,
-            ConnKind::Download(DownloadConn {
+            ConnKind::Download(Box::new(DownloadConn {
                 id: pending.id,
                 reader,
-            }),
+            })),
         );
         let target = RequestTarget::ByIndex {
             index: pending.request.index,
@@ -1304,15 +1371,19 @@ impl Servent {
 }
 
 impl Servent {
+    /// Feeds an inbound handshake taken out of the connection table, and
+    /// puts it back while it is still under way.
     fn feed_responder(
         &mut self,
         ctx: &mut Ctx<'_>,
         conn: ConnId,
-        resp: &mut Responder,
+        mut resp: Box<Responder>,
         data: &[u8],
     ) {
         match resp.on_data(data) {
-            Ok(RespEvent::NeedMore) => {}
+            Ok(RespEvent::NeedMore) => {
+                self.conns.insert(conn, ConnKind::HsIn(resp));
+            }
             Ok(RespEvent::Decide { peer }) => {
                 let accept = match self.config.role {
                     Role::Leaf => false,
@@ -1334,6 +1405,7 @@ impl Servent {
                     ctx.send(conn, &reply);
                     // Await the final ack; stay in HsIn. Stash peer info by
                     // re-issuing Decide later via Established.
+                    self.conns.insert(conn, ConnKind::HsIn(resp));
                 } else {
                     let hosts: Vec<HostAddr> =
                         self.host_cache.iter().rev().take(5).copied().collect();
@@ -1368,7 +1440,7 @@ impl Servent {
             Download,
             Upload,
             PushUpload,
-            Dead,
+            Gone,
         }
         let route = match self.conns.get(&conn) {
             Some(ConnKind::HsOut(_)) => Route::HsOut,
@@ -1378,7 +1450,7 @@ impl Servent {
             Some(ConnKind::Download(_)) => Route::Download,
             Some(ConnKind::Upload(_)) => Route::Upload,
             Some(ConnKind::PushUpload(_)) => Route::PushUpload,
-            Some(ConnKind::Dead) | None => Route::Dead,
+            None => Route::Gone,
         };
         match route {
             Route::HsOut => {
@@ -1408,14 +1480,10 @@ impl Servent {
                 }
             }
             Route::HsIn => {
-                let Some(ConnKind::HsIn(mut resp)) = self.conns.remove(&conn) else {
+                let Some(ConnKind::HsIn(resp)) = self.conns.remove(&conn) else {
                     return;
                 };
-                self.feed_responder(ctx, conn, &mut resp, data);
-                // feed_responder may have replaced the entry (Peer/Dead);
-                // only restore HsIn while still handshaking.
-                self.conns
-                    .entry_or_insert_with(conn, || ConnKind::HsIn(resp));
+                self.feed_responder(ctx, conn, resp, data);
             }
             Route::Sniff => self.sniff(ctx, conn, data),
             Route::Peer => self.pump_peer(ctx, conn, data),
@@ -1443,7 +1511,7 @@ impl Servent {
                 };
                 self.serve_request(ctx, conn, &req);
             }
-            Route::Dead => {}
+            Route::Gone => {}
         }
     }
 
@@ -1474,7 +1542,6 @@ impl App for Servent {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.guid = Guid::random(ctx.rng());
-        self.started = true;
         let boot = self.config.bootstrap.clone();
         self.add_hosts(boot.iter().copied());
         self.maintain_connectivity(ctx);

@@ -235,6 +235,10 @@ fn echo_worm_answers_everything_and_download_scans_dirty() {
         verdict.primary(),
         Some(w.roster.get(FamilyId(0)).name.as_str())
     );
+    // The download's connection left the table with the download.
+    with_servent(&mut net.sim, crawler, |s, _| {
+        assert!(only_peers_and_dials(s))
+    });
 }
 
 /// A NATed infected leaf advertises its private address; direct dialing
@@ -423,6 +427,20 @@ fn leaf_slot_rejection_redirects_to_other_ultrapeers() {
         peers >= 1,
         "leaf found the open ultrapeer via X-Try-Ultrapeers"
     );
+    // The leaf redials the full ultrapeer at every tick and is turned away
+    // each time; neither side keeps anything of a refused handshake.
+    for node in [leaf, full_up] {
+        with_servent(&mut sim, node, |s, _| assert!(only_peers_and_dials(s)));
+    }
+}
+
+/// Whether `s` holds nothing but overlay connections and dials still
+/// under way: a connection it closed (a finished download, a refused
+/// handshake) has left its table, since no `on_closed` comes for it.
+fn only_peers_and_dials(s: &Servent) -> bool {
+    s.conns
+        .values()
+        .all(|k| matches!(k, ConnKind::Peer(_) | ConnKind::HsOut(_)))
 }
 
 /// Floods a few queries through a three-ultrapeer mesh and sums the
@@ -568,7 +586,7 @@ fn duplicate_query_is_dropped_on_its_header() {
         );
         assert_eq!(
             s.guids.get(ctx.now(), &header.guid),
-            Some(&Route::Via(ConnId(5)))
+            Some(Route::Via(ConnId(5)))
         );
     });
 }
@@ -631,7 +649,7 @@ fn leaf_answers_on_the_arrival_connection_and_relays_no_hit() {
     with_servent(&mut net.sim, leaf, |s, ctx| {
         assert_eq!((s.stats.queries_routed, s.stats.queries_answered), (1, 1));
         let route = s.guids.get(ctx.now(), &foreign);
-        assert_eq!(route, Some(&Route::Seen), "no route for a foreign query");
+        assert_eq!(route, Some(Route::Seen), "no route for a foreign query");
     });
 
     // A QUERYHIT with that GUID arrives from ultrapeer 1.
@@ -846,7 +864,7 @@ fn a_same_instant_flood_stays_within_the_count_bounded_tables() {
                 Role::Ultrapeer => Route::Via(ConnId(5)),
                 Role::Leaf => Route::Seen,
             };
-            assert_eq!(s.guids.get(ctx.now(), &live), Some(&route));
+            assert_eq!(s.guids.get(ctx.now(), &live), Some(route));
             assert!(s.is_own(ctx.now(), &own), "{role:?}");
         });
     }
@@ -899,4 +917,168 @@ fn replays_are_duplicates_for_a_lifetime_and_fresh_after_two() {
     );
     let s = deliver(&mut sim, after, replayed, MsgType::Query, &query);
     assert_eq!((s.queries_routed, s.queries_duplicate), (3, 1));
+}
+
+/// A leaf answers a query once, whichever of its ultrapeers delivers it
+/// first: the copy its second ultrapeer delivers is a duplicate, though its
+/// GUID table keeps no route.
+#[test]
+fn a_leaf_drops_the_duplicate_its_second_ultrapeer_delivers() {
+    let w = world(14);
+    let mut lib = HostLibrary::new();
+    lib.add_benign(w.catalog.item(0), 0);
+    let text = w.catalog.item(0).keywords.join(" ");
+    let mut net = build_net(14, 2, vec![(lib, false)]);
+    let leaf = net.leaves[0];
+    let (up0, up1) = (net.ups[0], net.ups[1]);
+    let (conn0, conn1) = (leaf_conn(&mut net.sim, up0), leaf_conn(&mut net.sim, up1));
+    let query = Query::keyword(&text).encode();
+    let guid = Guid([0xD4; 16]);
+    for (up, conn) in [(up0, conn0), (up1, conn1)] {
+        let mut wire = Vec::new();
+        encode_message(guid, MsgType::Query, 3, 1, &query, &mut wire);
+        with_servent(&mut net.sim, up, |_, ctx| ctx.send(conn, &wire));
+        let soon = net.sim.now() + SimDuration::from_secs(5);
+        net.sim.run_until(soon);
+    }
+    with_servent(&mut net.sim, leaf, |s, ctx| {
+        let stats = s.stats;
+        assert_eq!(
+            (stats.queries_routed, stats.queries_answered),
+            (1, 1),
+            "answered once"
+        );
+        assert_eq!(stats.queries_duplicate, 1, "the second copy");
+        assert_eq!(s.guids.get(ctx.now(), &guid), Some(Route::Seen));
+    });
+}
+
+/// Listens, and when given a target dials it and sends a handshake
+/// greeting; answers nothing, so whichever servent it talks to stays
+/// mid-handshake.
+struct Silent {
+    target: Option<HostAddr>,
+}
+
+impl App for Silent {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        if let Some(target) = self.target {
+            ctx.connect(target);
+        }
+    }
+
+    fn on_connected(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, dir: Direction, _: HostAddr) {
+        if dir == Direction::Outbound {
+            let config = HandshakeConfig {
+                user_agent: "silent".into(),
+                ultrapeer: false,
+                listen_addr: None,
+            };
+            ctx.send(conn, &Initiator::new(config).greeting());
+        }
+    }
+}
+
+/// A handshake held open is charged while it is held: a servent waiting on
+/// the far side's reply holds its boxed `Initiator`, and one waiting on
+/// the final ack its boxed `Responder`, and each counts in the servent's
+/// memory estimate until the state leaves its slot.
+#[test]
+fn a_paused_handshake_charges_its_boxed_state() {
+    let mut sim = Simulator::new(SimConfig::default(), 15);
+    let w = world(15);
+    let up = sim.spawn(
+        NodeSpec::public().listen(6346),
+        Box::new(Servent::new(
+            ServentConfig::ultrapeer(),
+            w.clone(),
+            HostLibrary::new(),
+        )),
+    );
+    let up_addr = sim.node_addr(up);
+    let sink = sim.spawn(
+        NodeSpec::public().listen(6346),
+        Box::new(Silent { target: None }),
+    );
+    let leaf_cfg = ServentConfig::leaf().with_bootstrap(vec![sim.node_addr(sink)]);
+    let leaf = sim.spawn(
+        NodeSpec::public().listen(6346),
+        Box::new(Servent::new(leaf_cfg, w, HostLibrary::new())),
+    );
+    sim.spawn(
+        NodeSpec::public().listen(6346),
+        Box::new(Silent {
+            target: Some(up_addr),
+        }),
+    );
+    sim.run_until(SimTime::from_secs(30));
+
+    let charged = |sim: &mut Simulator, node, held: fn(&ConnKind) -> bool| {
+        with_servent(sim, node, |s, _| {
+            let conn = s
+                .conns
+                .iter()
+                .find_map(|(&c, k)| held(k).then_some(c))
+                .expect("a handshake held open");
+            let holding = s.memory_estimate();
+            // The same slot, holding nothing: only the boxed state leaves.
+            s.conns.insert(conn, ConnKind::SniffIn(Vec::new()));
+            holding - s.memory_estimate()
+        })
+    };
+    let responder = charged(&mut sim, up, |k| matches!(k, ConnKind::HsIn(_)));
+    assert_eq!(responder, size_of::<Responder>() as u64);
+    let initiator = charged(&mut sim, leaf, |k| matches!(k, ConnKind::HsOut(_)));
+    assert_eq!(initiator, size_of::<Initiator>() as u64);
+}
+
+/// Per-node state a new field would grow on every servent, pinned: a
+/// leaf's GUID-table entry is the GUID alone, an established peer's
+/// connection slot is sized for `PeerConn`, and the servent itself stays
+/// within its size.
+#[test]
+fn servent_layout_stays_small() {
+    assert_eq!(size_of::<(Guid, ())>(), 16, "a leaf's GUID entry");
+    assert_eq!(size_of::<(Guid, Route)>(), 32, "an ultrapeer's");
+    // One key in each: a four-entry ring beside an eight-slot index.
+    for (role, entry) in [(Role::Leaf, 16), (Role::Ultrapeer, 32)] {
+        let mut table = GuidTable::new(role, GUID_BOUND);
+        table.insert(SimTime::ZERO, Guid([1; 16]), Route::Via(ConnId(1)));
+        assert_eq!(table.heap_bytes(), 4 * entry + 8 * 4, "{role:?}");
+    }
+    assert_eq!(size_of::<PeerConn>(), 40);
+    assert_eq!(size_of::<(ConnId, ConnKind)>(), 48, "a peer's slot");
+    assert!(size_of::<Servent>() <= 864);
+}
+
+proptest::proptest! {
+    /// A route-free table holds exactly the keys a routed one does: driven
+    /// through one stream of inserts, lookups and clock steps that flip
+    /// the generations and overrun the FIFO bound, the two answer every
+    /// `contains_key` alike.
+    #[test]
+    fn a_route_free_table_holds_the_keys_a_routed_one_does(
+        bound in 2usize..24,
+        ops in proptest::collection::vec((0u8..3, 0u8..40, 0u64..150), 0..300),
+    ) {
+        let mut leaf = GuidTable::new(Role::Leaf, bound);
+        let mut up = GuidTable::new(Role::Ultrapeer, bound);
+        let mut now = SimTime::ZERO;
+        for (op, key, step) in ops {
+            now += SimDuration::from_secs(step);
+            let guid = Guid([key; 16]);
+            if op == 0 {
+                let route = if key % 2 == 0 { Route::Seen } else { Route::Via(ConnId(key as u64)) };
+                leaf.insert(now, guid, route);
+                up.insert(now, guid, route);
+            } else {
+                proptest::prop_assert_eq!(leaf.contains_key(now, &guid), up.contains_key(now, &guid));
+            }
+            proptest::prop_assert_eq!(leaf.len(), up.len());
+        }
+        for key in 0..40u8 {
+            let guid = Guid([key; 16]);
+            proptest::prop_assert_eq!(leaf.contains_key(now, &guid), up.contains_key(now, &guid));
+        }
+    }
 }
