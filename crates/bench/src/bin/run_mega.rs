@@ -23,6 +23,7 @@ fn mem_entry(label: &str, m: &p2pmal_netsim::MemoryStats) -> Value {
         ("bytes_per_node".into(), m.bytes_per_node().into()),
         ("queue_bytes".into(), m.queue_bytes.into()),
         ("payload_peak_bytes".into(), m.payload_peak_bytes.into()),
+        ("body_buffer_bytes".into(), m.body_buffer_bytes.into()),
         ("peak_rss_kb".into(), m.peak_rss_kb.into()),
         ("current_rss_kb".into(), m.current_rss_kb.into()),
     ])
@@ -39,11 +40,12 @@ fn report(run: &MegaRun) {
         run.nodes, run.ups, run.leaves, run.shards,
     );
     eprintln!(
-        "[run_mega] setup: {setup_secs:.1}s wall ({:.0} nodes/s), {} bytes/node app estimate, queues {} KiB, payloads peak {} KiB, RSS {} MiB (peak {} MiB)",
+        "[run_mega] setup: {setup_secs:.1}s wall ({:.0} nodes/s), {} bytes/node app estimate, queues {} KiB, payloads peak {} KiB, body buffers {} KiB, RSS {} MiB (peak {} MiB)",
         run.nodes as f64 / setup_secs.max(1e-9),
         setup.bytes_per_node(),
         setup.queue_bytes / 1024,
         setup.payload_peak_bytes / 1024,
+        setup.body_buffer_bytes / 1024,
         setup.current_rss_kb / 1024,
         setup.peak_rss_kb / 1024,
     );
@@ -53,11 +55,12 @@ fn report(run: &MegaRun) {
         events as f64 / run_secs.max(1e-9),
     );
     eprintln!(
-        "[run_mega] steady state: {} bytes/node app estimate ({} MiB total), queues {} KiB, payloads peak {} KiB, RSS {} MiB (peak {} MiB)",
+        "[run_mega] steady state: {} bytes/node app estimate ({} MiB total), queues {} KiB, payloads peak {} KiB, body buffers {} KiB, RSS {} MiB (peak {} MiB)",
         steady.bytes_per_node(),
         steady.app_bytes / (1024 * 1024),
         steady.queue_bytes / 1024,
         steady.payload_peak_bytes / 1024,
+        steady.body_buffer_bytes / 1024,
         steady.current_rss_kb / 1024,
         steady.peak_rss_kb / 1024,
     );

@@ -134,13 +134,14 @@ fn memory_entry(run: &NetworkRun) -> Value {
     let log = run.log.footprint();
     let resolved = run.resolved.capacity() * std::mem::size_of::<ResolvedResponse>();
     eprintln!(
-        "[run_study] memory {}: {} nodes, {} bytes/node app estimate ({} KiB total), queues {} KiB, payloads peak {} KiB, RSS {} MiB (peak {} MiB); {}, resolved {} KiB",
+        "[run_study] memory {}: {} nodes, {} bytes/node app estimate ({} KiB total), queues {} KiB, payloads peak {} KiB, body buffers {} KiB, RSS {} MiB (peak {} MiB); {}, resolved {} KiB",
         run.network.label(),
         m.nodes,
         m.bytes_per_node(),
         m.app_bytes / 1024,
         m.queue_bytes / 1024,
         m.payload_peak_bytes / 1024,
+        m.body_buffer_bytes / 1024,
         m.current_rss_kb / 1024,
         m.peak_rss_kb / 1024,
         footprint_part(&log),
@@ -152,6 +153,7 @@ fn memory_entry(run: &NetworkRun) -> Value {
         ("bytes_per_node".into(), m.bytes_per_node().into()),
         ("queue_bytes".into(), m.queue_bytes.into()),
         ("payload_peak_bytes".into(), m.payload_peak_bytes.into()),
+        ("body_buffer_bytes".into(), m.body_buffer_bytes.into()),
         ("peak_rss_kb".into(), m.peak_rss_kb.into()),
         ("current_rss_kb".into(), m.current_rss_kb.into()),
         ("log_records".into(), log.records.into()),

@@ -94,7 +94,7 @@ impl Searcher {
                 }
                 ServentEvent::DownloadDone(done) => {
                     if let Ok(body) = done.result {
-                        let _ = self.tx.send(Seen::Body(body));
+                        let _ = self.tx.send(Seen::Body(body.to_vec()));
                     }
                 }
                 _ => {}

@@ -23,7 +23,7 @@ use crate::trace::DlTrace;
 use crate::workload::{Workload, WorkloadConfig};
 use p2pmal_corpus::Catalog;
 use p2pmal_gnutella::servent::SharedWorld;
-use p2pmal_gnutella::DownloadError;
+use p2pmal_gnutella::{Body, DownloadError};
 use p2pmal_hashes::Sha1Digest;
 use p2pmal_netsim::{
     App, ConnId, Counter, Ctx, Direction, EventBody, EventCategory, Gauge, HostAddr, SimDuration,
@@ -86,9 +86,11 @@ pub struct Response<'a> {
 pub enum Signal<O: Overlay> {
     /// Responses to the query the key names.
     Answer(O::QueryKey, O::Answer),
+    /// A download finished. A body's buffer is handed back to the lane
+    /// (`Ctx::give_back`) once it is scanned.
     DownloadDone {
         id: u64,
-        result: Result<Vec<u8>, DownloadError>,
+        result: Result<Body, DownloadError>,
     },
     /// Overlay housekeeping the measurement ignores.
     Other,
@@ -377,7 +379,7 @@ impl<O: Overlay> Crawler<O> {
         &mut self,
         ctx: &mut Ctx<'_>,
         id: u64,
-        result: Result<Vec<u8>, DownloadError>,
+        result: Result<Body, DownloadError>,
     ) {
         let Some(fl) = self.in_flight.remove(&id) else {
             return;
@@ -397,6 +399,9 @@ impl<O: Overlay> Crawler<O> {
             WallHist::ScanWallUs,
             scan_start.elapsed().as_micros() as u64,
         );
+        let len = body.len() as u64;
+        // Scanned: the lane writes the next body into the same buffer.
+        ctx.give_back(body.into_buffer());
         self.log.scan = self.pipeline.stats();
         if self.config.retry.uses_backoff() && verdict.unscannable() {
             // The body arrived but its archive content is garbage
@@ -417,7 +422,7 @@ impl<O: Overlay> Crawler<O> {
             let ev = EventBody::ScanVerdict {
                 name: fl.record.filename.to_string(),
                 sha1: sha1.to_hex(),
-                len: body.len() as u64,
+                len,
                 detections: verdict.detections.len() as u64,
             };
             emit_chain(ctx, &fl.trace, ev, DlTrace::scan);
@@ -430,7 +435,7 @@ impl<O: Overlay> Crawler<O> {
                 emit_chain(ctx, &fl.trace, ev, |tr| tr.infection(i as u64));
             }
         }
-        self.finish(&fl.record, scanned(sha1, body.len() as u64, &verdict));
+        self.finish(&fl.record, scanned(sha1, len, &verdict));
         self.start_downloads(ctx);
     }
 

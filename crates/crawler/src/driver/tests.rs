@@ -46,7 +46,7 @@ struct Script {
     /// Search number (0-based) -> the responses it gets, in one answer.
     answers: HashMap<u32, Vec<Hit>>,
     /// File name -> outcome of each successive attempt.
-    outcomes: HashMap<&'static str, VecDeque<Result<Vec<u8>, DownloadError>>>,
+    outcomes: HashMap<&'static str, VecDeque<Result<Body, DownloadError>>>,
 }
 
 struct Fake {
@@ -68,7 +68,7 @@ impl App for Fake {
             .outcomes
             .get_mut(name)
             .and_then(VecDeque::pop_front)
-            .unwrap_or_else(|| Ok(b"clean body".to_vec()));
+            .unwrap_or_else(|| Ok(b"clean body".to_vec().into()));
         self.events.push(Signal::DownloadDone { id: token, result });
     }
 }
@@ -266,10 +266,10 @@ fn run(script: Script, config: CrawlerConfig, scan_events: bool) -> Ran {
     }
 }
 
-fn fails(n: usize, then: Option<&[u8]>) -> VecDeque<Result<Vec<u8>, DownloadError>> {
+fn fails(n: usize, then: Option<&[u8]>) -> VecDeque<Result<Body, DownloadError>> {
     (0..n)
         .map(|_| Err(DownloadError::ConnectFailed))
-        .chain(then.map(|body| Ok(body.to_vec())))
+        .chain(then.map(|body| Ok(body.to_vec().into())))
         .collect()
 }
 
@@ -398,7 +398,7 @@ fn backoff_retries_refetch_unscannable_bodies_and_fall_back_once() {
             ("x.exe", fails(2, Some(b"clean"))),
             (
                 "z.zip",
-                std::iter::repeat_n(Ok(garbage.to_vec()), 4).collect(),
+                std::iter::repeat_n(Ok(garbage.to_vec().into()), 4).collect(),
             ),
         ]),
     };

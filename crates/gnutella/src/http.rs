@@ -19,8 +19,9 @@
 
 use crate::guid::Guid;
 use p2pmal_hashes::{base32_decode, Sha1Digest};
-use p2pmal_netsim::{find_across, take_front};
+use p2pmal_netsim::find_across;
 use std::fmt::{self, Write};
+use std::ops::Deref;
 
 /// Size cap for request and response heads, mirroring servent hardening.
 const MAX_HEAD: usize = 8 * 1024;
@@ -269,12 +270,61 @@ fn parse_response_head(head: &[u8], max_body: usize) -> Result<(u16, usize), Htt
     Ok((status, len))
 }
 
+/// A downloaded body: the buffer it arrived in, from `start` on. A body
+/// that arrived whole in a buffer the reader was handed
+/// ([`ResponseReader::push_owned`]) still has the response head in front
+/// of it, never moved. [`Body::into_buffer`] gives the whole buffer back
+/// for reuse.
+#[derive(Clone)]
+pub struct Body {
+    buf: Vec<u8>,
+    start: usize,
+}
+
+impl Body {
+    /// The buffer the body arrived in, whole, to hand back for reuse.
+    pub fn into_buffer(self) -> Vec<u8> {
+        self.buf
+    }
+}
+
+impl Deref for Body {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.start..]
+    }
+}
+
+/// A body that is the whole buffer.
+impl From<Vec<u8>> for Body {
+    fn from(buf: Vec<u8>) -> Self {
+        Body { buf, start: 0 }
+    }
+}
+
+/// Bodies compare and print as their bytes, wherever they sit in their
+/// buffers.
+impl PartialEq for Body {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Body {}
+
+impl fmt::Debug for Body {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// Sans-IO download-response reader: head, then exactly `Content-Length`
 /// body bytes. One response per reader: a download connection carries one.
 #[derive(Debug)]
 pub struct ResponseReader {
-    /// Head bytes in [`RespState::Head`], body bytes (and whatever the
-    /// stream carries after them) from then on.
+    /// Head bytes in [`RespState::Head`]; from then on the body, from
+    /// `start` (and whatever the stream carries after it).
     buf: Vec<u8>,
     state: RespState,
     /// Refuse bodies larger than this (downloads in the study are capped).
@@ -284,7 +334,15 @@ pub struct ResponseReader {
 #[derive(Debug, PartialEq, Eq)]
 enum RespState {
     Head,
-    Body { status: u16, len: usize },
+    /// `start` is where the body begins in the reader's buffer: 0, or the
+    /// head's length when the head arrived in a buffer that was kept. A
+    /// `u32` fits the state's padding, so a download's boxed state, which
+    /// `app_bytes` charges, keeps its size.
+    Body {
+        status: u16,
+        start: u32,
+        len: usize,
+    },
     Done,
 }
 
@@ -309,7 +367,8 @@ impl ResponseReader {
                 data = &data[end..];
                 let head = &self.buf[..self.buf.len() - 4];
                 if let Ok((status, len)) = parse_response_head(head, self.max_body) {
-                    self.state = RespState::Body { status, len };
+                    let start = 0;
+                    self.state = RespState::Body { status, start, len };
                     self.buf.clear();
                     self.buf.reserve(len);
                 }
@@ -320,14 +379,16 @@ impl ResponseReader {
 
     /// [`ResponseReader::push`] for a buffer the caller hands over (an
     /// upload written for this delivery). When it opens a response with a
-    /// well-formed head, the head is cut off in place and the buffer kept
-    /// as the body: no receive copy. Anything else goes through `push`.
-    pub fn push_owned(&mut self, mut data: Vec<u8>) {
+    /// well-formed head, the buffer is kept and the body starts where the
+    /// head ends: no receive copy, and the body is not moved down over the
+    /// head. Anything else goes through `push`.
+    pub fn push_owned(&mut self, data: Vec<u8>) {
         if self.state == RespState::Head && self.buf.is_empty() {
             if let Ok(Some(end)) = find_head_end(&data) {
-                if let Ok((status, len)) = parse_response_head(&data[..end], self.max_body) {
-                    self.state = RespState::Body { status, len };
-                    data.drain(..end + 4);
+                let start = u32::try_from(end + 4);
+                let head = parse_response_head(&data[..end], self.max_body);
+                if let (Ok(start), Ok((status, len))) = (start, head) {
+                    self.state = RespState::Body { status, start, len };
                     self.buf = data;
                     return;
                 }
@@ -339,7 +400,7 @@ impl ResponseReader {
     /// The download's outcome once the full body has arrived: the body of
     /// a `200`, [`DownloadError::Http`] for any other status. A head that
     /// is refused is [`DownloadError::Malformed`] at once.
-    pub fn response(&mut self) -> Result<Option<Vec<u8>>, DownloadError> {
+    pub fn response(&mut self) -> Result<Option<Body>, DownloadError> {
         match self.state {
             // `push` takes a well-formed head as soon as it is complete:
             // one still buffered is malformed, and says how here.
@@ -349,9 +410,14 @@ impl ResponseReader {
                     None => Ok(None),
                 })
                 .map_err(DownloadError::Malformed),
-            RespState::Body { status, len } if self.buf.len() >= len => {
+            RespState::Body { status, start, len } if self.buf.len() - start as usize >= len => {
                 self.state = RespState::Done;
-                let body = take_front(&mut self.buf, len);
+                let start = start as usize;
+                let mut buf = std::mem::take(&mut self.buf);
+                // Whatever the stream carried after the body is not part
+                // of it.
+                buf.truncate(start + len);
+                let body = Body { buf, start };
                 match status {
                     200 => Ok(Some(body)),
                     _ => Err(DownloadError::Http(status)),
@@ -483,13 +549,14 @@ mod tests {
                 result = Some(resp);
             }
         }
-        assert_eq!(result, Some(body));
+        assert_eq!(result.as_deref(), Some(&body[..]));
     }
 
-    /// The body leaves the reader by move; whatever the stream carries
-    /// after it must stay behind, wherever the chunk boundary fell.
+    /// The body leaves the reader by move and is exactly `Content-Length`
+    /// bytes: whatever the stream carries after it is not part of it,
+    /// wherever the chunk boundary fell.
     #[test]
-    fn response_body_is_exact_and_later_bytes_stay_buffered() {
+    fn response_body_is_exact_whatever_follows_it() {
         let body: Vec<u8> = (0..=255u8).cycle().take(5_000).collect();
         let mut wire = encode_response_ok("P2PMal/0.1", body.len());
         let head_len = wire.len();
@@ -506,8 +573,8 @@ mod tests {
                     r.push(chunk);
                     got = got.or(r.response().unwrap());
                 }
-                assert_eq!(got.as_ref(), Some(&body), "split {split}");
-                assert_eq!(r.buf, tail, "split {split}");
+                assert_eq!(got.as_deref(), Some(&body[..]), "split {split}");
+                assert!(r.buf.is_empty(), "split {split}");
             }
         }
     }
@@ -534,8 +601,8 @@ mod tests {
         let mut r = ResponseReader::new(1 << 20);
         r.push(&wire);
         let got = r.response().unwrap().unwrap();
-        assert_eq!(got, body);
-        assert!(got.capacity() < head_len + body.len());
+        assert_eq!(*got, body);
+        assert!(got.into_buffer().capacity() < head_len + body.len());
     }
 
     /// `push` decodes the head; a malformed one must still come out of
@@ -600,18 +667,34 @@ mod tests {
         }
     }
 
-    /// The upload body's own buffer becomes the response body.
+    /// The upload body's own buffer becomes the response body: the head is
+    /// cut by an offset, so the body stays where it was written, and bytes
+    /// behind it in the same buffer are cut off.
     #[test]
-    fn push_owned_keeps_the_buffer() {
+    fn push_owned_keeps_the_buffer_and_cuts_the_head_in_place() {
         let body: Vec<u8> = (0..=255u8).cycle().take(5_000).collect();
         let mut wire = encode_response_ok("P2PMal/0.1", body.len());
+        let head_len = wire.len();
         wire.extend_from_slice(&body);
-        let ptr = wire.as_ptr();
+        for tail in [&b""[..], b"NEXT"] {
+            let mut wire = wire.clone();
+            wire.extend_from_slice(tail);
+            let ptr = wire.as_ptr();
+            let mut r = ResponseReader::new(1 << 20);
+            r.push_owned(wire);
+            let got = r.response().unwrap().unwrap();
+            assert_eq!(*got, body);
+            assert_eq!(got.as_ptr(), ptr.wrapping_add(head_len), "not moved");
+            let buf = got.into_buffer();
+            assert_eq!(buf.as_ptr(), ptr, "the buffer handed over");
+            assert_eq!(buf.len(), head_len + body.len(), "{tail:?} cut off");
+        }
+        // Cut short: the body completes with the next delivery.
         let mut r = ResponseReader::new(1 << 20);
-        r.push_owned(wire);
-        let got = r.response().unwrap().unwrap();
-        assert_eq!(got, body);
-        assert_eq!(got.as_ptr(), ptr);
+        r.push_owned(wire[..head_len + 100].to_vec());
+        assert_eq!(r.response(), Ok(None));
+        r.push(&wire[head_len + 100..]);
+        assert_eq!(r.response().unwrap().as_deref(), Some(&body[..]));
     }
 
     #[test]

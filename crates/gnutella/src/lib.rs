@@ -50,7 +50,7 @@ pub mod qrp;
 pub mod servent;
 
 pub use guid::Guid;
-pub use http::DownloadError;
+pub use http::{Body, DownloadError};
 pub use message::{FrameError, Header, MessageReader, MsgType};
 pub use payload::{Bye, HitResult, Ping, Pong, Push, Query, QueryHit};
 pub use servent::{

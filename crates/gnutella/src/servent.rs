@@ -15,8 +15,8 @@
 use crate::guid::Guid;
 use crate::handshake::{Admission, HandshakeConfig, HsEvent, Initiator, RespEvent, Responder};
 use crate::http::{
-    encode_giv, encode_request, encode_response_err, encode_response_ok, parse_giv, DownloadError,
-    Giv, HttpRequest, RequestReader, RequestTarget, ResponseReader,
+    encode_giv, encode_request, encode_response_err, encode_response_ok, parse_giv, Body,
+    DownloadError, Giv, HttpRequest, RequestReader, RequestTarget, ResponseReader,
 };
 use crate::message::{encode_message, encode_message_with, Header, MessageReader, MsgType};
 use crate::payload::{Ping, Pong, Push, QhdFlags, Query, QueryHit, QHD_PUSH, QHD_UPLOADED};
@@ -241,7 +241,7 @@ impl ServentConfig {
 pub struct DownloadOutcome {
     pub id: u64,
     pub at: SimTime,
-    pub result: Result<Vec<u8>, DownloadError>,
+    pub result: Result<Body, DownloadError>,
 }
 
 /// Observable servent happenings, drained by instrumented owners.
@@ -1227,12 +1227,7 @@ impl Servent {
         }
     }
 
-    fn finish_download(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        id: u64,
-        result: Result<Vec<u8>, DownloadError>,
-    ) {
+    fn finish_download(&mut self, ctx: &mut Ctx<'_>, id: u64, result: Result<Body, DownloadError>) {
         // Remove all state referring to this download.
         if let Some(conn) = self.active_downloads.remove(&id) {
             self.conns.remove(&conn);
@@ -1610,12 +1605,15 @@ impl App for Servent {
     }
 
     /// An upload body written for this delivery: a download connection's
-    /// reader keeps the buffer instead of copying it.
+    /// reader keeps the lent buffer instead of copying it, and the owner
+    /// of [`ServentEvent::DownloadDone`] hands it back. Anywhere else the
+    /// bytes are read and the buffer goes straight back.
     fn on_data_owned(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, data: Vec<u8>) {
         if let Some(ConnKind::Download(_)) = self.conns.get(&conn) {
             self.pump_download(ctx, conn, |r| r.push_owned(data));
         } else {
             self.deliver(ctx, conn, &data);
+            ctx.give_back(data);
         }
         self.debug_assert_leaf_set();
     }

@@ -48,6 +48,11 @@ pub(crate) enum Action {
         delay: SimDuration,
         token: TimerToken,
     },
+    /// A buffer [`App::on_data_owned`] lent, handed back (see
+    /// [`Ctx::give_back`]).
+    GiveBack {
+        buf: Vec<u8>,
+    },
     Shutdown,
 }
 
@@ -128,7 +133,7 @@ impl<'a> Ctx<'a> {
 
     /// [`Ctx::send`] for `len` bytes that `fill` writes later, only where
     /// they are needed: normally into the buffer the receiving app is
-    /// handed by [`App::on_data_owned`], otherwise for an MSS split or a
+    /// lent by [`App::on_data_owned`], otherwise for an MSS split or a
     /// corrupting fault. Bytes lost on the way (a closed connection, a
     /// reset, a dropped chunk) are never written. `fill` must append
     /// exactly `len` bytes, or the engine panics, and must draw no
@@ -144,6 +149,15 @@ impl<'a> Ctx<'a> {
         let fill = Box::new(fill);
         let data = Payload::Deferred { len, fill };
         self.actions.push(Action::Send { conn, data });
+    }
+
+    /// Hands back the buffer an [`App::on_data_owned`] delivery lent, once
+    /// the app is done with its bytes. The lane writes the next deferred
+    /// payload into it instead of allocating one; a buffer kept instead
+    /// only costs that delivery a fresh buffer. Applied after the callback
+    /// like every other command, and invisible to the trajectory.
+    pub fn give_back(&mut self, buf: Vec<u8>) {
+        self.actions.push(Action::GiveBack { buf });
     }
 
     /// Closes a connection; the peer receives `on_closed` after any
@@ -241,11 +255,15 @@ pub trait App: Send {
     /// Bytes arrived. Chunk boundaries carry no meaning; apps must frame.
     fn on_data(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, data: &[u8]) {}
 
-    /// Bytes arrived in a buffer written for this delivery alone (a
-    /// [`Ctx::send_deferred`] payload), which the app may keep instead of
-    /// copying. Default: [`App::on_data`] on the same bytes.
+    /// Bytes arrived in a buffer the lane lends for this delivery (a
+    /// [`Ctx::send_deferred`] payload, written into the lane's one body
+    /// buffer). The app may keep it instead of copying and, once done with
+    /// the bytes, hand it back through [`Ctx::give_back`] so the next body
+    /// is written into the same allocation. Default: [`App::on_data`] on
+    /// the same bytes, then the buffer back.
     fn on_data_owned(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, data: Vec<u8>) {
         self.on_data(ctx, conn, &data);
+        ctx.give_back(data);
     }
 
     /// The peer closed the connection (or the node it lived on shut down).

@@ -118,17 +118,6 @@ impl Drop for Feed<'_> {
     }
 }
 
-/// Moves the first `len` bytes out of `buf`, leaving what follows them.
-/// When they are all there is — a download body normally is — the buffer
-/// itself is handed over instead of a copy of it.
-pub fn take_front(buf: &mut Vec<u8>, len: usize) -> Vec<u8> {
-    if buf.len() == len {
-        return std::mem::take(buf);
-    }
-    let rest = buf.split_off(len);
-    std::mem::replace(buf, rest)
-}
-
 /// Where the first `delim` of the stream `buf ++ chunk` ends, as an offset
 /// into `chunk`, given that `buf` holds no complete one. A reader whose
 /// stream changes meaning at a delimiter (an HTTP head, then a body) uses
@@ -196,21 +185,6 @@ mod tests {
         assert_eq!(s.next_frame(split).unwrap().unwrap().1, [1, b'b']);
         assert_eq!(s.next_frame(split), Ok(None));
         assert_eq!(s.buffered(), 1);
-    }
-
-    #[test]
-    fn take_front_moves_the_whole_buffer_or_splits_it() {
-        let mut buf = b"bodytail".to_vec();
-        assert_eq!(take_front(&mut buf, 4), b"body");
-        assert_eq!(buf, b"tail");
-        let at = buf.as_ptr();
-        let all = take_front(&mut buf, 4);
-        assert_eq!(
-            (all.as_ptr(), &all[..]),
-            (at, &b"tail"[..]),
-            "moved, not copied"
-        );
-        assert!(buf.is_empty());
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use addr::{ip_class, AddressAllocator, HostAddr, IpClass};
 pub use app::{App, ConnId, Ctx, Direction, NodeId, TimerToken};
 pub use compact::{AgedMap, FifoMap, KeyHash, VecMap};
 pub use faults::{ChurnSpec, FaultPlan};
-pub use framing::{find_across, take_front, Feed, StreamBuf};
+pub use framing::{find_across, Feed, StreamBuf};
 pub use metrics::{process_rss_kb, MemoryStats, SimMetrics};
 pub use profile::{Subsystem, SubsystemProfile, SUBSYSTEM_COUNT};
 pub use queue::{CalendarQueue, Scheduler, SchedulerKind};

@@ -282,6 +282,9 @@ fn run_app_loop(
                         let _ = tx.send(LiveEvent::Timer { token });
                     });
                 }
+                // Sockets deliver into buffers of their own: nothing is
+                // lent, so nothing comes back.
+                Action::GiveBack { .. } => {}
                 Action::Shutdown => {
                     stopped.store(true, Ordering::Relaxed);
                     return;

@@ -8,10 +8,10 @@ use crate::telemetry::MetricsRegistry;
 /// `app_bytes` sums every live app's [`crate::App::memory_estimate`] — a
 /// deterministic deep-heap estimate of protocol state (connection maps,
 /// routing tables, share libraries). `queue_bytes` sums every lane's
-/// scheduler buffers (`CalendarQueue::heap_bytes`) and
+/// scheduler buffers (`CalendarQueue::heap_bytes`),
 /// `payload_peak_bytes` the bytes its queued deliveries held at their
-/// most: engine memory, kept beside the per-node estimate and never
-/// inside it. The RSS
+/// most and `body_buffer_bytes` the capacity of its body buffer: engine
+/// memory, kept beside the per-node estimate and never inside it. The RSS
 /// gauges read
 /// `/proc/self/status` and are inherently wall-machine facts, so the whole
 /// struct hides behind an always-equal `PartialEq` shield (the same device
@@ -29,6 +29,9 @@ pub struct MemoryStats {
     /// summed over lanes: payload lengths, not buffer capacities, and a
     /// deferred payload counts 0 until it is written.
     pub payload_peak_bytes: u64,
+    /// The capacity the lanes' body buffers hold at the snapshot: each
+    /// lane's is the largest deferred payload lent and handed back.
+    pub body_buffer_bytes: u64,
     /// Process peak resident set (`VmHWM`, KiB; 0 where unsupported).
     pub peak_rss_kb: u64,
     /// Process current resident set (`VmRSS`, KiB; 0 where unsupported).
@@ -51,6 +54,7 @@ impl MemoryStats {
         self.app_bytes += other.app_bytes;
         self.queue_bytes += other.queue_bytes;
         self.payload_peak_bytes += other.payload_peak_bytes;
+        self.body_buffer_bytes += other.body_buffer_bytes;
         self.peak_rss_kb = self.peak_rss_kb.max(other.peak_rss_kb);
         self.current_rss_kb = self.current_rss_kb.max(other.current_rss_kb);
     }

@@ -7,7 +7,7 @@
 //! MSS fan-out path shares one buffer across all fragments instead of
 //! copying each chunk. Multi-megabyte upload bodies never pass through the
 //! pool: they travel as [`Payload::Deferred`] and are written once, into
-//! the buffer the receiving app keeps.
+//! the body buffer the lane lends the receiving app.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -144,18 +144,27 @@ impl Payload {
         match self {
             Payload::Owned(v) => v,
             Payload::Shared { buf, start, end } => buf[start..end].to_vec(),
-            Payload::Deferred { len, fill } => write_deferred(len, fill),
+            Payload::Deferred { len, fill } => {
+                let mut buf = Vec::new();
+                write_deferred(&mut buf, len, fill);
+                buf
+            }
         }
     }
 }
 
-/// Runs `fill` into a buffer of exactly `len` bytes' capacity. Panics when
-/// it writes any other length: the sender charged the link for `len`.
-pub(crate) fn write_deferred(len: usize, fill: Fill) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(len);
-    fill(&mut buf);
+/// Runs `fill` into `buf`, emptied first. A buffer with room for `len`
+/// bytes is written in place; a smaller one is grown to exactly `len`
+/// bytes' capacity, so a buffer reused across deliveries grows only to the
+/// largest payload written into it. Growing reallocates, and glibc remaps a
+/// mapped block with its resident pages instead of faulting in a fresh
+/// one. Panics when `fill` writes any other length: the sender charged the
+/// link for `len`.
+pub(crate) fn write_deferred(buf: &mut Vec<u8>, len: usize, fill: Fill) {
+    buf.clear();
+    buf.reserve_exact(len);
+    fill(buf);
     assert_eq!(buf.len(), len, "a deferred payload wrote another length");
-    buf
 }
 
 impl Deref for Payload {

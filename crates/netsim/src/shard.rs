@@ -288,6 +288,11 @@ pub(crate) struct Shard {
     /// and the most they ever held at once.
     payload_bytes: u64,
     pub payload_peak: u64,
+    /// The lane's one body buffer: every deferred payload that arrives
+    /// intact is written into it and lent to the receiving app, which
+    /// hands it back through `Ctx::give_back`. Empty until the first such
+    /// delivery; it then holds the capacity of the largest body handed back.
+    pub body_buf: Vec<u8>,
 }
 
 impl Shard {
@@ -301,6 +306,7 @@ impl Shard {
             tel_buf: Vec::new(),
             payload_bytes: 0,
             payload_peak: 0,
+            body_buf: Vec::new(),
         }
     }
 
@@ -595,10 +601,13 @@ impl<'a> Lane<'a> {
                 shard.metrics.bytes_delivered += data.len() as u64;
                 match data {
                     // Written inside the receiving callback, so the cost
-                    // is that node's, into the buffer it keeps.
+                    // is that node's, into the lane's body buffer, which
+                    // the app is lent.
                     Payload::Deferred { len, fill } => {
+                        let mut buf = std::mem::take(&mut self.shard.body_buf);
                         self.with_app(to, |app, ctx| {
-                            app.on_data_owned(ctx, conn, write_deferred(len, fill))
+                            write_deferred(&mut buf, len, fill);
+                            app.on_data_owned(ctx, conn, buf)
                         });
                     }
                     data => {
@@ -716,6 +725,13 @@ impl<'a> Lane<'a> {
                             session,
                         },
                     );
+                }
+                // The larger stays: an app may hand back a buffer it was
+                // not lent.
+                Action::GiveBack { buf } => {
+                    if buf.capacity() > self.shard.body_buf.capacity() {
+                        self.shard.body_buf = buf;
+                    }
                 }
                 Action::Shutdown => self.shutdown_node(node),
             }

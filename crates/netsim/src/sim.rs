@@ -87,6 +87,35 @@ impl SimConfig {
     }
 }
 
+/// Pins glibc's mmap threshold at 128 KiB, once per process. By default
+/// glibc slides the threshold up to the largest block freed so far, so
+/// after the first multi-megabyte download body every later body, log
+/// growth chunk and resolved copy is carved from the brk heap, and the
+/// heap's high-water mark stays resident. Pinned, blocks that large are
+/// mapped and unmapped on their own. It overrides a
+/// `MALLOC_MMAP_THRESHOLD_` set in the environment; it does nothing
+/// outside glibc.
+fn pin_mmap_threshold() {
+    #[cfg(target_env = "gnu")]
+    {
+        static PIN: std::sync::Once = std::sync::Once::new();
+        PIN.call_once(|| {
+            use std::ffi::c_int;
+            extern "C" {
+                fn mallopt(param: c_int, value: c_int) -> c_int;
+            }
+            /// `M_MMAP_THRESHOLD` in glibc's `malloc.h`.
+            const M_MMAP_THRESHOLD: c_int = -3;
+            // SAFETY: `mallopt` only sets an allocator tunable; glibc
+            // takes its arena lock to do so, and any value is accepted or
+            // refused (return 0) without other effect.
+            unsafe {
+                mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+            }
+        });
+    }
+}
+
 /// Per-node spawn parameters.
 #[derive(Debug, Clone)]
 pub struct NodeSpec {
@@ -174,6 +203,7 @@ pub struct Simulator {
 
 impl Simulator {
     pub fn new(config: SimConfig, seed: u64) -> Self {
+        pin_mmap_threshold();
         Simulator {
             seed,
             now: SimTime::ZERO,
@@ -339,14 +369,19 @@ impl Simulator {
     }
 
     /// Records a memory-accounting snapshot into `metrics().memory`: every
-    /// live app's [`App::memory_estimate`] summed, every lane's queue
-    /// buffers, plus the process RSS gauges. Diagnostics only — draws no
+    /// live app's [`App::memory_estimate`] summed, every lane's queue and
+    /// body buffers, plus the process RSS gauges. Diagnostics only — draws no
     /// randomness, schedules nothing, and the snapshot hides behind an
     /// always-equal `PartialEq` shield.
     pub fn record_memory(&mut self) {
         let mut mem = MemoryStats {
             queue_bytes: self.shards.iter().map(|s| s.queue.heap_bytes()).sum(),
             payload_peak_bytes: self.shards.iter().map(|s| s.payload_peak).sum(),
+            body_buffer_bytes: self
+                .shards
+                .iter()
+                .map(|s| s.body_buf.capacity() as u64)
+                .sum(),
             ..MemoryStats::default()
         };
         let nodes = self.shards.iter().flat_map(|s| &s.nodes);
@@ -834,6 +869,68 @@ mod tests {
             } else {
                 assert!(copied.got.is_empty(), "{faults:?}");
                 assert_eq!(deferred.payload_peak, 0);
+            }
+        }
+    }
+
+    /// The lane lends one body buffer. A receiver that hands it back is
+    /// lent the same allocation for the next deferred payload, replaced
+    /// only when a payload outgrows it; one that keeps it costs each next
+    /// delivery a fresh buffer of the payload's size. The snapshot reports
+    /// what the lane holds.
+    #[test]
+    fn a_body_buffer_handed_back_is_lent_again() {
+        /// `(address, capacity)` of every buffer lent.
+        type Lent = Arc<Mutex<Vec<(usize, usize)>>>;
+        struct Receiver {
+            keep: bool,
+            lent: Lent,
+            kept: Vec<Vec<u8>>,
+        }
+        impl App for Receiver {
+            fn on_data_owned(&mut self, ctx: &mut Ctx<'_>, _c: ConnId, data: Vec<u8>) {
+                let lent = (data.as_ptr() as usize, data.capacity());
+                self.lent.lock().unwrap().push(lent);
+                if self.keep {
+                    self.kept.push(data);
+                } else {
+                    ctx.give_back(data);
+                }
+            }
+        }
+        let lens = [1_000, 500, 2_000, 2_000];
+        for keep in [false, true] {
+            let mut sim = Simulator::new(SimConfig::default(), 3);
+            let lent = Lent::default();
+            let receiver = Receiver {
+                keep,
+                lent: lent.clone(),
+                kept: Vec::new(),
+            };
+            let sink = sim.spawn(NodeSpec::public().listen(80), Box::new(receiver));
+            let sender = Sender {
+                server: sim.node_addr(sink),
+                deferred: true,
+                lens: lens.to_vec(),
+                fills: Arc::default(),
+            };
+            sim.spawn(NodeSpec::public(), Box::new(sender));
+            sim.run_to_quiescence();
+            sim.record_memory();
+            let lent = lent.lock().unwrap().clone();
+            let caps: Vec<usize> = lent.iter().map(|&(_, cap)| cap).collect();
+            let held = sim.metrics().memory.body_buffer_bytes;
+            if keep {
+                assert_eq!(caps, lens, "a fresh buffer of each payload's size");
+                let mut at: Vec<usize> = lent.iter().map(|&(ptr, _)| ptr).collect();
+                at.dedup();
+                assert_eq!(at.len(), lens.len(), "four allocations");
+                assert_eq!(held, 0, "the lane holds nothing");
+            } else {
+                assert_eq!(caps, [1_000, 1_000, 2_000, 2_000], "grown, never shrunk");
+                assert_eq!(lent[1].0, lent[0].0, "the 500 bytes reuse the 1000");
+                assert_eq!(lent[3].0, lent[2].0, "the second 2000 reuse the first");
+                assert_eq!(held, 2_000);
             }
         }
     }

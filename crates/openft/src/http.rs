@@ -120,7 +120,7 @@ mod tests {
             ok.extend_from_slice(&body);
             let mut r = ResponseReader::new(1 << 10);
             r.push(&ok);
-            assert_eq!(r.response(), Ok(Some(body.clone())));
+            assert_eq!(r.response(), Ok(Some(body.clone().into())));
             let mut r = ResponseReader::new(1 << 10);
             r.push(&not_found);
             assert_eq!(r.response(), Err(DownloadError::Http(404)));

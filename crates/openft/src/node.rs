@@ -26,7 +26,7 @@ use crate::packet::{
     ResultBatch, Search, SearchRef, SearchResultRef, Session, Version, CLASS_SEARCH, CLASS_USER,
 };
 use p2pmal_corpus::{ContentRef, HostLibrary, NameRecord};
-use p2pmal_gnutella::http::{DownloadError, ResponseReader};
+use p2pmal_gnutella::http::{Body, DownloadError, ResponseReader};
 use p2pmal_gnutella::servent::SharedWorld;
 use p2pmal_hashes::Md5Digest;
 use p2pmal_netsim::{
@@ -136,7 +136,7 @@ pub enum FtEvent {
     DownloadDone {
         at: SimTime,
         id: u64,
-        result: Result<Vec<u8>, DownloadError>,
+        result: Result<Body, DownloadError>,
     },
 }
 
@@ -985,7 +985,7 @@ impl FtNode {
         ctx: &mut Ctx<'_>,
         conn: Option<ConnId>,
         id: u64,
-        result: Result<Vec<u8>, DownloadError>,
+        result: Result<Body, DownloadError>,
     ) {
         if let Some(c) = conn {
             self.conns.remove(&c);
@@ -1193,12 +1193,15 @@ impl App for FtNode {
     }
 
     /// An upload body written for this delivery: a download connection's
-    /// reader keeps the buffer instead of copying it.
+    /// reader keeps the lent buffer instead of copying it, and the owner
+    /// of [`FtEvent::DownloadDone`] hands it back. Anywhere else the bytes
+    /// are read and the buffer goes straight back.
     fn on_data_owned(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, data: Vec<u8>) {
         if let Some(ConnKind::Download(_)) = self.conns.get(&conn) {
             self.pump_download(ctx, conn, |r| r.push_owned(data));
         } else {
             self.on_data(ctx, conn, &data);
+            ctx.give_back(data);
         }
     }
 
