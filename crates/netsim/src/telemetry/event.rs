@@ -9,8 +9,15 @@
 //! Events timestamped with sim-time only are deterministic: identical seeds
 //! emit byte-identical journals.
 
-use crate::telemetry::span::{push_span_hex, SpanCtx};
+use crate::telemetry::span::{hex_digits, SpanCtx};
 use crate::time::SimTime;
+
+/// The text before a value that is not an object's first: `,"name":`.
+macro_rules! key {
+    ($name:literal) => {
+        concat!(",\"", $name, "\":")
+    };
+}
 
 /// Number of event categories (sampling knobs are per-category).
 pub const CATEGORY_COUNT: usize = 5;
@@ -211,31 +218,31 @@ impl TelemetryEvent {
     /// is byte for byte what `Value::to_string_compact` renders for the same
     /// fields.
     pub fn write_json(&self, out: &mut String) {
-        let mut o = ObjWriter { out, first: true };
-        o.num("t", self.at.as_micros());
-        o.num("day", self.at.day());
-        o.str("cat", self.category().label());
-        o.str("ev", self.body.kind_label());
+        let mut o = ObjWriter { out };
+        o.num("{\"t\":", self.at.as_micros());
+        o.num(key!("day"), self.at.day());
+        o.str(key!("cat"), self.category().label());
+        o.str(key!("ev"), self.body.kind_label());
         if let Some(s) = &self.span {
-            o.id("trace", s.trace);
-            o.id("span", s.span);
+            o.id(key!("trace"), s.trace);
+            o.id(key!("span"), s.span);
             if let Some(parent) = s.parent {
-                o.id("parent", parent);
+                o.id(key!("parent"), parent);
             }
         }
         match &self.body {
             EventBody::QueryIssued { text, seq } => {
-                o.str("text", text);
-                o.num("seq", *seq);
+                o.str(key!("text"), text);
+                o.num(key!("seq"), *seq);
             }
             EventBody::QueryMatched {
                 text,
                 results,
                 hops,
             } => {
-                o.str("text", text);
-                o.num("results", *results);
-                o.num("hops", *hops);
+                o.str(key!("text"), text);
+                o.num(key!("results"), *results);
+                o.num(key!("hops"), *hops);
             }
             EventBody::DownloadStart {
                 name,
@@ -243,19 +250,19 @@ impl TelemetryEvent {
                 host,
                 attempt,
             } => {
-                o.str("name", name);
-                o.num("size", *size);
-                o.str("host", host);
-                o.num("attempt", *attempt as u64);
+                o.str(key!("name"), name);
+                o.num(key!("size"), *size);
+                o.str(key!("host"), host);
+                o.num(key!("attempt"), *attempt as u64);
             }
             EventBody::DownloadRetry {
                 name,
                 attempt,
                 cause,
             } => {
-                o.str("name", name);
-                o.num("attempt", *attempt as u64);
-                o.str("cause", cause);
+                o.str(key!("name"), name);
+                o.num(key!("attempt"), *attempt as u64);
+                o.str(key!("cause"), cause);
             }
             EventBody::DownloadComplete {
                 name,
@@ -263,10 +270,10 @@ impl TelemetryEvent {
                 latency_us,
                 attempts,
             } => {
-                o.str("name", name);
-                o.bool("ok", *ok);
-                o.num("latency_us", *latency_us);
-                o.num("attempts", *attempts as u64);
+                o.str(key!("name"), name);
+                o.bool(key!("ok"), *ok);
+                o.num(key!("latency_us"), *latency_us);
+                o.num(key!("attempts"), *attempts as u64);
             }
             EventBody::ScanVerdict {
                 name,
@@ -274,57 +281,73 @@ impl TelemetryEvent {
                 len,
                 detections,
             } => {
-                o.str("name", name);
-                o.str("sha1", sha1);
-                o.num("len", *len);
-                o.num("detections", *detections);
+                o.str(key!("name"), name);
+                o.str(key!("sha1"), sha1);
+                o.num(key!("len"), *len);
+                o.num(key!("detections"), *detections);
             }
             EventBody::Infection { name, family, sha1 } => {
-                o.str("name", name);
-                o.str("family", family);
-                o.str("sha1", sha1);
+                o.str(key!("name"), name);
+                o.str(key!("family"), family);
+                o.str(key!("sha1"), sha1);
             }
-            EventBody::FaultInjected { kind } => o.str("kind", kind.label()),
-            EventBody::ChurnDown { node } | EventBody::ChurnUp { node } => o.num("node", *node),
+            EventBody::FaultInjected { kind } => o.str(key!("kind"), kind.label()),
+            EventBody::ChurnDown { node } | EventBody::ChurnUp { node } => {
+                o.num(key!("node"), *node)
+            }
         }
         o.out.push('}');
     }
 }
 
-/// Appends `"key":value` pairs of one flat object.
+/// Below this a `u64` is written digit by digit: `write_number` renders
+/// it as the same integer, since it is exact as an `f64`.
+const EXACT_BELOW: u64 = 9_000_000_000_000_000;
+
+/// Appends `"key":value` pairs of one flat object. Each key comes as the
+/// literal text before its value: `{"t":` for the first, [`key!`] for the
+/// rest.
 struct ObjWriter<'a> {
     out: &'a mut String,
-    first: bool,
 }
 
 impl ObjWriter<'_> {
-    fn key(&mut self, key: &str) {
-        self.out.push(if self.first { '{' } else { ',' });
-        self.first = false;
-        p2pmal_json::write_string(key, self.out);
-        self.out.push(':');
-    }
-
     fn num(&mut self, key: &str, v: u64) {
-        self.key(key);
-        p2pmal_json::write_number(v as f64, self.out);
+        self.out.push_str(key);
+        if v >= EXACT_BELOW {
+            p2pmal_json::write_number(v as f64, self.out);
+            return;
+        }
+        let mut digits = [0u8; 16];
+        let (mut at, mut rest) = (digits.len(), v);
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        self.out
+            .push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
     }
 
     fn bool(&mut self, key: &str, v: bool) {
-        self.key(key);
+        self.out.push_str(key);
         self.out.push_str(if v { "true" } else { "false" });
     }
 
     fn str(&mut self, key: &str, v: &str) {
-        self.key(key);
+        self.out.push_str(key);
         p2pmal_json::write_string(v, self.out);
     }
 
     fn id(&mut self, key: &str, id: u64) {
-        self.key(key);
-        self.out.push('"');
-        push_span_hex(id, self.out);
-        self.out.push('"');
+        self.out.push_str(key);
+        let mut quoted = [b'"'; 18];
+        quoted[1..17].copy_from_slice(&hex_digits(id));
+        self.out
+            .push_str(std::str::from_utf8(&quoted).expect("ASCII hex digits"));
     }
 }
 

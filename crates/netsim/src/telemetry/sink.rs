@@ -71,12 +71,22 @@ impl TelemetrySink for RingSink {
 
 /// JSONL file sink: one compact JSON object per line, in emission order
 /// (which is sim-time order, since events are written as the simulation
-/// produces them).
+/// produces them). Lines are rendered into one buffer that goes to the
+/// file each time it holds 1 MiB. The first write error stops the
+/// journal; the next flush reports it on stderr with the path.
 pub struct JsonlSink {
-    out: std::io::BufWriter<std::fs::File>,
-    /// The line being rendered, reused across records.
-    line: String,
+    file: std::fs::File,
+    path: PathBuf,
+    /// Rendered lines not yet written; allocated on the first record.
+    buf: String,
+    /// The first write that failed; nothing is written after it.
+    error: Option<std::io::Error>,
+    /// Whether a flush has reported `error` already.
+    reported: bool,
 }
+
+/// How many bytes a [`JsonlSink`] gathers before it writes them.
+const BLOCK: usize = 1 << 20;
 
 impl JsonlSink {
     /// Creates (truncating) the journal file, including parent directories.
@@ -87,22 +97,54 @@ impl JsonlSink {
             }
         }
         Ok(JsonlSink {
-            out: std::io::BufWriter::new(std::fs::File::create(path)?),
-            line: String::new(),
+            file: std::fs::File::create(path)?,
+            path: path.to_path_buf(),
+            buf: String::new(),
+            error: None,
+            reported: false,
         })
+    }
+
+    /// Writes the buffered lines, unless a write failed before, and empties
+    /// the buffer either way.
+    fn write_buf(&mut self) {
+        if self.error.is_none() {
+            self.error = self.file.write_all(self.buf.as_bytes()).err();
+        }
+        self.buf.clear();
     }
 }
 
 impl TelemetrySink for JsonlSink {
     fn record(&mut self, event: &TelemetryEvent) {
-        self.line.clear();
-        event.write_json(&mut self.line);
-        self.line.push('\n');
-        let _ = self.out.write_all(self.line.as_bytes());
+        if self.buf.capacity() == 0 {
+            // Room for a block and the line that passes it.
+            self.buf.reserve(BLOCK + BLOCK / 16);
+        }
+        event.write_json(&mut self.buf);
+        self.buf.push('\n');
+        if self.buf.len() >= BLOCK {
+            self.write_buf();
+        }
     }
 
     fn flush(&mut self) {
-        let _ = self.out.flush();
+        self.write_buf();
+        if let Some(e) = self.error.as_ref().filter(|_| !self.reported) {
+            // Not `eprintln!`, which panics if stderr fails: this runs in `drop`.
+            let _ = writeln!(
+                std::io::stderr(),
+                "[telemetry] cannot write journal {}: {e}",
+                self.path.display()
+            );
+            self.reported = true;
+        }
+    }
+}
+
+impl Drop for JsonlSink {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -462,6 +504,53 @@ mod tests {
         assert_eq!(parse_trace_level(Some("yes")), 1);
         assert_eq!(parse_trace_level(Some("2")), 2);
         assert_eq!(parse_trace_level(Some(" 2 ")), 2);
+    }
+
+    /// A journal on a full disk keeps the first error, writes nothing after
+    /// it and reports it once; the sink allocates nothing until it records.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_full_disk_stops_the_journal_and_is_kept() {
+        let mut sink = JsonlSink::create(Path::new("/dev/full")).unwrap();
+        assert_eq!(sink.buf.capacity(), 0);
+        sink.record(&ev(0));
+        assert!(sink.error.is_none(), "one line stays in the buffer");
+        let mut t = 1;
+        while sink.error.is_none() {
+            sink.record(&ev(t));
+            t += 1;
+        }
+        assert!(sink.buf.is_empty(), "a block went to the file");
+        assert_eq!(
+            sink.error.as_ref().unwrap().kind(),
+            std::io::ErrorKind::StorageFull
+        );
+        sink.record(&ev(t));
+        sink.flush();
+        assert!(sink.reported && sink.buf.is_empty());
+        sink.flush();
+        assert_eq!(
+            sink.error.as_ref().unwrap().kind(),
+            std::io::ErrorKind::StorageFull
+        );
+    }
+
+    #[test]
+    fn a_journal_holds_every_line_in_order() {
+        let dir = std::env::temp_dir().join(format!("p2pmal-jsonl-{}", std::process::id()));
+        let path = dir.join("journal.jsonl");
+        let mut sink = JsonlSink::create(&path).unwrap();
+        let mut want = String::new();
+        // Past two blocks, so the file is written in three pieces.
+        for t in 0..40_000 {
+            sink.record(&ev(t));
+            ev(t).write_json(&mut want);
+            want.push('\n');
+        }
+        assert!(want.len() > 2 * BLOCK);
+        drop(sink);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), want);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

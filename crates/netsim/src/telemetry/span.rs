@@ -179,17 +179,12 @@ pub fn span_infection(trace: u64, obj: u64, idx: u64) -> u64 {
 /// and the workspace JSON value stores numbers as `f64` (exact only below
 /// 2^53), so the journal carries them as 16-char strings.
 pub fn span_hex(id: u64) -> String {
-    let mut out = String::with_capacity(16);
-    push_span_hex(id, &mut out);
-    out
+    String::from_utf8(hex_digits(id).to_vec()).expect("ASCII hex digits")
 }
 
-/// Appends [`span_hex`]`(id)` to `out` without allocating.
-pub fn push_span_hex(id: u64, out: &mut String) {
-    for shift in (0..16).rev() {
-        let nibble = (id >> (shift * 4)) as usize & 0xf;
-        out.push(b"0123456789abcdef"[nibble] as char);
-    }
+/// The 16 lowercase hex digits of `id`, most significant first.
+pub(crate) fn hex_digits(id: u64) -> [u8; 16] {
+    std::array::from_fn(|i| b"0123456789abcdef"[(id >> (60 - 4 * i)) as usize & 0xf])
 }
 
 /// Inverse of [`span_hex`]; accepts any non-empty hex string up to 16

@@ -10,8 +10,9 @@
 //! of clean vs malicious verdicts, per-family propagation, top-K deepest
 //! and widest traces, orphan diagnostics) and, with `--json`, writes a
 //! machine-readable report covering all journals. The last summary line is
-//! the process's own peak RSS: 32 bytes per journal event, tables per
-//! `(trace, parent)` context, and with `--strict` a hash set of span ids.
+//! the process's own peak RSS: 20 bytes per journal event, tables per
+//! event kind and per `(trace, parent)` context, and with `--strict` a
+//! hash set of span ids.
 //!
 //! `--strict` makes the bin the CI journal gate: exit 1 unless every
 //! journal has **at least one complete** `query_issued -> query_matched ->

@@ -10,8 +10,8 @@
 //! accepts, with keys in any order and the first of a duplicated key
 //! winning) and picks out the fields below without building a value tree.
 //! [`Journal`] streams a file through it line by line and keeps one
-//! 32-byte record per event, so memory is `32 B × events` plus the label
-//! and context tables however long the strings in the journal are.
+//! 20-byte record per event, so memory is `20 B × events` plus the label,
+//! kind and context tables however long the strings in the journal are.
 //!
 //! What is kept per event: `t`, `day`, `cat`, `ev`, `trace`/`span`/`parent`
 //! and the three body fields the analyses read — `hops`, `detections` and
@@ -20,13 +20,15 @@
 //! [`Journal::line_of`]`(idx)` of the file again and hand it to
 //! `p2pmal_json::parse`.
 //!
-//! A record holds the span itself; the `(trace, parent)` pair it shares
-//! with its siblings is a *context*, interned once per journal (a LimeWire
-//! journal has about 45 events per context). The simulator writes at most
-//! one of `hops`, `detections` and `family` per event, and the record holds
-//! it in one `u32`. An event that does not fit — a `day` or extra above
-//! `u32::MAX`, or two extras — keeps those fields in a side table, so
-//! [`Journal::get`] is exact for every line [`scan_line`] accepts.
+//! A record holds `t`, the span itself and two codes. The `(trace, parent)`
+//! pair an event shares with its siblings is a *context*, interned once per
+//! journal (a LimeWire journal has about 45 events per context). Its `cat`,
+//! `ev` and extras are a *kind*, interned the same way (a LimeWire journal
+//! has about a dozen), and its `day` is the one its `t` falls in, as the
+//! simulator writes it. An event that does not fit — a `t` of 2⁴⁸ or more,
+//! another `day`, or a kind past the table's 65,535 — keeps those fields
+//! in a side table, so [`Journal::get`] is exact for every line
+//! [`scan_line`] accepts.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -34,6 +36,7 @@ use std::io::BufRead;
 
 use p2pmal_json::{Reader, Value};
 use p2pmal_netsim::telemetry_span::parse_span_hex;
+use p2pmal_netsim::SimTime;
 
 /// The fields of one journal line that [`Journal`] keeps, borrowed from
 /// the line where no escape had to be decoded.
@@ -190,11 +193,12 @@ fn for_each_line(
     Ok(())
 }
 
-const HAS_HOPS: u8 = 1;
-const HAS_DETECTIONS: u8 = 2;
-const HAS_FAMILY: u8 = 4;
-/// The event's `day` and extras are in [`Journal::wide`], not the record.
-const WIDE: u8 = 8;
+/// The kind code of an event whose `t`, `day` and kind are in
+/// [`Journal::wide`], not its record.
+const WIDE: u16 = u16::MAX;
+
+/// A `t` below this fits beside a kind code in [`Record::tk`].
+const T_LIMIT: u64 = 1 << 48;
 
 /// [`Record::ctx`] of a spanless event. A journal holds at most
 /// `u32::MAX` events, so no context is numbered this.
@@ -208,19 +212,29 @@ pub(crate) struct Ctx {
     pub(crate) parent: Option<u64>,
 }
 
-/// One event, 32 bytes. `ctx` is [`NO_CTX`] for a spanless event; `aux`
-/// holds the one extra its flag names. An event whose `day` or extra does
-/// not fit a `u32`, or that carries two extras, is [`WIDE`].
+/// What an event shares with every event of its kind: its labels, as
+/// codes in the journal's `cat` and `ev` tables, and the extras the
+/// analyses read, `family` as a code in its family table. Interned per
+/// journal; a LimeWire journal has about a dozen.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct Kind {
+    cat: u8,
+    pub(crate) ev: u16,
+    pub(crate) hops: Option<u64>,
+    pub(crate) detections: Option<u64>,
+    family: Option<u32>,
+}
+
+/// One event, 20 bytes: `tk` holds `t` in its top 48 bits and the kind
+/// code in its low 16; `ctx` is [`NO_CTX`] for a spanless event. An event
+/// whose `t` does not fit, whose `day` is not the one `t` falls in, or
+/// that finds the kind table full is [`WIDE`].
 #[derive(Debug, Clone, Copy)]
+#[repr(C, packed(4))]
 pub(crate) struct Record {
-    pub(crate) t: u64,
+    tk: u64,
     pub(crate) span: u64,
     pub(crate) ctx: u32,
-    day: u32,
-    aux: u32,
-    pub(crate) ev: u16,
-    cat: u8,
-    flags: u8,
 }
 
 impl Record {
@@ -229,14 +243,12 @@ impl Record {
     }
 }
 
-/// The day and the extras the analyses read of one event; `family` is a
-/// code in the journal's family table.
+/// What a [`WIDE`] event's record does not hold.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Extras {
+struct Wide {
+    t: u64,
     day: u64,
-    pub(crate) hops: Option<u64>,
-    pub(crate) detections: Option<u64>,
-    family: Option<u32>,
+    kind: Kind,
 }
 
 /// Distinct strings of one field, numbered in order of first appearance.
@@ -278,7 +290,7 @@ pub struct Event<'a> {
     pub family: Option<&'a str>,
 }
 
-/// A loaded journal: one fixed-size record per event plus label and
+/// A loaded journal: one fixed-size record per event plus label, kind and
 /// context tables.
 #[derive(Debug, Default)]
 pub struct Journal {
@@ -286,13 +298,16 @@ pub struct Journal {
     cats: Labels,
     evs: Labels,
     families: Labels,
+    /// Distinct kinds, numbered in order of first appearance; at most
+    /// [`WIDE`] of them.
+    kinds: Vec<Kind>,
+    kind_codes: HashMap<Kind, u16>,
     /// Distinct contexts, numbered in order of first appearance.
     contexts: Vec<Ctx>,
     context_codes: HashMap<Ctx, u32>,
-    /// The extras of each [`WIDE`] event by ascending event index; normally
-    /// empty. Keeps [`Journal::get`] exact for every line [`scan_line`]
-    /// accepts.
-    wide: Vec<(u32, Extras)>,
+    /// Each [`WIDE`] event by ascending event index; normally empty. Keeps
+    /// [`Journal::get`] exact for every line [`scan_line`] accepts.
+    wide: Vec<(u32, Wide)>,
     /// For each blank line of the source, the number of events before it;
     /// non-decreasing and normally empty. Keeps [`Journal::line_of`] exact.
     blanks: Vec<u32>,
@@ -321,35 +336,31 @@ impl Journal {
 
     /// Stores one event; the error names the label field whose table is full.
     fn push(&mut self, line: &Line<'_>) -> Result<(), &'static str> {
-        let extras = Extras {
-            day: line.day,
-            hops: line.hops,
-            detections: line.detections,
-            family: match &line.family {
-                Some(f) => Some(self.families.intern(f, u32::MAX).ok_or("family")?),
-                None => None,
-            },
+        let family = match &line.family {
+            Some(f) => Some(self.families.intern(f, u32::MAX).ok_or("family")?),
+            None => None,
         };
         let ev = self.evs.intern(&line.ev, u16::MAX as u32).ok_or("ev")? as u16;
         let cat = self.cats.intern(&line.cat, u8::MAX as u32).ok_or("cat")? as u8;
-
-        let mut carried = [
-            (HAS_HOPS, extras.hops),
-            (HAS_DETECTIONS, extras.detections),
-            (HAS_FAMILY, extras.family.map(u64::from)),
-        ]
-        .into_iter()
-        .filter_map(|(flag, v)| Some((flag, v?)));
-        let narrow = match (carried.next(), carried.next()) {
-            (None, _) => Some((0, 0)),
-            (Some((flag, v)), None) => u32::try_from(v).ok().map(|v| (flag, v)),
-            _ => None,
+        let kind = Kind {
+            cat,
+            ev,
+            hops: line.hops,
+            detections: line.detections,
+            family,
         };
-        let (flags, day, aux) = match (narrow, u32::try_from(line.day)) {
-            (Some((flag, aux)), Ok(day)) => (flag, day, aux),
-            _ => {
-                self.wide.push((self.records.len() as u32, extras));
-                (WIDE, 0, 0)
+
+        let fits = line.t < T_LIMIT && line.day == SimTime::from_micros(line.t).day();
+        let tk = match fits.then(|| self.kind_code(kind)).flatten() {
+            Some(code) => line.t << 16 | u64::from(code),
+            None => {
+                let wide = Wide {
+                    t: line.t,
+                    day: line.day,
+                    kind,
+                };
+                self.wide.push((self.records.len() as u32, wide));
+                u64::from(WIDE)
             }
         };
 
@@ -369,16 +380,22 @@ impl Journal {
             None => NO_CTX,
         };
         self.records.push(Record {
-            t: line.t,
+            tk,
             span: line.span.unwrap_or(0),
             ctx,
-            day,
-            aux,
-            ev,
-            cat,
-            flags,
         });
         Ok(())
+    }
+
+    /// The code of `kind`, or `None` once every code below [`WIDE`] is taken.
+    fn kind_code(&mut self, kind: Kind) -> Option<u16> {
+        if let Some(&code) = self.kind_codes.get(&kind) {
+            return Some(code);
+        }
+        let code = u16::try_from(self.kinds.len()).ok().filter(|&c| c < WIDE)?;
+        self.kinds.push(kind);
+        self.kind_codes.insert(kind, code);
+        Some(code)
     }
 
     pub fn len(&self) -> usize {
@@ -391,19 +408,19 @@ impl Journal {
 
     /// The event at 0-based `idx`. Panics when out of range.
     pub fn get(&self, idx: usize) -> Event<'_> {
-        let r = &self.records[idx];
-        let ctx = self.context_of(r);
-        let extras = self.extras(idx);
+        let r = self.records[idx];
+        let ctx = self.context_of(&r);
+        let (t, day, kind) = self.unpack(idx);
         Event {
-            t: r.t,
-            day: extras.day,
-            cat: &self.cats.names[r.cat as usize],
-            ev: self.ev_label(r.ev),
+            t,
+            day,
+            cat: &self.cats.names[kind.cat as usize],
+            ev: self.ev_label(kind.ev),
             trace: ctx.map(|c| c.trace),
             span: ctx.map(|_| r.span),
             parent: ctx.and_then(|c| c.parent),
-            hops: extras.hops,
-            detections: extras.detections,
+            hops: kind.hops,
+            detections: kind.detections,
             family: self.family_of(idx),
         }
     }
@@ -438,19 +455,30 @@ impl Journal {
         self.context_codes.get(ctx).copied()
     }
 
-    pub(crate) fn extras(&self, idx: usize) -> Extras {
-        let r = &self.records[idx];
-        if r.flags & WIDE != 0 {
-            let at = self.wide.partition_point(|&(i, _)| (i as usize) < idx);
-            return self.wide[at].1;
+    /// Event `idx`'s `t`, its `day` and its kind.
+    fn unpack(&self, idx: usize) -> (u64, u64, &Kind) {
+        let tk = self.records[idx].tk;
+        match tk as u16 {
+            WIDE => {
+                let at = self.wide.partition_point(|&(i, _)| (i as usize) < idx);
+                let wide = &self.wide[at].1;
+                (wide.t, wide.day, &wide.kind)
+            }
+            code => {
+                let t = tk >> 16;
+                (t, SimTime::from_micros(t).day(), &self.kinds[code as usize])
+            }
         }
-        let aux = |flag: u8| (r.flags & flag != 0).then_some(r.aux);
-        Extras {
-            day: r.day.into(),
-            hops: aux(HAS_HOPS).map(u64::from),
-            detections: aux(HAS_DETECTIONS).map(u64::from),
-            family: aux(HAS_FAMILY),
-        }
+    }
+
+    /// Sim-time of event `idx`.
+    pub(crate) fn t(&self, idx: usize) -> u64 {
+        self.unpack(idx).0
+    }
+
+    /// The kind of event `idx`.
+    pub(crate) fn kind(&self, idx: usize) -> &Kind {
+        self.unpack(idx).2
     }
 
     pub(crate) fn ev_label(&self, code: u16) -> &str {
@@ -464,7 +492,7 @@ impl Journal {
 
     /// The `family` of event `idx`.
     pub(crate) fn family_of(&self, idx: usize) -> Option<&str> {
-        self.extras(idx)
+        self.kind(idx)
             .family
             .map(|code| self.families.names[code as usize].as_str())
     }
@@ -487,8 +515,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_are_32_bytes() {
-        assert_eq!(std::mem::size_of::<Record>(), 32);
+    fn records_are_20_bytes() {
+        assert_eq!(std::mem::size_of::<Record>(), 20);
     }
 
     #[test]
@@ -681,24 +709,49 @@ mod tests {
         }
     }
 
+    /// Every event of `text` as [`Journal::get`] returns it equals what
+    /// [`scan_line`] picks out of its line.
+    fn assert_get_is_exact(journal: &Journal, text: &str) {
+        assert_eq!(journal.len(), text.lines().count());
+        for (idx, line) in text.lines().enumerate() {
+            assert_eq!(
+                line_of_event(journal.get(idx)),
+                scan_line(line).unwrap(),
+                "{line}"
+            );
+        }
+    }
+
     #[test]
     fn wide_events_keep_every_field() {
         let text = concat!(
+            "{\"t\":281474976710655,\"day\":3257,\"cat\":\"c\",\"ev\":\"e\"}\n",
+            "{\"t\":281474976710656,\"day\":3257,\"cat\":\"c\",\"ev\":\"e\"}\n",
+            "{\"t\":86400000000,\"day\":0,\"cat\":\"c\",\"ev\":\"e\"}\n",
             "{\"t\":1,\"day\":4294967296,\"cat\":\"c\",\"ev\":\"e\"}\n",
-            "{\"t\":2,\"day\":1,\"cat\":\"c\",\"ev\":\"e\",\"hops\":4294967296}\n",
-            "{\"t\":3,\"day\":1,\"cat\":\"c\",\"ev\":\"e\",\"hops\":4294967295}\n",
-            "{\"t\":4,\"day\":1,\"cat\":\"c\",\"ev\":\"e\",",
+            "{\"t\":2,\"day\":0,\"cat\":\"c\",\"ev\":\"e\",\"hops\":18446744073709551615}\n",
+            "{\"t\":4,\"day\":0,\"cat\":\"c\",\"ev\":\"e\",",
             "\"hops\":1,\"detections\":2,\"family\":\"f\"}\n",
         );
         let journal = parse_journal(text).unwrap();
-        assert_eq!(
-            journal.wide.len(),
-            3,
-            "the day, the hops and the three extras"
-        );
-        for (idx, line) in text.lines().enumerate() {
-            assert_eq!(line_of_event(journal.get(idx)), scan_line(line).unwrap());
-        }
+        let wide: Vec<u32> = journal.wide.iter().map(|&(idx, _)| idx).collect();
+        assert_eq!(wide, [1, 2, 3], "t = 2^48 and the two foreign days");
+        assert_get_is_exact(&journal, text);
+    }
+
+    /// 70,000 distinct `hops` are more kinds than codes: the events past
+    /// the table's end go wide and keep every field.
+    #[test]
+    fn a_full_kind_table_falls_back_to_wide() {
+        let text: String = (0..70_000)
+            .map(|hops| {
+                format!("{{\"t\":{hops},\"day\":0,\"cat\":\"c\",\"ev\":\"e\",\"hops\":{hops}}}\n")
+            })
+            .collect();
+        let journal = parse_journal(&text).unwrap();
+        assert_get_is_exact(&journal, &text);
+        assert_eq!(journal.kinds.len(), WIDE as usize);
+        assert_eq!(journal.wide.len(), 70_000 - WIDE as usize);
     }
 
     const KEYS: [&str; 13] = [
@@ -772,14 +825,15 @@ mod tests {
 
         /// [`Journal::get`] returns every field [`scan_line`] picked out of
         /// the event's line: `t`, `day`, `hops` and `detections` across all
-        /// of `u64`, any subset of the three extras, spanned or not.
+        /// of `u64`, half the `day`s the one `t` falls in, any subset of the
+        /// three extras, spanned or not.
         #[test]
         fn get_returns_every_field_of_its_line(
             events in proptest::collection::vec(
                 (
                     ((proptest::any::<u64>(), 0u32..64), (proptest::any::<u64>(), 0u32..64)),
                     ((proptest::any::<u64>(), 0u32..64), (proptest::any::<u64>(), 0u32..64)),
-                    (0u8..32, 0u8..3),
+                    (0u8..64, 0u8..3),
                     (0u64..3, 0u64..6, 0u64..7),
                 ),
                 1..16,
@@ -787,9 +841,14 @@ mod tests {
         ) {
             let mut text = String::new();
             for ((t, day), (hops, detections), (fields, family), (trace, span, parent)) in events {
+                let t = scaled(t);
+                let day = if fields & 32 != 0 {
+                    SimTime::from_micros(t).day()
+                } else {
+                    scaled(day)
+                };
                 text.push_str(&format!(
-                    "{{\"t\":{},\"day\":{},\"cat\":\"c{}\",\"ev\":\"e{}\"",
-                    scaled(t), scaled(day), trace, span
+                    "{{\"t\":{t},\"day\":{day},\"cat\":\"c{trace}\",\"ev\":\"e{span}\""
                 ));
                 if fields & 1 != 0 {
                     text.push_str(&format!(",\"hops\":{}", scaled(hops)));
@@ -808,16 +867,7 @@ mod tests {
                 }
                 text.push_str("}\n");
             }
-            let journal = parse_journal(&text).unwrap();
-            proptest::prop_assert_eq!(journal.len(), text.lines().count());
-            for (idx, line) in text.lines().enumerate() {
-                proptest::prop_assert_eq!(
-                    line_of_event(journal.get(idx)),
-                    scan_line(line).unwrap(),
-                    "{}",
-                    line
-                );
-            }
+            assert_get_is_exact(&parse_journal(&text).unwrap(), &text);
         }
 
         /// Whatever the bytes, loading either fails with a line number or

@@ -98,7 +98,7 @@ impl<'j> TraceForest<'j> {
         };
         for (idx, r) in records.iter().enumerate() {
             if let Some(owner) = forest.parent_of(r) {
-                if records[owner].t > r.t {
+                if journal.t(owner) > journal.t(idx) {
                     forest.monotone_violations.push((idx, owner));
                 }
             }
@@ -264,7 +264,7 @@ pub fn analyze(label: &str, journal: &Journal, top_k: usize) -> Analysis {
     let forest = TraceForest::build(journal);
     let records = journal.records();
     let contexts = journal.contexts();
-    let ev_of = |idx: usize| journal.ev_label(records[idx].ev);
+    let ev_of = |idx: usize| journal.ev_label(journal.kind(idx).ev);
     let mut analysis = Analysis {
         label: label.to_string(),
         total_events: records.len(),
@@ -292,14 +292,15 @@ pub fn analyze(label: &str, journal: &Journal, top_k: usize) -> Analysis {
     let chain = |idx: usize| {
         let (mut depth, mut seen, mut root, mut hops) = (0, [false; 3], None, None);
         let resolved = forest.ascend(idx, |i| {
-            let ev = Some(records[i].ev);
+            let kind = journal.kind(i);
+            let ev = Some(kind.ev);
             depth += 1;
             root = ev;
             for (stage, flag) in [matched, start, complete].iter().zip(&mut seen) {
                 *flag |= ev == *stage;
             }
             if ev == matched {
-                hops = journal.extras(i).hops;
+                hops = kind.hops;
             }
         });
         resolved.then_some((depth, seen, root, hops))
@@ -314,12 +315,12 @@ pub fn analyze(label: &str, journal: &Journal, top_k: usize) -> Analysis {
     let mut deepest_at: Vec<(usize, usize)> = vec![(0, 0); forest.trace_count()];
     for (idx, r) in records.iter().enumerate() {
         let ctx = journal.context_of(r);
+        let (t, kind) = (journal.t(idx), journal.kind(idx));
         if let Some(owner) = forest.parent_of(r) {
-            let parent = &records[owner];
             edges
-                .entry((parent.ev, r.ev))
+                .entry((journal.kind(owner).ev, kind.ev))
                 .or_default()
-                .push(r.t.saturating_sub(parent.t));
+                .push(t.saturating_sub(journal.t(owner)));
         } else if let Some(ctx) = ctx.filter(|c| c.parent.is_some()) {
             orphans.push((ctx.trace, idx));
         }
@@ -330,7 +331,7 @@ pub fn analyze(label: &str, journal: &Journal, top_k: usize) -> Analysis {
                 *best = (depth, idx);
             }
         }
-        let ev = Some(r.ev);
+        let ev = Some(kind.ev);
         if ev == verdict && ctx.is_some() {
             analysis.spanned_verdicts += 1;
             let Some((_, seen, root, hops)) = chain else {
@@ -340,7 +341,7 @@ pub fn analyze(label: &str, journal: &Journal, top_k: usize) -> Analysis {
                 analysis.complete_chains += 1;
             }
             if let Some(hops) = hops {
-                let bucket = if journal.extras(idx).detections.unwrap_or(0) > 0 {
+                let bucket = if kind.detections.unwrap_or(0) > 0 {
                     &mut analysis.hops_malicious
                 } else {
                     &mut analysis.hops_clean
@@ -427,7 +428,7 @@ pub fn analyze(label: &str, journal: &Journal, top_k: usize) -> Analysis {
                 .path_of(idx)
                 .expect("ranked by its resolved depth")
                 .into_iter()
-                .map(|i| (ev_of(i).to_string(), records[i].t))
+                .map(|i| (ev_of(i).to_string(), journal.t(i)))
                 .collect(),
         })
         .collect();

@@ -1,6 +1,6 @@
 //! A month of LimeWire is some 25.7 M journal events, almost all of them
 //! `query_matched` children of about 270 k `query_issued` roots. Loading
-//! must cost one 32-byte record per event and nothing else that grows with
+//! must cost one 20-byte record per event and nothing else that grows with
 //! the events; the trace forest and `analyze` must cost the same whatever
 //! the number of events under the same roots. A counting allocator follows
 //! the live heap and its peak; its counters are per thread, so concurrent
@@ -97,10 +97,10 @@ fn journal_text(roots: u64, matches: u64) -> String {
 }
 
 #[test]
-fn load_is_32_bytes_an_event_and_analyze_is_per_context() {
+fn load_is_20_bytes_an_event_and_analyze_is_per_context() {
     const ROOTS: u64 = 64;
     // Two contexts per root (the root's own and its children's), the label
-    // tables and the line buffer.
+    // and kind tables and the line buffer.
     let beside = 512 * ROOTS as usize + 16 * 1024;
     let mut analyze_peaks = Vec::new();
     for matches in [10_000, 100_000] {
@@ -109,7 +109,7 @@ fn load_is_32_bytes_an_event_and_analyze_is_per_context() {
 
         let (journal, load_peak) = peak_of(|| parse_journal(&text).unwrap());
         assert_eq!(journal.len(), events);
-        let budget = 2 * 32 * events + beside;
+        let budget = 2 * 20 * events + beside;
         assert!(
             load_peak <= budget,
             "{events} events: loading peaked at {load_peak} B, over {budget} B"
