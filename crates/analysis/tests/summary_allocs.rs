@@ -5,58 +5,14 @@
 //! every allocation; its counters are per thread, so concurrent tests do
 //! not disturb each other.
 
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::measure;
 use p2pmal_analysis::report::summarize;
 use p2pmal_crawler::{CrawlLog, HostKey, ResolvedResponse, ResponseRecord};
 use p2pmal_netsim::SimTime;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::net::Ipv4Addr;
-
-struct Counting;
-
-thread_local! {
-    /// Allocations (a `realloc` counts as one) and their bytes.
-    static ALLOCS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
-}
-
-fn track(size: usize) {
-    let _ = ALLOCS.try_with(|a| {
-        let (n, bytes) = a.get();
-        a.set((n + 1, bytes + size));
-    });
-}
-
-// SAFETY: every call forwards to `System` unchanged; the counters only
-// observe sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            track(layout.size());
-        }
-        p
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            track(layout.size());
-        }
-        p
-    }
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-    }
-    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new: usize) -> *mut u8 {
-        let q = System.realloc(p, layout, new);
-        if !q.is_null() {
-            track(new);
-        }
-        q
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
 
 /// `n` resolved rows from 8 hosts, every third one infected by one of 3
 /// families.
@@ -92,9 +48,8 @@ fn summarize_allocates_for_hosts_and_families_not_rows() {
     let mut at = Vec::new();
     for n in [1_000, 8_000] {
         let resolved = rows(n);
-        ALLOCS.with(|a| a.set((0, 0)));
-        let s = summarize("X", &log, &resolved);
-        let (allocs, bytes) = ALLOCS.with(Cell::get);
+        let (s, counts) = measure(|| summarize("X", &log, &resolved));
+        let (allocs, bytes) = (counts.allocs, counts.bytes);
         assert_eq!(
             (s.responses, s.distinct_hosts, s.distinct_malware),
             (n as u64, 8, 3)

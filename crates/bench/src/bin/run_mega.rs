@@ -11,7 +11,7 @@
 //! cannot; exits 2 on a bad `P2PMAL_*` variable or a journal it cannot
 //! create.
 
-use p2pmal_bench::{mega_from_env, write_summary};
+use p2pmal_bench::{write_summary, MegaConfig};
 use p2pmal_core::MegaRun;
 use p2pmal_json::Value;
 
@@ -73,8 +73,8 @@ fn report(run: &MegaRun) {
     );
 }
 
-/// False when the summary could not be written.
-fn write_bench_json(run: &MegaRun, seed: u64) -> bool {
+/// False when the summary could not be written to `path`.
+fn write_bench_json(run: &MegaRun, seed: u64, path: &str) -> bool {
     let run_secs = run.wall.as_secs_f64();
     let events = run.sim_metrics.events_processed;
     let doc = Value::Obj(vec![
@@ -100,11 +100,14 @@ fn write_bench_json(run: &MegaRun, seed: u64) -> bool {
             ]),
         ),
     ]);
-    write_summary("run_mega", "BENCH_mega.json", &doc)
+    write_summary("run_mega", path, &doc)
 }
 
 fn main() {
-    let scen = mega_from_env().unwrap_or_else(|e| {
+    let MegaConfig {
+        scenario: scen,
+        summary,
+    } = MegaConfig::from_env().unwrap_or_else(|e| {
         eprintln!("[run_mega] {e}");
         std::process::exit(2)
     });
@@ -114,7 +117,7 @@ fn main() {
     );
     let run = scen.run_with_progress(|day| eprintln!("[run_mega] day {day} done"));
     report(&run);
-    if !write_bench_json(&run, scen.seed) {
+    if !write_bench_json(&run, scen.seed, &summary) {
         std::process::exit(1);
     }
 }

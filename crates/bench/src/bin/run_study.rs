@@ -18,19 +18,15 @@ use p2pmal_crawler::{LogFootprint, ResolvedResponse};
 use p2pmal_json::Value;
 use p2pmal_netsim::{Counter, HistSummary, Subsystem};
 
-/// One line of scan-pipeline accounting: how many download bodies reached
-/// the scanner and how much of that work the verdict cache absorbed.
+/// One line of scan-pipeline accounting: how many download bodies were
+/// hashed and scanned, and how many distinct payloads they carried.
 fn scan_line(run: &NetworkRun) -> String {
     let s = &run.log.scan;
     format!(
-        "  scan pipeline [{}]: {} bodies ({} KiB hashed), {} scanned, \
-         {} cache hits ({:.1}%), {} distinct payloads",
+        "  scan pipeline [{}]: {} bodies ({} KiB hashed), {} distinct payloads",
         run.network.label(),
         s.bodies,
         s.bytes_hashed / 1024,
-        s.bodies_scanned,
-        s.cache_hits,
-        s.hit_rate_pct(),
         s.distinct_payloads,
     )
 }
@@ -254,7 +250,7 @@ fn write_bench_json(report: &StudyReport, cfg: &BenchConfig) -> bool {
         ("faults".into(), cfg.faults.as_str().into()),
         ("networks".into(), Value::Arr(networks)),
     ]);
-    write_summary("run_study", "BENCH_study.json", &doc)
+    write_summary("run_study", &cfg.common.summary, &doc)
 }
 
 /// What the crawler's response log held and cost, for a summary line.

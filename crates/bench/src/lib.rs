@@ -2,19 +2,22 @@
 //! networks, every table, figure and paper row) and `run_mega` (one
 //! mega-tier population).
 //!
-//! Both are driven by `P2PMAL_*` environment variables. [`KNOBS`] is the
-//! one list of their names, and README's knob table (kept equal to it by a
-//! unit test) says what each takes, its default and which program reads
-//! it. Either program exits 2 on a set name outside [`KNOBS`], on a knob
-//! it reads that does not parse, or on a journal file it cannot create; it
-//! never falls back to the default.
+//! Both are driven by `P2PMAL_*` environment variables, read once by
+//! [`BenchConfig::from_env`] or [`MegaConfig::from_env`] and parsed once
+//! into typed values that are set on the scenarios; nothing else in the
+//! workspace reads the environment. [`KNOBS`] is the one list of their
+//! names, and README's knob table (kept equal to it by a unit test) says
+//! what each takes, its default and which program reads it. Either program
+//! exits 2 on a set name outside [`KNOBS`], on a knob it reads that does
+//! not parse, or on a journal file it cannot create; it never falls back to
+//! the default.
 
 use p2pmal_core::{fault_profile, LimewireScenario, MegaScenario, OpenFtScenario, Study};
 use p2pmal_crawler::RetryPolicy;
 use p2pmal_json::Value;
-use p2pmal_netsim::telemetry::{journal_path_for, JsonlSink};
+use p2pmal_netsim::telemetry::{journal_path_for, parse_trace_level, JsonlSink};
 use p2pmal_netsim::{FaultPlan, SimConfig, TelemetryConfig};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
 /// Every `P2PMAL_*` variable `run_study` and `run_mega` know, in the order
@@ -71,51 +74,76 @@ fn parsed<T: FromStr>(vars: &Vars, name: &str) -> Result<Option<T>, String> {
     knob(vars, name, |v| v.parse().ok())
 }
 
-/// What both programs check before a preset reads the environment: every
-/// set name is one of [`KNOBS`], and each engine knob the presets read
-/// parses by the presets' own rule (a preset that meets a malformed one
-/// does not fail: it runs as if the knob were unset).
-fn check_env(vars: &Vars) -> Result<(), String> {
-    if let Some((name, _)) = vars.iter().find(|(k, _)| !KNOBS.contains(&k.as_str())) {
-        return Err(format!(
-            "{name} is not a known variable ({})",
-            KNOBS.join(", ")
-        ));
-    }
-    knob(vars, "P2PMAL_SHARDS", SimConfig::parse_shards)?;
-    knob(
-        vars,
-        "P2PMAL_SHARD_WINDOW_MS",
-        SimConfig::parse_shard_window_us,
-    )?;
-    knob(vars, "P2PMAL_JOURNAL_SAMPLE", TelemetryConfig::parse_sample)?;
-    Ok(())
+/// The knobs both programs read the same way, each parsed once.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Common {
+    /// `P2PMAL_JOURNAL` (unset or empty writes none), `P2PMAL_TRACE` and
+    /// `P2PMAL_JOURNAL_SAMPLE`; off when none is set.
+    pub telemetry: TelemetryConfig,
+    /// `P2PMAL_SHARDS`, default 1.
+    pub shards: usize,
+    /// `P2PMAL_SHARD_WINDOW_MS` in microseconds, default 1 s.
+    pub shard_window_us: u64,
+    /// `P2PMAL_BENCH_JSON`, else `target/telemetry/<the program's file>`:
+    /// where the machine-readable summary goes.
+    pub summary: String,
 }
 
-/// The `P2PMAL_JOURNAL` base path, `None` when unset or empty (no journal).
-fn journal_base(vars: &Vars) -> Option<&str> {
-    var(vars, "P2PMAL_JOURNAL").filter(|p| !p.trim().is_empty())
-}
-
-/// Creates the journal file of each network in `labels` under the
-/// `P2PMAL_JOURNAL` base (see [`journal_path_for`]) the way the run's sink
-/// will, so a journal that cannot be written stops the program before it
-/// simulates instead of leaving a run without one. The run truncates each
-/// file again when it opens its sink.
-fn check_journals(vars: &Vars, labels: &[&str]) -> Result<(), String> {
-    let Some(base) = journal_base(vars) else {
-        return Ok(());
-    };
-    for label in labels {
-        let path = journal_path_for(Path::new(base), label);
-        JsonlSink::create(&path).map_err(|e| {
-            format!(
-                "P2PMAL_JOURNAL={base:?}: cannot create {}: {e}",
-                path.display()
-            )
-        })?;
+impl Common {
+    /// Checks that every set name is one of [`KNOBS`], then parses the
+    /// knobs both programs read. `summary_file` is the program's default
+    /// summary under `target/telemetry/`. Creates nothing.
+    fn from_vars(vars: &Vars, summary_file: &str) -> Result<Self, String> {
+        if let Some((name, _)) = vars.iter().find(|(k, _)| !KNOBS.contains(&k.as_str())) {
+            return Err(format!(
+                "{name} is not a known variable ({})",
+                KNOBS.join(", ")
+            ));
+        }
+        Ok(Common {
+            telemetry: TelemetryConfig {
+                journal: var(vars, "P2PMAL_JOURNAL")
+                    .filter(|p| !p.trim().is_empty())
+                    .map(PathBuf::from),
+                trace: parse_trace_level(var(vars, "P2PMAL_TRACE")),
+                sample: knob(vars, "P2PMAL_JOURNAL_SAMPLE", TelemetryConfig::parse_sample)?
+                    .unwrap_or(TelemetryConfig::off().sample),
+            },
+            shards: knob(vars, "P2PMAL_SHARDS", SimConfig::parse_shards)?.unwrap_or(1),
+            shard_window_us: knob(
+                vars,
+                "P2PMAL_SHARD_WINDOW_MS",
+                SimConfig::parse_shard_window_us,
+            )?
+            .unwrap_or(1_000_000),
+            summary: var(vars, "P2PMAL_BENCH_JSON").map_or_else(
+                || format!("target/telemetry/{summary_file}"),
+                str::to_string,
+            ),
+        })
     }
-    Ok(())
+
+    /// Creates the journal file of each network in `labels` under the
+    /// journal base (see [`journal_path_for`]) the way the run's sink
+    /// will, so a journal that cannot be written stops the program before
+    /// it simulates instead of leaving a run without one. The run truncates
+    /// each file again when it opens its sink.
+    fn create_journals(&self, labels: &[&str]) -> Result<(), String> {
+        let Some(base) = &self.telemetry.journal else {
+            return Ok(());
+        };
+        for label in labels {
+            let path = journal_path_for(base, label);
+            JsonlSink::create(&path).map_err(|e| {
+                format!(
+                    "P2PMAL_JOURNAL={:?}: cannot create {}: {e}",
+                    base.display(),
+                    path.display()
+                )
+            })?;
+        }
+        Ok(())
+    }
 }
 
 /// `run_study`'s configuration from the environment.
@@ -132,6 +160,8 @@ pub struct BenchConfig {
     pub faults: String,
     /// `P2PMAL_RETRIES=<n>` — retry-budget override on top of the profile.
     pub retries: Option<u8>,
+    /// Telemetry, shards, window and summary path.
+    pub common: Common,
 }
 
 impl BenchConfig {
@@ -141,7 +171,7 @@ impl BenchConfig {
 
     /// [`Self::from_env`] over any set of variables.
     fn from_vars(vars: &Vars) -> Result<Self, String> {
-        check_env(vars)?;
+        let common = Common::from_vars(vars, "BENCH_study.json")?;
         let seeds = match var(vars, "P2PMAL_SEEDS") {
             Some(v) if !v.trim().is_empty() => Some(
                 v.split(',')
@@ -154,12 +184,12 @@ impl BenchConfig {
             ),
             _ => None,
         };
-        if seeds.is_some() && journal_base(vars).is_some() {
+        if seeds.is_some() && common.telemetry.journal.is_some() {
             return Err("P2PMAL_SEEDS and P2PMAL_JOURNAL cannot be set together: \
                         every seed of the sweep would write the same journal files"
                 .to_string());
         }
-        check_journals(vars, &["limewire", "openft"])?;
+        common.create_journals(&["limewire", "openft"])?;
         let faults = var(vars, "P2PMAL_FAULTS").unwrap_or("none").to_string();
         if fault_profile(&faults).is_none() {
             return Err(format!(
@@ -178,6 +208,7 @@ impl BenchConfig {
             seeds,
             faults,
             retries: parsed(vars, "P2PMAL_RETRIES")?,
+            common,
         })
     }
 
@@ -201,6 +232,15 @@ impl BenchConfig {
 
     /// The two-network study this configuration selects.
     pub fn study(&self) -> Study {
+        let (lw, ft) = self.scenarios();
+        let (plan, retry) = self.fault_plan();
+        Study::new()
+            .with_limewire(lw.with_faults(plan, retry))
+            .with_openft(ft.with_faults(plan, retry))
+    }
+
+    /// The study's two networks before the fault profile is applied.
+    fn scenarios(&self) -> (LimewireScenario, OpenFtScenario) {
         let (mut lw, mut ft) = if self.quick {
             (
                 LimewireScenario::quick(self.seed),
@@ -216,40 +256,57 @@ impl BenchConfig {
             lw.days = days;
             ft.days = days;
         }
-        let (plan, retry) = self.fault_plan();
-        Study::new()
-            .with_limewire(lw.with_faults(plan, retry))
-            .with_openft(ft.with_faults(plan, retry))
+        let c = &self.common;
+        (lw.telemetry, lw.shards, lw.shard_window_us) =
+            (c.telemetry.clone(), c.shards, c.shard_window_us);
+        (ft.telemetry, ft.shards, ft.shard_window_us) =
+            (c.telemetry.clone(), c.shards, c.shard_window_us);
+        (lw, ft)
     }
 }
 
-/// The mega-tier world `run_mega` runs: `P2PMAL_MEGA_NODES` servents
-/// (default 50,000) for `P2PMAL_DAYS` days at `P2PMAL_SEED` (default 42, the
-/// seed `bench/BENCH_mega.json` records).
-pub fn mega_from_env() -> Result<MegaScenario, String> {
-    mega_from_vars(&env_vars())
+/// `run_mega`'s configuration from the environment.
+#[derive(Debug, Clone)]
+pub struct MegaConfig {
+    /// `P2PMAL_MEGA_NODES` servents (default 50,000) for `P2PMAL_DAYS` days
+    /// at `P2PMAL_SEED` (default 42, the seed `bench/BENCH_mega.json`
+    /// records), with the [`Common`] engine knobs set on it.
+    pub scenario: MegaScenario,
+    /// Where the summary goes (see [`Common::summary`]).
+    pub summary: String,
 }
 
-fn mega_from_vars(vars: &Vars) -> Result<MegaScenario, String> {
-    check_env(vars)?;
-    check_journals(vars, &["mega"])?;
-    let mut scen = MegaScenario::new(
+impl MegaConfig {
+    pub fn from_env() -> Result<Self, String> {
+        mega_from_vars(&env_vars())
+    }
+}
+
+fn mega_from_vars(vars: &Vars) -> Result<MegaConfig, String> {
+    let common = Common::from_vars(vars, "BENCH_mega.json")?;
+    common.create_journals(&["mega"])?;
+    let defaults = MegaScenario::new(
         parsed(vars, "P2PMAL_SEED")?.unwrap_or(42),
         parsed(vars, "P2PMAL_MEGA_NODES")?.unwrap_or(50_000),
     );
-    if let Some(days) = parsed(vars, "P2PMAL_DAYS")? {
-        scen.days = days;
-    }
-    Ok(scen)
+    let scenario = MegaScenario {
+        days: parsed(vars, "P2PMAL_DAYS")?.unwrap_or(defaults.days),
+        telemetry: common.telemetry,
+        shards: common.shards,
+        shard_window_us: common.shard_window_us,
+        ..defaults
+    };
+    Ok(MegaConfig {
+        scenario,
+        summary: common.summary,
+    })
 }
 
-/// Writes `program`'s machine-readable summary to `P2PMAL_BENCH_JSON`, else
-/// `target/telemetry/<file>`, and says on stderr where or why not. False
-/// when it could not, which both programs turn into exit status 1.
-pub fn write_summary(program: &str, file: &str, doc: &Value) -> bool {
-    let path =
-        std::env::var("P2PMAL_BENCH_JSON").unwrap_or_else(|_| format!("target/telemetry/{file}"));
-    let written = write_json(&path, doc);
+/// Writes `program`'s machine-readable summary to `path` and says on stderr
+/// where or why not. False when it could not, which both programs turn into
+/// exit status 1.
+pub fn write_summary(program: &str, path: &str, doc: &Value) -> bool {
+    let written = write_json(path, doc);
     match &written {
         Ok(()) => eprintln!("[{program}] wrote summary to {path}"),
         Err(e) => eprintln!("[{program}] {e}"),
@@ -284,6 +341,16 @@ mod tests {
         BenchConfig::from_vars(&vars(set))
     }
 
+    /// What [`Common`] holds when no knob is set.
+    fn unset(summary_file: &str) -> Common {
+        Common {
+            telemetry: TelemetryConfig::off(),
+            shards: 1,
+            shard_window_us: 1_000_000,
+            summary: format!("target/telemetry/{summary_file}"),
+        }
+    }
+
     #[test]
     fn knobs_parse_or_fail_naming_the_variable() {
         let defaults = config(&[]).expect("nothing set is valid");
@@ -296,6 +363,7 @@ mod tests {
                 seeds: None,
                 faults: "none".into(),
                 retries: None,
+                common: unset("BENCH_study.json"),
             }
         );
         let set = config(&[
@@ -316,6 +384,7 @@ mod tests {
                 seeds: Some(vec![1, 2, 3]),
                 faults: "harsh".into(),
                 retries: Some(4),
+                common: unset("BENCH_study.json"),
             }
         );
         assert!(!config(&[("P2PMAL_QUICK", "0")]).unwrap().quick);
@@ -336,14 +405,17 @@ mod tests {
             );
         }
 
-        let mega = mega_from_vars(&vars(&[])).expect("nothing set is valid");
+        let mega = mega_from_vars(&vars(&[]))
+            .expect("nothing set is valid")
+            .scenario;
         assert_eq!((mega.seed, mega.nodes, mega.days), (42, 50_000, 2));
         let mega = mega_from_vars(&vars(&[
             ("P2PMAL_SEED", "7"),
             ("P2PMAL_MEGA_NODES", "1000"),
             ("P2PMAL_DAYS", "1"),
         ]))
-        .expect("every mega knob well formed");
+        .expect("every mega knob well formed")
+        .scenario;
         assert_eq!((mega.seed, mega.nodes, mega.days), (7, 1_000, 1));
         for (name, value) in [
             ("P2PMAL_SEED", "4x2"),
@@ -356,6 +428,61 @@ mod tests {
                 "{name}={value}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn each_engine_knob_is_parsed_once_onto_every_scenario() {
+        let engine = |s: &LimewireScenario| (s.telemetry.clone(), s.shards, s.shard_window_us);
+        let (lw, ft) = config(&[]).unwrap().scenarios();
+        let mega = mega_from_vars(&vars(&[])).unwrap().scenario;
+        let preset = LimewireScenario::paper_scale(2006);
+        assert_eq!(engine(&lw), engine(&preset));
+        assert_eq!(engine(&preset), (TelemetryConfig::off(), 1, 1_000_000));
+        let preset = OpenFtScenario::paper_scale(2006);
+        assert_eq!(
+            (ft.telemetry, ft.shards, ft.shard_window_us),
+            (preset.telemetry, preset.shards, preset.shard_window_us)
+        );
+        let preset = MegaScenario::new(42, 50_000);
+        assert_eq!(
+            (mega.telemetry, mega.shards, mega.shard_window_us),
+            (preset.telemetry, preset.shards, preset.shard_window_us)
+        );
+
+        let dir = std::env::temp_dir().join(format!("p2pmal-knobs-{}", std::process::id()));
+        let base = dir.join("journal.jsonl");
+        let set = vars(&[
+            ("P2PMAL_QUICK", "1"),
+            ("P2PMAL_SHARDS", "4"),
+            ("P2PMAL_SHARD_WINDOW_MS", "250"),
+            ("P2PMAL_JOURNAL_SAMPLE", "query=10"),
+            ("P2PMAL_TRACE", "2"),
+            ("P2PMAL_JOURNAL", base.to_str().unwrap()),
+            ("P2PMAL_BENCH_JSON", "out/summary.json"),
+        ]);
+        let cfg = BenchConfig::from_vars(&set).unwrap();
+        let mega = mega_from_vars(&set).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let mut sample = [1; p2pmal_netsim::telemetry::CATEGORY_COUNT];
+        sample[p2pmal_netsim::telemetry::EventCategory::Query as usize] = 10;
+        let expected = TelemetryConfig {
+            journal: Some(base),
+            trace: 2,
+            sample,
+        };
+        let (lw, ft) = cfg.scenarios();
+        assert_eq!(engine(&lw), (expected.clone(), 4, 250_000));
+        assert_eq!(
+            (ft.telemetry, ft.shards, ft.shard_window_us),
+            (expected.clone(), 4, 250_000)
+        );
+        let m = mega.scenario;
+        assert_eq!(
+            (m.telemetry, m.shards, m.shard_window_us),
+            (expected, 4, 250_000)
+        );
+        assert_eq!(cfg.common.summary, "out/summary.json");
+        assert_eq!(mega.summary, "out/summary.json");
     }
 
     #[test]

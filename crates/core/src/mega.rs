@@ -27,7 +27,7 @@
 //! scan pipeline), so a "bounded study run" at 250k+ nodes exercises every
 //! layer the paper-scale study does.
 
-use crate::population::{clean_library, EngineEnv, Population};
+use crate::population::{clean_library, Population};
 use p2pmal_corpus::catalog::CatalogConfig;
 use p2pmal_corpus::{FamilyId, Roster};
 use p2pmal_crawler::{CrawlLog, CrawlerConfig, WorkloadConfig};
@@ -61,12 +61,14 @@ pub struct MegaScenario {
     pub ambient_every: usize,
     pub catalog: CatalogConfig,
     pub workload: WorkloadConfig,
-    /// Selects nothing (see [`SimConfig::scheduler`]): kept only because
-    /// `benchmark/src/workloads.rs` sets it; goes in the next `[benchmark]`
-    /// PR.
+    /// Selects nothing (see [`crate::LimewireScenario::scheduler`]).
     pub scheduler: SchedulerKind,
+    /// Telemetry sinks and trace level (off; `run_mega` sets them).
     pub telemetry: TelemetryConfig,
+    /// Simulation shards (one; `run_mega` sets `P2PMAL_SHARDS`).
     pub shards: usize,
+    /// Latency floor / lookahead window (1 s; `run_mega` sets
+    /// `P2PMAL_SHARD_WINDOW_MS`).
     pub shard_window_us: u64,
 }
 
@@ -92,7 +94,6 @@ pub struct MegaRun {
 impl MegaScenario {
     /// Defaults for a `nodes`-servent world; see field docs for the knobs.
     pub fn new(seed: u64, nodes: usize) -> Self {
-        let env = EngineEnv::read();
         MegaScenario {
             seed,
             nodes,
@@ -112,9 +113,9 @@ impl MegaScenario {
                 ..Default::default()
             },
             scheduler: SchedulerKind::Calendar,
-            telemetry: env.telemetry,
-            shards: env.shards,
-            shard_window_us: env.shard_window_us,
+            telemetry: TelemetryConfig::off(),
+            shards: 1,
+            shard_window_us: 1_000_000,
         }
     }
 
@@ -127,7 +128,6 @@ impl MegaScenario {
             &self.catalog,
             Roster::limewire_2006(),
             SimConfig {
-                scheduler: self.scheduler,
                 shards: self.shards,
                 shard_window_us: self.shard_window_us,
                 ..SimConfig::default()

@@ -9,7 +9,6 @@ use p2pmal_corpus::catalog::{Catalog, CatalogConfig};
 use p2pmal_corpus::{ContentStore, HostLibrary, Roster};
 use p2pmal_crawler::{CrawlLog, Crawler, CrawlerConfig, Network, Overlay, ScanStats};
 use p2pmal_gnutella::servent::{Servent, ServentConfig, SharedWorld};
-use p2pmal_netsim::telemetry::parse_trace_level;
 use p2pmal_netsim::{
     process_rss_kb, App, HostAddr, NodeId, NodeSpec, SimConfig, SimDuration, SimMetrics, SimTime,
     Simulator, TelemetryConfig,
@@ -18,43 +17,7 @@ use p2pmal_scanner::Scanner;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
-use std::path::PathBuf;
 use std::sync::Arc;
-
-/// The five engine knobs, the one place a preset reads the environment.
-pub(crate) struct EngineEnv {
-    pub telemetry: TelemetryConfig,
-    pub shards: usize,
-    pub shard_window_us: u64,
-}
-
-impl EngineEnv {
-    /// Each knob parses by the rule `p2pmal-bench` checks it with. A value
-    /// that does not parse reads as the default (no sampling, one shard, a
-    /// 1 s window), as does an unset one. An empty `P2PMAL_JOURNAL` writes
-    /// none.
-    pub(crate) fn read() -> Self {
-        let var = |name| std::env::var(name).ok();
-        let off = TelemetryConfig::off();
-        EngineEnv {
-            telemetry: TelemetryConfig {
-                journal: var("P2PMAL_JOURNAL")
-                    .filter(|p| !p.trim().is_empty())
-                    .map(PathBuf::from),
-                trace: parse_trace_level(var("P2PMAL_TRACE").as_deref()),
-                sample: var("P2PMAL_JOURNAL_SAMPLE")
-                    .and_then(|s| TelemetryConfig::parse_sample(&s))
-                    .unwrap_or(off.sample),
-            },
-            shards: var("P2PMAL_SHARDS")
-                .and_then(|v| SimConfig::parse_shards(&v))
-                .unwrap_or(1),
-            shard_window_us: var("P2PMAL_SHARD_WINDOW_MS")
-                .and_then(|v| SimConfig::parse_shard_window_us(&v))
-                .unwrap_or(1_000_000),
-        }
-    }
-}
 
 /// A population under construction.
 pub(crate) struct Population {
@@ -304,10 +267,9 @@ fn with_crawler<O: Overlay, R>(
 
 /// `P2PMAL_TRACE=1`: per-day progress line with scheduler and buffer-pool
 /// health (queue depth + peak, pool hit rate, bytes recycled), plus the
-/// scan-pipeline counters (bodies, cache hits/misses/evictions, distinct
-/// payloads, bytes hashed) and the retry/failure tallies from the crawl log
-/// (`log`: its scan counters, retries scheduled and recovered, and terminal
-/// failures).
+/// scan-pipeline counters (bodies, distinct payloads, bytes hashed) and the
+/// retry/failure tallies from the crawl log (`log`: its scan counters,
+/// retries scheduled and recovered, and terminal failures).
 ///
 /// Accepted `P2PMAL_TRACE` values (parsed by
 /// `p2pmal_netsim::telemetry::parse_trace_level`): unset, empty, `0`,
@@ -325,11 +287,8 @@ fn trace_day(
     let m = sim.metrics();
     let (s, (retries, recovered), failures) = log;
     let scan_part = format!(
-        ", scan {} bodies / {} hits / {} misses / {} evict / {} distinct / {} KiB hashed",
+        ", scan {} bodies / {} distinct / {} KiB hashed",
         s.bodies,
-        s.cache_hits,
-        s.cache_misses,
-        s.cache_evictions,
         s.distinct_payloads,
         s.bytes_hashed / 1024,
     );

@@ -19,7 +19,7 @@
 //!   popular bait titles, with a handful of minor infected users supplying
 //!   the remaining third of malicious responses.
 
-use crate::population::{clean_library, EngineEnv, Population};
+use crate::population::{clean_library, Population};
 use p2pmal_corpus::catalog::CatalogConfig;
 use p2pmal_corpus::{FamilyId, HostLibrary, Roster};
 use p2pmal_crawler::{
@@ -85,8 +85,8 @@ pub struct NetworkRun {
 impl NetworkRun {
     /// Canonical SHA-1 over everything the study reports: every resolved
     /// response (with verdict) plus the log counters. Deliberately excludes
-    /// wall time and scan-cache internals, which are allowed to vary. The
-    /// golden tests pin it; the benchmark prints the same digest.
+    /// wall time, which is allowed to vary. The golden tests pin it; the
+    /// benchmark prints the same digest.
     pub fn trajectory_digest(&self) -> String {
         self.digest(true)
     }
@@ -160,16 +160,17 @@ pub struct LimewireScenario {
     pub workload: WorkloadConfig,
     /// Ambient query interval for clean leaves (None = silent population).
     pub ambient_query: Option<SimDuration>,
-    /// Selects nothing (see [`SimConfig::scheduler`]): kept only because
-    /// `benchmark/src/workloads.rs` sets it; goes in the next `[benchmark]`
-    /// PR.
+    /// Selects nothing: the simulator has one scheduler, the calendar
+    /// queue. Kept only because `benchmark/src/workloads.rs` sets it; goes
+    /// in the next `[benchmark]` PR (ROADMAP item 7).
     pub scheduler: SchedulerKind,
-    /// Verdict-cache capacity for the crawler's scan pipeline (0 disables;
-    /// outcomes are identical either way, only wall time changes).
+    /// Selects nothing: there is no verdict cache, every body is scanned
+    /// once. Kept only because `benchmark/src/workloads.rs` sets it; goes
+    /// in the next `[benchmark]` PR (ROADMAP item 7).
     pub scan_cache_entries: usize,
     /// Selects nothing: every download is scanned where it lands. Kept
-    /// only because `benchmark/src/workloads.rs` sets it; the next
-    /// `[benchmark]` PR removes it.
+    /// only because `benchmark/src/workloads.rs` sets it; goes in the next
+    /// `[benchmark]` PR (ROADMAP item 7).
     pub scan_threads: usize,
     /// Network fault injection ([`FaultPlan::none()`] by default, which is
     /// byte-identical to a fault-free simulator).
@@ -177,26 +178,25 @@ pub struct LimewireScenario {
     /// Crawler download retry policy ([`RetryPolicy::legacy()`] by
     /// default: the historical one-immediate-fallback behavior).
     pub retry: RetryPolicy,
-    /// Telemetry sinks and trace level. The presets read the
-    /// `P2PMAL_JOURNAL` / `P2PMAL_TRACE` / `P2PMAL_JOURNAL_SAMPLE` env
-    /// knobs; tests set this field programmatically. With everything off
-    /// (the default when no knob is set) runs are byte-identical to a
-    /// build without the telemetry layer.
+    /// Telemetry sinks and trace level; the presets leave it off, and
+    /// `run_study` sets it from `P2PMAL_JOURNAL` / `P2PMAL_TRACE` /
+    /// `P2PMAL_JOURNAL_SAMPLE`. With everything off runs are
+    /// byte-identical to a build without the telemetry layer.
     pub telemetry: TelemetryConfig,
     /// Simulation shards (see [`SimConfig::shards`]): a host-resource
-    /// knob, every count runs the same trajectory. The presets read
-    /// `P2PMAL_SHARDS`.
+    /// knob, every count runs the same trajectory. The presets run one;
+    /// `run_study` sets `P2PMAL_SHARDS`.
     pub shards: usize,
     /// Connection-latency floor and lookahead window in microseconds (see
-    /// [`SimConfig::shard_window_us`]; `P2PMAL_SHARD_WINDOW_MS`). Part of
-    /// the model: changing it changes the trajectory.
+    /// [`SimConfig::shard_window_us`]): 1 s in the presets, which
+    /// `run_study` replaces with `P2PMAL_SHARD_WINDOW_MS`. Part of the
+    /// model: changing it changes the trajectory.
     pub shard_window_us: u64,
 }
 
 impl LimewireScenario {
     /// The paper-scale run behind EXPERIMENTS.md.
     pub fn paper_scale(seed: u64) -> Self {
-        let env = EngineEnv::read();
         LimewireScenario {
             seed,
             days: 35,
@@ -220,9 +220,9 @@ impl LimewireScenario {
             scan_threads: 1,
             faults: FaultPlan::none(),
             retry: RetryPolicy::legacy(),
-            telemetry: env.telemetry,
-            shards: env.shards,
-            shard_window_us: env.shard_window_us,
+            telemetry: TelemetryConfig::off(),
+            shards: 1,
+            shard_window_us: 1_000_000,
         }
     }
 
@@ -288,7 +288,6 @@ impl LimewireScenario {
             &self.catalog,
             Roster::limewire_2006(),
             SimConfig {
-                scheduler: self.scheduler,
                 faults: self.faults,
                 shards: self.shards,
                 shard_window_us: self.shard_window_us,
@@ -327,7 +326,6 @@ impl LimewireScenario {
 
         let config = CrawlerConfig {
             workload: self.workload.clone(),
-            scan_cache_entries: self.scan_cache_entries,
             retry: self.retry,
             ..Default::default()
         };
@@ -361,11 +359,9 @@ pub struct OpenFtScenario {
     pub catalog: CatalogConfig,
     pub workload: WorkloadConfig,
     pub ambient_query: Option<SimDuration>,
-    /// Selects nothing (see [`SimConfig::scheduler`]): kept only because
-    /// `benchmark/src/workloads.rs` sets it; goes in the next `[benchmark]`
-    /// PR.
+    /// Selects nothing (see [`LimewireScenario::scheduler`]).
     pub scheduler: SchedulerKind,
-    /// Verdict-cache capacity (see [`LimewireScenario::scan_cache_entries`]).
+    /// Selects nothing (see [`LimewireScenario::scan_cache_entries`]).
     pub scan_cache_entries: usize,
     /// Selects nothing (see [`LimewireScenario::scan_threads`]).
     pub scan_threads: usize,
@@ -385,7 +381,6 @@ pub struct OpenFtScenario {
 
 impl OpenFtScenario {
     pub fn paper_scale(seed: u64) -> Self {
-        let env = EngineEnv::read();
         OpenFtScenario {
             seed,
             days: 35,
@@ -422,9 +417,9 @@ impl OpenFtScenario {
             scan_threads: 1,
             faults: FaultPlan::none(),
             retry: RetryPolicy::legacy(),
-            telemetry: env.telemetry,
-            shards: env.shards,
-            shard_window_us: env.shard_window_us,
+            telemetry: TelemetryConfig::off(),
+            shards: 1,
+            shard_window_us: 1_000_000,
         }
     }
 
@@ -470,7 +465,6 @@ impl OpenFtScenario {
             &self.catalog,
             Roster::openft_2006(),
             SimConfig {
-                scheduler: self.scheduler,
                 faults: self.faults,
                 shards: self.shards,
                 shard_window_us: self.shard_window_us,
@@ -539,7 +533,6 @@ impl OpenFtScenario {
         };
         let config = CrawlerConfig {
             workload: self.workload.clone(),
-            scan_cache_entries: self.scan_cache_entries,
             retry: self.retry,
             ..Default::default()
         };

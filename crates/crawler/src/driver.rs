@@ -56,8 +56,6 @@ pub struct CrawlerConfig {
     /// [`RetryPolicy::legacy()`] is the historical behavior: one immediate
     /// re-attempt (Direct→PUSH on Gnutella), no backoff timers.
     pub retry: RetryPolicy,
-    /// Verdict-cache capacity for the scan pipeline (0 disables caching).
-    pub scan_cache_entries: usize,
 }
 
 impl Default for CrawlerConfig {
@@ -67,7 +65,6 @@ impl Default for CrawlerConfig {
             max_concurrent_downloads: 16,
             start_delay: SimDuration::from_secs(300),
             retry: RetryPolicy::legacy(),
-            scan_cache_entries: crate::scan::DEFAULT_SCAN_CACHE_ENTRIES,
         }
     }
 }
@@ -211,7 +208,7 @@ impl<O: Overlay> Crawler<O> {
             catalog: Arc::clone(&world.catalog),
             overlay: O::instrumented(node_config, world),
             workload: Workload::new(config.workload.clone()),
-            pipeline: ScanPipeline::new(scanner, config.scan_cache_entries),
+            pipeline: ScanPipeline::new(scanner),
             config,
             log: CrawlLog::new(),
             texts: TextTable::default(),

@@ -7,6 +7,10 @@
 //! allocator sees every allocation of at least `MIN_BODY` bytes; its
 //! counters are per thread, so concurrent tests do not disturb each other.
 
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::measure_sized;
 use p2pmal_corpus::catalog::{Catalog, CatalogConfig};
 use p2pmal_corpus::{ContentStore, Roster};
 use p2pmal_crawler::{
@@ -20,8 +24,6 @@ use p2pmal_netsim::{
 use p2pmal_scanner::{Scanner, SignatureDb};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -29,51 +31,6 @@ use std::sync::Arc;
 /// Every body in the script is at least this large, and nothing else the
 /// run allocates is.
 const MIN_BODY: usize = 1 << 20;
-
-struct Counting;
-
-thread_local! {
-    /// Allocations (a `realloc` counts as one) of at least `MIN_BODY`.
-    static LARGE: Cell<usize> = const { Cell::new(0) };
-}
-
-fn track(size: usize) {
-    if size >= MIN_BODY {
-        let _ = LARGE.try_with(|n| n.set(n.get() + 1));
-    }
-}
-
-// SAFETY: every call forwards to `System` unchanged; the counter only
-// observes sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            track(layout.size());
-        }
-        p
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            track(layout.size());
-        }
-        p
-    }
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-    }
-    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new: usize) -> *mut u8 {
-        let q = System.realloc(p, layout, new);
-        if !q.is_null() {
-            track(new);
-        }
-        q
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
 
 /// Answers `GET /<size> HTTP/1.1` with a 200 and `size` bytes, the head
 /// and body sent deferred as one payload.
@@ -257,9 +214,10 @@ fn one_body_allocation_per_new_largest_size() {
     );
     let node = sim.spawn(NodeSpec::public().listen(6346), Box::new(crawler));
 
-    LARGE.with(|n| n.set(0));
-    sim.run_until(SimTime::from_secs(6 * 3600));
-    let large = LARGE.with(Cell::get);
+    let ((), counts) = measure_sized(MIN_BODY..=usize::MAX, || {
+        sim.run_until(SimTime::from_secs(6 * 3600));
+    });
+    let large = counts.sized;
 
     let lens = sim
         .with_node(node, |app, _| {

@@ -7,75 +7,19 @@
 //! response. A counting allocator sees every allocation; its counters are
 //! per thread, so concurrent tests do not disturb each other.
 
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::measure_sized;
 use p2pmal_crawler::{CrawlLog, Host, HostKey, HostTable, ResponseRecord, ScanOutcome, TextTable};
 use p2pmal_netsim::SimTime;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::net::Ipv4Addr;
-
-struct Counting;
-
-thread_local! {
-    /// Allocations (a `realloc` counts as one) and their bytes.
-    static ALLOCS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
-    /// Allocations of exactly `BUFFER` bytes.
-    static BUFFERS: Cell<usize> = const { Cell::new(0) };
-    static BUFFER: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-fn track(size: usize) {
-    let _ = ALLOCS.try_with(|a| {
-        let (n, bytes) = a.get();
-        a.set((n + 1, bytes + size));
-    });
-    if BUFFER.try_with(Cell::get) == Ok(size) {
-        let _ = BUFFERS.try_with(|b| b.set(b.get() + 1));
-    }
-}
-
-// SAFETY: every call forwards to `System` unchanged; the counters only
-// observe sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            track(layout.size());
-        }
-        p
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            track(layout.size());
-        }
-        p
-    }
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-    }
-    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new: usize) -> *mut u8 {
-        let q = System.realloc(p, layout, new);
-        if !q.is_null() {
-            track(new);
-        }
-        q
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
 
 /// What `f` allocated on this thread: buffers of exactly `buffer` bytes,
 /// then the count and bytes of every other allocation.
 fn allocations_of<R>(buffer: usize, f: impl FnOnce() -> R) -> (R, usize, usize, usize) {
-    ALLOCS.with(|a| a.set((0, 0)));
-    BUFFERS.with(|b| b.set(0));
-    BUFFER.with(|b| b.set(buffer));
-    let r = f();
-    BUFFER.with(|b| b.set(usize::MAX));
-    let (n, bytes) = ALLOCS.with(Cell::get);
-    let buffers = BUFFERS.with(Cell::get);
-    (r, buffers, n - buffers, bytes - buffers * buffer)
+    let (r, c) = measure_sized(buffer..=buffer, f);
+    (r, c.sized, c.allocs - c.sized, c.bytes - c.sized * buffer)
 }
 
 /// `n` responses over 64 names and 8 hosts, their texts and hosts shared

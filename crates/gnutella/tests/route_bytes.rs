@@ -5,68 +5,14 @@
 //! counting allocator measures both; its counters are per thread, so
 //! concurrent tests do not disturb each other.
 
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::peak_of;
 use p2pmal_gnutella::qrp::{QrpIndex, RouteMsg};
 use p2pmal_netsim::ConnId;
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::BTreeMap;
-
-struct Counting;
-
-thread_local! {
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-    static PEAK: Cell<isize> = const { Cell::new(0) };
-}
-
-fn track(delta: isize) {
-    let _ = LIVE.try_with(|live| {
-        live.set(live.get() + delta);
-        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
-    });
-}
-
-// SAFETY: every call forwards to `System` unchanged; the counters only
-// observe sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            track(layout.size() as isize);
-        }
-        p
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            track(layout.size() as isize);
-        }
-        p
-    }
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        track(-(layout.size() as isize));
-    }
-    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new: usize) -> *mut u8 {
-        let q = System.realloc(p, layout, new);
-        if !q.is_null() {
-            track(new as isize - layout.size() as isize);
-        }
-        q
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
-
-/// The most `f` had allocated at once on this thread, beyond what was live
-/// when it started.
-fn peak_of<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    let base = LIVE.with(Cell::get);
-    PEAK.with(|p| p.set(base));
-    let r = f();
-    (r, (PEAK.with(Cell::get) - base) as usize)
-}
 
 /// The peer list, column bits, the 4 KiB slot directory and decoding
 /// tables: what the index may allocate beside a table's inflate buffer,

@@ -1,11 +1,12 @@
 //! Minimal JSON: a [`Value`] tree, a recursive-descent parser, and compact /
 //! pretty writers.
 //!
-//! The workspace needs JSON in two places — the on-disk run-artifact cache in
-//! `p2pmal-bench` and the machine-readable comparison dump in
-//! `p2pmal-analysis` — and the build environment cannot fetch serde. Both
-//! producers hand-build their trees, so a small explicit `Value` type is all
-//! that is required. Object key order is preserved (insertion order), which
+//! The workspace writes JSON in three places — the BENCH summaries of
+//! `p2pmal-bench`, the paper-row comparison dump of `p2pmal-analysis` and
+//! the telemetry journal of `p2pmal-netsim` — and reads it back in
+//! `p2pmal-obs`; the build environment cannot fetch serde. Every producer
+//! hand-builds its tree or writes its fields directly, so a small explicit
+//! `Value` type is all that is required. Object key order is preserved (insertion order), which
 //! keeps serialized artifacts byte-stable across runs.
 //!
 //! Numbers are stored as `f64`. Every integer the workspace serializes

@@ -26,9 +26,9 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// A choice with one option: the simulator always runs on the calendar
-/// queue. The enum (like `SimConfig::scheduler`) survives only because
-/// `benchmark/src/workloads.rs` names it and that package cannot change in
-/// the same PR as the engine; the next `[benchmark]` PR removes both.
+/// queue. The enum survives only because `benchmark/src/workloads.rs` sets
+/// the scenarios' `scheduler` fields to it; goes in the next `[benchmark]`
+/// PR (ROADMAP item 7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// The bucketed calendar queue.

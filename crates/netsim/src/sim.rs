@@ -6,7 +6,7 @@ use crate::addr::{AddressAllocator, HostAddr};
 use crate::app::{App, Ctx, NodeId};
 use crate::faults::FaultPlan;
 use crate::metrics::{MemoryStats, SimMetrics};
-use crate::queue::{Scheduler, SchedulerKind};
+use crate::queue::Scheduler;
 use crate::shard::{
     self, pack, shard_of, Boundary, DirEntry, Ev, Lane, NodeState, Shard, World, CONTROL_SRC,
 };
@@ -30,12 +30,6 @@ pub struct SimConfig {
     /// many bytes, exercising protocol reframing. `None` delivers each
     /// `send` as one chunk (cheaper for month-scale runs).
     pub mss: Option<usize>,
-    /// Selects nothing: the engine has one scheduler, the calendar queue.
-    /// The field (and [`SchedulerKind`]) survive only because
-    /// `benchmark/src/workloads.rs` names them and that package cannot
-    /// change in the same PR as the engine; the next `[benchmark]` PR
-    /// removes both.
-    pub scheduler: SchedulerKind,
     /// Seed-deterministic fault injection. The default
     /// [`FaultPlan::none()`] draws no randomness and leaves runs
     /// byte-identical to a fault-free simulator.
@@ -66,7 +60,6 @@ impl Default for SimConfig {
             upload_bps: (16_000, 128_000),
             download_bps: (64_000, 512_000),
             mss: None,
-            scheduler: SchedulerKind::Calendar,
             faults: FaultPlan::none(),
             shards: 1,
             shard_window_us: 1_000_000,

@@ -336,8 +336,9 @@ pub fn journal_path_for(base: &Path, label: &str) -> PathBuf {
     }
 }
 
-/// Cloneable sink configuration carried by scenario presets: how a run
-/// turns env knobs (or programmatic settings) into a [`Telemetry`] hub.
+/// Cloneable sink configuration carried by scenarios: how a run turns the
+/// settings its program parsed from the `P2PMAL_*` knobs (or a test set)
+/// into a [`Telemetry`] hub.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Base journal path (`P2PMAL_JOURNAL`); each network writes to

@@ -6,70 +6,11 @@
 //! the live heap and its peak; its counters are per thread, so concurrent
 //! tests do not disturb each other.
 
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::peak_of;
 use p2pmal_obs::{analyze, parse_journal};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-struct Counting;
-
-thread_local! {
-    /// Live heap bytes and their peak since the last reset.
-    static HEAP: Cell<(isize, isize)> = const { Cell::new((0, 0)) };
-}
-
-fn track(delta: isize) {
-    let _ = HEAP.try_with(|h| {
-        let (live, peak) = h.get();
-        h.set((live + delta, peak.max(live + delta)));
-    });
-}
-
-// SAFETY: every call forwards to `System` unchanged; the counters only
-// observe sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            track(layout.size() as isize);
-        }
-        p
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            track(layout.size() as isize);
-        }
-        p
-    }
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        track(-(layout.size() as isize));
-    }
-    /// Counted as the size change: a large buffer grows in place.
-    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new: usize) -> *mut u8 {
-        let q = System.realloc(p, layout, new);
-        if !q.is_null() {
-            track(new as isize - layout.size() as isize);
-        }
-        q
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
-
-/// What `f` returns and the most heap it held at once beyond what was live
-/// when it began, on this thread.
-fn peak_of<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    let start = HEAP.with(|h| {
-        let (live, _) = h.get();
-        h.set((live, live));
-        live
-    });
-    let r = f();
-    let (_, peak) = HEAP.with(Cell::get);
-    (r, (peak - start) as usize)
-}
 
 /// `roots` query traces, then `matches` `query_matched` events dealt
 /// round-robin under them, as a journal's text.

@@ -12,8 +12,7 @@
 //! * [`filetype`] — magic-byte and extension-based file typing (the study
 //!   classifies responses into executables, archives and media),
 //! * [`engine`] — the scan engine, which recurses into ZIP archives exactly
-//!   like the study's scanner had to, and
-//! * [`cache`] — a bounded, content-addressed verdict cache.
+//!   like the study's scanner had to.
 //!
 //! ```
 //! use p2pmal_scanner::{SignatureDb, Scanner};
@@ -25,14 +24,12 @@
 //! ```
 
 pub mod aho;
-pub mod cache;
 pub mod db;
 pub mod engine;
 pub mod filetype;
 pub mod sig;
 
 pub use aho::AhoCorasick;
-pub use cache::{VerdictCache, VerdictCacheStats};
 pub use db::{CompiledDb, SignatureDb, SignatureError};
 pub use engine::{Detection, ScanConfig, ScanScratch, Scanner, Verdict};
 pub use filetype::{FileClass, FileKind};
