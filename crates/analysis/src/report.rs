@@ -4,7 +4,7 @@
 use crate::stats::{ecdf, pct, ranked_shares, tally, RankedShare};
 use crate::table::{fmt_count, fmt_pct, Table};
 use p2pmal_crawler::log::{CrawlLog, HostKey, ResolvedResponse};
-use p2pmal_netsim::{ip_class, IpClass};
+use p2pmal_netsim::{ip_class, FastHash, IpClass};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// T1 — data-collection summary for one network.
@@ -30,9 +30,10 @@ pub fn summarize(network: &str, log: &CrawlLog, resolved: &[ResolvedResponse]) -
     let (mut downloadable, mut scanned, mut malicious) = (0u64, 0u64, 0u64);
     // Both sets grow as they fill: collected from the rows, the host set
     // would be sized by the row count (1.78 M slots for a month of OpenFT)
-    // to hold about a hundred hosts.
-    let mut hosts: HashSet<&HostKey> = HashSet::new();
-    let mut malware: HashSet<&str> = HashSet::new();
+    // to hold about a hundred hosts. Every row probes both, so they hash
+    // with `FastHash`.
+    let mut hosts: HashSet<&HostKey, FastHash> = HashSet::default();
+    let mut malware: HashSet<&str, FastHash> = HashSet::default();
     for r in resolved {
         hosts.insert(&r.record.host);
         if let Some(family) = r.malware.as_deref() {
@@ -135,11 +136,10 @@ pub struct SourceBreakdown {
 }
 
 pub fn source_breakdown(resolved: &[ResolvedResponse]) -> SourceBreakdown {
-    let malicious: Vec<&ResolvedResponse> =
-        resolved.iter().filter(|r| r.malware.is_some()).collect();
-    let total = malicious.len() as u64;
+    let mut total = 0u64;
     let mut counts: BTreeMap<&'static str, (IpClass, u64)> = BTreeMap::new();
-    for r in &malicious {
+    for r in resolved.iter().filter(|r| r.malware.is_some()) {
+        total += 1;
         let class = ip_class(r.record.source_ip);
         counts.entry(class.label()).or_insert((class, 0)).1 += 1;
     }
@@ -188,11 +188,11 @@ pub struct HostShare {
 }
 
 pub fn host_concentration(resolved: &[ResolvedResponse]) -> Vec<HostShare> {
-    let malicious: Vec<&ResolvedResponse> =
-        resolved.iter().filter(|r| r.malware.is_some()).collect();
-    let shares = ranked_shares(tally(malicious.iter().map(|r| &*r.record.host)));
-    let mut families_by_host: HashMap<&HostKey, HashSet<&str>> = HashMap::new();
-    for r in &malicious {
+    let malicious = || resolved.iter().filter(|r| r.malware.is_some());
+    let shares = ranked_shares(tally(malicious().map(|r| &*r.record.host)));
+    let mut families_by_host: HashMap<&HostKey, HashSet<&str, FastHash>, FastHash> =
+        HashMap::default();
+    for r in malicious() {
         families_by_host
             .entry(&*r.record.host)
             .or_default()
@@ -247,16 +247,27 @@ pub fn host_table(network: &str, hosts: &[HostShare], top: usize) -> Table {
 /// responses. Returns `(day, downloadable, malicious, fraction)` rows.
 pub fn daily_fraction(resolved: &[ResolvedResponse]) -> Vec<(u64, u64, u64, f64)> {
     let mut per_day: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+    // Rows come in time order, so a day's rows are counted apart and added
+    // to the map once the day changes.
+    let mut add = |(day, n, m): (u64, u64, u64)| {
+        if n > 0 {
+            let e = per_day.entry(day).or_insert((0, 0));
+            (e.0, e.1) = (e.0 + n, e.1 + m);
+        }
+    };
+    let mut today = (u64::MAX, 0, 0);
     for r in resolved {
         if !r.record.downloadable || !r.scanned {
             continue;
         }
-        let e = per_day.entry(u64::from(r.record.day)).or_insert((0, 0));
-        e.0 += 1;
-        if r.malware.is_some() {
-            e.1 += 1;
+        let day = u64::from(r.record.day);
+        if day != today.0 {
+            add(std::mem::replace(&mut today, (day, 0, 0)));
         }
+        today.1 += 1;
+        today.2 += u64::from(r.malware.is_some());
     }
+    add(today);
     per_day
         .into_iter()
         .map(|(day, (d, m))| (day, d, m, if d == 0 { 0.0 } else { m as f64 / d as f64 }))
@@ -292,11 +303,11 @@ pub struct SizeCensus {
 }
 
 pub fn size_census(resolved: &[ResolvedResponse]) -> SizeCensus {
-    let mut malware: BTreeMap<&str, HashSet<u64>> = BTreeMap::new();
+    let mut malware: BTreeMap<&str, HashSet<u64, FastHash>> = BTreeMap::new();
     // Benign sizes are gathered under the name as logged and folded
     // case-insensitively afterwards: a study logs millions of responses
     // under a thousand names, and each is lowered once.
-    let mut benign_as_logged: HashMap<&str, HashSet<u64>> = HashMap::new();
+    let mut benign_as_logged: HashMap<&str, HashSet<u64, FastHash>, FastHash> = HashMap::default();
     for r in resolved {
         if !r.record.downloadable {
             continue;
@@ -373,8 +384,8 @@ pub struct EchoAmplification {
 
 pub fn echo_amplification(resolved: &[ResolvedResponse]) -> EchoAmplification {
     // query coverage per host
-    let mut queries: HashMap<&HostKey, HashSet<&str>> = HashMap::new();
-    let mut dirty: HashSet<&HostKey> = HashSet::new();
+    let mut queries: HashMap<&HostKey, HashSet<&str, FastHash>, FastHash> = HashMap::default();
+    let mut dirty: HashSet<&HostKey, FastHash> = HashSet::default();
     for r in resolved {
         queries
             .entry(&*r.record.host)
@@ -563,6 +574,15 @@ mod tests {
         let (day, d, m, f) = rows[1];
         assert_eq!((day, d, m), (1, 1, 0));
         assert_eq!(f, 0.0);
+        // A day's rows need not be adjacent.
+        let mut interleaved = sample();
+        interleaved.extend(sample());
+        interleaved.reverse();
+        let twice: Vec<_> = rows
+            .iter()
+            .map(|&(day, d, m, f)| (day, 2 * d, 2 * m, f))
+            .collect();
+        assert_eq!(daily_fraction(&interleaved), twice);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Small statistics helpers: top-k tallies, CDFs, histograms.
 
+use p2pmal_netsim::FastHash;
 use std::collections::HashMap;
 use std::hash::Hash;
 
 /// Counts occurrences and returns `(item, count)` sorted by descending
 /// count (ties broken by the item's order for determinism).
 pub fn tally<T: Eq + Hash + Ord + Clone>(items: impl IntoIterator<Item = T>) -> Vec<(T, u64)> {
-    let mut counts: HashMap<T, u64> = HashMap::new();
+    let mut counts: HashMap<T, u64, FastHash> = HashMap::default();
     for it in items {
         *counts.entry(it).or_insert(0) += 1;
     }

@@ -144,6 +144,24 @@ impl Common {
         }
         Ok(())
     }
+
+    /// Creates the summary's directory and opens the file for writing the
+    /// way [`write_summary`] will after the run, so a summary that cannot
+    /// be written stops the program before it simulates instead of after.
+    /// An existing summary is left as it is until the run replaces it.
+    fn open_summary(&self) -> Result<(), String> {
+        let path = Path::new(&self.summary);
+        let opened = create_parent(path).and_then(|()| {
+            let file = std::fs::OpenOptions::new()
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(path);
+            file.map(drop)
+                .map_err(|e| format!("could not write {}: {e}", path.display()))
+        });
+        opened.map_err(|e| format!("P2PMAL_BENCH_JSON={:?}: {e}", self.summary))
+    }
 }
 
 /// `run_study`'s configuration from the environment.
@@ -190,6 +208,7 @@ impl BenchConfig {
                 .to_string());
         }
         common.create_journals(&["limewire", "openft"])?;
+        common.open_summary()?;
         let faults = var(vars, "P2PMAL_FAULTS").unwrap_or("none").to_string();
         if fault_profile(&faults).is_none() {
             return Err(format!(
@@ -285,6 +304,7 @@ impl MegaConfig {
 fn mega_from_vars(vars: &Vars) -> Result<MegaConfig, String> {
     let common = Common::from_vars(vars, "BENCH_mega.json")?;
     common.create_journals(&["mega"])?;
+    common.open_summary()?;
     let defaults = MegaScenario::new(
         parsed(vars, "P2PMAL_SEED")?.unwrap_or(42),
         parsed(vars, "P2PMAL_MEGA_NODES")?.unwrap_or(50_000),
@@ -319,19 +339,39 @@ pub fn write_summary(program: &str, path: &str, doc: &Value) -> bool {
 /// The error names the path.
 fn write_json(path: &str, doc: &Value) -> Result<(), String> {
     let path = Path::new(path);
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("could not create {}: {e}", dir.display()))?;
-    }
+    create_parent(path)?;
     std::fs::write(path, doc.to_string_compact())
         .map_err(|e| format!("could not write {}: {e}", path.display()))
+}
+
+/// Creates the directory `path` names, if it names one.
+fn create_parent(path: &Path) -> Result<(), String> {
+    match path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        Some(dir) => std::fs::create_dir_all(dir)
+            .map_err(|e| format!("could not create {}: {e}", dir.display())),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Where the tests' summaries go unless a test names another path:
+    /// parsing opens the summary, and the default under `target/` would
+    /// leave files in the crate.
+    const NO_SUMMARY: &str = "/dev/null";
+
+    /// `set`, with the summary sent to [`NO_SUMMARY`] unless `set` names one.
     fn vars(set: &[(&str, &str)]) -> Vec<(String, String)> {
+        let mut vars = raw_vars(set);
+        if !set.iter().any(|(k, _)| *k == "P2PMAL_BENCH_JSON") {
+            vars.push(("P2PMAL_BENCH_JSON".into(), NO_SUMMARY.into()));
+        }
+        vars
+    }
+
+    fn raw_vars(set: &[(&str, &str)]) -> Vec<(String, String)> {
         set.iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect()
@@ -341,13 +381,21 @@ mod tests {
         BenchConfig::from_vars(&vars(set))
     }
 
-    /// What [`Common`] holds when no knob is set.
-    fn unset(summary_file: &str) -> Common {
+    /// What [`Common`] holds when no knob but the test summary is set.
+    fn unset() -> Common {
         Common {
             telemetry: TelemetryConfig::off(),
             shards: 1,
             shard_window_us: 1_000_000,
-            summary: format!("target/telemetry/{summary_file}"),
+            summary: NO_SUMMARY.into(),
+        }
+    }
+
+    #[test]
+    fn the_default_summary_is_the_programs_file_under_target() {
+        for file in ["BENCH_study.json", "BENCH_mega.json"] {
+            let common = Common::from_vars(&raw_vars(&[]), file).expect("nothing set");
+            assert_eq!(common.summary, format!("target/telemetry/{file}"));
         }
     }
 
@@ -363,7 +411,7 @@ mod tests {
                 seeds: None,
                 faults: "none".into(),
                 retries: None,
-                common: unset("BENCH_study.json"),
+                common: unset(),
             }
         );
         let set = config(&[
@@ -384,7 +432,7 @@ mod tests {
                 seeds: Some(vec![1, 2, 3]),
                 faults: "harsh".into(),
                 retries: Some(4),
-                common: unset("BENCH_study.json"),
+                common: unset(),
             }
         );
         assert!(!config(&[("P2PMAL_QUICK", "0")]).unwrap().quick);
@@ -451,6 +499,7 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("p2pmal-knobs-{}", std::process::id()));
         let base = dir.join("journal.jsonl");
+        let summary = dir.join("out").join("summary.json");
         let set = vars(&[
             ("P2PMAL_QUICK", "1"),
             ("P2PMAL_SHARDS", "4"),
@@ -458,7 +507,7 @@ mod tests {
             ("P2PMAL_JOURNAL_SAMPLE", "query=10"),
             ("P2PMAL_TRACE", "2"),
             ("P2PMAL_JOURNAL", base.to_str().unwrap()),
-            ("P2PMAL_BENCH_JSON", "out/summary.json"),
+            ("P2PMAL_BENCH_JSON", summary.to_str().unwrap()),
         ]);
         let cfg = BenchConfig::from_vars(&set).unwrap();
         let mega = mega_from_vars(&set).unwrap();
@@ -481,8 +530,8 @@ mod tests {
             (m.telemetry, m.shards, m.shard_window_us),
             (expected, 4, 250_000)
         );
-        assert_eq!(cfg.common.summary, "out/summary.json");
-        assert_eq!(mega.summary, "out/summary.json");
+        assert_eq!(cfg.common.summary, summary.to_str().unwrap());
+        assert_eq!(mega.summary, summary.to_str().unwrap());
     }
 
     #[test]
@@ -568,6 +617,33 @@ mod tests {
             let path = journal_path_for(&blocked, label);
             assert!(err.contains("P2PMAL_JOURNAL"), "{err}");
             assert!(err.contains(&*path.to_string_lossy()), "{err}");
+        }
+    }
+
+    /// A summary path that cannot be written, empty or under a regular
+    /// file, stops both programs at the parse, naming the variable; one in
+    /// a new directory is created there, and an existing summary is kept.
+    #[test]
+    fn a_summary_that_cannot_be_opened_fails_both_programs() {
+        let dir = std::env::temp_dir().join(format!("p2pmal-summary-{}", std::process::id()));
+        let fresh = dir.join("new").join("BENCH.json");
+        let set = vars(&[("P2PMAL_BENCH_JSON", fresh.to_str().unwrap())]);
+        BenchConfig::from_vars(&set).expect("the directory is created");
+        assert!(fresh.is_file());
+        std::fs::write(&fresh, "kept").unwrap();
+        mega_from_vars(&set).expect("an existing summary opens");
+        assert_eq!(std::fs::read_to_string(&fresh).unwrap(), "kept");
+        let blocked = fresh.join("BENCH.json");
+        let mut errs = Vec::new();
+        for path in ["", blocked.to_str().unwrap()] {
+            let set = vars(&[("P2PMAL_BENCH_JSON", path)]);
+            errs.push((path, BenchConfig::from_vars(&set).expect_err("run_study")));
+            errs.push((path, mega_from_vars(&set).expect_err("run_mega")));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        for (path, err) in errs {
+            assert!(err.contains("P2PMAL_BENCH_JSON"), "{path:?}: {err}");
+            assert!(err.contains(&format!("{path:?}")), "{path:?}: {err}");
         }
     }
 

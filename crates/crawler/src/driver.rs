@@ -190,6 +190,8 @@ pub struct Crawler<O: Overlay> {
     /// Keys currently being fetched (suppress duplicate fetches).
     busy_name_size: HashSet<NameSizeKey>,
     busy_host_size: HashSet<HostSizeKey>,
+    /// The name+size key of the response being ingested, refilled in place.
+    name_key: NameSizeKey,
     /// The most recent workload query and its response count so far; the
     /// fan-out histogram records it when the next query closes it out.
     last_query: Option<(O::QueryKey, u64)>,
@@ -221,6 +223,7 @@ impl<O: Overlay> Crawler<O> {
             retry_seq: 0,
             busy_name_size: HashSet::new(),
             busy_host_size: HashSet::new(),
+            name_key: NameSizeKey(String::new(), 0),
             last_query: None,
         }
     }
@@ -275,14 +278,20 @@ impl<O: Overlay> Crawler<O> {
             };
             // Fetch a downloadable response unless its content has a verdict
             // or is being fetched, under either dedup key.
-            let keys = record.downloadable.then(|| CrawlLog::keys_of(&record));
-            if let Some((nk, hk)) = keys.filter(|(nk, hk)| {
-                self.log.outcome_by(nk, hk).is_none()
+            let fetch = record.downloadable && {
+                self.name_key.assign(&record);
+                let hk = HostSizeKey(HostKey::clone(&record.host), record.size);
+                let nk = &self.name_key;
+                let fresh = self.log.outcome_by(nk, &hk).is_none()
                     && !self.busy_name_size.contains(nk)
-                    && !self.busy_host_size.contains(hk)
-            }) {
-                self.busy_name_size.insert(nk);
-                self.busy_host_size.insert(hk);
+                    && !self.busy_host_size.contains(&hk);
+                if fresh {
+                    self.busy_name_size.insert(nk.clone());
+                    self.busy_host_size.insert(hk);
+                }
+                fresh
+            };
+            if fetch {
                 let request = O::request(answer, i);
                 let trace = traced.then(|| {
                     let (trace, matched) = O::provenance(ctx, key, answer);

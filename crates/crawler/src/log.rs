@@ -14,7 +14,7 @@
 //! per response.
 
 use p2pmal_hashes::Sha1Digest;
-use p2pmal_netsim::SimTime;
+use p2pmal_netsim::{FastHash, SimTime};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -116,7 +116,7 @@ impl From<String> for Text {
 /// node shares and which query-echo worms — a fresh name per query — would
 /// grow without bound.
 #[derive(Debug, Default)]
-pub struct TextTable(HashSet<Text>);
+pub struct TextTable(HashSet<Text, FastHash>);
 
 impl TextTable {
     pub fn intern(&mut self, s: &str) -> Text {
@@ -177,7 +177,7 @@ impl From<HostKey> for Host {
 /// responder, kept by each log producer beside its [`TextTable`]. Empty
 /// until the first insert, so building one allocates nothing.
 #[derive(Debug, Default)]
-pub struct HostTable(HashSet<Host>);
+pub struct HostTable(HashSet<Host, FastHash>);
 
 impl HostTable {
     pub fn intern(&mut self, key: HostKey) -> Host {
@@ -255,7 +255,7 @@ pub struct NameSizeKey(pub String, pub u32);
 impl NameSizeKey {
     /// Re-keys `self` to `r` (lowered file name, size), reusing the
     /// string's storage: a pass over many records keeps one key.
-    fn assign(&mut self, r: &ResponseRecord) {
+    pub(crate) fn assign(&mut self, r: &ResponseRecord) {
         self.0.clear();
         self.0.push_str(&r.filename);
         self.0.make_ascii_lowercase();
@@ -265,6 +265,60 @@ impl NameSizeKey {
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct HostSizeKey(pub HostKey, pub u32);
+
+/// Sets in [`JoinMemo`], two rows each.
+const MEMO_SETS: usize = 2048;
+
+/// A two-way set-associative memo of the rows [`CrawlLog::resolved`] has
+/// joined, by (file name, size, host) content: a way holds a row number,
+/// and a probe compares that row's fields with the probing row's. A hit
+/// names an earlier row whose joined verdict the output already holds.
+/// 16 KiB of stack whatever the log holds, so it adds nothing to the heap
+/// the resolved copy peaks with; a triple it has evicted is joined again,
+/// to the same verdict.
+struct JoinMemo {
+    sets: [[u32; 2]; MEMO_SETS],
+}
+
+impl JoinMemo {
+    /// What an empty way holds.
+    const EMPTY: u32 = u32::MAX;
+
+    fn new() -> Self {
+        JoinMemo {
+            sets: [[Self::EMPTY; 2]; MEMO_SETS],
+        }
+    }
+
+    /// The set a row's triple goes in.
+    fn set_of(r: &ResponseRecord) -> usize {
+        use std::hash::BuildHasher;
+        let key = (r.filename.as_str(), r.size, &*r.host);
+        FastHash::default().hash_one(key) as usize % MEMO_SETS
+    }
+
+    /// An earlier row with `rows[row]`'s triple, if the memo holds one;
+    /// otherwise `row` goes in as its set's newer way, to be joined.
+    fn earlier(&mut self, rows: &[ResponseRecord], row: usize) -> Option<usize> {
+        let r = &rows[row];
+        let set = &mut self.sets[Self::set_of(r)];
+        let holds = |way: u32| {
+            let k = (way != Self::EMPTY)
+                .then(|| rows.get(way as usize))
+                .flatten();
+            k.is_some_and(|k| k.size == r.size && k.filename == r.filename && k.host == r.host)
+        };
+        if holds(set[1]) {
+            set.swap(0, 1);
+        } else if !holds(set[0]) {
+            // Rows past `u32::MAX` are joined without the memo.
+            set[1] = u32::try_from(row).unwrap_or(Self::EMPTY);
+            set.swap(0, 1);
+            return None;
+        }
+        Some(set[0] as usize)
+    }
+}
 
 /// A response joined with its scan verdict (produced by
 /// [`CrawlLog::resolved`]).
@@ -351,33 +405,46 @@ impl CrawlLog {
         self.by_host_size.insert(hk, outcome);
     }
 
-    /// Joins every response with its verdict. Allocates no text per
-    /// record: query and file name are shared with the log, the family
-    /// names (tens) are interned once, and one lookup key is refilled.
+    /// Joins every response with its verdict. A verdict depends on the
+    /// file name, size and host alone, and a month of responses repeats a
+    /// few thousand of those millions of times (2,129 in 1.78 M rows of the
+    /// paper's OpenFT run), so a row whose triple a small memo finds in an
+    /// earlier row copies that row's verdict and only the others are
+    /// joined. Allocates nothing
+    /// per record: query and file name are shared with the log, the family
+    /// names (tens) are interned once, one lookup key is refilled, and the
+    /// memo is a fixed array of row numbers on the stack.
     pub fn resolved(&self) -> Vec<ResolvedResponse> {
         let mut families = TextTable::default();
         let mut nk = NameSizeKey(String::new(), 0);
-        self.responses
-            .iter()
-            .map(|r| {
-                nk.assign(r);
-                let outcome = self.outcome_by(&nk, &HostSizeKey(HostKey::clone(&r.host), r.size));
-                let scanned = matches!(outcome, Some(ScanOutcome::Scanned { .. }));
-                let malware = outcome
-                    .and_then(|o| o.primary())
-                    .map(|s| families.intern(s));
-                let sha1 = match outcome {
-                    Some(ScanOutcome::Scanned { sha1, .. }) => Some(*sha1),
-                    _ => None,
-                };
-                ResolvedResponse {
-                    record: r.clone(),
-                    malware,
-                    scanned,
-                    sha1,
+        let mut memo = JoinMemo::new();
+        let mut resolved: Vec<ResolvedResponse> = Vec::with_capacity(self.responses.len());
+        for (row, r) in self.responses.iter().enumerate() {
+            let (malware, scanned, sha1) = match memo.earlier(&self.responses, row) {
+                Some(earlier) => {
+                    let e = &resolved[earlier];
+                    (e.malware.clone(), e.scanned, e.sha1)
                 }
-            })
-            .collect()
+                None => {
+                    nk.assign(r);
+                    let hk = HostSizeKey(HostKey::clone(&r.host), r.size);
+                    let outcome = self.outcome_by(&nk, &hk);
+                    let malware = outcome.and_then(|o| o.primary());
+                    let (scanned, sha1) = match outcome {
+                        Some(ScanOutcome::Scanned { sha1, .. }) => (true, Some(*sha1)),
+                        _ => (false, None),
+                    };
+                    (malware.map(|s| families.intern(s)), scanned, sha1)
+                }
+            };
+            resolved.push(ResolvedResponse {
+                record: r.clone(),
+                malware,
+                scanned,
+                sha1,
+            });
+        }
+        resolved
     }
 
     /// Sizes the log: how many records, how many distinct texts they share
@@ -647,6 +714,140 @@ mod tests {
         // One allocation per family, however many records carry it.
         let (a, b) = (&resolved[0].malware, &resolved[3].malware);
         assert_eq!(a.as_ref().unwrap().as_ptr(), b.as_ref().unwrap().as_ptr());
+    }
+
+    /// The memo joins by content: rows whose equal names and hosts are
+    /// separate allocations, names that differ only in case (one name+size
+    /// verdict), names only a host+size verdict resolves, and more distinct
+    /// triples than the memo holds, revisited out of order, all join as
+    /// the per-row reference does.
+    #[test]
+    fn resolved_matches_the_reference_join_row_by_row() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(48);
+        let mut log = CrawlLog::new();
+        let host = |h: u32| match h % 3 {
+            0 => HostKey::Guid([h as u8; 16]),
+            _ => HostKey::Addr(Ipv4Addr::from(0x0A00_0000 + h), 1215 + (h % 2) as u16),
+        };
+        let spell = |i: u32, upper: bool| {
+            let name = format!("Tool_{i}.exe");
+            if upper {
+                name.to_ascii_uppercase()
+            } else {
+                name
+            }
+        };
+        for n in 0..30_000u32 {
+            // 3,000 names × 4 sizes × 40 hosts, skewed towards the first.
+            let (i, h) = (rng.gen_range(0..3_000u32), rng.gen_range(0..40u32));
+            let (i, h) = (i * i / 3_000, h * h / 40);
+            let size = 100 + (i + h) % 4;
+            // Separate allocations for equal content, case varying.
+            let mut r = record(&spell(i, rng.gen_bool(0.5)), size, host(h));
+            if n % 5 == 0 {
+                r.filename = Text::from(format!("echo_{n}.exe"));
+            }
+            log.responses.push(r);
+        }
+        for (k, r) in log.responses.clone().iter().enumerate() {
+            let outcome = match k % 7 {
+                0 => ScanOutcome::Scanned {
+                    sha1: p2pmal_hashes::sha1(r.filename.as_bytes()),
+                    len: u64::from(r.size),
+                    detections: vec![format!("W32.Family{}", k % 5)],
+                },
+                1 => ScanOutcome::Scanned {
+                    sha1: p2pmal_hashes::sha1(b"clean"),
+                    len: u64::from(r.size),
+                    detections: vec![],
+                },
+                2 => ScanOutcome::Unreachable,
+                3 => ScanOutcome::Unscannable {
+                    reason: "corrupt archive (truncated)".into(),
+                },
+                _ => continue,
+            };
+            if k % 11 == 0 {
+                // Filed under host+size only: name+size misses.
+                let (_, hk) = CrawlLog::keys_of(r);
+                log.by_host_size.insert(hk, outcome);
+            } else if k < 20_000 {
+                log.record_outcome(r, outcome);
+            }
+        }
+        let resolved = log.resolved();
+        let reference = resolved_reference(&log);
+        assert_eq!(resolved.len(), reference.len());
+        let (mut by_name, mut by_host_only) = (0, 0);
+        for (got, (record, malware, scanned, sha1)) in resolved.iter().zip(&reference) {
+            assert_eq!(&got.record, record);
+            assert_eq!(got.malware.as_deref(), malware.as_deref(), "{record:?}");
+            assert_eq!(got.scanned, *scanned, "{record:?}");
+            assert_eq!(got.sha1, *sha1, "{record:?}");
+            let (nk, hk) = CrawlLog::keys_of(record);
+            by_name += usize::from(log.by_name_size.contains_key(&nk));
+            by_host_only += usize::from(
+                !log.by_name_size.contains_key(&nk) && log.by_host_size.contains_key(&hk),
+            );
+        }
+        assert!(
+            by_name > 10_000 && by_host_only > 1_000,
+            "{by_name} {by_host_only}"
+        );
+        let triples: HashSet<(&str, u32, &HostKey)> = log
+            .responses
+            .iter()
+            .map(|r| (r.filename.as_str(), r.size, &*r.host))
+            .collect();
+        assert!(
+            triples.len() > 2 * 2 * MEMO_SETS,
+            "{} triples",
+            triples.len()
+        );
+    }
+
+    /// Triples that share a memo set are told apart by every field a
+    /// verdict depends on: the size, and the host when only a host+size
+    /// verdict exists.
+    #[test]
+    fn resolved_tells_apart_triples_that_share_a_memo_set() {
+        let guid = HostKey::Guid([3; 16]);
+        let a = record("Same.exe", 100, guid.clone());
+        let mut log = CrawlLog::new();
+        // Another size, and another host with the same name and size.
+        let other_size = (101..)
+            .map(|size| record("Same.exe", size, guid.clone()))
+            .find(|b| JoinMemo::set_of(b) == JoinMemo::set_of(&a))
+            .expect("a size in the same set");
+        let other_host = (0..)
+            .map(|ip: u32| record("Same.exe", 100, HostKey::Addr(Ipv4Addr::from(ip), 1215)))
+            .find(|b| JoinMemo::set_of(b) == JoinMemo::set_of(&a))
+            .expect("a host in the same set");
+        let dirty = |family: &str| ScanOutcome::Scanned {
+            sha1: p2pmal_hashes::sha1(family.as_bytes()),
+            len: 100,
+            detections: vec![family.into()],
+        };
+        let (_, hk) = CrawlLog::keys_of(&a);
+        log.by_host_size.insert(hk, dirty("W32.HostOnly"));
+        log.record_outcome(&other_size, dirty("W32.OtherSize"));
+        for r in [&a, &other_size, &other_host, &a, &other_host, &other_size] {
+            log.responses.push(r.clone());
+        }
+        let families: Vec<Option<String>> = log
+            .resolved()
+            .iter()
+            .map(|r| r.malware.as_deref().map(str::to_string))
+            .collect();
+        let reference: Vec<Option<String>> = resolved_reference(&log)
+            .into_iter()
+            .map(|row| row.1)
+            .collect();
+        assert_eq!(families, reference);
+        assert_eq!(families[0].as_deref(), Some("W32.HostOnly"));
+        assert_eq!(families[1].as_deref(), Some("W32.OtherSize"));
+        assert_eq!(families[2], None);
     }
 
     #[test]

@@ -23,10 +23,6 @@ impl EchoHeuristicFilter {
     pub fn new() -> Self {
         Self::default()
     }
-
-    fn normalize(s: &str) -> Vec<String> {
-        p2pmal_corpus::library::query_terms(s)
-    }
 }
 
 impl ResponseFilter for EchoHeuristicFilter {
@@ -43,7 +39,18 @@ impl ResponseFilter for EchoHeuristicFilter {
             None => return false,
         };
         let q = self.queries.compile(&r.record.query);
-        !q.is_empty() && Self::normalize(stem) == q.terms()
+        if q.is_empty() {
+            return false;
+        }
+        // The stem's `query_terms`, compared term by term in place: terms
+        // are ASCII alphanumeric, and the query's are lowered already.
+        let mut words = stem
+            .split(|c: char| !c.is_ascii_alphanumeric())
+            .filter(|w| !w.is_empty());
+        q.terms()
+            .iter()
+            .all(|t| words.next().is_some_and(|w| w.eq_ignore_ascii_case(t)))
+            && words.next().is_none()
     }
 }
 

@@ -47,27 +47,44 @@ impl LimewireBuiltin {
         }
     }
 
-    /// The Mandragore check: filename == query + ".exe"/".zip", verbatim.
+    /// The Mandragore check: filename == query + ".exe"/".zip", verbatim
+    /// but for ASCII case. Compares in place: a report runs it on every
+    /// scanned row.
     pub fn is_query_echo(query: &str, filename: &str) -> bool {
-        let q = query.trim().to_ascii_lowercase();
-        if q.is_empty() {
+        let (q, f) = (query.trim().as_bytes(), filename.as_bytes());
+        if q.is_empty() || f.len() != q.len() + 4 {
             return false;
         }
-        let f = filename.to_ascii_lowercase();
-        for ext in [".exe", ".zip"] {
-            if let Some(stem) = f.strip_suffix(ext) {
-                if stem == q {
-                    return true;
-                }
-            }
-        }
-        false
+        let (stem, ext) = f.split_at(q.len());
+        stem.eq_ignore_ascii_case(q)
+            && [b".exe", b".zip"]
+                .iter()
+                .any(|e| ext.eq_ignore_ascii_case(*e))
     }
 
     fn keyword_hit(&self, filename: &str) -> bool {
-        let f = filename.to_ascii_lowercase();
-        self.keywords.iter().any(|k| f.contains(k.as_str()))
+        let f = filename.as_bytes();
+        self.keywords
+            .iter()
+            .any(|k| contains_ignore_ascii_case(f, k.as_bytes()))
     }
+}
+
+/// Whether `lower` (ASCII-lowercased already) occurs in `hay` ignoring
+/// ASCII case: `hay.to_ascii_lowercase().contains(lower)` without the copy.
+/// Candidates are the positions holding `lower`'s first byte in either
+/// case, so most of `hay` is passed over by a byte compare.
+fn contains_ignore_ascii_case(hay: &[u8], lower: &[u8]) -> bool {
+    let Some((&first, rest)) = lower.split_first() else {
+        return true;
+    };
+    let upper = first.to_ascii_uppercase();
+    let Some(last_start) = hay.len().checked_sub(lower.len()) else {
+        return false;
+    };
+    hay[..=last_start].iter().enumerate().any(|(i, &b)| {
+        (b == first || b == upper) && hay[i + 1..i + lower.len()].eq_ignore_ascii_case(rest)
+    })
 }
 
 impl ResponseFilter for LimewireBuiltin {

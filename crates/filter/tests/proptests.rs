@@ -2,17 +2,21 @@
 
 use p2pmal_crawler::log::{HostKey, ResponseRecord};
 use p2pmal_crawler::ResolvedResponse;
-use p2pmal_filter::{evaluate, SizeFilter};
+use p2pmal_filter::{evaluate, EchoHeuristicFilter, LimewireBuiltin, ResponseFilter, SizeFilter};
 use p2pmal_netsim::SimTime;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
 fn resp(name: &str, size: u32, malware: bool) -> ResolvedResponse {
+    resp_to("q", name, size, malware)
+}
+
+fn resp_to(query: &str, name: &str, size: u32, malware: bool) -> ResolvedResponse {
     ResolvedResponse {
         record: ResponseRecord {
             at: SimTime::ZERO,
             day: 0,
-            query: "q".into(),
+            query: query.into(),
             filename: name.into(),
             size,
             source_ip: Ipv4Addr::new(1, 1, 1, 1),
@@ -27,8 +31,127 @@ fn resp(name: &str, size: u32, malware: bool) -> ResolvedResponse {
     }
 }
 
+/// Pieces names and queries are made of: mixed case, separators, the
+/// keywords and extensions the filters look for, and multi-byte characters
+/// (some of which lowercase to ASCII under Unicode rules but not ASCII's).
+const PIECES: &[&str] = &[
+    "free",
+    "FREE",
+    "Music",
+    "top",
+    "hits",
+    "2006",
+    "crack",
+    "CrAcK",
+    "KEYGEN",
+    "warez",
+    "serial",
+    "Hack",
+    "hac",
+    "k",
+    "_",
+    "-",
+    " ",
+    "  ",
+    ".",
+    "..",
+    ".exe",
+    ".EXE",
+    ".zip",
+    ".Zip",
+    ".mp3",
+    "é",
+    "É",
+    "ß",
+    "\u{212A}eygen",
+    "İ",
+    "ſerial",
+    "日本",
+    "\t",
+];
+
+fn joined(pieces: &[usize]) -> String {
+    pieces.iter().map(|&i| PIECES[i % PIECES.len()]).collect()
+}
+
+/// Flips the ASCII case of the characters `mask` selects (bit `i % 64`
+/// for the `i`-th character).
+fn flip_case(s: &str, mask: u64) -> String {
+    s.chars()
+        .enumerate()
+        .map(|(i, c)| match mask >> (i % 64) & 1 {
+            1 if c.is_ascii_lowercase() => c.to_ascii_uppercase(),
+            1 => c.to_ascii_lowercase(),
+            _ => c,
+        })
+        .collect()
+}
+
+/// `LimewireBuiltin::blocks` as it was before it compared in place: a
+/// lowered copy of the query and of the name per row.
+fn builtin_reference(keywords: &[String], query: &str, filename: &str) -> bool {
+    let echo = {
+        let q = query.trim().to_ascii_lowercase();
+        let f = filename.to_ascii_lowercase();
+        !q.is_empty()
+            && [".exe", ".zip"]
+                .iter()
+                .any(|ext| f.strip_suffix(ext) == Some(q.as_str()))
+    };
+    let f = filename.to_ascii_lowercase();
+    echo || keywords.iter().any(|k| f.contains(k.as_str()))
+}
+
+/// `EchoHeuristicFilter::blocks` as it was: the name stem's terms
+/// collected into a vector per row.
+fn echo_reference(r: &ResolvedResponse) -> bool {
+    let terms = p2pmal_corpus::library::query_terms;
+    let Some((stem, _)) = r.record.filename.rsplit_once('.') else {
+        return false;
+    };
+    let q = terms(&r.record.query);
+    r.record.downloadable && !q.is_empty() && terms(stem) == q
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The in-place comparisons block exactly the rows the lowering ones
+    /// did: free-form names, names that echo the query under another case
+    /// or separator, and custom keywords in any case.
+    #[test]
+    fn name_filters_match_their_lowering_references(
+        query in proptest::collection::vec(0usize..64, 0..6),
+        name in proptest::collection::vec(0usize..64, 0..10),
+        ext in 0usize..6,
+        masks in (any::<u64>(), any::<u64>()),
+        keyword in proptest::collection::vec(0usize..64, 0..3),
+    ) {
+        let query = flip_case(&joined(&query), masks.0);
+        let echoed = flip_case(&query, masks.1).replace(' ', ["_", " ", "-"][ext % 3]);
+        let ext = [".exe", ".ZIP", ".Exe", ".mp3", "", ".zip"][ext];
+        let keywords: Vec<String> = vec![joined(&keyword), "CRACK".into(), "é".into()];
+        let builtin = LimewireBuiltin::with_keywords(keywords.clone());
+        let lowered: Vec<String> = keywords.iter().map(|k| k.to_ascii_lowercase()).collect();
+        let stock = LimewireBuiltin::new();
+        let stock_words: Vec<String> =
+            p2pmal_filter::limewire::DEFAULT_KEYWORDS.iter().map(|k| k.to_string()).collect();
+        let echo = EchoHeuristicFilter::new();
+        let free = flip_case(&joined(&name), masks.1);
+        let names = [
+            free.clone(),
+            format!("{echoed}{ext}"),
+            format!("{query}{ext}"),
+            format!("{echoed}{free}{ext}"),
+        ];
+        for filename in names {
+            let r = resp_to(&query, &filename, 1, false);
+            let (q, f) = (query.as_str(), filename.as_str());
+            prop_assert_eq!(builtin.blocks(&r), builtin_reference(&lowered, q, f));
+            prop_assert_eq!(stock.blocks(&r), builtin_reference(&stock_words, q, f));
+            prop_assert_eq!(echo.blocks(&r), echo_reference(&r));
+        }
+    }
 
     /// Tolerant matching agrees with the naive O(n) definition.
     #[test]

@@ -23,6 +23,10 @@
 //!   between one and two lifetimes, so the table holds what the last few
 //!   minutes of traffic need rather than the last 16,384 keys.
 //!
+//! [`FastHash`] is the std-map counterpart of [`KeyHash`]: an unkeyed
+//! `BuildHasher` for the measurement's own dedup tables, whose keys are
+//! texts and hosts the simulation made, hashed millions of times a run.
+//!
 //! `VecMap` and `FifoMap` preserve the *exact* observable semantics of the
 //! `HashMap`-based code they replace (the proptest suites below drive them
 //! against the std-collections reference): full-key equality on every
@@ -62,6 +66,73 @@ impl KeyHash for u64 {
 impl KeyHash for crate::ConnId {
     #[inline]
     fn key_hash(&self) -> u64 {
+        mix(self.0)
+    }
+}
+
+/// Unkeyed, word-at-a-time hashing with the splitmix64 finaliser, for
+/// `HashMap`s and `HashSet`s whose keys no adversary picks. SipHash costs
+/// several times as much per short key and buys resistance to chosen
+/// collisions that an in-process table fed by the simulation does not
+/// need. A table keyed by what real peers send (through `live`) gives that
+/// up; the measurement's tables are rebuilt per run and hold what it
+/// logged. Unkeyed also means the same key hashes the same in every run;
+/// nothing may depend on it, since iteration order is still the table's.
+pub type FastHash = std::hash::BuildHasherDefault<FastHasher>;
+
+/// The [`std::hash::Hasher`] behind [`FastHash`].
+#[derive(Debug, Default, Clone, Copy)]
+pub struct FastHasher(u64);
+
+impl FastHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7C_C1_B7_27_22_0A_95);
+    }
+}
+
+impl std::hash::Hasher for FastHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(tail) ^ ((rest.len() as u64) << 59));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, n: u16) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
         mix(self.0)
     }
 }
@@ -471,6 +542,27 @@ impl<K: KeyHash + Eq + Copy, V, const LIFETIME_US: u64> AgedMap<K, V, LIFETIME_U
 mod tests {
     use super::*;
     use std::collections::HashMap;
+
+    /// Equal keys hash equal whatever allocation holds them, and keys that
+    /// differ only in length, tail or field boundary do not collide.
+    #[test]
+    fn fast_hash_is_by_content_and_spreads_short_keys() {
+        use std::hash::BuildHasher;
+        let h = FastHash::default();
+        let (a, b) = (String::from("setup.exe"), "setup.exe");
+        assert_eq!(h.hash_one(&a), h.hash_one(b));
+        assert_eq!(h.hash_one((b, 7u32)), h.hash_one((a.as_str(), 7u32)));
+        let keys = ["", "a", "a\0", "ab", "abcdefgh", "abcdefgh\0", "abcdefghi"];
+        let mut seen: Vec<u64> = keys.iter().map(|k| h.hash_one(k)).collect();
+        seen.extend([h.hash_one(("ab", "c")), h.hash_one(("a", "bc"))]);
+        let distinct: std::collections::HashSet<u64> = seen.iter().copied().collect();
+        assert_eq!(distinct.len(), seen.len());
+        // Sequential small integers fill the top bits hashbrown takes its
+        // control bytes from.
+        let tops: std::collections::HashSet<u64> =
+            (0..64u32).map(|i| h.hash_one(i) >> 57).collect();
+        assert!(tops.len() > 32, "{} of 128 top-7-bit values", tops.len());
+    }
 
     #[test]
     fn vecmap_basics() {

@@ -10,6 +10,12 @@
 //! ring's horizon go to an overflow heap and are pulled forward as the
 //! cursor reaches them, so far-future timers stay cheap too.
 //!
+//! Beside the ring sits an occupancy bitmap, one bit per slot, set while
+//! the slot holds entries. The cursor never walks: it jumps straight to
+//! the next set bit, so a sparse stretch of simulated time (a month of a
+//! few events a minute) costs one move per occupied bucket, not one per
+//! 32.8 ms of empty time.
+//!
 //! A bucket's buffer does not stay in its slot once the cursor has drained
 //! and left it: it goes onto a spare stack, and the next slot that needs a
 //! buffer takes it from there. The queue therefore holds at most one
@@ -43,6 +49,8 @@ const BUCKET_SHIFT: u32 = 15;
 /// `BUCKETS << BUCKET_SHIFT` ≈ 134 simulated seconds; anything further out
 /// waits in the overflow heap.
 const BUCKETS: usize = 4096;
+/// Words of the occupancy bitmap, one bit per ring slot.
+const WORDS: usize = BUCKETS / 64;
 
 pub(crate) struct Entry<T> {
     time: SimTime,
@@ -112,9 +120,11 @@ pub trait Scheduler<T> {
 /// `[cursor, cursor + BUCKETS)`. Entries at or past the horizon sit in
 /// `overflow` and are migrated into the ring as the cursor advances.
 /// Because the ring is indexed modulo `BUCKETS`, every entry found in slot
-/// `cursor % BUCKETS` is known to belong to bucket `cursor` exactly.
+/// `cursor % BUCKETS` is known to belong to bucket `cursor` exactly. Bit
+/// `slot` of `occupied` is set exactly when `ring[slot]` is non-empty.
 pub struct CalendarQueue<T> {
     ring: Vec<Vec<Entry<T>>>,
+    occupied: [u64; WORDS],
     /// Empty buffers of buckets the cursor has drained and left, handed to
     /// the next slot that needs one.
     spare: Vec<Vec<Entry<T>>>,
@@ -129,6 +139,9 @@ pub struct CalendarQueue<T> {
     next_seq: u64,
     /// Peak total occupancy, for the depth statistics.
     high_water: usize,
+    /// Cursor moves, each a jump of any length (the tests bound them).
+    #[cfg(test)]
+    moves: u64,
 }
 
 impl<T> Default for CalendarQueue<T> {
@@ -137,6 +150,7 @@ impl<T> Default for CalendarQueue<T> {
         ring.resize_with(BUCKETS, Vec::new);
         CalendarQueue {
             ring,
+            occupied: [0; WORDS],
             spare: Vec::new(),
             cursor: 0,
             sorted: false,
@@ -144,6 +158,8 @@ impl<T> Default for CalendarQueue<T> {
             ring_len: 0,
             next_seq: 0,
             high_water: 0,
+            #[cfg(test)]
+            moves: 0,
         }
     }
 }
@@ -195,6 +211,7 @@ impl<T> CalendarQueue<T> {
         } else {
             bucket.push(entry);
         }
+        self.occupied[slot / 64] |= 1 << (slot % 64);
         self.ring_len += 1;
     }
 
@@ -220,38 +237,64 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// Advances the cursor to the next non-empty bucket and sorts it,
-    /// retiring the buffer of every drained bucket it leaves. Returns false
-    /// when the queue is empty.
-    fn settle(&mut self) -> bool {
-        if self.ring_len == 0 {
-            // Jump straight to the overflow's first bucket instead of
-            // walking up to it one bucket at a time.
-            match self.overflow.peek() {
-                Some(e) => {
-                    let abs = Self::abs_bucket(e.time);
-                    self.retire_cursor_bucket();
-                    self.cursor = abs;
-                    self.sorted = false;
-                    self.refill();
-                }
-                None => return false,
+    /// Buckets from the cursor's slot to the nearest occupied one, going
+    /// round the ring; `None` when no slot is occupied.
+    fn distance_to_occupied(&self) -> Option<u64> {
+        let slot = (self.cursor as usize) & (BUCKETS - 1);
+        let (word, bit) = (slot / 64, slot % 64);
+        // The cursor's word from its bit up, the other words in ring
+        // order, then the cursor's word below its bit.
+        let here = self.occupied[word] & (!0u64 << bit);
+        if here != 0 {
+            return Some((here.trailing_zeros() as usize - bit) as u64);
+        }
+        for step in 1..=WORDS {
+            let w = (word + step) % WORDS;
+            let bits = self.occupied[w];
+            if bits != 0 {
+                let found = w * 64 + bits.trailing_zeros() as usize;
+                return Some(((found + BUCKETS - slot) % BUCKETS) as u64);
             }
         }
-        loop {
-            let slot = (self.cursor as usize) & (BUCKETS - 1);
-            if !self.ring[slot].is_empty() {
-                if !self.sorted {
-                    self.ring[slot].sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-                    self.sorted = true;
-                }
-                return true;
-            }
+        None
+    }
+
+    /// Advances the cursor to the next non-empty bucket and sorts it.
+    /// Returns false when the queue is empty.
+    ///
+    /// Every ring entry lies within `BUCKETS` of the cursor and every
+    /// overflow entry at or past the horizon, so the nearest occupied slot
+    /// is the earliest bucket with work whenever the ring holds any; when
+    /// it holds none, the overflow's first entry is. Either way one jump
+    /// lands there and one refill brings the new horizon in: the buckets
+    /// jumped over were empty, and what the refill adds lies beyond the
+    /// bucket jumped to.
+    fn settle(&mut self) -> bool {
+        let slot = (self.cursor as usize) & (BUCKETS - 1);
+        if self.ring[slot].is_empty() {
+            let by = match self.distance_to_occupied() {
+                Some(by) => by,
+                None => match self.overflow.peek() {
+                    Some(e) => Self::abs_bucket(e.time) - self.cursor,
+                    None => return false,
+                },
+            };
             self.retire_cursor_bucket();
-            self.cursor += 1;
+            self.cursor += by;
             self.sorted = false;
             self.refill();
+            #[cfg(test)]
+            {
+                self.moves += 1;
+            }
         }
+        let slot = (self.cursor as usize) & (BUCKETS - 1);
+        debug_assert!(!self.ring[slot].is_empty(), "jumped to an empty bucket");
+        if !self.sorted {
+            self.ring[slot].sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+            self.sorted = true;
+        }
+        true
     }
 }
 
@@ -285,6 +328,9 @@ impl<T> Scheduler<T> for CalendarQueue<T> {
         }
         let slot = (self.cursor as usize) & (BUCKETS - 1);
         let e = self.ring[slot].pop().expect("settled on non-empty bucket");
+        if self.ring[slot].is_empty() {
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
+        }
         self.ring_len -= 1;
         Some((e.time, e.seq, e.item))
     }
@@ -607,6 +653,92 @@ mod tests {
             assert_eq!(drain(&mut cal), drain(&mut heap));
         }
         assert!(live_pushes > 100 && jumps > 100 && reuses > 1000);
+    }
+
+    /// Property: sparse simulated time, as a month-long crawl sees it. Gaps
+    /// of minutes to days between bursts, entries that cross the overflow
+    /// horizon in both directions, a cursor that wraps the ring many times
+    /// over, and pushes into the live sorted bucket right after the cursor
+    /// jumped to it, all dispatch in exactly the oracle's order.
+    #[test]
+    fn matches_heap_on_sparse_time() {
+        let width = 1u64 << BUCKET_SHIFT;
+        let minute = 60_000_000u64;
+        let day = 1_440 * minute;
+        let mut rng = StdRng::seed_from_u64(0x5BA2_5E71);
+        let (mut after_jump, mut wraps) = (0u32, 0u64);
+        for _case in 0..20 {
+            let mut cal = CalendarQueue::default();
+            let mut heap = HeapQueue::default();
+            let mut id = 0u64;
+            let mut now = 0u64;
+            for _step in 0..600 {
+                match rng.gen_range(0..10u32) {
+                    0..=3 => {
+                        // One entry minutes to days out: inside the ring,
+                        // just past the horizon, or far beyond it.
+                        let gap = match rng.gen_range(0..4u32) {
+                            0 => rng.gen_range(1..3 * minute),
+                            1 => rng.gen_range(2 * minute..3 * minute),
+                            2 => rng.gen_range(minute..6 * 60 * minute),
+                            _ => rng.gen_range(day / 2..3 * day),
+                        };
+                        cal.push_keyed(t(now + gap), id, id);
+                        heap.push_keyed(t(now + gap), id, id);
+                        id += 1;
+                    }
+                    _ => {
+                        let cursor = cal.cursor;
+                        assert_eq!(cal.peek_time(), heap.peek_time());
+                        let popped = cal.pop_keyed();
+                        assert_eq!(popped, heap.pop_keyed());
+                        let Some((time, _, _)) = popped else { continue };
+                        now = time.as_micros();
+                        wraps += (cal.cursor - cursor) / BUCKETS as u64;
+                        if cal.cursor > cursor + 1 && rng.gen_bool(0.5) {
+                            // Into the bucket just jumped to, now sorted
+                            // live: before, at and after what is left.
+                            after_jump += 1;
+                            let base = cal.cursor * width;
+                            for _ in 0..rng.gen_range(1..6u32) {
+                                let at = base + rng.gen_range(0..width);
+                                cal.push_keyed(t(at), id, id);
+                                heap.push_keyed(t(at), id, id);
+                                id += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            assert_eq!(drain(&mut cal), drain(&mut heap));
+        }
+        assert!(after_jump > 500 && wraps > 1000, "{after_jump} {wraps}");
+    }
+
+    /// A day holds 2.6 M buckets. A thousand events a day apart, with a
+    /// heartbeat that keeps one entry in the ring every 100 s as simulated
+    /// nodes' timers do, cost about one cursor move per popped bucket, not
+    /// one per bucket of empty time.
+    #[test]
+    fn cursor_moves_follow_occupied_buckets_not_time() {
+        const DAYS: u64 = 1_000;
+        let day = 86_400_000_000u64;
+        let beat = 100_000_000u64;
+        let mut q = CalendarQueue::default();
+        for d in 1..=DAYS {
+            q.push(t(d * day + 7), d);
+        }
+        q.push(t(beat), 0);
+        let mut pops = 0u64;
+        while let Some((time, id)) = q.pop() {
+            pops += 1;
+            let next = time.as_micros() + beat;
+            if id == 0 && next < DAYS * day {
+                q.push(t(next), 0);
+            }
+        }
+        assert!(pops > DAYS * (day / beat), "{pops} pops");
+        assert!(q.moves <= pops, "{} moves for {pops} pops", q.moves);
     }
 
     /// The queue retains buffers for the buckets that hold work, not for

@@ -158,10 +158,11 @@ pub struct FtStats {
 
 /// One share registered by a child. Where it is served from is the
 /// child's business, not the share's: a result reads host and ports from
-/// the `owner`'s [`PeerState`] when it is written.
+/// the owner's [`ChildSlot`] when it is written.
 #[derive(Debug, Clone)]
 struct IndexedShare {
-    owner: ConnId,
+    /// The owning child's slot in [`FtNode::children`].
+    slot: u32,
     md5: Md5Digest,
     size: u32,
     /// Arena record from the world's [`p2pmal_corpus::NameInterner`]:
@@ -218,6 +219,47 @@ impl ShareIndex {
     }
 }
 
+/// Where a SEARCH node's child serves its shares from: its observed
+/// address with the OpenFT and HTTP ports it announced (the connection's
+/// own port twice before it announced any), written when the child is
+/// accepted and again when its NODEINFO arrives. An answer reads a row's
+/// address here with one indexed load.
+#[derive(Debug, Clone, Copy)]
+struct ChildSlot {
+    /// The child's connection; [`ChildSlot::FREE`] when no child holds the
+    /// slot. A child lost to a restart keeps its connection id, which no
+    /// connection has any more, and the unspecified address: the rows it
+    /// registered stay and answer with that, as they did before slots.
+    conn: ConnId,
+    host: HostAddr,
+    http_port: u16,
+}
+
+impl ChildSlot {
+    const FREE: ConnId = ConnId(u64::MAX);
+
+    fn of(conn: ConnId, p: &PeerState) -> Self {
+        let (port, http_port) = match &p.info {
+            Some(i) => (i.port, i.http_port),
+            None => (p.peer_addr.port, p.peer_addr.port),
+        };
+        ChildSlot {
+            conn,
+            host: HostAddr::new(p.peer_addr.ip, port),
+            http_port,
+        }
+    }
+
+    /// Where a departed child's rows say their files are.
+    fn departed(conn: ConnId) -> Self {
+        ChildSlot {
+            conn,
+            host: HostAddr::new(std::net::Ipv4Addr::UNSPECIFIED, 0),
+            http_port: 0,
+        }
+    }
+}
+
 struct PeerState {
     reader: PacketReader,
     info: Option<NodeInfo>,
@@ -226,8 +268,8 @@ struct PeerState {
     peer_addr: HostAddr,
     /// They accepted us as a child (we registered shares there).
     parent: bool,
-    /// We accepted them as a child.
-    child: bool,
+    /// We accepted them as a child: their slot in [`FtNode::children`].
+    child: Option<u32>,
     outbound: bool,
     /// When we dialed or accepted the connection.
     opened: SimTime,
@@ -258,6 +300,8 @@ pub struct FtNode {
     known: Vec<NodeEntry>,
     /// Child-registered shares (SEARCH nodes).
     index: ShareIndex,
+    /// Where each child serves from, by the slot its rows name.
+    children: Vec<ChildSlot>,
     next_search: u32,
     /// Whether a maintenance tick is scheduled: one is only while an
     /// outbound session slot is empty (see [`FtNode::arm_tick`]).
@@ -277,6 +321,7 @@ impl FtNode {
             conns: VecMap::new(),
             known: Vec::new(),
             index: ShareIndex::default(),
+            children: Vec::new(),
             next_search: 1,
             tick_armed: false,
             next_download: 1,
@@ -335,6 +380,7 @@ impl FtNode {
         b += self.conns.heap_bytes();
         b += (self.known.capacity() * size_of::<NodeEntry>()) as u64;
         b += self.index.heap_bytes();
+        b += (self.children.capacity() * size_of::<ChildSlot>()) as u64;
         // config.bootstrap is Arc-shared across the population: not charged
         // per node.
         b += (self.events.capacity() * size_of::<FtEvent>()) as u64;
@@ -496,7 +542,7 @@ impl FtNode {
                     session: false,
                     peer_addr: target,
                     parent: false,
-                    child: false,
+                    child: None,
                     outbound: true,
                     opened: ctx.now(),
                 }),
@@ -613,6 +659,9 @@ impl FtNode {
                     let mut info = info;
                     info.alias = self.world.names.intern(&info.alias);
                     p.info = Some(info);
+                    if let Some(slot) = p.child {
+                        self.children[slot as usize] = ChildSlot::of(conn, p);
+                    }
                     self.add_known(entry);
                     if user {
                         self.forget(dialed);
@@ -686,13 +735,11 @@ impl FtNode {
                             && self
                                 .conns
                                 .values()
-                                .filter(|k| matches!(k, ConnKind::Peer(p) if p.child))
+                                .filter(|k| matches!(k, ConnKind::Peer(p) if p.child.is_some()))
                                 .count()
                                 < self.config.max_children;
                         if accept {
-                            if let Some(ConnKind::Peer(p)) = self.conns.get_mut(&conn) {
-                                p.child = true;
-                            }
+                            self.adopt(conn);
                         }
                         self.send_packet(
                             ctx,
@@ -720,15 +767,15 @@ impl FtNode {
                     let Some(ConnKind::Peer(p)) = self.conns.get(&conn) else {
                         return;
                     };
-                    if !p.child {
+                    let Some(slot) = p.child else {
                         return; // only accepted children may register
-                    }
+                    };
                     let rec = self
                         .world
                         .names
                         .intern_record(add.path.rsplit('/').next().unwrap_or(&add.path));
                     IndexedShare {
-                        owner: conn,
+                        slot,
                         md5: add.md5,
                         size: add.size,
                         rec,
@@ -742,8 +789,13 @@ impl FtNode {
                     self.reject_packet(ctx, conn);
                     return;
                 };
-                self.index
-                    .retain(|s| !(s.owner == conn && s.md5 == rem.md5));
+                if let Some(ConnKind::Peer(PeerState {
+                    child: Some(slot), ..
+                })) = self.conns.get(&conn)
+                {
+                    let slot = *slot;
+                    self.index.retain(|s| !(s.slot == slot && s.md5 == rem.md5));
+                }
             }
             Command::Search => {
                 let Ok(search) = Search::parse_ref(payload) else {
@@ -883,12 +935,17 @@ impl FtNode {
         ctx.send_with(conn, |out| {
             for &row in &rows {
                 let s = &self.index.rows[row as usize];
-                let (host, http_port) = self.child_addr(s.owner);
+                let child = &self.children[s.slot as usize];
+                debug_assert_eq!(
+                    (child.host, child.http_port),
+                    self.child_addr(child.conn),
+                    "the slot of row {row} holds where its owner serves from"
+                );
                 let result = SearchResultRef {
                     id,
-                    host: host.ip,
-                    port: host.port,
-                    http_port,
+                    host: child.host.ip,
+                    port: child.host.port,
+                    http_port: child.http_port,
                     avail: 1,
                     md5: s.md5,
                     size: s.size,
@@ -913,19 +970,44 @@ impl FtNode {
         });
     }
 
-    /// Where the child on `owner` serves its shares from: its observed
-    /// address with the OpenFT and HTTP ports it announced (the connection's
-    /// own port twice before it announced any).
+    /// Where the child on `owner` serves its shares from, read from its
+    /// connection: what its [`ChildSlot`] must hold. The check behind the
+    /// slots, in debug builds and tests.
     fn child_addr(&self, owner: ConnId) -> (HostAddr, u16) {
-        let Some(ConnKind::Peer(p)) = self.conns.get(&owner) else {
-            // Rows leave the index with their owner's connection.
-            return (HostAddr::new(std::net::Ipv4Addr::UNSPECIFIED, 0), 0);
+        let slot = match self.conns.get(&owner) {
+            Some(ConnKind::Peer(p)) => ChildSlot::of(owner, p),
+            _ => ChildSlot::departed(owner),
         };
-        let (port, http_port) = match &p.info {
-            Some(i) => (i.port, i.http_port),
-            None => (p.peer_addr.port, p.peer_addr.port),
+        (slot.host, slot.http_port)
+    }
+
+    /// Accepts `conn` as a child: gives it the first free slot (or a new
+    /// one) unless it holds one already.
+    fn adopt(&mut self, conn: ConnId) {
+        let Some(ConnKind::Peer(p)) = self.conns.get_mut(&conn) else {
+            return;
         };
-        (HostAddr::new(p.peer_addr.ip, port), http_port)
+        if p.child.is_some() {
+            return;
+        }
+        let child = ChildSlot::of(conn, p);
+        let slot = match self.children.iter().position(|c| c.conn == ChildSlot::FREE) {
+            Some(free) => {
+                self.children[free] = child;
+                free
+            }
+            None => {
+                self.children.push(child);
+                self.children.len() - 1
+            }
+        };
+        p.child = Some(slot as u32);
+    }
+
+    /// A child left: its rows leave the index and its slot is free again.
+    fn release(&mut self, slot: u32) {
+        self.index.retain(|s| s.slot != slot);
+        self.children[slot as usize] = ChildSlot::departed(ChildSlot::FREE);
     }
 
     /// Serves an upload request: resolve the MD5 against our library.
@@ -1033,8 +1115,8 @@ impl FtNode {
                 self.finish_download(ctx, Some(conn), d.id, Err(DownloadError::Reset));
             }
             Some(ConnKind::Peer(p)) => {
-                if p.child {
-                    self.index.retain(|s| s.owner != conn);
+                if let Some(slot) = p.child {
+                    self.release(slot);
                 }
                 self.emit(FtEvent::SessionDown { conn });
                 ctx.close(conn);
@@ -1069,7 +1151,7 @@ impl FtNode {
                 session: false,
                 peer_addr: peer,
                 parent: false,
-                child: false,
+                child: None,
                 outbound: false,
                 opened: ctx.now(),
             };
@@ -1121,6 +1203,17 @@ impl App for FtNode {
         // dial made while the node went down never left the machine.
         self.tick_armed = false;
         self.conns = VecMap::new();
+        // The children went with the connections, but not the rows they
+        // registered: a slot some row still names keeps answering, with
+        // the unspecified address; the others are free.
+        let mut named = vec![false; self.children.len()];
+        for s in &self.index.rows {
+            named[s.slot as usize] = true;
+        }
+        for (child, named) in self.children.iter_mut().zip(named) {
+            let conn = if named { child.conn } else { ChildSlot::FREE };
+            *child = ChildSlot::departed(conn);
+        }
         self.maintain(ctx);
         if let Some(iv) = self.config.auto_query {
             let jitter = SimDuration::from_micros(ctx.rng().next_u64() % iv.as_micros().max(1));
@@ -1209,8 +1302,8 @@ impl App for FtNode {
         self.expire_handshakes(ctx);
         match self.conns.remove(&conn) {
             Some(ConnKind::Peer(p)) => {
-                if p.child {
-                    self.index.retain(|s| s.owner != conn);
+                if let Some(slot) = p.child {
+                    self.release(slot);
                 }
                 self.emit(FtEvent::SessionDown { conn });
                 self.maintain(ctx);

@@ -430,7 +430,7 @@ impl FtNode {
                     break;
                 }
                 if compiled.matches_meta(s.rec.lower(), s.rec.fp()) {
-                    let (host, http_port) = self.child_addr(s.owner);
+                    let (host, http_port) = self.child_addr(self.children[s.slot as usize].conn);
                     results.push(SearchResult {
                         id,
                         host: host.ip,
@@ -789,6 +789,104 @@ fn an_answer_is_one_write() {
             "one write, cut only by the mss ({mss:?})"
         );
     }
+}
+
+/// A child's rows answer with the address its slot holds, and that is
+/// always what the child's connection says: for a child that registers
+/// before it announces its ports (its connection's port twice), after it
+/// announces them, and for a child that takes over the slot of one that
+/// left.
+#[test]
+fn child_slots_answer_where_the_connection_says() {
+    let (mut net, parent, children) = pinned_net(SimConfig::default(), 64);
+    let asker = spawn_user(&mut net, HostLibrary::new(), true);
+    let (conn, chunks) = (Arc::default(), Arc::default());
+    let tap = net.sim.spawn(
+        NodeSpec::public(),
+        Box::new(Tap {
+            server: net.search_addrs[0],
+            conn: Arc::clone(&conn),
+            chunks: Arc::clone(&chunks),
+        }),
+    );
+    net.sim.run_until(SimTime::from_secs(300));
+    let tap_conn = conn.lock().unwrap().expect("tap connected");
+    let send = |net: &mut Net, packets: &[(Command, Vec<u8>)]| {
+        net.sim.with_node(tap, |_, ctx| {
+            ctx.send_with(tap_conn, |out| {
+                for (cmd, payload) in packets {
+                    encode_packet(*cmd, payload, out);
+                }
+            })
+        });
+    };
+    // The tap never said NODEINFO: it becomes a child and registers.
+    let mut packets = vec![(Command::Child, Child::Request.encode())];
+    packets.extend((0..3u8).map(|k| {
+        let add = AddShare {
+            md5: Md5Digest([k; 16]),
+            size: 1_000 + u32::from(k),
+            path: format!("/shared/pinned_tap_{k}.exe"),
+        };
+        (Command::AddShare, add.encode())
+    }));
+    send(&mut net, &packets);
+    let tap_addr = net.sim.node_addr(tap);
+    let tap_rows = |rs: &[SearchResult]| -> Vec<(u16, u16)> {
+        rs.iter()
+            .filter(|r| r.host == tap_addr.ip)
+            .map(|r| (r.port, r.http_port))
+            .collect()
+    };
+    // `ask` checks every result against `child_addr`, the connection-table
+    // lookup the slots replaced; so does a debug build's `answer_search`.
+    let before = ask(&mut net, asker, parent, "pinned tap");
+    assert_eq!(before.len(), 3);
+    let (port, http_port) = tap_rows(&before)[0];
+    assert_eq!(port, http_port, "the connection's port twice");
+    assert_ne!(port, 1215);
+
+    let info = NodeInfo {
+        klass: CLASS_USER,
+        port: 7_000,
+        http_port: 7_001,
+        alias: "tap".into(),
+    };
+    send(&mut net, &[(Command::NodeInfo, info.encode())]);
+    let after = ask(&mut net, asker, parent, "pinned tap");
+    assert_eq!(tap_rows(&after), [(7_000, 7_001); 3]);
+
+    // A child leaves; the next one accepted takes its slot.
+    let slot_of = |net: &mut Net, child: NodeId| {
+        let addr = net.sim.node_addr(child);
+        with_node(&mut net.sim, parent, |n, _| {
+            n.children
+                .iter()
+                .position(|c| c.host.ip == addr.ip && c.conn != ChildSlot::FREE)
+        })
+    };
+    let leaver = children[1];
+    let freed = slot_of(&mut net, leaver).expect("the leaver holds a slot");
+    let slots = with_node(&mut net.sim, parent, |n, _| n.children.len());
+    net.sim.stop_node(leaver);
+    net.sim
+        .run_until(net.sim.now() + SimDuration::from_secs(60));
+    let names: Vec<String> = (0..2).map(|k| format!("pinned_late_{k}.exe")).collect();
+    let lib = named_library(&net.world, 40, &names);
+    let late = spawn_user(&mut net, lib, false);
+    let got = ask(&mut net, asker, parent, "pinned");
+    let late_addr = net.sim.node_addr(late);
+    assert_eq!(got.iter().filter(|r| r.host == late_addr.ip).count(), 2);
+    assert_eq!(
+        slot_of(&mut net, late),
+        Some(freed),
+        "the free slot is reused"
+    );
+    assert_eq!(
+        with_node(&mut net.sim, parent, |n, _| n.children.len()),
+        slots
+    );
+    assert_eq!(tap_rows(&got), [(7_000, 7_001); 3]);
 }
 
 /// An answer is one event: a collecting node hands over the results a
@@ -1282,12 +1380,13 @@ fn non_collecting_user_validates_results_without_keeping_them() {
 
 /// A search reads two column entries a row and follows few rows, but
 /// `app_bytes_per_node` counts every one: host and ports are the child's
-/// (`FtNode::child_addr`), so a field added here shows up as a failed
-/// test, not as a moved benchmark metric.
+/// (its `ChildSlot`), so a field added here shows up as a failed test,
+/// not as a moved benchmark metric.
 #[cfg(target_pointer_width = "64")]
 #[test]
-fn index_row_stays_40_bytes() {
-    assert_eq!(std::mem::size_of::<IndexedShare>(), 40);
+fn index_row_stays_32_bytes() {
+    assert_eq!(std::mem::size_of::<IndexedShare>(), 32);
+    assert_eq!(std::mem::size_of::<ChildSlot>(), 16);
 }
 
 /// A NODELIST that does not parse ends its session: the stream is
