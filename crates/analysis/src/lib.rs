@@ -20,5 +20,5 @@ pub use report::{
     size_table, source_breakdown, source_table, summarize, summary_table, top_malware,
     top_malware_table, EchoAmplification, HostShare, SizeCensus, SourceBreakdown, Summary,
 };
-pub use stats::{ecdf, hist_summary_line, histogram, pct, ranked_shares, tally, RankedShare};
+pub use stats::{ecdf, hist_summary_line, pct, ranked_shares, tally, RankedShare};
 pub use table::{fmt_count, fmt_pct, Table};

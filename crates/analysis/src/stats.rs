@@ -93,23 +93,6 @@ pub fn hist_summary_line(
     format!("{label}: n={count} min={min} p50={p50} p90={p90} p99={p99} max={max}")
 }
 
-/// Fixed-bin histogram over `u64` samples in `[lo, hi)`; the last bin
-/// absorbs overflow.
-pub fn histogram(samples: &[u64], lo: u64, hi: u64, bins: usize) -> Vec<u64> {
-    assert!(bins > 0 && hi > lo);
-    let width = ((hi - lo) as f64 / bins as f64).max(1.0);
-    let mut out = vec![0u64; bins];
-    for &s in samples {
-        let idx = if s < lo {
-            0
-        } else {
-            (((s - lo) as f64 / width) as usize).min(bins - 1)
-        };
-        out[idx] += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,14 +134,5 @@ mod tests {
             hist_summary_line("latency_us", 4, 1, 2, 3, 3, 9),
             "latency_us: n=4 min=1 p50=2 p90=3 p99=3 max=9"
         );
-    }
-
-    #[test]
-    fn histogram_bins_and_overflow() {
-        let h = histogram(&[0, 5, 10, 15, 99, 1000], 0, 100, 10);
-        assert_eq!(h.iter().sum::<u64>(), 6);
-        assert_eq!(h[0], 2); // 0, 5
-        assert_eq!(h[1], 2); // 10, 15
-        assert_eq!(h[9], 2); // 99 and the 1000 overflow
     }
 }

@@ -39,32 +39,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders CSV (quotes cells containing commas or quotes).
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&r.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats a percentage with one decimal.
@@ -105,16 +79,6 @@ mod tests {
     fn row_width_checked() {
         let mut t = Table::new("x", &["a", "b"]);
         t.row(vec!["only one".into()]);
-    }
-
-    #[test]
-    fn csv_escaping() {
-        let mut t = Table::new("x", &["name", "note"]);
-        t.row(vec!["plain".into(), "a,b".into()]);
-        t.row(vec!["q\"q".into(), "ok".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"a,b\""));
-        assert!(csv.contains("\"q\"\"q\""));
     }
 
     #[test]

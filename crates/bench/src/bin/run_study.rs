@@ -16,7 +16,7 @@ use p2pmal_bench::{write_summary, BenchConfig};
 use p2pmal_core::{NetworkRun, StudyReport};
 use p2pmal_crawler::{LogFootprint, ResolvedResponse};
 use p2pmal_json::Value;
-use p2pmal_netsim::{Counter, HistSummary, Subsystem};
+use p2pmal_netsim::{HistSummary, Subsystem};
 
 /// One line of scan-pipeline accounting: how many download bodies were
 /// hashed and scanned, and how many distinct payloads they carried.
@@ -175,17 +175,15 @@ fn summary_to_json(s: &HistSummary) -> Value {
     ])
 }
 
-/// The telemetry section of one network's `BENCH_study.json` entry:
-/// registry counters plus count/min/p50/p90/p99/max summaries of every
-/// sim-time histogram. Only deterministic (sim-time-keyed) values go into
-/// the JSON; wall-clock histograms are echoed to stderr by
-/// [`telemetry_lines`] instead.
+/// The telemetry section of one network's `BENCH_study.json` entry: the
+/// crawl's counts (see [`NetworkRun::crawl_counts`]) plus
+/// count/min/p50/p90/p99/max summaries of every sim-time histogram.
 fn telemetry_entry(run: &NetworkRun) -> Value {
     let reg = &run.sim_metrics.telemetry;
     let counters = Value::Obj(
-        Counter::ALL
-            .iter()
-            .map(|&c| (c.label().to_string(), reg.counter(c).into()))
+        run.crawl_counts()
+            .into_iter()
+            .map(|(label, n)| (label.to_string(), n.into()))
             .collect(),
     );
     let hists = Value::Obj(
@@ -214,7 +212,7 @@ fn intern_lines(label: &str, run: &NetworkRun) {
     );
 }
 
-/// Echoes the histogram summaries (sim-time and wall-clock) to stderr.
+/// Echoes the sim-time histogram summaries to stderr.
 fn telemetry_lines(label: &str, run: &NetworkRun) {
     let reg = &run.sim_metrics.telemetry;
     for (name, s) in reg.sim_summaries() {
@@ -223,15 +221,6 @@ fn telemetry_lines(label: &str, run: &NetworkRun) {
         }
         eprintln!(
             "[run_study] hist {label}: {}",
-            hist_summary_line(name, s.count, s.min, s.p50, s.p90, s.p99, s.max)
-        );
-    }
-    for (name, s) in reg.wall_summaries() {
-        if s.count == 0 {
-            continue;
-        }
-        eprintln!(
-            "[run_study] hist {label} (wall): {}",
             hist_summary_line(name, s.count, s.min, s.p50, s.p90, s.p99, s.max)
         );
     }

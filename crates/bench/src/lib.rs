@@ -15,7 +15,7 @@
 use p2pmal_core::{fault_profile, LimewireScenario, MegaScenario, OpenFtScenario, Study};
 use p2pmal_crawler::RetryPolicy;
 use p2pmal_json::Value;
-use p2pmal_netsim::telemetry::{journal_path_for, parse_trace_level, JsonlSink};
+use p2pmal_netsim::telemetry::{journal_path_for, JsonlSink};
 use p2pmal_netsim::{FaultPlan, SimConfig, TelemetryConfig};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
@@ -105,7 +105,7 @@ impl Common {
                 journal: var(vars, "P2PMAL_JOURNAL")
                     .filter(|p| !p.trim().is_empty())
                     .map(PathBuf::from),
-                trace: parse_trace_level(var(vars, "P2PMAL_TRACE")),
+                trace: knob(vars, "P2PMAL_TRACE", TelemetryConfig::parse_trace)?.unwrap_or(false),
                 sample: knob(vars, "P2PMAL_JOURNAL_SAMPLE", TelemetryConfig::parse_sample)?
                     .unwrap_or(TelemetryConfig::off().sample),
             },
@@ -505,7 +505,7 @@ mod tests {
             ("P2PMAL_SHARDS", "4"),
             ("P2PMAL_SHARD_WINDOW_MS", "250"),
             ("P2PMAL_JOURNAL_SAMPLE", "query=10"),
-            ("P2PMAL_TRACE", "2"),
+            ("P2PMAL_TRACE", "yes"),
             ("P2PMAL_JOURNAL", base.to_str().unwrap()),
             ("P2PMAL_BENCH_JSON", summary.to_str().unwrap()),
         ]);
@@ -516,7 +516,7 @@ mod tests {
         sample[p2pmal_netsim::telemetry::EventCategory::Query as usize] = 10;
         let expected = TelemetryConfig {
             journal: Some(base),
-            trace: 2,
+            trace: true,
             sample,
         };
         let (lw, ft) = cfg.scenarios();
@@ -544,6 +544,8 @@ mod tests {
         BenchConfig::from_vars(&well_formed).expect("engine knobs well formed");
         mega_from_vars(&well_formed).expect("engine knobs well formed");
         for (name, value) in [
+            ("P2PMAL_TRACE", "2"),
+            ("P2PMAL_TRACE", "verbose"),
             ("P2PMAL_SHARDS", "four"),
             ("P2PMAL_SHARD_WINDOW_MS", "1s"),
             ("P2PMAL_JOURNAL_SAMPLE", "queries=10"),

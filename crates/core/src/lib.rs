@@ -33,9 +33,10 @@ mod population;
 pub mod scenario;
 pub mod study;
 
-/// The structured telemetry layer (event journal, metrics registry, trace
-/// sinks), re-exported so harnesses depending on `p2pmal-core` can
-/// configure sinks and read histograms without naming `p2pmal-netsim`.
+/// The structured telemetry layer (event journal, metrics registry, journal
+/// sink), re-exported so harnesses depending on `p2pmal-core` can
+/// configure the journal and read histograms without naming
+/// `p2pmal-netsim`.
 pub use p2pmal_netsim::telemetry;
 
 pub use mega::{MegaRun, MegaScenario};

@@ -63,7 +63,7 @@ pub struct MegaScenario {
     pub workload: WorkloadConfig,
     /// Selects nothing (see [`crate::LimewireScenario::scheduler`]).
     pub scheduler: SchedulerKind,
-    /// Telemetry sinks and trace level (off; `run_mega` sets them).
+    /// Journal and day lines (off; `run_mega` sets them).
     pub telemetry: TelemetryConfig,
     /// Simulation shards (one; `run_mega` sets `P2PMAL_SHARDS`).
     pub shards: usize,

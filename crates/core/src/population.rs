@@ -24,8 +24,8 @@ pub(crate) struct Population {
     pub world: SharedWorld,
     pub sim: Simulator,
     scanner: Arc<Scanner>,
-    /// `P2PMAL_TRACE` level: ≥ 1 prints a [`trace_day`] line per day.
-    trace: u8,
+    /// `P2PMAL_TRACE`: prints a [`trace_day`] line per day.
+    trace: bool,
     /// Leaf bootstrap groups, set by [`Self::backbone`].
     groups: Vec<Arc<[HostAddr]>>,
     /// Gnutella leaves spawned so far.
@@ -172,10 +172,10 @@ impl Population {
             let day_wall = t0.elapsed();
             wall += day_wall;
             // Unconditional: every run samples queue depth identically, so
-            // the registry stays deterministic whatever the trace level.
+            // the registry stays deterministic with or without day lines.
             sim.sample_queue_depth();
             let ev = sim.metrics().events_processed;
-            if self.trace >= 1 {
+            if self.trace {
                 let counts = with_crawler::<O, _>(sim, crawler, |c| {
                     let log = c.log();
                     let retries = (log.retries_scheduled, log.retry_successes);
@@ -271,10 +271,8 @@ fn with_crawler<O: Overlay, R>(
 /// retry/failure tallies from the crawl log (`log`: its scan counters,
 /// retries scheduled and recovered, and terminal failures).
 ///
-/// Accepted `P2PMAL_TRACE` values (parsed by
-/// `p2pmal_netsim::telemetry::parse_trace_level`): unset, empty, `0`,
-/// `off`, `false`, `no` → off; `2` → per-day lines *plus* per-event
-/// records on stderr; anything else (the historical `1`) → per-day lines.
+/// Accepted `P2PMAL_TRACE` values: see
+/// `p2pmal_netsim::TelemetryConfig::parse_trace`.
 fn trace_day(
     net: &str,
     day: u64,

@@ -28,7 +28,8 @@ use p2pmal_crawler::{
 };
 use p2pmal_gnutella::servent::{Servent, ServentConfig, SharedWorld};
 use p2pmal_netsim::{
-    FaultPlan, NodeSpec, SchedulerKind, SimConfig, SimDuration, SimMetrics, TelemetryConfig,
+    FaultPlan, NodeSpec, SchedulerKind, SimConfig, SimDuration, SimHist, SimMetrics,
+    TelemetryConfig,
 };
 use p2pmal_openft::node::{FtConfig, FtNode};
 use rand::rngs::StdRng;
@@ -83,6 +84,25 @@ pub struct NetworkRun {
 }
 
 impl NetworkRun {
+    /// The crawl's counts under the labels `BENCH_study.json` gives them:
+    /// queries issued, downloads started, retries scheduled and scan
+    /// verdicts. A verdict is a download that completed without failing;
+    /// the `download_attempts` histogram holds one sample per completion.
+    pub fn crawl_counts(&self) -> [(&'static str, u64); 4] {
+        let log = &self.log;
+        let completed = self
+            .sim_metrics
+            .telemetry
+            .hist(SimHist::DownloadAttempts)
+            .count();
+        [
+            ("queries_issued", log.queries_issued),
+            ("downloads_started", log.downloads_attempted),
+            ("download_retries", log.retries_scheduled),
+            ("scan_verdicts", completed - log.downloads_failed),
+        ]
+    }
+
     /// Canonical SHA-1 over everything the study reports: every resolved
     /// response (with verdict) plus the log counters. Deliberately excludes
     /// wall time, which is allowed to vary. The golden tests pin it; the
@@ -178,7 +198,7 @@ pub struct LimewireScenario {
     /// Crawler download retry policy ([`RetryPolicy::legacy()`] by
     /// default: the historical one-immediate-fallback behavior).
     pub retry: RetryPolicy,
-    /// Telemetry sinks and trace level; the presets leave it off, and
+    /// Journal and day lines; the presets leave them off, and
     /// `run_study` sets it from `P2PMAL_JOURNAL` / `P2PMAL_TRACE` /
     /// `P2PMAL_JOURNAL_SAMPLE`. With everything off runs are
     /// byte-identical to a build without the telemetry layer.
@@ -369,7 +389,7 @@ pub struct OpenFtScenario {
     pub faults: FaultPlan,
     /// Crawler download retry policy ([`RetryPolicy::legacy()`] default).
     pub retry: RetryPolicy,
-    /// Telemetry sinks and trace level (see
+    /// Journal and day lines (see
     /// [`LimewireScenario::telemetry`]).
     pub telemetry: TelemetryConfig,
     /// Simulation shards (see [`LimewireScenario::shards`]).

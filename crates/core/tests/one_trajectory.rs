@@ -18,7 +18,7 @@ use p2pmal_corpus::catalog::{Catalog, CatalogConfig};
 use p2pmal_corpus::{ContentStore, FamilyId, Roster};
 use p2pmal_crawler::{Network, RetryPolicy, WorkloadConfig};
 use p2pmal_gnutella::servent::SharedWorld;
-use p2pmal_netsim::{Counter, FaultPlan, SimMetrics, Subsystem, TelemetryConfig};
+use p2pmal_netsim::{FaultPlan, SimMetrics, Subsystem, TelemetryConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -47,8 +47,8 @@ const OPENFT_COUNTS: &str = concat!(
 );
 
 /// What the digests do not cover: engine counts, query-match and scan
-/// calls, every registry counter, and each sim-time histogram's count, p50
-/// and p99. A change to download timing can move a latency quantile while
+/// calls, the crawl counts, and each sim-time histogram's count, p50 and
+/// p99. A change to download timing can move a latency quantile while
 /// every logged response stays the same.
 fn pinned_counts(run: &NetworkRun) -> String {
     let m = &run.sim_metrics;
@@ -60,8 +60,8 @@ fn pinned_counts(run: &NetworkRun) -> String {
         m.timing.calls(Subsystem::QueryMatch),
         m.timing.calls(Subsystem::Scan)
     );
-    for c in Counter::ALL {
-        let _ = write!(out, " {}={}", c.label(), m.telemetry.counter(c));
+    for (label, n) in run.crawl_counts() {
+        let _ = write!(out, " {label}={n}");
     }
     for (label, h) in m.telemetry.sim_summaries() {
         let _ = write!(out, " {label}={}/{}/{}", h.count, h.p50, h.p99);
@@ -162,18 +162,24 @@ fn explicit_empty_fault_plan_is_the_fault_free_trajectory() {
     assert_eq!(run.trajectory_digest(), OPENFT_GOLDEN);
 }
 
-/// A quick LimeWire run at `shards` with the journal on; returns the run
-/// and the journal bytes.
-fn limewire_journaled(shards: usize) -> (NetworkRun, String) {
-    use p2pmal_core::telemetry::{journal_path_for, TelemetryConfig};
+/// `scenario` run with the journal on, sampled as `sample` says (see
+/// [`TelemetryConfig::parse_sample`]); returns the run and the journal
+/// bytes. `tag` keeps the journal files of concurrent tests apart.
+fn limewire_journaled(
+    mut scenario: LimewireScenario,
+    tag: &str,
+    sample: &str,
+) -> (NetworkRun, String) {
+    use p2pmal_core::telemetry::journal_path_for;
     let mut base = std::env::temp_dir();
     base.push(format!(
-        "p2pmal-one-trajectory-{}-s{shards}.jsonl",
-        std::process::id()
+        "p2pmal-one-trajectory-{}-{tag}-s{}.jsonl",
+        std::process::id(),
+        scenario.shards
     ));
-    let mut scenario = limewire(shards);
     scenario.telemetry = TelemetryConfig {
         journal: Some(base.clone()),
+        sample: TelemetryConfig::parse_sample(sample).expect("a valid sample spec"),
         ..TelemetryConfig::off()
     };
     let run = scenario.run();
@@ -188,8 +194,8 @@ fn limewire_journaled(shards: usize) -> (NetworkRun, String) {
 /// span-complete journals and reconstruct identical propagation trees.
 #[test]
 fn journals_and_propagation_trees_match_at_1_and_4_shards() {
-    let (run1, journal1) = limewire_journaled(1);
-    let (run4, journal4) = limewire_journaled(4);
+    let (run1, journal1) = limewire_journaled(limewire(1), "full", "");
+    let (run4, journal4) = limewire_journaled(limewire(4), "full", "");
     assert!(!journal1.is_empty());
     assert!(
         journal1 == journal4,
@@ -212,6 +218,36 @@ fn journals_and_propagation_trees_match_at_1_and_4_shards() {
     let failures = p2pmal_obs::strict_failures(&ev1, &a1);
     assert!(failures.is_empty(), "{failures:?}");
     assert_eq!(a1.complete_chains, a1.spanned_verdicts);
+}
+
+/// Sampling counts candidates at the one hub, in the replay's global order,
+/// so a sampled journal is byte-identical at one lane and four too, and
+/// keeps the first of every N candidates of a sampled category.
+#[test]
+fn sampled_journals_match_at_1_and_4_shards() {
+    let day = |shards| LimewireScenario {
+        days: 1,
+        ..limewire(shards)
+    };
+    let lines = |journal: &str, cat: &str| {
+        let cat = format!("\"cat\":\"{cat}\"");
+        journal.lines().filter(|l| l.contains(&cat)).count()
+    };
+    let (_, full) = limewire_journaled(day(1), "unsampled", "");
+    let (_, sampled1) = limewire_journaled(day(1), "sampled", "query=3,download=2");
+    let (_, sampled4) = limewire_journaled(day(4), "sampled", "query=3,download=2");
+    assert!(
+        sampled1 == sampled4,
+        "shards=1 and shards=4 must write byte-identical sampled journals"
+    );
+    for (cat, n) in [("query", 3), ("download", 2), ("scan", 1)] {
+        assert!(lines(&full, cat) > n, "{cat}: too few events to sample");
+        assert_eq!(
+            lines(&sampled1, cat),
+            lines(&full, cat).div_ceil(n),
+            "{cat}"
+        );
+    }
 }
 
 /// [`NetworkRun::trajectory_digest`] of the small mega world below, lifted

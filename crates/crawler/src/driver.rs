@@ -26,8 +26,8 @@ use p2pmal_gnutella::servent::SharedWorld;
 use p2pmal_gnutella::{Body, DownloadError};
 use p2pmal_hashes::Sha1Digest;
 use p2pmal_netsim::{
-    App, ConnId, Counter, Ctx, Direction, EventBody, EventCategory, Gauge, HostAddr, SimDuration,
-    SimHist, SpanCtx, Subsystem, WallHist,
+    App, ConnId, Ctx, Direction, EventBody, EventCategory, HostAddr, SimDuration, SimHist, SpanCtx,
+    Subsystem,
 };
 use p2pmal_scanner::{Scanner, Verdict};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -320,7 +320,6 @@ impl<O: Overlay> Crawler<O> {
     fn start(&mut self, ctx: &mut Ctx<'_>, fl: InFlight<O::Request>) {
         if fl.attempt == 0 {
             self.log.downloads_attempted += 1;
-            ctx.registry().inc(Counter::DownloadsStarted);
         }
         if ctx.telemetry_on(EventCategory::Download) {
             let body = EventBody::DownloadStart {
@@ -342,8 +341,6 @@ impl<O: Overlay> Crawler<O> {
             };
             self.start(ctx, fl);
         }
-        ctx.registry()
-            .set_gauge(Gauge::InFlightDownloads, self.in_flight.len() as u64);
     }
 
     /// An object left the attempt lifecycle, fetched (`ok`) or given up on:
@@ -353,7 +350,6 @@ impl<O: Overlay> Crawler<O> {
             if fl.attempt > 0 {
                 self.log.retry_successes += 1;
             }
-            ctx.registry().inc(Counter::ScanVerdicts);
         } else {
             self.log.downloads_failed += 1;
         }
@@ -397,14 +393,9 @@ impl<O: Overlay> Crawler<O> {
                 return;
             }
         };
-        let scan_start = std::time::Instant::now();
         let (sha1, verdict) = ctx.time(Subsystem::Scan, || {
             self.pipeline.scan(&fl.record.filename, &body)
         });
-        ctx.registry().record_wall(
-            WallHist::ScanWallUs,
-            scan_start.elapsed().as_micros() as u64,
-        );
         let len = body.len() as u64;
         // Scanned: the lane writes the next body into the same buffer.
         ctx.give_back(body.into_buffer());
@@ -459,7 +450,6 @@ impl<O: Overlay> Crawler<O> {
         if fl.attempt < self.config.retry.max_retries {
             fl.attempt += 1;
             self.log.retries_scheduled += 1;
-            ctx.registry().inc(Counter::DownloadRetries);
             if ctx.telemetry_on(EventCategory::Download) {
                 let ev = EventBody::DownloadRetry {
                     name: fl.record.filename.to_string(),
@@ -520,7 +510,6 @@ impl<O: Overlay> Crawler<O> {
         if let Some((_, responses)) = self.last_query.replace((key, 0)) {
             ctx.registry().record(SimHist::ResponsesPerQuery, responses);
         }
-        ctx.registry().inc(Counter::QueriesIssued);
         self.remember_query(key, &q);
         self.log.queries_issued += 1;
         let next = self.workload.next_interval_secs(ctx.now(), ctx.rng());

@@ -228,7 +228,7 @@ fn run(script: Script, config: CrawlerConfig, scan_events: bool) -> Ran {
     }
     let mut sim = Simulator::new(SimConfig::default(), 5);
     sim.set_telemetry(Telemetry::new(
-        vec![Box::new(Collect(Arc::clone(&events)))],
+        Box::new(Collect(Arc::clone(&events))),
         sample,
     ));
     let node = sim.spawn(

@@ -502,11 +502,6 @@ impl CrawlLog {
             heap_bytes: heap,
         }
     }
-
-    /// Downloadable responses (the paper's denominators).
-    pub fn downloadable_count(&self) -> usize {
-        self.responses.iter().filter(|r| r.downloadable).count()
-    }
 }
 
 #[cfg(test)]
@@ -616,7 +611,6 @@ mod tests {
         assert!(!resolved[1].scanned);
         assert_eq!(resolved[1].malware, None);
         assert!(!resolved[2].scanned, "unreachable is not scanned");
-        assert_eq!(log.downloadable_count(), 3);
     }
 
     /// The join as it was before records shared text: fresh keys per

@@ -5,7 +5,7 @@ use crate::addr::HostAddr;
 use crate::pool::{BufferPool, Payload};
 use crate::profile::{Subsystem, SubsystemProfile};
 use crate::telemetry::{
-    EventBody, EventCategory, MetricsRegistry, SpanCtx, Telemetry, TelemetryEvent,
+    EventBody, EventCategory, MetricsRegistry, SpanCtx, TelemetryBuffer, TelemetryEvent,
 };
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -71,7 +71,7 @@ pub struct Ctx<'a> {
     pub(crate) pool: &'a mut BufferPool,
     pub(crate) profile: &'a mut SubsystemProfile,
     pub(crate) registry: &'a mut MetricsRegistry,
-    pub(crate) telemetry: &'a mut Telemetry,
+    pub(crate) telemetry: &'a mut TelemetryBuffer,
 }
 
 impl<'a> Ctx<'a> {
@@ -188,8 +188,7 @@ impl<'a> Ctx<'a> {
     }
 
     /// The simulation's metrics registry — where instrumented apps record
-    /// named counters, gauges and histograms (rolled up into
-    /// `SimMetrics::telemetry`).
+    /// sim-time histograms (rolled up into `SimMetrics::telemetry`).
     #[inline]
     pub fn registry(&mut self) -> &mut MetricsRegistry {
         self.registry
@@ -208,9 +207,7 @@ impl<'a> Ctx<'a> {
     /// [`Ctx::telemetry_on`]).
     #[inline]
     pub fn emit(&mut self, body: EventBody) {
-        if self.telemetry.enabled(body.category()) {
-            self.telemetry.emit(TelemetryEvent::new(self.now, body));
-        }
+        self.telemetry.push(TelemetryEvent::new(self.now, body));
     }
 
     /// Emits one telemetry event carrying causal identity (see
@@ -219,10 +216,8 @@ impl<'a> Ctx<'a> {
     /// journal-off runs construct nothing.
     #[inline]
     pub fn emit_spanned(&mut self, body: EventBody, span: SpanCtx) {
-        if self.telemetry.enabled(body.category()) {
-            self.telemetry
-                .emit(TelemetryEvent::with_span(self.now, body, span));
-        }
+        self.telemetry
+            .push(TelemetryEvent::with_span(self.now, body, span));
     }
 }
 

@@ -78,8 +78,7 @@ pub use shard::shard_of;
 pub use sim::{NodeSpec, SimConfig, Simulator};
 pub use telemetry::span as telemetry_span;
 pub use telemetry::{
-    Counter, EventBody, EventCategory, FaultKind, Gauge, HistSummary, Log2Histogram,
-    MetricsRegistry, NullSink, RingSink, SimHist, SpanCtx, Telemetry, TelemetryConfig,
-    TelemetryEvent, TelemetrySink, WallHist,
+    EventBody, EventCategory, FaultKind, HistSummary, Log2Histogram, MetricsRegistry, SimHist,
+    SpanCtx, Telemetry, TelemetryConfig, TelemetryEvent, TelemetrySink,
 };
 pub use time::{SimDuration, SimTime};

@@ -184,7 +184,7 @@ fn run_app_loop(
     let mut pool = BufferPool::default();
     let mut profile = SubsystemProfile::new();
     let mut registry = crate::telemetry::MetricsRegistry::new();
-    let mut telemetry = crate::telemetry::Telemetry::disabled();
+    let mut telemetry = crate::telemetry::TelemetryBuffer::default();
     let mut streams: HashMap<u64, TcpStream> = HashMap::new();
     // `Ctx.next_conn` needs a plain &mut u64; reconcile with the shared
     // atomic after each callback.

@@ -143,10 +143,9 @@ pub struct SimMetrics {
     /// Memory accounting (bytes-per-node estimate, RSS gauges). Filled by
     /// [`crate::Simulator::record_memory`]; always-equal like `timing`.
     pub memory: MemoryStats,
-    /// Named counters, gauges and log2 histograms recorded by the simulator
-    /// and by instrumented apps via [`crate::Ctx::registry`]. Sim-keyed
-    /// entries are deterministic and participate in `Eq`; wall-clock
-    /// histograms hide behind the always-equal `WallHists` shield.
+    /// Log2 histograms of sim-derived quantities recorded by the simulator
+    /// and by instrumented apps via [`crate::Ctx::registry`]; deterministic,
+    /// so they participate in `Eq`.
     pub telemetry: MetricsRegistry,
 }
 

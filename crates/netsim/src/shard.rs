@@ -58,9 +58,7 @@ use crate::pool::{write_deferred, BufferPool, Payload};
 use crate::profile::{Stopwatch, Subsystem, SubsystemProfile};
 use crate::queue::{CalendarQueue, Scheduler};
 use crate::sim::SimConfig;
-use crate::telemetry::{
-    EventBody, EventCategory, FaultKind, Gauge, SimHist, Telemetry, TelemetryEvent, CATEGORY_COUNT,
-};
+use crate::telemetry::{EventBody, FaultKind, SimHist, Telemetry, TelemetryBuffer, TelemetryEvent};
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -279,8 +277,8 @@ pub(crate) struct Shard {
     pub nodes: Vec<NodeState>,
     pub metrics: SimMetrics,
     pub pool: BufferPool,
-    /// A buffering hub mirroring the real hub's category mask.
-    pub telemetry: Telemetry,
+    /// The events this lane's callbacks emit, awaiting the replay.
+    pub telemetry: TelemetryBuffer,
     /// Key-tagged events drained after each dispatch, awaiting the window
     /// boundary.
     tel_buf: Vec<Tagged>,
@@ -302,7 +300,7 @@ impl Shard {
             nodes: Vec::new(),
             metrics: SimMetrics::default(),
             pool: BufferPool::default(),
-            telemetry: Telemetry::buffered([false; CATEGORY_COUNT]),
+            telemetry: TelemetryBuffer::default(),
             tel_buf: Vec::new(),
             payload_bytes: 0,
             payload_peak: 0,
@@ -355,7 +353,6 @@ impl Boundary<'_> {
         for t in events.drain(..) {
             self.telemetry.emit(t.ev);
         }
-        self.control.telemetry.set_gauge(Gauge::QueueDepth, depth);
         self.control.telemetry.record(SimHist::QueueDepth, depth);
         *self.high_water = (*self.high_water).max(depth);
     }
@@ -385,10 +382,8 @@ pub(crate) struct Lane<'a> {
     actions: Vec<Action>,
 }
 
-fn emit_fault(tel: &mut Telemetry, now: SimTime, kind: FaultKind) {
-    if tel.enabled(EventCategory::Fault) {
-        tel.emit(TelemetryEvent::new(now, EventBody::FaultInjected { kind }));
-    }
+fn emit_fault(tel: &mut TelemetryBuffer, now: SimTime, kind: FaultKind) {
+    tel.push(TelemetryEvent::new(now, EventBody::FaultInjected { kind }));
 }
 
 fn drop_chunk(shard: &mut Shard, now: SimTime, payload: Payload) {
@@ -464,7 +459,7 @@ impl<'a> Lane<'a> {
             // Tag this dispatch's telemetry with its key, preserving
             // emission order, for the boundary replay.
             let shard = &mut *self.shard;
-            let events = shard.telemetry.drain_buffered().enumerate();
+            let events = shard.telemetry.drain().enumerate();
             shard.tel_buf.extend(events.map(|(i, ev)| Tagged {
                 time: last,
                 key,
@@ -963,14 +958,12 @@ impl<'a> Lane<'a> {
         }
         let shard = &mut *self.shard;
         shard.metrics.faults_churn_downs += 1;
-        if shard.telemetry.enabled(EventCategory::Churn) {
-            shard.telemetry.emit(TelemetryEvent::new(
-                self.now,
-                EventBody::ChurnDown {
-                    node: node.0 as u64,
-                },
-            ));
-        }
+        shard.telemetry.push(TelemetryEvent::new(
+            self.now,
+            EventBody::ChurnDown {
+                node: node.0 as u64,
+            },
+        ));
         let (open, pending) = self.take_down(node);
         for c in open {
             self.call_app(node, |app, ctx| app.on_closed(ctx, ConnId(c)));
@@ -999,14 +992,12 @@ impl<'a> Lane<'a> {
         }
         st.alive = true;
         shard.metrics.faults_churn_ups += 1;
-        if shard.telemetry.enabled(EventCategory::Churn) {
-            shard.telemetry.emit(TelemetryEvent::new(
-                self.now,
-                EventBody::ChurnUp {
-                    node: node.0 as u64,
-                },
-            ));
-        }
+        shard.telemetry.push(TelemetryEvent::new(
+            self.now,
+            EventBody::ChurnUp {
+                node: node.0 as u64,
+            },
+        ));
         let now = self.now;
         self.send_from(node, now, Ev::Start { node });
         let churn = self.world.config.faults.churn;
@@ -1204,7 +1195,7 @@ pub(crate) fn serial_lane<R>(
             shards[dst].push(SimTime::from_micros(m.time), m.key, m.ev);
         }
     }
-    for ev in shards[sh].telemetry.drain_buffered() {
+    for ev in shards[sh].telemetry.drain() {
         hub.emit(ev);
     }
     r

@@ -10,7 +10,7 @@ use crate::queue::Scheduler;
 use crate::shard::{
     self, pack, shard_of, Boundary, DirEntry, Ev, Lane, NodeState, Shard, World, CONTROL_SRC,
 };
-use crate::telemetry::{Gauge, SimHist, Telemetry};
+use crate::telemetry::{SimHist, Telemetry};
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -231,11 +231,10 @@ impl Simulator {
     /// emits nothing, draws no randomness, and leaves trajectories
     /// byte-identical to a simulator without the telemetry layer.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-        let mask = self.telemetry.enabled_mask();
         for shard in &mut self.shards {
-            shard.telemetry = Telemetry::buffered(mask);
+            shard.telemetry = telemetry.lane_buffer();
         }
+        self.telemetry = telemetry;
     }
 
     /// Flushes every attached telemetry sink (harness end-of-run hook; file
@@ -244,13 +243,12 @@ impl Simulator {
         self.telemetry.flush();
     }
 
-    /// Samples the scheduled-event queue depth into the metrics registry
-    /// (gauge: latest value; histogram: every sample). Deterministic —
-    /// harness loops call this unconditionally, e.g. once per simulated day.
-    /// The run loop additionally samples it at every window boundary.
+    /// Samples the scheduled-event queue depth into the metrics registry's
+    /// histogram. Deterministic — harness loops call this unconditionally,
+    /// e.g. once per simulated day. The run loop additionally samples it at
+    /// every window boundary.
     pub fn sample_queue_depth(&mut self) {
         let depth = self.pending_events() as u64;
-        self.control.telemetry.set_gauge(Gauge::QueueDepth, depth);
         self.control.telemetry.record(SimHist::QueueDepth, depth);
         self.refresh_merged();
     }

@@ -203,9 +203,8 @@ impl TelemetryEvent {
     /// Appends this event's journal line (no trailing newline) to `out`,
     /// allocating nothing beyond `out`'s own growth.
     ///
-    /// The journal schema — the **single canonical field order**, shared by
-    /// the JSONL journal and the `P2PMAL_TRACE=2` per-event rendering
-    /// (`TraceSink` prints exactly this object):
+    /// The journal schema — the **single canonical field order** of every
+    /// JSONL journal line:
     ///
     /// 1. envelope: `t` (sim-micros), `day`, `cat`, `ev`;
     /// 2. provenance (only when the event carries a span): `trace`, `span`,

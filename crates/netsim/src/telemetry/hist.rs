@@ -112,11 +112,6 @@ impl Log2Histogram {
         &self.counts
     }
 
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// The value at percentile `p` (0–100): the upper edge of the bucket
     /// containing the sample of rank `ceil(p/100 * count)`, clamped into
     /// `[min, max]`. Returns 0 on an empty histogram.
@@ -191,7 +186,6 @@ mod tests {
     #[test]
     fn empty_histogram_summary_is_zero() {
         let h = Log2Histogram::new();
-        assert!(h.is_empty());
         assert_eq!(
             h.summary(),
             HistSummary {

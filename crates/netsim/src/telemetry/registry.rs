@@ -1,76 +1,12 @@
-//! The metrics registry: named counters, gauges and log2 histograms that
+//! The metrics registry: log2 histograms over sim-derived quantities that
 //! roll up into [`crate::SimMetrics`].
 //!
-//! Two determinism classes live here, mirroring the split between
-//! [`crate::SimMetrics`] counters and [`crate::SubsystemProfile`] timings:
-//!
-//! * **Sim-keyed** counters/gauges/histograms record quantities derived
-//!   purely from the simulation trajectory (sim-time latencies, fan-out,
-//!   attempt counts, queue depth). They derive `Eq` and participate in
-//!   identical-seed equality assertions.
-//! * **Wall-keyed** histograms record wall-clock quantities (scan wall
-//!   time). [`WallHists`] compares equal to everything, so metric
-//!   snapshots stay usable in determinism checks.
+//! Every sample is keyed on the simulation trajectory (sim-time latencies,
+//! fan-out, attempt counts, queue depth), so the registry derives `Eq` and
+//! takes part in identical-seed equality assertions. Counts the crawl log
+//! already keeps are read from the log, not counted here a second time.
 
 use super::hist::{HistSummary, Log2Histogram};
-
-/// Number of deterministic counters.
-pub const COUNTER_COUNT: usize = 4;
-
-/// Deterministic monotonic counters, harness-incremented through
-/// [`crate::Ctx::registry`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Counter {
-    /// Workload queries the crawler issued.
-    QueriesIssued = 0,
-    /// Distinct download objects whose first attempt started.
-    DownloadsStarted = 1,
-    /// Retry attempts scheduled by the crawler.
-    DownloadRetries = 2,
-    /// Scan verdicts produced (bodies that completed the pipeline).
-    ScanVerdicts = 3,
-}
-
-impl Counter {
-    pub const ALL: [Counter; COUNTER_COUNT] = [
-        Counter::QueriesIssued,
-        Counter::DownloadsStarted,
-        Counter::DownloadRetries,
-        Counter::ScanVerdicts,
-    ];
-
-    pub fn label(self) -> &'static str {
-        match self {
-            Counter::QueriesIssued => "queries_issued",
-            Counter::DownloadsStarted => "downloads_started",
-            Counter::DownloadRetries => "download_retries",
-            Counter::ScanVerdicts => "scan_verdicts",
-        }
-    }
-}
-
-/// Number of deterministic gauges.
-pub const GAUGE_COUNT: usize = 2;
-
-/// Deterministic last-write-wins gauges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Gauge {
-    /// Scheduled-event queue depth at the last per-day sample.
-    QueueDepth = 0,
-    /// Crawler downloads in flight after the last slot refill.
-    InFlightDownloads = 1,
-}
-
-impl Gauge {
-    pub const ALL: [Gauge; GAUGE_COUNT] = [Gauge::QueueDepth, Gauge::InFlightDownloads];
-
-    pub fn label(self) -> &'static str {
-        match self {
-            Gauge::QueueDepth => "queue_depth",
-            Gauge::InFlightDownloads => "inflight_downloads",
-        }
-    }
-}
 
 /// Number of deterministic (sim-keyed) histograms.
 pub const SIM_HIST_COUNT: usize = 4;
@@ -108,96 +44,15 @@ impl SimHist {
     }
 }
 
-/// Number of wall-clock histograms.
-pub const WALL_HIST_COUNT: usize = 1;
-
-/// Histograms over wall-clock quantities (diagnostics only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WallHist {
-    /// Wall-clock microseconds one scan-pipeline invocation took.
-    ScanWallUs = 0,
-}
-
-impl WallHist {
-    pub const ALL: [WallHist; WALL_HIST_COUNT] = [WallHist::ScanWallUs];
-
-    pub fn label(self) -> &'static str {
-        match self {
-            WallHist::ScanWallUs => "scan_wall_us",
-        }
-    }
-}
-
-/// Wall-clock histograms behind the always-equal shield: identical-seed
-/// metric snapshots compare equal even though wall timings differ
-/// (the [`crate::SubsystemProfile`] pattern).
-#[derive(Debug, Default, Clone)]
-pub struct WallHists {
-    hists: [Log2Histogram; WALL_HIST_COUNT],
-}
-
-impl WallHists {
-    #[inline]
-    pub fn record(&mut self, h: WallHist, v: u64) {
-        self.hists[h as usize].record(v);
-    }
-
-    pub fn hist(&self, h: WallHist) -> &Log2Histogram {
-        &self.hists[h as usize]
-    }
-
-    pub fn merge(&mut self, other: &WallHists) {
-        for i in 0..WALL_HIST_COUNT {
-            self.hists[i].merge(&other.hists[i]);
-        }
-    }
-}
-
-/// Wall-clock never participates in determinism checks.
-impl PartialEq for WallHists {
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
-impl Eq for WallHists {}
-
 /// The registry carried by [`crate::SimMetrics::telemetry`].
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct MetricsRegistry {
-    counters: [u64; COUNTER_COUNT],
-    gauges: [u64; GAUGE_COUNT],
     hists: [Log2Histogram; SIM_HIST_COUNT],
-    /// Wall-clock histograms (always-equal; see [`WallHists`]).
-    pub wall: WallHists,
 }
 
 impl MetricsRegistry {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    #[inline]
-    pub fn inc(&mut self, c: Counter) {
-        self.counters[c as usize] += 1;
-    }
-
-    #[inline]
-    pub fn add(&mut self, c: Counter, n: u64) {
-        self.counters[c as usize] += n;
-    }
-
-    pub fn counter(&self, c: Counter) -> u64 {
-        self.counters[c as usize]
-    }
-
-    #[inline]
-    pub fn set_gauge(&mut self, g: Gauge, v: u64) {
-        self.gauges[g as usize] = v;
-    }
-
-    pub fn gauge(&self, g: Gauge) -> u64 {
-        self.gauges[g as usize]
     }
 
     /// Records a sim-derived sample.
@@ -206,18 +61,12 @@ impl MetricsRegistry {
         self.hists[h as usize].record(v);
     }
 
-    /// Records a wall-clock sample (diagnostics only).
-    #[inline]
-    pub fn record_wall(&mut self, h: WallHist, v: u64) {
-        self.wall.record(h, v);
-    }
-
     pub fn hist(&self, h: SimHist) -> &Log2Histogram {
         &self.hists[h as usize]
     }
 
-    /// Every deterministic histogram's labeled summary, in declaration
-    /// order (the rendering order of trace lines and `BENCH_study.json`).
+    /// Every histogram's labeled summary, in declaration order (the
+    /// rendering order of trace lines and `BENCH_study.json`).
     pub fn sim_summaries(&self) -> Vec<(&'static str, HistSummary)> {
         SimHist::ALL
             .iter()
@@ -225,36 +74,11 @@ impl MetricsRegistry {
             .collect()
     }
 
-    /// Every wall-clock histogram's labeled summary.
-    pub fn wall_summaries(&self) -> Vec<(&'static str, HistSummary)> {
-        WallHist::ALL
-            .iter()
-            .map(|&h| (h.label(), self.wall.hist(h).summary()))
-            .collect()
-    }
-
-    /// Folds another registry into this one. Counters and histograms sum
-    /// exactly; gauges keep the other side's last write when it has one.
+    /// Folds another registry into this one; histograms sum exactly.
     pub fn merge(&mut self, other: &MetricsRegistry) {
-        for i in 0..COUNTER_COUNT {
-            self.counters[i] += other.counters[i];
-        }
-        for i in 0..GAUGE_COUNT {
-            if other.gauges[i] != 0 {
-                self.gauges[i] = other.gauges[i];
-            }
-        }
         for i in 0..SIM_HIST_COUNT {
             self.hists[i].merge(&other.hists[i]);
         }
-        self.wall.merge(&other.wall);
-    }
-
-    /// True when nothing deterministic has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.iter().all(|&c| c == 0)
-            && self.gauges.iter().all(|&g| g == 0)
-            && self.hists.iter().all(|h| h.is_empty())
     }
 }
 
@@ -263,58 +87,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_gauges_and_hists_accumulate() {
-        let mut r = MetricsRegistry::new();
-        assert!(r.is_empty());
-        r.inc(Counter::QueriesIssued);
-        r.add(Counter::QueriesIssued, 2);
-        r.set_gauge(Gauge::QueueDepth, 17);
-        r.record(SimHist::DownloadLatencyUs, 1_000);
-        r.record(SimHist::DownloadLatencyUs, 2_000);
-        assert_eq!(r.counter(Counter::QueriesIssued), 3);
-        assert_eq!(r.gauge(Gauge::QueueDepth), 17);
-        assert_eq!(r.hist(SimHist::DownloadLatencyUs).count(), 2);
-        assert!(!r.is_empty());
-    }
-
-    #[test]
-    fn wall_hists_never_break_equality() {
-        let mut a = MetricsRegistry::new();
-        let b = MetricsRegistry::new();
-        a.record_wall(WallHist::ScanWallUs, 999_999);
-        assert_eq!(a, b, "wall-clock data must not affect Eq");
-        // But a sim-keyed sample does.
-        a.record(SimHist::QueueDepth, 1);
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn merge_sums_counters_and_hists() {
+    fn hists_accumulate_and_merge() {
         let mut a = MetricsRegistry::new();
         let mut b = MetricsRegistry::new();
-        a.inc(Counter::DownloadsStarted);
-        b.add(Counter::DownloadsStarted, 4);
-        b.set_gauge(Gauge::InFlightDownloads, 3);
+        a.record(SimHist::DownloadLatencyUs, 1_000);
+        a.record(SimHist::DownloadLatencyUs, 2_000);
+        assert_eq!(a.hist(SimHist::DownloadLatencyUs).count(), 2);
+        assert_ne!(a, b);
         a.record(SimHist::ResponsesPerQuery, 10);
         b.record(SimHist::ResponsesPerQuery, 20);
         a.merge(&b);
-        assert_eq!(a.counter(Counter::DownloadsStarted), 5);
-        assert_eq!(a.gauge(Gauge::InFlightDownloads), 3);
         assert_eq!(a.hist(SimHist::ResponsesPerQuery).count(), 2);
     }
 
     #[test]
     fn labels_are_stable() {
-        let c: Vec<&str> = Counter::ALL.iter().map(|c| c.label()).collect();
-        assert_eq!(
-            c,
-            vec![
-                "queries_issued",
-                "downloads_started",
-                "download_retries",
-                "scan_verdicts"
-            ]
-        );
         let h: Vec<&str> = SimHist::ALL.iter().map(|h| h.label()).collect();
         assert_eq!(
             h,
@@ -325,7 +112,5 @@ mod tests {
                 "queue_depth"
             ]
         );
-        assert_eq!(WallHist::ScanWallUs.label(), "scan_wall_us");
-        assert_eq!(Gauge::QueueDepth.label(), "queue_depth");
     }
 }

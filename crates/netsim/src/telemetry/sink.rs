@@ -1,72 +1,21 @@
-//! Telemetry sinks and the per-simulator hub that fans events out to them.
+//! The journal sink and the per-simulator hub that feeds it.
 //!
-//! The default is **no sinks at all**: emission sites check
-//! [`Telemetry::enabled`] first, so a journal-off run never constructs an
-//! event, draws no randomness, and stays byte-identical to a build without
-//! the telemetry layer. With sinks attached, every record flows to all of
-//! them — the JSONL journal and the leveled trace render the same events.
+//! The default is **no sink at all**: emission sites check
+//! [`Telemetry::enabled`] (or, inside a lane, `TelemetryBuffer::enabled`)
+//! first, so a journal-off run never constructs an event, draws no
+//! randomness, and stays byte-identical to a build without the telemetry
+//! layer.
 
 use super::event::{EventCategory, TelemetryEvent, CATEGORY_COUNT};
-use std::collections::VecDeque;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// A consumer of telemetry records. `Send` so a sink hub can live inside a
-/// shard that migrates onto a worker thread (shards buffer their events and
-/// the real hub replays them at window boundaries).
+/// A consumer of telemetry records: the JSONL journal, or a test's fake.
 pub trait TelemetrySink: Send {
     fn record(&mut self, event: &TelemetryEvent);
     /// Push buffered output to its destination (called at end of run; file
     /// sinks also flush on drop).
     fn flush(&mut self) {}
-}
-
-/// Discards everything. The zero-cost default: the hub never reaches a
-/// sink's `record` when no sink is attached, so this type mostly serves as
-/// an explicit "telemetry off" marker in tests and examples.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TelemetrySink for NullSink {
-    fn record(&mut self, _event: &TelemetryEvent) {}
-}
-
-/// Bounded in-memory ring: keeps the most recent `cap` events. Useful for
-/// harness assertions and post-mortem inspection without touching disk.
-#[derive(Debug)]
-pub struct RingSink {
-    cap: usize,
-    buf: VecDeque<TelemetryEvent>,
-}
-
-impl RingSink {
-    pub fn new(cap: usize) -> Self {
-        RingSink {
-            cap: cap.max(1),
-            buf: VecDeque::new(),
-        }
-    }
-
-    pub fn events(&self) -> impl Iterator<Item = &TelemetryEvent> {
-        self.buf.iter()
-    }
-
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-impl TelemetrySink for RingSink {
-    fn record(&mut self, event: &TelemetryEvent) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(event.clone());
-    }
 }
 
 /// JSONL file sink: one compact JSON object per line, in emission order
@@ -148,58 +97,24 @@ impl Drop for JsonlSink {
     }
 }
 
-/// Per-event trace rendering (`P2PMAL_TRACE=2`): each record goes to
-/// stderr as the same compact JSON the journal writes, tagged with the
-/// network label.
-#[derive(Debug)]
-pub struct TraceSink {
-    label: String,
-    line: String,
-}
-
-impl TraceSink {
-    pub fn new(label: &str) -> Self {
-        TraceSink {
-            label: label.to_string(),
-            line: String::new(),
-        }
-    }
-}
-
-impl TelemetrySink for TraceSink {
-    fn record(&mut self, event: &TelemetryEvent) {
-        self.line.clear();
-        event.write_json(&mut self.line);
-        eprintln!("[trace] {} {}", self.label, self.line);
-    }
-}
-
-/// The per-simulator hub: attached sinks plus per-category 1-in-N sampling.
+/// The per-simulator hub: the attached sink plus per-category 1-in-N
+/// sampling.
 ///
-/// `seen` counts *candidate* events per category (post-`enabled` gate), so
-/// sampling keeps every Nth candidate deterministically — no RNG involved.
+/// `seen` counts *candidate* events per category, so sampling keeps every
+/// Nth candidate deterministically — no RNG involved. Lanes never reach
+/// the hub: they write into a `TelemetryBuffer`, and the engine replays
+/// the buffers through [`Telemetry::emit`] in one key-ordered merge, so the
+/// sampling counters advance in one global order whatever the shard count.
 pub struct Telemetry {
-    sinks: Vec<Box<dyn TelemetrySink>>,
+    sink: Option<Box<dyn TelemetrySink>>,
     sample: [u32; CATEGORY_COUNT],
     seen: [u64; CATEGORY_COUNT],
-    /// Buffering: set on per-shard hubs, which have no sinks of their own.
-    /// `enabled` answers from the real hub's mask snapshot and `emit`
-    /// appends every candidate unsampled; the lane engine drains the
-    /// buffer after each dispatched event and replays the key-ordered
-    /// merge through the real hub, so sampling counters advance in one
-    /// global order whatever the shard count.
-    buffer: Option<BufferMode>,
-}
-
-struct BufferMode {
-    mask: [bool; CATEGORY_COUNT],
-    events: Vec<TelemetryEvent>,
 }
 
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
-            .field("sinks", &self.sinks.len())
+            .field("sink", &self.sink.is_some())
             .field("sample", &self.sample)
             .field("seen", &self.seen)
             .finish()
@@ -213,96 +128,55 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// No sinks: `enabled` is false for every category and `emit` is a
+    /// No sink: `enabled` is false for every category and `emit` is a
     /// no-op. This is the state every simulator starts in.
     pub fn disabled() -> Self {
         Telemetry {
-            sinks: Vec::new(),
+            sink: None,
             sample: [1; CATEGORY_COUNT],
             seen: [0; CATEGORY_COUNT],
-            buffer: None,
         }
     }
 
-    pub fn new(sinks: Vec<Box<dyn TelemetrySink>>, sample: [u32; CATEGORY_COUNT]) -> Self {
+    pub fn new(sink: Box<dyn TelemetrySink>, sample: [u32; CATEGORY_COUNT]) -> Self {
         Telemetry {
-            sinks,
+            sink: Some(sink),
             sample,
             seen: [0; CATEGORY_COUNT],
-            buffer: None,
         }
     }
 
-    /// A sinkless buffering hub for one shard. `mask` is the real hub's
-    /// [`Telemetry::enabled_mask`]; events of enabled
-    /// categories accumulate unsampled until [`Telemetry::drain_buffered`].
-    pub fn buffered(mask: [bool; CATEGORY_COUNT]) -> Self {
-        Telemetry {
-            sinks: Vec::new(),
-            sample: [1; CATEGORY_COUNT],
-            seen: [0; CATEGORY_COUNT],
-            buffer: Some(BufferMode {
-                mask,
-                events: Vec::new(),
-            }),
-        }
-    }
-
-    /// Per-category `enabled` snapshot, for seeding shard-local buffering
-    /// hubs from the control hub.
-    pub fn enabled_mask(&self) -> [bool; CATEGORY_COUNT] {
-        let mut mask = [false; CATEGORY_COUNT];
-        for cat in EventCategory::ALL {
-            mask[cat as usize] = self.enabled(cat);
-        }
-        mask
-    }
-
-    /// Drains buffered events (buffering hubs only; empty otherwise). The
-    /// buffer keeps its capacity: the engine drains after every dispatch.
-    pub fn drain_buffered(&mut self) -> impl Iterator<Item = TelemetryEvent> + '_ {
-        self.buffer.iter_mut().flat_map(|b| b.events.drain(..))
-    }
-
-    /// Whether events of `cat` go anywhere at all. Emission sites check
-    /// this *before* building an event, keeping the disabled path free of
-    /// allocation and formatting.
+    /// Whether events of `cat` go anywhere at all.
     #[inline]
     pub fn enabled(&self, cat: EventCategory) -> bool {
-        if let Some(b) = &self.buffer {
-            return b.mask[cat as usize];
+        self.sink.is_some() && self.sample[cat as usize] != 0
+    }
+
+    /// An empty lane buffer that takes exactly the categories this hub
+    /// writes.
+    pub(crate) fn lane_buffer(&self) -> TelemetryBuffer {
+        TelemetryBuffer {
+            mask: EventCategory::ALL.map(|cat| self.enabled(cat)),
+            events: Vec::new(),
         }
-        !self.sinks.is_empty() && self.sample[cat as usize] != 0
     }
 
     /// Records one event, honoring the category's 1-in-N sampling.
-    /// Buffering hubs instead retain every enabled-category candidate —
-    /// sampling is applied once, by the control hub the merged stream is
-    /// replayed through.
     pub fn emit(&mut self, event: TelemetryEvent) {
-        if let Some(b) = &mut self.buffer {
-            if b.mask[event.category() as usize] {
-                b.events.push(event);
-            }
-            return;
-        }
         let cat = event.category() as usize;
-        if self.sinks.is_empty() || self.sample[cat] == 0 {
+        let Some(sink) = self.sink.as_mut().filter(|_| self.sample[cat] != 0) else {
             return;
-        }
+        };
         let keep = self.seen[cat].is_multiple_of(self.sample[cat] as u64);
         self.seen[cat] += 1;
-        if !keep {
-            return;
-        }
-        for sink in &mut self.sinks {
+        if keep {
             sink.record(&event);
         }
     }
 
-    /// Flushes every sink (end of run; file sinks also flush on drop).
+    /// Flushes the sink (end of run; file sinks also flush on drop).
     pub fn flush(&mut self) {
-        for sink in &mut self.sinks {
+        if let Some(sink) = &mut self.sink {
             sink.flush();
         }
     }
@@ -314,15 +188,38 @@ impl Drop for Telemetry {
     }
 }
 
-/// Parses a `P2PMAL_TRACE`-style value into a trace level. Unset, empty,
-/// `0`, `off`, `false` and `no` mean **off**; `2` enables per-event trace;
-/// anything else (the historical `1`, `yes`, ...) is level 1 (per-day
-/// summary lines).
-pub fn parse_trace_level(value: Option<&str>) -> u8 {
-    match value.map(str::trim) {
-        None | Some("") | Some("0") | Some("off") | Some("false") | Some("no") => 0,
-        Some("2") => 2,
-        Some(_) => 1,
+/// What a lane's callbacks emit into: every candidate of a category the
+/// hub writes, unsampled, until the engine drains it for the replay. The
+/// default takes nothing.
+#[derive(Debug, Default)]
+pub(crate) struct TelemetryBuffer {
+    mask: [bool; CATEGORY_COUNT],
+    events: Vec<TelemetryEvent>,
+}
+
+impl TelemetryBuffer {
+    #[inline]
+    pub fn enabled(&self, cat: EventCategory) -> bool {
+        self.mask[cat as usize]
+    }
+
+    /// Keeps `event` if its category is enabled.
+    #[inline]
+    pub fn push(&mut self, event: TelemetryEvent) {
+        if self.enabled(event.category()) {
+            self.keep(event);
+        }
+    }
+
+    /// Out of line, so an emission site inlines only the mask check.
+    fn keep(&mut self, event: TelemetryEvent) {
+        self.events.push(event);
+    }
+
+    /// Drains the buffered events. The buffer keeps its capacity: the
+    /// engine drains after every dispatch.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, TelemetryEvent> {
+        self.events.drain(..)
     }
 }
 
@@ -344,9 +241,8 @@ pub struct TelemetryConfig {
     /// Base journal path (`P2PMAL_JOURNAL`); each network writes to
     /// [`journal_path_for`]`(base, label)`. `None` disables the journal.
     pub journal: Option<PathBuf>,
-    /// Trace level (`P2PMAL_TRACE`): 0 off, 1 per-day lines, 2 adds
-    /// per-event records rendered from the same journal stream.
-    pub trace: u8,
+    /// Per-day progress lines on stderr (`P2PMAL_TRACE`).
+    pub trace: bool,
     /// Per-category 1-in-N sampling (`P2PMAL_JOURNAL_SAMPLE`); 1 keeps
     /// everything, 0 disables the category entirely.
     pub sample: [u32; CATEGORY_COUNT],
@@ -363,8 +259,18 @@ impl TelemetryConfig {
     pub fn off() -> Self {
         TelemetryConfig {
             journal: None,
-            trace: 0,
+            trace: false,
             sample: [1; CATEGORY_COUNT],
+        }
+    }
+
+    /// A `P2PMAL_TRACE` value: empty, `0`, `off`, `false` or `no` is off;
+    /// `1`, `on`, `true` or `yes` is on; `None` for anything else.
+    pub fn parse_trace(value: &str) -> Option<bool> {
+        match value {
+            "" | "0" | "off" | "false" | "no" => Some(false),
+            "1" | "on" | "true" | "yes" => Some(true),
+            _ => None,
         }
     }
 
@@ -381,21 +287,20 @@ impl TelemetryConfig {
         Some(sample)
     }
 
-    /// Builds the sink hub for one network run. `label` tags the journal
-    /// file name and trace lines (`limewire` / `openft`).
+    /// Builds the hub for one network run. `label` tags the journal file
+    /// name (`limewire` / `openft`).
     pub fn build(&self, label: &str) -> Telemetry {
-        let mut sinks: Vec<Box<dyn TelemetrySink>> = Vec::new();
-        if let Some(base) = &self.journal {
-            let path = journal_path_for(base, label);
-            match JsonlSink::create(&path) {
-                Ok(sink) => sinks.push(Box::new(sink)),
-                Err(e) => eprintln!("[telemetry] cannot open journal {}: {e}", path.display()),
+        let Some(base) = &self.journal else {
+            return Telemetry::disabled();
+        };
+        let path = journal_path_for(base, label);
+        match JsonlSink::create(&path) {
+            Ok(sink) => Telemetry::new(Box::new(sink), self.sample),
+            Err(e) => {
+                eprintln!("[telemetry] cannot open journal {}: {e}", path.display());
+                Telemetry::disabled()
             }
         }
-        if self.trace >= 2 {
-            sinks.push(Box::new(TraceSink::new(label)));
-        }
-        Telemetry::new(sinks, self.sample)
     }
 }
 
@@ -422,17 +327,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ring_sink_is_bounded_and_keeps_latest() {
-        let mut ring = RingSink::new(3);
-        for t in 0..5 {
-            ring.record(&ev(t));
-        }
-        assert_eq!(ring.len(), 3);
-        let ts: Vec<u64> = ring.events().map(|e| e.at.as_micros()).collect();
-        assert_eq!(ts, vec![2, 3, 4]);
-    }
-
     /// Shares its record log so tests can inspect a sink after boxing it
     /// into a hub.
     struct SpySink(std::sync::Arc<std::sync::Mutex<Vec<u64>>>);
@@ -448,7 +342,7 @@ mod tests {
         let got = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
         let mut sample = [1u32; CATEGORY_COUNT];
         sample[EventCategory::Fault as usize] = 3;
-        let mut hub = Telemetry::new(vec![Box::new(SpySink(got.clone()))], sample);
+        let mut hub = Telemetry::new(Box::new(SpySink(got.clone())), sample);
         for t in 0..9 {
             hub.emit(ev(t));
         }
@@ -456,55 +350,41 @@ mod tests {
     }
 
     #[test]
-    fn every_sink_sees_every_kept_event() {
-        let a = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let b = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let mut hub = Telemetry::new(
-            vec![Box::new(SpySink(a.clone())), Box::new(SpySink(b.clone()))],
-            [1; CATEGORY_COUNT],
-        );
-        for t in 0..4 {
-            hub.emit(ev(t));
-        }
-        assert_eq!(*a.lock().unwrap(), vec![0, 1, 2, 3]);
-        assert_eq!(*a.lock().unwrap(), *b.lock().unwrap());
-    }
-
-    #[test]
-    fn buffering_hub_retains_unsampled_and_mirrors_mask() {
-        let mut mask = [true; CATEGORY_COUNT];
-        mask[EventCategory::Churn as usize] = false;
-        let mut hub = Telemetry::buffered(mask);
-        assert!(hub.enabled(EventCategory::Fault));
-        assert!(!hub.enabled(EventCategory::Churn));
-        for t in 0..5 {
-            hub.emit(ev(t));
-        }
-        assert_eq!(hub.drain_buffered().count(), 5);
-        assert_eq!(hub.drain_buffered().count(), 0);
-    }
-
-    #[test]
-    fn zero_sample_disables_category() {
+    fn a_lane_buffer_keeps_every_candidate_the_hub_writes() {
         let mut sample = [1u32; CATEGORY_COUNT];
         sample[EventCategory::Churn as usize] = 0;
-        let hub = Telemetry::new(vec![Box::new(NullSink)], sample);
+        sample[EventCategory::Fault as usize] = 3;
+        let got = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let hub = Telemetry::new(Box::new(SpySink(got)), sample);
         assert!(!hub.enabled(EventCategory::Churn));
-        assert!(hub.enabled(EventCategory::Fault));
+        let mut buf = hub.lane_buffer();
+        assert!(buf.enabled(EventCategory::Fault));
+        assert!(!buf.enabled(EventCategory::Churn));
+        for t in 0..5 {
+            buf.push(ev(t));
+        }
+        assert_eq!(
+            buf.drain().count(),
+            5,
+            "sampling is the hub's, not the lane's"
+        );
+        assert_eq!(buf.drain().count(), 0);
+        let mut off = Telemetry::disabled().lane_buffer();
+        off.push(ev(0));
+        assert_eq!(off.drain().count(), 0);
     }
 
     #[test]
-    fn trace_level_parsing() {
-        assert_eq!(parse_trace_level(None), 0);
-        assert_eq!(parse_trace_level(Some("")), 0);
-        assert_eq!(parse_trace_level(Some("0")), 0);
-        assert_eq!(parse_trace_level(Some("off")), 0);
-        assert_eq!(parse_trace_level(Some("false")), 0);
-        assert_eq!(parse_trace_level(Some("no")), 0);
-        assert_eq!(parse_trace_level(Some("1")), 1);
-        assert_eq!(parse_trace_level(Some("yes")), 1);
-        assert_eq!(parse_trace_level(Some("2")), 2);
-        assert_eq!(parse_trace_level(Some(" 2 ")), 2);
+    fn trace_parsing() {
+        for off in ["", "0", "off", "false", "no"] {
+            assert_eq!(TelemetryConfig::parse_trace(off), Some(false), "{off:?}");
+        }
+        for on in ["1", "on", "true", "yes"] {
+            assert_eq!(TelemetryConfig::parse_trace(on), Some(true), "{on:?}");
+        }
+        for bad in ["2", " 1", "maybe"] {
+            assert_eq!(TelemetryConfig::parse_trace(bad), None, "{bad:?}");
+        }
     }
 
     /// A journal on a full disk keeps the first error, writes nothing after

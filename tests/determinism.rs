@@ -22,9 +22,8 @@ fn run(seed: u64) -> (u64, u64, u64, String, f64, MetricsRegistry) {
         run.log.queries_issued,
         top.first().map(|t| t.item.clone()).unwrap_or_default(),
         private,
-        // The telemetry registry (counters + sim-time histograms) is part
-        // of the determinism contract; its wall-clock histograms compare
-        // always-equal by design.
+        // The telemetry registry's sim-time histograms are part of the
+        // determinism contract.
         run.sim_metrics.telemetry,
     )
 }
